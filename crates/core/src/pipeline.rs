@@ -3,12 +3,12 @@
 //! Apps' Groovy code → Translator → App Dependency Analyzer → Model Generator
 //! → model checker → Output Analyzer.  The [`Pipeline`] ties the crates
 //! together: it translates sources, computes related sets so only interacting
-//! apps are verified jointly, verifies each group with the sequential model,
-//! aggregates violations, and drives the attribution algorithm for newly
-//! installed apps.
+//! apps are verified jointly, verifies the independent groups concurrently
+//! (merging their verdicts in plan order), aggregates violations, and drives
+//! the attribution algorithm for newly installed apps.
 
 use crate::model::{ModelOptions, SequentialModel};
-use crate::planner::{FleetReport, VerificationCache, VerificationPlanner};
+use crate::planner::{FleetReport, GroupJob, VerificationCache, VerificationPlanner};
 use crate::system::InstalledSystem;
 use iotsan_attribution::{attribute_app, AttributionReport, AttributionThresholds};
 use iotsan_checker::{ParallelChecker, SearchConfig, SearchReport};
@@ -302,25 +302,24 @@ impl Pipeline {
         VerificationPlanner::new(self)
     }
 
-    /// The full pipeline: dependency analysis, then per-related-group
-    /// verification with the sequential model.
+    /// The full pipeline: dependency analysis, then the related groups
+    /// verified concurrently, their results returned in plan order.
     ///
-    /// The partitioning is shared with [`Pipeline::verify_fleet`] — both run
-    /// the same [`VerificationPlanner::plan`]; this entry point verifies
-    /// every group unconditionally (no cache) and keeps the lean
-    /// [`VerificationResult`] shape.
+    /// The partitioning and the group executor are shared with
+    /// [`Pipeline::verify_fleet`] — both run the same
+    /// [`VerificationPlanner::plan`] and the same group executor;
+    /// this entry point verifies every group unconditionally (no cache) and
+    /// keeps the lean [`VerificationResult`] shape.
     pub fn verify(&self, apps: &[IrApp], config: &SystemConfig) -> VerificationResult {
-        let plan = self.planner().plan(apps, config);
-        let mut result = VerificationResult {
-            groups: Vec::new(),
+        let planner = self.planner();
+        let plan = planner.plan(apps, config);
+        let jobs: Vec<&GroupJob> = plan.jobs.iter().collect();
+        VerificationResult {
+            groups: planner.verify_jobs(&jobs),
             original_handlers: plan.original_handlers,
             reduced_handlers: plan.reduced_handlers,
             excluded_apps: plan.excluded_apps,
-        };
-        for job in &plan.jobs {
-            result.groups.push(self.verify_group_restricted(&job.members, job.config.clone()));
         }
-        result
     }
 
     /// Verifies a whole installed-app fleet group-wise with result caching:
@@ -401,7 +400,7 @@ impl Pipeline {
             cfg.apps.clear();
             cfg
         };
-        let mut base_joint = expert_configure(installed, devices);
+        let base_joint = expert_configure(installed, devices);
 
         let verify_standalone = |app_cfg: &AppConfig| {
             let mut config = base_standalone.clone();
@@ -416,17 +415,14 @@ impl Pipeline {
             config.apps.push(app_cfg.clone());
             self.violates(&installed_and_new, &config)
         };
-        let report = attribute_app(
+        attribute_app(
             &new_app.name,
             &standalone_configs,
             verify_standalone,
             &joint_configs,
             verify_joint,
             thresholds,
-        );
-        // Keep the joint base config borrow-checker friendly (it is only read).
-        base_joint.apps.truncate(base_joint.apps.len());
-        report
+        )
     }
 }
 

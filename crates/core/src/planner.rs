@@ -14,8 +14,10 @@
 //!        │                 related_sets           a content Fingerprint)
 //!        ▼                                          │
 //!   execute(plan, cache) ◀──────────────────────────┘
-//!        │  cache hit  → reuse the stored SearchReport
-//!        │  cache miss → bounded model checking (ParallelChecker)
+//!        │  1. every cache lookup, in plan order
+//!        │  2. the misses model-checked concurrently on scoped threads,
+//!        │     largest first (verify_jobs)
+//!        │  3. cache inserts, attribution and merge, in plan order
 //!        ▼
 //!   FleetReport — deterministically merged groups, cache statistics, and
 //!   per-violation suspect rankings from the counterexample traces
@@ -64,6 +66,7 @@ use iotsan_ir::IrApp;
 use iotsan_telemetry::METRICS;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A content hash identifying one group-verification task.
 ///
@@ -641,8 +644,10 @@ impl<'a> VerificationPlanner<'a> {
                 fingerprint,
             });
         }
-        // Largest job first: when the checker itself runs multi-worker, the
-        // most expensive group dominates fleet latency, so start it first.
+        // Largest job first: `execute` hands the misses to its group threads
+        // in plan order, so this is their longest-processing-time-first
+        // schedule — the most expensive group starts first and cannot be the
+        // one left running alone at the end.
         jobs.sort_by(|a, b| {
             b.handler_count.cmp(&a.handler_count).then_with(|| a.apps.cmp(&b.apps))
         });
@@ -665,35 +670,93 @@ impl<'a> VerificationPlanner<'a> {
         self.pipeline.verify_group_restricted(&job.members, job.config.clone())
     }
 
+    /// Verifies `jobs` (one plan's cache misses, largest first), bypassing
+    /// the cache, and returns their results in the same order.
+    ///
+    /// This is the one group executor: [`VerificationPlanner::execute`] and
+    /// [`Pipeline::verify`] both run their groups through it.  The jobs run
+    /// on `std::thread::scope` threads, each claiming the next unclaimed
+    /// index from a shared counter, so the largest groups start first
+    /// (longest-processing-time-first).  The thread count is the host's
+    /// available parallelism divided by the checker's own worker count,
+    /// capped by the number of jobs; with one job or one thread the caller
+    /// runs everything and nothing is spawned.  The calling thread claims
+    /// the first (largest) job before any helper is spawned and works
+    /// alongside them: each spawned thread allocates from its own malloc
+    /// arena, so a caller that only waited would add an arena's peak memory
+    /// without adding a core.
+    pub(crate) fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<GroupResult> {
+        let Some(largest) = jobs.first() else { return Vec::new() };
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = (cores / self.pipeline.search.workers.max(1)).min(jobs.len());
+        // Index 0 is the caller's; the counter only publishes indices (the
+        // results travel back through `join`), so `Relaxed` suffices.
+        let next = AtomicUsize::new(1);
+        let work = |mut done: Vec<(usize, GroupResult)>| loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(index) else { return done };
+            done.push((index, self.verify_job(job)));
+        };
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(|| work(Vec::new()))).collect();
+            let mut done = work(vec![(0, self.verify_job(largest))]);
+            for helper in helpers {
+                done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            }
+            done
+        });
+        done.sort_unstable_by_key(|(index, _)| *index);
+        done.into_iter().map(|(_, result)| result).collect()
+    }
+
     /// Runs every job of `plan`, reusing cached results where the
     /// fingerprint matches, and merges the verdicts deterministically.
+    ///
+    /// Three phases: every cache lookup in plan order; the misses verified
+    /// concurrently on scoped threads, one per free core, largest first (a
+    /// plan with at most one miss spawns nothing, and the calling thread
+    /// takes the largest miss itself); then, in plan order on the calling
+    /// thread, the cache inserts, attribution and merge — so a durable
+    /// backing sees its writes in the same order as a serial run would make
+    /// them.  The up-front lookups rely on the plan's fingerprints being
+    /// unique (the planner deduplicates its groups).
     ///
     /// Cache discipline: only complete (non-truncated) reports are inserted;
     /// a hit replays the stored report without touching the model checker.
     /// Violation traces are fed to [`iotsan_attribution::attribute_traces`]
     /// to rank each group's apps per violation.
     pub fn execute(&self, plan: &FleetPlan, cache: &mut VerificationCache) -> FleetReport {
-        let mut groups: Vec<FleetGroupReport> = Vec::with_capacity(plan.jobs.len());
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
+        debug_assert_eq!(
+            plan.jobs.iter().map(|job| job.fingerprint).collect::<BTreeSet<_>>().len(),
+            plan.jobs.len(),
+            "fingerprints within one plan must be unique"
+        );
         let persist_failures_before = cache.persist_failures();
-        for job in &plan.jobs {
-            let (result, from_cache) = match cache.lookup(job.fingerprint) {
-                Some(cached) => (cached, true),
+        let cached: Vec<Option<GroupResult>> =
+            plan.jobs.iter().map(|job| cache.lookup(job.fingerprint)).collect();
+        let misses: Vec<&GroupJob> = plan
+            .jobs
+            .iter()
+            .zip(&cached)
+            .filter(|(_, hit)| hit.is_none())
+            .map(|(job, _)| job)
+            .collect();
+        let cache_misses = misses.len();
+        let mut fresh = self.verify_jobs(&misses).into_iter();
+
+        let mut groups: Vec<FleetGroupReport> = Vec::with_capacity(plan.jobs.len());
+        for (job, hit) in plan.jobs.iter().zip(cached) {
+            let from_cache = hit.is_some();
+            let result = match hit {
+                Some(cached) => cached,
                 None => {
-                    let fresh =
-                        self.pipeline.verify_group_restricted(&job.members, job.config.clone());
+                    let fresh = fresh.next().expect("one verified result per cache miss");
                     if !fresh.report.stats.truncated {
                         cache.insert(job.fingerprint, fresh.clone());
                     }
-                    (fresh, false)
+                    fresh
                 }
             };
-            if from_cache {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-            }
             let attributions = attribute_traces(&result.apps, &result.report.violations);
             groups.push(FleetGroupReport {
                 apps: result.apps,
@@ -709,7 +772,7 @@ impl<'a> VerificationPlanner<'a> {
             excluded_apps: plan.excluded_apps.clone(),
             original_handlers: plan.original_handlers,
             reduced_handlers: plan.reduced_handlers,
-            cache_hits,
+            cache_hits: plan.jobs.len() - cache_misses,
             cache_misses,
             persist_failures: cache.persist_failures() - persist_failures_before,
         }

@@ -2,9 +2,15 @@
 //!
 //! For each generated [`Household`] the oracle runs the full pipeline four
 //! ways — sequential, parallel workers, property-directed slicing, and a
-//! warm-cache rerun — and asserts they agree.  The equivalence each engine
-//! advertises is checked exactly:
+//! warm-cache rerun — and asserts they agree.  The sequential reference is a
+//! serial loop of [`VerificationPlanner::verify_job`] over the plan, kept
+//! independent of the concurrent group executor behind
+//! [`Pipeline::verify_fleet`].  The equivalence each engine advertises is
+//! checked exactly:
 //!
+//! * **fleet == serial plan execution**: identical [`GroupOutcome`]s — the
+//!   concurrent executor verifies the same groups and merges them in plan
+//!   order.
 //! * **parallel == sequential**: identical [`GroupOutcome`]s (violated sets,
 //!   state and transition counts) — the sharded parallel checker's
 //!   deterministic-merge guarantee.
@@ -20,7 +26,7 @@
 //! `ltl pN { ... }` block rendered from the same spec.
 
 use crate::household::Household;
-use iotsan::{FleetReport, GroupOutcome, Pipeline, VerificationCache};
+use iotsan::{FleetReport, GroupOutcome, Pipeline, VerificationCache, VerificationPlanner};
 use iotsan_config::SystemConfig;
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use std::collections::BTreeSet;
@@ -31,6 +37,8 @@ use std::fmt;
 pub enum Phase {
     /// The generated Groovy failed to translate (a generator/frontend bug).
     Translate,
+    /// The concurrent fleet executor differed from serial plan execution.
+    Execute,
     /// Parallel outcome differed from sequential.
     Parallel,
     /// Sliced violated sets differed from sequential (or grew the search).
@@ -45,6 +53,7 @@ impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Phase::Translate => "translate",
+            Phase::Execute => "execute",
             Phase::Parallel => "parallel",
             Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
@@ -139,12 +148,19 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
         iotsan::translate_sources(&refs).map_err(|e| diverge(Phase::Translate, e.to_string()))?;
     let config = &household.config;
 
-    // --- Sequential reference run -----------------------------------------
+    // --- Sequential reference: the plan's jobs, one after another ----------
     let seq_pipeline = pipeline_for(household, 1, false);
-    let mut seq_cache = VerificationCache::new();
-    let seq = seq_pipeline.verify_fleet(&apps, config, &mut seq_cache);
-    let seq_outcome = seq.outcome();
-    let mut truncated = fleet_truncated(&seq);
+    let (seq_outcome, mut truncated) = serial_reference(&seq_pipeline, &apps, config);
+
+    // --- The concurrent fleet executor must reproduce it exactly -----------
+    let mut fleet_cache = VerificationCache::new();
+    let fleet = seq_pipeline.verify_fleet(&apps, config, &mut fleet_cache);
+    if fleet.outcome() != seq_outcome {
+        return Err(diverge(
+            Phase::Execute,
+            outcome_detail("fleet outcome mismatch", &seq_outcome, &fleet.outcome()),
+        ));
+    }
 
     // --- Parallel workers must reproduce it exactly ------------------------
     let par_pipeline = pipeline_for(household, PARALLEL_WORKERS, false);
@@ -193,7 +209,7 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     truncated |= fleet_truncated(&sliced);
 
     // --- Warm cache: byte-identical verdicts, zero re-checking -------------
-    let warm = seq_pipeline.verify_fleet(&apps, config, &mut seq_cache);
+    let warm = seq_pipeline.verify_fleet(&apps, config, &mut fleet_cache);
     if warm.outcome() != seq_outcome {
         return Err(diverge(
             Phase::WarmCache,
@@ -216,18 +232,48 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     let promela_checked =
         apps.len() <= PROMELA_MAX_APPS && config.devices.len() <= PROMELA_MAX_DEVICES;
     if promela_checked {
-        check_promela(&seq_pipeline, &apps, config, &seq.violated_properties())
+        check_promela(&seq_pipeline, &apps, config, &fleet.violated_properties())
             .map_err(|detail| diverge(Phase::Promela, detail))?;
     }
 
     Ok(HouseholdReport {
-        groups: seq.groups.len(),
-        violated: seq.violated_properties(),
+        groups: fleet.groups.len(),
+        violated: fleet.violated_properties(),
         states: states_of(&seq_outcome),
         transitions: seq_outcome.iter().map(|g| g.transitions).sum(),
         truncated,
         promela_checked,
     })
+}
+
+/// Verifies every planned group with [`VerificationPlanner::verify_job`], one
+/// after another, and returns the outcomes sorted by app names (the order a
+/// [`FleetReport`] merges into) plus whether any search truncated.
+fn serial_reference(
+    pipeline: &Pipeline,
+    apps: &[iotsan::ir::IrApp],
+    config: &SystemConfig,
+) -> (Vec<GroupOutcome>, bool) {
+    let planner = VerificationPlanner::new(pipeline);
+    let plan = planner.plan(apps, config);
+    let mut truncated = false;
+    let mut outcome: Vec<GroupOutcome> = plan
+        .jobs
+        .iter()
+        .map(|job| {
+            let result = planner.verify_job(job);
+            let stats = &result.report.stats;
+            truncated |= stats.truncated || stats.states_capped;
+            GroupOutcome {
+                violated_properties: result.violated_properties(),
+                states_stored: stats.states_stored,
+                transitions: stats.transitions,
+                apps: result.apps,
+            }
+        })
+        .collect();
+    outcome.sort_by(|a, b| a.apps.cmp(&b.apps));
+    (outcome, truncated)
 }
 
 fn violated_of(outcome: &[GroupOutcome]) -> Vec<BTreeSet<u32>> {

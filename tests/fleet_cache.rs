@@ -1,6 +1,7 @@
 //! Fleet-verification acceptance suite for the group-wise planner.
 //!
-//! Three guarantees are enforced here on the 8-app market corpus:
+//! Four guarantees are enforced here on the market corpus (the first three
+//! on its first 8 apps, the last on all 150):
 //!
 //! 1. **Decomposition**: the planner partitions the corpus into at least two
 //!    independent groups (the whole point of the dependency analyzer).
@@ -11,20 +12,34 @@
 //!    mutating one app re-checks exactly the groups containing it, and the
 //!    merged `FleetReport` is outcome-identical to a cold full run on the
 //!    mutated bundle.
+//! 4. **Concurrent execution is invisible**: `execute`, which verifies cache
+//!    misses on several threads, reports the same outcomes, attributions and
+//!    cache statistics as a serial loop over the plan, and writes through to
+//!    a durable backing in exact plan order.
 
+use iotsan::attribution::{attribute_traces, TraceAttribution};
 use iotsan::config::{expert_configure, standard_household, SystemConfig};
 use iotsan::ir::IrApp;
-use iotsan::{translate_sources, Pipeline, VerificationCache};
+use iotsan::{
+    translate_sources, Fingerprint, GroupOutcome, GroupResult, Pipeline, VerdictPersistence,
+    VerificationCache,
+};
 use iotsan_apps::market;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
-/// The first 8 market apps under the expert household configuration.
-fn market8() -> (Vec<IrApp>, SystemConfig) {
-    let corpus: Vec<market::MarketApp> = market::market_apps().into_iter().take(8).collect();
+/// The first `n` market apps under the expert household configuration.
+fn market(n: usize) -> (Vec<IrApp>, SystemConfig) {
+    let corpus: Vec<market::MarketApp> = market::market_apps().into_iter().take(n).collect();
     let sources: Vec<&str> = corpus.iter().map(|a| a.source.as_str()).collect();
     let apps = translate_sources(&sources).expect("corpus apps translate");
     let config = expert_configure(&apps, &standard_household());
     (apps, config)
+}
+
+/// The first 8 market apps under the expert household configuration.
+fn market8() -> (Vec<IrApp>, SystemConfig) {
+    market(8)
 }
 
 #[test]
@@ -106,6 +121,78 @@ fn sliced_and_unsliced_runs_never_share_cache_entries() {
     assert_eq!(plain_warm.cache_hits, plain_warm.groups.len());
     assert_eq!(plain_warm.cache_misses, 0);
     assert_eq!(plain_warm.outcome(), plain_cold.outcome());
+}
+
+/// One `store()` call: the fingerprint and the stored group's apps.
+type StoreCall = (Fingerprint, Vec<String>);
+
+/// A durable backing that loads nothing and records every `store()` call in
+/// call order.
+#[derive(Debug, Clone, Default)]
+struct RecordingBacking(Arc<Mutex<Vec<StoreCall>>>);
+
+impl RecordingBacking {
+    fn stored(&self) -> Vec<StoreCall> {
+        self.0.lock().expect("recording lock").clone()
+    }
+}
+
+impl VerdictPersistence for RecordingBacking {
+    fn load(&mut self, _fingerprint: Fingerprint) -> Option<GroupResult> {
+        None
+    }
+
+    fn store(&mut self, fingerprint: Fingerprint, result: &GroupResult) -> bool {
+        self.0.lock().expect("recording lock").push((fingerprint, result.apps.clone()));
+        true
+    }
+}
+
+#[test]
+fn concurrent_execute_matches_serial_plan_execution() {
+    let (apps, config) = market(150);
+    let pipeline = Pipeline::with_events(2);
+    let planner = pipeline.planner();
+    let plan = planner.plan(&apps, &config);
+    assert!(plan.jobs.len() >= 2, "the full corpus must plan several groups");
+
+    // The serial reference: every job in plan order, one after another.
+    let mut expected: Vec<(GroupOutcome, Vec<TraceAttribution>)> = Vec::new();
+    let mut expected_stores: Vec<StoreCall> = Vec::new();
+    for job in &plan.jobs {
+        let result = planner.verify_job(job);
+        if !result.report.stats.truncated {
+            expected_stores.push((job.fingerprint, job.apps.clone()));
+        }
+        let outcome = GroupOutcome {
+            apps: result.apps.clone(),
+            violated_properties: result.violated_properties(),
+            states_stored: result.report.stats.states_stored,
+            transitions: result.report.stats.transitions,
+        };
+        expected.push((outcome, attribute_traces(&result.apps, &result.report.violations)));
+    }
+    expected.sort_by(|a, b| a.0.apps.cmp(&b.0.apps));
+
+    let backing = RecordingBacking::default();
+    let mut cache = VerificationCache::new().with_backing(Box::new(backing.clone()));
+    let cold = planner.execute(&plan, &mut cache);
+    let actual: Vec<(GroupOutcome, Vec<TraceAttribution>)> =
+        cold.groups.iter().map(|g| (g.outcome(), g.attributions.clone())).collect();
+    assert_eq!(actual, expected, "concurrent execute disagrees with serial plan execution");
+    assert_eq!((cold.cache_hits, cold.cache_misses), (0, plan.jobs.len()));
+    assert_eq!((cache.hits(), cache.misses()), (0, plan.jobs.len()));
+    assert_eq!(
+        backing.stored(),
+        expected_stores,
+        "store() calls out of plan order or under the wrong fingerprint"
+    );
+
+    // A warm rerun is pure replay and writes nothing more.
+    let warm = planner.execute(&plan, &mut cache);
+    assert_eq!((warm.cache_hits, warm.cache_misses), (plan.jobs.len(), 0));
+    assert_eq!(warm.outcome(), cold.outcome());
+    assert_eq!(backing.stored(), expected_stores);
 }
 
 proptest! {
