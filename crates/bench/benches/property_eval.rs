@@ -1,8 +1,10 @@
 //! Criterion micro-benchmark for the compiled property evaluators in
-//! isolation: one `CompiledPropertySet::check_transition` pass — the
-//! deduplicated atom slots filled once, then every property's postfix
-//! program — exactly what the checker pays per explored transition on top
-//! of `apply` + `encode`.
+//! isolation: one `CompiledPropertySet::check_transition` pass over a state
+//! vector — every live atom evaluated once, then every live property's
+//! postfix program — exactly what the checker pays per explored transition
+//! on top of `apply` + `encode`.  (Before the evaluator read the state
+//! vector, this bench timed the pass on a prebuilt snapshot and so missed
+//! the per-transition snapshot refresh.)
 //!
 //! Three rows: the 45 built-ins, built-ins + 5 custom specs (the open-API
 //! overhead), and spec→program compilation itself (the install-time cost).
@@ -15,7 +17,7 @@ use iotsan_bench::{extended_property_set, fleet_workload};
 fn bench_property_eval(c: &mut Criterion) {
     let (apps, config) = fleet_workload(8);
     let system = InstalledSystem::new(apps, config);
-    let snapshot = system.snapshot(&system.initial_state());
+    let state = system.initial_state();
     let observation = StepObservation::default();
 
     let builtins = PropertySet::all();
@@ -33,7 +35,8 @@ fn bench_property_eval(c: &mut Criterion) {
             b.iter(|| {
                 out.clear();
                 compiled.check_transition(
-                    black_box(&snapshot),
+                    black_box(&state.devices),
+                    black_box(state.mode),
                     black_box(&observation),
                     &mut monitors,
                     &mut scratch,
@@ -44,7 +47,7 @@ fn bench_property_eval(c: &mut Criterion) {
         });
     }
 
-    // Install-time compilation (selectors → slots, formulas → programs).
+    // Install-time compilation (selectors → masks, folding, programs).
     group.bench_with_input(BenchmarkId::new("compile", "builtins45_plus5"), &(), |b, ()| {
         b.iter(|| black_box(system.compile_properties(&extended).atom_count()))
     });

@@ -212,9 +212,15 @@ impl SystemConfig {
         serde_json::to_string_pretty(self).expect("SystemConfig serializes")
     }
 
-    /// Parses a configuration from JSON.
+    /// Parses a configuration from JSON, rejecting shipped custom
+    /// properties that fail [`PropertySpec::validate`] (they would panic at
+    /// compilation).
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let config: SystemConfig = serde_json::from_str(json)?;
+        for spec in &config.custom_properties {
+            spec.validate().map_err(serde_json::Error::custom)?;
+        }
+        Ok(config)
     }
 
     /// Validates the configuration against the apps it references: every
@@ -397,6 +403,19 @@ mod tests {
         // Absent field defaults to empty (older configs keep loading).
         let legacy = SystemConfig::from_json(&sample_config().to_json()).unwrap();
         assert!(legacy.custom_properties.is_empty());
+    }
+
+    #[test]
+    fn shipped_custom_properties_are_validated() {
+        use iotsan_properties::{Expr, Modality, PropertySpec, MAX_FORMULA_DEPTH};
+        let mut spec = PropertySpec::builder(46, "deep").never(Expr::mode_is("Night"));
+        spec.modality = Modality::Never(
+            (0..MAX_FORMULA_DEPTH)
+                .fold(Expr::mode_is("Night"), |e, _| Expr::or([Expr::mode_is("Home"), e])),
+        );
+        let json = sample_config().with_custom_property(spec).to_json();
+        let err = SystemConfig::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("evaluation stack"), "{err}");
     }
 
     #[test]

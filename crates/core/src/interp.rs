@@ -330,7 +330,7 @@ impl<'a> Interpreter<'a> {
 
     fn send_command(&mut self, device_id: DeviceId, command: &str, args: &[Value]) {
         let device = self.system.device(device_id);
-        let spec = device.spec();
+        let spec = self.system.device_spec(device_id);
         if self.inject_command_failure {
             self.observation.command_failures += 1;
             self.observation.commands.push(CommandRecord {
@@ -412,10 +412,8 @@ impl<'a> Interpreter<'a> {
             IrExpr::DeviceAttr { input, attribute } => {
                 let devices = self.bound_devices(input);
                 match devices.as_slice().first() {
-                    Some(id) => {
-                        let device = self.system.device(*id);
-                        self.state.devices[id.0 as usize].get(device.spec(), attribute)
-                    }
+                    Some(id) => self.state.devices[id.0 as usize]
+                        .get(self.system.device_spec(*id), attribute),
                     None => Value::Null,
                 }
             }
@@ -426,9 +424,8 @@ impl<'a> Interpreter<'a> {
                 let matches = devices
                     .iter()
                     .filter(|id| {
-                        let device = self.system.device(**id);
                         self.state.devices[id.0 as usize]
-                            .get(device.spec(), attribute)
+                            .get(self.system.device_spec(**id), attribute)
                             .loosely_equals(&expected)
                     })
                     .count();

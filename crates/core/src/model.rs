@@ -16,11 +16,15 @@
 //!
 //! Actions are small `Copy` values — device ids, attribute positions and
 //! interned [`Sym`]s, never owned strings — because the checker clones one
-//! into its counterexample arena for every admitted state.  `apply` threads a
-//! reusable [`ModelScratch`] (observation buffers, the cascade queue, the
-//! snapshot the property checker reads) and a deferred
-//! [`StepLog`], so a steady-state transition on a non-violating
-//! path performs no heap allocation beyond constructing its successor state.
+//! into its counterexample arena for every admitted state.  Device specs are
+//! resolved once at installation ([`InstalledSystem::device_spec`]), never
+//! looked up by capability name per transition.  `apply` threads a reusable
+//! [`ModelScratch`] (observation buffers, the cascade queue, the property
+//! evaluator's atom buffer) and a deferred [`StepLog`], so a steady-state
+//! transition on a non-violating path performs no heap allocation beyond
+//! constructing its successor state.  The compiled properties read the
+//! successor's device states and mode directly: no snapshot of the physical
+//! state is rendered per transition.
 //! Log lines and action strings are rendered only for materialized
 //! counterexamples ([`TransitionSystem::display_action`] /
 //! [`TransitionSystem::render_event`]).
@@ -31,9 +35,7 @@ use crate::system::{InstalledSystem, InternalEvent, SystemState};
 use iotsan_checker::{LogLine, StepLog, StepOutcome, TransitionSystem, Violation};
 use iotsan_devices::{DeviceId, FailureMode, FailurePolicy};
 use iotsan_ir::{Sym, Trigger, Value};
-use iotsan_properties::{
-    CompiledPropertySet, EvalScratch, PropertyId, PropertySet, Snapshot, StepObservation,
-};
+use iotsan_properties::{CompiledPropertySet, EvalScratch, PropertySet, StepObservation};
 
 /// Options controlling model construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,15 +108,15 @@ pub enum ExternalAction {
 
 /// Reusable per-worker scratch for [`SequentialModel::apply`] /
 /// [`ConcurrentModel::apply`]: step observation buffers, the cascade queue
-/// and the physical-state snapshot the property checker reads.  All of it is
-/// cleared (never reallocated) per transition.
+/// and the property evaluator's buffers.  All of it is cleared (never
+/// reallocated) per transition.
 #[derive(Debug, Default)]
 pub struct ModelScratch {
     observation: StepObservation,
     queue: Vec<InternalEvent>,
-    snapshot: Snapshot,
     eval: EvalScratch,
-    violated: Vec<PropertyId>,
+    /// Spec indices of the properties violated by the current transition.
+    violated: Vec<usize>,
 }
 
 /// Shared model core used by both designs.
@@ -124,8 +126,9 @@ struct ModelCore {
     /// The registry (names, classes — counterexample metadata).
     properties: PropertySet,
     /// The registry compiled against `system` at model-construction time:
-    /// selectors resolved to snapshot slots, formulas flattened to programs
-    /// over a deduplicated atom table (see `iotsan-properties::compile`).
+    /// atoms resolved to domain-index masks over the state vector, constant
+    /// properties folded away, formulas flattened to programs over a
+    /// deduplicated atom table (see `iotsan-properties::compile`).
     compiled: CompiledPropertySet,
     options: ModelOptions,
 }
@@ -153,27 +156,25 @@ impl ModelCore {
         if state.external_events >= self.options.max_events {
             return;
         }
-        for device in &self.system.devices {
-            if !device.is_sensor() {
+        for (index, spec) in self.system.device_specs().iter().enumerate() {
+            if !spec.is_sensor() {
                 continue;
             }
-            let spec = device.spec();
+            let device = DeviceId(index as u32);
             for (attr_index, attr) in spec.attributes.iter().enumerate() {
                 if !attr.environment_driven {
                     continue;
                 }
-                let attribute = self.system.device_attr_sym(device.id, attr_index);
+                let attribute = self.system.device_attr_sym(device, attr_index);
                 for value_index in 0..attr.domain.len() {
                     // Skip events that would not change the sensor state
                     // (Algorithm 1 only acts when evt != current state).
-                    if state.devices[device.id.0 as usize].raw(attr_index)
-                        == Some(value_index as u8)
-                    {
+                    if state.devices[index].raw(attr_index) == Some(value_index as u8) {
                         continue;
                     }
-                    for failure in self.options.failure_policy.modes_for(device.id) {
+                    for failure in self.options.failure_policy.modes_for(device) {
                         out.push(ExternalAction::SensorEvent {
-                            device: device.id,
+                            device,
                             attribute,
                             attr_index: attr_index as u8,
                             value_index: value_index as u8,
@@ -238,7 +239,7 @@ impl ModelCore {
         state.time.tick();
         match *action {
             ExternalAction::SensorEvent { device, attribute, attr_index, value_index, failure } => {
-                let spec = self.system.device(device).spec();
+                let spec = self.system.device_spec(device);
                 let attr_index = attr_index as usize;
                 let value_index = value_index as usize;
                 match failure {
@@ -474,13 +475,19 @@ impl ModelCore {
         )
     }
 
-    /// Evaluates all compiled properties after a step, refreshing the
-    /// scratch snapshot in place and updating the state's leads-to monitors.
+    /// Evaluates all compiled properties after a step, straight from the
+    /// state's device vector and mode, updating its leads-to monitors.
     fn check(&self, state: &mut SystemState, scratch: &mut ModelScratch) -> Vec<Violation> {
-        let ModelScratch { observation, snapshot, eval, violated, .. } = scratch;
-        self.system.snapshot_into(state, snapshot);
+        let ModelScratch { observation, eval, violated, .. } = scratch;
         violated.clear();
-        self.compiled.check_transition(snapshot, observation, &mut state.monitors, eval, violated);
+        self.compiled.check_transition(
+            &state.devices,
+            state.mode,
+            observation,
+            &mut state.monitors,
+            eval,
+            violated,
+        );
         self.to_violations(violated)
     }
 
@@ -497,19 +504,19 @@ impl ModelCore {
         self.to_violations(violated)
     }
 
-    /// Maps violated property ids to [`Violation`]s (sorted, deduplicated).
+    /// Maps violated spec indices to [`Violation`]s, sorted by property id.
     /// Allocates only when there are violations to report.
-    fn to_violations(&self, violated: &mut Vec<PropertyId>) -> Vec<Violation> {
-        violated.sort();
-        violated.dedup();
-        violated
+    fn to_violations(&self, violated: &[usize]) -> Vec<Violation> {
+        let specs = self.properties.specs();
+        let mut violations: Vec<Violation> = violated
             .iter()
-            .filter_map(|id| {
-                self.properties
-                    .get(*id)
-                    .map(|p| Violation { property: id.0, description: p.name.clone() })
+            .map(|&index| Violation {
+                property: specs[index].id,
+                description: specs[index].name.clone(),
             })
-            .collect()
+            .collect();
+        violations.sort_unstable_by_key(|v| v.property);
+        violations
     }
 
     /// Prepares the scratch for one transition: clears the step buffers and
@@ -528,8 +535,9 @@ impl ModelCore {
         match *action {
             ExternalAction::SensorEvent { device, attribute, attr_index, value_index, failure } => {
                 let dev = self.system.device(device);
-                let value = dev
-                    .spec()
+                let value = self
+                    .system
+                    .device_spec(device)
                     .attributes
                     .get(attr_index as usize)
                     .and_then(|a| a.domain.value_at(value_index as usize))

@@ -22,7 +22,7 @@
 
 use crate::logevent::LogEvent;
 use iotsan_config::SystemConfig;
-use iotsan_devices::{Device, DeviceId, DeviceState, LocationMode, SystemTime};
+use iotsan_devices::{Device, DeviceId, DeviceSpec, DeviceState, LocationMode, SystemTime};
 use iotsan_ir::{IrApp, IrStmt, Sym, Symbols, Value};
 use iotsan_properties::{
     CompileTarget, CompiledPropertySet, DeviceRole, DeviceSnapshot, PropertySet, Snapshot,
@@ -58,6 +58,10 @@ pub struct InstalledSystem {
     pub config: SystemConfig,
     /// Installed devices (ids are positions in this table).
     pub devices: Vec<Device>,
+    /// Per-device capability specs, resolved once here: a registry lookup
+    /// per [`Device::spec`] call is too slow for the model generator's hot
+    /// loop.
+    specs: Vec<&'static DeviceSpec>,
     /// The frozen name table (see the module docs).
     pub symbols: Symbols,
     /// Per-device, per-spec-attribute-index interned attribute names.
@@ -77,9 +81,7 @@ pub struct InstalledSystem {
     /// Binding resolution runs on every subscription check and device
     /// expression, so it must be a borrow, not a fresh `Vec`.
     input_bindings: Vec<HashMap<String, Vec<DeviceId>>>,
-    /// Per-device configured roles, parsed once at installation (role parsing
-    /// lowercases strings; doing it per snapshot refresh would allocate on
-    /// the hot loop).
+    /// Per-device configured roles, parsed once at installation.
     device_roles: Vec<DeviceRole>,
 }
 
@@ -112,6 +114,7 @@ impl InstalledSystem {
     /// symbol table and the app-state slot layout.
     pub fn new(apps: Vec<IrApp>, config: SystemConfig) -> Self {
         let devices = config.device_table();
+        let specs: Vec<&'static DeviceSpec> = devices.iter().map(Device::spec).collect();
         let mut symbols = Symbols::new();
         // Sym(0) is reserved for the empty string: `sym_of` falls back to it
         // for names that escaped installation-time interning.
@@ -122,9 +125,9 @@ impl InstalledSystem {
 
         let attr_syms: Vec<Vec<Sym>> = devices
             .iter()
-            .map(|device| {
+            .zip(&specs)
+            .map(|(device, spec)| {
                 symbols.intern(&device.label);
-                let spec = device.spec();
                 spec.attributes.iter().map(|attr| symbols.intern(attr.name)).collect()
             })
             .collect();
@@ -187,6 +190,7 @@ impl InstalledSystem {
             apps,
             config,
             devices,
+            specs,
             symbols,
             attr_syms,
             sym_mode,
@@ -272,6 +276,18 @@ impl InstalledSystem {
         &self.devices[id.0 as usize]
     }
 
+    /// The capability spec of device `id` (what [`Device::spec`] resolves,
+    /// without the registry lookup).
+    #[inline]
+    pub fn device_spec(&self, id: DeviceId) -> &'static DeviceSpec {
+        self.specs[id.0 as usize]
+    }
+
+    /// Every device's capability spec, in [`DeviceId`] order.
+    pub fn device_specs(&self) -> &[&'static DeviceSpec] {
+        &self.specs
+    }
+
     /// The app-state slot for `app`'s variable `var`, if the pair exists in
     /// the installation's slot table.
     pub fn state_slot(&self, app: &str, var: &str) -> Option<u32> {
@@ -328,7 +344,7 @@ impl InstalledSystem {
     /// The initial state of the whole system.
     pub fn initial_state(&self) -> SystemState {
         SystemState {
-            devices: self.devices.iter().map(|d| d.initial_state()).collect(),
+            devices: self.specs.iter().map(|spec| DeviceState::initial(spec)).collect(),
             mode: LocationMode::parse(&self.config.initial_mode).unwrap_or_default(),
             time: SystemTime::zero(),
             app_state: vec![None; self.slot_count],
@@ -339,22 +355,19 @@ impl InstalledSystem {
     }
 
     /// The layout the property compiler resolves specs against: one
-    /// [`TargetDevice`] per installed device, in [`DeviceId`] order, with the
-    /// exact attribute layout [`InstalledSystem::snapshot_into`] writes.
+    /// [`TargetDevice`] per installed device, in [`DeviceId`] order, so
+    /// compiled atoms index [`SystemState::devices`] directly.
     pub fn compile_target(&self) -> CompileTarget {
         CompileTarget::new(
             self.devices
                 .iter()
                 .zip(&self.device_roles)
-                .map(|(device, role)| {
-                    let spec = device.spec();
-                    TargetDevice {
-                        id: device.id.0,
-                        label: device.label.clone(),
-                        capability: spec.capability.to_string(),
-                        role: *role,
-                        attributes: spec.attributes.iter().map(|a| a.name.to_string()).collect(),
-                    }
+                .zip(&self.specs)
+                .map(|((device, role), spec)| TargetDevice {
+                    id: device.id.0,
+                    label: device.label.clone(),
+                    role: *role,
+                    spec,
                 })
                 .collect(),
         )
@@ -366,73 +379,35 @@ impl InstalledSystem {
         CompiledPropertySet::compile(properties, &self.compile_target())
     }
 
-    /// Builds the physical-state [`Snapshot`] the property checker consumes.
+    /// Renders `state` as the physical-state [`Snapshot`] the interpreted
+    /// reference evaluator ([`PropertySet::check_point`]) reads: a fresh
+    /// build with every attribute value rendered.  The model checker never
+    /// builds one; its compiled properties read the state vector itself.
     pub fn snapshot(&self, state: &SystemState) -> Snapshot {
-        let mut snap = Snapshot::default();
-        self.snapshot_into(state, &mut snap);
-        snap
-    }
-
-    /// Refreshes `snap` to reflect `state`, reusing every allocation: labels,
-    /// capabilities, roles and attribute-name strings are written once (on
-    /// first use of the buffer) and only the attribute *values*, online
-    /// flags, mode and time are updated per call.  This is the per-transition
-    /// property-check path.
-    pub fn snapshot_into(&self, state: &SystemState, snap: &mut Snapshot) {
-        // The template is rebuilt whenever the buffer does not belong to
-        // *this* system — matching device count alone is not enough, since a
-        // buffer reused across systems with equally many (but different)
-        // devices would keep stale labels/capabilities/roles.  The label
-        // comparison is a handful of short equal-string memcmps per call.
-        let matches_system = snap.devices.len() == self.devices.len()
-            && snap.devices.iter().zip(&self.devices).zip(&self.device_roles).all(
-                |((s, d), role)| {
-                    // Compare against what the template actually stores: the
-                    // *spec* capability (a raw config capability may fall back
-                    // to the `switch` spec) and the parsed configured role.
-                    s.label == d.label && s.capability == d.spec().capability && s.role == *role
-                },
-            );
-        if !matches_system {
-            *snap = self.snapshot_template();
-        }
-        snap.mode.clear();
-        snap.mode.push_str(state.mode.name());
-        snap.time_seconds = state.time.seconds();
-        for ((device, dstate), dsnap) in
-            self.devices.iter().zip(&state.devices).zip(&mut snap.devices)
-        {
-            let spec = device.spec();
-            dsnap.online = dstate.is_online();
-            for (index, (_, value)) in dsnap.attributes.iter_mut().enumerate() {
-                dstate.value_at_into(spec, index, value);
-            }
-        }
-    }
-
-    /// The constant parts of a snapshot (everything but values/online/mode).
-    fn snapshot_template(&self) -> Snapshot {
         let devices = self
             .devices
             .iter()
             .zip(&self.device_roles)
-            .map(|(device, role)| {
-                let spec = device.spec();
-                DeviceSnapshot {
-                    id: device.id,
-                    label: device.label.clone(),
-                    capability: spec.capability.to_string(),
-                    role: *role,
-                    attributes: spec
-                        .attributes
-                        .iter()
-                        .map(|attr| (attr.name.to_string(), Value::Null))
-                        .collect(),
-                    online: true,
-                }
+            .zip(&self.specs)
+            .zip(&state.devices)
+            .map(|(((device, role), spec), dstate)| DeviceSnapshot {
+                id: device.id,
+                label: device.label.clone(),
+                capability: spec.capability.to_string(),
+                role: *role,
+                attributes: spec
+                    .attributes
+                    .iter()
+                    .map(|attr| (attr.name.to_string(), dstate.get(spec, attr.name)))
+                    .collect(),
+                online: dstate.is_online(),
             })
             .collect();
-        Snapshot { mode: String::new(), devices, time_seconds: 0 }
+        Snapshot {
+            mode: state.mode.name().to_string(),
+            devices,
+            time_seconds: state.time.seconds(),
+        }
     }
 
     /// Renders an [`InternalEvent`] (for the concurrent design's dispatch
@@ -608,24 +583,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_into_reuses_buffers_and_tracks_state() {
+    fn snapshot_tracks_state() {
         let sys = system();
         let mut state = sys.initial_state();
-        let mut snap = Snapshot::default();
-        sys.snapshot_into(&state, &mut snap);
-        let lock = snap.devices.iter().find(|d| d.capability == "lock").unwrap();
-        assert!(lock.attr_is("lock", "locked"));
-
-        // Mutate the device state and refresh the same buffer.
-        let spec = sys.device(DeviceId(0)).spec();
+        let spec = sys.device_spec(DeviceId(0));
+        assert!(std::ptr::eq(spec, sys.device(DeviceId(0)).spec()));
         state.devices[0].set(spec, "lock", &Value::Str("unlocked".into()));
+        state.devices[1].set_online(false);
         state.mode = LocationMode::Away;
-        sys.snapshot_into(&state, &mut snap);
+        let snap = sys.snapshot(&state);
         assert_eq!(snap.mode, "Away");
         let lock = snap.devices.iter().find(|d| d.capability == "lock").unwrap();
         assert!(lock.attr_is("lock", "unlocked"));
-        // The refreshed snapshot equals a freshly built one.
-        assert_eq!(snap, sys.snapshot(&state));
+        assert!(!snap.devices[1].online);
     }
 
     #[test]
@@ -640,7 +610,7 @@ mod tests {
         assert_eq!(sys.attr_name(sys.touch_sym()), "touch");
         assert_eq!(sys.attr_name(sys.time_sym()), "time");
         // Device attribute syms resolve to the spec's attribute names.
-        let lock_spec = sys.device(DeviceId(0)).spec();
+        let lock_spec = sys.device_spec(DeviceId(0));
         for (i, attr) in lock_spec.attributes.iter().enumerate() {
             assert_eq!(sys.attr_name(sys.device_attr_sym(DeviceId(0), i)), attr.name);
         }

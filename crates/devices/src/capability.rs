@@ -8,6 +8,7 @@
 //! and which attribute changes can be generated spontaneously by the physical
 //! environment (sensor events).
 
+use iotsan_ir::Value;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -62,6 +63,19 @@ impl AttrDomain {
         match self {
             AttrDomain::Numeric(values) => values.get(index).copied(),
             AttrDomain::Enum(_) => None,
+        }
+    }
+
+    /// The value at `index` as the interpreter sees it: enum names become
+    /// strings, numeric levels integers, and an out-of-domain index `Null`.
+    pub fn value(&self, index: usize) -> Value {
+        match self {
+            AttrDomain::Enum(names) => {
+                names.get(index).map(|s| Value::Str(s.to_string())).unwrap_or(Value::Null)
+            }
+            AttrDomain::Numeric(values) => {
+                values.get(index).map(|v| Value::Int(*v)).unwrap_or(Value::Null)
+            }
         }
     }
 }
@@ -144,6 +158,16 @@ impl DeviceSpec {
     /// Index of an attribute in the state vector.
     pub fn attribute_index(&self, name: &str) -> Option<usize> {
         self.attributes.iter().position(|a| a.name == name)
+    }
+
+    /// True when devices of this type generate physical events.
+    pub fn is_sensor(&self) -> bool {
+        matches!(self.kind, DeviceKind::Sensor | DeviceKind::Hybrid)
+    }
+
+    /// True when devices of this type accept commands.
+    pub fn is_actuator(&self) -> bool {
+        matches!(self.kind, DeviceKind::Actuator | DeviceKind::Hybrid)
     }
 
     /// Finds a command by name.

@@ -5,7 +5,7 @@
 //! attribute valuation, stored compactly as domain indices so the model
 //! checker can hash entire system states cheaply.
 
-use crate::capability::{registry, AttrDomain, CommandEffect, DeviceKind, DeviceSpec};
+use crate::capability::{registry, AttrDomain, CommandEffect, DeviceSpec};
 use iotsan_ir::Value;
 use std::fmt;
 
@@ -44,12 +44,12 @@ impl Device {
 
     /// True when the device can generate physical events.
     pub fn is_sensor(&self) -> bool {
-        matches!(self.spec().kind, DeviceKind::Sensor | DeviceKind::Hybrid)
+        self.spec().is_sensor()
     }
 
     /// True when the device accepts commands.
     pub fn is_actuator(&self) -> bool {
-        matches!(self.spec().kind, DeviceKind::Actuator | DeviceKind::Hybrid)
+        self.spec().is_actuator()
     }
 
     /// The initial state for this device.
@@ -125,44 +125,7 @@ impl DeviceState {
     /// The current value of `attribute` as an [`Value`].
     pub fn get(&self, spec: &DeviceSpec, attribute: &str) -> Value {
         let Some(idx) = spec.attribute_index(attribute) else { return Value::Null };
-        let attr = &spec.attributes[idx];
-        let value_index = self.values[idx] as usize;
-        match &attr.domain {
-            AttrDomain::Enum(names) => {
-                names.get(value_index).map(|s| Value::Str(s.to_string())).unwrap_or(Value::Null)
-            }
-            AttrDomain::Numeric(values) => {
-                values.get(value_index).map(|v| Value::Int(*v)).unwrap_or(Value::Null)
-            }
-        }
-    }
-
-    /// Writes the current value of the attribute at position `index` into
-    /// `out`, reusing `out`'s string allocation when possible.  This is the
-    /// snapshot-refresh path: the model generator rebuilds a physical-state
-    /// snapshot on every explored transition, and cloning a fresh `String`
-    /// per attribute there dominated the property-check cost.
-    pub fn value_at_into(&self, spec: &DeviceSpec, index: usize, out: &mut Value) {
-        let Some(attr) = spec.attributes.get(index) else {
-            *out = Value::Null;
-            return;
-        };
-        let value_index = self.values[index] as usize;
-        match &attr.domain {
-            AttrDomain::Enum(names) => match names.get(value_index) {
-                Some(name) => match out {
-                    Value::Str(s) => {
-                        s.clear();
-                        s.push_str(name);
-                    }
-                    _ => *out = Value::Str((*name).to_string()),
-                },
-                None => *out = Value::Null,
-            },
-            AttrDomain::Numeric(values) => {
-                *out = values.get(value_index).map(|v| Value::Int(*v)).unwrap_or(Value::Null);
-            }
-        }
+        spec.attributes[idx].domain.value(self.values[idx] as usize)
     }
 
     /// Sets `attribute` to the domain value at `value_index`; returns `true`

@@ -1,54 +1,64 @@
-//! Compilation of [`PropertySpec`](crate::PropertySpec)s into slot-indexed, zero-allocation
-//! evaluators.
+//! Compilation of [`PropertySpec`](crate::PropertySpec)s into evaluators over
+//! the model checker's state vector.
 //!
 //! The checker evaluates every property once per explored transition, so the
 //! interpreted [`crate::Expr::eval`] walk (selector matching, attribute-name
-//! lookups) is far too slow for the hot path.  At install time the
-//! [`CompiledPropertySet`] resolves everything that is fixed by the installed
-//! system against a [`CompileTarget`]:
+//! lookups, rendered values) is far too slow for the hot path.  At install
+//! time the [`CompiledPropertySet`] resolves everything that is fixed by the
+//! installed system against a [`CompileTarget`]:
 //!
-//! * device selectors become lists of `(device index, attribute index)`
-//!   *slots* into the snapshot's fixed layout — no capability/role/attribute
-//!   string matching remains at evaluation time;
-//! * existence tests ([`crate::Atom::HasDevice`]) fold to constants;
+//! * every state atom becomes `(device, attribute, mask)` slots.  Bit `i` of
+//!   the `u64` mask is set when the attribute's `i`-th domain value passes
+//!   the atom's test (loose equality, a numeric threshold).  A
+//!   [`DeviceState`] only ever holds domain indices, so an atom is a pure
+//!   function of those indices and evaluating it is a bit test: no rendered
+//!   value, no string compare, no float parse.  Mode tests are masks over
+//!   [`LocationMode`] indices, offline tests read the online flag;
+//! * constants fold: existence tests, empty selections, all-zero masks and
+//!   mode masks covering no mode (or every mode) propagate through
+//!   `Not`/`And`/`Or`.  A property whose violation condition folds to
+//!   `false` can never fire and is dropped, and so is every atom that only
+//!   dropped properties read;
 //! * formulas become flat postfix programs over a shared, deduplicated atom
-//!   table: each distinct atom is evaluated once per transition into a slot
-//!   vector, then every property's program runs pure boolean ops.
+//!   table: each live atom is evaluated once per transition, then every
+//!   property's program runs on a `u64` bit stack.  [`MAX_FORMULA_DEPTH`]
+//!   bounds that stack; deeper specs are rejected wherever specs are
+//!   checked.
 //!
-//! Evaluation reuses an [`EvalScratch`] (slot vector + program stack), so a
+//! Evaluation reuses an [`EvalScratch`] (one bool per live atom), so a
 //! steady-state transition check performs no heap allocation.  Leads-to
-//! obligations are tracked in caller-owned per-property monitor counters that
-//! are part of the model-checker state identity.
+//! obligations are tracked in caller-owned per-property monitor counters
+//! that are part of the model-checker state identity.
 
 use crate::registry::PropertySet;
 use crate::snapshot::{
-    has_conflicting_commands, has_repeated_commands, DeviceRole, Snapshot, StepObservation,
+    has_conflicting_commands, has_repeated_commands, DeviceRole, StepObservation,
 };
-use crate::spec::{Atom, DeviceSelect, Expr, Modality, PropertyId};
+use crate::spec::{Atom, DeviceSelect, Expr, Modality, PropertyId, MAX_FORMULA_DEPTH};
+use iotsan_devices::{AttrDomain, DeviceSpec, DeviceState, LocationMode};
+use iotsan_ir::Value;
 
 /// One installed device, as the compiler sees it: identity for selector
-/// matching plus the attribute layout of its snapshot entry.
+/// matching plus the spec that fixes its state-vector layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetDevice {
     /// The raw device id (`DeviceId.0`), used to match step command records.
     pub id: u32,
     /// User-facing label.
     pub label: String,
-    /// Spec capability name.
-    pub capability: String,
     /// User-assigned role.
     pub role: DeviceRole,
-    /// Attribute names, in the exact order they appear in the device's
-    /// snapshot entry (slot positions are resolved against this).
-    pub attributes: Vec<String>,
+    /// The device's spec: its capability, and the attributes (in
+    /// [`DeviceState`] order) with their value domains.
+    pub spec: &'static DeviceSpec,
 }
 
 /// The installed-system layout properties are compiled against.  Device
-/// positions must match the position of each device in the snapshots later
-/// passed to [`CompiledPropertySet::check_transition`].
+/// positions must match the positions of the [`DeviceState`]s later passed
+/// to [`CompiledPropertySet::check_transition`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompileTarget {
-    /// The installed devices, in snapshot order.
+    /// The installed devices, in state-vector order.
     pub devices: Vec<TargetDevice>,
 }
 
@@ -58,91 +68,177 @@ impl CompileTarget {
         CompileTarget { devices }
     }
 
-    /// Derives the target from a snapshot's layout (tests and standalone
-    /// checking; installed systems build their target once from the device
-    /// table).
-    pub fn from_snapshot(snapshot: &Snapshot) -> Self {
-        CompileTarget {
-            devices: snapshot
-                .devices
-                .iter()
-                .map(|d| TargetDevice {
-                    id: d.id.0,
-                    label: d.label.clone(),
-                    capability: d.capability.clone(),
-                    role: d.role,
-                    attributes: d.attributes.iter().map(|(n, _)| n.clone()).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// `(device position, attribute position)` slots for every selected
-    /// device that has the attribute.
-    fn attr_slots(&self, select: &DeviceSelect, attribute: &str) -> Vec<(u16, u8)> {
-        let mut out = Vec::new();
-        for (di, device) in self.devices.iter().enumerate() {
-            if !select.matches(&device.label, &device.capability, device.role) {
-                continue;
-            }
-            if let Some(ai) = device.attributes.iter().position(|a| a == attribute) {
-                out.push((di as u16, ai as u8));
-            }
-        }
-        out
-    }
-
     /// Positions of every selected device.
-    fn device_slots(&self, select: &DeviceSelect) -> Vec<u16> {
+    fn selected<'a>(&'a self, select: &'a DeviceSelect) -> impl Iterator<Item = usize> + 'a {
         self.devices
             .iter()
             .enumerate()
-            .filter(|(_, d)| select.matches(&d.label, &d.capability, d.role))
-            .map(|(i, _)| i as u16)
-            .collect()
+            .filter(|(_, d)| select.matches(&d.label, d.spec.capability, d.role))
+            .map(|(i, _)| i)
     }
 
-    /// Raw device ids of every selected device.
-    fn device_ids(&self, select: &DeviceSelect) -> Vec<u32> {
-        self.devices
-            .iter()
-            .filter(|d| select.matches(&d.label, &d.capability, d.role))
-            .map(|d| d.id)
-            .collect()
+    /// How many devices `select` picks, and one slot per picked device that
+    /// has `attribute`, masking the domain values that pass `test`.
+    fn attr_slots(
+        &self,
+        select: &DeviceSelect,
+        attribute: &str,
+        test: impl Fn(&Value) -> bool,
+    ) -> (usize, Vec<Slot>) {
+        let mut selected = 0;
+        let mut slots = Vec::new();
+        for di in self.selected(select) {
+            selected += 1;
+            let spec = self.devices[di].spec;
+            if let Some(ai) = spec.attribute_index(attribute) {
+                let mask = domain_mask(&spec.attributes[ai].domain, &test);
+                slots.push(Slot { device: di as u16, attr: ai as u8, mask });
+            }
+        }
+        (selected, slots)
+    }
+
+    /// Lowers one atom, folding what the installation fixes.
+    fn lower(&self, atom: &Atom) -> Node {
+        let lowered = match atom {
+            Atom::ModeIs(name) => CAtom::mode(mode_mask(|m| m.name().eq_ignore_ascii_case(name))),
+            Atom::AnyoneHome => {
+                // With presence sensors installed, "anyone home" means some
+                // sensor reports `present`; without any, the location mode
+                // not being Away is the paper's proxy.
+                let presence = DeviceSelect::capability("presenceSensor");
+                let (_, slots) = self.attr_slots(&presence, "presence", |v| v.eq_str("present"));
+                if slots.is_empty() {
+                    CAtom::mode(mode_mask(|m| !m.name().eq_ignore_ascii_case("away")))
+                } else {
+                    CAtom::any(slots)
+                }
+            }
+            Atom::AnyAttr(t) => {
+                CAtom::any(self.attr_slots(&t.select, &t.attribute, |v| v.eq_str(&t.value)).1)
+            }
+            Atom::AllAttr(t) => {
+                // A selected device *without* the attribute fails the test
+                // (`attr_is` on a missing attribute is false).
+                let (selected, mut slots) =
+                    self.attr_slots(&t.select, &t.attribute, |v| v.eq_str(&t.value));
+                if slots.len() < selected || slots.iter().any(|s| s.mask == 0) {
+                    CAtom::Const(false)
+                } else {
+                    // Slots accepting every domain value always pass.
+                    slots.retain(|s| {
+                        let domain = &self.devices[s.device as usize].spec.attributes
+                            [s.attr as usize]
+                            .domain;
+                        s.mask != domain_mask(domain, |_| true)
+                    });
+                    if slots.is_empty() {
+                        CAtom::Const(true)
+                    } else {
+                        CAtom::All(slots)
+                    }
+                }
+            }
+            Atom::HasDevice(select) => CAtom::Const(self.selected(select).next().is_some()),
+            Atom::AnyOffline(select) => {
+                let devices: Vec<u16> = self.selected(select).map(|i| i as u16).collect();
+                if devices.is_empty() {
+                    CAtom::Const(false)
+                } else {
+                    CAtom::AnyOffline(devices)
+                }
+            }
+            Atom::AnyBelow(t) => CAtom::any(
+                self.attr_slots(&t.select, &t.attribute, |v| {
+                    v.as_number().is_some_and(|n| n < t.threshold)
+                })
+                .1,
+            ),
+            Atom::AnyAbove(t) => CAtom::any(
+                self.attr_slots(&t.select, &t.attribute, |v| {
+                    v.as_number().is_some_and(|n| n > t.threshold)
+                })
+                .1,
+            ),
+            Atom::ConflictingCommands => CAtom::Conflicting,
+            Atom::RepeatedCommands => CAtom::Repeated,
+            Atom::DisallowedNetwork => CAtom::DisallowedNetwork,
+            Atom::SmsRecipientMismatch => CAtom::SmsMismatch,
+            Atom::UnsubscribeCalled => CAtom::Unsubscribe,
+            Atom::FakeEventRaised => CAtom::FakeEvent,
+            Atom::CommandFailed => CAtom::CommandFailed,
+            Atom::UserNotified => CAtom::UserNotified,
+            Atom::CommandIssued(t) if t.select.is_any() => {
+                CAtom::CommandIssued { command: t.command.clone(), devices: None }
+            }
+            Atom::CommandIssued(t) => {
+                let ids: Vec<u32> = self.selected(&t.select).map(|i| self.devices[i].id).collect();
+                if ids.is_empty() {
+                    CAtom::Const(false)
+                } else {
+                    CAtom::CommandIssued { command: t.command.clone(), devices: Some(ids) }
+                }
+            }
+        };
+        match lowered {
+            CAtom::Const(b) => Node::Const(b),
+            atom => Node::Atom(atom),
+        }
+    }
+
+    /// Lowers a formula and folds its constants.
+    fn fold(&self, expr: &Expr) -> Node {
+        match expr {
+            Expr::Atom(atom) => self.lower(atom),
+            Expr::Not(e) => Node::not(self.fold(e)),
+            Expr::All(es) => Node::nary(es.iter().map(|e| self.fold(e)), true),
+            Expr::AnyOf(es) => Node::nary(es.iter().map(|e| self.fold(e)), false),
+        }
     }
 }
 
-/// A compiled atom: every name resolved to slots, selectors gone.
+/// Bit `i` set when the domain's `i`-th value passes `test`.
+fn domain_mask(domain: &AttrDomain, test: impl Fn(&Value) -> bool) -> u64 {
+    assert!(domain.len() <= 64, "attribute domains are limited to 64 values");
+    (0..domain.len()).filter(|&i| test(&domain.value(i))).fold(0, |mask, i| mask | 1 << i)
+}
+
+/// Bit `m.index()` set for every location mode `m` passing `test`.
+fn mode_mask(test: impl Fn(LocationMode) -> bool) -> u64 {
+    LocationMode::ALL.into_iter().filter(|&m| test(m)).fold(0, |mask, m| mask | 1 << m.index())
+}
+
+/// One device attribute an atom reads, with the domain indices it accepts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slot {
+    device: u16,
+    attr: u8,
+    mask: u64,
+}
+
+impl Slot {
+    #[inline]
+    fn accepts(&self, devices: &[DeviceState]) -> bool {
+        devices[self.device as usize]
+            .raw(self.attr as usize)
+            .is_some_and(|v| self.mask.checked_shr(u32::from(v)).is_some_and(|m| m & 1 != 0))
+    }
+}
+
+/// A compiled atom: every name resolved to state-vector slots and masks.
 #[derive(Debug, Clone, PartialEq)]
 enum CAtom {
-    /// Constant folded at compile time (existence tests, empty selections).
+    /// A constant; only ever the whole of a program (folding removes every
+    /// other occurrence).
     Const(bool),
-    /// The location mode equals the name (case-insensitive).
-    ModeIs(String),
-    /// Some slot's value loosely equals the string.
-    AnyAttrEq {
-        slots: Vec<(u16, u8)>,
-        value: String,
-    },
-    /// Every slot's value loosely equals the string (vacuously true).
-    AllAttrEq {
-        slots: Vec<(u16, u8)>,
-        value: String,
-    },
+    /// The location mode's index is in the mask.
+    Mode(u64),
+    /// Some slot accepts its device's value.
+    Any(Vec<Slot>),
+    /// Every slot accepts its device's value.
+    All(Vec<Slot>),
     /// Some listed device is offline.
-    AnyOffline {
-        devices: Vec<u16>,
-    },
-    /// Some slot reads a number below the threshold.
-    AnyBelow {
-        slots: Vec<(u16, u8)>,
-        threshold: f64,
-    },
-    /// Some slot reads a number above the threshold.
-    AnyAbove {
-        slots: Vec<(u16, u8)>,
-        threshold: f64,
-    },
+    AnyOffline(Vec<u16>),
     /// Step detectors (see [`crate::snapshot`]).
     Conflicting,
     Repeated,
@@ -161,47 +257,37 @@ enum CAtom {
 }
 
 impl CAtom {
-    fn reads_state(&self) -> bool {
-        matches!(
-            self,
-            CAtom::ModeIs(_)
-                | CAtom::AnyAttrEq { .. }
-                | CAtom::AllAttrEq { .. }
-                | CAtom::AnyOffline { .. }
-                | CAtom::AnyBelow { .. }
-                | CAtom::AnyAbove { .. }
-        )
+    fn mode(mask: u64) -> CAtom {
+        match mask {
+            0 => CAtom::Const(false),
+            m if m == mode_mask(|_| true) => CAtom::Const(true),
+            m => CAtom::Mode(m),
+        }
     }
 
-    /// Evaluates the atom.  `snapshot` is only read by state atoms, which
-    /// the caller never schedules without one.
-    fn eval(&self, snapshot: &Snapshot, step: &StepObservation) -> bool {
+    /// An existential over `slots`; slots accepting nothing drop out.
+    fn any(mut slots: Vec<Slot>) -> CAtom {
+        slots.retain(|s| s.mask != 0);
+        if slots.is_empty() {
+            CAtom::Const(false)
+        } else {
+            CAtom::Any(slots)
+        }
+    }
+
+    fn reads_state(&self) -> bool {
+        matches!(self, CAtom::Mode(_) | CAtom::Any(_) | CAtom::All(_) | CAtom::AnyOffline(_))
+    }
+
+    /// Evaluates the atom over the device states and location mode.
+    #[inline]
+    fn eval(&self, devices: &[DeviceState], mode: LocationMode, step: &StepObservation) -> bool {
         match self {
             CAtom::Const(v) => *v,
-            CAtom::ModeIs(mode) => snapshot.mode.eq_ignore_ascii_case(mode),
-            CAtom::AnyAttrEq { slots, value } => slots
-                .iter()
-                .any(|&(d, a)| snapshot.devices[d as usize].attributes[a as usize].1.eq_str(value)),
-            CAtom::AllAttrEq { slots, value } => slots
-                .iter()
-                .all(|&(d, a)| snapshot.devices[d as usize].attributes[a as usize].1.eq_str(value)),
-            CAtom::AnyOffline { devices } => {
-                devices.iter().any(|&d| !snapshot.devices[d as usize].online)
-            }
-            CAtom::AnyBelow { slots, threshold } => slots.iter().any(|&(d, a)| {
-                snapshot.devices[d as usize].attributes[a as usize]
-                    .1
-                    .as_number()
-                    .map(|v| v < *threshold)
-                    .unwrap_or(false)
-            }),
-            CAtom::AnyAbove { slots, threshold } => slots.iter().any(|&(d, a)| {
-                snapshot.devices[d as usize].attributes[a as usize]
-                    .1
-                    .as_number()
-                    .map(|v| v > *threshold)
-                    .unwrap_or(false)
-            }),
+            CAtom::Mode(mask) => mask >> mode.index() & 1 != 0,
+            CAtom::Any(slots) => slots.iter().any(|s| s.accepts(devices)),
+            CAtom::All(slots) => slots.iter().all(|s| s.accepts(devices)),
+            CAtom::AnyOffline(ds) => ds.iter().any(|&d| !devices[d as usize].is_online()),
             CAtom::Conflicting => has_conflicting_commands(step),
             CAtom::Repeated => has_repeated_commands(step),
             CAtom::DisallowedNetwork => step.network.iter().any(|n| !n.allowed),
@@ -212,8 +298,49 @@ impl CAtom {
             CAtom::UserNotified => !step.messages.is_empty(),
             CAtom::CommandIssued { command, devices } => step.commands.iter().any(|c| {
                 c.command == *command
-                    && devices.as_ref().map(|ids| ids.contains(&c.device.0)).unwrap_or(true)
+                    && devices.as_ref().map_or(true, |ids| ids.contains(&c.device.0))
             }),
+        }
+    }
+}
+
+/// A formula after lowering and constant folding.  `Const` survives only as
+/// a whole formula: [`Node::not`] and [`Node::nary`] absorb it everywhere
+/// else.
+#[derive(Debug)]
+enum Node {
+    Const(bool),
+    Atom(CAtom),
+    Not(Box<Node>),
+    And(Vec<Node>),
+    Or(Vec<Node>),
+}
+
+impl Node {
+    fn not(node: Node) -> Node {
+        match node {
+            Node::Const(b) => Node::Const(!b),
+            Node::Not(inner) => *inner,
+            node => Node::Not(Box::new(node)),
+        }
+    }
+
+    /// The conjunction (`and`) or disjunction of `nodes`: the identity
+    /// constant drops out, the absorbing one decides the whole.
+    fn nary(nodes: impl Iterator<Item = Node>, and: bool) -> Node {
+        let mut kept = Vec::new();
+        for node in nodes {
+            match node {
+                Node::Const(b) if b == and => {}
+                Node::Const(b) => return Node::Const(b),
+                node => kept.push(node),
+            }
+        }
+        match kept.len() {
+            0 => Node::Const(and),
+            1 => kept.pop().expect("one node kept"),
+            _ if and => Node::And(kept),
+            _ => Node::Or(kept),
         }
     }
 }
@@ -221,9 +348,9 @@ impl CAtom {
 /// One postfix program instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
-    /// Push the atom slot's value.
+    /// Push the atom's value.
     Push(u16),
-    /// Pop one, push its negation.
+    /// Negate the top.
     Not,
     /// Pop two, push the conjunction.
     And,
@@ -241,7 +368,8 @@ struct Program {
 /// How a compiled property decides violations.
 #[derive(Debug, Clone, PartialEq)]
 enum CompiledKind {
-    /// Violated when the program evaluates true.
+    /// Violated when the program evaluates true.  `never`, `always` and
+    /// same-step leads-to (`trigger && !response`) all compile to this.
     Check { program: Program },
     /// Bounded response: a trigger opens an obligation the response must
     /// discharge within `within` further evaluated steps; the countdown
@@ -253,6 +381,9 @@ enum CompiledKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProperty {
     id: PropertyId,
+    /// Position of the spec in the source [`PropertySet`]: what the checks
+    /// report for a violation.
+    index: usize,
     kind: CompiledKind,
     step_only: bool,
 }
@@ -270,12 +401,11 @@ impl CompiledProperty {
     }
 }
 
-/// Reusable evaluation buffers: one bool per distinct atom plus the program
-/// stack.  Per-worker, cleared (never reallocated) on every transition.
+/// Reusable evaluation buffer: one bool per live atom.  Per-worker, cleared
+/// (never reallocated) on every transition.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
-    slots: Vec<bool>,
-    stack: Vec<bool>,
+    atoms: Vec<bool>,
 }
 
 /// A [`PropertySet`] compiled against one installed system.
@@ -289,40 +419,48 @@ pub struct CompiledPropertySet {
 }
 
 impl CompiledPropertySet {
-    /// Compiles every spec in `set` against the target layout.
+    /// Compiles every spec in `set` against the target layout, dropping the
+    /// properties that can never be violated there.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a spec that fails [`PropertySpec::validate`](crate::PropertySpec::validate)
+    /// (a leads-to `within` above 255, a formula deeper than
+    /// [`MAX_FORMULA_DEPTH`]).
     pub fn compile(set: &PropertySet, target: &CompileTarget) -> Self {
-        let mut c = Compiler { target, atoms: Vec::new(), ops: Vec::new() };
+        let mut c = Compiler { atoms: Vec::new(), ops: Vec::new() };
         let mut props = Vec::new();
         let mut monitor_count = 0usize;
-        for spec in set.specs() {
-            let step_only = spec.step_only();
+        for (index, spec) in set.specs().iter().enumerate() {
+            if let Err(err) = spec.validate() {
+                panic!("{err}");
+            }
             let kind = match &spec.modality {
-                Modality::Never(e) => CompiledKind::Check { program: c.compile_expr(e) },
-                Modality::Always(e) => {
-                    let program = c.compile_negated(e);
-                    CompiledKind::Check { program }
-                }
+                Modality::Never(e) => c.check(target.fold(e)),
+                Modality::Always(e) => c.check(Node::not(target.fold(e))),
+                Modality::LeadsTo(l) if l.within == 0 => c.check(Node::nary(
+                    [target.fold(&l.trigger), Node::not(target.fold(&l.response))].into_iter(),
+                    true,
+                )),
                 Modality::LeadsTo(l) => {
-                    let trigger = c.compile_expr(&l.trigger);
-                    let response = c.compile_expr(&l.response);
-                    assert!(
-                        l.within <= u32::from(u8::MAX),
-                        "property {} ({}): leads-to `within` is {} but the monitor bound is 255 \
-                         (bounded search depths are far smaller)",
-                        spec.property_id(),
-                        spec.name,
-                        l.within
-                    );
-                    if l.within == 0 {
-                        CompiledKind::LeadsTo { trigger, response, within: 0, monitor: u16::MAX }
-                    } else {
-                        let monitor = monitor_count as u16;
-                        monitor_count += 1;
-                        CompiledKind::LeadsTo { trigger, response, within: l.within as u8, monitor }
-                    }
+                    let monitor = monitor_count as u16;
+                    monitor_count += 1;
+                    Some(CompiledKind::LeadsTo {
+                        trigger: c.program(target.fold(&l.trigger)),
+                        response: c.program(target.fold(&l.response)),
+                        within: l.within as u8,
+                        monitor,
+                    })
                 }
             };
-            props.push(CompiledProperty { id: spec.property_id(), kind, step_only });
+            if let Some(kind) = kind {
+                props.push(CompiledProperty {
+                    id: spec.property_id(),
+                    index,
+                    kind,
+                    step_only: spec.step_only(),
+                });
+            }
         }
         CompiledPropertySet { atoms: c.atoms, ops: c.ops, props, monitor_count }
     }
@@ -334,30 +472,35 @@ impl CompiledPropertySet {
         self.monitor_count
     }
 
-    /// The compiled properties, in set order.
+    /// The live compiled properties (those that survived folding), in set
+    /// order.
     pub fn properties(&self) -> &[CompiledProperty] {
         &self.props
     }
 
-    /// Number of distinct atoms shared by all programs.
+    /// Number of distinct live atoms shared by all programs.
     pub fn atom_count(&self) -> usize {
         self.atoms.len()
     }
 
-    /// Evaluates every property at a quiescent point (both the physical
-    /// snapshot and the step observation are visible), appending violated
-    /// ids to `out` and updating leads-to monitors in place.
+    /// Evaluates every live property at a quiescent point, reading the
+    /// device states and location mode straight from the state vector and
+    /// the step observation.  Appends the position in the source
+    /// [`PropertySet`]'s specs of every violated property to `out` and
+    /// updates leads-to monitors in place.
     pub fn check_transition(
         &self,
-        snapshot: &Snapshot,
+        devices: &[DeviceState],
+        mode: LocationMode,
         step: &StepObservation,
         monitors: &mut [u8],
         scratch: &mut EvalScratch,
-        out: &mut Vec<PropertyId>,
+        out: &mut Vec<usize>,
     ) {
-        self.fill_slots(Some(snapshot), step, scratch);
+        scratch.atoms.clear();
+        scratch.atoms.extend(self.atoms.iter().map(|atom| atom.eval(devices, mode, step)));
         for prop in &self.props {
-            self.check_one(prop, monitors, scratch, out);
+            self.check_one(prop, monitors, &scratch.atoms, out);
         }
     }
 
@@ -369,13 +512,17 @@ impl CompiledPropertySet {
         step: &StepObservation,
         monitors: &mut [u8],
         scratch: &mut EvalScratch,
-        out: &mut Vec<PropertyId>,
+        out: &mut Vec<usize>,
     ) {
-        self.fill_slots(None, step, scratch);
-        for prop in &self.props {
-            if prop.step_only {
-                self.check_one(prop, monitors, scratch, out);
-            }
+        // Step-only programs never read a state atom, so those stay unset.
+        scratch.atoms.clear();
+        scratch.atoms.extend(
+            self.atoms
+                .iter()
+                .map(|atom| !atom.reads_state() && atom.eval(&[], LocationMode::Home, step)),
+        );
+        for prop in self.props.iter().filter(|p| p.step_only) {
+            self.check_one(prop, monitors, &scratch.atoms, out);
         }
     }
 
@@ -383,25 +530,19 @@ impl CompiledPropertySet {
         &self,
         prop: &CompiledProperty,
         monitors: &mut [u8],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<PropertyId>,
+        atoms: &[bool],
+        out: &mut Vec<usize>,
     ) {
-        match &prop.kind {
+        match prop.kind {
             CompiledKind::Check { program } => {
-                if self.run(*program, scratch) {
-                    out.push(prop.id);
+                if self.run(program, atoms) {
+                    out.push(prop.index);
                 }
             }
             CompiledKind::LeadsTo { trigger, response, within, monitor } => {
-                let triggered = self.run(*trigger, scratch);
-                let responded = self.run(*response, scratch);
-                if *within == 0 {
-                    if triggered && !responded {
-                        out.push(prop.id);
-                    }
-                    return;
-                }
-                let slot = &mut monitors[*monitor as usize];
+                let triggered = self.run(trigger, atoms);
+                let responded = self.run(response, atoms);
+                let slot = &mut monitors[monitor as usize];
                 if responded {
                     // A response discharges every open obligation at once.
                     *slot = 0;
@@ -410,9 +551,7 @@ impl CompiledPropertySet {
                 let mut violated = false;
                 if *slot > 0 {
                     *slot -= 1;
-                    if *slot == 0 {
-                        violated = true;
-                    }
+                    violated = *slot == 0;
                 }
                 // The counter tracks the *earliest* open obligation — the
                 // first deadline to expire.  A re-trigger while one is
@@ -422,297 +561,268 @@ impl CompiledPropertySet {
                 // obligation is open (including right after one just
                 // expired — the new trigger stands on its own).
                 if triggered && *slot == 0 {
-                    *slot = *within;
+                    *slot = within;
                 }
                 if violated {
-                    out.push(prop.id);
+                    out.push(prop.index);
                 }
             }
         }
     }
 
-    /// Evaluates each distinct atom once into the slot vector.  State atoms
-    /// are skipped when no snapshot is given (their slots are then never read
-    /// — only step-only programs run).
-    fn fill_slots(
-        &self,
-        snapshot: Option<&Snapshot>,
-        step: &StepObservation,
-        scratch: &mut EvalScratch,
-    ) {
-        scratch.slots.clear();
-        scratch.slots.resize(self.atoms.len(), false);
-        for (slot, atom) in scratch.slots.iter_mut().zip(&self.atoms) {
-            match snapshot {
-                Some(snap) => *slot = atom.eval(snap, step),
-                None if !atom.reads_state() => *slot = atom.eval(&EMPTY_SNAPSHOT, step),
-                None => {}
-            }
-        }
-    }
-
-    fn run(&self, program: Program, scratch: &mut EvalScratch) -> bool {
+    /// Runs a postfix program on a bit stack whose top is bit 0: a push
+    /// shifts the stack left, a binary op folds bit 0 into bit 1 and shifts
+    /// right.  Validation bounds every program by [`MAX_FORMULA_DEPTH`]
+    /// live values, so nothing ever shifts out.
+    #[inline]
+    fn run(&self, program: Program, atoms: &[bool]) -> bool {
         let ops = &self.ops[program.start as usize..(program.start + program.len) as usize];
-        let stack = &mut scratch.stack;
-        stack.clear();
+        let mut stack = 0u64;
         for op in ops {
-            match op {
-                Op::Push(slot) => stack.push(scratch.slots[*slot as usize]),
-                Op::Not => {
-                    let v = stack.pop().expect("program underflow");
-                    stack.push(!v);
-                }
-                Op::And => {
-                    let b = stack.pop().expect("program underflow");
-                    let a = stack.pop().expect("program underflow");
-                    stack.push(a && b);
-                }
-                Op::Or => {
-                    let b = stack.pop().expect("program underflow");
-                    let a = stack.pop().expect("program underflow");
-                    stack.push(a || b);
-                }
-            }
+            stack = match *op {
+                Op::Push(atom) => stack << 1 | u64::from(atoms[atom as usize]),
+                Op::Not => stack ^ 1,
+                Op::And => (stack >> 1) & (stack | !1),
+                Op::Or => (stack >> 1) | (stack & 1),
+            };
         }
-        stack.pop().expect("empty program")
+        stack & 1 != 0
     }
 }
 
-/// A snapshot that is never read (placeholder for step-only evaluation).
-static EMPTY_SNAPSHOT: Snapshot =
-    Snapshot { mode: String::new(), devices: Vec::new(), time_seconds: 0 };
-
-struct Compiler<'a> {
-    target: &'a CompileTarget,
+struct Compiler {
     atoms: Vec<CAtom>,
     ops: Vec<Op>,
 }
 
-impl Compiler<'_> {
-    fn slot(&mut self, atom: CAtom) -> u16 {
-        if let Some(pos) = self.atoms.iter().position(|a| *a == atom) {
-            return pos as u16;
+impl Compiler {
+    /// A `Check` over a property's violation condition, or `None` when the
+    /// condition folded to `false` (the property can never fire here).
+    fn check(&mut self, violated: Node) -> Option<CompiledKind> {
+        match violated {
+            Node::Const(false) => None,
+            node => Some(CompiledKind::Check { program: self.program(node) }),
         }
-        assert!(
-            self.atoms.len() <= u16::MAX as usize,
-            "property set exceeds {} distinct atoms",
-            u16::MAX as usize + 1
-        );
-        self.atoms.push(atom);
-        (self.atoms.len() - 1) as u16
     }
 
-    fn compile_expr(&mut self, expr: &Expr) -> Program {
+    fn program(&mut self, node: Node) -> Program {
         let start = self.ops.len() as u32;
-        self.emit(expr);
+        let depth = self.emit(node);
+        // Folding only removes operands, so a validated spec's programs
+        // stay within the bound.
+        debug_assert!(depth <= MAX_FORMULA_DEPTH, "program depth {depth}");
         Program { start, len: self.ops.len() as u32 - start }
     }
 
-    fn compile_negated(&mut self, expr: &Expr) -> Program {
-        let start = self.ops.len() as u32;
-        self.emit(expr);
-        self.ops.push(Op::Not);
-        Program { start, len: self.ops.len() as u32 - start }
-    }
-
-    fn emit(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Atom(atom) => self.emit_atom(atom),
-            Expr::Not(e) => {
-                self.emit(e);
+    /// Appends `node`'s postfix ops and returns the stack depth they need.
+    fn emit(&mut self, node: Node) -> usize {
+        match node {
+            Node::Const(b) => self.push(CAtom::Const(b)),
+            Node::Atom(atom) => self.push(atom),
+            Node::Not(inner) => {
+                let depth = self.emit(*inner);
                 self.ops.push(Op::Not);
+                depth
             }
-            Expr::All(es) => self.emit_nary(es, Op::And, true),
-            Expr::AnyOf(es) => self.emit_nary(es, Op::Or, false),
+            Node::And(nodes) => self.emit_nary(nodes, Op::And),
+            Node::Or(nodes) => self.emit_nary(nodes, Op::Or),
         }
     }
 
-    fn emit_nary(&mut self, es: &[Expr], op: Op, empty: bool) {
-        match es.split_first() {
+    fn emit_nary(&mut self, nodes: Vec<Node>, op: Op) -> usize {
+        let mut depth = 0;
+        for (i, node) in nodes.into_iter().enumerate() {
+            depth = depth.max(self.emit(node) + usize::from(i > 0));
+            if i > 0 {
+                self.ops.push(op);
+            }
+        }
+        depth
+    }
+
+    /// Pushes the atom, interning it in the shared table.
+    fn push(&mut self, atom: CAtom) -> usize {
+        let slot = match self.atoms.iter().position(|a| *a == atom) {
+            Some(pos) => pos,
             None => {
-                let slot = self.slot(CAtom::Const(empty));
-                self.ops.push(Op::Push(slot));
+                assert!(
+                    self.atoms.len() <= u16::MAX as usize,
+                    "property set exceeds {} distinct atoms",
+                    u16::MAX as usize + 1
+                );
+                self.atoms.push(atom);
+                self.atoms.len() - 1
             }
-            Some((first, rest)) => {
-                self.emit(first);
-                for e in rest {
-                    self.emit(e);
-                    self.ops.push(op);
-                }
-            }
-        }
-    }
-
-    fn emit_atom(&mut self, atom: &Atom) {
-        let lowered = match atom {
-            Atom::ModeIs(mode) => CAtom::ModeIs(mode.clone()),
-            Atom::AnyoneHome => {
-                // Resolved at compile time: with presence sensors installed,
-                // "anyone home" means some sensor reports `present`; without
-                // any, the location mode not being Away is the paper's proxy.
-                let presence = DeviceSelect::capability("presenceSensor");
-                let slots = self.target.attr_slots(&presence, "presence");
-                if slots.is_empty() {
-                    let slot = self.slot(CAtom::ModeIs("Away".to_string()));
-                    self.ops.push(Op::Push(slot));
-                    self.ops.push(Op::Not);
-                    return;
-                }
-                CAtom::AnyAttrEq { slots, value: "present".to_string() }
-            }
-            Atom::AnyAttr(t) => {
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.is_empty() {
-                    CAtom::Const(false)
-                } else {
-                    CAtom::AnyAttrEq { slots, value: t.value.clone() }
-                }
-            }
-            Atom::AllAttr(t) => {
-                // Match the interpreted semantics exactly: a selected device
-                // *without* the attribute fails the test (`attr_is` on a
-                // missing attribute is false).  Attribute layouts are fixed
-                // at install time, so that case folds to a constant.
-                let selected = self.target.device_slots(&t.select).len();
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.len() < selected {
-                    CAtom::Const(false)
-                } else if slots.is_empty() {
-                    CAtom::Const(true)
-                } else {
-                    CAtom::AllAttrEq { slots, value: t.value.clone() }
-                }
-            }
-            Atom::HasDevice(select) => CAtom::Const(!self.target.device_slots(select).is_empty()),
-            Atom::AnyOffline(select) => {
-                let devices = self.target.device_slots(select);
-                if devices.is_empty() {
-                    CAtom::Const(false)
-                } else {
-                    CAtom::AnyOffline { devices }
-                }
-            }
-            Atom::AnyBelow(t) => {
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.is_empty() {
-                    CAtom::Const(false)
-                } else {
-                    CAtom::AnyBelow { slots, threshold: t.threshold }
-                }
-            }
-            Atom::AnyAbove(t) => {
-                let slots = self.target.attr_slots(&t.select, &t.attribute);
-                if slots.is_empty() {
-                    CAtom::Const(false)
-                } else {
-                    CAtom::AnyAbove { slots, threshold: t.threshold }
-                }
-            }
-            Atom::ConflictingCommands => CAtom::Conflicting,
-            Atom::RepeatedCommands => CAtom::Repeated,
-            Atom::DisallowedNetwork => CAtom::DisallowedNetwork,
-            Atom::SmsRecipientMismatch => CAtom::SmsMismatch,
-            Atom::UnsubscribeCalled => CAtom::Unsubscribe,
-            Atom::FakeEventRaised => CAtom::FakeEvent,
-            Atom::CommandFailed => CAtom::CommandFailed,
-            Atom::UserNotified => CAtom::UserNotified,
-            Atom::CommandIssued(t) => CAtom::CommandIssued {
-                command: t.command.clone(),
-                devices: if t.select.is_any() {
-                    None
-                } else {
-                    Some(self.target.device_ids(&t.select))
-                },
-            },
         };
-        let slot = self.slot(lowered);
-        self.ops.push(Op::Push(slot));
+        self.ops.push(Op::Push(slot as u16));
+        1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::DeviceSnapshot;
+    use crate::snapshot::{DeviceSnapshot, Snapshot};
     use crate::spec::PropertySpec;
-    use iotsan_devices::DeviceId;
-    use iotsan_ir::Value;
+    use iotsan_devices::{registry, DeviceId};
 
-    fn household() -> Snapshot {
-        let dev = |id: u32, cap: &str, role: DeviceRole, attrs: &[(&str, &str)]| DeviceSnapshot {
-            id: DeviceId(id),
-            label: format!("d{id}"),
-            capability: cap.into(),
-            role,
-            attributes: attrs
-                .iter()
-                .map(|(n, v)| (n.to_string(), Value::Str(v.to_string())))
-                .collect(),
-            online: true,
-        };
-        Snapshot {
-            mode: "Home".into(),
-            devices: vec![
-                dev(0, "presenceSensor", DeviceRole::Generic, &[("presence", "present")]),
-                dev(1, "lock", DeviceRole::MainDoorLock, &[("lock", "locked")]),
-                dev(2, "smokeDetector", DeviceRole::Generic, &[("smoke", "clear")]),
-                dev(3, "switch", DeviceRole::Heater, &[("switch", "off")]),
-            ],
-            time_seconds: 0,
+    /// A compile target with the matching state vector.
+    struct Home {
+        target: CompileTarget,
+        devices: Vec<DeviceState>,
+        mode: LocationMode,
+    }
+
+    impl Home {
+        fn new(devices: &[(&str, DeviceRole)]) -> Home {
+            let target = CompileTarget::new(
+                devices
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (capability, role))| TargetDevice {
+                        id: i as u32,
+                        label: format!("d{i}"),
+                        role: *role,
+                        spec: registry().spec(capability).expect("built-in capability"),
+                    })
+                    .collect(),
+            );
+            let devices = target.devices.iter().map(|d| DeviceState::initial(d.spec)).collect();
+            Home { target, devices, mode: LocationMode::Home }
         }
-    }
 
-    fn compile_one(spec: PropertySpec, snapshot: &Snapshot) -> CompiledPropertySet {
-        let set = PropertySet::from_specs(vec![spec]);
-        CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(snapshot))
-    }
+        /// Presence sensor, main door lock, smoke detector, heater outlet.
+        fn household() -> Home {
+            Home::new(&[
+                ("presenceSensor", DeviceRole::Generic),
+                ("lock", DeviceRole::MainDoorLock),
+                ("smokeDetector", DeviceRole::Generic),
+                ("switch", DeviceRole::Heater),
+            ])
+        }
 
-    fn violated(
-        compiled: &CompiledPropertySet,
-        snapshot: &Snapshot,
-        step: &StepObservation,
-    ) -> Vec<u32> {
-        let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        compiled.check_transition(snapshot, step, &mut monitors, &mut scratch, &mut out);
-        out.into_iter().map(|id| id.0).collect()
+        fn set(&mut self, device: usize, attribute: &str, value: &str) {
+            let spec = self.target.devices[device].spec;
+            self.devices[device].set(spec, attribute, &Value::Str(value.into()));
+        }
+
+        /// The interpreted reference's view of the same state.
+        fn snapshot(&self) -> Snapshot {
+            let devices = self
+                .target
+                .devices
+                .iter()
+                .zip(&self.devices)
+                .map(|(d, state)| DeviceSnapshot {
+                    id: DeviceId(d.id),
+                    label: d.label.clone(),
+                    capability: d.spec.capability.to_string(),
+                    role: d.role,
+                    attributes: d
+                        .spec
+                        .attributes
+                        .iter()
+                        .map(|a| (a.name.to_string(), state.get(d.spec, a.name)))
+                        .collect(),
+                    online: state.is_online(),
+                })
+                .collect();
+            Snapshot { mode: self.mode.name().to_string(), devices, time_seconds: 0 }
+        }
+
+        fn compile(&self, set: &PropertySet) -> CompiledPropertySet {
+            CompiledPropertySet::compile(set, &self.target)
+        }
+
+        /// Ids of the properties the compiled set reports violated.
+        fn violated(
+            &self,
+            set: &PropertySet,
+            compiled: &CompiledPropertySet,
+            step: &StepObservation,
+            monitors: &mut [u8],
+        ) -> Vec<u32> {
+            let mut out = Vec::new();
+            let mut scratch = EvalScratch::default();
+            compiled.check_transition(
+                &self.devices,
+                self.mode,
+                step,
+                monitors,
+                &mut scratch,
+                &mut out,
+            );
+            let mut ids: Vec<u32> = out.iter().map(|&i| set.specs()[i].id).collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        /// Ids the interpreted reference reports violated.
+        fn interpreted(&self, set: &PropertySet, step: &StepObservation) -> Vec<u32> {
+            let mut ids: Vec<u32> =
+                set.check_point(&self.snapshot(), step).into_iter().map(|id| id.0).collect();
+            ids.sort_unstable();
+            ids
+        }
+
+        /// Compiles `spec` alone and reports whether it is violated now.
+        fn one(&self, spec: &PropertySpec) -> bool {
+            let set = PropertySet::from_specs(vec![spec.clone()]);
+            let compiled = self.compile(&set);
+            let mut monitors = vec![0u8; compiled.monitor_count()];
+            !self.violated(&set, &compiled, &StepObservation::default(), &mut monitors).is_empty()
+        }
     }
 
     #[test]
     fn selectors_resolve_to_slots_and_constants_fold() {
-        let snapshot = household();
-        let spec = PropertySpec::builder(1, "p").never(Expr::and([
+        let mut home = Home::household();
+        let set = PropertySet::from_specs(vec![PropertySpec::builder(1, "p").never(Expr::and([
             Expr::has_device(DeviceSelect::role("heater")),
             Expr::capability_attr("lock", "lock", "unlocked"),
-        ]));
-        let compiled = compile_one(spec, &snapshot);
-        // `has_device` folded into a constant, the attr test into one atom.
-        assert!(compiled.atom_count() <= 2);
-        let step = StepObservation::default();
-        assert!(violated(&compiled, &snapshot, &step).is_empty());
-        let mut unlocked = snapshot.clone();
-        unlocked.devices[1].attributes[0].1 = Value::Str("unlocked".into());
-        assert_eq!(violated(&compiled, &unlocked, &step), vec![1]);
+        ]))]);
+        let compiled = home.compile(&set);
+        // `has_device` folded away; the lock test is the one atom left.
+        assert_eq!(compiled.atom_count(), 1);
+        assert!(!home.one(&set.specs()[0]));
+        home.set(1, "lock", "unlocked");
+        assert!(home.one(&set.specs()[0]));
     }
 
     #[test]
     fn anyone_home_compiles_to_presence_or_mode_fallback() {
-        let snapshot = household();
         let spec = PropertySpec::builder(1, "p").always(Expr::anyone_home());
-        let compiled = compile_one(spec.clone(), &snapshot);
-        let step = StepObservation::default();
-        assert!(violated(&compiled, &snapshot, &step).is_empty());
-        let mut gone = snapshot.clone();
-        gone.devices[0].attributes[0].1 = Value::Str("not present".into());
-        assert_eq!(violated(&compiled, &gone, &step), vec![1]);
+        let mut home = Home::household();
+        assert!(!home.one(&spec));
+        home.set(0, "presence", "not present");
+        assert!(home.one(&spec));
 
         // No presence sensors: mode decides.
-        let mut bare = Snapshot { mode: "Home".into(), devices: vec![], time_seconds: 0 };
-        let compiled = compile_one(spec, &bare);
-        assert!(violated(&compiled, &bare, &step).is_empty());
-        bare.mode = "Away".into();
-        assert_eq!(violated(&compiled, &bare, &step), vec![1]);
+        let mut bare = Home::new(&[]);
+        assert!(!bare.one(&spec));
+        bare.mode = LocationMode::Away;
+        assert!(bare.one(&spec));
+    }
+
+    #[test]
+    fn numeric_thresholds_become_domain_masks() {
+        // The temperature domain is {30, 50, 60, 68, 75, 85, 95}.
+        let mut home = Home::new(&[("temperatureMeasurement", DeviceRole::Generic)]);
+        let below = |t| {
+            PropertySpec::builder(1, "cold").never(Expr::any_below(
+                DeviceSelect::any(),
+                "temperature",
+                t,
+            ))
+        };
+        // No domain value is below 20: the property folds away entirely.
+        let compiled = home.compile(&PropertySet::from_specs(vec![below(20.0)]));
+        assert!(compiled.properties().is_empty());
+        assert_eq!(compiled.atom_count(), 0);
+        assert!(!home.one(&below(50.0)));
+        home.set(0, "temperature", "30");
+        assert!(home.one(&below(50.0)));
+        assert!(!home.one(&below(30.0)));
     }
 
     #[test]
@@ -720,52 +830,119 @@ mod tests {
         // Every built-in property agrees with the interpreted reference on a
         // handful of hand-made situations.
         let set = PropertySet::all();
-        let mut snapshot = household();
-        snapshot.mode = "Night".into();
-        snapshot.devices[1].attributes[0].1 = Value::Str("unlocked".into());
-        snapshot.devices[2].attributes[0].1 = Value::Str("detected".into());
-        snapshot.devices[2].online = false;
-        snapshot.devices[3].attributes[0].1 = Value::Str("on".into());
+        let mut home = Home::household();
+        home.mode = LocationMode::Night;
+        home.set(1, "lock", "unlocked");
+        home.set(2, "smoke", "detected");
+        home.devices[2].set_online(false);
+        home.set(3, "switch", "on");
         let step = StepObservation::default();
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
-        let mut got = violated(&compiled, &snapshot, &step);
-        got.sort_unstable();
-        let mut want: Vec<u32> =
-            set.check_point(&snapshot, &step).into_iter().map(|id| id.0).collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        let compiled = home.compile(&set);
+        let want = home.interpreted(&set, &step);
+        assert_eq!(home.violated(&set, &compiled, &step, &mut []), want);
         assert!(!want.is_empty());
     }
 
     #[test]
-    fn step_only_pass_skips_state_properties() {
-        let snapshot = household();
+    fn folding_drops_only_properties_that_can_never_fire() {
+        // An empty home: every property over devices folds away, and none
+        // of the dropped ones fires in any mode under any step.
         let set = PropertySet::all();
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
+        let mut home = Home::new(&[]);
+        let compiled = home.compile(&set);
+        let live: Vec<u32> = compiled.properties().iter().map(|p| p.id().0).collect();
+        assert!(live.len() < set.len() / 2, "live: {live:?}");
+        let busy = StepObservation {
+            unsubscribes: vec!["A".into()],
+            command_failures: 1,
+            ..Default::default()
+        };
+        for mode in LocationMode::ALL {
+            home.mode = mode;
+            for step in [StepObservation::default(), busy.clone()] {
+                let fired = home.interpreted(&set, &step);
+                assert!(fired.iter().all(|id| live.contains(id)), "{fired:?} vs live {live:?}");
+                assert_eq!(home.violated(&set, &compiled, &step, &mut []), fired);
+            }
+        }
+    }
+
+    #[test]
+    fn deepest_legal_formula_runs_on_the_bit_stack() {
+        // Alternating and/or nesting down the second operand: every level
+        // holds one more value on the stack, up to the bound exactly.
+        let modes = ["Home", "Away", "Night"];
+        let expr = (1..MAX_FORMULA_DEPTH).fold(Expr::mode_is("Night"), |inner, level| {
+            let atom = Expr::mode_is(modes[level % 3]);
+            if level % 2 == 0 {
+                Expr::and([Expr::not(atom), inner])
+            } else {
+                Expr::or([atom, inner])
+            }
+        });
+        assert_eq!(expr.stack_depth(), MAX_FORMULA_DEPTH);
+        let spec = PropertySpec::builder(1, "deep").never(expr);
+        let set = PropertySet::from_specs(vec![spec]);
+        let mut home = Home::new(&[]);
+        for mode in LocationMode::ALL {
+            home.mode = mode;
+            let compiled = home.compile(&set);
+            let step = StepObservation::default();
+            assert_eq!(
+                home.violated(&set, &compiled, &step, &mut []),
+                home.interpreted(&set, &step)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "evaluation stack")]
+    fn formulas_beyond_the_stack_bound_fail_compilation() {
+        let deep = (0..MAX_FORMULA_DEPTH)
+            .fold(Expr::mode_is("Night"), |inner, _| Expr::or([Expr::mode_is("Home"), inner]));
+        let spec = PropertySpec {
+            id: 9,
+            name: "deep".into(),
+            category: String::new(),
+            class: crate::spec::PropertyClass::Custom("Custom".into()),
+            modality: Modality::Never(deep),
+            ltl: None,
+        };
+        let _ = CompiledPropertySet::compile(
+            &PropertySet::from_specs(vec![spec]),
+            &CompileTarget::default(),
+        );
+    }
+
+    #[test]
+    fn step_only_pass_skips_state_properties() {
+        let home = Home::household();
+        let set = PropertySet::all();
+        let compiled = home.compile(&set);
         let step = StepObservation {
             unsubscribes: vec!["A".into()],
             command_failures: 1,
             ..Default::default()
         };
-        let mut monitors = vec![0u8; compiled.monitor_count()];
         let mut scratch = EvalScratch::default();
         let mut out = Vec::new();
-        compiled.check_step_only(&step, &mut monitors, &mut scratch, &mut out);
-        let ids: Vec<u32> = out.iter().map(|id| id.0).collect();
+        compiled.check_step_only(&step, &mut [], &mut scratch, &mut out);
+        let ids: Vec<u32> = out.iter().map(|&i| set.specs()[i].id).collect();
         // Unsubscribe (43) and the same-step robustness response (45) fire;
         // no physical-state property can.
         assert_eq!(ids, vec![43, 45]);
     }
 
+    fn notify_within_two() -> PropertySet {
+        PropertySet::from_specs(vec![PropertySpec::builder(9, "failures notify within 2")
+            .leads_to(Expr::atom(Atom::CommandFailed), Expr::atom(Atom::UserNotified), 2)])
+    }
+
     #[test]
     fn leads_to_monitors_count_down_and_discharge() {
-        let spec = PropertySpec::builder(9, "failures notify within 2").leads_to(
-            Expr::atom(Atom::CommandFailed),
-            Expr::atom(Atom::UserNotified),
-            2,
-        );
-        let snapshot = Snapshot::default();
-        let compiled = compile_one(spec, &snapshot);
+        let set = notify_within_two();
+        let home = Home::new(&[]);
+        let compiled = home.compile(&set);
         assert_eq!(compiled.monitor_count(), 1);
         let failing = StepObservation { command_failures: 1, ..Default::default() };
         let quiet = StepObservation::default();
@@ -778,28 +955,21 @@ mod tests {
             }],
             ..Default::default()
         };
-        let mut scratch = EvalScratch::default();
 
         // Trigger, silence, silence → violated exactly on the second
         // follow-up step.
         let mut monitors = vec![0u8];
-        let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
-        assert!(out.is_empty());
+        assert!(home.violated(&set, &compiled, &failing, &mut monitors).is_empty());
         assert_eq!(monitors, vec![2]);
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
-        assert!(out.is_empty());
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
-        assert_eq!(out.iter().map(|id| id.0).collect::<Vec<_>>(), vec![9]);
+        assert!(home.violated(&set, &compiled, &quiet, &mut monitors).is_empty());
+        assert_eq!(home.violated(&set, &compiled, &quiet, &mut monitors), vec![9]);
         assert_eq!(monitors, vec![0]);
 
         // Trigger then notify → obligation discharged, never violated.
         let mut monitors = vec![0u8];
-        let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
-        compiled.check_transition(&snapshot, &notified, &mut monitors, &mut scratch, &mut out);
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
-        assert!(out.is_empty());
+        for step in [&failing, &notified, &quiet] {
+            assert!(home.violated(&set, &compiled, step, &mut monitors).is_empty());
+        }
         assert_eq!(monitors, vec![0]);
     }
 
@@ -808,27 +978,19 @@ mod tests {
         // The counter tracks the first deadline to expire: a second trigger
         // while an obligation is open must not extend it, or the first
         // obligation's violation would be missed entirely.
-        let spec = PropertySpec::builder(9, "failures notify within 2").leads_to(
-            Expr::atom(Atom::CommandFailed),
-            Expr::atom(Atom::UserNotified),
-            2,
-        );
-        let snapshot = Snapshot::default();
-        let compiled = compile_one(spec, &snapshot);
+        let set = notify_within_two();
+        let home = Home::new(&[]);
+        let compiled = home.compile(&set);
         let failing = StepObservation { command_failures: 1, ..Default::default() };
         let quiet = StepObservation::default();
-        let mut scratch = EvalScratch::default();
         let mut monitors = vec![0u8];
-        let mut out = Vec::new();
         // t0: trigger (deadline t2).  t1: trigger again — countdown must
         // keep counting the t0 obligation (slot 1, not refreshed to 2).
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
-        compiled.check_transition(&snapshot, &failing, &mut monitors, &mut scratch, &mut out);
-        assert!(out.is_empty());
+        assert!(home.violated(&set, &compiled, &failing, &mut monitors).is_empty());
+        assert!(home.violated(&set, &compiled, &failing, &mut monitors).is_empty());
         assert_eq!(monitors, vec![1]);
         // t2: silence — the t0 deadline expires.
-        compiled.check_transition(&snapshot, &quiet, &mut monitors, &mut scratch, &mut out);
-        assert_eq!(out.iter().map(|id| id.0).collect::<Vec<_>>(), vec![9]);
+        assert_eq!(home.violated(&set, &compiled, &quiet, &mut monitors), vec![9]);
     }
 
     #[test]
@@ -855,10 +1017,7 @@ mod tests {
         // The paper corpus only uses same-step response (within = 0), so the
         // model-checker state vector stays byte-identical to the pre-spec
         // catalog.
-        let compiled = CompiledPropertySet::compile(
-            &PropertySet::all(),
-            &CompileTarget::from_snapshot(&household()),
-        );
+        let compiled = Home::household().compile(&PropertySet::all());
         assert_eq!(compiled.monitor_count(), 0);
     }
 }

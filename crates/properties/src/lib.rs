@@ -17,12 +17,12 @@
 //!   1 robustness), expressed as plain specs;
 //! * [`registry`] — the [`PropertySet`] of specs selected for one run, with
 //!   content hashing for the verification cache;
-//! * [`compile`] — install-time compilation into slot-indexed
-//!   [`CompiledPropertySet`] programs (deduplicated atoms fill a slot
-//!   vector once per transition, per-property programs run pure boolean
-//!   ops; leads-to obligations live in checker-state monitor counters);
-//! * [`snapshot`] — the physical [`Snapshot`] and per-step
-//!   [`StepObservation`] the evaluators read.
+//! * [`compile`] — install-time compilation into [`CompiledPropertySet`]
+//!   programs over the checker's state vector (atoms become domain-index
+//!   masks, constants fold away whole properties, programs run on a bit
+//!   stack; leads-to obligations live in checker-state monitor counters);
+//! * [`snapshot`] — the physical [`Snapshot`] the interpreted reference
+//!   reads and the per-step [`StepObservation`] both evaluators read.
 //!
 //! ```
 //! use iotsan_properties::{PropertySet, Snapshot};
@@ -67,7 +67,7 @@ pub use snapshot::{
 };
 pub use spec::{
     Atom, AttrTest, CommandTest, DeviceSelect, Expr, LeadsTo, Modality, NumericTest, PropertyClass,
-    PropertyId, PropertySpec, PropertySpecBuilder,
+    PropertyId, PropertySpec, PropertySpecBuilder, MAX_FORMULA_DEPTH,
 };
 
 /// Pre-redesign name for [`PropertySpec`]: the catalog's `Property` records

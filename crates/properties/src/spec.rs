@@ -16,7 +16,8 @@
 //! Specs are *interpreted* here (the reference semantics, used by
 //! [`crate::PropertySet::check_point`] and as the oracle in the equivalence
 //! proptests) and *compiled* by [`crate::compile::CompiledPropertySet`] into
-//! slot-indexed programs for the checker's zero-allocation hot path.
+//! programs over the checker's state vector for its zero-allocation hot
+//! path.
 //!
 //! ```
 //! use iotsan_properties::{Expr, PropertyClass, PropertySpec};
@@ -38,6 +39,12 @@ use crate::snapshot::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The deepest evaluation stack a spec may need ([`PropertySpec::stack_depth`]):
+/// compiled programs run on one `u64` bit stack.  [`PropertySpec::validate`]
+/// and the JSON loaders reject deeper specs, the builder and compilation
+/// panic on them.
+pub const MAX_FORMULA_DEPTH: usize = 64;
 
 /// Stable identifier of a property within a [`crate::PropertySet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -498,6 +505,23 @@ impl Expr {
         }
     }
 
+    /// The depth of the evaluation stack the formula's compiled postfix
+    /// program needs: an atom pushes one value, and every operand of an
+    /// `All`/`AnyOf` after the first is evaluated on top of the running
+    /// result.  Must stay within [`MAX_FORMULA_DEPTH`].
+    pub fn stack_depth(&self) -> usize {
+        match self {
+            Expr::Atom(_) => 1,
+            Expr::Not(e) => e.stack_depth(),
+            Expr::All(es) | Expr::AnyOf(es) => es
+                .iter()
+                .enumerate()
+                .map(|(i, e)| e.stack_depth() + usize::from(i > 0))
+                .max()
+                .unwrap_or(1),
+        }
+    }
+
     /// The reference (interpreted) semantics over one evaluation point.
     pub fn eval(&self, snapshot: &Snapshot, step: &StepObservation) -> bool {
         match self {
@@ -680,8 +704,22 @@ impl PropertySpec {
         Ok(spec)
     }
 
-    /// Checks the spec's value constraints (currently: a leads-to `within`
-    /// must fit the one-byte monitor counters, i.e. be at most 255).
+    /// The evaluation stack depth the spec's compiled programs need: the
+    /// deepest formula, where a same-step leads-to compiles to the single
+    /// program `trigger && !response`.
+    pub fn stack_depth(&self) -> usize {
+        match &self.modality {
+            Modality::Never(e) | Modality::Always(e) => e.stack_depth(),
+            Modality::LeadsTo(l) if l.within == 0 => {
+                l.trigger.stack_depth().max(1 + l.response.stack_depth())
+            }
+            Modality::LeadsTo(l) => l.trigger.stack_depth().max(l.response.stack_depth()),
+        }
+    }
+
+    /// Checks the spec's value constraints: a leads-to `within` must fit the
+    /// one-byte monitor counters (at most 255), and the formulas must fit
+    /// the evaluation stack ([`MAX_FORMULA_DEPTH`]).
     pub fn validate(&self) -> Result<(), String> {
         if let Modality::LeadsTo(l) = &self.modality {
             if l.within > u32::from(u8::MAX) {
@@ -692,6 +730,15 @@ impl PropertySpec {
                     l.within
                 ));
             }
+        }
+        let depth = self.stack_depth();
+        if depth > MAX_FORMULA_DEPTH {
+            return Err(format!(
+                "property {} ({}): formula nesting needs an evaluation stack of depth {depth} \
+                 but the bound is {MAX_FORMULA_DEPTH}",
+                self.property_id(),
+                self.name
+            ));
         }
         Ok(())
     }
@@ -869,22 +916,35 @@ impl PropertySpecBuilder {
     }
 
     fn finish(self, modality: Modality) -> PropertySpec {
-        PropertySpec {
+        let spec = PropertySpec {
             id: self.id,
             name: self.name,
             category: self.category,
             class: self.class,
             modality,
             ltl: self.ltl,
-        }
+        };
+        assert!(
+            spec.stack_depth() <= MAX_FORMULA_DEPTH,
+            "formula nesting exceeds the evaluation stack bound of {MAX_FORMULA_DEPTH}"
+        );
+        spec
     }
 
     /// Finishes with a [`Modality::Never`] over the unsafe condition.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the formula exceeds [`MAX_FORMULA_DEPTH`].
     pub fn never(self, unsafe_when: Expr) -> PropertySpec {
         self.finish(Modality::Never(unsafe_when))
     }
 
     /// Finishes with a [`Modality::Always`] over the safe condition.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the formula exceeds [`MAX_FORMULA_DEPTH`].
     pub fn always(self, holds: Expr) -> PropertySpec {
         self.finish(Modality::Always(holds))
     }
@@ -894,7 +954,8 @@ impl PropertySpecBuilder {
     ///
     /// # Panics
     ///
-    /// Panics when `within` exceeds 255 (the monitor-counter bound).
+    /// Panics when `within` exceeds 255 (the monitor-counter bound) or the
+    /// formulas exceed [`MAX_FORMULA_DEPTH`].
     pub fn leads_to(self, trigger: Expr, response: Expr, within: u32) -> PropertySpec {
         assert!(within <= u32::from(u8::MAX), "leads-to `within` must be at most 255");
         self.finish(Modality::LeadsTo(LeadsTo { trigger, response, within }))
@@ -1088,6 +1149,42 @@ mod tests {
         assert_ne!(base.content_hash(), other_mode.content_hash());
         let same = PropertySpec::builder(46, "p").never(Expr::mode_is("Night"));
         assert_eq!(base.content_hash(), same.content_hash());
+    }
+
+    /// `depth` nested conjunctions, each nesting in the second operand so
+    /// every level adds one stack slot: `stack_depth() == depth`.
+    fn nested(depth: usize) -> Expr {
+        (1..depth)
+            .fold(Expr::mode_is("Night"), |inner, _| Expr::and([Expr::mode_is("Home"), inner]))
+    }
+
+    #[test]
+    fn stack_depth_counts_operands_after_the_first() {
+        assert_eq!(Expr::mode_is("Night").stack_depth(), 1);
+        assert_eq!(Expr::and([]).stack_depth(), 1);
+        assert_eq!(Expr::not(nested(5)).stack_depth(), 5);
+        // The deep operand first costs nothing extra.
+        assert_eq!(Expr::or([nested(5), Expr::mode_is("Away")]).stack_depth(), 5);
+        assert_eq!(Expr::or([Expr::mode_is("Away"), nested(5)]).stack_depth(), 6);
+        let same_step =
+            PropertySpec::builder(1, "p").leads_to(Expr::atom(Atom::CommandFailed), nested(3), 0);
+        assert_eq!(same_step.stack_depth(), 4);
+    }
+
+    #[test]
+    fn formulas_deeper_than_the_stack_bound_are_rejected() {
+        let ok = PropertySpec::builder(1, "deep").never(nested(MAX_FORMULA_DEPTH));
+        assert!(ok.validate().is_ok());
+        let mut deep = ok.clone();
+        deep.modality = Modality::Never(nested(MAX_FORMULA_DEPTH + 1));
+        let err = deep.validate().unwrap_err();
+        assert!(err.contains("evaluation stack"), "{err}");
+        let err = PropertySpec::from_json(&deep.to_json()).unwrap_err();
+        assert!(err.to_string().contains("evaluation stack"), "{err}");
+        let caught = std::panic::catch_unwind(|| {
+            PropertySpec::builder(1, "deep").always(nested(MAX_FORMULA_DEPTH + 1))
+        });
+        assert!(caught.is_err(), "the builder must refuse an over-deep formula");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! For each generated [`Household`] the oracle runs the full pipeline four
 //! ways — sequential, parallel workers, property-directed slicing, and a
-//! warm-cache rerun — and asserts they agree.  The sequential reference is a
+//! warm-cache rerun — and asserts they agree.  It also checks the compiled
+//! property evaluator the search relies on against the interpreted reference
+//! semantics, group by group.  The sequential reference is a
 //! serial loop of [`VerificationPlanner::verify_job`] over the plan, kept
 //! independent of the concurrent group executor behind
 //! [`Pipeline::verify_fleet`].  The equivalence each engine advertises is
@@ -11,6 +13,12 @@
 //! * **fleet == serial plan execution**: identical [`GroupOutcome`]s — the
 //!   concurrent executor verifies the same groups and merges them in plan
 //!   order.
+//! * **compiled == interpreted properties**: on seeded random state vectors
+//!   and steps of every planned group, the compiled evaluator (domain masks,
+//!   folding, bit-stack programs) reports exactly the properties
+//!   [`PropertySet::check_point`](iotsan_properties::PropertySet::check_point)
+//!   does on the rendered snapshot, for the
+//!   built-ins and the household's generated custom specs alike.
 //! * **parallel == sequential**: identical [`GroupOutcome`]s (violated sets,
 //!   state and transition counts) — the sharded parallel checker's
 //!   deterministic-merge guarantee.
@@ -26,8 +34,16 @@
 //! `ltl pN { ... }` block rendered from the same spec.
 
 use crate::household::Household;
-use iotsan::{FleetReport, GroupOutcome, Pipeline, VerificationCache, VerificationPlanner};
+use crate::rng::SplitMix64;
+use iotsan::{
+    FleetReport, GroupOutcome, InstalledSystem, Pipeline, SystemState, VerificationCache,
+    VerificationPlanner,
+};
 use iotsan_config::SystemConfig;
+use iotsan_devices::{DeviceId, LocationMode};
+use iotsan_properties::{
+    CommandRecord, EvalScratch, MessageChannel, MessageRecord, StepObservation,
+};
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -39,6 +55,9 @@ pub enum Phase {
     Translate,
     /// The concurrent fleet executor differed from serial plan execution.
     Execute,
+    /// The compiled property evaluator differed from the interpreted
+    /// reference on a random state vector.
+    Properties,
     /// Parallel outcome differed from sequential.
     Parallel,
     /// Sliced violated sets differed from sequential (or grew the search).
@@ -54,6 +73,7 @@ impl fmt::Display for Phase {
         let name = match self {
             Phase::Translate => "translate",
             Phase::Execute => "execute",
+            Phase::Properties => "properties",
             Phase::Parallel => "parallel",
             Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
@@ -161,6 +181,10 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
             outcome_detail("fleet outcome mismatch", &seq_outcome, &fleet.outcome()),
         ));
     }
+
+    // --- Compiled properties must match the interpreted reference ---------
+    check_properties(&seq_pipeline, &apps, config, seed)
+        .map_err(|detail| diverge(Phase::Properties, detail))?;
 
     // --- Parallel workers must reproduce it exactly ------------------------
     let par_pipeline = pipeline_for(household, PARALLEL_WORKERS, false);
@@ -274,6 +298,109 @@ fn serial_reference(
         .collect();
     outcome.sort_by(|a, b| a.apps.cmp(&b.apps));
     (outcome, truncated)
+}
+
+/// Random state vectors checked per planned group.
+const PROPERTY_POINTS: usize = 16;
+
+/// Compares the compiled property evaluator with the interpreted reference
+/// on [`PROPERTY_POINTS`] seeded random state vectors and steps of every
+/// group the planner makes, each under the group's full property set.
+fn check_properties(
+    pipeline: &Pipeline,
+    apps: &[iotsan::ir::IrApp],
+    config: &SystemConfig,
+    seed: u64,
+) -> Result<(), String> {
+    let mut rng = SplitMix64::new(seed);
+    let mut scratch = EvalScratch::default();
+    let mut out = Vec::new();
+    for job in VerificationPlanner::new(pipeline).plan(apps, config).jobs {
+        let properties = pipeline.properties_for(&job.config);
+        let system = InstalledSystem::new(job.members, job.config);
+        let compiled = system.compile_properties(&properties);
+        for _ in 0..PROPERTY_POINTS {
+            let state = random_state(&mut rng, &system);
+            let step = random_step(&mut rng, &system);
+            let mut monitors = vec![0u8; compiled.monitor_count()];
+            out.clear();
+            compiled.check_transition(
+                &state.devices,
+                state.mode,
+                &step,
+                &mut monitors,
+                &mut scratch,
+                &mut out,
+            );
+            let got: BTreeSet<u32> = out.iter().map(|&i| properties.specs()[i].id).collect();
+            let snapshot = system.snapshot(&state);
+            let want: BTreeSet<u32> =
+                properties.check_point(&snapshot, &step).into_iter().map(|id| id.0).collect();
+            if got != want {
+                return Err(format!(
+                    "group {:?}: compiled {got:?} vs interpreted {want:?} at {snapshot:?}, {step:?}",
+                    job.apps
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A random state vector of `system`: every attribute at a random domain
+/// index, some devices offline, a random location mode.
+fn random_state(rng: &mut SplitMix64, system: &InstalledSystem) -> SystemState {
+    let mut state = system.initial_state();
+    for (device, spec) in state.devices.iter_mut().zip(system.device_specs()) {
+        for (index, attr) in spec.attributes.iter().enumerate() {
+            device.set_index_at(spec, index, rng.below(attr.domain.len()));
+        }
+        device.set_online(!rng.chance(20));
+    }
+    state.mode = *rng.pick(&LocationMode::ALL);
+    state
+}
+
+/// A random step: commands from the installed devices' own command sets,
+/// and random failures, unsubscribes and notifications.
+fn random_step(rng: &mut SplitMix64, system: &InstalledSystem) -> StepObservation {
+    let mut step = StepObservation {
+        configured_recipients: system.config.phone_numbers.clone(),
+        ..Default::default()
+    };
+    if !system.devices.is_empty() {
+        for _ in 0..rng.below(3) {
+            let device = DeviceId(rng.below(system.devices.len()) as u32);
+            let commands = &system.device_spec(device).commands;
+            if commands.is_empty() {
+                continue;
+            }
+            step.commands.push(CommandRecord {
+                app: "oracle".into(),
+                handler: "step".into(),
+                device,
+                device_label: system.device(device).label.clone(),
+                command: rng.pick(commands).name.to_string(),
+                delivered: true,
+                changed_state: true,
+            });
+        }
+    }
+    if rng.chance(30) {
+        step.command_failures = 1;
+    }
+    if rng.chance(10) {
+        step.unsubscribes.push("oracle".into());
+    }
+    if rng.chance(30) {
+        step.messages.push(MessageRecord {
+            app: "oracle".into(),
+            channel: MessageChannel::Push,
+            recipient: String::new(),
+            body: "notice".into(),
+        });
+    }
+    step
 }
 
 fn violated_of(outcome: &[GroupOutcome]) -> Vec<BTreeSet<u32>> {

@@ -9,14 +9,18 @@
 //!   parallel` / `repro fleet` workloads,
 //!
 //! plus proptest evidence that JSON roundtripping and compilation preserve
-//! verdicts against the interpreted reference semantics.
+//! verdicts against the interpreted reference semantics, on state vectors
+//! drawn the way the model checker holds them (domain indices, online flags,
+//! modes), and that constant folding only drops properties that can never
+//! fire.
 
-use iotsan::devices::DeviceId;
-use iotsan::ir::Value;
+use iotsan::config::{DeviceConfig, SystemConfig};
+use iotsan::devices::{DeviceId, LocationMode};
 use iotsan::properties::{
-    CompileTarget, CompiledPropertySet, DeviceRole, DeviceSelect, DeviceSnapshot, EvalScratch,
-    Expr, PropertyClass, PropertySet, PropertySpec, Snapshot, StepObservation,
+    CommandRecord, CompiledPropertySet, DeviceSelect, EvalScratch, Expr, MessageChannel,
+    MessageRecord, NetworkRecord, PropertyClass, PropertySet, PropertySpec, StepObservation,
 };
+use iotsan::{InstalledSystem, SystemState};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -167,78 +171,136 @@ impl Gen {
     }
 }
 
-/// A random household snapshot over a fixed device population.
-fn gen_snapshot(g: &mut Gen) -> Snapshot {
-    let template: [(&str, DeviceRole, &str, &[&str]); 8] = [
-        ("presenceSensor", DeviceRole::Generic, "presence", &["present", "not present"]),
-        ("lock", DeviceRole::MainDoorLock, "lock", &["locked", "unlocked"]),
-        ("smokeDetector", DeviceRole::Generic, "smoke", &["clear", "detected"]),
-        ("switch", DeviceRole::Heater, "switch", &["on", "off"]),
-        ("switch", DeviceRole::Light, "switch", &["on", "off"]),
-        ("motionSensor", DeviceRole::Generic, "motion", &["active", "inactive"]),
-        ("alarm", DeviceRole::Alarm, "alarm", &["off", "siren", "strobe", "both"]),
-        ("valve", DeviceRole::WaterValve, "valve", &["open", "closed"]),
-    ];
-    let mode = ["Home", "Away", "Night"][g.pick(3)];
-    let mut devices: Vec<DeviceSnapshot> = template
-        .iter()
-        .enumerate()
-        .map(|(i, (cap, role, attr, values))| DeviceSnapshot {
-            id: DeviceId(i as u32),
-            label: format!("d{i}"),
-            capability: (*cap).to_string(),
-            role: *role,
-            attributes: vec![(attr.to_string(), Value::Str(values[g.pick(values.len())].into()))],
-            online: true,
-        })
-        .collect();
-    devices[2].online = g.flag();
-    devices.push(DeviceSnapshot {
-        id: DeviceId(devices.len() as u32),
-        label: "thermo".into(),
-        capability: "temperatureMeasurement".into(),
-        role: DeviceRole::Generic,
-        attributes: vec![("temperature".into(), Value::Int(g.pick(140) as i64 - 20))],
-        online: true,
-    });
-    Snapshot { mode: mode.to_string(), devices, time_seconds: 0 }
+/// The device population random households draw from: every capability and
+/// role the built-in corpus selects, plus devices it never reads.
+const POPULATION: &[(&str, &str, &str)] = &[
+    ("alicePresence", "presenceSensor", ""),
+    ("bobPresence", "presenceSensor", ""),
+    ("frontDoor", "lock", "main door lock"),
+    ("backDoor", "lock", ""),
+    ("garage", "garageDoorControl", "entrance door"),
+    ("gate", "doorControl", ""),
+    ("smoke", "smokeDetector", ""),
+    ("co", "carbonMonoxideDetector", ""),
+    ("heaterOutlet", "switch", "heater"),
+    ("acOutlet", "switch", "ac"),
+    ("hallLight", "switch", "light"),
+    ("coffeeMaker", "switch", "appliance"),
+    ("motion", "motionSensor", ""),
+    ("siren", "alarm", "alarm"),
+    ("mainValve", "valve", "water valve"),
+    ("leak", "waterSensor", ""),
+    ("soil", "soilMoisture", ""),
+    ("sprinkler", "sprinkler", "sprinkler"),
+    ("thermo", "temperatureMeasurement", ""),
+    ("nest", "thermostat", ""),
+    ("fan", "fanControl", ""),
+    ("camera", "imageCapture", "camera"),
+    ("speaker", "musicPlayer", ""),
+    ("shade", "windowShade", ""),
+];
+
+/// A random household: a random subset of the population, installed with no
+/// apps, so each case compiles (and folds) against a different layout.
+fn gen_system(g: &mut Gen) -> InstalledSystem {
+    let mut config = SystemConfig::new();
+    for (label, capability, role) in POPULATION {
+        if g.pick(3) != 0 {
+            config = config.with_device(DeviceConfig::new(*label, *capability, *role));
+        }
+    }
+    InstalledSystem::new(Vec::new(), config)
 }
 
-/// A random step observation (commands, failures, notifications).
-fn gen_step(g: &mut Gen) -> StepObservation {
-    let mut step = StepObservation::default();
+/// A random state vector of `system`, drawn the way the model checker holds
+/// one: every attribute at a random domain index, a quarter of the devices
+/// offline, a random location mode.
+fn gen_state(g: &mut Gen, system: &InstalledSystem) -> SystemState {
+    let mut state = system.initial_state();
+    for (device, spec) in state.devices.iter_mut().zip(system.device_specs()) {
+        for (index, attr) in spec.attributes.iter().enumerate() {
+            device.set_index_at(spec, index, g.pick(attr.domain.len()));
+        }
+        device.set_online(g.pick(4) != 0);
+    }
+    state.mode = LocationMode::ALL[g.pick(LocationMode::ALL.len())];
+    state
+}
+
+/// A random step observation over `devices` installed devices (commands may
+/// also name a device that is not installed).
+fn gen_step(g: &mut Gen, devices: usize) -> StepObservation {
+    let mut step =
+        StepObservation { configured_recipients: vec!["5551234".into()], ..Default::default() };
     if g.flag() {
         step.unsubscribes.push("A".into());
     }
     if g.flag() {
         step.command_failures = 1;
     }
-    for i in 0..g.pick(3) {
-        step.commands.push(iotsan::properties::CommandRecord {
+    for _ in 0..g.pick(3) {
+        let device = g.pick(devices + 1);
+        step.commands.push(CommandRecord {
             app: "A".into(),
             handler: "h".into(),
-            device: DeviceId(1),
-            device_label: "d1".into(),
-            command: if i % 2 == 0 { "unlock" } else { "lock" }.into(),
+            device: DeviceId(device as u32),
+            device_label: format!("dev{device}"),
+            command: ["unlock", "lock", "on", "off"][g.pick(4)].into(),
             delivered: true,
             changed_state: true,
         });
     }
     if g.flag() {
-        step.messages.push(iotsan::properties::MessageRecord {
+        let sms = g.flag();
+        step.messages.push(MessageRecord {
             app: "A".into(),
-            channel: iotsan::properties::MessageChannel::Push,
-            recipient: String::new(),
+            channel: if sms { MessageChannel::Sms } else { MessageChannel::Push },
+            recipient: if sms { ["5551234", "6669999"][g.pick(2)].into() } else { String::new() },
             body: "b".into(),
+        });
+    }
+    if g.pick(4) == 0 {
+        step.network.push(NetworkRecord {
+            app: "A".into(),
+            url: "http://example.invalid".into(),
+            allowed: g.flag(),
         });
     }
     step
 }
 
+/// The compiled verdict at one point (sorted property ids, fresh monitors)
+/// and the interpreted reference's verdict on the same state, rendered with
+/// [`InstalledSystem::snapshot`].
+fn verdicts(
+    system: &InstalledSystem,
+    set: &PropertySet,
+    compiled: &CompiledPropertySet,
+    state: &SystemState,
+    step: &StepObservation,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut monitors = vec![0u8; compiled.monitor_count()];
+    let mut out = Vec::new();
+    compiled.check_transition(
+        &state.devices,
+        state.mode,
+        step,
+        &mut monitors,
+        &mut EvalScratch::default(),
+        &mut out,
+    );
+    let mut got: Vec<u32> = out.iter().map(|&i| set.specs()[i].id).collect();
+    got.sort_unstable();
+    let mut want: Vec<u32> =
+        set.check_point(&system.snapshot(state), step).into_iter().map(|id| id.0).collect();
+    want.sort_unstable();
+    (got, want)
+}
+
 /// A random formula over the household vocabulary, depth-bounded.
 fn gen_expr(g: &mut Gen, depth: usize) -> Expr {
     if depth == 0 || g.pick(3) == 0 {
-        let atoms: [Expr; 16] = [
+        let atoms: [Expr; 22] = [
             Expr::anyone_home(),
             Expr::mode_is("Night"),
             Expr::mode_is("Away"),
@@ -253,6 +315,12 @@ fn gen_expr(g: &mut Gen, depth: usize) -> Expr {
             // attribute, which must fail the test in both evaluators.
             Expr::all_attr(DeviceSelect::any(), "presence", "not present"),
             Expr::has_device(DeviceSelect::role("sprinkler")),
+            Expr::mode_is("home"),
+            Expr::any_attr(DeviceSelect::any(), "temperature", "68"),
+            Expr::any_above(DeviceSelect::capability("soilMoisture"), "moisture", 60.0),
+            Expr::all_attr(DeviceSelect::capability("lock"), "lock", "locked"),
+            Expr::any_offline(DeviceSelect::any()),
+            Expr::command_issued(DeviceSelect::any(), "on"),
             Expr::command_issued(DeviceSelect::capability("lock"), "unlock"),
             Expr::atom(iotsan::properties::Atom::ConflictingCommands),
             Expr::atom(iotsan::properties::Atom::CommandFailed),
@@ -287,8 +355,9 @@ proptest! {
     fn spec_json_compile_roundtrip_preserves_verdicts(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
         let spec = gen_spec(&mut g);
-        let snapshot = gen_snapshot(&mut g);
-        let step = gen_step(&mut g);
+        let system = gen_system(&mut g);
+        let state = gen_state(&mut g, &system);
+        let step = gen_step(&mut g, system.devices.len());
 
         // JSON roundtrip.
         let json = spec.to_json();
@@ -298,36 +367,57 @@ proptest! {
 
         // Compiled verdict == interpreted verdict.
         let set = PropertySet::from_specs(vec![parsed]);
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
-        let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &step, &mut monitors, &mut scratch, &mut out);
-        let compiled_violated = !out.is_empty();
-        let interpreted_violated = !set.check_point(&snapshot, &step).is_empty();
-        prop_assert_eq!(compiled_violated, interpreted_violated);
+        let compiled = system.compile_properties(&set);
+        let (got, want) = verdicts(&system, &set, &compiled, &state, &step);
+        prop_assert_eq!(got, want);
     }
 
     /// The whole built-in corpus agrees between the compiled and interpreted
-    /// paths on random household snapshots and steps.
+    /// paths on random households, state vectors and steps.
     #[test]
     fn builtin_corpus_compiled_matches_interpreted(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
-        let snapshot = gen_snapshot(&mut g);
-        let step = gen_step(&mut g);
+        let system = gen_system(&mut g);
+        let state = gen_state(&mut g, &system);
+        let step = gen_step(&mut g, system.devices.len());
         let set = PropertySet::all();
-        let compiled = CompiledPropertySet::compile(&set, &CompileTarget::from_snapshot(&snapshot));
-        let mut monitors = vec![0u8; compiled.monitor_count()];
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        compiled.check_transition(&snapshot, &step, &mut monitors, &mut scratch, &mut out);
-        let mut got: Vec<u32> = out.iter().map(|id| id.0).collect();
-        got.sort_unstable();
-        let mut want: Vec<u32> =
-            set.check_point(&snapshot, &step).into_iter().map(|id| id.0).collect();
-        want.sort_unstable();
+        let compiled = system.compile_properties(&set);
+        let (got, want) = verdicts(&system, &set, &compiled, &state, &step);
         prop_assert_eq!(got, want);
     }
+}
+
+/// Folding is sound on the real corpus: for every group the planner makes
+/// from the 150 market apps, no property the compiler dropped is violated
+/// under the interpreted reference at any of 64 seeded random state vectors,
+/// and the live ones agree with it exactly.
+#[test]
+fn folded_away_properties_never_fire_on_market_groups() {
+    let (apps, config) = iotsan_bench::fleet_workload(150);
+    let pipeline = iotsan::Pipeline::with_events(3);
+    let plan = iotsan::VerificationPlanner::new(&pipeline).plan(&apps, &config);
+    assert!(plan.jobs.len() > 100, "{} groups", plan.jobs.len());
+    let mut g = Gen(0x0010_75a4);
+    let mut dropped_somewhere = false;
+    for job in &plan.jobs {
+        let system = InstalledSystem::new(job.members.clone(), job.config.clone());
+        let set = pipeline.properties_for(&job.config);
+        let compiled = system.compile_properties(&set);
+        let live: BTreeSet<u32> = compiled.properties().iter().map(|p| p.id().0).collect();
+        dropped_somewhere |= live.len() < set.len();
+        for _ in 0..64 {
+            let state = gen_state(&mut g, &system);
+            let step = gen_step(&mut g, system.devices.len());
+            let (got, want) = verdicts(&system, &set, &compiled, &state, &step);
+            assert!(
+                want.iter().all(|id| live.contains(id)),
+                "group {:?}: a dropped property fired: {want:?}, live {live:?}",
+                job.apps
+            );
+            assert_eq!(got, want, "group {:?}", job.apps);
+        }
+    }
+    assert!(dropped_somewhere, "folding dropped nothing on the market corpus");
 }
 
 // ---------------------------------------------------------------------------
