@@ -6,12 +6,12 @@
 //! ```text
 //! cargo run --release -p iotsan-bench --bin repro            # everything
 //! cargo run --release -p iotsan-bench --bin repro table5     # one experiment
-//! cargo run --release -p iotsan-bench --bin repro -- --json BENCH_pr.json parallel
+//! cargo run --release -p iotsan-bench --bin repro -- --json BENCH_pr.json throughput
 //! ```
 //!
 //! Available experiments: `table1 table2 table3 table4 table5 table6 table7a
-//! table7b table8 table9 attribution fig4 fig7 fig8a fig8b parallel fleet
-//! properties slice daemon telemetry scenarios chaos`.
+//! table7b table8 table9 attribution fig4 fig7 fig8a fig8b throughput
+//! fleet properties slice daemon telemetry scenarios chaos`.
 //!
 //! `telemetry` is the observability subsystem's overhead guard: the same
 //! sequential workload verified with metric recording switched off and on
@@ -22,8 +22,8 @@
 //!
 //! `scenarios` runs the scenario-factory differential fuzzer
 //! (`iotsan-scenarios`): `--size N` households (default 200) generated from
-//! `--seed S` (default 1) onward, each checked for sequential == parallel ==
-//! sliced == warm-cache agreement.  Any divergence shrinks the failing
+//! `--seed S` (default 1) onward, each checked for serial == concurrent-fleet
+//! == sliced == warm-cache agreement.  Any divergence shrinks the failing
 //! household to a minimal reproduction, writes it to `scenario_repro.json`
 //! and exits non-zero — CI's `fuzz-smoke` job uploads the artifact.
 //!
@@ -38,9 +38,9 @@
 //! uploads the artifact.
 //!
 //! `--json <path>` additionally writes the machine-readable timings collected
-//! by the timing experiments (`parallel`: sequential baseline vs parallel
-//! checker at 2/4/8 workers; `fleet`: corpus-size × worker sweep of the
-//! group-wise planner with cold/warm/mutated cache phases; `properties`:
+//! by the timing experiments (`throughput`: one search's states/sec;
+//! `fleet`: corpus-size sweep of the group-wise planner with
+//! cold/warm/mutated cache phases; `properties`:
 //! built-ins vs built-ins+customs throughput plus the `property_eval`
 //! micro-benchmark of one compiled property pass; `slice`: sliced vs
 //! unsliced exploration per market bundle, the `slice_effectiveness` rows;
@@ -85,7 +85,7 @@ const EXPERIMENTS: &[&str] = &[
     "fig7",
     "fig8a",
     "fig8b",
-    "parallel",
+    "throughput",
     "fleet",
     "properties",
     "slice",
@@ -186,8 +186,8 @@ fn main() {
         fig8b();
     }
     let mut sequential_throughput = None;
-    if want("parallel") {
-        sequential_throughput = Some(parallel(&mut bench_json));
+    if want("throughput") {
+        sequential_throughput = Some(throughput(&mut bench_json));
     }
     if want("fleet") {
         fleet(&mut bench_json);
@@ -217,7 +217,7 @@ fn main() {
     }
     if let Some(path) = baseline_path {
         let Some(measured) = sequential_throughput else {
-            eprintln!("error: --baseline requires the `parallel` experiment to run");
+            eprintln!("error: --baseline requires the `throughput` experiment to run");
             std::process::exit(2);
         };
         check_throughput_baseline(&path, measured);
@@ -241,14 +241,13 @@ fn properties_experiment(json: &mut BenchJson) {
     let events = iotsan_bench::experiment_events(2, 3);
     let budget = iotsan_bench::experiment_budget(30, 120);
 
-    let builtin_run = iotsan_bench::run_search(&apps, &config, events, 1, true, budget);
+    let builtin_run = iotsan_bench::run_search(&apps, &config, events, true, budget);
     let extended_set = iotsan_bench::extended_property_set();
     let custom_count = extended_set.len() - 45;
     let custom_run = iotsan_bench::run_search_with_properties(
         &apps,
         &config,
         events,
-        1,
         true,
         budget,
         extended_set,
@@ -519,7 +518,7 @@ fn slice_experiment(json: &mut BenchJson) {
 /// the committed baseline before the CI bench-smoke job fails.
 const THROUGHPUT_REGRESSION_TOLERANCE: f64 = 0.20;
 
-/// Extracts the sequential-engine `states_per_sec` value from a
+/// Extracts the `"engine":"sequential"` row's `states_per_sec` value from a
 /// machine-readable timings document (the committed `BENCH_baseline.json`).
 /// Hand-rolled scan, tolerating optional whitespace after the colon so both
 /// the legacy spaced baseline and rows rendered by `JsonRow` parse.
@@ -590,108 +589,54 @@ impl BenchJson {
     }
 }
 
-/// Speedup of `run` relative to `baseline` (guarding against a zero-length
-/// run); used by both the printed table and the JSON rows so they can never
-/// diverge.
-fn speedup_vs(baseline: &TimedRun, run: &TimedRun) -> f64 {
-    baseline.elapsed.as_secs_f64() / run.elapsed.as_secs_f64().max(1e-9)
-}
-
-fn timing_row(workers: usize, run: &TimedRun, baseline: &TimedRun) -> String {
-    JsonRow::with_capacity(256)
-        .num_u("workers", workers as u64)
-        .str("engine", if workers <= 1 { "sequential" } else { "parallel" })
-        .fixed("seconds", run.elapsed.as_secs_f64(), 6)
-        .num_u("states", run.report.stats.states_stored as u64)
-        .num_u("transitions", run.report.stats.transitions as u64)
-        .fixed("states_per_sec", run.report.stats.states_per_sec, 1)
-        .num_u("peak_trace_bytes", run.report.stats.peak_trace_bytes as u64)
-        .num_u("violated_properties", run.report.violated_properties().len() as u64)
-        .flag("truncated", run.truncated)
-        .fixed("speedup", speedup_vs(baseline, run), 3)
-        .finish()
-}
-
-/// Worker-count sweep: the sequential checker vs the parallel checker at
-/// 2/4/8 workers on the bench-profile scaling workload — 8 market apps with
-/// failure injection (the paper has no multi-core numbers — this tracks the
-/// reproduction's own scaling; see EXPERIMENTS.md).  Returns the sequential
-/// engine's measured states/sec (the throughput-guard metric).
-fn parallel(json: &mut BenchJson) -> f64 {
-    heading("Parallel checker: worker-count sweep (8 market apps, failures on)");
+/// Throughput measurement: one search over the bench-profile throughput
+/// workload — 8 market apps with failure injection, verified as one model
+/// (the paper has no throughput numbers — this tracks the reproduction's
+/// own search speed; see EXPERIMENTS.md).  Returns the
+/// measured states/sec (the throughput-guard metric).
+fn throughput(json: &mut BenchJson) -> f64 {
+    heading("Checker throughput (8 market apps, failures on)");
     let (apps, config) = iotsan_bench::scaling_workload();
     let events = iotsan_bench::experiment_events(3, 4);
     let budget = iotsan_bench::experiment_budget(30, 120);
-
-    let baseline = iotsan_bench::run_search(&apps, &config, events, 1, true, budget);
-    let mut rows = vec![timing_row(1, &baseline, &baseline)];
+    let run = iotsan_bench::run_search(&apps, &config, events, true, budget);
+    let stats = &run.report.stats;
     println!(
-        "{:<10} {:>14} {:>10} {:>12} {:>12} {:>9}",
-        "Workers", "Time", "States", "Transitions", "Violations", "Speedup"
+        "{:>14} {:>10} {:>12} {:>12} {:>14}",
+        "Time", "States", "Transitions", "Violations", "States/sec"
     );
     println!(
-        "{:<10} {:>14} {:>10} {:>12} {:>12} {:>9}",
-        "1 (seq)",
-        format_runtime(&baseline),
-        baseline.report.stats.states_stored,
-        baseline.report.stats.transitions,
-        baseline.report.violated_properties().len(),
-        "1.00x"
+        "{:>14} {:>10} {:>12} {:>12} {:>14.0}",
+        format_runtime(&run),
+        stats.states_stored,
+        stats.transitions,
+        run.report.violated_properties().len(),
+        stats.states_per_sec
     );
-    let mut any_truncated = baseline.truncated;
-    for workers in [2usize, 4, 8] {
-        let run = iotsan_bench::run_search(&apps, &config, events, workers, true, budget);
-        let speedup = speedup_vs(&baseline, &run);
-        println!(
-            "{workers:<10} {:>14} {:>10} {:>12} {:>12} {:>8.2}x",
-            format_runtime(&run),
-            run.report.stats.states_stored,
-            run.report.stats.transitions,
-            run.report.violated_properties().len(),
-            speedup
-        );
-        // The deterministic-merge guarantee only holds for complete searches:
-        // runs truncated by the wall-clock budget (e.g. an overloaded CI
-        // runner) legitimately stop at different frontiers.
-        any_truncated |= run.truncated;
-        if !run.truncated && !baseline.truncated {
-            let consistent = run.report.violated_properties()
-                == baseline.report.violated_properties()
-                && run.report.stats.states_stored == baseline.report.stats.states_stored
-                && run.report.stats.transitions == baseline.report.stats.transitions;
-            assert!(
-                consistent,
-                "parallel checker at {workers} workers disagrees with the sequential checker: \
-                 violations {:?} vs {:?}, states {} vs {}, transitions {} vs {}",
-                run.report.violated_properties(),
-                baseline.report.violated_properties(),
-                run.report.stats.states_stored,
-                baseline.report.stats.states_stored,
-                run.report.stats.transitions,
-                baseline.report.stats.transitions,
-            );
-        }
-        rows.push(timing_row(workers, &run, &baseline));
-    }
-    json.push_experiment("parallel_scaling", "market8+failures", events, &rows);
-    if any_truncated {
-        println!("(a run hit its wall-clock budget; cross-engine consistency not fully checked)");
-    } else {
-        println!("(equal violation sets, state and transition counts across all worker counts: deterministic merge verified)");
-    }
-    baseline.report.stats.states_per_sec
+    // `engine` and `states_per_sec` are the fields the `--baseline` guard
+    // scans for (see `baseline_states_per_sec`).
+    let row = JsonRow::with_capacity(256)
+        .str("engine", "sequential")
+        .fixed("seconds", run.elapsed.as_secs_f64(), 6)
+        .num_u("states", stats.states_stored as u64)
+        .num_u("transitions", stats.transitions as u64)
+        .fixed("states_per_sec", stats.states_per_sec, 1)
+        .num_u("peak_trace_bytes", stats.peak_trace_bytes as u64)
+        .num_u("violated_properties", run.report.violated_properties().len() as u64)
+        .flag("truncated", run.truncated)
+        .finish();
+    json.push_experiment("throughput", "market8+failures", events, &[row]);
+    stats.states_per_sec
 }
 
 fn fleet_row(
     corpus: usize,
-    workers: usize,
     phase: &str,
     run: &iotsan_bench::FleetRun,
     cold: &iotsan_bench::FleetRun,
 ) -> String {
     JsonRow::with_capacity(256)
         .num_u("corpus", corpus as u64)
-        .num_u("workers", workers as u64)
         .str("phase", phase)
         .fixed("seconds", run.elapsed.as_secs_f64(), 6)
         .num_u("groups", run.report.groups.len() as u64)
@@ -710,11 +655,11 @@ fn fleet_row(
         .finish()
 }
 
-/// Fleet planner sweep: group counts (via corpus size) × worker counts ×
-/// cache phases (cold, warm replay, warm after mutating one app) over the
-/// market corpus with failure injection.  The paper has no fleet-cache
-/// numbers — this tracks the reproduction's own analyze→check→attribute
-/// subsystem; see EXPERIMENTS.md.
+/// Fleet planner sweep: group counts (via corpus size) × cache phases
+/// (cold, warm replay, warm after mutating one app) over the market corpus
+/// with failure injection.  The paper has no fleet-cache numbers — this
+/// tracks the reproduction's own analyze→check→attribute subsystem; see
+/// EXPERIMENTS.md.
 fn fleet(json: &mut BenchJson) {
     heading("Fleet planner: cached group-wise verification (market corpus, failures on)");
     let events = iotsan_bench::experiment_events(2, 3);
@@ -722,63 +667,57 @@ fn fleet(json: &mut BenchJson) {
     let corpus_sizes: &[usize] = if iotsan_bench::PAPER_SCALE { &[8, 16, 24] } else { &[4, 8, 12] };
     let mut rows = Vec::new();
     println!(
-        "{:<8} {:<8} {:<10} {:>12} {:>8} {:>6} {:>8} {:>9} {:>12}",
-        "Corpus", "Workers", "Phase", "Time", "Groups", "Hits", "Misses", "HitRate", "Violations"
+        "{:<8} {:<10} {:>12} {:>8} {:>6} {:>8} {:>9} {:>12}",
+        "Corpus", "Phase", "Time", "Groups", "Hits", "Misses", "HitRate", "Violations"
     );
     for &corpus in corpus_sizes {
         let (apps, config) = iotsan_bench::fleet_workload(corpus);
-        for workers in [1usize, 2] {
-            let mut cache = iotsan::VerificationCache::new();
-            let cold =
-                iotsan_bench::run_fleet(&apps, &config, events, workers, true, budget, &mut cache);
-            let warm =
-                iotsan_bench::run_fleet(&apps, &config, events, workers, true, budget, &mut cache);
+        let mut cache = iotsan::VerificationCache::new();
+        let cold = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
+        let warm = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
 
-            // Mutate one verified app's IR (not its event profile): only the
-            // groups containing it may be re-checked.
-            let mut mutated = apps.clone();
-            let target = mutated
-                .iter_mut()
-                .find(|a| !a.dynamic_discovery)
-                .expect("a verifiable app in the corpus");
-            let target_name = target.name.clone();
-            target.description.push_str(" (fleet mutation)");
-            let after = iotsan_bench::run_fleet(
-                &mutated, &config, events, workers, true, budget, &mut cache,
+        // Mutate one verified app's IR (not its event profile): only the
+        // groups containing it may be re-checked.
+        let mut mutated = apps.clone();
+        let target = mutated
+            .iter_mut()
+            .find(|a| !a.dynamic_discovery)
+            .expect("a verifiable app in the corpus");
+        let target_name = target.name.clone();
+        target.description.push_str(" (fleet mutation)");
+        let after = iotsan_bench::run_fleet(&mutated, &config, events, true, budget, &mut cache);
+
+        // Consistency: a warm replay must be outcome-identical to the cold
+        // run, and the mutation must invalidate exactly the groups
+        // containing the mutated app.  Only complete searches carry the
+        // guarantee (a budget-truncated report is never cached).
+        if !cold.truncated() && !warm.truncated() {
+            assert_eq!(
+                warm.report.outcome(),
+                cold.report.outcome(),
+                "warm fleet replay diverged from the cold run ({corpus} apps)"
             );
-
-            // Consistency: a warm replay must be outcome-identical to the
-            // cold run, and the mutation must invalidate exactly the groups
-            // containing the mutated app.  Only complete searches carry the
-            // guarantee (a budget-truncated report is never cached).
-            if !cold.truncated() && !warm.truncated() {
+            assert_eq!(warm.report.cache_hits, warm.report.groups.len());
+            for group in &after.report.groups {
+                let contains_target = group.apps.contains(&target_name);
                 assert_eq!(
-                    warm.report.outcome(),
-                    cold.report.outcome(),
-                    "warm fleet replay diverged from the cold run ({corpus} apps, {workers} workers)"
+                    group.from_cache, !contains_target,
+                    "mutation of {target_name} invalidated the wrong groups"
                 );
-                assert_eq!(warm.report.cache_hits, warm.report.groups.len());
-                for group in &after.report.groups {
-                    let contains_target = group.apps.contains(&target_name);
-                    assert_eq!(
-                        group.from_cache, !contains_target,
-                        "mutation of {target_name} invalidated the wrong groups"
-                    );
-                }
             }
+        }
 
-            for (phase, run) in [("cold", &cold), ("warm", &warm), ("mutated", &after)] {
-                println!(
-                    "{corpus:<8} {workers:<8} {phase:<10} {:>12} {:>8} {:>6} {:>8} {:>8.0}% {:>12}",
-                    format_duration(run.elapsed, run.truncated()),
-                    run.report.groups.len(),
-                    run.report.cache_hits,
-                    run.report.cache_misses,
-                    run.report.cache_hit_rate() * 100.0,
-                    run.report.violated_properties().len(),
-                );
-                rows.push(fleet_row(corpus, workers, phase, run, &cold));
-            }
+        for (phase, run) in [("cold", &cold), ("warm", &warm), ("mutated", &after)] {
+            println!(
+                "{corpus:<8} {phase:<10} {:>12} {:>8} {:>6} {:>8} {:>8.0}% {:>12}",
+                format_duration(run.elapsed, run.truncated()),
+                run.report.groups.len(),
+                run.report.cache_hits,
+                run.report.cache_misses,
+                run.report.cache_hit_rate() * 100.0,
+                run.report.violated_properties().len(),
+            );
+            rows.push(fleet_row(corpus, phase, run, &cold));
         }
     }
     json.push_experiment("fleet", "market+failures", events, &rows);
@@ -820,7 +759,7 @@ fn daemon_experiment(json: &mut BenchJson) {
     // Phase 1: cold run, writing every verdict through to the log.
     let (mut cache, recovery) = open_cache(&path);
     assert_eq!(recovery, Recovery::Fresh, "the experiment starts from a fresh store");
-    let cold = iotsan_bench::run_fleet(&apps, &config, events, 1, true, budget, &mut cache);
+    let cold = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
     drop(cache); // "process exit": nothing in memory survives past here
 
     // Kill the process mid-append: a torn half-record at the log's tail.
@@ -839,11 +778,11 @@ fn daemon_experiment(json: &mut BenchJson) {
         matches!(recovery, Recovery::CorruptTail { .. }),
         "the torn tail must be detected and skipped, got {recovery:?}"
     );
-    let mut warm = iotsan_bench::run_fleet(&apps, &config, events, 1, true, budget, &mut cache);
+    let mut warm = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
     let mut warm_backing_hits = cache.backing_hits();
     for _ in 0..2 {
         let (mut again, _) = open_cache(&path);
-        let run = iotsan_bench::run_fleet(&apps, &config, events, 1, true, budget, &mut again);
+        let run = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut again);
         if run.elapsed < warm.elapsed {
             warm = run;
             warm_backing_hits = again.backing_hits();
@@ -927,7 +866,7 @@ fn telemetry_experiment(json: &mut BenchJson) {
     let budget = iotsan_bench::experiment_budget(30, 120);
 
     // Warm-up run: fault in code paths and allocator state before timing.
-    let warmup = iotsan_bench::run_search(&apps, &config, events, 1, true, budget);
+    let warmup = iotsan_bench::run_search(&apps, &config, events, true, budget);
 
     // Interleaved best-of-N per arm: alternating off/on inside each round
     // keeps slow drift from systematically favouring either arm.
@@ -935,7 +874,7 @@ fn telemetry_experiment(json: &mut BenchJson) {
     for _round in 0..TELEMETRY_ROUNDS {
         for (arm, recording) in [(0usize, false), (1usize, true)] {
             iotsan_telemetry::metrics::set_enabled(recording);
-            let run = iotsan_bench::run_search(&apps, &config, events, 1, true, budget);
+            let run = iotsan_bench::run_search(&apps, &config, events, true, budget);
             iotsan_telemetry::metrics::set_enabled(true);
             let faster = match &best[arm] {
                 None => true,
@@ -1016,8 +955,8 @@ fn telemetry_experiment(json: &mut BenchJson) {
 }
 
 /// The scenario-factory differential fuzzer: `size` generated households
-/// starting at `seed_start`, each verified sequential / parallel / sliced /
-/// warm-cache with all engine pairs required to agree (plus a Promela LTL
+/// starting at `seed_start`, each verified serially, through the concurrent
+/// fleet executor, sliced and warm-cache, with all runs required to agree (plus a Promela LTL
 /// spot-check on small instances).  Emits one `scenario_fuzz` summary row.
 /// On any divergence: shrinks the household to a minimal reproduction under
 /// the *same* divergence phase, writes it to `scenario_repro.json` and exits
@@ -1083,7 +1022,7 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
         totals.groups, totals.states, totals.transitions
     );
     println!(
-        "all four engines agreed on every household ({promela_checked} Promela spot-checks); \
+        "all four runs agreed on every household ({promela_checked} Promela spot-checks); \
          {seconds:.2}s, {states_per_sec:.0} states/sec"
     );
     json.push_experiment(

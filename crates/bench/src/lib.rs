@@ -7,7 +7,7 @@
 
 #![deny(missing_docs)]
 
-use iotsan::checker::{Checker, ParallelChecker, SearchConfig, SearchReport};
+use iotsan::checker::{Checker, SearchConfig, SearchReport};
 use iotsan::config::{expert_configure, misconfigure, standard_household, SystemConfig};
 use iotsan::ir::IrApp;
 use iotsan::model::{ConcurrentModel, ModelOptions, SequentialModel};
@@ -73,31 +73,27 @@ pub struct TimedRun {
 }
 
 /// Fully-parameterized verification run over the sequential design:
-/// `workers <= 1` uses the sequential engine, larger counts the parallel one,
-/// and `failures` enables exhaustive device/communication failure injection
+/// `failures` enables exhaustive device/communication failure injection
 /// (which multiplies the enabled actions per state and is what makes the
 /// scaling workload heavy).
 pub fn run_search(
     apps: &[IrApp],
     config: &SystemConfig,
     events: usize,
-    workers: usize,
     failures: bool,
     budget: Duration,
 ) -> TimedRun {
-    run_search_with_properties(apps, config, events, workers, failures, budget, PropertySet::all())
+    run_search_with_properties(apps, config, events, failures, budget, PropertySet::all())
 }
 
 /// [`run_search`] against an explicit property registry — the `repro
 /// properties` experiment verifies the same workload under the built-ins and
 /// under built-ins + custom [`iotsan::properties::PropertySpec`]s to show
 /// the open property API adds no throughput cliff.
-#[allow(clippy::too_many_arguments)]
 pub fn run_search_with_properties(
     apps: &[IrApp],
     config: &SystemConfig,
     events: usize,
-    workers: usize,
     failures: bool,
     budget: Duration,
     properties: PropertySet,
@@ -110,11 +106,10 @@ pub fn run_search_with_properties(
         options = options.with_failures();
     }
     let model = SequentialModel::new(system, properties, options);
-    let mut search = SearchConfig::with_depth(events).parallel(workers);
+    let mut search = SearchConfig::with_depth(events);
     search.time_limit = Some(budget);
     let start = Instant::now();
-    // ParallelChecker delegates to the sequential engine for workers <= 1.
-    let report = ParallelChecker::new(search).verify(&model);
+    let report = Checker::new(search).verify(&model);
     TimedRun { elapsed: start.elapsed(), truncated: report.stats.truncated, report }
 }
 
@@ -199,27 +194,13 @@ pub fn run_sequential(
     events: usize,
     budget: Duration,
 ) -> TimedRun {
-    run_search(apps, config, events, 1, false, budget)
+    run_search(apps, config, events, false, budget)
 }
 
-/// Verifies a group with the sequential design and `workers` parallel search
-/// workers over the sharded visited-state store (`workers <= 1` runs the
-/// sequential engine, making it the natural baseline for a worker sweep).
-pub fn run_parallel(
-    apps: &[IrApp],
-    config: &SystemConfig,
-    events: usize,
-    workers: usize,
-    budget: Duration,
-) -> TimedRun {
-    run_search(apps, config, events, workers, false, budget)
-}
-
-/// The bench-profile workload for the worker-count sweep: the first 8 market
-/// apps under their expert configuration, verified *with* failure injection.
-/// At 3 events this explores a few thousand states / ~15k transitions —
-/// enough work per state for the parallel engine to amortize its queue and
-/// shard traffic, while staying CI-quick at one run per worker count.
+/// The bench-profile workload for the throughput measurement: the first 8
+/// market apps under their expert configuration, verified *with* failure
+/// injection.  At 3 events this explores a few thousand states / ~15k
+/// transitions in one search, CI-quick at one run.
 pub fn scaling_workload() -> (Vec<IrApp>, SystemConfig) {
     fleet_workload(8)
 }
@@ -264,18 +245,17 @@ impl FleetRun {
 
 /// One group-wise fleet verification pass through [`Pipeline::verify_fleet`]:
 /// depgraph partitioning, per-group fingerprint lookup in `cache`, bounded
-/// model checking of the misses (`workers <= 1` sequential, more parallel),
-/// trace-driven attribution, deterministic merge.
+/// model checking of the misses (one search per group, independent groups
+/// concurrently), trace-driven attribution, deterministic merge.
 pub fn run_fleet(
     apps: &[IrApp],
     config: &SystemConfig,
     events: usize,
-    workers: usize,
     failures: bool,
     budget: Duration,
     cache: &mut VerificationCache,
 ) -> FleetRun {
-    let mut pipeline = Pipeline::with_events(events).with_workers(workers);
+    let mut pipeline = Pipeline::with_events(events);
     if failures {
         pipeline = pipeline.with_failures();
     }
@@ -340,23 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_matches_run_sequential() {
-        let apps = translate_group(&samples::bad_group_mode_unlock());
-        let config = expert_config(&apps);
-        let sequential = run_sequential(&apps, &config, 2, Duration::from_secs(30));
-        let parallel = run_parallel(&apps, &config, 2, 4, Duration::from_secs(30));
-        assert_eq!(sequential.report.violated_properties(), parallel.report.violated_properties());
-        assert_eq!(sequential.report.stats.states_stored, parallel.report.stats.states_stored);
-    }
-
-    #[test]
     fn run_fleet_caches_between_runs() {
         let apps = translate_group(&samples::bad_group_mode_unlock());
         let config = expert_config(&apps);
         let mut cache = VerificationCache::new();
         let budget = Duration::from_secs(30);
-        let cold = run_fleet(&apps, &config, 2, 1, false, budget, &mut cache);
-        let warm = run_fleet(&apps, &config, 2, 1, false, budget, &mut cache);
+        let cold = run_fleet(&apps, &config, 2, false, budget, &mut cache);
+        let warm = run_fleet(&apps, &config, 2, false, budget, &mut cache);
         assert_eq!(warm.report.cache_hits, warm.report.groups.len());
         assert_eq!(warm.report.outcome(), cold.report.outcome());
         assert!(cold.states() > 0 && cold.transitions() > 0);

@@ -12,13 +12,15 @@
 //! * [`transition`] — the [`TransitionSystem`] abstraction the model generator
 //!   implements (sequential and strict-concurrent designs);
 //! * [`store`] — exhaustive, hash-compact and BITSTATE (Bloom filter) visited
-//!   state storage, plus a sharded concurrent store for multi-core search;
+//!   state storage;
 //! * [`search`] — bounded DFS/BFS with per-property counterexamples and search
 //!   statistics;
-//! * [`parallel`] — the multi-core engine: a `std::thread` worker pool over a
-//!   shared chunked work queue, deterministically merged (Spin's multi-core /
-//!   swarm verification in spirit);
 //! * [`trace`] — Spin-style violation logs (Figure 7).
+//!
+//! Like Spin in the paper, one search runs on one core.  Multi-core hosts
+//! gain by verifying independent related groups concurrently, one search
+//! per thread (`iotsan::VerificationPlanner::execute`); a single search is
+//! deterministic, so its counterexamples never depend on the host.
 //!
 //! The checker is completely independent of IoT semantics, which keeps it
 //! reusable and testable in isolation (its unit tests run it over a toy
@@ -26,18 +28,17 @@
 
 #![deny(missing_docs)]
 
-pub mod parallel;
 pub mod search;
 pub mod store;
 pub mod trace;
 pub mod transition;
 
-pub use parallel::ParallelChecker;
 pub use search::{
     CancelToken, Checker, FoundViolation, SearchConfig, SearchMode, SearchReport, SearchStats,
 };
-pub use store::{
-    fnv1a, BitstateStore, ExactStore, HashCompactStore, ShardedStore, StateStore, StoreKind,
-};
+pub use store::{fnv1a, BitstateStore, ExactStore, HashCompactStore, StateStore, StoreKind};
 pub use trace::{LogLine, Trace, TraceStep};
 pub use transition::{StepLog, StepOutcome, TransitionSystem, Violation};
+
+/// The former name of [`Checker`], kept so existing callers still compile.
+pub type ParallelChecker = Checker;

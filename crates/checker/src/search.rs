@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 /// A shared cancellation handle for an in-flight search.
 ///
 /// A long-running verification job (e.g. one queued in `iotsan-daemon`) can
-/// hand the engines a token via [`SearchConfig::cancel`]; calling
+/// hand the checker a token via [`SearchConfig::cancel`]; calling
 /// [`CancelToken::cancel`] from any thread stops the search at its next
 /// per-expansion cap check, and the report comes back with
 /// [`SearchStats::truncated`] set (no count-cap flag — like a wall-clock
@@ -103,9 +103,7 @@ pub struct SearchConfig {
     pub max_states: usize,
     /// Hard cap on applied transitions.
     pub max_transitions: usize,
-    /// DFS or BFS.  Only honored by the sequential engine; the parallel
-    /// engine always explores in work-stealing depth-first order (see
-    /// [`crate::parallel::ParallelChecker`]).
+    /// DFS or BFS.
     pub mode: SearchMode,
     /// Visited-state storage strategy.
     pub store: StoreKind,
@@ -115,21 +113,13 @@ pub struct SearchConfig {
     /// Wall-clock budget; the search stops (reporting partial results) when
     /// exceeded.
     pub time_limit: Option<Duration>,
-    /// Number of search workers.  `0` or `1` selects the sequential engine;
-    /// larger values select [`crate::parallel::ParallelChecker`]'s shared
-    /// work-queue engine over a sharded visited-state store.
-    pub workers: usize,
-    /// Number of shards of the concurrent visited-state store (rounded up to
-    /// a power of two).  `0` picks a default proportional to `workers`.
-    /// Ignored by the sequential engine.
-    pub shards: usize,
     /// Property-directed slicing: when set, verification entry points that
     /// know the registered properties (`iotsan::Pipeline`) drop handlers the
     /// static analysis proves irrelevant to them before exploring.  Off by
     /// default; verdicts are preserved exactly (see `iotsan-analysis`).
     pub slice: bool,
-    /// Cooperative cancellation: when set, both engines poll the token at
-    /// their per-expansion cap check and stop (reporting
+    /// Cooperative cancellation: when set, the search polls the token at
+    /// its per-expansion cap check and stops (reporting
     /// [`SearchStats::truncated`]) once it is cancelled.  `None` (the
     /// default) disables the poll entirely.
     pub cancel: Option<CancelToken>,
@@ -145,8 +135,6 @@ impl Default for SearchConfig {
             store: StoreKind::Exact,
             stop_at_first: false,
             time_limit: None,
-            workers: 1,
-            shards: 0,
             slice: false,
             cancel: None,
         }
@@ -165,12 +153,6 @@ impl SearchConfig {
         self
     }
 
-    /// Requests a parallel search with the given number of workers.
-    pub fn parallel(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Enables property-directed slicing (builder style).
     pub fn sliced(mut self) -> Self {
         self.slice = true;
@@ -182,11 +164,6 @@ impl SearchConfig {
     pub fn cancellable(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
-    }
-
-    /// The effective worker count (at least one).
-    pub fn effective_workers(&self) -> usize {
-        self.workers.max(1)
     }
 }
 
@@ -207,13 +184,13 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Exploration throughput: distinct states stored per second of
     /// wall-clock search time (the headline number the zero-allocation core
-    /// is measured by; `repro parallel --json` and the CI regression guard
+    /// is measured by; `repro throughput --json` and the CI regression guard
     /// consume it).
     pub states_per_sec: f64,
     /// Approximate memory used by the state store.
     pub store_memory_bytes: usize,
     /// High-water mark, in bytes, of counterexample bookkeeping: the
-    /// parent-pointer trace arena(s) plus every materialized counterexample.
+    /// parent-pointer trace arena plus every materialized counterexample.
     /// The arena grows by one pointer-sized node per admitted state; full
     /// traces with strings exist only for reported violations.
     pub peak_trace_bytes: usize,
@@ -225,9 +202,6 @@ pub struct SearchStats {
     pub states_capped: bool,
     /// True when [`SearchConfig::max_transitions`] fired.
     pub transitions_capped: bool,
-    /// Number of workers that actually explored the state space (1 for the
-    /// sequential engine).
-    pub workers: usize,
 }
 
 /// The resource cap that ended a search early.
@@ -291,84 +265,49 @@ impl SearchReport {
 }
 
 /// Sentinel parent id of root frames (the initial state, empty path).
-pub(crate) const NO_PARENT: u32 = u32::MAX;
-
-/// High bit marking an arena parent id as a *prefix* reference (an owned
-/// action path imported from another worker's subtree — see
-/// [`TraceArena::add_prefix`]).
-const PREFIX_FLAG: u32 = 1 << 31;
+const NO_PARENT: u32 = u32::MAX;
 
 /// Parent-pointer counterexample bookkeeping.
 ///
-/// The search engines record one `(parent, action)` node per **admitted**
+/// The search records one `(parent, action)` node per **admitted**
 /// state — never a full trace per transition.  A counterexample's action
 /// sequence is reconstructed by walking parents from the violating frame to
 /// the root, which only happens for the ≤1-per-property violations that are
 /// reported.
-///
-/// The parallel engine keeps one arena per worker.  Frames that migrate
-/// between workers through the shared queue carry their action path as an
-/// owned prefix; the receiving worker registers it once
-/// ([`TraceArena::add_prefix`]) and roots the stolen subtree's nodes at it,
-/// so no worker ever dereferences another worker's (concurrently growing)
-/// arena and the deterministic merge is unchanged.
 #[derive(Debug)]
-pub(crate) struct TraceArena<A> {
+struct TraceArena<A> {
     nodes: Vec<(u32, A)>,
-    prefixes: Vec<Vec<A>>,
 }
 
 impl<A: Clone> TraceArena<A> {
-    pub(crate) fn new() -> Self {
-        TraceArena { nodes: Vec::new(), prefixes: Vec::new() }
+    fn new() -> Self {
+        TraceArena { nodes: Vec::new() }
     }
 
     /// Records an admitted state's provenance; returns its node id.
     #[inline]
-    pub(crate) fn push(&mut self, parent: u32, action: &A) -> u32 {
+    fn push(&mut self, parent: u32, action: &A) -> u32 {
         let id = self.nodes.len() as u32;
-        assert!(id < PREFIX_FLAG, "trace arena overflow (>2^31 admitted states)");
+        assert!(id < NO_PARENT, "trace arena overflow (>2^32 - 1 admitted states)");
         self.nodes.push((parent, action.clone()));
         id
     }
 
-    /// Registers an owned action prefix (a stolen frame's path) and returns
-    /// the parent id that roots nodes at it.
-    pub(crate) fn add_prefix(&mut self, path: Vec<A>) -> u32 {
-        if path.is_empty() {
-            return NO_PARENT;
-        }
-        let id = self.prefixes.len() as u32;
-        assert!(id < PREFIX_FLAG - 1, "trace arena prefix overflow");
-        self.prefixes.push(path);
-        PREFIX_FLAG | id
-    }
-
     /// Reconstructs the root-to-`node` action path into `out` (cleared
     /// first).
-    pub(crate) fn path(&self, mut node: u32, out: &mut Vec<A>) {
+    fn path(&self, mut node: u32, out: &mut Vec<A>) {
         out.clear();
-        let mut prefix = None;
         while node != NO_PARENT {
-            if node & PREFIX_FLAG != 0 {
-                prefix = Some((node & !PREFIX_FLAG) as usize);
-                break;
-            }
             let (parent, action) = &self.nodes[node as usize];
             out.push(action.clone());
             node = *parent;
         }
         out.reverse();
-        if let Some(index) = prefix {
-            out.splice(0..0, self.prefixes[index].iter().cloned());
-        }
     }
 
     /// Approximate heap footprint of the arena in bytes.
-    pub(crate) fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<(u32, A)>()
-            + self.prefixes.capacity() * std::mem::size_of::<Vec<A>>()
-            + self.prefixes.iter().map(|p| p.capacity() * std::mem::size_of::<A>()).sum::<usize>()
     }
 }
 
@@ -376,7 +315,7 @@ impl<A: Clone> TraceArena<A> {
 /// from the initial state with logging enabled — the only place the checker
 /// renders action strings and log lines.  `apply` is deterministic, so the
 /// replay reproduces exactly the transitions the search took.
-pub(crate) fn materialize_trace<T: TransitionSystem>(model: &T, actions: &[T::Action]) -> Trace {
+fn materialize_trace<T: TransitionSystem>(model: &T, actions: &[T::Action]) -> Trace {
     let mut trace = Trace::new();
     let mut state = model.initial_state();
     let mut scratch = T::Scratch::default();
@@ -410,12 +349,10 @@ impl Checker {
 
     /// Runs the search over `model` and reports violations and statistics.
     ///
-    /// This is the sequential engine; [`SearchConfig::workers`] is ignored
-    /// here (use [`crate::parallel::ParallelChecker`] for multi-core search —
-    /// for an *exhaustive* run, i.e. no [`SearchConfig::stop_at_first`] and
-    /// no cap or time budget firing, the two report the same set of violated
-    /// properties for the same bounded model; an early-stopped search is
-    /// order-dependent in either engine).
+    /// The search is single-threaded and deterministic: the same model and
+    /// configuration always yield the same report, counterexample traces
+    /// included (only the timing fields vary).  Independent searches run
+    /// concurrently on separate threads.
     pub fn verify<T: TransitionSystem>(&self, model: &T) -> SearchReport {
         match self.config.mode {
             SearchMode::Dfs => self.run::<T, false>(model),
@@ -437,7 +374,7 @@ impl Checker {
         flight::record(
             Level::Debug,
             EventCode::SearchStart,
-            &format!("sequential depth={} store={:?}", self.config.max_depth, self.config.store),
+            &format!("depth={} store={:?}", self.config.max_depth, self.config.store),
         );
 
         // Reused hot-loop buffers: encoded state bytes, enabled actions,
@@ -563,7 +500,6 @@ impl Checker {
             states_per_sec(report.stats.states_stored, report.stats.elapsed);
         report.stats.peak_trace_bytes =
             arena_bytes + report.violations.iter().map(|v| v.trace.memory_bytes()).sum::<usize>();
-        report.stats.workers = 1;
     }
 }
 
@@ -604,14 +540,14 @@ fn record_violations<T: TransitionSystem>(
 /// (a zero-duration run divides by `1e-9`, not `0`), so no `inf`/NaN ever
 /// reaches [`SearchStats::states_per_sec`], the daemon codec or a rendered
 /// BENCH row — see `states_per_sec_is_always_finite`.
-pub(crate) fn states_per_sec(states: usize, elapsed: Duration) -> f64 {
+fn states_per_sec(states: usize, elapsed: Duration) -> f64 {
     states as f64 / elapsed.as_secs_f64().max(1e-9)
 }
 
 /// Flushes one finished search's tallies into the global telemetry
-/// registry and flight ring — the engines' single per-search telemetry
-/// touch point (sequential `run` and the parallel merge both end here).
-pub(crate) fn flush_search_telemetry(
+/// registry and flight ring — the checker's single per-search telemetry
+/// touch point.
+fn flush_search_telemetry(
     stats: &SearchStats,
     dedup_hits: usize,
     frontier_peak: usize,
@@ -644,7 +580,7 @@ pub(crate) fn flush_search_telemetry(
 /// The depth byte appended to encoded states (saturating: the checker's event
 /// bounds are far below 255, but a pathological configuration must not wrap
 /// and alias distinct depths).
-pub(crate) fn depth_tag(depth: usize) -> u8 {
+fn depth_tag(depth: usize) -> u8 {
     depth.min(u8::MAX as usize) as u8
 }
 
@@ -756,7 +692,6 @@ mod tests {
         assert!(!report.stats.truncated);
         assert!(!report.stats.states_capped);
         assert!(!report.stats.transitions_capped);
-        assert_eq!(report.stats.workers, 1);
     }
 
     #[test]
@@ -864,15 +799,113 @@ mod tests {
     }
 
     #[test]
-    fn arena_prefixes_root_stolen_subtrees() {
-        let mut arena: TraceArena<u8> = TraceArena::new();
-        let root = arena.add_prefix(vec![9, 8]);
-        let a = arena.push(root, &1);
-        let b = arena.push(a, &2);
-        let mut path = Vec::new();
-        arena.path(b, &mut path);
-        assert_eq!(path, vec![9, 8, 1, 2]);
-        // An empty prefix is the plain root.
-        assert_eq!(arena.add_prefix(Vec::new()), NO_PARENT);
+    fn counterexamples_are_deterministic_across_runs() {
+        // Repeated searches report the same violations, depths and traces:
+        // the counterexample a user sees never depends on scheduling.
+        let config = SearchConfig::with_depth(6);
+        let first = Checker::new(config.clone()).verify(&model());
+        assert!(first.has_violations());
+        for _ in 0..5 {
+            let again = Checker::new(config.clone()).verify(&model());
+            assert_eq!(again.violations, first.violations);
+            assert_eq!(again.stats.states_stored, first.stats.states_stored);
+            assert_eq!(again.stats.transitions, first.stats.transitions);
+        }
+    }
+
+    #[test]
+    fn maximal_time_budget_behaves_like_no_deadline() {
+        // `Some(Duration::MAX)` as "effectively unlimited" must neither
+        // overflow nor truncate.
+        let mut config = SearchConfig::with_depth(6);
+        config.time_limit = Some(Duration::MAX);
+        let report = Checker::new(config).verify(&model());
+        assert!(report.has_violations());
+        assert!(!report.stats.truncated);
+    }
+
+    #[test]
+    fn hash_compact_store_agrees_with_exact() {
+        let mut config = SearchConfig::with_depth(6);
+        config.store = StoreKind::HashCompact;
+        let compact = Checker::new(config.clone()).verify(&model());
+        config.store = StoreKind::Exact;
+        let exact = Checker::new(config).verify(&model());
+        assert_eq!(compact.violated_properties(), exact.violated_properties());
+        assert_eq!(compact.stats.states_stored, exact.stats.states_stored);
+        assert_eq!(compact.stats.transitions, exact.stats.transitions);
+    }
+
+    #[test]
+    fn stop_at_first_keeps_all_properties_of_the_triggering_step() {
+        use crate::trace::LogLine;
+        use crate::transition::testing::CounterAction;
+        use crate::transition::StepOutcome;
+
+        /// Like `CounterModel`, but reaching the bad value violates two
+        /// properties in the same step.
+        struct DoubleViolationModel;
+        impl TransitionSystem for DoubleViolationModel {
+            type State = u32;
+            type Action = CounterAction;
+            type Event = ();
+            type Scratch = ();
+
+            fn initial_state(&self) -> u32 {
+                1
+            }
+
+            fn actions(&self, state: &u32, out: &mut Vec<CounterAction>) {
+                out.clear();
+                if *state < 32 {
+                    out.push(CounterAction::Increment);
+                    out.push(CounterAction::Double);
+                }
+            }
+
+            fn apply(
+                &self,
+                state: &u32,
+                action: &CounterAction,
+                _scratch: &mut (),
+                _log: &mut StepLog<()>,
+            ) -> StepOutcome<u32> {
+                let next = match action {
+                    CounterAction::Increment => state + 1,
+                    CounterAction::Double => state * 2,
+                }
+                .min(32);
+                let violations = if next == 6 {
+                    vec![
+                        Violation { property: 1, description: "reached 6".into() },
+                        Violation { property: 2, description: "also reached 6".into() },
+                    ]
+                } else {
+                    Vec::new()
+                };
+                StepOutcome { state: next, violations }
+            }
+
+            fn encode(&self, state: &u32, out: &mut Vec<u8>) {
+                out.extend_from_slice(&state.to_le_bytes());
+            }
+
+            fn display_action(&self, action: &CounterAction) -> String {
+                action.to_string()
+            }
+
+            fn render_event(&self, _event: &()) -> LogLine {
+                LogLine::new("")
+            }
+        }
+
+        // Stopping at the first violating step still records every property
+        // that step breaks, sharing one counterexample.
+        let mut config = SearchConfig::with_depth(8);
+        config.stop_at_first = true;
+        let report = Checker::new(config).verify(&DoubleViolationModel);
+        assert_eq!(report.violated_properties(), BTreeSet::from([1, 2]));
+        assert_eq!(report.violations[0].trace, report.violations[1].trace);
+        assert!(!report.stats.truncated);
     }
 }

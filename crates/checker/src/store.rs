@@ -19,23 +19,21 @@
 //! # One hash per probe
 //!
 //! Every store operation runs **one** pass of [`fnv1a`] over the encoded
-//! state and derives everything else from that 64-bit value: the
-//! [`ShardedStore`] picks its shard from the *high* bits, [`ExactStore`] and
-//! [`HashCompactStore`] key their tables by the full value through an
+//! state and derives everything else from that 64-bit value: [`ExactStore`]
+//! and [`HashCompactStore`] key their tables by the full value through an
 //! identity hasher (no re-hashing of the state bytes, no SipHash over them),
 //! and [`BitstateStore`] expands the value into `k` Bloom probes with a
 //! [`splitmix64`] double-hashing scheme.  Earlier revisions hashed each state
-//! two to three times per probe (`shard_of` ran its own pass, then the inner
-//! `HashSet<Vec<u8>>` re-hashed the bytes); on long states that was a
-//! measurable fraction of the exploration hot loop.
+//! more than once per probe (the inner `HashSet<Vec<u8>>` re-hashed the
+//! bytes); on long states that was a measurable fraction of the exploration
+//! hot loop.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Mutex;
 
 /// FNV-1a 64-bit hash (the checker avoids external hashing crates).  This is
-/// the *single* per-state hash; all storage strategies derive their keys,
-/// shard choices and probe positions from its output.
+/// the *single* per-state hash; all storage strategies derive their keys
+/// and probe positions from its output.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -86,8 +84,8 @@ pub type IdentityState = BuildHasherDefault<IdentityHasher>;
 /// How visited states are remembered during the search.
 ///
 /// The `*_hashed` methods take the precomputed [`fnv1a`] value of `encoded`
-/// so composite stores (sharding, probing, exact comparison) share one hash
-/// pass; the hash-free convenience methods compute it on the spot.
+/// so probing and exact comparison share one hash pass; the hash-free
+/// convenience methods compute it on the spot.
 pub trait StateStore {
     /// Inserts the encoded state, returning `true` when it was *not* seen
     /// before (i.e. the state is new and should be explored).
@@ -144,11 +142,9 @@ impl ExactStore {
 
 impl StateStore for ExactStore {
     fn insert_hashed(&mut self, hash: u64, encoded: &[u8]) -> bool {
-        // Re-diffuse before keying: the sharded store consumes the high bits
-        // of `hash` for shard selection, and hashbrown's control byte also
-        // comes from the top bits — without mixing, every entry of a shard
-        // would share most of its control byte and probe with extra key
-        // comparisons.
+        // Re-diffuse before keying: hashbrown takes its control byte from
+        // the top bits and its bucket index from the low bits, so both must
+        // be well mixed for probes to stay short.
         let bucket = self.buckets.entry(splitmix64(hash)).or_default();
         if bucket.iter().any(|s| s.as_ref() == encoded) {
             return false;
@@ -342,150 +338,6 @@ impl StoreKind {
             }
         }
     }
-
-    /// The per-shard variant of this kind when the state space is split over
-    /// `2^shard_bits` shards: bitstate arrays shrink so the *total* bit budget
-    /// stays roughly what one unsharded store would use (with a small floor so
-    /// tiny shards remain usable); exact and hash-compact storage grows with
-    /// content and needs no resizing.
-    fn for_shard(&self, shard_bits: u32) -> StoreKind {
-        match *self {
-            StoreKind::Bitstate { log2_bits, hash_functions } => StoreKind::Bitstate {
-                log2_bits: log2_bits.saturating_sub(shard_bits).max(10),
-                hash_functions,
-            },
-            kind => kind,
-        }
-    }
-}
-
-/// A concurrent visited-state store: `N` mutex-guarded shards selected by the
-/// *high* bits of the per-state hash, each shard backed by any [`StoreKind`]
-/// ([`ExactStore`], [`HashCompactStore`] or [`BitstateStore`]).
-///
-/// The state bytes are hashed exactly once per operation: the same 64-bit
-/// [`fnv1a`] value selects the shard (high bits) and keys the shard's
-/// backend, which re-diffuses it with [`splitmix64`] (a few integer ops, not
-/// a second pass over the state) so in-shard table keys and Bloom probes
-/// stay independent of the shard-selection bits.
-///
-/// Workers of the parallel search engine call [`ShardedStore::insert`]
-/// through a shared reference; two workers only contend when their states
-/// hash to the same shard, so lock traffic stays low once the shard count
-/// comfortably exceeds the worker count.  Duplicate concurrent inserts of the
-/// same state are serialized by the shard lock: exactly one caller observes
-/// `true`.
-pub struct ShardedStore {
-    shards: Vec<Mutex<Box<dyn StateStore + Send>>>,
-    /// Right-shift that maps a 64-bit hash to a shard index (64 − log2 shards).
-    shard_shift: u32,
-}
-
-impl std::fmt::Debug for ShardedStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl ShardedStore {
-    /// Creates a store with `shards` shards (rounded up to a power of two, at
-    /// least one) of the given backend kind.
-    pub fn new(kind: StoreKind, shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        let per_shard = kind.for_shard(count.trailing_zeros());
-        ShardedStore {
-            shards: (0..count).map(|_| Mutex::new(per_shard.build())).collect(),
-            shard_shift: 64 - count.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn shard_of(&self, hash: u64) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            (hash >> self.shard_shift) as usize
-        }
-    }
-
-    fn shard(&self, hash: u64) -> std::sync::MutexGuard<'_, Box<dyn StateStore + Send>> {
-        // Lock poisoning cannot leave the set inconsistent (each insert is a
-        // single shard operation), so a poisoned shard is simply reclaimed.
-        match self.shards[self.shard_of(hash)].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Concurrent insert through a shared reference; returns `true` when the
-    /// state was not seen before.  Hashes `encoded` once.
-    pub fn insert(&self, encoded: &[u8]) -> bool {
-        let hash = fnv1a(encoded);
-        self.shard(hash).insert_hashed(hash, encoded)
-    }
-
-    /// Concurrent membership test through a shared reference.  Hashes
-    /// `encoded` once.
-    pub fn contains(&self, encoded: &[u8]) -> bool {
-        let hash = fnv1a(encoded);
-        self.shard(hash).contains_hashed(hash, encoded)
-    }
-
-    /// Total number of states recorded across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(guard) => guard.len(),
-                Err(poisoned) => poisoned.into_inner().len(),
-            })
-            .sum()
-    }
-
-    /// True when no shard has recorded a state.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate memory used across all shards, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(guard) => guard.memory_bytes(),
-                Err(poisoned) => poisoned.into_inner().memory_bytes(),
-            })
-            .sum()
-    }
-}
-
-// The sharded store is also a drop-in sequential `StateStore`, so single-
-// threaded code paths (and tests) can exercise the exact same dedup logic the
-// parallel engine uses.
-impl StateStore for ShardedStore {
-    fn insert_hashed(&mut self, hash: u64, encoded: &[u8]) -> bool {
-        self.shard(hash).insert_hashed(hash, encoded)
-    }
-
-    fn contains_hashed(&self, hash: u64, encoded: &[u8]) -> bool {
-        self.shard(hash).contains_hashed(hash, encoded)
-    }
-
-    fn len(&self) -> usize {
-        ShardedStore::len(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        ShardedStore::memory_bytes(self)
-    }
 }
 
 #[cfg(test)]
@@ -620,99 +472,6 @@ mod tests {
             assert!(!store.contains(b"state-a"));
             store.insert(b"state-a");
             assert!(store.contains(b"state-a"), "{kind:?} lost an inserted state");
-        }
-    }
-
-    #[test]
-    fn sharded_store_rounds_shard_count_and_deduplicates() {
-        let store = ShardedStore::new(StoreKind::Exact, 3);
-        assert_eq!(store.shard_count(), 4);
-        assert!(store.is_empty());
-        for s in states(500) {
-            assert!(store.insert(&s));
-            assert!(store.contains(&s));
-        }
-        for s in states(500) {
-            assert!(!store.insert(&s));
-        }
-        assert_eq!(store.len(), 500);
-        assert!(store.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn sharded_store_distributes_states_over_shards() {
-        let store = ShardedStore::new(StoreKind::Exact, 8);
-        for s in states(4_000) {
-            store.insert(&s);
-        }
-        // Every shard should hold a meaningful fraction of the states (a
-        // uniform split would be 500 each).
-        for shard in &store.shards {
-            let len = shard.lock().unwrap().len();
-            assert!(len > 250, "shard holds only {len} of 4000 states");
-        }
-    }
-
-    #[test]
-    fn zero_shards_clamps_to_one_and_still_deduplicates() {
-        // Worker counts flow into the shard count; a zero (an empty
-        // household plan, or a caller passing `workers: 0`) must clamp to a
-        // single shard instead of building an un-indexable empty store.
-        let store = ShardedStore::new(StoreKind::Exact, 0);
-        assert_eq!(store.shard_count(), 1);
-        for s in states(64) {
-            assert!(store.insert(&s));
-            assert!(!store.insert(&s));
-        }
-        assert_eq!(store.len(), 64);
-    }
-
-    #[test]
-    fn single_shard_store_works_without_shifting() {
-        let store = ShardedStore::new(StoreKind::Exact, 1);
-        assert_eq!(store.shard_count(), 1);
-        for s in states(64) {
-            assert!(store.insert(&s));
-        }
-        assert_eq!(store.len(), 64);
-    }
-
-    #[test]
-    fn sharded_bitstate_keeps_total_memory_budget() {
-        let unsharded =
-            ShardedStore::new(StoreKind::Bitstate { log2_bits: 20, hash_functions: 3 }, 1);
-        let sharded =
-            ShardedStore::new(StoreKind::Bitstate { log2_bits: 20, hash_functions: 3 }, 8);
-        assert_eq!(unsharded.memory_bytes(), sharded.memory_bytes());
-    }
-
-    #[test]
-    fn sharded_store_admits_concurrent_duplicates_exactly_once() {
-        // 8 threads race to insert the same 512 states; each distinct state
-        // must be admitted (insert -> true) exactly once across all threads,
-        // and every state must be present afterwards.
-        for kind in [StoreKind::Exact, StoreKind::HashCompact] {
-            let store = ShardedStore::new(kind, 8);
-            let all = states(512);
-            let admitted = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..8 {
-                    scope.spawn(|| {
-                        let mut fresh = 0usize;
-                        for s in &all {
-                            if store.insert(s) {
-                                fresh += 1;
-                            }
-                        }
-                        admitted.fetch_add(fresh, std::sync::atomic::Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(admitted.load(std::sync::atomic::Ordering::Relaxed), 512, "{kind:?}");
-            assert_eq!(store.len(), 512, "{kind:?}");
-            for s in &all {
-                assert!(store.contains(s), "{kind:?} lost a state");
-            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! the main reasons for adopting model checking.  [`Trace::render`] prints the
 //! trace in a format modelled on Spin's violation logs (Figure 7).
 //!
-//! Traces are *materialized* structures: the search engines never build them
+//! Traces are *materialized* structures: the search never builds them
 //! on the hot path.  Exploration records only parent-pointer `(parent,
 //! action)` arena nodes (see [`crate::search`]); when a violation is kept,
 //! the action sequence is replayed with logging enabled and each structured

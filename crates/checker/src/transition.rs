@@ -56,7 +56,7 @@ pub struct StepOutcome<S> {
 /// A deferred effect log: a buffer of structured events that is a no-op
 /// while disabled.
 ///
-/// The search engines keep one `StepLog` per worker with logging *off*, so
+/// The search keeps one `StepLog` with logging *off*, so
 /// the interpreter's event construction (and any string formatting it would
 /// imply) is skipped entirely on the hot path.  Counterexample
 /// materialization re-applies the recorded action sequence with logging *on*
@@ -74,7 +74,7 @@ impl<E> Default for StepLog<E> {
 }
 
 impl<E> StepLog<E> {
-    /// A disabled log (the search engines' hot-path configuration).
+    /// A disabled log (the search's hot-path configuration).
     pub fn disabled() -> Self {
         Self::default()
     }

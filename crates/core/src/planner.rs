@@ -73,16 +73,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Two jobs with the same fingerprint verify the same sorted app IRs against
 /// the same restricted device configuration, property set, model options and
 /// search shape — so one job's [`SearchReport`] can stand in for the
-/// other's.  Worker and shard counts are deliberately *excluded* for
-/// exhaustive searches over exact or hash-compact storage: there the
-/// parallel engine's deterministic merge reports the same verdict as the
-/// sequential one, so a cache warmed sequentially stays valid for parallel
-/// reruns (and vice versa).  For *order-dependent* searches — BITSTATE
-/// storage (admission depends on insertion order) or
-/// [`SearchConfig::stop_at_first`] — workers and shards **are** part of the
-/// fingerprint, since different engine shapes can legitimately report
-/// different results there and a replay must not masquerade as a different
-/// engine's verdict.
+/// other's.  The checker is deterministic, so equal inputs always produce
+/// equal reports, BITSTATE and stop-at-first searches included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);
 
@@ -126,8 +118,7 @@ impl Fnv {
 /// ([`crate::model::ModelOptions`] plus the result-relevant
 /// [`SearchConfig`] fields — depth, caps, mode, store, stop-at-first).
 /// The wall-clock budget is always excluded (a budget-truncated report is
-/// never cached); worker/shard counts are excluded only when the search is
-/// deterministic across engine shapes — see [`Fingerprint`].
+/// never cached).
 pub fn fingerprint_group(
     pipeline: &Pipeline,
     apps: &[IrApp],
@@ -153,8 +144,6 @@ pub fn fingerprint_group(
         mode,
         store,
         stop_at_first,
-        workers,
-        shards,
         slice,
         ..
     } = &pipeline.search;
@@ -171,15 +160,6 @@ pub fn fingerprint_group(
         h.write_item("slice");
         h.write_bytes(&iotsan_analysis::ANALYSIS_VERSION.to_le_bytes());
         h.write_bytes(&plan.content_hash().to_le_bytes());
-    }
-    // BITSTATE admission depends on insertion order, and a stop-at-first
-    // search is order-dependent in any engine: there the engine shape is
-    // part of the task identity, so a replay can never masquerade as a
-    // different engine's verdict.
-    let order_dependent =
-        matches!(store, iotsan_checker::StoreKind::Bitstate { .. }) || *stop_at_first;
-    if order_dependent {
-        h.write_item(&format!("{:?}", (workers.max(&1), shards)));
     }
     Fingerprint(h.finish())
 }
@@ -678,8 +658,8 @@ impl<'a> VerificationPlanner<'a> {
     /// on `std::thread::scope` threads, each claiming the next unclaimed
     /// index from a shared counter, so the largest groups start first
     /// (longest-processing-time-first).  The thread count is the host's
-    /// available parallelism divided by the checker's own worker count,
-    /// capped by the number of jobs; with one job or one thread the caller
+    /// available parallelism, capped by the number of jobs (each search is
+    /// single-threaded); with one job or one thread the caller
     /// runs everything and nothing is spawned.  The calling thread claims
     /// the first (largest) job before any helper is spawned and works
     /// alongside them: each spawned thread allocates from its own malloc
@@ -688,7 +668,7 @@ impl<'a> VerificationPlanner<'a> {
     pub(crate) fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<GroupResult> {
         let Some(largest) = jobs.first() else { return Vec::new() };
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = (cores / self.pipeline.search.workers.max(1)).min(jobs.len());
+        let threads = cores.min(jobs.len());
         // Index 0 is the caller's; the counter only publishes indices (the
         // results travel back through `join`), so `Relaxed` suffices.
         let next = AtomicUsize::new(1);
@@ -870,40 +850,30 @@ def motionActiveHandler(evt) { lights.on() }
             assert_ne!(old.fingerprint, new.fingerprint);
         }
 
-        // Worker count is engine shape, not task identity: the cache stays
-        // valid across sequential and parallel runs.
-        let parallel = Pipeline::with_events(2).with_workers(4);
-        let e = VerificationPlanner::new(&parallel).plan(&apps, &config);
+        // The no-op `with_workers` leaves the task identity alone.
+        let workers = Pipeline::with_events(2).with_workers(4);
+        let e = VerificationPlanner::new(&workers).plan(&apps, &config);
         for (old, new) in a.jobs.iter().zip(&e.jobs) {
             assert_eq!(old.fingerprint, new.fingerprint);
         }
     }
 
     #[test]
-    fn order_dependent_configs_key_on_engine_shape() {
-        // Under BITSTATE storage (admission order-dependent) or stop-at-first
-        // the engine shape is part of the task identity: a sequential verdict
-        // must not replay as a parallel one.
+    fn order_dependent_configs_key_on_search_shape() {
+        // BITSTATE storage and stop-at-first can report less than an
+        // exhaustive exact search, so each is its own task.
         let (apps, config) = bundle();
-        let mut sequential = Pipeline::with_events(2);
-        sequential.search = sequential.search.clone().bitstate();
-        let mut parallel = Pipeline::with_events(2).with_workers(4);
-        parallel.search = parallel.search.clone().bitstate();
-        let a = VerificationPlanner::new(&sequential).plan(&apps, &config);
-        let b = VerificationPlanner::new(&parallel).plan(&apps, &config);
-        for (seq, par) in a.jobs.iter().zip(&b.jobs) {
-            assert_eq!(seq.apps, par.apps);
-            assert_ne!(seq.fingerprint, par.fingerprint);
-        }
-
-        let mut first_seq = Pipeline::with_events(2);
-        first_seq.search.stop_at_first = true;
-        let mut first_par = Pipeline::with_events(2).with_workers(4);
-        first_par.search.stop_at_first = true;
-        let c = VerificationPlanner::new(&first_seq).plan(&apps, &config);
-        let d = VerificationPlanner::new(&first_par).plan(&apps, &config);
-        for (seq, par) in c.jobs.iter().zip(&d.jobs) {
-            assert_ne!(seq.fingerprint, par.fingerprint);
+        let exhaustive = VerificationPlanner::new(&Pipeline::with_events(2)).plan(&apps, &config);
+        let mut bitstate = Pipeline::with_events(2);
+        bitstate.search = bitstate.search.clone().bitstate();
+        let mut first = Pipeline::with_events(2);
+        first.search.stop_at_first = true;
+        for shape in [bitstate, first] {
+            let a = VerificationPlanner::new(&shape).plan(&apps, &config);
+            for (old, new) in exhaustive.jobs.iter().zip(&a.jobs) {
+                assert_eq!(old.apps, new.apps);
+                assert_ne!(old.fingerprint, new.fingerprint);
+            }
         }
     }
 

@@ -126,7 +126,6 @@ pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
     put_bool(out, stats.truncated);
     put_bool(out, stats.states_capped);
     put_bool(out, stats.transitions_capped);
-    put_usize(out, stats.workers);
 }
 
 // ---------------------------------------------------------------------------
@@ -242,7 +241,6 @@ pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
         truncated: r.boolean("truncated flag")?,
         states_capped: r.boolean("states-capped flag")?,
         transitions_capped: r.boolean("transitions-capped flag")?,
-        workers: r.usize("workers")?,
     };
     if !r.finished() {
         return Err(err("trailing bytes"));
@@ -285,7 +283,6 @@ mod tests {
                     truncated: false,
                     states_capped: false,
                     transitions_capped: false,
-                    workers: 1,
                 },
             },
         }

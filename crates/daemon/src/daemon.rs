@@ -1026,9 +1026,6 @@ fn execute_job(inner: &Inner, index: usize, spec: JobSpec, started: Instant) -> 
     if spec.failures {
         pipeline = pipeline.with_failures();
     }
-    if spec.workers > 1 {
-        pipeline = pipeline.with_workers(spec.workers);
-    }
     pipeline.search.time_limit = spec.timeout_ms.map(Duration::from_millis);
     pipeline.search = pipeline.search.clone().cancellable(token.clone());
 

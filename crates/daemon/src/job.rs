@@ -45,7 +45,8 @@ pub struct JobSpec {
     pub bundle: BundleSpec,
     /// External-event bound (`SearchConfig::max_depth`); default 2.
     pub events: usize,
-    /// Checker workers for this job's searches; default 1 (sequential).
+    /// Accepted and range-checked so existing clients' lines still parse,
+    /// but ignored: every search runs on one thread.  Default 1.
     pub workers: usize,
     /// Exhaustive device/communication failure injection; default off.
     pub failures: bool,
@@ -58,11 +59,11 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A stable content fingerprint of *what* the job verifies — every
-    /// field except the caller-chosen `id` — used to key retry counts and
-    /// the poison quarantine so duplicates of a failing job are recognized
-    /// across submissions (and across restarts, via the quarantine
-    /// sidecar).  FNV-1a over a canonical rendering: deterministic across
-    /// processes, unlike `std`'s randomized hashers.
+    /// field except the caller-chosen `id` and the ignored `workers` — used
+    /// to key retry counts and the poison quarantine so duplicates of a
+    /// failing job are recognized across submissions (and across restarts,
+    /// via the quarantine sidecar).  FNV-1a over a canonical rendering:
+    /// deterministic across processes, unlike `std`'s randomized hashers.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
@@ -92,7 +93,6 @@ impl JobSpec {
             }
         }
         eat(&(self.events as u64).to_le_bytes());
-        eat(&(self.workers as u64).to_le_bytes());
         eat(&[u8::from(self.failures), u8::from(self.inject_panic)]);
         eat(&self.timeout_ms.unwrap_or(u64::MAX).to_le_bytes());
         hash
@@ -397,7 +397,6 @@ mod tests {
         for other in [
             r#"{"market":5}"#,
             r#"{"market":4,"events":3}"#,
-            r#"{"market":4,"workers":2}"#,
             r#"{"market":4,"failures":true}"#,
             r#"{"market":4,"timeout_ms":10}"#,
             r#"{"market":4,"inject_panic":true}"#,
@@ -407,6 +406,23 @@ mod tests {
         }
         // Field boundaries matter: two names vs one concatenated name.
         assert_ne!(base(r#"{"names":["ab","c"]}"#), base(r#"{"names":["a","bc"]}"#));
+    }
+
+    #[test]
+    fn workers_is_accepted_but_ignored() {
+        let spec = |line: &str| match parse_line(line, 1).unwrap() {
+            JobLine::Job(spec) => spec,
+            other => panic!("job expected, got {other:?}"),
+        };
+        let with = spec(r#"{"market":4,"events":3,"workers":4}"#);
+        let without = spec(r#"{"market":4,"events":3}"#);
+        assert_eq!(with.workers, 4);
+        assert_eq!(with.fingerprint(), without.fingerprint());
+        // Still range-checked, so a malformed line is rejected as before.
+        for bad in [r#"{"market":4,"workers":-1}"#, r#"{"market":4,"workers":1.5}"#] {
+            assert!(parse_line(bad, 1).unwrap_err().contains("workers"), "{bad}");
+        }
+        assert!(parse_line(r#"{"market":4,"workers":"2"}"#, 1).is_err());
     }
 
     #[test]

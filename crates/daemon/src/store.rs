@@ -38,8 +38,9 @@ use std::path::{Path, PathBuf};
 /// The 8-byte magic prefix of a verdict log.
 pub const MAGIC: [u8; 8] = *b"IOTSANVS";
 
-/// The on-disk format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The on-disk format version this build reads and writes.  Version 2
+/// dropped the per-verdict search worker count.
+pub const FORMAT_VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length

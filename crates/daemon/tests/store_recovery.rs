@@ -274,6 +274,25 @@ fn compaction_is_idempotent() {
 }
 
 #[test]
+fn a_log_in_an_older_format_is_discarded_whole() {
+    // Format 1 verdicts carried a search worker count that format 2 no
+    // longer encodes; such a log must be recreated, never decoded.
+    let path = temp_path("old-format");
+    build_log(&path, 3);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let store = VerdictStore::open(&path).unwrap();
+    assert_eq!(
+        *store.recovery(),
+        Recovery::Discarded { reason: DiscardReason::StoreFormat { found: 1 } }
+    );
+    assert!(store.is_empty());
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), HEADER_LEN as u64);
+}
+
+#[test]
 fn capacity_and_auto_compaction_knobs() {
     let path = temp_path("knobs");
     let _ = std::fs::remove_file(&path);

@@ -11,7 +11,7 @@
 //!    schedule / app-state / fake-event), failure-injection toggles and
 //!    custom [`PropertySpec`]s whose atoms reference only devices actually
 //!    present.  Identical seeds produce byte-identical households.
-//! 2. **Differential oracle** ([`check_household`]): sequential, parallel,
+//! 2. **Differential oracle** ([`check_household`]): serial, concurrent-fleet,
 //!    sliced and warm-cache runs of the full pipeline must agree on every
 //!    household; small instances also spot-check the Promela emitter's LTL
 //!    derivation against the native checker's property set.
@@ -39,7 +39,7 @@ pub mod template;
 pub use chaos::{ChaosFault, ChaosFaultKind, ChaosPlan};
 pub use fixture::Fixture;
 pub use household::{Household, SizeProfile, GENERATED_PROPERTY_BASE};
-pub use oracle::{check_household, Divergence, HouseholdReport, Phase, PARALLEL_WORKERS};
+pub use oracle::{check_household, Divergence, HouseholdReport, Phase};
 pub use rng::SplitMix64;
 pub use shrink::shrink;
 pub use template::{ActionFragment, GuardFragment, ScenarioApp, TriggerFragment};

@@ -1,8 +1,9 @@
-//! The differential oracle: four engine configurations, one verdict.
+//! The differential oracle: four runs, one verdict.
 //!
 //! For each generated [`Household`] the oracle runs the full pipeline four
-//! ways — sequential, parallel workers, property-directed slicing, and a
-//! warm-cache rerun — and asserts they agree.  It also checks the compiled
+//! ways — a serial reference, the concurrent fleet executor,
+//! property-directed slicing, and a warm-cache rerun — and asserts they
+//! agree.  It also checks the compiled
 //! property evaluator the search relies on against the interpreted reference
 //! semantics, group by group.  The sequential reference is a
 //! serial loop of [`VerificationPlanner::verify_job`] over the plan, kept
@@ -19,16 +20,13 @@
 //!   [`PropertySet::check_point`](iotsan_properties::PropertySet::check_point)
 //!   does on the rendered snapshot, for the
 //!   built-ins and the household's generated custom specs alike.
-//! * **parallel == sequential**: identical [`GroupOutcome`]s (violated sets,
-//!   state and transition counts) — the sharded parallel checker's
-//!   deterministic-merge guarantee.
 //! * **sliced == sequential**: identical violated sets per group; state and
 //!   transition counts may only shrink (slicing prunes, never adds).
 //! * **warm == sequential**: identical outcomes with every group served from
 //!   the cache ([`FleetReport::cache_hits`] equals the group count).
 //!
-//! Count comparisons are skipped when any run truncated (depth or state cap
-//! fired): the deterministic-merge guarantee only covers complete searches.
+//! The sliced state-count comparison is skipped when a run truncated (a
+//! state cap fired): a capped search's counts are only a lower bound.
 //! Small households additionally spot-check the Promela emitter's LTL
 //! derivation: every property the native checker evaluated must appear as an
 //! `ltl pN { ... }` block rendered from the same spec.
@@ -58,8 +56,6 @@ pub enum Phase {
     /// The compiled property evaluator differed from the interpreted
     /// reference on a random state vector.
     Properties,
-    /// Parallel outcome differed from sequential.
-    Parallel,
     /// Sliced violated sets differed from sequential (or grew the search).
     Sliced,
     /// Warm-cache rerun differed, or some group missed the cache.
@@ -74,7 +70,6 @@ impl fmt::Display for Phase {
             Phase::Translate => "translate",
             Phase::Execute => "execute",
             Phase::Properties => "properties",
-            Phase::Parallel => "parallel",
             Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
             Phase::Promela => "promela",
@@ -111,23 +106,19 @@ pub struct HouseholdReport {
     pub states: usize,
     /// Transitions applied by the sequential run.
     pub transitions: usize,
-    /// True when any of the four runs truncated (counts not compared).
+    /// True when the reference or sliced run truncated (counts not
+    /// compared).
     pub truncated: bool,
     /// True when the Promela LTL spot-check ran for this household.
     pub promela_checked: bool,
 }
 
-/// Worker count used for the parallel leg of the differential check — small
-/// enough for CI runners, large enough that the sharded store actually
-/// shards.
-pub const PARALLEL_WORKERS: usize = 3;
-
 /// Households at or below these sizes also get the Promela LTL spot-check.
 const PROMELA_MAX_APPS: usize = 2;
 const PROMELA_MAX_DEVICES: usize = 4;
 
-fn pipeline_for(household: &Household, workers: usize, sliced: bool) -> Pipeline {
-    let mut pipeline = Pipeline::with_events(household.events).with_workers(workers);
+fn pipeline_for(household: &Household, sliced: bool) -> Pipeline {
+    let mut pipeline = Pipeline::with_events(household.events);
     if household.failures {
         pipeline = pipeline.with_failures();
     }
@@ -145,7 +136,7 @@ fn outcome_detail(label: &str, a: &[GroupOutcome], b: &[GroupOutcome]) -> String
     format!("{label}: sequential {a:?} vs {b:?}")
 }
 
-/// Runs the four-way differential check on one household.
+/// Runs the differential check on one household.
 ///
 /// Returns the aggregate report when every engine agreed, or the first
 /// [`Divergence`] found.  Deterministic: same household, same result.
@@ -169,7 +160,7 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     let config = &household.config;
 
     // --- Sequential reference: the plan's jobs, one after another ----------
-    let seq_pipeline = pipeline_for(household, 1, false);
+    let seq_pipeline = pipeline_for(household, false);
     let (seq_outcome, mut truncated) = serial_reference(&seq_pipeline, &apps, config);
 
     // --- The concurrent fleet executor must reproduce it exactly -----------
@@ -186,27 +177,8 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     check_properties(&seq_pipeline, &apps, config, seed)
         .map_err(|detail| diverge(Phase::Properties, detail))?;
 
-    // --- Parallel workers must reproduce it exactly ------------------------
-    let par_pipeline = pipeline_for(household, PARALLEL_WORKERS, false);
-    let par = par_pipeline.verify_fleet(&apps, config, &mut VerificationCache::new());
-    truncated |= fleet_truncated(&par);
-    if !truncated && par.outcome() != seq_outcome {
-        return Err(diverge(
-            Phase::Parallel,
-            outcome_detail("parallel outcome mismatch", &seq_outcome, &par.outcome()),
-        ));
-    }
-    if truncated && violated_of(&par.outcome()) != violated_of(&seq_outcome) {
-        // Even truncated runs explore in a deterministic order, but depth
-        // caps make count equality too strong — hold the verdict sets only.
-        return Err(diverge(
-            Phase::Parallel,
-            outcome_detail("parallel verdicts mismatch", &seq_outcome, &par.outcome()),
-        ));
-    }
-
     // --- Slicing must preserve verdicts and never grow the search ----------
-    let sliced_pipeline = pipeline_for(household, 1, true);
+    let sliced_pipeline = pipeline_for(household, true);
     let sliced = sliced_pipeline.verify_fleet(&apps, config, &mut VerificationCache::new());
     let sliced_outcome = sliced.outcome();
     if sliced_outcome.len() != seq_outcome.len() {
@@ -401,10 +373,6 @@ fn random_step(rng: &mut SplitMix64, system: &InstalledSystem) -> StepObservatio
         });
     }
     step
-}
-
-fn violated_of(outcome: &[GroupOutcome]) -> Vec<BTreeSet<u32>> {
-    outcome.iter().map(|g| g.violated_properties.clone()).collect()
 }
 
 fn states_of(outcome: &[GroupOutcome]) -> usize {

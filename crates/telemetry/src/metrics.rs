@@ -518,10 +518,9 @@ macro_rules! registry {
 pub const GROUP_SIZE_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 
 registry! {
-    // Checker family: flushed once per finished search (sequential engine
-    // and parallel merge alike), never per state.
+    // Checker family: flushed once per finished search, never per state.
     counter checker_searches: "iotsan_checker_searches_total", "searches",
-        "Finished model-checking searches (sequential or parallel)";
+        "Finished model-checking searches";
     counter checker_states: "iotsan_checker_states_total", "states",
         "Distinct states admitted to visited-state stores across all searches";
     counter checker_transitions: "iotsan_checker_transitions_total", "transitions",

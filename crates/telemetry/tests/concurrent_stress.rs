@@ -1,5 +1,5 @@
 //! Concurrent-increment stress: the registry's primitives are shared by the
-//! parallel checker's workers and the daemon's worker pool, so contended
+//! planner's group threads and the daemon's worker pool, so contended
 //! updates must never be lost or double-counted.  The statics mirror how the
 //! global registry embeds each primitive.
 

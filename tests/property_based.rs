@@ -1,9 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of IotSan-rs.
 
-use iotsan::checker::{
-    BitstateStore, Checker, ExactStore, SearchConfig, ShardedStore, StateStore, StoreKind,
-};
+use iotsan::checker::{BitstateStore, Checker, ExactStore, SearchConfig, StateStore};
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::devices::{registry, Device, DeviceId};
 use iotsan::ir::Value;
@@ -91,25 +89,17 @@ proptest! {
         proptest::collection::vec(0u8..8, 1..12), 1..200)) {
         let mut exact = ExactStore::new();
         let mut bitstate = BitstateStore::with_defaults();
-        let sharded = ShardedStore::new(StoreKind::Exact, 8);
         let mut exact_new = 0usize;
         let mut bitstate_new = 0usize;
-        let mut sharded_new = 0usize;
         for state in &states {
             if exact.insert(state) { exact_new += 1; }
             if bitstate.insert(state) { bitstate_new += 1; }
-            if sharded.insert(state) { sharded_new += 1; }
         }
         prop_assert!(bitstate_new <= exact_new);
-        // Sharding an exact store never changes the admitted set.
-        prop_assert_eq!(sharded_new, exact_new);
-        prop_assert_eq!(sharded.len(), exact.len());
         // Re-inserting everything yields zero new states in all stores.
         for state in &states {
             prop_assert!(!exact.insert(state));
             prop_assert!(!bitstate.insert(state));
-            prop_assert!(!sharded.insert(state));
-            prop_assert!(sharded.contains(state));
         }
     }
 }

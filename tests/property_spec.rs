@@ -89,13 +89,13 @@ fn golden_ltl_renderings_match_the_pre_redesign_catalog() {
     }
 }
 
-/// `repro parallel`'s quick-profile workload (8 market apps, failure
+/// `repro throughput`'s quick-profile workload (8 market apps, failure
 /// injection, 3 events): the violated-property set and the state/transition
 /// counts must be byte-identical to the pre-redesign enum catalog.
 #[test]
 fn golden_parallel_workload_verdict_is_unchanged() {
     let (apps, config) = iotsan_bench::scaling_workload();
-    let run = iotsan_bench::run_search(&apps, &config, 3, 1, true, Duration::from_secs(300));
+    let run = iotsan_bench::run_search(&apps, &config, 3, true, Duration::from_secs(300));
     assert!(!run.truncated);
     let violated: BTreeSet<u32> = run.report.violated_properties();
     let expected: BTreeSet<u32> =
@@ -122,15 +122,8 @@ fn golden_fleet_workload_verdicts_are_unchanged() {
     for (corpus, expected, states, transitions, groups) in cases {
         let (apps, config) = iotsan_bench::fleet_workload(corpus);
         let mut cache = iotsan::planner::VerificationCache::new();
-        let run = iotsan_bench::run_fleet(
-            &apps,
-            &config,
-            2,
-            1,
-            true,
-            Duration::from_secs(300),
-            &mut cache,
-        );
+        let run =
+            iotsan_bench::run_fleet(&apps, &config, 2, true, Duration::from_secs(300), &mut cache);
         assert!(!run.truncated(), "corpus {corpus} truncated");
         let violated: BTreeSet<u32> = run.report.violated_properties();
         assert_eq!(violated, expected.iter().copied().collect(), "corpus {corpus}");

@@ -1,10 +1,10 @@
-//! Cross-layer telemetry flush exactness: concurrent parallel searches must
-//! land their per-search tallies in the global registry without losing or
+//! Cross-layer telemetry flush exactness: concurrent searches on separate
+//! threads must land their per-search tallies in the global registry without losing or
 //! double-counting anything.  The checker flushes once per search, so the
 //! registry deltas across N simultaneous searches of the same model must be
 //! exactly N times one search's statistics.
 
-use iotsan::checker::{Checker, ParallelChecker, SearchConfig};
+use iotsan::checker::{Checker, SearchConfig};
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::model::{ModelOptions, SequentialModel};
 use iotsan::properties::PropertySet;
@@ -12,6 +12,7 @@ use iotsan::system::InstalledSystem;
 use iotsan::translate_sources;
 use iotsan_apps::market;
 use iotsan_telemetry::snapshot;
+use std::sync::Barrier;
 
 const DEPTH: usize = 2;
 const SEARCHES: u64 = 4;
@@ -28,7 +29,7 @@ fn model() -> SequentialModel {
 }
 
 #[test]
-fn concurrent_parallel_searches_flush_exact_deltas() {
+fn concurrent_searches_flush_exact_deltas() {
     // Reference run outside the measured window: one search's ground truth.
     let reference = Checker::new(SearchConfig::with_depth(DEPTH)).verify(&model());
     let states = reference.stats.states_stored as u64;
@@ -36,12 +37,17 @@ fn concurrent_parallel_searches_flush_exact_deltas() {
     assert!(states > 0, "the reference workload explores something");
 
     let before = snapshot();
+    // Every thread builds its model first, then all searches start together
+    // so their flushes overlap.
+    let start = Barrier::new(SEARCHES as usize);
     std::thread::scope(|s| {
         for _ in 0..SEARCHES {
             s.spawn(|| {
-                let report = ParallelChecker::new(SearchConfig::with_depth(DEPTH).parallel(3))
-                    .verify(&model());
+                let model = model();
+                start.wait();
+                let report = Checker::new(SearchConfig::with_depth(DEPTH)).verify(&model);
                 assert_eq!(report.stats.states_stored as u64, states);
+                assert_eq!(report.stats.transitions as u64, transitions);
             });
         }
     });

@@ -33,10 +33,8 @@ fn facade_exposes_the_pipeline_entry_points() {
     let result = Pipeline::with_events(1).verify(&apps, &config);
     assert!(!result.has_violations());
 
-    // The checker is independently reachable for custom models, in both its
-    // sequential and parallel (multi-core) forms.
+    // The checker is independently reachable for custom models.
     let _ = Checker::new(SearchConfig::with_depth(1));
-    let _ = iotsan::checker::ParallelChecker::new(SearchConfig::with_depth(1).parallel(4));
 }
 
 /// The re-exported sibling crates stay addressable by their facade paths
