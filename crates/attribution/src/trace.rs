@@ -115,7 +115,7 @@ pub fn attribute_traces(
         .iter()
         .map(|found| TraceAttribution {
             property: found.violation.property,
-            description: found.violation.description.clone(),
+            description: found.violation.description.to_string(),
             suspects: rank_suspects(group_apps, &found.trace),
         })
         .collect()

@@ -518,6 +518,11 @@ fn record_violations<T: TransitionSystem>(
     report: &mut SearchReport,
     path_buf: &mut Vec<T::Action>,
 ) {
+    // Almost every violating transition re-violates reported properties
+    // only: return before collecting anything.
+    if violations.iter().all(|v| seen.contains(&v.property)) {
+        return;
+    }
     let fresh: Vec<&Violation> = violations.iter().filter(|v| seen.insert(v.property)).collect();
     let Some((last, rest)) = fresh.split_last() else { return };
     arena.path(parent, path_buf);

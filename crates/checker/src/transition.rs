@@ -26,14 +26,19 @@
 
 use crate::trace::LogLine;
 use std::fmt;
+use std::sync::Arc;
 
 /// A safety violation reported by the model while applying an action.
+///
+/// Models report one per violated property on every violating transition —
+/// most of which the checker then drops as already reported — so the
+/// description is shared, not copied: cloning a `Violation` never allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Violation {
     /// Identifier of the violated property (the catalog's `PropertyId.0`).
     pub property: u32,
     /// Human-readable description of the violated property.
-    pub description: String,
+    pub description: Arc<str>,
 }
 
 impl fmt::Display for Violation {
@@ -229,7 +234,7 @@ pub(crate) mod testing {
             if next == self.bad_value {
                 violations.push(Violation {
                     property: 1,
-                    description: format!("counter reached {next}"),
+                    description: format!("counter reached {next}").into(),
                 });
             }
             log.push(|| next);

@@ -12,6 +12,10 @@
 //! buffer, and log output is *deferred* — structured [`LogEvent`]s pushed
 //! through a [`StepLog`] that is disabled during search, so no log string (or
 //! even event) is ever built unless a counterexample is being materialized.
+//! Sending a command builds no string either: its [`CommandRecord`] borrows
+//! the command name from the device spec, the device reports the positions
+//! of the attributes it changed, and the resulting events are keyed by
+//! [`InstalledSystem::device_attr_sym`].
 
 use crate::logevent::LogEvent;
 use crate::system::{InstalledSystem, InternalEvent, SystemState};
@@ -21,6 +25,7 @@ use iotsan_ir::{EventField, IrBinOp, IrExpr, IrHandler, IrStmt, Quantifier, Sym,
 use iotsan_properties::{
     CommandRecord, FakeEventRecord, MessageChannel, MessageRecord, NetworkRecord, StepObservation,
 };
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Upper bound on `while` loop iterations (keeps handler execution finite).
@@ -37,14 +42,9 @@ pub struct DispatchedEvent {
     pub value: Value,
 }
 
-impl DispatchedEvent {
-    /// Builds a dispatched event from an internal event.
-    pub fn from_internal(event: &InternalEvent) -> Self {
-        DispatchedEvent {
-            device: event.device,
-            attribute: event.attribute,
-            value: event.value.clone(),
-        }
+impl From<InternalEvent> for DispatchedEvent {
+    fn from(event: InternalEvent) -> Self {
+        DispatchedEvent { device: event.device, attribute: event.attribute, value: event.value }
     }
 }
 
@@ -69,7 +69,6 @@ pub fn run_handler(
     let mut interp = Interpreter {
         system,
         app_index,
-        handler,
         event,
         state,
         observation,
@@ -98,7 +97,6 @@ enum Flow {
 struct Interpreter<'a> {
     system: &'a InstalledSystem,
     app_index: usize,
-    handler: &'a IrHandler,
     event: &'a DispatchedEvent,
     state: &'a mut SystemState,
     observation: &'a mut StepObservation,
@@ -329,64 +327,53 @@ impl<'a> Interpreter<'a> {
     }
 
     fn send_command(&mut self, device_id: DeviceId, command: &str, args: &[Value]) {
-        let device = self.system.device(device_id);
         let spec = self.system.device_spec(device_id);
-        if self.inject_command_failure {
-            self.observation.command_failures += 1;
-            self.observation.commands.push(CommandRecord {
-                app: self.app_name().to_string(),
-                handler: self.handler.name.clone(),
-                device: device_id,
-                device_label: device.label.clone(),
-                command: command.to_string(),
-                delivered: false,
-                changed_state: false,
-            });
-            self.log.push(|| LogEvent::Command {
-                device: device_id,
-                command: command.to_string(),
-                lost: true,
-            });
-            return;
-        }
-        let outcome = self.state.devices[device_id.0 as usize].apply_command(spec, command, args);
-        let (delivered, changed_state) = match &outcome {
+        // Resolved once: the record borrows the spec's `'static` name, and
+        // only a command the spec does not define is copied.
+        let resolved = spec.command(command);
+        let name =
+            resolved.map_or_else(|| Cow::Owned(command.to_string()), |c| Cow::Borrowed(c.name));
+        let lost = self.inject_command_failure;
+        let outcome = if lost {
+            CommandOutcome::Offline
+        } else {
+            self.state.devices[device_id.0 as usize].run_command(spec, resolved, args)
+        };
+        let (delivered, changed_state) = match outcome {
             CommandOutcome::Changed(_) => (true, true),
-            CommandOutcome::NoChange => (true, false),
-            CommandOutcome::Unsupported => (true, false),
+            CommandOutcome::NoChange | CommandOutcome::Unsupported => (true, false),
             CommandOutcome::Offline => (false, false),
         };
-        if matches!(outcome, CommandOutcome::Offline) {
+        if !delivered {
             self.observation.command_failures += 1;
         }
         self.observation.commands.push(CommandRecord {
-            app: self.app_name().to_string(),
-            handler: self.handler.name.clone(),
             device: device_id,
-            device_label: device.label.clone(),
-            command: command.to_string(),
+            command: name,
             delivered,
             changed_state,
         });
         self.log.push(|| LogEvent::Command {
             device: device_id,
             command: command.to_string(),
-            lost: false,
+            lost,
         });
-        if let CommandOutcome::Changed(changes) = outcome {
-            for (attribute, value) in changes {
-                self.log.push(|| LogEvent::AttrChange {
-                    device: device_id,
-                    attribute: attribute.clone(),
-                    value: value.clone(),
-                });
-                self.events_out.push(InternalEvent {
-                    device: Some(device_id),
-                    attribute: self.system.sym_of(&attribute),
-                    value,
-                    physical: false,
-                });
-            }
+        let CommandOutcome::Changed(changed) = outcome else { return };
+        for &attr_index in changed.positions() {
+            let attr_index = attr_index as usize;
+            let attribute = self.system.device_attr_sym(device_id, attr_index);
+            let value = self.state.devices[device_id.0 as usize].value_at(spec, attr_index);
+            self.log.push(|| LogEvent::AttrChange {
+                device: device_id,
+                attribute,
+                value: value.clone(),
+            });
+            self.events_out.push(InternalEvent {
+                device: Some(device_id),
+                attribute,
+                value,
+                physical: false,
+            });
         }
     }
 

@@ -85,8 +85,8 @@ pub enum LogEvent {
     AttrChange {
         /// The device.
         device: DeviceId,
-        /// Attribute name.
-        attribute: String,
+        /// Interned attribute name.
+        attribute: Sym,
         /// New value.
         value: Value,
     },
@@ -173,9 +173,11 @@ impl LogEvent {
                     LogLine::new(format!("{}.{command}()", label(device)))
                 }
             }
-            LogEvent::AttrChange { device, attribute, value } => {
-                LogLine::new(format!("{}.{attribute} = {value}", label(device)))
-            }
+            LogEvent::AttrChange { device, attribute, value } => LogLine::new(format!(
+                "{}.{} = {value}",
+                label(device),
+                system.attr_name(*attribute)
+            )),
             LogEvent::SensorOffline { device, attribute, value } => LogLine::new(format!(
                 "{} is OFFLINE; event {}={value} missed",
                 label(device),
@@ -252,7 +254,7 @@ mod tests {
         assert_eq!(lost.text, "doorLock.unlock() LOST (failure)");
         let change = LogEvent::AttrChange {
             device: DeviceId(0),
-            attribute: "lock".into(),
+            attribute: sys.sym_of("lock"),
             value: Value::Str("unlocked".into()),
         }
         .render(&sys);

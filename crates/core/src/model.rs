@@ -25,6 +25,16 @@
 //! constructing its successor state.  The compiled properties read the
 //! successor's device states and mode directly: no snapshot of the physical
 //! state is rendered per transition.
+//!
+//! Names are resolved when the model is built, not per transition.  The
+//! *subscription index* lists, for each interned event attribute, the
+//! handlers whose trigger names it (app-then-handler order, with each
+//! input's bound devices), so dispatching an event walks only that list and
+//! applies the value and device filters: no attribute or input name is
+//! compared or hashed.  The state-independent actions (app touches, timers,
+//! location events) are listed once.  Each property's [`Violation`] is built
+//! once, and a violating transition reports a clone that shares its
+//! description.
 //! Log lines and action strings are rendered only for materialized
 //! counterexamples ([`TransitionSystem::display_action`] /
 //! [`TransitionSystem::render_event`]).
@@ -123,20 +133,112 @@ pub struct ModelScratch {
 #[derive(Debug, Clone)]
 struct ModelCore {
     system: InstalledSystem,
-    /// The registry (names, classes — counterexample metadata).
-    properties: PropertySet,
+    /// One [`Violation`] per spec of the registry, built once: reporting
+    /// one clones it, which shares its description instead of copying it.
+    violations: Vec<Violation>,
     /// The registry compiled against `system` at model-construction time:
     /// atoms resolved to domain-index masks over the state vector, constant
     /// properties folded away, formulas flattened to programs over a
     /// deduplicated atom table (see `iotsan-properties::compile`).
     compiled: CompiledPropertySet,
+    /// The subscription index: `subscriptions[sym]` lists the handlers
+    /// whose trigger names the interned event attribute `sym`, in
+    /// app-then-handler order (see [`subscription_index`]).
+    subscriptions: Vec<Vec<Subscriber>>,
+    /// The app-touch, timer and location-event actions, which every state
+    /// below the event bound offers (see [`fixed_actions`]).
+    fixed_actions: Vec<ExternalAction>,
     options: ModelOptions,
+}
+
+/// The event attribute a handler's trigger names, if events can reach it at
+/// all (app touches and timers are dispatched directly, never by attribute).
+fn trigger_attribute(trigger: &Trigger) -> Option<&str> {
+    match trigger {
+        Trigger::Device { attribute, .. } => Some(attribute),
+        Trigger::LocationMode { .. } => Some("mode"),
+        Trigger::LocationEvent { name } => Some(name),
+        Trigger::AppTouch | Trigger::Timer { .. } => None,
+    }
+}
+
+/// One handler in the subscription index.
+#[derive(Debug, Clone)]
+struct Subscriber {
+    app: u32,
+    handler: u32,
+    /// For a device trigger, the devices its input is bound to, resolved
+    /// here so the device filter looks up no input name per event.
+    bound: Box<[DeviceId]>,
+}
+
+/// For each interned symbol, the handlers whose trigger names it, in
+/// app-then-handler order.  Every dispatched event's attribute is interned
+/// at installation, so a trigger naming a symbol the table does not hold can
+/// never match and is left out.
+fn subscription_index(system: &InstalledSystem) -> Vec<Vec<Subscriber>> {
+    let mut index = vec![Vec::new(); system.symbols.len()];
+    for (app_index, app) in system.apps.iter().enumerate() {
+        for (handler_index, handler) in app.handlers.iter().enumerate() {
+            let Some(sym) =
+                trigger_attribute(&handler.trigger).and_then(|n| system.symbols.lookup(n))
+            else {
+                continue;
+            };
+            let bound = match &handler.trigger {
+                Trigger::Device { input, .. } => system.bound_slice(app_index, input).into(),
+                _ => Box::default(),
+            };
+            index[sym.index()].push(Subscriber {
+                app: app_index as u32,
+                handler: handler_index as u32,
+                bound,
+            });
+        }
+    }
+    index
+}
+
+/// The actions that do not depend on the state, in the order the model
+/// offers them after the sensor events: per app, its touch (when a handler
+/// subscribes to one), its timers, then each location event not offered yet.
+fn fixed_actions(system: &InstalledSystem) -> Vec<ExternalAction> {
+    let mut out = Vec::new();
+    for (app_index, app) in system.apps.iter().enumerate() {
+        if app.handlers.iter().any(|h| matches!(h.trigger, Trigger::AppTouch)) {
+            out.push(ExternalAction::AppTouch { app: app_index as u32 });
+        }
+        for (handler_index, handler) in app.handlers.iter().enumerate() {
+            if matches!(handler.trigger, Trigger::Timer { .. }) {
+                out.push(ExternalAction::TimerFire {
+                    app: app_index as u32,
+                    handler: handler_index as u32,
+                });
+            }
+        }
+        for handler in &app.handlers {
+            if let Trigger::LocationEvent { name } = &handler.trigger {
+                let action = ExternalAction::LocationEvent { name: system.sym_of(name) };
+                if !out.contains(&action) {
+                    out.push(action);
+                }
+            }
+        }
+    }
+    out
 }
 
 impl ModelCore {
     fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
         let compiled = system.compile_properties(&properties);
-        ModelCore { system, properties, compiled, options }
+        let violations = properties
+            .specs()
+            .iter()
+            .map(|spec| Violation { property: spec.id, description: spec.name.as_str().into() })
+            .collect();
+        let subscriptions = subscription_index(&system);
+        let fixed_actions = fixed_actions(&system);
+        ModelCore { system, violations, compiled, subscriptions, fixed_actions, options }
     }
 
     /// The initial state, with one zeroed leads-to monitor slot per compiled
@@ -184,27 +286,7 @@ impl ModelCore {
                 }
             }
         }
-        for (app_index, app) in self.system.apps.iter().enumerate() {
-            if app.handlers.iter().any(|h| matches!(h.trigger, Trigger::AppTouch)) {
-                out.push(ExternalAction::AppTouch { app: app_index as u32 });
-            }
-            for (handler_index, handler) in app.handlers.iter().enumerate() {
-                if matches!(handler.trigger, Trigger::Timer { .. }) {
-                    out.push(ExternalAction::TimerFire {
-                        app: app_index as u32,
-                        handler: handler_index as u32,
-                    });
-                }
-            }
-            for handler in &app.handlers {
-                if let Trigger::LocationEvent { name } = &handler.trigger {
-                    let action = ExternalAction::LocationEvent { name: self.system.sym_of(name) };
-                    if !out.contains(&action) {
-                        out.push(action);
-                    }
-                }
-            }
-        }
+        out.extend_from_slice(&self.fixed_actions);
     }
 
     /// The domain value of a sensor attribute as a [`Value`] (numeric domain
@@ -365,38 +447,33 @@ impl ModelCore {
         }
     }
 
-    /// True when `handler` of `app_index` subscribes to `event`.
-    fn subscribes(
-        &self,
-        app_index: usize,
-        handler: &iotsan_ir::IrHandler,
-        event: &InternalEvent,
-    ) -> bool {
-        let event_attribute = self.system.attr_name(event.attribute);
-        match &handler.trigger {
-            Trigger::Device { input, attribute, value } => {
-                if attribute != event_attribute {
-                    return false;
-                }
-                if let Some(expected) = value {
-                    if !event.value.eq_str(expected) {
-                        return false;
+    /// The `(app, handler)` positions `event` is dispatched to, in
+    /// app-then-handler order: the handlers indexed under its attribute whose
+    /// value and device filters accept it.  No attribute or input name is
+    /// compared or looked up.
+    fn subscribers<'s>(
+        &'s self,
+        event: &'s DispatchedEvent,
+    ) -> impl Iterator<Item = (usize, usize)> + 's {
+        let indexed =
+            self.subscriptions.get(event.attribute.index()).map_or(&[][..], Vec::as_slice);
+        let value_matches =
+            |expected: &Option<String>| expected.as_ref().map_or(true, |v| event.value.eq_str(v));
+        indexed
+            .iter()
+            .filter(move |s| {
+                match &self.system.apps[s.app as usize].handlers[s.handler as usize].trigger {
+                    Trigger::Device { value, .. } => {
+                        // A device-less event (e.g. a fake `sendEvent`) reaches
+                        // any subscriber of that attribute.
+                        value_matches(value) && event.device.map_or(true, |d| s.bound.contains(&d))
                     }
+                    Trigger::LocationMode { value } => value_matches(value),
+                    Trigger::LocationEvent { .. } => true,
+                    Trigger::AppTouch | Trigger::Timer { .. } => false,
                 }
-                match event.device {
-                    Some(device) => self.system.bound_slice(app_index, input).contains(&device),
-                    // A device-less event (e.g. a fake `sendEvent`) reaches any
-                    // subscriber of that attribute.
-                    None => true,
-                }
-            }
-            Trigger::LocationMode { value } => {
-                event_attribute == "mode"
-                    && value.as_ref().map(|v| event.value.eq_str(v)).unwrap_or(true)
-            }
-            Trigger::LocationEvent { name } => event_attribute == *name,
-            Trigger::AppTouch | Trigger::Timer { .. } => false,
-        }
+            })
+            .map(|s| (s.app as usize, s.handler as usize))
     }
 
     /// Dispatches one event to every subscribed handler (Algorithm 1's
@@ -404,31 +481,25 @@ impl ModelCore {
     fn dispatch_one(
         &self,
         state: &mut SystemState,
-        event: &InternalEvent,
+        event: InternalEvent,
         observation: &mut StepObservation,
         events: &mut Vec<InternalEvent>,
         log: &mut StepLog<LogEvent>,
         commands_fail: bool,
     ) {
-        let dispatched = DispatchedEvent::from_internal(event);
-        for app_index in 0..self.system.apps.len() {
-            for handler_index in 0..self.system.apps[app_index].handlers.len() {
-                let handler = &self.system.apps[app_index].handlers[handler_index];
-                if !self.subscribes(app_index, handler, event) {
-                    continue;
-                }
-                run_handler(
-                    &self.system,
-                    app_index,
-                    handler,
-                    &dispatched,
-                    state,
-                    observation,
-                    commands_fail,
-                    events,
-                    log,
-                );
-            }
+        let event = DispatchedEvent::from(event);
+        for (app_index, handler_index) in self.subscribers(&event) {
+            run_handler(
+                &self.system,
+                app_index,
+                &self.system.apps[app_index].handlers[handler_index],
+                &event,
+                state,
+                observation,
+                commands_fail,
+                events,
+                log,
+            );
         }
     }
 
@@ -462,7 +533,7 @@ impl ModelCore {
                 },
             );
             cursor += 1;
-            self.dispatch_one(state, &event, observation, queue, log, commands_fail);
+            self.dispatch_one(state, event, observation, queue, log, commands_fail);
         }
     }
 
@@ -505,16 +576,11 @@ impl ModelCore {
     }
 
     /// Maps violated spec indices to [`Violation`]s, sorted by property id.
-    /// Allocates only when there are violations to report.
+    /// Allocates only the returned `Vec`, and only when there are violations
+    /// to report.
     fn to_violations(&self, violated: &[usize]) -> Vec<Violation> {
-        let specs = self.properties.specs();
-        let mut violations: Vec<Violation> = violated
-            .iter()
-            .map(|&index| Violation {
-                property: specs[index].id,
-                description: specs[index].name.clone(),
-            })
-            .collect();
+        let mut violations: Vec<Violation> =
+            violated.iter().map(|&index| self.violations[index].clone()).collect();
         violations.sort_unstable_by_key(|v| v.property);
         violations
     }
@@ -596,6 +662,15 @@ impl SequentialModel {
     /// The options the model was built with.
     pub fn options(&self) -> &ModelOptions {
         &self.core.options
+    }
+
+    /// The `(app, handler)` positions `event` is dispatched to, in dispatch
+    /// order (apps, then handlers, as installed).
+    pub fn subscribers<'s>(
+        &'s self,
+        event: &'s DispatchedEvent,
+    ) -> impl Iterator<Item = (usize, usize)> + 's {
+        self.core.subscribers(event)
     }
 }
 
@@ -737,7 +812,7 @@ impl TransitionSystem for ConcurrentModel {
                     if next.pending.len() < self.core.options.max_cascade {
                         self.core.dispatch_one(
                             &mut next,
-                            &event,
+                            event,
                             &mut scratch.observation,
                             &mut scratch.queue,
                             log,

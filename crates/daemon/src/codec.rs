@@ -225,7 +225,7 @@ pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
         }
         let depth = r.usize("violation depth")?;
         violations.push(FoundViolation {
-            violation: iotsan::checker::Violation { property, description },
+            violation: iotsan::checker::Violation { property, description: description.into() },
             trace: Trace { steps },
             depth,
         });

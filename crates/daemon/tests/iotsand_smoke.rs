@@ -268,3 +268,39 @@ fn listen_mode_serves_jobs_over_a_unix_socket() {
     assert!(status.success());
     assert!(!socket.exists(), "socket file should be removed on shutdown");
 }
+
+/// A `sources` job nested 100,000 parentheses deep used to overflow a
+/// worker's stack and abort the daemon with every in-flight job.  It is now
+/// rejected with a structured `invalid` outcome, and the next job still runs.
+#[test]
+fn deeply_nested_sources_are_rejected_not_aborted() {
+    let dir = temp_dir("deep");
+    let store = dir.join("verdicts.log");
+    let jobs = dir.join("jobs.ndjson");
+    let n = 100_000;
+    let source = format!(
+        "definition(name: \\\"Deep\\\", namespace: \\\"st\\\", author: \\\"a\\\", description: \
+         \\\"d\\\")\\ndef handler(evt) {{\\n    return {}1{}\\n}}\\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    std::fs::write(
+        &jobs,
+        format!(
+            "{{\"id\":\"deep\",\"sources\":[\"{source}\"]}}\n{{\"id\":\"after\",\"market\":2}}\n"
+        ),
+    )
+    .unwrap();
+    let output = iotsand()
+        .args(["--store", store.to_str().unwrap(), "--jobs", jobs.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let text = String::from_utf8(output.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(lines[0].contains("\"id\":\"deep\""), "{text}");
+    assert!(lines[0].contains("\"status\":\"invalid\""), "{text}");
+    assert!(lines[0].contains("nesting exceeds the budget"), "{text}");
+    assert!(lines[1].contains("\"status\":\"ok\""), "{text}");
+}

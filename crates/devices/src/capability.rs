@@ -681,6 +681,29 @@ mod tests {
         }
     }
 
+    /// `CommandOutcome::Changed` lists positions and the interpreter reads
+    /// the new values from the state afterwards, which is only the value each
+    /// change made when no command sets one attribute twice.
+    #[test]
+    fn no_command_sets_an_attribute_twice() {
+        for spec in registry().specs() {
+            for command in &spec.commands {
+                let mut targets: Vec<&str> = command
+                    .effects
+                    .iter()
+                    .map(|effect| match effect {
+                        CommandEffect::Set { attribute, .. }
+                        | CommandEffect::SetFromArg { attribute } => *attribute,
+                    })
+                    .collect();
+                let count = targets.len();
+                targets.sort_unstable();
+                targets.dedup();
+                assert_eq!(targets.len(), count, "{}.{}", spec.capability, command.name);
+            }
+        }
+    }
+
     #[test]
     fn defaults_are_in_domain() {
         for spec in registry().specs() {

@@ -5,7 +5,7 @@
 //! attribute valuation, stored compactly as domain indices so the model
 //! checker can hash entire system states cheaply.
 
-use crate::capability::{registry, AttrDomain, CommandEffect, DeviceSpec};
+use crate::capability::{registry, AttrDomain, CommandEffect, CommandSpec, DeviceSpec};
 use iotsan_ir::Value;
 use std::fmt;
 
@@ -59,11 +59,11 @@ impl Device {
 }
 
 /// The result of applying a command to a device.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandOutcome {
-    /// The command changed at least one attribute; the new values are the
-    /// `(attribute, value)` pairs listed.
-    Changed(Vec<(String, Value)>),
+    /// The command changed at least one attribute; the positions of the
+    /// changed attributes are listed (read the new values from the state).
+    Changed(ChangedAttrs),
     /// The command was valid but left the state unchanged (e.g. `on()` when
     /// already on) — relevant for the *repeated commands* property.
     NoChange,
@@ -76,6 +76,30 @@ pub enum CommandOutcome {
 /// Upper bound on attributes per device spec (the registry's richest device,
 /// the thermostat, has 4; the inline array leaves headroom).
 pub const MAX_DEVICE_ATTRS: usize = 8;
+
+/// The attribute positions one command changed, in effect order.
+///
+/// Inline and `Copy`: a command sets each attribute of its spec at most once,
+/// so it changes at most [`MAX_DEVICE_ATTRS`] of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChangedAttrs {
+    positions: [u8; MAX_DEVICE_ATTRS],
+    len: u8,
+}
+
+impl ChangedAttrs {
+    const NONE: ChangedAttrs = ChangedAttrs { positions: [0; MAX_DEVICE_ATTRS], len: 0 };
+
+    fn push(&mut self, attr_index: usize) {
+        self.positions[self.len as usize] = attr_index as u8;
+        self.len += 1;
+    }
+
+    /// The changed attribute positions (into [`DeviceSpec::attributes`]).
+    pub fn positions(&self) -> &[u8] {
+        &self.positions[..self.len as usize]
+    }
+}
 
 /// Current attribute valuation of one device.
 ///
@@ -125,7 +149,12 @@ impl DeviceState {
     /// The current value of `attribute` as an [`Value`].
     pub fn get(&self, spec: &DeviceSpec, attribute: &str) -> Value {
         let Some(idx) = spec.attribute_index(attribute) else { return Value::Null };
-        spec.attributes[idx].domain.value(self.values[idx] as usize)
+        self.value_at(spec, idx)
+    }
+
+    /// The current value of the attribute at position `attr_index`.
+    pub fn value_at(&self, spec: &DeviceSpec, attr_index: usize) -> Value {
+        spec.attributes[attr_index].domain.value(self.values[attr_index] as usize)
     }
 
     /// Sets `attribute` to the domain value at `value_index`; returns `true`
@@ -159,20 +188,43 @@ impl DeviceState {
     /// state changed, `false` when it was already equal or the value/attribute
     /// is unknown.
     pub fn set(&mut self, spec: &DeviceSpec, attribute: &str, value: &Value) -> bool {
-        let Some(idx) = spec.attribute_index(attribute) else { return false };
-        let attr = &spec.attributes[idx];
-        let target = match &attr.domain {
-            AttrDomain::Enum(_) => attr.domain.index_of(&value.as_string()),
-            AttrDomain::Numeric(levels) => value.as_number().map(|n| nearest_index(levels, n)),
+        self.set_value(spec, attribute, value).is_some()
+    }
+
+    /// [`DeviceState::set`], returning the attribute's position when the
+    /// state changed.
+    fn set_value(&mut self, spec: &DeviceSpec, attribute: &str, value: &Value) -> Option<usize> {
+        let idx = spec.attribute_index(attribute)?;
+        let domain = &spec.attributes[idx].domain;
+        let target = match (domain, value) {
+            (AttrDomain::Enum(_), Value::Str(text)) => domain.index_of(text),
+            (AttrDomain::Enum(_), _) => domain.index_of(&value.as_string()),
+            (AttrDomain::Numeric(levels), _) => value.as_number().map(|n| nearest_index(levels, n)),
         };
-        match target {
-            Some(value_index) => {
-                let changed = self.values[idx] != value_index as u8;
-                self.values[idx] = value_index as u8;
-                changed
+        self.assign(idx, target)
+    }
+
+    /// [`DeviceState::set_value`] for a command's fixed textual effect,
+    /// matched against the domain without building a [`Value`].
+    fn set_text(&mut self, spec: &DeviceSpec, attribute: &str, value: &str) -> Option<usize> {
+        let idx = spec.attribute_index(attribute)?;
+        let domain = &spec.attributes[idx].domain;
+        let target = match domain {
+            AttrDomain::Enum(_) => domain.index_of(value),
+            AttrDomain::Numeric(levels) => {
+                value.trim().parse::<f64>().ok().map(|n| nearest_index(levels, n))
             }
-            None => false,
-        }
+        };
+        self.assign(idx, target)
+    }
+
+    /// Stores `target` (if any) at `attr_index`; the position when the state
+    /// changed.
+    fn assign(&mut self, attr_index: usize, target: Option<usize>) -> Option<usize> {
+        let value_index = target? as u8;
+        let changed = self.values[attr_index] != value_index;
+        self.values[attr_index] = value_index;
+        changed.then_some(attr_index)
     }
 
     /// Applies an actuator command (with already-evaluated arguments).
@@ -182,31 +234,38 @@ impl DeviceState {
         command: &str,
         args: &[Value],
     ) -> CommandOutcome {
+        self.run_command(spec, spec.command(command), args)
+    }
+
+    /// [`DeviceState::apply_command`] for a command already looked up in
+    /// `spec` (`None`: the spec does not define it), so a caller that also
+    /// needs the command's `'static` name looks it up once.
+    pub fn run_command(
+        &mut self,
+        spec: &DeviceSpec,
+        cmd: Option<&CommandSpec>,
+        args: &[Value],
+    ) -> CommandOutcome {
         if !self.online {
             return CommandOutcome::Offline;
         }
-        let Some(cmd) = spec.command(command) else { return CommandOutcome::Unsupported };
-        let mut changes = Vec::new();
+        let Some(cmd) = cmd else { return CommandOutcome::Unsupported };
+        let mut changed = ChangedAttrs::NONE;
         for effect in &cmd.effects {
-            match effect {
-                CommandEffect::Set { attribute, value } => {
-                    if self.set(spec, attribute, &Value::Str(value.to_string())) {
-                        changes.push((attribute.to_string(), self.get(spec, attribute)));
-                    }
-                }
+            let position = match effect {
+                CommandEffect::Set { attribute, value } => self.set_text(spec, attribute, value),
                 CommandEffect::SetFromArg { attribute } => {
-                    if let Some(arg) = args.first() {
-                        if self.set(spec, attribute, arg) {
-                            changes.push((attribute.to_string(), self.get(spec, attribute)));
-                        }
-                    }
+                    args.first().and_then(|arg| self.set_value(spec, attribute, arg))
                 }
+            };
+            if let Some(position) = position {
+                changed.push(position);
             }
         }
-        if changes.is_empty() {
+        if changed.len == 0 {
             CommandOutcome::NoChange
         } else {
-            CommandOutcome::Changed(changes)
+            CommandOutcome::Changed(changed)
         }
     }
 
@@ -266,7 +325,9 @@ mod tests {
         let spec = lock.spec();
         let mut state = lock.initial_state();
         let outcome = state.apply_command(spec, "unlock", &[]);
-        assert!(matches!(outcome, CommandOutcome::Changed(ref c) if c[0].0 == "lock"));
+        assert!(
+            matches!(outcome, CommandOutcome::Changed(c) if c.positions() == [spec.attribute_index("lock").unwrap() as u8])
+        );
         assert_eq!(state.get(spec, "lock"), Value::Str("unlocked".into()));
         // Re-issuing the same command is a no-op (repeated command).
         assert_eq!(state.apply_command(spec, "unlock", &[]), CommandOutcome::NoChange);

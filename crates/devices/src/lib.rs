@@ -40,7 +40,7 @@ pub use capability::{
     registry, AttrDomain, AttributeSpec, CapabilityRegistry, CommandEffect, CommandSpec,
     DeviceKind, DeviceSpec,
 };
-pub use device::{CommandOutcome, Device, DeviceId, DeviceState};
+pub use device::{ChangedAttrs, CommandOutcome, Device, DeviceId, DeviceState};
 pub use environment::{EnvironmentEvent, LocationMode, SystemTime};
 pub use event::{Event, EventQueue, EventSource};
 pub use failure::{FailureMode, FailurePolicy, FailureStats};

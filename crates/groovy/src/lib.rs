@@ -48,8 +48,8 @@ pub mod span;
 pub mod token;
 
 pub use ast::{Block, Expr, Item, MethodDecl, Script, Stmt};
-pub use error::{ParseError, Result};
-pub use parser::{parse, parse_expression};
+pub use error::{ParseError, ParseErrorKind, Result};
+pub use parser::{parse, parse_expression, EXPRESSION_COST, MAX_NESTING, STATEMENT_COST};
 pub use smartapp::{
     AppMetadata, InputDecl, InputKind, ScheduleDecl, SmartApp, Subscription, SubscriptionSource,
 };

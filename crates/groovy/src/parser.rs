@@ -7,6 +7,24 @@
 //! (e.g. `input "motion", "capability.motionSensor"`), trailing closures and
 //! the usual operators.  Anything outside the subset produces a structured
 //! [`ParseError`] pointing at the offending line.
+//!
+//! # Nesting budget
+//!
+//! Recursive descent spends stack per nesting level, and so does every later
+//! pass over the tree (lowering, analysis, the interpreter, dropping it).  A
+//! hostile source of a few kilobytes of `(((...)))` would overflow the stack
+//! and abort the whole process, which no panic handler can catch.  So the
+//! parser keeps one count and rejects a source that takes it past
+//! [`MAX_NESTING`] with a [`crate::error::ParseErrorKind::TooDeep`] error.
+//! The count rises for each expression ([`EXPRESSION_COST`]), statement
+//! ([`STATEMENT_COST`]), unary operand, ternary branch and `else if` (one
+//! unit each) the parser descends into, and falls again when that returns.
+//! It also rises by one for each link of an operator or call chain (`a + b`,
+//! `x.y`, `f(...)`), which deepens the tree without recursing; links stay
+//! counted until their statement (or method declaration) ends.  A chain's first operand is parsed before its links
+//! are known, so counting links per statement rather than per subexpression
+//! is what bounds the tree's height (by about twice the limit), not just the
+//! parser's recursion.
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
@@ -14,16 +32,34 @@ use crate::lexer::tokenize;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// The nesting budget of one source, in units of roughly 4 KiB of
+/// debug-build parser stack (see the module docs).  At the limit, parsing,
+/// lowering and verifying an app fits a 2 MiB thread stack in a debug build.
+pub const MAX_NESTING: usize = 256;
+
+/// Nesting units one expression descent costs: it recurses through the whole
+/// precedence ladder, a dozen stack frames.
+pub const EXPRESSION_COST: usize = 12;
+
+/// Nesting units one statement costs.
+pub const STATEMENT_COST: usize = 3;
+
 /// Parses a complete smart-app source file into a [`Script`].
 pub fn parse(source: &str) -> Result<Script> {
     let tokens = tokenize(source)?;
-    Parser::new(tokens).parse_script()
+    Parser::new(tokens, 0).parse_script()
 }
 
 /// Parses a single expression (used for GString interpolations and tests).
 pub fn parse_expression(source: &str) -> Result<Expr> {
+    parse_expression_at(source, 0)
+}
+
+/// [`parse_expression`] for an expression nested `depth` units deep (a
+/// GString interpolation inherits its string's nesting).
+fn parse_expression_at(source: &str, depth: usize) -> Result<Expr> {
     let tokens = tokenize(source)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(tokens, depth);
     p.skip_separators();
     let e = p.parse_expr()?;
     p.skip_separators();
@@ -34,11 +70,46 @@ pub fn parse_expression(source: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting (see the module docs); never above [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+    fn new(tokens: Vec<Token>, depth: usize) -> Self {
+        Parser { tokens, pos: 0, depth }
+    }
+
+    // ---- nesting budget --------------------------------------------------
+
+    /// Runs `parse` `cost` nesting units deeper.  Chain links taken inside
+    /// it stay counted until the enclosing [`Parser::unit`] ends.
+    fn nested<T>(&mut self, cost: usize, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.take(cost)?;
+        let result = parse(self);
+        self.depth -= cost;
+        result
+    }
+
+    /// Runs `parse` (a statement or method declaration) one statement
+    /// deeper, then releases every chain link taken inside it.
+    fn unit<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        let depth = self.depth;
+        let result = self.nested(STATEMENT_COST, parse);
+        self.depth = depth;
+        result
+    }
+
+    /// Takes one nesting unit for one link of an operator or call chain.
+    fn link(&mut self) -> Result<()> {
+        self.take(1)
+    }
+
+    fn take(&mut self, units: usize) -> Result<()> {
+        if self.depth + units > MAX_NESTING {
+            return Err(ParseError::too_deep(self.peek_span()));
+        }
+        self.depth += units;
+        Ok(())
     }
 
     // ---- token plumbing ------------------------------------------------
@@ -158,7 +229,7 @@ impl Parser {
                 self.skip_newlines();
             }
             if self.looks_like_method_decl() {
-                items.push(Item::Method(self.parse_method_decl()?));
+                items.push(Item::Method(self.unit(Self::parse_method_decl)?));
             } else {
                 items.push(Item::Stmt(self.parse_stmt()?));
             }
@@ -366,6 +437,10 @@ impl Parser {
     // ---- statements -----------------------------------------------------
 
     fn parse_stmt(&mut self) -> Result<Stmt> {
+        self.unit(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> Result<Stmt> {
         self.skip_separators();
         match self.peek().clone() {
             TokenKind::If => self.parse_if(),
@@ -484,7 +559,7 @@ impl Parser {
             self.bump();
             self.skip_newlines();
             if self.at(&TokenKind::If) {
-                let nested = self.parse_if()?;
+                let nested = self.nested(1, Self::parse_if)?;
                 let span = nested.span();
                 Some(Block { stmts: vec![nested], span })
             } else {
@@ -727,18 +802,18 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_ternary()
+        self.nested(EXPRESSION_COST, Self::parse_ternary)
     }
 
     fn parse_ternary(&mut self) -> Result<Expr> {
         let cond = self.parse_or()?;
         if self.eat(&TokenKind::Question) {
             self.skip_newlines();
-            let then = self.parse_ternary()?;
+            let then = self.nested(1, Self::parse_ternary)?;
             self.skip_newlines();
             self.expect(&TokenKind::Colon)?;
             self.skip_newlines();
-            let els = self.parse_ternary()?;
+            let els = self.nested(1, Self::parse_ternary)?;
             let span = cond.span().merge(els.span());
             return Ok(Expr::Ternary {
                 cond: Box::new(cond),
@@ -749,7 +824,7 @@ impl Parser {
         }
         if self.eat(&TokenKind::Elvis) {
             self.skip_newlines();
-            let fallback = self.parse_ternary()?;
+            let fallback = self.nested(1, Self::parse_ternary)?;
             let span = cond.span().merge(fallback.span());
             return Ok(Expr::Elvis { value: Box::new(cond), fallback: Box::new(fallback), span });
         }
@@ -759,6 +834,7 @@ impl Parser {
     fn parse_or(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_and()?;
         while self.at(&TokenKind::OrOr) {
+            self.link()?;
             self.bump();
             self.skip_newlines();
             let rhs = self.parse_and()?;
@@ -771,6 +847,7 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_equality()?;
         while self.at(&TokenKind::AndAnd) {
+            self.link()?;
             self.bump();
             self.skip_newlines();
             let rhs = self.parse_equality()?;
@@ -788,6 +865,7 @@ impl Parser {
                 TokenKind::NotEq => BinOp::NotEq,
                 _ => break,
             };
+            self.link()?;
             self.bump();
             self.skip_newlines();
             let rhs = self.parse_relational()?;
@@ -808,6 +886,7 @@ impl Parser {
                 TokenKind::Compare => BinOp::Compare,
                 TokenKind::In => BinOp::In,
                 TokenKind::Instanceof => {
+                    self.link()?;
                     self.bump();
                     let ty = self.parse_type_name()?;
                     // `x instanceof T` is approximated as a truthy check that
@@ -818,6 +897,7 @@ impl Parser {
                     continue;
                 }
                 TokenKind::As => {
+                    self.link()?;
                     self.bump();
                     let ty = self.parse_type_name()?;
                     let span = lhs.span();
@@ -826,6 +906,7 @@ impl Parser {
                 }
                 _ => break,
             };
+            self.link()?;
             self.bump();
             self.skip_newlines();
             let rhs = self.parse_range()?;
@@ -837,7 +918,9 @@ impl Parser {
 
     fn parse_range(&mut self) -> Result<Expr> {
         let lhs = self.parse_additive()?;
-        if self.eat(&TokenKind::Range) {
+        if self.at(&TokenKind::Range) {
+            self.link()?;
+            self.bump();
             let rhs = self.parse_additive()?;
             let span = lhs.span().merge(rhs.span());
             return Ok(Expr::Range { from: Box::new(lhs), to: Box::new(rhs), span });
@@ -853,6 +936,7 @@ impl Parser {
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
+            self.link()?;
             self.bump();
             self.skip_newlines();
             let rhs = self.parse_multiplicative()?;
@@ -871,6 +955,7 @@ impl Parser {
                 TokenKind::Percent => BinOp::Mod,
                 _ => break,
             };
+            self.link()?;
             self.bump();
             self.skip_newlines();
             let rhs = self.parse_unary()?;
@@ -884,13 +969,13 @@ impl Parser {
         match self.peek() {
             TokenKind::Not => {
                 let start = self.bump().span;
-                let operand = self.parse_unary()?;
+                let operand = self.nested(1, Self::parse_unary)?;
                 let span = start.merge(operand.span());
                 Ok(Expr::Unary { op: UnOp::Not, operand: Box::new(operand), span })
             }
             TokenKind::Minus => {
                 let start = self.bump().span;
-                let operand = self.parse_unary()?;
+                let operand = self.nested(1, Self::parse_unary)?;
                 let span = start.merge(operand.span());
                 Ok(Expr::Unary { op: UnOp::Neg, operand: Box::new(operand), span })
             }
@@ -903,6 +988,7 @@ impl Parser {
         loop {
             match self.peek() {
                 TokenKind::Dot | TokenKind::SafeDot | TokenKind::SpreadDot => {
+                    self.link()?;
                     let safe = self.at(&TokenKind::SafeDot);
                     self.bump();
                     self.skip_newlines();
@@ -941,6 +1027,7 @@ impl Parser {
                     }
                 }
                 TokenKind::LBracket => {
+                    self.link()?;
                     self.bump();
                     self.skip_newlines();
                     let index = self.parse_expr()?;
@@ -952,6 +1039,7 @@ impl Parser {
                 TokenKind::LParen => {
                     // Call on a bare name: `foo(args)`.
                     if let Expr::Var(name, span) = expr.clone() {
+                        self.link()?;
                         let args = self.parse_paren_args()?;
                         let closure = if self.at(&TokenKind::LBrace) {
                             Some(Box::new(self.parse_closure()?))
@@ -973,6 +1061,7 @@ impl Parser {
                 TokenKind::LBrace => {
                     // Bare name followed by a closure: `preferences { ... }`.
                     if let Expr::Var(name, span) = expr.clone() {
+                        self.link()?;
                         let closure = self.parse_closure()?;
                         expr = Expr::MethodCall {
                             object: None,
@@ -1084,7 +1173,7 @@ impl Parser {
             }
             TokenKind::Str(s) => {
                 self.bump();
-                parse_string_literal(&s, span)
+                parse_string_literal(&s, span, self.depth)
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -1176,9 +1265,16 @@ impl Parser {
     }
 }
 
+/// An error inside a GString interpolation, reported at the string literal
+/// and keeping its kind.
+fn interpolation_error(error: ParseError, span: Span) -> ParseError {
+    ParseError { message: format!("in string interpolation: {}", error.message), span, ..error }
+}
+
 /// Splits a raw string literal into GString parts, parsing `${...}`
 /// interpolations as expressions and `$ident` shorthand as variable lookups.
-fn parse_string_literal(raw: &str, span: Span) -> Result<Expr> {
+/// Interpolations parse `nesting` units deep, the nesting of the literal.
+fn parse_string_literal(raw: &str, span: Span, nesting: usize) -> Result<Expr> {
     if !raw.contains('$') {
         return Ok(Expr::Str(raw.to_string(), span));
     }
@@ -1206,9 +1302,8 @@ fn parse_string_literal(raw: &str, span: Span) -> Result<Expr> {
                 return Err(ParseError::new("unterminated ${...} interpolation", span));
             }
             let inner = &raw[i + 2..j - 1];
-            let expr = parse_expression(inner).map_err(|e| {
-                ParseError::new(format!("in string interpolation: {}", e.message), span)
-            })?;
+            let expr =
+                parse_expression_at(inner, nesting).map_err(|e| interpolation_error(e, span))?;
             parts.push(GStringPart::Interp(expr));
             i = j;
         } else if bytes[i] == b'$'
@@ -1226,9 +1321,8 @@ fn parse_string_literal(raw: &str, span: Span) -> Result<Expr> {
                 j += 1;
             }
             let path = raw[i + 1..j].trim_end_matches('.');
-            let expr = parse_expression(path).map_err(|e| {
-                ParseError::new(format!("in string interpolation: {}", e.message), span)
-            })?;
+            let expr =
+                parse_expression_at(path, nesting).map_err(|e| interpolation_error(e, span))?;
             parts.push(GStringPart::Interp(expr));
             i = i + 1 + path.len();
         } else {
@@ -1249,6 +1343,7 @@ fn parse_string_literal(raw: &str, span: Span) -> Result<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ParseErrorKind;
 
     #[test]
     fn parses_definition_block() {
@@ -1585,5 +1680,75 @@ preferences {
     fn parses_in_operator() {
         let e = parse_expression(r#"evt.value in ["open", "closed"]"#).unwrap();
         assert!(matches!(e, Expr::Binary { op: BinOp::In, .. }));
+    }
+
+    fn handler_returning(expr: &str) -> String {
+        format!("def handler(evt) {{\n    return {expr}\n}}\n")
+    }
+
+    fn assert_too_deep(source: &str) {
+        let err = parse(source).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep, "{err}");
+    }
+
+    /// 100,000 nested parentheses used to overflow the stack and abort the
+    /// process; they are now a typed error.
+    #[test]
+    fn deep_parentheses_are_rejected_not_aborted() {
+        let n = 100_000;
+        assert_too_deep(&handler_returning(&format!("{}1{}", "(".repeat(n), ")".repeat(n))));
+        let err = parse_expression(&format!("{}1{}", "(".repeat(n), ")".repeat(n))).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+    }
+
+    /// Every other way of deepening the tree is budgeted too: unary
+    /// operators, ternaries, statements, `else if` chains, closures, and
+    /// operator and call chains, which build deep trees without recursing.
+    #[test]
+    fn every_deepening_construct_is_budgeted() {
+        let n = 100_000;
+        assert_too_deep(&handler_returning(&format!("{}x", "!".repeat(n))));
+        assert_too_deep(&handler_returning(&format!("{}1", "x ? 1 : ".repeat(n))));
+        assert_too_deep(&handler_returning(&vec!["1"; n].join(" + ")));
+        assert_too_deep(&handler_returning(&vec!["a"; n].join(" && ")));
+        assert_too_deep(&handler_returning(&format!("x{}", ".y".repeat(n))));
+        assert_too_deep(&handler_returning(&format!("x{}", "[0]".repeat(n))));
+        assert_too_deep(&handler_returning(&format!("[{}1{}", "[".repeat(n), "]".repeat(n + 1))));
+        let blocks =
+            format!("def handler(evt) {{\n{}{}\n}}\n", "if (x) {\n".repeat(n), "}\n".repeat(n));
+        assert_too_deep(&blocks);
+        let closures =
+            format!("def handler(evt) {{\n{}{}\n}}\n", "each {\n".repeat(n), "}\n".repeat(n));
+        assert_too_deep(&closures);
+        let chain = format!(
+            "def handler(evt) {{\n    if (a) {{ }}\n{}\n}}\n",
+            "    else if (a) { }\n".repeat(n)
+        );
+        assert_too_deep(&chain);
+    }
+
+    /// A GString interpolation is parsed at the depth of its string, costing
+    /// what a parenthesized expression there would.
+    fn nested(n: usize, inner: &str) -> String {
+        handler_returning(&format!("{}{inner}{}", "(".repeat(n), ")".repeat(n)))
+    }
+
+    #[test]
+    fn interpolations_inherit_the_depth_of_their_string() {
+        let deepest = (0..MAX_NESTING).take_while(|&n| parse(&nested(n, "1")).is_ok()).last();
+        let deepest = deepest.expect("a handler parses");
+        assert!(deepest >= 16, "only {deepest} nested parentheses parse");
+        assert!(deepest < MAX_NESTING / EXPRESSION_COST);
+        assert!(parse(&nested(deepest - 1, "\"${x}\"")).is_ok());
+        assert_too_deep(&nested(deepest, "\"${x}\""));
+    }
+
+    /// The budget is per statement: many statements, each with a moderate
+    /// chain, parse no matter how many there are.
+    #[test]
+    fn nesting_below_the_budget_parses() {
+        parse(&nested(MAX_NESTING / EXPRESSION_COST / 2, "1")).unwrap();
+        let body = "    x = a + b + c.d.e + f(g, h)\n".repeat(10_000);
+        parse(&format!("def handler(evt) {{\n{body}}}\n")).unwrap();
     }
 }

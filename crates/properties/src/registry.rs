@@ -212,12 +212,9 @@ mod tests {
     use iotsan_devices::DeviceId;
     use iotsan_ir::Value;
 
-    fn cmd(device: u32, command: &str) -> CommandRecord {
+    fn cmd(device: u32, command: &'static str) -> CommandRecord {
         CommandRecord {
-            app: "A".into(),
-            handler: "h".into(),
             device: DeviceId(device),
-            device_label: format!("dev{device}"),
             command: command.into(),
             delivered: true,
             changed_state: true,

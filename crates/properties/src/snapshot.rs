@@ -13,6 +13,7 @@
 
 use iotsan_devices::DeviceId;
 use iotsan_ir::Value;
+use std::borrow::Cow;
 
 /// The user-supplied *device association* (§7): what a generic device such as
 /// a smart outlet actually controls in the home.
@@ -195,18 +196,17 @@ impl Snapshot {
 }
 
 /// One actuator command observed during a step.
+///
+/// Recorded for every command the model checker's interpreter sends, so it
+/// carries no owned strings on that path: the command name borrows the
+/// device spec's `'static` name, and only a command the target's spec does
+/// not define is owned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommandRecord {
-    /// The app that issued the command.
-    pub app: String,
-    /// The handler that issued it.
-    pub handler: String,
     /// Target device.
     pub device: DeviceId,
-    /// Target device label.
-    pub device_label: String,
     /// Command name (`on`, `off`, `lock`, ...).
-    pub command: String,
+    pub command: Cow<'static, str>,
     /// Whether the command was actually delivered (false under failure).
     pub delivered: bool,
     /// Whether the command changed the device state (false = repeated/no-op).
@@ -326,8 +326,8 @@ pub fn has_conflicting_commands(step: &StepObservation) -> bool {
             if cmds[i].device != cmds[j].device {
                 continue;
             }
-            let a = cmds[i].command.as_str();
-            let b = cmds[j].command.as_str();
+            let a = &*cmds[i].command;
+            let b = &*cmds[j].command;
             if CONFLICTING_PAIRS.iter().any(|(x, y)| (a == *x && b == *y) || (a == *y && b == *x)) {
                 return true;
             }
@@ -452,10 +452,7 @@ mod tests {
     fn observation_reset_clears_step_records_but_keeps_recipients() {
         let mut obs = StepObservation {
             commands: vec![CommandRecord {
-                app: "A".into(),
-                handler: "h".into(),
                 device: DeviceId(0),
-                device_label: "dev0".into(),
                 command: "on".into(),
                 delivered: true,
                 changed_state: true,
@@ -475,11 +472,8 @@ mod tests {
 
     #[test]
     fn conflicting_and_repeated_commands_detected() {
-        let cmd = |device: u32, command: &str| CommandRecord {
-            app: "A".into(),
-            handler: "h".into(),
+        let cmd = |device: u32, command: &'static str| CommandRecord {
             device: DeviceId(device),
-            device_label: format!("dev{device}"),
             command: command.into(),
             delivered: true,
             changed_state: true,

@@ -1065,10 +1065,7 @@ mod tests {
         let snapshot = Snapshot::default();
         let step = StepObservation {
             commands: vec![CommandRecord {
-                app: "A".into(),
-                handler: "h".into(),
                 device: DeviceId(0),
-                device_label: "doorLock".into(),
                 command: "unlock".into(),
                 delivered: true,
                 changed_state: true,

@@ -348,11 +348,8 @@ fn random_step(rng: &mut SplitMix64, system: &InstalledSystem) -> StepObservatio
                 continue;
             }
             step.commands.push(CommandRecord {
-                app: "oracle".into(),
-                handler: "step".into(),
                 device,
-                device_label: system.device(device).label.clone(),
-                command: rng.pick(commands).name.to_string(),
+                command: rng.pick(commands).name.into(),
                 delivered: true,
                 changed_state: true,
             });

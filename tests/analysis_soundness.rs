@@ -104,9 +104,10 @@ fn assert_log_event_covered(
             prop_assert!(covered, "{summary}: command {command:?} to {device:?} not in summary");
         }
         LogEvent::AttrChange { attribute, .. } => {
+            let name = system.attr_name(*attribute);
             prop_assert!(
-                summary.written_channels().contains(attribute.as_str()),
-                "{summary}: attribute write {attribute:?} not in summary"
+                summary.written_channels().contains(name),
+                "{summary}: attribute write {name:?} not in summary"
             );
         }
         LogEvent::ModeChange { .. } => {

@@ -218,3 +218,76 @@ fn security_properties_fire_for_leaky_apps() {
         .collect();
     assert!(violated.iter().any(|p| p.class == PropertyClass::Security));
 }
+
+/// A smart app whose motion handler turns the lights on when `guard` holds.
+fn guarded_app(guard: &str) -> String {
+    format!(
+        r#"
+definition(name: "Deep Guard", namespace: "st", author: "a", description: "d")
+preferences {{
+    section("s") {{ input "motionSensor", "capability.motionSensor" }}
+    section("s") {{ input "lights", "capability.switch", multiple: true }}
+}}
+def installed() {{ subscribe(motionSensor, "motion.active", onMotion) }}
+def onMotion(evt) {{
+    {guard}
+}}
+"#
+    )
+}
+
+/// The largest `n` for which `build(n)` still parses (parsing is monotone in
+/// the nesting of these shapes).
+fn deepest_accepted(build: &dyn Fn(usize) -> String) -> usize {
+    let (mut ok, mut too_deep) = (0usize, 4096usize);
+    assert!(iotsan::groovy::SmartApp::parse(&build(too_deep)).is_err());
+    while too_deep - ok > 1 {
+        let mid = (ok + too_deep) / 2;
+        if iotsan::groovy::SmartApp::parse(&build(mid)).is_ok() {
+            ok = mid;
+        } else {
+            too_deep = mid;
+        }
+    }
+    ok
+}
+
+/// The nesting budget keeps every recursive pass within a worker-sized stack:
+/// at the deepest nesting the parser accepts, each shape parses, lowers and
+/// verifies on a 2 MiB thread, in whatever profile the tests are built.
+#[test]
+fn deepest_accepted_nesting_verifies_on_a_two_mib_stack() {
+    let shapes: [(&str, &dyn Fn(usize) -> String); 5] = [
+        ("parentheses", &|n| {
+            guarded_app(&format!(
+                "if ({}evt.value == \"active\"{}) {{ lights.on() }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ))
+        }),
+        ("negations", &|n| guarded_app(&format!("if ({}true) {{ lights.on() }}", "!!".repeat(n)))),
+        ("operator chain", &|n| {
+            guarded_app(&format!("if ({} == 0) {{ lights.on() }}", vec!["1"; n].join(" + ")))
+        }),
+        ("nested ifs", &|n| {
+            guarded_app(&format!("{}lights.on(){}", "if (true) {\n".repeat(n), "\n}".repeat(n)))
+        }),
+        ("closures", &|n| {
+            guarded_app(&format!("{}lights.on(){}", "lights.each {\n".repeat(n), "\n}".repeat(n)))
+        }),
+    ];
+    for (name, build) in shapes {
+        let depth = deepest_accepted(build);
+        let source = build(depth);
+        let verified = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let apps = translate_sources(&[source.as_str()]).expect("translates");
+                let config = expert_configure(&apps, &standard_household());
+                Pipeline::with_events(1).verify(&apps, &config).groups.len()
+            })
+            .expect("spawn")
+            .join();
+        assert!(verified.is_ok(), "{name} nested {depth} deep did not verify");
+    }
+}

@@ -234,10 +234,7 @@ fn gen_step(g: &mut Gen, devices: usize) -> StepObservation {
     for _ in 0..g.pick(3) {
         let device = g.pick(devices + 1);
         step.commands.push(CommandRecord {
-            app: "A".into(),
-            handler: "h".into(),
             device: DeviceId(device as u32),
-            device_label: format!("dev{device}"),
             command: ["unlock", "lock", "on", "off"][g.pick(4)].into(),
             delivered: true,
             changed_state: true,
