@@ -1,7 +1,7 @@
 //! Criterion micro-benchmark for the state-representation hot path in
 //! isolation: `SystemState::encode_into` (the flat fixed-layout write over
 //! interned slots) followed by a visited-set probe (one FNV-1a pass keying
-//! exact, hash-compact and bitstate storage).
+//! the exact store).
 //!
 //! This pair runs once per explored transition, so state-layout changes that
 //! are invisible in end-to-end sweeps show up here.  The loop reuses one
@@ -10,7 +10,7 @@
 //! the path allocates nothing per probe.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use iotsan::checker::StoreKind;
+use iotsan::checker::ExactStore;
 use iotsan::model::{ModelOptions, SequentialModel};
 use iotsan::properties::PropertySet;
 use iotsan::system::{InstalledSystem, SystemState};
@@ -50,33 +50,27 @@ fn bench_state_encode(c: &mut Criterion) {
         })
     });
 
-    // Encode + visited-set probe per backend, against a pre-populated store
-    // (the depth tag varies so the store holds distinct entries, like the
-    // checker's (state, depth) identity).
-    for (label, kind) in [
-        ("exact", StoreKind::Exact),
-        ("hash_compact", StoreKind::HashCompact),
-        ("bitstate", StoreKind::Bitstate { log2_bits: 20, hash_functions: 3 }),
-    ] {
-        group.bench_with_input(BenchmarkId::new("encode_probe", label), &state, |b, state| {
-            let mut store = kind.build();
-            let mut buf = Vec::new();
-            for depth in 0..=u8::MAX {
-                buf.clear();
-                state.encode_into(&mut buf);
-                buf.push(depth);
-                store.insert(&buf);
-            }
-            let mut depth = 0u8;
-            b.iter(|| {
-                buf.clear();
-                state.encode_into(&mut buf);
-                buf.push(depth);
-                depth = depth.wrapping_add(1);
-                black_box(store.contains(&buf))
-            })
-        });
-    }
+    // Encode + visited-set probe against a pre-populated store (the depth
+    // tag varies so the store holds distinct entries, like the checker's
+    // (state, depth) identity).
+    group.bench_with_input(BenchmarkId::new("encode_probe", "exact"), &state, |b, state| {
+        let mut store = ExactStore::new();
+        let mut buf = Vec::new();
+        for depth in 0..=u8::MAX {
+            buf.clear();
+            state.encode_into(&mut buf);
+            buf.push(depth);
+            store.insert(&buf);
+        }
+        let mut depth = 0u8;
+        b.iter(|| {
+            buf.clear();
+            state.encode_into(&mut buf);
+            buf.push(depth);
+            depth = depth.wrapping_add(1);
+            black_box(store.contains(&buf))
+        })
+    });
 
     // One full transition for scale: encode+probe should be a small fraction.
     group.bench_with_input(BenchmarkId::new("full_transition", "market8"), &state, |b, state| {

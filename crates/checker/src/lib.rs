@@ -4,15 +4,14 @@
 //! IotSan-rs (the Rust reproduction of *IotSan: Fortifying the Safety of IoT
 //! Systems*, CoNEXT 2018, §2.3 and §8).
 //!
-//! The paper uses Spin in verification mode with BITSTATE hashing as a
-//! falsifier: explore the bounded state space of the generated IoT-system
+//! The paper uses Spin in verification mode as a falsifier: explore the bounded state space of the generated IoT-system
 //! model, check safety properties, and produce counterexamples.  This crate
 //! provides the same capabilities without shelling out to Spin:
 //!
 //! * [`transition`] — the [`TransitionSystem`] abstraction the model generator
 //!   implements (sequential and strict-concurrent designs);
-//! * [`store`] — exhaustive, hash-compact and BITSTATE (Bloom filter) visited
-//!   state storage;
+//! * [`store`] — exact visited-state storage (the paper's BITSTATE mode is
+//!   deliberately absent: a lossy store can report a wrong "safe");
 //! * [`search`] — bounded DFS/BFS with per-property counterexamples and search
 //!   statistics;
 //! * [`trace`] — Spin-style violation logs (Figure 7).
@@ -36,7 +35,7 @@ pub mod transition;
 pub use search::{
     CancelToken, Checker, FoundViolation, SearchConfig, SearchMode, SearchReport, SearchStats,
 };
-pub use store::{fnv1a, BitstateStore, ExactStore, HashCompactStore, StateStore, StoreKind};
+pub use store::{fnv1a, ExactStore};
 pub use trace::{LogLine, Trace, TraceStep};
 pub use transition::{StepLog, StepOutcome, TransitionSystem, Violation};
 

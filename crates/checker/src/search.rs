@@ -5,8 +5,7 @@
 //! the input physical events up to a maximum number of events per user's
 //! configuration to exhaustively verify the system" (Algorithm 1) — here that
 //! bound is [`SearchConfig::max_depth`], the maximum number of external events
-//! along any path.  Visited states are stored exactly, hash-compacted or in a
-//! BITSTATE bit array ([`crate::store`]).
+//! along any path.  Visited states are stored exactly ([`crate::store`]).
 //!
 //! # Allocation discipline
 //!
@@ -25,7 +24,7 @@
 //!   *materialized* by replaying the arena's action path from the initial
 //!   state with logging enabled.
 
-use crate::store::StoreKind;
+use crate::store::ExactStore;
 use crate::trace::Trace;
 use crate::transition::{StepLog, TransitionSystem, Violation};
 use iotsan_telemetry::flight::{self, EventCode, Level};
@@ -105,8 +104,6 @@ pub struct SearchConfig {
     pub max_transitions: usize,
     /// DFS or BFS.
     pub mode: SearchMode,
-    /// Visited-state storage strategy.
-    pub store: StoreKind,
     /// Stop at the first violation instead of collecting one counterexample
     /// per violated property.
     pub stop_at_first: bool,
@@ -132,7 +129,6 @@ impl Default for SearchConfig {
             max_states: 2_000_000,
             max_transitions: 20_000_000,
             mode: SearchMode::Dfs,
-            store: StoreKind::Exact,
             stop_at_first: false,
             time_limit: None,
             slice: false,
@@ -145,12 +141,6 @@ impl SearchConfig {
     /// A configuration exploring up to `max_depth` external events.
     pub fn with_depth(max_depth: usize) -> Self {
         SearchConfig { max_depth, ..Default::default() }
-    }
-
-    /// Switches to BITSTATE storage with default sizing.
-    pub fn bitstate(mut self) -> Self {
-        self.store = StoreKind::Bitstate { log2_bits: 24, hash_functions: 3 };
-        self
     }
 
     /// Enables property-directed slicing (builder style).
@@ -364,7 +354,7 @@ impl Checker {
     /// (depth-first) frontier order — everything else is identical.
     fn run<T: TransitionSystem, const BFS: bool>(&self, model: &T) -> SearchReport {
         let start = Instant::now();
-        let mut store = self.config.store.build();
+        let mut store = ExactStore::new();
         let mut report = SearchReport::default();
         let mut seen_properties: BTreeSet<u32> = BTreeSet::new();
         // Per-search telemetry tallies, flushed once in `finish` — the hot
@@ -374,7 +364,7 @@ impl Checker {
         flight::record(
             Level::Debug,
             EventCode::SearchStart,
-            &format!("depth={} store={:?}", self.config.max_depth, self.config.store),
+            &format!("depth={}", self.config.max_depth),
         );
 
         // Reused hot-loop buffers: encoded state bytes, enabled actions,
@@ -440,7 +430,7 @@ impl Checker {
                 // Depth is part of the state identity: the same physical state
                 // reached with fewer events still has more exploration budget
                 // left, so it must be revisited.
-                encode_buf.push(depth_tag(next_depth));
+                push_depth_tag(&mut encode_buf, next_depth);
                 if store.insert(&encode_buf) {
                     let next_node = arena.push(node, action);
                     frontier.push_back((outcome.state, next_depth, next_node));
@@ -451,7 +441,7 @@ impl Checker {
             }
         }
 
-        self.finish(&mut report, store.as_ref(), start, arena.memory_bytes());
+        self.finish(&mut report, &store, start, arena.memory_bytes());
         flush_search_telemetry(
             &report.stats,
             dedup_hits,
@@ -487,7 +477,7 @@ impl Checker {
     fn finish(
         &self,
         report: &mut SearchReport,
-        store: &dyn crate::store::StateStore,
+        store: &ExactStore,
         start: Instant,
         arena_bytes: usize,
     ) {
@@ -582,11 +572,20 @@ fn flush_search_telemetry(
     }
 }
 
-/// The depth byte appended to encoded states (saturating: the checker's event
-/// bounds are far below 255, but a pathological configuration must not wrap
-/// and alias distinct depths).
-fn depth_tag(depth: usize) -> u8 {
-    depth.min(u8::MAX as usize) as u8
+/// Appends `depth` to an encoded state: its 7-bit groups, least significant
+/// first, as in LEB128 — so below 128 the tag is the single depth byte.
+/// The tag never saturates, so two depths never alias.  Unlike LEB128 the
+/// flag bit marks every byte *after* the first rather than every byte
+/// before the last: the tag follows a variable-length state encoding, so it
+/// must be suffix-free (no tag is a proper suffix of another), and exactly
+/// one byte of each tag, its first, has the flag clear.
+fn push_depth_tag(out: &mut Vec<u8>, mut depth: usize) {
+    out.push((depth & 0x7f) as u8);
+    depth >>= 7;
+    while depth > 0 {
+        out.push((depth & 0x7f) as u8 | 0x80);
+        depth >>= 7;
+    }
 }
 
 #[cfg(test)]
@@ -653,18 +652,6 @@ mod tests {
         config.stop_at_first = true;
         let report = Checker::new(config).verify(&model());
         assert_eq!(report.violations.len(), 1);
-    }
-
-    #[test]
-    fn bitstate_explores_comparable_state_count() {
-        let exact = Checker::new(SearchConfig::with_depth(6)).verify(&model());
-        let bitstate = Checker::new(SearchConfig::with_depth(6).bitstate()).verify(&model());
-        // Bitstate hashing may lose a few states to false positives but must
-        // never explore more than exact storage.
-        assert!(bitstate.stats.states_stored <= exact.stats.states_stored);
-        assert!(bitstate.stats.states_stored as f64 >= exact.stats.states_stored as f64 * 0.9);
-        // And it still finds the violation.
-        assert!(bitstate.has_violations());
     }
 
     #[test]
@@ -769,10 +756,92 @@ mod tests {
     }
 
     #[test]
-    fn depth_tag_saturates() {
-        assert_eq!(depth_tag(3), 3);
-        assert_eq!(depth_tag(255), 255);
-        assert_eq!(depth_tag(1000), 255);
+    fn depth_tag_is_injective() {
+        let tag = |depth: usize| {
+            let mut out = Vec::new();
+            push_depth_tag(&mut out, depth);
+            out
+        };
+        // Below 128 the tag is the old single depth byte.
+        for depth in 0..128 {
+            assert_eq!(tag(depth), [depth as u8]);
+        }
+        let depths: BTreeSet<usize> =
+            (0..5_000).chain([1 << 14, (1 << 21) - 1, 1 << 21, usize::MAX]).collect();
+        let tags: BTreeSet<Vec<u8>> = depths.iter().map(|&depth| tag(depth)).collect();
+        assert_eq!(tags.len(), depths.len(), "two depths share a tag");
+        // Suffix-free: only a tag's first byte has the flag clear, so the
+        // tag's start is found from the end of `state ++ tag`.
+        for tag in &tags {
+            assert!(tag[0] < 0x80 && tag[1..].iter().all(|b| *b >= 0x80), "{tag:?}");
+        }
+    }
+
+    #[test]
+    fn depths_past_255_keep_their_exploration_budget() {
+        use crate::trace::LogLine;
+        use crate::transition::StepOutcome;
+
+        /// Two chains from the root (state 0) meet at state S: chain A
+        /// (states 1..) after 256 events, chain B (states 1001..) after 300.
+        /// A violation lies 20 events past S.  DFS explores B first and
+        /// stores S with 10 events of budget left; reaching S again through
+        /// A must not be deduplicated away.
+        struct TwoChains;
+        const S: u32 = 5_000;
+        impl TransitionSystem for TwoChains {
+            type State = u32;
+            type Action = bool;
+            type Event = ();
+            type Scratch = ();
+
+            fn initial_state(&self) -> u32 {
+                0
+            }
+
+            fn actions(&self, state: &u32, out: &mut Vec<bool>) {
+                out.clear();
+                // `true` (chain B) is pushed last, so DFS pops it first.
+                out.extend(if *state == 0 { &[false, true][..] } else { &[false][..] });
+            }
+
+            fn apply(
+                &self,
+                state: &u32,
+                b: &bool,
+                _: &mut (),
+                _: &mut StepLog<()>,
+            ) -> StepOutcome<u32> {
+                let next = match *state {
+                    0 => 1 + 1_000 * u32::from(*b),
+                    255 | 1_299 => S,
+                    other => other + 1,
+                };
+                let violations = if next == S + 20 {
+                    vec![Violation { property: 1, description: "20 past S".into() }]
+                } else {
+                    Vec::new()
+                };
+                StepOutcome { state: next, violations }
+            }
+
+            fn encode(&self, state: &u32, out: &mut Vec<u8>) {
+                out.extend_from_slice(&state.to_le_bytes());
+            }
+
+            fn display_action(&self, b: &bool) -> String {
+                b.to_string()
+            }
+
+            fn render_event(&self, _event: &()) -> LogLine {
+                LogLine::new("")
+            }
+        }
+
+        let report = Checker::new(SearchConfig::with_depth(310)).verify(&TwoChains);
+        assert!(!report.stats.truncated);
+        let found = report.violation_for(1).expect("the violation past S through chain A");
+        assert_eq!(found.depth, 256 + 20);
     }
 
     #[test]
@@ -827,18 +896,6 @@ mod tests {
         let report = Checker::new(config).verify(&model());
         assert!(report.has_violations());
         assert!(!report.stats.truncated);
-    }
-
-    #[test]
-    fn hash_compact_store_agrees_with_exact() {
-        let mut config = SearchConfig::with_depth(6);
-        config.store = StoreKind::HashCompact;
-        let compact = Checker::new(config.clone()).verify(&model());
-        config.store = StoreKind::Exact;
-        let exact = Checker::new(config).verify(&model());
-        assert_eq!(compact.violated_properties(), exact.violated_properties());
-        assert_eq!(compact.stats.states_stored, exact.stats.states_stored);
-        assert_eq!(compact.stats.transitions, exact.stats.transitions);
     }
 
     #[test]

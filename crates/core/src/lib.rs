@@ -64,7 +64,7 @@ pub use model::{
 };
 pub use pipeline::{translate_sources, GroupResult, Pipeline, TranslateError, VerificationResult};
 pub use planner::{
-    Fingerprint, FleetGroupReport, FleetPlan, FleetReport, GroupJob, GroupOutcome,
+    Fingerprint, FleetGroupReport, FleetPlan, FleetReport, GroupJob, GroupOutcome, PlanCache,
     VerdictPersistence, VerificationCache, VerificationPlanner,
 };
 pub use system::{InstalledSystem, InternalEvent, SystemState};

@@ -14,10 +14,12 @@
 //!        │                 related_sets           a content Fingerprint)
 //!        ▼                                          │
 //!   execute(plan, cache) ◀──────────────────────────┘
-//!        │  1. every cache lookup, in plan order
+//!        │  1. claim and look up every fingerprint, in plan order
 //!        │  2. the misses model-checked concurrently on scoped threads,
 //!        │     largest first (verify_jobs)
-//!        │  3. cache inserts, attribution and merge, in plan order
+//!        │  3. cache inserts in plan order, claims released; fingerprints
+//!        │     another caller held are awaited and form the next round
+//!        │  4. attribution and merge, in plan order
 //!        ▼
 //!   FleetReport — deterministically merged groups, cache statistics, and
 //!   per-violation suspect rankings from the counterexample traces
@@ -67,6 +69,7 @@ use iotsan_telemetry::METRICS;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A content hash identifying one group-verification task.
 ///
@@ -74,7 +77,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// the same restricted device configuration, property set, model options and
 /// search shape — so one job's [`SearchReport`] can stand in for the
 /// other's.  The checker is deterministic, so equal inputs always produce
-/// equal reports, BITSTATE and stop-at-first searches included.
+/// equal reports, stop-at-first searches included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);
 
@@ -116,7 +119,7 @@ impl Fnv {
 /// never matters), the device configuration the group is verified under, the
 /// property set, and the model/search options that can change the verdict
 /// ([`crate::model::ModelOptions`] plus the result-relevant
-/// [`SearchConfig`] fields — depth, caps, mode, store, stop-at-first).
+/// [`SearchConfig`] fields — depth, caps, mode, stop-at-first).
 /// The wall-clock budget is always excluded (a budget-truncated report is
 /// never cached).
 pub fn fingerprint_group(
@@ -137,20 +140,9 @@ pub fn fingerprint_group(
     // different property set — and nothing else.
     h.write_bytes(&pipeline.properties.content_hash().to_le_bytes());
     h.write_item(&format!("{:?}", pipeline.model_options));
-    let SearchConfig {
-        max_depth,
-        max_states,
-        max_transitions,
-        mode,
-        store,
-        stop_at_first,
-        slice,
-        ..
-    } = &pipeline.search;
-    h.write_item(&format!(
-        "{:?}",
-        (max_depth, max_states, max_transitions, mode, store, stop_at_first)
-    ));
+    let SearchConfig { max_depth, max_states, max_transitions, mode, stop_at_first, slice, .. } =
+        &pipeline.search;
+    h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, mode, stop_at_first)));
     // Sliced and unsliced runs explore the same verdicts but different state
     // counts; fold the analysis version and the concrete slice partition so
     // their cached reports never masquerade as each other, and so any change
@@ -257,8 +249,8 @@ pub trait VerdictPersistence: fmt::Debug + Send {
     /// Returns whether the entry was made durable.  `false` means the
     /// verdict lives only in memory — still sound (the group re-verifies
     /// after a restart), but the caller counts it
-    /// ([`VerificationCache::persist_failures`]) so a degraded persistence
-    /// layer is visible instead of silent.
+    /// ([`FleetReport::persist_failures`]) so a degraded persistence layer
+    /// is visible instead of silent.
     fn store(&mut self, fingerprint: Fingerprint, result: &GroupResult) -> bool;
 }
 
@@ -309,7 +301,6 @@ pub struct VerificationCache {
     misses: usize,
     backing: Option<Box<dyn VerdictPersistence>>,
     backing_hits: usize,
-    persist_failures: usize,
 }
 
 impl VerificationCache {
@@ -373,14 +364,6 @@ impl VerificationCache {
         self.backing_hits
     }
 
-    /// Lifetime number of inserts the durable backing failed to persist
-    /// (the verdicts stayed correct in memory but will re-verify after a
-    /// restart) — the counter behind `iotsan-daemon`'s degraded-mode
-    /// reporting.
-    pub fn persist_failures(&self) -> usize {
-        self.persist_failures
-    }
-
     /// Looks up a group result by fingerprint, counting a hit or a miss.
     ///
     /// An in-memory miss falls through to the durable backing (when one is
@@ -408,17 +391,62 @@ impl VerificationCache {
     }
 
     /// Stores a group result under its fingerprint, writing through to the
-    /// durable backing when one is attached.  A backing that fails to
-    /// persist is counted ([`VerificationCache::persist_failures`]); the
-    /// in-memory entry is kept either way, so lookups stay correct.
-    pub fn insert(&mut self, fingerprint: Fingerprint, result: GroupResult) {
-        if let Some(backing) = self.backing.as_mut() {
-            if !backing.store(fingerprint, &result) {
-                self.persist_failures += 1;
-                METRICS.cache_persist_failures.inc();
-            }
+    /// durable backing when one is attached.  Returns `false` when the
+    /// backing failed to persist it; the in-memory entry is kept either
+    /// way, so lookups stay correct.
+    pub fn insert(&mut self, fingerprint: Fingerprint, result: GroupResult) -> bool {
+        let persisted = self.backing.as_mut().map_or(true, |b| b.store(fingerprint, &result));
+        if !persisted {
+            METRICS.cache_persist_failures.inc();
         }
         self.entries.insert(fingerprint, result);
+        persisted
+    }
+}
+
+/// Where [`VerificationPlanner::execute`] finds and files group verdicts.
+///
+/// A plan executor looks each fingerprint up, claims the ones it will
+/// verify, and inserts their complete results.  In process the cache is a
+/// plain `&mut` [`VerificationCache`] and a claim always succeeds; a cache
+/// shared by concurrent executors (the `iotsan-daemon` worker pool) uses
+/// claims so that no fingerprint is verified twice at once.
+pub trait PlanCache {
+    /// Proof that this caller is verifying one fingerprint; dropping it
+    /// releases the fingerprint to other callers.
+    type Claim;
+
+    /// The stored result for `fingerprint`, if any.
+    fn lookup(&mut self, fingerprint: Fingerprint) -> Option<GroupResult>;
+
+    /// Claims `fingerprint` without blocking; `None` when another caller
+    /// holds it.
+    fn claim(&mut self, fingerprint: Fingerprint) -> Option<Self::Claim>;
+
+    /// Blocks until no other caller holds `fingerprint`.  The executor calls
+    /// it only while holding no claims of its own.  The default returns at
+    /// once, for caches whose claims always succeed.
+    fn wait(&mut self, _fingerprint: Fingerprint) {}
+
+    /// Files a complete (never truncated) result.  Returns `false` when a
+    /// durable backing failed to persist it (the verdict is still served
+    /// from memory).
+    fn insert(&mut self, fingerprint: Fingerprint, result: GroupResult) -> bool;
+}
+
+impl PlanCache for VerificationCache {
+    type Claim = ();
+
+    fn lookup(&mut self, fingerprint: Fingerprint) -> Option<GroupResult> {
+        VerificationCache::lookup(self, fingerprint)
+    }
+
+    fn claim(&mut self, _fingerprint: Fingerprint) -> Option<()> {
+        Some(())
+    }
+
+    fn insert(&mut self, fingerprint: Fingerprint, result: GroupResult) -> bool {
+        VerificationCache::insert(self, fingerprint, result)
     }
 }
 
@@ -639,13 +667,11 @@ impl<'a> VerificationPlanner<'a> {
     /// job's members and restricted configuration straight into one bounded
     /// model-checking run.
     ///
-    /// This is the building block external schedulers (such as
-    /// `iotsan-daemon`'s worker pool) use to run cache misses *outside* any
-    /// cache lock: look up the fingerprint, release the lock, `verify_job`,
-    /// re-acquire and [`VerificationCache::insert`] — keeping the model
-    /// checker itself lock-free across workers.  Follow the same cache
-    /// discipline as [`VerificationPlanner::execute`]: never insert a result
-    /// whose report is truncated.
+    /// [`VerificationPlanner::execute`] runs its cache misses through this
+    /// on its group threads; the differential oracle
+    /// (`iotsan-scenarios`) calls it in a serial loop as the reference.  A
+    /// caller that caches the result follows the same discipline as
+    /// `execute`: never insert a result whose report is truncated.
     pub fn verify_job(&self, job: &GroupJob) -> GroupResult {
         self.pipeline.verify_group_restricted(&job.members, job.config.clone())
     }
@@ -667,7 +693,12 @@ impl<'a> VerificationPlanner<'a> {
     /// without adding a core.
     pub(crate) fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<GroupResult> {
         let Some(largest) = jobs.first() else { return Vec::new() };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Read once per process: `available_parallelism` re-reads the
+        // cgroup quota files on every call (about 21 µs on a 2-vCPU Xeon),
+        // which the daemon would otherwise pay on every job.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         let threads = cores.min(jobs.len());
         // Index 0 is the caller's; the counter only publishes indices (the
         // results travel back through `join`), so `Relaxed` suffices.
@@ -692,60 +723,88 @@ impl<'a> VerificationPlanner<'a> {
     /// Runs every job of `plan`, reusing cached results where the
     /// fingerprint matches, and merges the verdicts deterministically.
     ///
-    /// Three phases: every cache lookup in plan order; the misses verified
-    /// concurrently on scoped threads, one per free core, largest first (a
-    /// plan with at most one miss spawns nothing, and the calling thread
-    /// takes the largest miss itself); then, in plan order on the calling
-    /// thread, the cache inserts, attribution and merge — so a durable
-    /// backing sees its writes in the same order as a serial run would make
-    /// them.  The up-front lookups rely on the plan's fingerprints being
-    /// unique (the planner deduplicates its groups).
+    /// Each round claims every pending fingerprint without blocking and
+    /// looks the claimed ones up; the misses are verified concurrently on
+    /// scoped threads, one per free core, largest first (a round with at
+    /// most one miss spawns nothing, and the calling thread takes the
+    /// largest miss itself).  Then, in plan order on the calling thread, the
+    /// complete results are inserted — so a durable backing sees its writes
+    /// in the same order as a serial run would make them — and the round's
+    /// claims are released.  Fingerprints another caller held are waited
+    /// for and become the next round; with [`VerificationCache`] every
+    /// claim succeeds and one round does everything.
     ///
-    /// Cache discipline: only complete (non-truncated) reports are inserted;
-    /// a hit replays the stored report without touching the model checker.
-    /// Violation traces are fed to [`iotsan_attribution::attribute_traces`]
-    /// to rank each group's apps per violation.
-    pub fn execute(&self, plan: &FleetPlan, cache: &mut VerificationCache) -> FleetReport {
+    /// No deadlock: the only blocking call, [`PlanCache::wait`], is made
+    /// while this caller holds no claims, and a claim holder never waits
+    /// before releasing — it verifies (a bounded search), inserts and
+    /// drops its claims.  So every awaited claim is released in finite
+    /// time.  A panic, here or on a group thread (re-raised by
+    /// `resume_unwind`), unwinds through the round and drops every claim.
+    ///
+    /// Cache discipline: claiming before looking up means a result filed by
+    /// the previous holder is always seen, so no fingerprint is verified
+    /// twice by callers sharing a cache.  Only complete (non-truncated)
+    /// reports are inserted; when a holder's report was truncated, the
+    /// waiter verifies the group again under its own budget.  A hit replays
+    /// the stored report without touching the model checker.  Violation
+    /// traces are fed to [`iotsan_attribution::attribute_traces`] to rank
+    /// each group's apps per violation.
+    pub fn execute<C: PlanCache>(&self, plan: &FleetPlan, cache: &mut C) -> FleetReport {
         debug_assert_eq!(
             plan.jobs.iter().map(|job| job.fingerprint).collect::<BTreeSet<_>>().len(),
             plan.jobs.len(),
             "fingerprints within one plan must be unique"
         );
-        let persist_failures_before = cache.persist_failures();
-        let cached: Vec<Option<GroupResult>> =
-            plan.jobs.iter().map(|job| cache.lookup(job.fingerprint)).collect();
-        let misses: Vec<&GroupJob> = plan
+        let mut results: Vec<Option<(GroupResult, bool)>> = vec![None; plan.jobs.len()];
+        let mut cache_misses = 0;
+        let mut persist_failures = 0;
+        let mut pending: Vec<usize> = (0..plan.jobs.len()).collect();
+        while !pending.is_empty() {
+            let mut owned = Vec::new();
+            let mut busy = Vec::new();
+            for index in pending {
+                let fingerprint = plan.jobs[index].fingerprint;
+                match cache.claim(fingerprint) {
+                    None => busy.push(index),
+                    Some(claim) => match cache.lookup(fingerprint) {
+                        Some(hit) => results[index] = Some((hit, true)),
+                        None => owned.push((index, claim)),
+                    },
+                }
+            }
+            let jobs: Vec<&GroupJob> = owned.iter().map(|(index, _)| &plan.jobs[*index]).collect();
+            cache_misses += jobs.len();
+            for (&(index, _), fresh) in owned.iter().zip(self.verify_jobs(&jobs)) {
+                if !fresh.report.stats.truncated
+                    && !cache.insert(plan.jobs[index].fingerprint, fresh.clone())
+                {
+                    persist_failures += 1;
+                }
+                results[index] = Some((fresh, false));
+            }
+            drop(owned); // releases this round's claims
+            for &index in &busy {
+                cache.wait(plan.jobs[index].fingerprint);
+            }
+            pending = busy;
+        }
+
+        let mut groups: Vec<FleetGroupReport> = plan
             .jobs
             .iter()
-            .zip(&cached)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(job, _)| job)
-            .collect();
-        let cache_misses = misses.len();
-        let mut fresh = self.verify_jobs(&misses).into_iter();
-
-        let mut groups: Vec<FleetGroupReport> = Vec::with_capacity(plan.jobs.len());
-        for (job, hit) in plan.jobs.iter().zip(cached) {
-            let from_cache = hit.is_some();
-            let result = match hit {
-                Some(cached) => cached,
-                None => {
-                    let fresh = fresh.next().expect("one verified result per cache miss");
-                    if !fresh.report.stats.truncated {
-                        cache.insert(job.fingerprint, fresh.clone());
-                    }
-                    fresh
+            .zip(results)
+            .map(|(job, result)| {
+                let (result, from_cache) = result.expect("every round resolves its claims");
+                let attributions = attribute_traces(&result.apps, &result.report.violations);
+                FleetGroupReport {
+                    apps: result.apps,
+                    fingerprint: job.fingerprint,
+                    from_cache,
+                    report: result.report,
+                    attributions,
                 }
-            };
-            let attributions = attribute_traces(&result.apps, &result.report.violations);
-            groups.push(FleetGroupReport {
-                apps: result.apps,
-                fingerprint: job.fingerprint,
-                from_cache,
-                report: result.report,
-                attributions,
-            });
-        }
+            })
+            .collect();
         groups.sort_by(|a, b| a.apps.cmp(&b.apps));
         FleetReport {
             groups,
@@ -754,7 +813,7 @@ impl<'a> VerificationPlanner<'a> {
             reduced_handlers: plan.reduced_handlers,
             cache_hits: plan.jobs.len() - cache_misses,
             cache_misses,
-            persist_failures: cache.persist_failures() - persist_failures_before,
+            persist_failures,
         }
     }
 }
@@ -860,20 +919,16 @@ def motionActiveHandler(evt) { lights.on() }
 
     #[test]
     fn order_dependent_configs_key_on_search_shape() {
-        // BITSTATE storage and stop-at-first can report less than an
-        // exhaustive exact search, so each is its own task.
+        // Stop-at-first can report less than an exhaustive search, so it is
+        // its own task.
         let (apps, config) = bundle();
         let exhaustive = VerificationPlanner::new(&Pipeline::with_events(2)).plan(&apps, &config);
-        let mut bitstate = Pipeline::with_events(2);
-        bitstate.search = bitstate.search.clone().bitstate();
         let mut first = Pipeline::with_events(2);
         first.search.stop_at_first = true;
-        for shape in [bitstate, first] {
-            let a = VerificationPlanner::new(&shape).plan(&apps, &config);
-            for (old, new) in exhaustive.jobs.iter().zip(&a.jobs) {
-                assert_eq!(old.apps, new.apps);
-                assert_ne!(old.fingerprint, new.fingerprint);
-            }
+        let a = VerificationPlanner::new(&first).plan(&apps, &config);
+        for (old, new) in exhaustive.jobs.iter().zip(&a.jobs) {
+            assert_eq!(old.apps, new.apps);
+            assert_ne!(old.fingerprint, new.fingerprint);
         }
     }
 

@@ -71,8 +71,8 @@ JOB FORMAT (one JSON object per line):
 Exactly one of `market` (first n corpus apps), `names` (corpus apps by name)
 or `sources` (inline Groovy) selects the bundle.  Optional: `events` (event
 bound, default 2), `failures` (failure injection, default false),
-`timeout_ms` (wall-clock budget), `inject_panic` (panic mid-verification;
-needs --enable-fault-injection).  `workers` is accepted and ignored.
+`timeout_ms` (wall-clock budget), `inject_panic` (panic before filing a
+verdict; needs --enable-fault-injection).  `workers` is accepted and ignored.
 
 CONTROL OPS (one JSON object per line):
     {\"op\":\"shutdown\"}   Stop accepting work and exit.

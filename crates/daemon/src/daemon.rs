@@ -4,21 +4,22 @@
 //!
 //! ```text
 //!   NDJSON jobs ──▶ JobQueue (bounded) ──▶ worker pool
-//!                                            │ per group: lock cache,
-//!                                            │ lookup (memory → disk),
-//!                                            │ unlock, verify misses,
-//!                                            │ re-lock + write through
+//!                                            │ per job: plan, execute:
+//!                                            │ try-claim + lookup (memory
+//!                                            │ → disk), verify misses on
+//!                                            │ scoped threads, insert,
+//!                                            │ release, wait for the busy
 //!                                            ▼
 //!                          VerificationCache ⇄ VerdictStore (append-only log)
 //! ```
 //!
-//! Workers share one cache under a mutex, but the model checker itself never
-//! runs under the lock: a miss releases the cache, verifies via
-//! [`VerificationPlanner::verify_job`], then re-acquires to insert — so two
-//! workers can verify different groups concurrently while still deduplicating
-//! through the same store.  Every job carries its own
-//! [`iotsan::checker::CancelToken`]; [`Daemon::cancel_all`]
-//! flips the in-flight tokens and drains the pending queue, turning both into
+//! Jobs run through the same [`VerificationPlanner::execute`] as the
+//! in-process pipeline, over the daemon's [`PlanCache`]: the cache behind a
+//! mutex plus an in-flight fingerprint set.  The model checker never runs
+//! under the lock, so workers verify different groups concurrently while
+//! deduplicating through one store.  Every job carries its own
+//! [`iotsan::checker::CancelToken`]; [`Daemon::cancel_all`] flips the
+//! in-flight tokens and drains the pending queue, turning both into
 //! explicit `cancelled` outcomes rather than silently dropped work.
 //!
 //! # Self-healing
@@ -43,12 +44,11 @@
 use crate::fault::{FaultPlan, FaultyIo};
 use crate::job::{json_escape, resolve_sources, JobSpec};
 use crate::store::{StoreOptions, VerdictStore};
-use iotsan::attribution::attribute_traces;
 use iotsan::checker::CancelToken;
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::{
-    translate_sources, Fingerprint, FleetGroupReport, FleetPlan, FleetReport, GroupResult,
-    Pipeline, VerdictPersistence, VerificationCache, VerificationPlanner,
+    translate_sources, Fingerprint, FleetReport, GroupResult, Pipeline, PlanCache,
+    VerdictPersistence, VerificationCache, VerificationPlanner,
 };
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::rows::JsonRow;
@@ -482,10 +482,10 @@ impl JobQueue {
     }
 }
 
-/// The set of fingerprints some worker is currently verifying.  Claiming an
-/// already-claimed fingerprint blocks until the owner finishes, then reports
-/// "not claimed" so the caller re-consults the cache — two jobs sharing a
-/// group never verify it twice.
+/// The set of fingerprints some worker is currently verifying, so two jobs
+/// sharing a group never verify it twice.  A job claims without blocking
+/// and waits only while it holds no claims (see
+/// [`VerificationPlanner::execute`]).
 #[derive(Debug, Default)]
 struct Inflight {
     set: Mutex<std::collections::BTreeSet<Fingerprint>>,
@@ -493,17 +493,19 @@ struct Inflight {
 }
 
 impl Inflight {
-    /// `Some(guard)` when this caller now owns the verification of
-    /// `fingerprint`; `None` after waiting for another worker to finish it.
-    fn claim(&self, fingerprint: Fingerprint) -> Option<InflightGuard<'_>> {
+    /// `Some(guard)` when this caller now owns `fingerprint`; `None` when
+    /// another worker holds it.
+    fn try_claim(&self, fingerprint: Fingerprint) -> Option<InflightGuard<'_>> {
         let mut set = self.set.lock().unwrap_or_else(|e| e.into_inner());
-        if set.insert(fingerprint) {
-            return Some(InflightGuard { inflight: self, fingerprint });
-        }
+        set.insert(fingerprint).then(|| InflightGuard { inflight: self, fingerprint })
+    }
+
+    /// Blocks until no worker holds `fingerprint`.
+    fn wait(&self, fingerprint: Fingerprint) {
+        let mut set = self.set.lock().unwrap_or_else(|e| e.into_inner());
         while set.contains(&fingerprint) {
             set = self.done.wait(set).unwrap_or_else(|e| e.into_inner());
         }
-        None
     }
 }
 
@@ -1031,7 +1033,8 @@ fn execute_job(inner: &Inner, index: usize, spec: JobSpec, started: Instant) -> 
 
     let planner = VerificationPlanner::new(&pipeline);
     let plan = planner.plan(&apps, &config);
-    let (report, backing_hits) = execute_plan(&planner, &plan, inner, spec.inject_panic);
+    let mut cache = SharedCache { inner, inject_panic: spec.inject_panic, backing_hits: 0 };
+    let report = planner.execute(&plan, &mut cache);
 
     let status = if token.is_cancelled() { JobStatus::Cancelled } else { JobStatus::Ok };
     let degraded = report.persist_failures > 0 || inner.health.is_degraded();
@@ -1040,88 +1043,50 @@ fn execute_job(inner: &Inner, index: usize, spec: JobSpec, started: Instant) -> 
         id: spec.id,
         status,
         report: Some(report),
-        backing_hits,
+        backing_hits: cache.backing_hits,
         degraded,
         elapsed: started.elapsed(),
     }
 }
 
-/// [`VerificationPlanner::execute`] with a shared cache: lookups and inserts
-/// hold the mutex, the model checker runs outside it, and the in-flight set
-/// guarantees no fingerprint is verified twice concurrently.  Returns the
-/// merged report plus how many of its hits came from the durable backing.
-fn execute_plan(
-    planner: &VerificationPlanner<'_>,
-    plan: &FleetPlan,
-    inner: &Inner,
+/// The daemon's [`PlanCache`]: the workers' shared cache behind its mutex
+/// and the in-flight set.  The model checker never runs under the lock:
+/// [`VerificationPlanner::execute`] verifies between the calls.
+struct SharedCache<'a> {
+    inner: &'a Inner,
     inject_panic: bool,
-) -> (FleetReport, usize) {
-    let mut groups: Vec<FleetGroupReport> = Vec::with_capacity(plan.jobs.len());
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
-    let mut backing_hits = 0usize;
-    let mut persist_failures = 0usize;
-    for job in &plan.jobs {
-        let (result, from_cache) = loop {
-            let cached = {
-                let mut cache = inner.cache.lock().unwrap_or_else(|e| e.into_inner());
-                let disk_before = cache.backing_hits();
-                let hit = cache.lookup(job.fingerprint);
-                if hit.is_some() && cache.backing_hits() > disk_before {
-                    backing_hits += 1;
-                }
-                hit
-            };
-            if let Some(cached) = cached {
-                cache_hits += 1;
-                break (cached, true);
-            }
-            // Claim the fingerprint; when another worker already owns it,
-            // claim() blocks until that run finishes and we re-consult the
-            // cache (the owner's result may be there — or not, if it was
-            // truncated, in which case this job verifies under its own
-            // budget).
-            let Some(_guard) = inner.inflight.claim(job.fingerprint) else {
-                continue;
-            };
-            if inject_panic {
-                // The gated testing hook fires exactly where a real model
-                // bug would: mid-search, while this worker holds the
-                // in-flight claim for the group.
-                panic!("injected panic while verifying group [{}]", job.apps.join(", "));
-            }
-            cache_misses += 1;
-            let fresh = planner.verify_job(job);
-            // Same discipline as VerificationPlanner::execute: a report
-            // truncated by a budget (or cancellation) is never cached.
-            if !fresh.report.stats.truncated {
-                let mut cache = inner.cache.lock().unwrap_or_else(|e| e.into_inner());
-                let failures_before = cache.persist_failures();
-                cache.insert(job.fingerprint, fresh.clone());
-                persist_failures += cache.persist_failures() - failures_before;
-            }
-            break (fresh, false);
-        };
-        let attributions = attribute_traces(&result.apps, &result.report.violations);
-        groups.push(FleetGroupReport {
-            apps: result.apps,
-            fingerprint: job.fingerprint,
-            from_cache,
-            report: result.report,
-            attributions,
-        });
+    /// How many of this job's hits the durable store served.
+    backing_hits: usize,
+}
+
+impl<'a> PlanCache for SharedCache<'a> {
+    type Claim = InflightGuard<'a>;
+
+    fn lookup(&mut self, fingerprint: Fingerprint) -> Option<GroupResult> {
+        let mut cache = self.inner.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let disk_before = cache.backing_hits();
+        let hit = cache.lookup(fingerprint);
+        self.backing_hits += cache.backing_hits() - disk_before;
+        hit
     }
-    groups.sort_by(|a, b| a.apps.cmp(&b.apps));
-    let report = FleetReport {
-        groups,
-        excluded_apps: plan.excluded_apps.clone(),
-        original_handlers: plan.original_handlers,
-        reduced_handlers: plan.reduced_handlers,
-        cache_hits,
-        cache_misses,
-        persist_failures,
-    };
-    (report, backing_hits)
+
+    fn claim(&mut self, fingerprint: Fingerprint) -> Option<InflightGuard<'a>> {
+        self.inner.inflight.try_claim(fingerprint)
+    }
+
+    fn wait(&mut self, fingerprint: Fingerprint) {
+        self.inner.inflight.wait(fingerprint);
+    }
+
+    fn insert(&mut self, fingerprint: Fingerprint, result: GroupResult) -> bool {
+        if self.inject_panic {
+            // The gated testing hook fires where a model bug in the merge
+            // would: after verification, while the job holds every claim of
+            // its round, before any verdict of the job is filed.
+            panic!("injected panic while filing group [{}]", result.apps.join(", "));
+        }
+        self.inner.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(fingerprint, result)
+    }
 }
 
 #[cfg(test)]

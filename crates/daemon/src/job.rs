@@ -52,8 +52,9 @@ pub struct JobSpec {
     pub failures: bool,
     /// Per-job wall-clock budget in milliseconds; default none.
     pub timeout_ms: Option<u64>,
-    /// Testing hook: panic mid-verification (only honored when the daemon
-    /// was started with fault injection enabled); default off.
+    /// Testing hook: panic after verifying, before the job's first verdict
+    /// is filed (only honored when the daemon was started with fault
+    /// injection enabled); default off.
     pub inject_panic: bool,
 }
 

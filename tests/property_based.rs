@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of IotSan-rs.
 
-use iotsan::checker::{BitstateStore, Checker, ExactStore, SearchConfig, StateStore};
+use iotsan::checker::{Checker, ExactStore, SearchConfig};
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::devices::{registry, Device, DeviceId};
 use iotsan::ir::Value;
@@ -81,25 +81,22 @@ proptest! {
         prop_assert_eq!(attr.domain.index_of(&rendered), Some(idx));
     }
 
-    /// The exact store never reports a previously inserted state as new, and
-    /// the bitstate store never admits more distinct states than the exact
-    /// store for the same input sequence.
+    /// The exact store admits each distinct state exactly once and never
+    /// reports a previously inserted state as new.
     #[test]
     fn state_stores_agree_on_duplicates(states in proptest::collection::vec(
         proptest::collection::vec(0u8..8, 1..12), 1..200)) {
         let mut exact = ExactStore::new();
-        let mut bitstate = BitstateStore::with_defaults();
         let mut exact_new = 0usize;
-        let mut bitstate_new = 0usize;
         for state in &states {
             if exact.insert(state) { exact_new += 1; }
-            if bitstate.insert(state) { bitstate_new += 1; }
         }
-        prop_assert!(bitstate_new <= exact_new);
-        // Re-inserting everything yields zero new states in all stores.
+        let distinct: std::collections::BTreeSet<&Vec<u8>> = states.iter().collect();
+        prop_assert_eq!(exact_new, distinct.len());
+        prop_assert_eq!(exact.len(), distinct.len());
+        // Re-inserting everything yields zero new states.
         for state in &states {
             prop_assert!(!exact.insert(state));
-            prop_assert!(!bitstate.insert(state));
         }
     }
 }
