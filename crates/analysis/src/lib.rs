@@ -37,7 +37,8 @@ pub use fold::{fold, fold_guard};
 pub use lint::{lint_system, render_report, Diagnostic, LintKind};
 pub use slice::{slice_plan, Cone, SlicePlan};
 pub use summary::{
-    state_channel, summarize_app, summarize_handler, EffectSummary, ReadEffect, WriteEffect,
+    reads_clock, state_channel, summarize_app, summarize_handler, EffectSummary, ReadEffect,
+    WriteEffect,
 };
 
 /// Version of the analysis algorithms, folded into planner fingerprints

@@ -13,7 +13,7 @@
 //! depends on how clever the analysis is.
 
 use iotsan_devices::{registry, CommandEffect};
-use iotsan_ir::{IrApp, IrExpr, IrHandler, IrStmt, Trigger};
+use iotsan_ir::{EventField, IrApp, IrExpr, IrHandler, IrStmt, Trigger};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -238,6 +238,30 @@ pub fn summarize_handler(app: &IrApp, handler: &IrHandler) -> EffectSummary {
         reads,
         writes,
     }
+}
+
+/// True when `handler` can observe the modelled clock: through `now()`,
+/// `evt.date`, or — in a timer handler, whose event value is the time — any
+/// event field.  A model whose handlers read the clock must keep it in the
+/// state identity, since the same physical state then behaves differently
+/// at different times.
+pub fn reads_clock(handler: &IrHandler) -> bool {
+    let timer = matches!(handler.trigger, Trigger::Timer { .. });
+    let mut found = false;
+    for stmt in &handler.body {
+        stmt.walk(&mut |s| {
+            for_each_expr(s, &mut |e| {
+                e.walk(&mut |e| {
+                    found |= match e {
+                        IrExpr::Time | IrExpr::EventField(EventField::Date) => true,
+                        IrExpr::EventField(_) => timer,
+                        _ => false,
+                    };
+                })
+            });
+        });
+    }
+    found
 }
 
 fn collect_expr_reads(expr: &IrExpr, reads: &mut BTreeSet<ReadEffect>) {
@@ -508,5 +532,23 @@ mod tests {
         }
         assert!(s.reads.contains(&ReadEffect::Setting { name: "phone".into() }));
         assert!(s.written_channels().contains("smoke"));
+    }
+
+    #[test]
+    fn clock_reads_are_now_the_event_date_and_a_timer_event() {
+        let guarded = |cond: IrExpr| {
+            vec![IrStmt::If { cond, then: vec![IrStmt::Log(IrExpr::str("late"))], els: vec![] }]
+        };
+        let late = |e: IrExpr| IrExpr::binary(iotsan_ir::IrBinOp::Ge, e, IrExpr::int(1800));
+        let value = || IrExpr::EventField(EventField::Value);
+        assert!(reads_clock(&device_handler(guarded(late(IrExpr::Time)))));
+        assert!(reads_clock(&device_handler(guarded(late(IrExpr::EventField(EventField::Date))))));
+        assert!(!reads_clock(&device_handler(guarded(late(value())))));
+        let timer = IrHandler {
+            trigger: Trigger::Timer { delay_seconds: Some(600) },
+            ..device_handler(guarded(late(value())))
+        };
+        assert!(reads_clock(&timer));
+        assert!(!reads_clock(&IrHandler { body: vec![], ..timer }));
     }
 }

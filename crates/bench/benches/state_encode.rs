@@ -10,7 +10,7 @@
 //! the path allocates nothing per probe.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use iotsan::checker::ExactStore;
+use iotsan::checker::{ExactStore, StepLog, TransitionSystem};
 use iotsan::model::{ModelOptions, SequentialModel};
 use iotsan::properties::PropertySet;
 use iotsan::system::{InstalledSystem, SystemState};
@@ -36,6 +36,11 @@ fn mid_size_state() -> (InstalledSystem, SystemState) {
 fn bench_state_encode(c: &mut Criterion) {
     let (system, state) = mid_size_state();
     let model = SequentialModel::new(system, PropertySet::all(), ModelOptions::with_events(3));
+    // The probed store holds real encodings: every successor of `state`.
+    let (mut actions, mut scratch, mut log) = (Vec::new(), Default::default(), StepLog::disabled());
+    model.actions(&state, &mut actions);
+    let states: Vec<SystemState> =
+        actions.iter().map(|a| model.apply(&state, a, &mut scratch, &mut log).state).collect();
 
     let mut group = c.benchmark_group("state_encode");
     group.sample_size(20);
@@ -50,36 +55,27 @@ fn bench_state_encode(c: &mut Criterion) {
         })
     });
 
-    // Encode + visited-set probe against a pre-populated store (the depth
-    // tag varies so the store holds distinct entries, like the checker's
-    // (state, depth) identity).
-    group.bench_with_input(BenchmarkId::new("encode_probe", "exact"), &state, |b, state| {
+    // Encode + visited-set probe, probing each stored successor in turn.
+    group.bench_with_input(BenchmarkId::new("encode_probe", "exact"), &states, |b, states| {
         let mut store = ExactStore::new();
         let mut buf = Vec::new();
-        for depth in 0..=u8::MAX {
+        for state in states {
             buf.clear();
             state.encode_into(&mut buf);
-            buf.push(depth);
             store.insert(&buf);
         }
-        let mut depth = 0u8;
+        let mut next = 0;
         b.iter(|| {
             buf.clear();
-            state.encode_into(&mut buf);
-            buf.push(depth);
-            depth = depth.wrapping_add(1);
+            states[next].encode_into(&mut buf);
+            next = (next + 1) % states.len();
             black_box(store.contains(&buf))
         })
     });
 
     // One full transition for scale: encode+probe should be a small fraction.
     group.bench_with_input(BenchmarkId::new("full_transition", "market8"), &state, |b, state| {
-        use iotsan::checker::{StepLog, TransitionSystem};
-        let mut actions = Vec::new();
-        model.actions(state, &mut actions);
         let action = actions[0];
-        let mut scratch = Default::default();
-        let mut log = StepLog::disabled();
         b.iter(|| black_box(model.apply(state, &action, &mut scratch, &mut log).state))
     });
 

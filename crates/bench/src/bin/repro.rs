@@ -62,7 +62,7 @@ use iotsan::properties::{PropertyClass, PropertySet};
 use iotsan::{render_table1, Pipeline};
 use iotsan_apps::{ifttt, malicious, market, samples};
 use iotsan_bench::{
-    expert_config, format_duration, format_runtime, run_concurrent, run_sequential,
+    expert_config, format_duration, format_runtime, run_concurrent, run_search, run_sequential,
     translate_group, volunteer_config, TimedRun,
 };
 use iotsan_telemetry::rows::JsonRow;
@@ -1544,22 +1544,33 @@ fn table7b() {
     println!("paper: concurrent exceeds 139 minutes at 3 events and never finishes at 4; sequential stays in seconds");
 }
 
-/// Table 8: sequential verification time vs number of events on the larger
-/// 5-app group.
+/// Table 8: sequential verification cost vs number of events on the larger
+/// 5-app group, swept to the paper's 11 events without and with failure
+/// injection.  `Closed` is the search's fixpoint (`SearchStats::closed_at`):
+/// from that bound on, every bound gives the same report.
 fn table8() {
     heading("Table 8: verification time vs number of events (5 related apps)");
     let apps = translate_group(&samples::table8_group());
     let config = expert_config(&apps);
     let budget = iotsan_bench::experiment_budget(20, 120);
-    println!("{:<8} {:>16} {:>16} {:>16}", "Events", "Time", "States", "Transitions");
-    for events in 1..=iotsan_bench::experiment_events(4, 6) {
-        let run = run_sequential(&apps, &config, events, budget);
+    for failures in [false, true] {
+        println!("failures {}", if failures { "on" } else { "off" });
         println!(
-            "{events:<8} {:>16} {:>16} {:>16}",
-            format_runtime(&run),
-            run.report.stats.states_stored,
-            run.report.stats.transitions
+            "{:<8} {:>16} {:>10} {:>12} {:>8} {:>10}",
+            "Events", "Time", "States", "Transitions", "Closed", "Violated"
         );
+        for events in 1..=11 {
+            let run = run_search(&apps, &config, events, failures, budget);
+            let stats = &run.report.stats;
+            let closed = stats.closed_at.map_or("-".to_string(), |d| d.to_string());
+            println!(
+                "{events:<8} {:>16} {:>10} {:>12} {closed:>8} {:>10}",
+                format_runtime(&run),
+                stats.states_stored,
+                stats.transitions,
+                run.report.violated_properties().len()
+            );
+        }
     }
     println!("paper: time grows from 6.61s at 6 events to 23.39h at 11 events (exponential in the event bound)");
 }

@@ -12,8 +12,8 @@
 //!   implements (sequential and strict-concurrent designs);
 //! * [`store`] — exact visited-state storage (the paper's BITSTATE mode is
 //!   deliberately absent: a lossy store can report a wrong "safe");
-//! * [`search`] — bounded DFS/BFS with per-property counterexamples and search
-//!   statistics;
+//! * [`search`] — bounded breadth-first search with shortest per-property
+//!   counterexamples, search statistics and fixpoint detection;
 //! * [`trace`] — Spin-style violation logs (Figure 7).
 //!
 //! Like Spin in the paper, one search runs on one core.  Multi-core hosts
@@ -32,9 +32,7 @@ pub mod store;
 pub mod trace;
 pub mod transition;
 
-pub use search::{
-    CancelToken, Checker, FoundViolation, SearchConfig, SearchMode, SearchReport, SearchStats,
-};
+pub use search::{CancelToken, Checker, FoundViolation, SearchConfig, SearchReport, SearchStats};
 pub use store::{fnv1a, ExactStore};
 pub use trace::{LogLine, Trace, TraceStep};
 pub use transition::{StepLog, StepOutcome, TransitionSystem, Violation};

@@ -7,6 +7,14 @@
 //! bound is [`SearchConfig::max_depth`], the maximum number of external events
 //! along any path.  Visited states are stored exactly ([`crate::store`]).
 //!
+//! The search is breadth-first, so a state is first visited at its minimum
+//! depth, with the most event budget left: the visited set keys on the
+//! encoded state alone.  That holds only while the encoding keeps apart
+//! every pair of states whose futures differ other than by the budget (see
+//! [`TransitionSystem::encode`]).  Violations are checked on every applied
+//! transition before the visited-set lookup, so deduplication never hides
+//! one.
+//!
 //! # Allocation discipline
 //!
 //! The exploration loop performs no per-transition heap allocation in steady
@@ -14,7 +22,7 @@
 //!
 //! * enabled actions are written into one reused buffer per expansion;
 //! * counterexample bookkeeping is a parent-pointer `TraceArena` — one
-//!   `(parent, action)` node per *admitted* state instead of an O(depth)
+//!   `(parent, action)` node per expanded state instead of an O(depth)
 //!   trace clone per transition (which made path cost quadratic);
 //! * effect logs are deferred: the search runs with a disabled
 //!   [`StepLog`], so the model never formats or even constructs log events on
@@ -82,16 +90,6 @@ impl PartialEq for CancelToken {
     }
 }
 
-/// Search order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// Depth-first search (Spin's default); finds deep counterexamples fast.
-    #[default]
-    Dfs,
-    /// Breadth-first search; finds shortest counterexamples.
-    Bfs,
-}
-
 /// Configuration of one verification run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchConfig {
@@ -102,8 +100,6 @@ pub struct SearchConfig {
     pub max_states: usize,
     /// Hard cap on applied transitions.
     pub max_transitions: usize,
-    /// DFS or BFS.
-    pub mode: SearchMode,
     /// Stop at the first violation instead of collecting one counterexample
     /// per violated property.
     pub stop_at_first: bool,
@@ -128,7 +124,6 @@ impl Default for SearchConfig {
             max_depth: 3,
             max_states: 2_000_000,
             max_transitions: 20_000_000,
-            mode: SearchMode::Dfs,
             stop_at_first: false,
             time_limit: None,
             slice: false,
@@ -181,8 +176,8 @@ pub struct SearchStats {
     pub store_memory_bytes: usize,
     /// High-water mark, in bytes, of counterexample bookkeeping: the
     /// parent-pointer trace arena plus every materialized counterexample.
-    /// The arena grows by one pointer-sized node per admitted state; full
-    /// traces with strings exist only for reported violations.
+    /// The arena grows by one small node per state admitted below the depth
+    /// bound; full traces with strings exist only for reported violations.
     pub peak_trace_bytes: usize,
     /// True when the search stopped because of a resource cap rather than
     /// exhausting the bounded state space.
@@ -192,6 +187,16 @@ pub struct SearchStats {
     pub states_capped: bool,
     /// True when [`SearchConfig::max_transitions`] fired.
     pub transitions_capped: bool,
+    /// The fixpoint: `Some(d)` when the search ran to completion (no cap, no
+    /// stop at the first violation) and every reachable state was expanded —
+    /// none was admitted at [`SearchConfig::max_depth`] or at the model's own
+    /// bound ([`TransitionSystem::at_bound`]).  `d` is the deepest transition
+    /// applied, and the whole report is the same for every event bound
+    /// `>= d`, with the search and model bounds equal as `iotsan::Pipeline`
+    /// sets them (`ModelOptions::max_events == SearchConfig::max_depth`).
+    /// A model that encodes its depth (the IoT models' event count, when a
+    /// handler reads the clock) never closes below its bound.
+    pub closed_at: Option<usize>,
 }
 
 /// The resource cap that ended a search early.
@@ -259,8 +264,8 @@ const NO_PARENT: u32 = u32::MAX;
 
 /// Parent-pointer counterexample bookkeeping.
 ///
-/// The search records one `(parent, action)` node per **admitted**
-/// state — never a full trace per transition.  A counterexample's action
+/// The search records one `(parent, action)` node per state it will expand
+/// — never a full trace per transition.  A counterexample's action
 /// sequence is reconstructed by walking parents from the violating frame to
 /// the root, which only happens for the ≤1-per-property violations that are
 /// reported.
@@ -337,22 +342,16 @@ impl Checker {
         &self.config
     }
 
-    /// Runs the search over `model` and reports violations and statistics.
+    /// Runs the breadth-first search over `model` and reports violations and
+    /// statistics.
     ///
     /// The search is single-threaded and deterministic: the same model and
     /// configuration always yield the same report, counterexample traces
     /// included (only the timing fields vary).  Independent searches run
-    /// concurrently on separate threads.
+    /// concurrently on separate threads.  Counterexamples are shortest: each
+    /// violated property is reported from the first layer that violates it.
     pub fn verify<T: TransitionSystem>(&self, model: &T) -> SearchReport {
-        match self.config.mode {
-            SearchMode::Dfs => self.run::<T, false>(model),
-            SearchMode::Bfs => self.run::<T, true>(model),
-        }
-    }
-
-    /// The search loop; `BFS` selects queue (breadth-first) or stack
-    /// (depth-first) frontier order — everything else is identical.
-    fn run<T: TransitionSystem, const BFS: bool>(&self, model: &T) -> SearchReport {
+        let max_depth = self.config.max_depth;
         let start = Instant::now();
         let mut store = ExactStore::new();
         let mut report = SearchReport::default();
@@ -361,11 +360,7 @@ impl Checker {
         // loop never touches the global registry.
         let mut dedup_hits: usize = 0;
         let mut frontier_peak: usize = 1;
-        flight::record(
-            Level::Debug,
-            EventCode::SearchStart,
-            &format!("depth={}", self.config.max_depth),
-        );
+        flight::record(Level::Debug, EventCode::SearchStart, &format!("depth={max_depth}"));
 
         // Reused hot-loop buffers: encoded state bytes, enabled actions,
         // model scratch, the (disabled) effect log and the path scratch for
@@ -378,24 +373,23 @@ impl Checker {
         let mut arena: TraceArena<T::Action> = TraceArena::new();
 
         let initial = model.initial_state();
-        encode_buf.clear();
         model.encode(&initial, &mut encode_buf);
         store.insert(&encode_buf);
+        // Set once a bound withholds an admitted state's successors.
+        let mut bounded = max_depth == 0 || model.at_bound(&initial);
 
-        // The frontier: (state, depth, arena node).  A VecDeque serves both
-        // orders — DFS pops the back, BFS pops the front.
+        // The FIFO frontier: (state, depth, arena node).  Only states below
+        // `max_depth` enter it: a state admitted at the bound is never
+        // expanded, so it goes into the visited set alone.
         let mut frontier: VecDeque<(T::State, usize, u32)> = VecDeque::new();
-        frontier.push_back((initial, 0, NO_PARENT));
+        if max_depth > 0 {
+            frontier.push_back((initial, 0, NO_PARENT));
+        }
 
-        'search: while let Some((state, depth, node)) =
-            if BFS { frontier.pop_front() } else { frontier.pop_back() }
-        {
+        'search: while let Some((state, depth, node)) = frontier.pop_front() {
             if let Some(cap) = self.cap_hit(&report.stats, start, store.len()) {
                 report.stats.record_cap(cap);
                 break;
-            }
-            if depth >= self.config.max_depth {
-                continue;
             }
             model.actions(&state, &mut actions_buf);
             for action in &actions_buf {
@@ -427,20 +421,26 @@ impl Checker {
 
                 encode_buf.clear();
                 model.encode(&outcome.state, &mut encode_buf);
-                // Depth is part of the state identity: the same physical state
-                // reached with fewer events still has more exploration budget
-                // left, so it must be revisited.
-                push_depth_tag(&mut encode_buf, next_depth);
-                if store.insert(&encode_buf) {
+                if !store.insert(&encode_buf) {
+                    dedup_hits += 1;
+                    continue;
+                }
+                bounded |= next_depth == max_depth || model.at_bound(&outcome.state);
+                if next_depth < max_depth {
                     let next_node = arena.push(node, action);
                     frontier.push_back((outcome.state, next_depth, next_node));
                     frontier_peak = frontier_peak.max(frontier.len());
-                } else {
-                    dedup_hits += 1;
                 }
             }
         }
 
+        // A cap or a stop at the first violation leaves the frontier
+        // unexplored.
+        let stopped =
+            report.stats.truncated || (self.config.stop_at_first && report.has_violations());
+        if !stopped && !bounded {
+            report.stats.closed_at = Some(report.stats.max_depth_reached);
+        }
         self.finish(&mut report, &store, start, arena.memory_bytes());
         flush_search_telemetry(
             &report.stats,
@@ -572,22 +572,6 @@ fn flush_search_telemetry(
     }
 }
 
-/// Appends `depth` to an encoded state: its 7-bit groups, least significant
-/// first, as in LEB128 — so below 128 the tag is the single depth byte.
-/// The tag never saturates, so two depths never alias.  Unlike LEB128 the
-/// flag bit marks every byte *after* the first rather than every byte
-/// before the last: the tag follows a variable-length state encoding, so it
-/// must be suffix-free (no tag is a proper suffix of another), and exactly
-/// one byte of each tag, its first, has the flag clear.
-fn push_depth_tag(out: &mut Vec<u8>, mut depth: usize) {
-    out.push((depth & 0x7f) as u8);
-    depth >>= 7;
-    while depth > 0 {
-        out.push((depth & 0x7f) as u8 | 0x80);
-        depth >>= 7;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,8 +581,88 @@ mod tests {
         CounterModel { bad_value: 6, max_value: 32 }
     }
 
+    /// The violated property ids of every action sequence of length
+    /// `1..=k`, enumerated without a visited set: an oracle for the
+    /// search's deduplication that shares no code with it.
+    fn reference_violations<T: TransitionSystem>(model: &T, k: usize) -> BTreeSet<u32> {
+        fn walk<T: TransitionSystem>(
+            model: &T,
+            state: &T::State,
+            k: usize,
+            out: &mut BTreeSet<u32>,
+        ) {
+            if k == 0 {
+                return;
+            }
+            let mut actions = Vec::new();
+            model.actions(state, &mut actions);
+            for action in &actions {
+                let outcome = model.apply(
+                    state,
+                    action,
+                    &mut T::Scratch::default(),
+                    &mut StepLog::disabled(),
+                );
+                out.extend(outcome.violations.iter().map(|v| v.property));
+                walk(model, &outcome.state, k - 1, out);
+            }
+        }
+        let mut out = BTreeSet::new();
+        walk(model, &model.initial_state(), k, &mut out);
+        out
+    }
+
     #[test]
-    fn dfs_finds_the_violation() {
+    fn search_matches_dedup_free_enumeration() {
+        for bad_value in 1..=32 {
+            let model = CounterModel { bad_value, max_value: 32 };
+            for k in 1..=7 {
+                let report = Checker::new(SearchConfig::with_depth(k)).verify(&model);
+                assert_eq!(
+                    report.violated_properties(),
+                    reference_violations(&model, k),
+                    "bad value {bad_value}, bound {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn closes_once_the_bound_exceeds_the_reachable_depth() {
+        // 31 is the deepest counter value (8 steps: 1→2→3→6→7→14→15→30→31);
+        // its successors, 32, are already stored, so the ninth layer is empty.
+        let at = |depth| Checker::new(SearchConfig::with_depth(depth)).verify(&model());
+        let closed = at(9);
+        assert_eq!(closed.stats.closed_at, Some(9));
+        for depth in 10..=14 {
+            let report = at(depth);
+            assert_eq!(report.stats.closed_at, Some(9), "bound {depth}");
+            assert_eq!(report.violations, closed.violations, "bound {depth}");
+            assert_eq!(report.stats.states_stored, closed.stats.states_stored);
+            assert_eq!(report.stats.transitions, closed.stats.transitions);
+        }
+        // A bound that admits 31 at depth 8 withholds its successors.
+        for depth in 0..=8 {
+            assert_eq!(at(depth).stats.closed_at, None, "bound {depth}");
+        }
+    }
+
+    #[test]
+    fn a_cap_or_an_early_stop_never_closes() {
+        let mut capped = SearchConfig::with_depth(12);
+        capped.max_states = 10;
+        let mut timed = SearchConfig::with_depth(12);
+        timed.time_limit = Some(Duration::ZERO);
+        let mut first = SearchConfig::with_depth(12);
+        first.stop_at_first = true;
+        for config in [capped, timed, first] {
+            let report = Checker::new(config.clone()).verify(&model());
+            assert_eq!(report.stats.closed_at, None, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn finds_the_violation() {
         let checker = Checker::new(SearchConfig::with_depth(5));
         let report = checker.verify(&model());
         assert!(report.has_violations());
@@ -627,9 +691,7 @@ mod tests {
 
     #[test]
     fn bfs_finds_shortest_counterexample() {
-        let mut config = SearchConfig::with_depth(6);
-        config.mode = SearchMode::Bfs;
-        let report = Checker::new(config).verify(&model());
+        let report = Checker::new(SearchConfig::with_depth(6)).verify(&model());
         let found = report.violation_for(1).unwrap();
         // Shortest path to 6: 1→2→3→6 (double, increment, double) = 3 steps.
         assert_eq!(found.depth, 3);
@@ -756,37 +818,15 @@ mod tests {
     }
 
     #[test]
-    fn depth_tag_is_injective() {
-        let tag = |depth: usize| {
-            let mut out = Vec::new();
-            push_depth_tag(&mut out, depth);
-            out
-        };
-        // Below 128 the tag is the old single depth byte.
-        for depth in 0..128 {
-            assert_eq!(tag(depth), [depth as u8]);
-        }
-        let depths: BTreeSet<usize> =
-            (0..5_000).chain([1 << 14, (1 << 21) - 1, 1 << 21, usize::MAX]).collect();
-        let tags: BTreeSet<Vec<u8>> = depths.iter().map(|&depth| tag(depth)).collect();
-        assert_eq!(tags.len(), depths.len(), "two depths share a tag");
-        // Suffix-free: only a tag's first byte has the flag clear, so the
-        // tag's start is found from the end of `state ++ tag`.
-        for tag in &tags {
-            assert!(tag[0] < 0x80 && tag[1..].iter().all(|b| *b >= 0x80), "{tag:?}");
-        }
-    }
-
-    #[test]
     fn depths_past_255_keep_their_exploration_budget() {
         use crate::trace::LogLine;
         use crate::transition::StepOutcome;
 
         /// Two chains from the root (state 0) meet at state S: chain A
         /// (states 1..) after 256 events, chain B (states 1001..) after 300.
-        /// A violation lies 20 events past S.  DFS explores B first and
-        /// stores S with 10 events of budget left; reaching S again through
-        /// A must not be deduplicated away.
+        /// A violation lies 20 events past S, so only a visit to S through
+        /// A has the budget to reach it.  Breadth-first order stores S from
+        /// A first, at its minimum depth.
         struct TwoChains;
         const S: u32 = 5_000;
         impl TransitionSystem for TwoChains {
@@ -801,7 +841,6 @@ mod tests {
 
             fn actions(&self, state: &u32, out: &mut Vec<bool>) {
                 out.clear();
-                // `true` (chain B) is pushed last, so DFS pops it first.
                 out.extend(if *state == 0 { &[false, true][..] } else { &[false][..] });
             }
 
@@ -842,6 +881,10 @@ mod tests {
         assert!(!report.stats.truncated);
         let found = report.violation_for(1).expect("the violation past S through chain A");
         assert_eq!(found.depth, 256 + 20);
+        assert_eq!(found.trace.events()[0], "false", "the counterexample must start down chain A");
+        // The root, both chains, S and its tail up to the bound: each state
+        // is stored once.
+        assert_eq!(report.stats.states_stored, 1 + 255 + 299 + 1 + (310 - 256));
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub trait TransitionSystem {
     type State: Clone;
     /// The action (external-event choice) type.  Kept deliberately small and
     /// string-free by the models: actions are cloned into the counterexample
-    /// arena for every admitted state.
+    /// arena for every expanded state.
     type Action: Clone;
     /// The structured effect-log event type ([`StepLog`]); rendered to text
     /// only via [`TransitionSystem::render_event`].
@@ -154,8 +154,19 @@ pub trait TransitionSystem {
 
     /// Serializes the parts of the state relevant for equivalence into `out`.
     /// Two states with identical encodings are considered the same by the
-    /// state store.
+    /// state store, which keeps only the first, shallowest visit: equal
+    /// encodings must mean equal futures, except that a deeper visit has
+    /// less of the depth budget left.  Hidden state that changes what a
+    /// state can do (the IoT models' clock, when a handler reads it) must be
+    /// encoded.
     fn encode(&self, state: &Self::State, out: &mut Vec<u8>);
+
+    /// True when the model's own bound withholds successors from `state`
+    /// (the IoT models' event bound); a larger bound could reach further, so
+    /// the checker then reports no fixpoint ([`crate::SearchStats::closed_at`]).
+    fn at_bound(&self, _state: &Self::State) -> bool {
+        false
+    }
 
     /// Renders an action for counterexample traces and reports (only called
     /// during materialization, never on the hot path).

@@ -148,6 +148,10 @@ struct ModelCore {
     /// The app-touch, timer and location-event actions, which every state
     /// below the event bound offers (see [`fixed_actions`]).
     fixed_actions: Vec<ExternalAction>,
+    /// True when some handler reads the modelled clock
+    /// ([`iotsan_analysis::reads_clock`]): the sequential encoding then
+    /// keeps the external-event count, which fixes the clock.
+    reads_clock: bool,
     options: ModelOptions,
 }
 
@@ -238,7 +242,17 @@ impl ModelCore {
             .collect();
         let subscriptions = subscription_index(&system);
         let fixed_actions = fixed_actions(&system);
-        ModelCore { system, violations, compiled, subscriptions, fixed_actions, options }
+        let reads_clock =
+            system.apps.iter().flat_map(|app| &app.handlers).any(iotsan_analysis::reads_clock);
+        ModelCore {
+            system,
+            violations,
+            compiled,
+            subscriptions,
+            fixed_actions,
+            reads_clock,
+            options,
+        }
     }
 
     /// The initial state, with one zeroed leads-to monitor slot per compiled
@@ -251,11 +265,16 @@ impl ModelCore {
 }
 
 impl ModelCore {
+    /// True once the event bound withholds every further external event.
+    fn at_bound(&self, state: &SystemState) -> bool {
+        state.external_events >= self.options.max_events
+    }
+
     /// External actions available when fewer than `max_events` have happened,
     /// written into the caller's reused buffer.
     fn external_actions(&self, state: &SystemState, out: &mut Vec<ExternalAction>) {
         out.clear();
-        if state.external_events >= self.options.max_events {
+        if self.at_bound(state) {
             return;
         }
         for (index, spec) in self.system.device_specs().iter().enumerate() {
@@ -718,6 +737,17 @@ impl TransitionSystem for SequentialModel {
 
     fn encode(&self, state: &SystemState, out: &mut Vec<u8>) {
         state.encode_into(out);
+        // The clock ticks once per external event.  When a handler reads it,
+        // one physical state behaves differently at different times, so the
+        // count joins the identity; otherwise equal states merge across
+        // depths.
+        if self.core.reads_clock {
+            encode_event_count(state, out);
+        }
+    }
+
+    fn at_bound(&self, state: &SystemState) -> bool {
+        self.core.at_bound(state)
     }
 
     fn display_action(&self, action: &ExternalAction) -> String {
@@ -837,7 +867,11 @@ impl TransitionSystem for ConcurrentModel {
 
     fn encode(&self, state: &SystemState, out: &mut Vec<u8>) {
         state.encode_into(out);
-        out.push(state.external_events as u8);
+        encode_event_count(state, out);
+    }
+
+    fn at_bound(&self, state: &SystemState) -> bool {
+        self.core.at_bound(state)
     }
 
     fn display_action(&self, action: &ConcurrentAction) -> String {
@@ -850,6 +884,11 @@ impl TransitionSystem for ConcurrentModel {
     fn render_event(&self, event: &LogEvent) -> LogLine {
         event.render(&self.core.system)
     }
+}
+
+/// Appends the external-event count, fixed width so no two counts alias.
+fn encode_event_count(state: &SystemState, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(state.external_events as u64).to_le_bytes());
 }
 
 #[cfg(test)]
@@ -966,6 +1005,54 @@ def changedLocationMode(evt) { lock1.unlock() }
             .violations
             .iter()
             .any(|v| v.violation.description.contains("main door should be locked")));
+    }
+
+    #[test]
+    fn concurrent_encoding_keeps_external_event_counts_apart() {
+        let model = ConcurrentModel::new(
+            unlock_door_system(),
+            PropertySet::all(),
+            ModelOptions::with_events(1),
+        );
+        let encode = |external_events| {
+            let mut state = model.initial_state();
+            state.external_events = external_events;
+            let mut out = Vec::new();
+            model.encode(&state, &mut out);
+            out
+        };
+        assert_ne!(encode(0), encode(256));
+        assert_ne!(encode(1), encode(257));
+    }
+
+    #[test]
+    fn concurrent_model_does_not_close_at_its_event_gate() {
+        // The concurrent search bound is far above any path the model takes:
+        // the search runs out of states because the model stops offering
+        // external events, which is no fixpoint.
+        let model = ConcurrentModel::new(
+            unlock_door_system(),
+            PropertySet::all(),
+            ModelOptions::with_events(1),
+        );
+        let report = Checker::new(SearchConfig::with_depth(model.suggested_depth())).verify(&model);
+        assert!(!report.stats.truncated);
+        assert!(report.stats.max_depth_reached < model.suggested_depth());
+        assert_eq!(report.stats.closed_at, None);
+    }
+
+    #[test]
+    fn a_model_gate_below_the_search_bound_is_no_fixpoint() {
+        // One event allowed, six searched: the search runs out of states
+        // because the model stops offering events, not at a fixpoint.
+        let model = SequentialModel::new(
+            unlock_door_system(),
+            PropertySet::all(),
+            ModelOptions::with_events(1),
+        );
+        let report = Checker::new(SearchConfig::with_depth(6)).verify(&model);
+        assert!(!report.stats.truncated);
+        assert_eq!(report.stats.closed_at, None);
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl Fnv {
 /// never matters), the device configuration the group is verified under, the
 /// property set, and the model/search options that can change the verdict
 /// ([`crate::model::ModelOptions`] plus the result-relevant
-/// [`SearchConfig`] fields — depth, caps, mode, stop-at-first).
+/// [`SearchConfig`] fields — depth, caps, stop-at-first).
 /// The wall-clock budget is always excluded (a budget-truncated report is
 /// never cached).
 pub fn fingerprint_group(
@@ -140,9 +140,9 @@ pub fn fingerprint_group(
     // different property set — and nothing else.
     h.write_bytes(&pipeline.properties.content_hash().to_le_bytes());
     h.write_item(&format!("{:?}", pipeline.model_options));
-    let SearchConfig { max_depth, max_states, max_transitions, mode, stop_at_first, slice, .. } =
+    let SearchConfig { max_depth, max_states, max_transitions, stop_at_first, slice, .. } =
         &pipeline.search;
-    h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, mode, stop_at_first)));
+    h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, stop_at_first)));
     // Sliced and unsliced runs explore the same verdicts but different state
     // counts; fold the analysis version and the concrete slice partition so
     // their cached reports never masquerade as each other, and so any change

@@ -433,7 +433,9 @@ pub struct SystemState {
     pub devices: Vec<DeviceState>,
     /// Current location mode.
     pub mode: LocationMode,
-    /// Modelled system time (not part of the state identity).
+    /// Modelled system time: one tick per external event, so the sequential
+    /// model keys on it (through the event count) only when a handler reads
+    /// the clock.
     pub time: SystemTime,
     /// Persistent app state variables in rendered form, indexed by the
     /// installation's slot table ([`InstalledSystem::state_slot`]); `None`
@@ -465,7 +467,8 @@ const ENC_NO_DEVICE: u8 = 0xfc;
 impl SystemState {
     /// Serializes the state-identity-relevant parts into `out` (device states,
     /// mode, app variables and the pending-event queue; modelled time and the
-    /// external-event count are excluded so equivalent physical states merge).
+    /// external-event count are excluded so equivalent physical states merge;
+    /// the models append the count where it matters).
     ///
     /// The layout is flat and fixed by the installation: device attribute
     /// indices, the mode byte, one marker-delimited value per app-state slot

@@ -126,6 +126,8 @@ pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
     put_bool(out, stats.truncated);
     put_bool(out, stats.states_capped);
     put_bool(out, stats.transitions_capped);
+    // `None` as 0 and `Some(d)` as `d + 1`: one fixed-width field.
+    put_usize(out, stats.closed_at.map_or(0, |d| d + 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -241,6 +243,7 @@ pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
         truncated: r.boolean("truncated flag")?,
         states_capped: r.boolean("states-capped flag")?,
         transitions_capped: r.boolean("transitions-capped flag")?,
+        closed_at: r.usize("closed-at depth")?.checked_sub(1),
     };
     if !r.finished() {
         return Err(err("trailing bytes"));
@@ -283,6 +286,7 @@ mod tests {
                     truncated: false,
                     states_capped: false,
                     transitions_capped: false,
+                    closed_at: Some(3),
                 },
             },
         }
@@ -290,16 +294,19 @@ mod tests {
 
     #[test]
     fn round_trips_structurally_and_byte_for_byte() {
-        let original = sample_result();
-        let mut bytes = Vec::new();
-        encode_group_result(&original, &mut bytes);
-        let decoded = decode_group_result(&bytes).unwrap();
-        assert_eq!(decoded, original);
-        // Byte identity: re-encoding the decoded value reproduces the input
-        // exactly (this is what makes compaction idempotent).
-        let mut again = Vec::new();
-        encode_group_result(&decoded, &mut again);
-        assert_eq!(again, bytes);
+        for closed_at in [Some(3), None] {
+            let mut original = sample_result();
+            original.report.stats.closed_at = closed_at;
+            let mut bytes = Vec::new();
+            encode_group_result(&original, &mut bytes);
+            let decoded = decode_group_result(&bytes).unwrap();
+            assert_eq!(decoded, original);
+            // Byte identity: re-encoding the decoded value reproduces the
+            // input exactly (this is what makes compaction idempotent).
+            let mut again = Vec::new();
+            encode_group_result(&decoded, &mut again);
+            assert_eq!(again, bytes);
+        }
     }
 
     #[test]

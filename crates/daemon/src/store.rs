@@ -41,8 +41,10 @@ pub const MAGIC: [u8; 8] = *b"IOTSANVS";
 /// The on-disk format version this build reads and writes.  Version 2
 /// dropped the per-verdict search worker count; version 3 marks the change
 /// of every group fingerprint when the state-store kind left the key (the
-/// records would otherwise sit orphaned under keys nothing looks up).
-pub const FORMAT_VERSION: u32 = 3;
+/// records would otherwise sit orphaned under keys nothing looks up);
+/// version 4 added the search's fixpoint depth to each verdict, and every
+/// fingerprint changed again when the search order left the key.
+pub const FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length

@@ -532,7 +532,7 @@ registry! {
     fgauge checker_last_states_per_sec: "iotsan_checker_last_states_per_sec", "states/s",
         "Throughput of the most recently finished search";
     gauge checker_frontier_peak: "iotsan_checker_frontier_peak", "frames",
-        "Peak frontier size (queue/stack frames) of the most recent search";
+        "Peak frontier size (queue frames) of the most recent search";
     gauge checker_arena_peak_bytes: "iotsan_checker_arena_peak_bytes", "bytes",
         "Peak trace-arena bookkeeping bytes of the most recent search";
 

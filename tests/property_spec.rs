@@ -90,8 +90,9 @@ fn golden_ltl_renderings_match_the_pre_redesign_catalog() {
 }
 
 /// `repro throughput`'s quick-profile workload (8 market apps, failure
-/// injection, 3 events): the violated-property set and the state/transition
-/// counts must be byte-identical to the pre-redesign enum catalog.
+/// injection, 3 events): the violated-property set must be byte-identical to
+/// the pre-redesign enum catalog.  The state/transition counts were
+/// re-recorded for the depth-free breadth-first search (2345 → 2008 states).
 #[test]
 fn golden_parallel_workload_verdict_is_unchanged() {
     let (apps, config) = iotsan_bench::scaling_workload();
@@ -101,8 +102,8 @@ fn golden_parallel_workload_verdict_is_unchanged() {
     let expected: BTreeSet<u32> =
         [1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 18, 36, 39, 45].into_iter().collect();
     assert_eq!(violated, expected);
-    assert_eq!(run.report.stats.states_stored, 2345);
-    assert_eq!(run.report.stats.transitions, 15165);
+    assert_eq!(run.report.stats.states_stored, 2008);
+    assert_eq!(run.report.stats.transitions, 13905);
 }
 
 /// `repro fleet`'s quick-profile workloads (market corpus, 2 events, failure
@@ -111,13 +112,16 @@ fn golden_parallel_workload_verdict_is_unchanged() {
 /// transition and group pins track the effect-derived dependency graph:
 /// effect summaries surface flows the subscription walk missed (mode writes
 /// read elsewhere, app-state channels), which merges related groups — the
-/// violated-property sets are invariant across both partitions.
+/// violated-property sets are invariant across both partitions.  The state
+/// and transition pins were re-recorded when the search became breadth-first
+/// over a depth-free visited set (each state stored once, not once per
+/// depth); the violated sets and group counts did not move.
 #[test]
 fn golden_fleet_workload_verdicts_are_unchanged() {
     let cases: [(usize, &[u32], usize, usize, usize); 3] = [
-        (4, &[1, 3, 4, 5, 45], 387, 1759, 5),
-        (8, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 18, 36, 39, 45], 340, 1262, 2),
-        (12, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 17, 18, 21, 36, 45], 665, 2464, 3),
+        (4, &[1, 3, 4, 5, 45], 325, 1672, 5),
+        (8, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 18, 36, 39, 45], 311, 1217, 2),
+        (12, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 17, 18, 21, 36, 45], 608, 2375, 3),
     ];
     for (corpus, expected, states, transitions, groups) in cases {
         let (apps, config) = iotsan_bench::fleet_workload(corpus);
