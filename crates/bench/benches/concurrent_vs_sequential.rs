@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iotsan_apps::samples;
-use iotsan_bench::{expert_config, run_concurrent, run_sequential, translate_group};
+use iotsan_bench::{expert_config, run_concurrent, run_search, translate_group};
 use std::time::Duration;
 
 fn bench_designs(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_designs(c: &mut Criterion) {
     group.sample_size(10);
     for events in [1usize, 2, 3] {
         group.bench_with_input(BenchmarkId::new("sequential", events), &events, |b, &events| {
-            b.iter(|| run_sequential(&apps, &config, events, budget))
+            b.iter(|| run_search(&apps, &config, events, false, budget))
         });
         group.bench_with_input(BenchmarkId::new("concurrent", events), &events, |b, &events| {
             b.iter(|| run_concurrent(&apps, &config, events, budget))

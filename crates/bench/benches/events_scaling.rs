@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iotsan_apps::samples;
-use iotsan_bench::{expert_config, run_sequential, translate_group};
+use iotsan_bench::{expert_config, run_search, translate_group};
 use std::time::Duration;
 
 fn bench_event_scaling(c: &mut Criterion) {
@@ -19,7 +19,7 @@ fn bench_event_scaling(c: &mut Criterion) {
     group.sample_size(10);
     for events in [1usize, 2, 3, 4, 6, 11] {
         group.bench_with_input(BenchmarkId::from_parameter(events), &events, |b, &events| {
-            b.iter(|| run_sequential(&apps, &config, events, budget))
+            b.iter(|| run_search(&apps, &config, events, false, budget))
         });
     }
     group.finish();

@@ -1,5 +1,6 @@
 //! `repro` — regenerates every table and figure of the IotSan paper's
-//! evaluation (§10–§11) on the IotSan-rs reproduction.
+//! evaluation (§10–§11) on the IotSan-rs reproduction, plus the
+//! reproduction's own timing, differential and chaos experiments.
 //!
 //! Usage:
 //!
@@ -9,45 +10,30 @@
 //! cargo run --release -p iotsan-bench --bin repro -- --json BENCH_pr.json throughput
 //! ```
 //!
-//! Available experiments: `table1 table2 table3 table4 table5 table6 table7a
-//! table7b table8 table9 attribution fig4 fig7 fig8a fig8b throughput
-//! fleet properties slice daemon telemetry scenarios chaos`.
+//! The experiments, in the order a bare `repro` prints them, are the entries
+//! of [`EXPERIMENTS`]; an unknown name exits 2 and lists them.  CI's `smoke`
+//! job runs all of them in one pass:
 //!
-//! `telemetry` is the observability subsystem's overhead guard: the same
-//! sequential workload verified with metric recording switched off and on
-//! (the `iotsan-telemetry` runtime kill-switch) inside one process, the
-//! enabled arm required to keep ≥95% of the disabled arm's throughput.
-//! The final registry snapshot rides along in the JSON document so the
-//! BENCH artifact records exactly which counters the workload moved.
+//! ```text
+//! repro -- --json BENCH_pr.json --baseline BENCH_baseline.json --seed 1 --size 200 --faults 200
+//! ```
 //!
-//! `scenarios` runs the scenario-factory differential fuzzer
-//! (`iotsan-scenarios`): `--size N` households (default 200) generated from
-//! `--seed S` (default 1) onward, each checked for serial == concurrent-fleet
-//! == sliced == warm-cache agreement.  Any divergence shrinks the failing
-//! household to a minimal reproduction, writes it to `scenario_repro.json`
-//! and exits non-zero — CI's `fuzz-smoke` job uploads the artifact.
+//! `--json <path>` writes the rows of the timing experiments (`throughput`,
+//! `fleet`, `properties`, `slice`, `daemon`, `telemetry`, `scenarios`,
+//! `chaos`) as one machine-readable document.  `--baseline <path>` fails
+//! the run when `throughput`'s states/sec falls more than 20% below the
+//! committed baseline.  The timing floors live in the experiments:
+//! `telemetry` keeps ≥95% of the kill-switched throughput, `properties`
+//! keeps ≥0.5× with custom specs, `daemon`'s warm restart is ≥10× faster
+//! than cold.  Verdict consistency is left to the test suite.
 //!
-//! `chaos` sweeps `--faults N` (default 50) seeded I/O-fault schedules
-//! (`ChaosPlan::generate(seed)` for seeds `--seed S` onward) through the
-//! daemon's fault seam: each schedule runs a cold daemon under injected
-//! store faults (and optionally a panicking job), restarts on the surviving
-//! log, and checks three invariants — no acknowledged verdict is lost, no
-//! wrong verdict is ever served, every job reaches a definite outcome.  A
-//! violating schedule shrinks to a minimal plan written to
-//! `chaos_repro.json` before exiting non-zero — CI's `chaos-smoke` job
-//! uploads the artifact.
-//!
-//! `--json <path>` additionally writes the machine-readable timings collected
-//! by the timing experiments (`throughput`: one search's states/sec;
-//! `fleet`: corpus-size sweep of the group-wise planner with
-//! cold/warm/mutated cache phases; `properties`:
-//! built-ins vs built-ins+customs throughput plus the `property_eval`
-//! micro-benchmark of one compiled property pass; `slice`: sliced vs
-//! unsliced exploration per market bundle, the `slice_effectiveness` rows;
-//! `daemon`: cold vs warm-restart fleet verification over the durable
-//! verdict store, including torn-tail crash recovery) — CI's `bench-smoke`
-//! and `daemon-smoke` jobs upload these as JSON artifacts so the perf
-//! trajectory accumulates.
+//! `scenarios` runs the differential fuzzer (`iotsan-scenarios`) over
+//! `--size N` households (default 200) from `--seed S` (default 1); a
+//! divergence shrinks to `scenario_repro.json` and exits non-zero.  `chaos`
+//! sweeps `--faults N` (default 50) seeded I/O-fault schedules from the same
+//! seed through the daemon and checks that no acknowledged verdict is lost,
+//! no wrong verdict is served and every job ends; a violation shrinks to
+//! `chaos_repro.json` and exits non-zero.
 //!
 //! Absolute numbers differ from the paper (different corpus snapshot, a
 //! simulator substrate instead of Spin on the authors' laptop); the *shape* of
@@ -62,161 +48,110 @@ use iotsan::properties::{PropertyClass, PropertySet};
 use iotsan::{render_table1, Pipeline};
 use iotsan_apps::{ifttt, malicious, market, samples};
 use iotsan_bench::{
-    expert_config, format_duration, format_runtime, run_concurrent, run_search, run_sequential,
-    translate_group, volunteer_config, TimedRun,
+    expert_config, format_duration, format_runtime, run_concurrent, run_search, translate_group,
+    volunteer_config, TimedRun,
 };
 use iotsan_telemetry::rows::JsonRow;
 use std::collections::BTreeMap;
 
-/// Every experiment name `main` dispatches on, in presentation order.
-const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7a",
-    "table7b",
-    "table8",
-    "table9",
-    "attribution",
-    "fig4",
-    "fig7",
-    "fig8a",
-    "fig8b",
-    "throughput",
-    "fleet",
-    "properties",
-    "slice",
-    "daemon",
-    "telemetry",
-    "scenarios",
-    "chaos",
+/// What the experiments share: the `--json` document, the sweep flags and
+/// the throughput figure `--baseline` checks.
+struct Run {
+    json: BenchJson,
+    seed: u64,
+    size: usize,
+    faults: usize,
+    throughput: Option<f64>,
+}
+
+/// One experiment: the names that select it and the function that runs it.
+type Experiment = (&'static [&'static str], fn(&mut Run));
+
+/// Every experiment, in presentation order.  An entry runs once however many
+/// of its names are asked for.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["table1"], |_| table1()),
+    (&["table2", "table3", "fig4"], |_| table2_and_3_and_fig4()),
+    (&["table4"], |_| table4()),
+    (&["table5"], |_| table5()),
+    (&["table6"], |_| table6()),
+    (&["table7a"], |_| table7a()),
+    (&["table7b"], |_| table7b()),
+    (&["table8"], |_| table8()),
+    (&["table9"], |_| table9()),
+    (&["attribution"], |_| attribution()),
+    (&["fig7"], |_| fig7()),
+    (&["fig8a"], |_| fig8a()),
+    (&["fig8b"], |_| fig8b()),
+    (&["throughput"], |run| run.throughput = Some(throughput(&mut run.json))),
+    (&["fleet"], |run| fleet(&mut run.json)),
+    (&["properties"], |run| properties_experiment(&mut run.json)),
+    (&["slice"], |run| slice_experiment(&mut run.json)),
+    (&["daemon"], |run| daemon_experiment(&mut run.json)),
+    (&["telemetry"], |run| telemetry_experiment(&mut run.json)),
+    (&["scenarios"], |run| scenarios_experiment(&mut run.json, run.seed, run.size)),
+    (&["chaos"], |run| chaos_experiment(&mut run.json, run.seed, run.faults)),
 ];
 
-/// Parses `--flag <integer>` out of `args`, removing both tokens.
-fn take_numeric_flag(args: &mut Vec<String>, flag: &str) -> Option<u64> {
+/// The entries `names` asks for, in table order; no names or `all` selects
+/// every entry.  `Err` carries the first name no entry answers to.
+fn select(names: &[String]) -> Result<Vec<&'static Experiment>, &str> {
+    let known = |name: &str| EXPERIMENTS.iter().any(|(names, _)| names.contains(&name));
+    if let Some(unknown) = names.iter().find(|n| *n != "all" && !known(n)) {
+        return Err(unknown);
+    }
+    let all = names.is_empty() || names.iter().any(|n| n == "all");
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|(own, _)| all || names.iter().any(|n| own.contains(&n.as_str())))
+        .collect())
+}
+
+/// Removes `flag <value>` from `args` and parses the value; a missing or
+/// unparsable value exits 2.
+fn take_flag<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option<T> {
     let pos = args.iter().position(|a| a == flag)?;
     if pos + 1 >= args.len() {
-        eprintln!("error: {flag} requires an integer value");
+        eprintln!("error: {flag} requires a value");
         std::process::exit(2);
     }
     let value = args.remove(pos + 1);
     args.remove(pos);
-    match value.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("error: {flag} wants an integer, got `{value}`");
-            std::process::exit(2);
-        }
-    }
+    let Ok(parsed) = value.parse() else {
+        eprintln!("error: {flag} got an invalid value `{value}`");
+        std::process::exit(2);
+    };
+    Some(parsed)
 }
 
 fn main() {
-    let mut which: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_path = None;
-    if let Some(pos) = which.iter().position(|a| a == "--json") {
-        if pos + 1 >= which.len() {
-            eprintln!("error: --json requires a file path");
-            std::process::exit(2);
-        }
-        json_path = Some(which.remove(pos + 1));
-        which.remove(pos);
-    }
-    let mut baseline_path = None;
-    if let Some(pos) = which.iter().position(|a| a == "--baseline") {
-        if pos + 1 >= which.len() {
-            eprintln!("error: --baseline requires a file path");
-            std::process::exit(2);
-        }
-        baseline_path = Some(which.remove(pos + 1));
-        which.remove(pos);
-    }
-    let fuzz_seed = take_numeric_flag(&mut which, "--seed").unwrap_or(1);
-    let fuzz_size = take_numeric_flag(&mut which, "--size").unwrap_or(200) as usize;
-    let chaos_schedules = take_numeric_flag(&mut which, "--faults").unwrap_or(50) as usize;
-    if let Some(unknown) = which.iter().find(|a| *a != "all" && !EXPERIMENTS.contains(&a.as_str()))
-    {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let json_path: Option<String> = take_flag(&mut args, "--json");
+    let baseline_path: Option<String> = take_flag(&mut args, "--baseline");
+    let mut run = Run {
+        json: BenchJson::new(),
+        seed: take_flag(&mut args, "--seed").unwrap_or(1),
+        size: take_flag(&mut args, "--size").unwrap_or(200),
+        faults: take_flag(&mut args, "--faults").unwrap_or(50),
+        throughput: None,
+    };
+    let chosen = select(&args).unwrap_or_else(|unknown| {
+        let names: Vec<&str> =
+            EXPERIMENTS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
         eprintln!("error: unknown experiment `{unknown}`");
-        eprintln!("available: all {}", EXPERIMENTS.join(" "));
+        eprintln!("available: all {}", names.join(" "));
         std::process::exit(2);
-    }
-    let all = which.is_empty() || which.iter().any(|a| a == "all");
-    let want = |name: &str| all || which.iter().any(|a| a == name);
-    let mut bench_json = BenchJson::new();
-
-    if want("table1") {
-        table1();
-    }
-    if want("table2") || want("fig4") || want("table3") {
-        table2_and_3_and_fig4();
-    }
-    if want("table4") {
-        table4();
-    }
-    if want("table5") {
-        table5();
-    }
-    if want("table6") {
-        table6();
-    }
-    if want("table7a") {
-        table7a();
-    }
-    if want("table7b") {
-        table7b();
-    }
-    if want("table8") {
-        table8();
-    }
-    if want("table9") {
-        table9();
-    }
-    if want("attribution") {
-        attribution();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8a") {
-        fig8a();
-    }
-    if want("fig8b") {
-        fig8b();
-    }
-    let mut sequential_throughput = None;
-    if want("throughput") {
-        sequential_throughput = Some(throughput(&mut bench_json));
-    }
-    if want("fleet") {
-        fleet(&mut bench_json);
-    }
-    if want("properties") {
-        properties_experiment(&mut bench_json);
-    }
-    if want("slice") {
-        slice_experiment(&mut bench_json);
-    }
-    if want("daemon") {
-        daemon_experiment(&mut bench_json);
-    }
-    if want("telemetry") {
-        telemetry_experiment(&mut bench_json);
-    }
-    if want("scenarios") {
-        scenarios_experiment(&mut bench_json, fuzz_seed, fuzz_size);
-    }
-    if want("chaos") {
-        chaos_experiment(&mut bench_json, fuzz_seed, chaos_schedules);
+    });
+    for (_, experiment) in chosen {
+        experiment(&mut run);
     }
     if let Some(path) = json_path {
-        std::fs::write(&path, bench_json.render())
+        std::fs::write(&path, run.json.render())
             .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
         println!("\nwrote machine-readable timings to {path}");
     }
     if let Some(path) = baseline_path {
-        let Some(measured) = sequential_throughput else {
+        let Some(measured) = run.throughput else {
             eprintln!("error: --baseline requires the `throughput` experiment to run");
             std::process::exit(2);
         };
@@ -226,14 +161,12 @@ fn main() {
 
 /// The open-property-API experiment: the same scaling workload verified
 /// under the 45 built-ins and under built-ins + 5 custom `PropertySpec`s
-/// (see `iotsan_bench::sample_custom_properties`).  Asserts the custom run
-/// is consistent (identical built-in violated set, identical states and
-/// transitions — same-step custom specs cannot change the state space) and
-/// that the open API causes no throughput cliff, then times one compiled
-/// property pass in isolation (the `property_eval` rows).
+/// (see `iotsan_bench::sample_custom_properties`).  Asserts the open API
+/// causes no throughput cliff, then times one compiled property pass in
+/// isolation (the `property_eval` rows).  That custom specs keep the
+/// built-in verdict and the state space is `tests/property_spec.rs`'s job.
 fn properties_experiment(json: &mut BenchJson) {
     use iotsan::system::InstalledSystem;
-    use std::collections::BTreeSet;
     use std::time::Instant;
 
     heading("Open property API: built-ins vs built-ins + custom specs");
@@ -251,21 +184,6 @@ fn properties_experiment(json: &mut BenchJson) {
         true,
         budget,
         extended_set,
-    );
-
-    // Consistency: custom specs must not perturb the built-in verdict or the
-    // explored state space.
-    let base: BTreeSet<u32> = builtin_run.report.violated_properties();
-    let extended: BTreeSet<u32> = custom_run.report.violated_properties();
-    let extended_builtins: BTreeSet<u32> = extended.iter().copied().filter(|p| *p <= 45).collect();
-    assert_eq!(base, extended_builtins, "custom properties changed the built-in violated set");
-    assert_eq!(
-        builtin_run.report.stats.states_stored, custom_run.report.stats.states_stored,
-        "custom same-step properties must not change the state count"
-    );
-    assert_eq!(
-        builtin_run.report.stats.transitions, custom_run.report.stats.transitions,
-        "custom same-step properties must not change the transition count"
     );
 
     let ratio =
@@ -390,9 +308,9 @@ fn properties_experiment(json: &mut BenchJson) {
 /// The property-directed-slicing experiment: every market bundle verified
 /// sliced and unsliced, under the full 45-property catalog and under the
 /// focused state-only selection (the specs whose cone watches no command /
-/// notification stream — the case slicing is built for).  Asserts the
-/// violated-property sets are identical per related group on every run, and
-/// that at least one bundle explores strictly fewer states when sliced.
+/// notification stream — the case slicing is built for).  Reports whether
+/// each run's per-group violated sets match; `tests/analysis_soundness.rs`
+/// and the differential oracle check that they always do.
 fn slice_experiment(json: &mut BenchJson) {
     use iotsan::analysis::{slice_plan, Cone};
     use iotsan::properties::PropertyId;
@@ -470,26 +388,16 @@ fn slice_experiment(json: &mut BenchJson) {
                 iotsan_bench::run_pipeline_verify(&apps, &config, events, set.clone(), false);
             let (sliced_time, sliced) =
                 iotsan_bench::run_pipeline_verify(&apps, &config, events, set, true);
-            assert_eq!(
-                outcome(&plain),
-                outcome(&sliced),
-                "bundle {i} ({set_label}): slicing changed a verdict"
-            );
+            let identical = outcome(&plain) == outcome(&sliced);
             let plain_states: usize =
                 plain.groups.iter().map(|g| g.report.stats.states_stored).sum();
             let sliced_states: usize =
                 sliced.groups.iter().map(|g| g.report.stats.states_stored).sum();
-            assert!(
-                sliced_states <= plain_states,
-                "bundle {i} ({set_label}): sliced exploration grew"
-            );
-            if sliced_states < plain_states {
-                reduced_bundles += 1;
-            }
+            reduced_bundles += usize::from(sliced_states < plain_states);
             println!(
                 "{i:<10} {set_label:<12} {handler_count:>9} {:>9} {analysis_seconds:>9.4} {plain_states:>11} {sliced_states:>11} {:>10}",
                 plan.dropped_count(),
-                "equal",
+                if identical { "equal" } else { "DIFFER" },
             );
             rows.push(
                 JsonRow::with_capacity(256)
@@ -502,26 +410,25 @@ fn slice_experiment(json: &mut BenchJson) {
                     .fixed("sliced_seconds", sliced_time.as_secs_f64(), 6)
                     .num_u("unsliced_states", plain_states as u64)
                     .num_u("sliced_states", sliced_states as u64)
-                    .flag("verdicts_identical", true)
+                    .flag("verdicts_identical", identical)
                     .finish(),
             );
         }
     }
-    assert!(reduced_bundles >= 1, "slicing reduced the explored state count on no bundle at all");
     println!(
-        "slicing preserved every verdict; {reduced_bundles} bundle runs explored strictly fewer states"
+        "{reduced_bundles} of {} bundle runs explored strictly fewer states sliced",
+        rows.len()
     );
     json.push_experiment("slice_effectiveness", "market-six-groups", events, &rows);
 }
 
 /// Maximum tolerated drop of the sequential checker's states/sec relative to
-/// the committed baseline before the CI bench-smoke job fails.
+/// the committed baseline before `--baseline` fails the run.
 const THROUGHPUT_REGRESSION_TOLERANCE: f64 = 0.20;
 
 /// Extracts the `"engine":"sequential"` row's `states_per_sec` value from a
 /// machine-readable timings document (the committed `BENCH_baseline.json`).
-/// Hand-rolled scan, tolerating optional whitespace after the colon so both
-/// the legacy spaced baseline and rows rendered by `JsonRow` parse.
+/// Hand-rolled scan, tolerating optional whitespace after the colon.
 fn baseline_states_per_sec(text: &str) -> Option<f64> {
     let row = text.lines().find(|l| l.contains("\"engine\":") && l.contains("\"sequential\""))?;
     let start = row.find("\"states_per_sec\":")? + "\"states_per_sec\":".len();
@@ -530,7 +437,7 @@ fn baseline_states_per_sec(text: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// The bench-smoke regression guard: fails the run when the measured
+/// The `--baseline` regression guard: fails the run when the measured
 /// sequential throughput has regressed more than
 /// [`THROUGHPUT_REGRESSION_TOLERANCE`] below the committed baseline.
 /// (Cross-machine noise caveat: the baseline is refreshed whenever the
@@ -677,35 +584,14 @@ fn fleet(json: &mut BenchJson) {
         let warm = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
 
         // Mutate one verified app's IR (not its event profile): only the
-        // groups containing it may be re-checked.
+        // groups containing it are re-checked (`tests/fleet_cache.rs`).
         let mut mutated = apps.clone();
         let target = mutated
             .iter_mut()
             .find(|a| !a.dynamic_discovery)
             .expect("a verifiable app in the corpus");
-        let target_name = target.name.clone();
         target.description.push_str(" (fleet mutation)");
         let after = iotsan_bench::run_fleet(&mutated, &config, events, true, budget, &mut cache);
-
-        // Consistency: a warm replay must be outcome-identical to the cold
-        // run, and the mutation must invalidate exactly the groups
-        // containing the mutated app.  Only complete searches carry the
-        // guarantee (a budget-truncated report is never cached).
-        if !cold.truncated() && !warm.truncated() {
-            assert_eq!(
-                warm.report.outcome(),
-                cold.report.outcome(),
-                "warm fleet replay diverged from the cold run ({corpus} apps)"
-            );
-            assert_eq!(warm.report.cache_hits, warm.report.groups.len());
-            for group in &after.report.groups {
-                let contains_target = group.apps.contains(&target_name);
-                assert_eq!(
-                    group.from_cache, !contains_target,
-                    "mutation of {target_name} invalidated the wrong groups"
-                );
-            }
-        }
 
         for (phase, run) in [("cold", &cold), ("warm", &warm), ("mutated", &after)] {
             println!(
@@ -721,17 +607,15 @@ fn fleet(json: &mut BenchJson) {
         }
     }
     json.push_experiment("fleet", "market+failures", events, &rows);
-    println!("(warm replays verified outcome-identical; mutation invalidated only its own groups)");
 }
 
 /// Warm-restart experiment over `iotsan-daemon`'s durable verdict store:
 /// verify the 8-app market fleet cold (writing every group verdict through
 /// to the append-only log), tear the log's tail the way a crash mid-append
 /// would, then verify again in a fresh "process" over the same file.  The
-/// restart must detect and skip the torn tail, replay every verdict from
-/// disk (`backing_hits`) byte-identically to the cold run, and come in at
-/// least 10x faster — all asserted here, so CI's `daemon-smoke` job fails
-/// loudly if durability ever regresses.
+/// restart must come in at least 10x faster.  Torn-tail recovery and the
+/// warm verdicts served from disk are pinned by the daemon crate's
+/// `store_recovery` and `iotsand_smoke` tests.
 fn daemon_experiment(json: &mut BenchJson) {
     use iotsan::VerificationCache;
     use iotsan_daemon::{Recovery, StoreBacking, VerdictStore};
@@ -773,11 +657,6 @@ fn daemon_experiment(json: &mut BenchJson) {
     // Phase 2: restart.  Replay a few times (fresh cache each time, so every
     // lookup goes to disk) and keep the fastest, like any microbenchmark.
     let (mut cache, recovery) = open_cache(&path);
-    let recovered = format!("{recovery:?}");
-    assert!(
-        matches!(recovery, Recovery::CorruptTail { .. }),
-        "the torn tail must be detected and skipped, got {recovery:?}"
-    );
     let mut warm = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
     let mut warm_backing_hits = cache.backing_hits();
     for _ in 0..2 {
@@ -790,21 +669,10 @@ fn daemon_experiment(json: &mut BenchJson) {
     }
 
     let speedup = cold.elapsed.as_secs_f64() / warm.elapsed.as_secs_f64().max(1e-9);
-    if !cold.truncated() {
-        assert_eq!(warm.report.cache_misses, 0, "a warm restart must not re-verify any group");
-        assert_eq!(
-            warm_backing_hits,
-            warm.report.groups.len(),
-            "every warm verdict must be served from the on-disk store"
-        );
-        for (c, w) in cold.report.groups.iter().zip(&warm.report.groups) {
-            assert_eq!(c.report, w.report, "replayed verdict diverged from the cold run");
-        }
-        assert!(
-            speedup >= 10.0,
-            "warm restart must be at least 10x faster than the cold run, got {speedup:.1}x"
-        );
-    }
+    assert!(
+        cold.truncated() || speedup >= 10.0,
+        "warm restart must be at least 10x faster than the cold run, got {speedup:.1}x"
+    );
 
     println!(
         "{:<14} {:>12} {:>8} {:>6} {:>8} {:>13} {:>10}",
@@ -837,13 +705,13 @@ fn daemon_experiment(json: &mut BenchJson) {
         );
     }
     json.push_experiment("daemon", "market8+failures", events, &rows);
-    println!("(recovery: {recovered}; warm verdicts byte-identical and served from disk)");
+    println!("(recovery: {recovery:?})");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Minimum fraction of the recording-disabled throughput the
 /// recording-enabled run must retain: the telemetry subsystem's "<5%
-/// overhead" budget, enforced by CI's bench-smoke job.
+/// overhead" budget.
 const TELEMETRY_OVERHEAD_FLOOR: f64 = 0.95;
 
 /// Interleaved rounds per arm of the telemetry A/B.  One search of the
@@ -1059,9 +927,15 @@ struct ChaosScheduleStats {
     quarantined: usize,
 }
 
-fn chaos_retry() -> iotsan_daemon::RetryPolicy {
-    // Tight backoff: the sweep cares about ordering, not wall-clock realism.
-    iotsan_daemon::RetryPolicy { max_attempts: 2, base_delay_ms: 1 }
+/// True when the verdict stored under `fingerprint` matches the fault-free
+/// reference's.
+fn agrees(
+    reference: &ChaosReference,
+    fingerprint: u64,
+    apps: &[String],
+    violations: usize,
+) -> bool {
+    reference.get(&fingerprint).is_some_and(|(a, v)| a == apps && *v == violations)
 }
 
 fn chaos_config(
@@ -1093,7 +967,8 @@ fn chaos_config(
         store_options: iotsan_daemon::StoreOptions::default(),
         workers: 1,
         queue_capacity: 16,
-        retry: chaos_retry(),
+        // Tight backoff: the sweep cares about ordering, not wall-clock realism.
+        retry: iotsan_daemon::RetryPolicy { max_attempts: 2, base_delay_ms: 1 },
         fault_injection: fault_plan.is_some(),
         fault_plan,
     }
@@ -1183,24 +1058,13 @@ fn run_chaos_schedule(
                     .ok_or_else(|| format!("job {} is Ok without a report", outcome.id))?;
                 // Invariant 2 (cold): every served verdict matches the
                 // fault-free reference.
-                for group in &report.groups {
-                    match reference.get(&group.fingerprint.0) {
-                        Some((apps, violations))
-                            if *apps == group.apps
-                                && *violations == group.report.violations.len() => {}
-                        Some(_) => {
-                            return Err(format!(
-                                "job {} served a wrong verdict for {:?}",
-                                outcome.id, group.apps
-                            ))
-                        }
-                        None => {
-                            return Err(format!(
-                                "job {} served a verdict for an unknown group {:?}",
-                                outcome.id, group.apps
-                            ))
-                        }
-                    }
+                if let Some(group) = report.groups.iter().find(|g| {
+                    !agrees(reference, g.fingerprint.0, &g.apps, g.report.violations.len())
+                }) {
+                    return Err(format!(
+                        "job {} served a wrong verdict for {:?}",
+                        outcome.id, group.apps
+                    ));
                 }
                 // Verdicts acknowledged as durable: fresh verifications
                 // whose append the store accepted.
@@ -1232,10 +1096,8 @@ fn run_chaos_schedule(
     }
     for fingerprint in &disk {
         let result = store.get(iotsan::Fingerprint(*fingerprint)).expect("listed fingerprint");
-        match reference.get(fingerprint) {
-            Some((apps, violations))
-                if *apps == result.apps && *violations == result.report.violations.len() => {}
-            _ => return Err(format!("recovered verdict for {:?} is wrong", result.apps)),
+        if !agrees(reference, *fingerprint, &result.apps, result.report.violations.len()) {
+            return Err(format!("recovered verdict for {:?} is wrong", result.apps));
         }
     }
     drop(store);
@@ -1252,17 +1114,15 @@ fn run_chaos_schedule(
             return Err(format!("warm job {} ended {:?}", outcome.id, outcome.status));
         }
         let report = outcome.report.as_ref().expect("warm report");
-        for group in &report.groups {
-            match reference.get(&group.fingerprint.0) {
-                Some((apps, violations))
-                    if *apps == group.apps && *violations == group.report.violations.len() => {}
-                _ => {
-                    return Err(format!(
-                        "warm job {} served a wrong verdict for {:?}",
-                        outcome.id, group.apps
-                    ))
-                }
-            }
+        if let Some(group) = report
+            .groups
+            .iter()
+            .find(|g| !agrees(reference, g.fingerprint.0, &g.apps, g.report.violations.len()))
+        {
+            return Err(format!(
+                "warm job {} served a wrong verdict for {:?}",
+                outcome.id, group.apps
+            ));
         }
         backing_hits += outcome.backing_hits;
     }
@@ -1533,7 +1393,7 @@ fn table7b() {
     let budget = iotsan_bench::experiment_budget(10, 30);
     println!("{:<8} {:>22} {:>22}", "Events", "Concurrent", "Sequential");
     for events in 1..=iotsan_bench::experiment_events(5, 7) {
-        let sequential = run_sequential(&apps, &config, events, budget);
+        let sequential = run_search(&apps, &config, events, false, budget);
         let concurrent = if events <= 4 {
             format_runtime(&run_concurrent(&apps, &config, events, budget))
         } else {
@@ -1651,7 +1511,7 @@ fn fig7() {
     heading("Figure 7: example violation log (Auto Mode Change + Unlock Door)");
     let apps = translate_group(&samples::bad_group_mode_unlock());
     let config = expert_config(&apps);
-    let run = run_sequential(&apps, &config, 2, iotsan_bench::experiment_budget(10, 30));
+    let run = run_search(&apps, &config, 2, false, iotsan_bench::experiment_budget(10, 30));
     let Some(found) = run.report.violations.iter().find(|v| {
         v.violation.description.contains("main door should be locked when no one is at home")
     }) else {
@@ -1717,4 +1577,37 @@ fn fig8b() {
     println!(
         "paper: the failed motion sensor leaves the door unlocked and no notification is sent"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn every_experiment_name_is_unique() {
+        let all: Vec<&str> =
+            EXPERIMENTS.iter().flat_map(|(names, _)| names.iter().copied()).collect();
+        let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
+        assert_eq!(unique.len(), all.len(), "{all:?}");
+        assert!(!unique.contains("all"));
+    }
+
+    #[test]
+    fn names_select_entries_once_in_table_order() {
+        let chosen = select(&names(&["table2", "fig4"])).unwrap();
+        assert_eq!(chosen.len(), 1);
+        assert_eq!(chosen[0].0, ["table2", "table3", "fig4"]);
+        let chosen = select(&names(&["chaos", "table1"])).unwrap();
+        assert_eq!(
+            chosen.iter().map(|(names, _)| names[0]).collect::<Vec<_>>(),
+            ["table1", "chaos"]
+        );
+        assert_eq!(select(&[]).unwrap().len(), EXPERIMENTS.len());
+        assert_eq!(select(&names(&["fleet", "all"])).unwrap().len(), EXPERIMENTS.len());
+        assert_eq!(select(&names(&["table1", "bogus"])).err(), Some("bogus"));
+    }
 }

@@ -56,11 +56,6 @@ pub fn experiment_events(quick: usize, full: usize) -> usize {
     }
 }
 
-/// Builds a pipeline with the given external-event bound.
-pub fn pipeline(max_events: usize) -> Pipeline {
-    Pipeline::with_events(max_events)
-}
-
 /// Result of timing a single verification run.
 #[derive(Debug, Clone)]
 pub struct TimedRun {
@@ -187,16 +182,6 @@ pub fn sample_custom_properties() -> Vec<iotsan::properties::PropertySpec> {
     ]
 }
 
-/// Verifies a group with the sequential design and `events` external events.
-pub fn run_sequential(
-    apps: &[IrApp],
-    config: &SystemConfig,
-    events: usize,
-    budget: Duration,
-) -> TimedRun {
-    run_search(apps, config, events, false, budget)
-}
-
 /// The bench-profile workload for the throughput measurement: the first 8
 /// market apps under their expert configuration, verified *with* failure
 /// injection.  At 3 events this explores a few thousand states / ~15k
@@ -314,7 +299,7 @@ mod tests {
     fn helpers_round_trip_a_small_group() {
         let apps = translate_group(&samples::bad_group_mode_unlock());
         let config = expert_config(&apps);
-        let run = run_sequential(&apps, &config, 1, Duration::from_secs(10));
+        let run = run_search(&apps, &config, 1, false, Duration::from_secs(10));
         assert!(run.report.has_violations());
         assert!(!format_runtime(&run).is_empty());
     }

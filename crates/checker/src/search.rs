@@ -337,11 +337,6 @@ impl Checker {
         Checker { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
-    }
-
     /// Runs the breadth-first search over `model` and reports violations and
     /// statistics.
     ///

@@ -134,6 +134,7 @@ fn batch_mode_answers_metrics_and_flight_after_the_batch() {
     assert_eq!(field(metrics, "iotsan_daemon_jobs_accepted_total"), 1, "{metrics}");
     assert_eq!(field(metrics, "iotsan_daemon_jobs_completed_total"), 1, "{metrics}");
     assert!(field(metrics, "iotsan_checker_searches_total") >= 1, "{metrics}");
+    assert!(field(metrics, "iotsan_checker_states_total") >= 1, "{metrics}");
     assert!(field(metrics, "iotsan_cache_misses_total") >= 1, "{metrics}");
     assert!(field(metrics, "iotsan_store_appends_total") >= 1, "{metrics}");
 

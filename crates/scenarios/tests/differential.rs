@@ -3,7 +3,7 @@
 
 use iotsan_scenarios::{check_household, shrink, Household, SizeProfile};
 
-/// Debug-build sweep size; CI's `fuzz-smoke` job runs 200 households in
+/// Debug-build sweep size; CI's `smoke` job runs 200 households in
 /// release through `repro scenarios`.
 const SWEEP: u64 = 40;
 

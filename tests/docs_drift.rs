@@ -147,7 +147,7 @@ fn readme_quickstarts_the_differential_fuzzer() {
     );
     assert!(
         readme.contains("--seed 1 --size 200 scenarios"),
-        "README.md must show the CI fuzz-smoke invocation"
+        "README.md must show the 200-household sweep invocation"
     );
 }
 
