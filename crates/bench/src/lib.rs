@@ -14,7 +14,7 @@ use iotsan::model::{ConcurrentModel, ModelOptions, SequentialModel};
 use iotsan::planner::{FleetReport, VerificationCache};
 use iotsan::properties::PropertySet;
 use iotsan::system::InstalledSystem;
-use iotsan::{translate_sources, Pipeline, VerificationResult};
+use iotsan::{translate_sources, Pipeline};
 use iotsan_apps::market::MarketApp;
 use std::time::{Duration, Instant};
 
@@ -120,14 +120,14 @@ pub fn run_pipeline_verify(
     events: usize,
     properties: PropertySet,
     slice: bool,
-) -> (Duration, VerificationResult) {
+) -> FleetRun {
     let mut pipeline = Pipeline::with_events(events).with_properties(properties);
     if slice {
         pipeline.search = pipeline.search.clone().sliced();
     }
     let start = Instant::now();
-    let result = pipeline.verify(apps, config);
-    (start.elapsed(), result)
+    let report = pipeline.verify(apps, config);
+    FleetRun { elapsed: start.elapsed(), report }
 }
 
 /// The 45 built-ins plus [`sample_custom_properties`] — the extended

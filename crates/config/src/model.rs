@@ -10,7 +10,7 @@
 
 use iotsan_devices::{registry, Device, DeviceId};
 use iotsan_ir::{IrApp, SettingKind, Value};
-use iotsan_properties::{DeviceRole, PropertySpec};
+use iotsan_properties::{DeviceRole, PropertySet, PropertySpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -214,11 +214,22 @@ impl SystemConfig {
 
     /// Parses a configuration from JSON, rejecting shipped custom
     /// properties that fail [`PropertySpec::validate`] (they would panic at
-    /// compilation).
+    /// compilation) or whose id is already bound to a different spec — a
+    /// built-in (1..=45) or an earlier shipped property.  An identical
+    /// re-registration is accepted.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let config: SystemConfig = serde_json::from_str(json)?;
+        let mut registered = PropertySet::all();
         for spec in &config.custom_properties {
             spec.validate().map_err(serde_json::Error::custom)?;
+            if registered.get(spec.property_id()) != Some(spec) {
+                registered.register(spec.clone()).map_err(|clash| {
+                    serde_json::Error::custom(format!(
+                        "custom property `{}`: {clash} with a different spec",
+                        spec.name
+                    ))
+                })?;
+            }
         }
         Ok(config)
     }
@@ -416,6 +427,26 @@ mod tests {
         let json = sample_config().with_custom_property(spec).to_json();
         let err = SystemConfig::from_json(&json).unwrap_err();
         assert!(err.to_string().contains("evaluation stack"), "{err}");
+    }
+
+    #[test]
+    fn shipped_custom_properties_cannot_rebind_an_id() {
+        use iotsan_properties::{paper_properties, Expr, PropertySpec};
+        let load = |specs: Vec<PropertySpec>| {
+            let config = specs.into_iter().fold(sample_config(), |c, s| c.with_custom_property(s));
+            SystemConfig::from_json(&config.to_json())
+        };
+        let custom =
+            |id: u32, name: &str| PropertySpec::builder(id, name).never(Expr::mode_is("Night"));
+
+        let err = load(vec![custom(1, "clashes with a built-in")]).unwrap_err();
+        assert!(err.to_string().contains("property id P01 is already registered"), "{err}");
+        let err = load(vec![custom(46, "first"), custom(46, "second")]).unwrap_err();
+        assert!(err.to_string().contains("`second`"), "{err}");
+
+        // Identical re-registrations are accepted.
+        let builtin = paper_properties().remove(0);
+        assert!(load(vec![builtin, custom(46, "twice"), custom(46, "twice")]).is_ok());
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   `iotsan-checker` against the 45 properties of `iotsan-properties`;
 //! * [`pipeline::Pipeline::attribute_new_app`] — the Output Analyzer (§9) via
 //!   `iotsan-attribution` and configuration enumeration from `iotsan-config`;
-//! * [`planner::VerificationPlanner`] / [`pipeline::Pipeline::verify_fleet`]
-//!   — group-wise fleet checking with a content-addressed result cache and
-//!   trace-driven suspect ranking;
+//! * [`pipeline::Pipeline::verify`] / [`pipeline::Pipeline::verify_fleet`]
+//!   via [`planner::VerificationPlanner`] — group-wise fleet checking with a
+//!   content-addressed result cache and trace-driven suspect ranking, both
+//!   returning one [`planner::FleetReport`] (`verify` with a fresh cache);
 //! * [`features`] — the Table 1 feature matrix.
 //!
 //! ```
@@ -62,7 +63,7 @@ pub use logevent::LogEvent;
 pub use model::{
     ConcurrentAction, ConcurrentModel, ExternalAction, ModelOptions, ModelScratch, SequentialModel,
 };
-pub use pipeline::{translate_sources, GroupResult, Pipeline, TranslateError, VerificationResult};
+pub use pipeline::{translate_sources, GroupResult, Pipeline, TranslateError};
 pub use planner::{
     Fingerprint, FleetGroupReport, FleetPlan, FleetReport, GroupJob, GroupOutcome, PlanCache,
     VerdictPersistence, VerificationCache, VerificationPlanner,

@@ -4,11 +4,11 @@
 //! → model checker → Output Analyzer.  The [`Pipeline`] ties the crates
 //! together: it translates sources, computes related sets so only interacting
 //! apps are verified jointly, verifies the independent groups concurrently
-//! (merging their verdicts in plan order), aggregates violations, and drives
-//! the attribution algorithm for newly installed apps.
+//! (merging their verdicts into one [`FleetReport`], sorted by app names),
+//! and drives the attribution algorithm for newly installed apps.
 
 use crate::model::{ModelOptions, SequentialModel};
-use crate::planner::{FleetReport, GroupJob, VerificationCache, VerificationPlanner};
+use crate::planner::{FleetReport, VerificationCache, VerificationPlanner};
 use crate::system::InstalledSystem;
 use iotsan_attribution::{attribute_app, AttributionReport, AttributionThresholds};
 use iotsan_checker::{Checker, SearchConfig, SearchReport};
@@ -18,8 +18,8 @@ use iotsan_config::{
 use iotsan_depgraph::{analyze, DependencyGraph, RelatedSets};
 use iotsan_groovy::SmartApp;
 use iotsan_ir::{lower_app, IrApp};
-use iotsan_properties::{PropertyId, PropertySet};
-use std::collections::{BTreeMap, BTreeSet};
+use iotsan_properties::PropertySet;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// An error produced while translating app source code.
@@ -72,71 +72,6 @@ impl GroupResult {
     }
 }
 
-/// The aggregated result of verifying a whole system.
-#[derive(Debug, Clone, Default)]
-pub struct VerificationResult {
-    /// Per-group results.
-    pub groups: Vec<GroupResult>,
-    /// Total number of event handlers before dependency analysis.
-    pub original_handlers: usize,
-    /// Number of handlers in the largest related set.
-    pub reduced_handlers: usize,
-    /// Apps that were excluded because they discover devices dynamically.
-    pub excluded_apps: Vec<String>,
-}
-
-impl VerificationResult {
-    /// Every `(property, group apps)` violation pair found.
-    pub fn violations(&self) -> Vec<(u32, Vec<String>)> {
-        self.groups
-            .iter()
-            .flat_map(|g| g.violated_properties().into_iter().map(move |p| (p, g.apps.clone())))
-            .collect()
-    }
-
-    /// Total number of `(property, group)` violations.
-    pub fn violation_count(&self) -> usize {
-        self.violations().len()
-    }
-
-    /// Number of distinct violated properties across all groups.
-    pub fn violated_property_count(&self) -> usize {
-        self.groups.iter().flat_map(|g| g.violated_properties()).collect::<BTreeSet<_>>().len()
-    }
-
-    /// True when any group violated any property.
-    pub fn has_violations(&self) -> bool {
-        self.groups.iter().any(|g| g.report.has_violations())
-    }
-
-    /// Violation counts per property class (the row structure of Tables
-    /// 5/6).  Labels come from the property registry itself
-    /// ([`iotsan_properties::PropertyClass::label`]), so user-defined classes
-    /// render under their own names; violations whose id is not in the
-    /// registry are reported under an explicit `unknown property PNN` bucket
-    /// instead of being silently dropped.
-    pub fn violations_by_class(&self, properties: &PropertySet) -> BTreeMap<String, usize> {
-        let mut out: BTreeMap<String, usize> = BTreeMap::new();
-        for (property, _) in self.violations() {
-            let label = match properties.class_label(PropertyId(property)) {
-                Some(label) => label.to_string(),
-                None => format!("unknown property {}", PropertyId(property)),
-            };
-            *out.entry(label).or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// The dependency-analysis scale ratio (Table 7a).
-    pub fn scale_ratio(&self) -> f64 {
-        if self.reduced_handlers == 0 {
-            1.0
-        } else {
-            self.original_handlers as f64 / self.reduced_handlers as f64
-        }
-    }
-}
-
 /// The IotSan verification pipeline.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
@@ -184,7 +119,7 @@ impl Pipeline {
     /// Registers the configuration's user-defined properties
     /// ([`SystemConfig::custom_properties`]) on the pipeline's own registry,
     /// so they also show up in [`Pipeline::properties`]-driven displays
-    /// (e.g. [`VerificationResult::violations_by_class`]).  The verification
+    /// (e.g. [`FleetReport::violations_by_class`]).  The verification
     /// paths honor config-shipped specs automatically either way — see
     /// [`Pipeline::properties_for`].
     ///
@@ -209,6 +144,8 @@ impl Pipeline {
     ///
     /// Panics when a config property reuses an id already bound to a
     /// *different* spec (an identical re-registration is fine).
+    /// [`SystemConfig::from_json`] rejects such a configuration up front
+    /// when the clash is with a built-in or another shipped property.
     pub fn properties_for(&self, config: &SystemConfig) -> PropertySet {
         let mut properties = self.properties.clone();
         for spec in &config.custom_properties {
@@ -298,24 +235,12 @@ impl Pipeline {
         VerificationPlanner::new(self)
     }
 
-    /// The full pipeline: dependency analysis, then the related groups
-    /// verified concurrently, their results returned in plan order.
-    ///
-    /// The partitioning and the group executor are shared with
-    /// [`Pipeline::verify_fleet`] — both run the same
-    /// [`VerificationPlanner::plan`] and the same group executor;
-    /// this entry point verifies every group unconditionally (no cache) and
-    /// keeps the lean [`VerificationResult`] shape.
-    pub fn verify(&self, apps: &[IrApp], config: &SystemConfig) -> VerificationResult {
-        let planner = self.planner();
-        let plan = planner.plan(apps, config);
-        let jobs: Vec<&GroupJob> = plan.jobs.iter().collect();
-        VerificationResult {
-            groups: planner.verify_jobs(&jobs),
-            original_handlers: plan.original_handlers,
-            reduced_handlers: plan.reduced_handlers,
-            excluded_apps: plan.excluded_apps,
-        }
+    /// The full pipeline with a fresh cache: dependency analysis, then every
+    /// related group model-checked, merged into the same [`FleetReport`]
+    /// that [`Pipeline::verify_fleet`] returns (groups sorted by app names,
+    /// each with its trace attributions, every group a cache miss).
+    pub fn verify(&self, apps: &[IrApp], config: &SystemConfig) -> FleetReport {
+        self.verify_fleet(apps, config, &mut VerificationCache::new())
     }
 
     /// Verifies a whole installed-app fleet group-wise with result caching:
@@ -426,6 +351,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use iotsan_config::{standard_household, Binding};
+    use iotsan_properties::PropertyId;
 
     const AUTO_MODE: &str = r#"
 definition(name: "Auto Mode Change", namespace: "st", author: "a", description: "d")
@@ -523,7 +449,7 @@ def motionActiveHandler(evt) { lights.on() }
         let config = household_config(&apps);
         let pipeline = Pipeline::with_events(2);
         let result = pipeline.verify(&apps, &config);
-        assert!(!result.has_violations(), "violations: {:?}", result.violations());
+        assert!(!result.has_violations(), "violations: {:?}", result.violated_properties());
     }
 
     #[test]

@@ -65,6 +65,7 @@ use iotsan_checker::{SearchConfig, SearchReport};
 use iotsan_config::SystemConfig;
 use iotsan_depgraph::analyze;
 use iotsan_ir::IrApp;
+use iotsan_properties::{PropertyId, PropertySet};
 use iotsan_telemetry::METRICS;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -335,16 +336,6 @@ impl VerificationCache {
         self.misses
     }
 
-    /// Lifetime hit rate in `[0, 1]` (`0.0` before the first lookup).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Attaches a durable backing (builder style); see
     /// [`VerdictPersistence`].  Replaces any previous backing.
     pub fn with_backing(mut self, backing: Box<dyn VerdictPersistence>) -> Self {
@@ -540,6 +531,24 @@ impl FleetReport {
         self.groups.iter().map(|g| g.report.violations.len()).sum()
     }
 
+    /// Violation counts per property class (the row structure of Tables
+    /// 5/6), one per `(property, group)` pair.  Labels come from the
+    /// property registry itself ([`iotsan_properties::PropertyClass::label`]),
+    /// so user-defined classes render under their own names; violations
+    /// whose id is not in the registry are reported under an explicit
+    /// `unknown property PNN` bucket instead of being silently dropped.
+    pub fn violations_by_class(&self, properties: &PropertySet) -> BTreeMap<String, usize> {
+        let mut out: BTreeMap<String, usize> = BTreeMap::new();
+        for property in self.groups.iter().flat_map(|g| g.violated_properties()) {
+            let label = match properties.class_label(PropertyId(property)) {
+                Some(label) => label.to_string(),
+                None => format!("unknown property {}", PropertyId(property)),
+            };
+            *out.entry(label).or_insert(0) += 1;
+        }
+        out
+    }
+
     /// This run's cache hit rate in `[0, 1]` (`0.0` for an empty fleet).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -679,19 +688,18 @@ impl<'a> VerificationPlanner<'a> {
     /// Verifies `jobs` (one plan's cache misses, largest first), bypassing
     /// the cache, and returns their results in the same order.
     ///
-    /// This is the one group executor: [`VerificationPlanner::execute`] and
-    /// [`Pipeline::verify`] both run their groups through it.  The jobs run
-    /// on `std::thread::scope` threads, each claiming the next unclaimed
-    /// index from a shared counter, so the largest groups start first
+    /// Its only caller is [`VerificationPlanner::execute`].  The jobs run on
+    /// `std::thread::scope` threads, each claiming the next unclaimed index
+    /// from a shared counter, so the largest groups start first
     /// (longest-processing-time-first).  The thread count is the host's
     /// available parallelism, capped by the number of jobs (each search is
-    /// single-threaded); with one job or one thread the caller
-    /// runs everything and nothing is spawned.  The calling thread claims
+    /// single-threaded); with one job or one thread the caller runs
+    /// everything and nothing is spawned.  The calling thread claims
     /// the first (largest) job before any helper is spawned and works
     /// alongside them: each spawned thread allocates from its own malloc
     /// arena, so a caller that only waited would add an arena's peak memory
     /// without adding a core.
-    pub(crate) fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<GroupResult> {
+    fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<GroupResult> {
         let Some(largest) = jobs.first() else { return Vec::new() };
         // Read once per process: `available_parallelism` re-reads the
         // cgroup quota files on every call (about 21 µs on a 2-vCPU Xeon),

@@ -249,6 +249,20 @@ fn diagnostic(level: Level, detail: &str) {
     flight::record(level, EventCode::Diagnostic, detail);
 }
 
+/// The outcome for a job line that does not parse: both modes answer it
+/// through [`JobOutcome::render`], like every other outcome.
+fn invalid_line(line_number: usize, error: String) -> JobOutcome {
+    JobOutcome {
+        index: usize::MAX,
+        id: format!("line-{line_number}"),
+        status: JobStatus::Invalid(error),
+        report: None,
+        backing_hits: 0,
+        degraded: false,
+        elapsed: std::time::Duration::ZERO,
+    }
+}
+
 fn run_batch_mode(args: &Args) -> Result<(), Failure> {
     let mut daemon = Daemon::start(daemon_config(args))
         .map_err(|e| Failure::Store(format!("cannot open verdict store: {e}")))?;
@@ -280,15 +294,7 @@ fn run_batch_mode(args: &Args) -> Result<(), Failure> {
             // the counters actually reflect the submitted work.
             Ok(JobLine::Metrics) => want_metrics = true,
             Ok(JobLine::Flight) => want_flight = true,
-            Err(error) => invalid.push(JobOutcome {
-                index: usize::MAX,
-                id: format!("line-{}", number + 1),
-                status: JobStatus::Invalid(error),
-                report: None,
-                backing_hits: 0,
-                degraded: false,
-                elapsed: std::time::Duration::ZERO,
-            }),
+            Err(error) => invalid.push(invalid_line(number + 1, error)),
         }
     }
 
@@ -374,10 +380,7 @@ fn run_listen_mode(args: &Args) -> Result<(), Failure> {
                     let outcomes = daemon.run_batch(vec![spec]);
                     outcomes.first().map(JobOutcome::render).unwrap_or_default()
                 }
-                Err(error) => format!(
-                    "{{\"status\":\"invalid\",\"error\":\"{}\"}}",
-                    error.replace('\\', "\\\\").replace('"', "\\\"")
-                ),
+                Err(error) => invalid_line(number + 1, error).render(),
             };
             if writeln!(writer, "{response}").is_err() {
                 break; // client hung up; keep serving others

@@ -42,7 +42,7 @@
 //!   quarantined job fail fast instead of re-running the doomed work.
 
 use crate::fault::{FaultPlan, FaultyIo};
-use crate::job::{json_escape, resolve_sources, JobSpec};
+use crate::job::{resolve_sources, JobSpec};
 use crate::store::{StoreOptions, VerdictStore};
 use iotsan::checker::CancelToken;
 use iotsan::config::{expert_configure, standard_household};
@@ -631,11 +631,13 @@ pub fn load_quarantine(path: &Path) -> Vec<(u64, PoisonEntry)> {
 fn save_quarantine(path: &Path, entries: &[(u64, PoisonEntry)]) {
     let mut out = String::new();
     for (fingerprint, entry) in entries.iter().filter(|(_, e)| e.quarantined) {
-        out.push_str(&format!(
-            "{{\"fingerprint\":\"{fingerprint:016x}\",\"attempts\":{},\"message\":\"{}\"}}\n",
-            entry.attempts,
-            json_escape(&entry.last_message)
-        ));
+        let row = JsonRow::with_capacity(96)
+            .str("fingerprint", &format!("{fingerprint:016x}"))
+            .num_u("attempts", u64::from(entry.attempts))
+            .str("message", &entry.last_message)
+            .finish();
+        out.push_str(&row);
+        out.push('\n');
     }
     if let Err(e) = std::fs::write(path, out) {
         flight::record(

@@ -292,23 +292,6 @@ pub fn resolve_sources(bundle: &BundleSpec) -> Result<Vec<String>, String> {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,11 +407,5 @@ mod tests {
             assert!(parse_line(bad, 1).unwrap_err().contains("workers"), "{bad}");
         }
         assert!(parse_line(r#"{"market":4,"workers":"2"}"#, 1).is_err());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -226,10 +226,20 @@ fn listen_mode_serves_jobs_over_a_unix_socket() {
     let store = dir.join("verdicts.log");
     let socket = dir.join("iotsand.sock");
 
-    let mut daemon = iotsand()
-        .args(["--store", store.to_str().unwrap(), "--listen", socket.to_str().unwrap()])
-        .spawn()
-        .unwrap();
+    // Kills the daemon if an assertion fails before the shutdown request.
+    struct Reap(std::process::Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Reap(
+        iotsand()
+            .args(["--store", store.to_str().unwrap(), "--listen", socket.to_str().unwrap()])
+            .spawn()
+            .unwrap(),
+    );
 
     // Wait for the socket to appear.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -242,30 +252,38 @@ fn listen_mode_serves_jobs_over_a_unix_socket() {
     };
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
+    // Every response is exactly one line of JSON.
+    let mut respond = |request: &str| -> (String, serde_json::Value) {
+        writeln!(writer, "{request}").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let value = serde_json::from_str(&line)
+            .unwrap_or_else(|e| panic!("response to {request} is not one JSON line ({e}): {line}"));
+        (line, value)
+    };
 
-    writeln!(writer, "{{\"id\":\"sock\",\"market\":2}}").unwrap();
-    let mut response = String::new();
-    reader.read_line(&mut response).unwrap();
+    let (response, _) = respond(r#"{"id":"sock","market":2}"#);
     assert!(response.contains("\"status\":\"ok\""), "{response}");
 
+    // An unparseable line whose error message carries a newline (from the
+    // escaped key) is answered like in batch mode, as one JSON outcome.
+    let (response, invalid) = respond(r#"{"a\nb":1}"#);
+    let text = |key: &str| invalid.get(key).and_then(|v| v.as_str()).map(str::to_owned);
+    assert_eq!(text("status").as_deref(), Some("invalid"), "{response}");
+    assert_eq!(text("id").as_deref(), Some("line-2"), "{response}");
+
     // The live observability surface: one snapshot row, one flight row.
-    writeln!(writer, "{{\"op\":\"metrics\"}}").unwrap();
-    let mut metrics = String::new();
-    reader.read_line(&mut metrics).unwrap();
+    let (metrics, _) = respond(r#"{"op":"metrics"}"#);
     assert_eq!(field(&metrics, "iotsan_daemon_jobs_completed_total"), 1, "{metrics}");
     assert!(field(&metrics, "iotsan_checker_searches_total") >= 1, "{metrics}");
 
-    writeln!(writer, "{{\"op\":\"flight\"}}").unwrap();
-    let mut flight = String::new();
-    reader.read_line(&mut flight).unwrap();
+    let (flight, _) = respond(r#"{"op":"flight"}"#);
     assert!(flight.contains("\"events\":"), "{flight}");
 
-    writeln!(writer, "{{\"op\":\"shutdown\"}}").unwrap();
-    let mut ack = String::new();
-    reader.read_line(&mut ack).unwrap();
+    let (ack, _) = respond(r#"{"op":"shutdown"}"#);
     assert!(ack.contains("shutting-down"), "{ack}");
 
-    let status = daemon.wait().unwrap();
+    let status = daemon.0.wait().unwrap();
     assert!(status.success());
     assert!(!socket.exists(), "socket file should be removed on shutdown");
 }

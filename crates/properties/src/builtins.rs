@@ -530,11 +530,6 @@ pub fn paper_properties() -> Vec<PropertySpec> {
     ]
 }
 
-/// Alias kept for the pre-redesign name.
-pub fn default_properties() -> Vec<PropertySpec> {
-    paper_properties()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,7 +56,7 @@ pub mod registry;
 pub mod snapshot;
 pub mod spec;
 
-pub use builtins::{default_properties, paper_properties};
+pub use builtins::paper_properties;
 pub use compile::{
     CompileTarget, CompiledProperty, CompiledPropertySet, EvalScratch, TargetDevice,
 };
@@ -69,7 +69,3 @@ pub use spec::{
     Atom, AttrTest, CommandTest, DeviceSelect, Expr, LeadsTo, Modality, NumericTest, PropertyClass,
     PropertyId, PropertySpec, PropertySpecBuilder, MAX_FORMULA_DEPTH,
 };
-
-/// Pre-redesign name for [`PropertySpec`]: the catalog's `Property` records
-/// are now the specs themselves.
-pub type Property = PropertySpec;

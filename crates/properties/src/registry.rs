@@ -91,11 +91,6 @@ impl PropertySet {
         &self.specs
     }
 
-    /// The specs in the set (pre-redesign name).
-    pub fn properties(&self) -> &[PropertySpec] {
-        &self.specs
-    }
-
     /// Number of properties.
     pub fn len(&self) -> usize {
         self.specs.len()

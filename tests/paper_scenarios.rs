@@ -29,9 +29,9 @@ fn virtual_thermostat_misconfiguration_turns_on_heater_and_ac() {
     let pipeline = Pipeline::with_events(2);
     let bad_result = pipeline.verify(&apps, &bad);
     let bad_names: Vec<String> = bad_result
-        .violations()
+        .violated_properties()
         .iter()
-        .filter_map(|(p, _)| {
+        .filter_map(|p| {
             pipeline.properties.get(iotsan::properties::PropertyId(*p)).map(|p| p.name.clone())
         })
         .collect();
@@ -44,9 +44,9 @@ fn virtual_thermostat_misconfiguration_turns_on_heater_and_ac() {
     let good = expert_configure(&apps, &household);
     let good_result = pipeline.verify(&apps, &good);
     let good_names: Vec<String> = good_result
-        .violations()
+        .violated_properties()
         .iter()
-        .filter_map(|(p, _)| {
+        .filter_map(|p| {
             pipeline.properties.get(iotsan::properties::PropertyId(*p)).map(|p| p.name.clone())
         })
         .collect();
@@ -188,12 +188,12 @@ fn default_property_set_covers_all_invariants() {
     let set = PropertySet::all();
     assert_eq!(set.len(), 45);
     let invariant_count =
-        set.properties().iter().filter(|p| p.class == PropertyClass::PhysicalState).count();
+        set.specs().iter().filter(|p| p.class == PropertyClass::PhysicalState).count();
     assert_eq!(invariant_count, 38);
     // Every physical invariant reads the snapshot and none needs a monitor
     // slot, so the state vector stays flat.
     assert!(set
-        .properties()
+        .specs()
         .iter()
         .filter(|p| p.class == PropertyClass::PhysicalState)
         .all(|p| p.reads_state()));

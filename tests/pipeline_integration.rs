@@ -33,11 +33,9 @@ fn unlock_door_group_violates_lock_property() {
     let result = Pipeline::with_events(2).verify(&apps, &config);
     assert!(result.has_violations());
     let names: Vec<String> = result
-        .violations()
+        .violated_properties()
         .iter()
-        .filter_map(|(p, _)| {
-            Pipeline::default().properties.get(PropertyId(*p)).map(|p| p.name.clone())
-        })
+        .filter_map(|p| Pipeline::default().properties.get(PropertyId(*p)).map(|p| p.name.clone()))
         .collect();
     assert!(
         names.iter().any(|n| n.contains("main door should be locked when no one is at home")),
@@ -105,7 +103,7 @@ fn device_failures_uncover_additional_violations() {
     let without = Pipeline::with_events(2).verify(&apps, &config);
     let with = Pipeline::with_events(2).with_failures().verify(&apps, &config);
     assert!(
-        with.violated_property_count() >= without.violated_property_count(),
+        with.violated_properties().len() >= without.violated_properties().len(),
         "failure injection must never reduce coverage"
     );
     // The robustness property (notify on failure) only shows up with failures.
@@ -205,9 +203,9 @@ fn ifttt_rules_flow_through_the_pipeline() {
     // detected" is violated by the door-open → siren rule.
     assert!(result.has_violations());
     let names: Vec<String> = result
-        .violations()
+        .violated_properties()
         .iter()
-        .filter_map(|(p, _)| pipeline.properties.get(PropertyId(*p)).map(|p| p.name.clone()))
+        .filter_map(|p| pipeline.properties.get(PropertyId(*p)).map(|p| p.name.clone()))
         .collect();
     assert!(names.iter().any(|n| n.contains("alarm")), "violated: {names:?}");
 }
@@ -244,9 +242,9 @@ fn security_properties_fire_for_leaky_apps() {
     assert!(classes.get("Security").copied().unwrap_or(0) >= 1, "classes: {classes:?}");
     // Specifically the network-leakage property.
     let violated: Vec<_> = result
-        .violations()
+        .violated_properties()
         .iter()
-        .filter_map(|(p, _)| pipeline.properties.get(PropertyId(*p)).cloned())
+        .filter_map(|p| pipeline.properties.get(PropertyId(*p)).cloned())
         .collect();
     assert!(violated.iter().any(|p| p.class == PropertyClass::Security));
 }
