@@ -19,8 +19,8 @@
 //! ```
 //!
 //! `--json <path>` writes the rows of the timing experiments (`throughput`,
-//! `fleet`, `properties`, `slice`, `daemon`, `telemetry`, `scenarios`,
-//! `chaos`) as one machine-readable document.  `--baseline <path>` fails
+//! `fleet`, `market`, `properties`, `slice`, `daemon`, `telemetry`,
+//! `scenarios`, `chaos`) as one machine-readable document.  `--baseline <path>` fails
 //! the run when `throughput`'s states/sec falls more than 20% below the
 //! committed baseline.  The timing floors live in the experiments:
 //! `telemetry` keeps ≥95% of the kill-switched throughput, `properties`
@@ -85,6 +85,7 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["fig8b"], |_| fig8b()),
     (&["throughput"], |run| run.throughput = Some(throughput(&mut run.json))),
     (&["fleet"], |run| fleet(&mut run.json)),
+    (&["market"], |run| market_experiment(&mut run.json)),
     (&["properties"], |run| properties_experiment(&mut run.json)),
     (&["slice"], |run| slice_experiment(&mut run.json)),
     (&["daemon"], |run| daemon_experiment(&mut run.json)),
@@ -597,6 +598,45 @@ fn fleet(json: &mut BenchJson) {
         }
     }
     json.push_experiment("fleet", "market+failures", events, &rows);
+}
+
+/// The scaling target: the whole 150-app market corpus under the standard
+/// household with failure injection, verified group-wise with a fresh cache
+/// and a 60 s per-group time limit, at 3 events (6 under `--features
+/// bench`).  Reports the pass's wall time, its states per second and how
+/// many groups reached a fixpoint (`closed_at`); see EXPERIMENTS.md.
+fn market_experiment(json: &mut BenchJson) {
+    heading("Failures-on market pass (150 market apps, failures on)");
+    let events = iotsan_bench::experiment_events(3, 6);
+    let (apps, config) = iotsan_bench::fleet_workload(150);
+    let budget = std::time::Duration::from_secs(60);
+    let mut cache = iotsan::VerificationCache::new();
+    let run = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
+    let closed = run.report.groups.iter().filter(|g| g.report.stats.closed_at.is_some()).count();
+    let states_per_sec = run.states() as f64 / run.elapsed.as_secs_f64().max(1e-9);
+    let violated = run.report.violated_properties().len();
+    println!(
+        "{:<7} {:>12} {:>10} {:>12} {:>12} {:>7} {:>7} {:>9}",
+        "Events", "Time", "States", "Transitions", "States/sec", "Groups", "Closed", "Violated"
+    );
+    println!(
+        "{events:<7} {:>12} {:>10} {:>12} {states_per_sec:>12.0} {:>7} {closed:>7} {violated:>9}",
+        format_duration(run.elapsed, run.truncated()),
+        run.states(),
+        run.transitions(),
+        run.report.groups.len(),
+    );
+    let row = JsonRow::with_capacity(256)
+        .fixed("seconds", run.elapsed.as_secs_f64(), 6)
+        .num_u("states", run.states() as u64)
+        .num_u("transitions", run.transitions() as u64)
+        .fixed("states_per_sec", states_per_sec, 1)
+        .num_u("groups", run.report.groups.len() as u64)
+        .num_u("closed_groups", closed as u64)
+        .num_u("violated_properties", violated as u64)
+        .flag("truncated", run.truncated())
+        .finish();
+    json.push_experiment("market", "market150+failures", events, &[row]);
 }
 
 /// Warm-restart experiment over `iotsan-daemon`'s durable verdict store:

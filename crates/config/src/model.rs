@@ -430,6 +430,21 @@ mod tests {
     }
 
     #[test]
+    fn a_custom_property_at_the_formula_depth_bound_round_trips() {
+        // The JSON reader's nesting budget must admit every formula the
+        // evaluation stack admits.
+        use iotsan_properties::{Expr, Modality, PropertySpec, MAX_FORMULA_DEPTH};
+        let mut spec = PropertySpec::builder(46, "deepest").never(Expr::mode_is("Night"));
+        spec.modality = Modality::Never(
+            (1..MAX_FORMULA_DEPTH)
+                .fold(Expr::mode_is("Night"), |e, _| Expr::or([Expr::mode_is("Home"), e])),
+        );
+        assert_eq!(spec.stack_depth(), MAX_FORMULA_DEPTH);
+        let cfg = sample_config().with_custom_property(spec);
+        assert_eq!(SystemConfig::from_json(&cfg.to_json()).unwrap(), cfg);
+    }
+
+    #[test]
     fn shipped_custom_properties_cannot_rebind_an_id() {
         use iotsan_properties::{paper_properties, Expr, PropertySpec};
         let load = |specs: Vec<PropertySpec>| {

@@ -1,8 +1,9 @@
 //! The IR interpreter — Algorithm 1's `app_event_handler`.
 //!
 //! When the model checker dispatches an event to a subscribed handler, this
-//! interpreter executes the handler's IR body against the current
-//! [`SystemState`]: it evaluates guards over device attributes, settings and
+//! interpreter executes the handler's body — in the form installation
+//! resolved it to (the `resolve` module), with no name left to look up —
+//! against the current [`SystemState`]: it evaluates guards over device attributes, settings and
 //! the event payload, sends commands to the actuators bound by the
 //! configuration, records messages/network calls/fake events for the
 //! step-based properties, and emits the internal events that cascade to other
@@ -18,15 +19,17 @@
 //! [`InstalledSystem::device_attr_sym`].
 
 use crate::logevent::LogEvent;
-use crate::system::{InstalledSystem, InternalEvent, SystemState};
+use crate::resolve::{AppCode, ConstTest, Expr, Read, Stmt};
+use crate::system::{InstalledSystem, InternalEvent, SystemState, NULL};
 use iotsan_checker::StepLog;
-use iotsan_devices::{CommandOutcome, DeviceId, LocationMode};
-use iotsan_ir::{EventField, IrBinOp, IrExpr, IrHandler, IrStmt, Quantifier, Sym, Value};
+use iotsan_devices::{CommandOutcome, CommandSpec, DeviceId, LocationMode};
+use iotsan_ir::{EventField, IrBinOp, Quantifier, Sym, Value};
 use iotsan_properties::{
-    CommandRecord, FakeEventRecord, MessageChannel, MessageRecord, NetworkRecord, StepObservation,
+    CommandCode, CommandRecord, FakeEventRecord, MessageChannel, MessageRecord, NetworkRecord,
+    StepObservation,
 };
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Upper bound on `while` loop iterations (keeps handler execution finite).
 const MAX_LOOP_ITERATIONS: usize = 16;
@@ -48,9 +51,20 @@ impl From<InternalEvent> for DispatchedEvent {
     }
 }
 
-/// Executes `handler` of `app_index` against `state`, recording observations
-/// into `observation`, appending generated cyber events to `events_out` and
-/// deferred log events to `log`.
+/// A handler execution's reusable buffers: its locals, by the positions
+/// resolution assigned, and the active `devices.each` iterations.  One per
+/// search worker, cleared (never reallocated) per handler run.
+#[derive(Debug, Default)]
+pub struct Frame {
+    locals: Vec<Value>,
+    /// `(input, k)`: inside `devices.each` over `input`, the input is
+    /// narrowed to its `k`-th bound device.
+    iterations: Vec<(u32, u32)>,
+}
+
+/// Executes handler `handler_index` of `app_index` against `state`,
+/// recording observations into `observation`, appending generated cyber
+/// events to `events_out` and deferred log events to `log`.
 ///
 /// `inject_command_failure` models an actuator/communication failure for every
 /// command sent during this execution (§8's actuator-offline enumeration).
@@ -58,29 +72,35 @@ impl From<InternalEvent> for DispatchedEvent {
 pub fn run_handler(
     system: &InstalledSystem,
     app_index: usize,
-    handler: &IrHandler,
+    handler_index: usize,
     event: &DispatchedEvent,
     state: &mut SystemState,
     observation: &mut StepObservation,
     inject_command_failure: bool,
     events_out: &mut Vec<InternalEvent>,
     log: &mut StepLog<LogEvent>,
+    frame: &mut Frame,
 ) {
+    let app = system.code(app_index);
+    let handler = &app.handlers[handler_index];
+    frame.locals.clear();
+    frame.locals.resize(handler.locals, Value::Null);
+    frame.iterations.clear();
     let mut interp = Interpreter {
         system,
+        app,
         app_index,
         event,
         state,
         observation,
         inject_command_failure,
-        locals: BTreeMap::new(),
-        iteration_overrides: Vec::new(),
+        frame,
         events_out,
         log,
     };
     interp.log.push(|| LogEvent::HandlerStart {
         app: app_index as u32,
-        handler: handler.name.clone(),
+        handler: system.apps[app_index].handlers[handler_index].name.clone(),
         attribute: event.attribute,
         value: event.value.clone(),
     });
@@ -94,85 +114,53 @@ enum Flow {
     Return,
 }
 
-struct Interpreter<'a> {
+struct Interpreter<'a, 'f> {
     system: &'a InstalledSystem,
+    app: &'a AppCode,
     app_index: usize,
     event: &'a DispatchedEvent,
-    state: &'a mut SystemState,
-    observation: &'a mut StepObservation,
+    state: &'f mut SystemState,
+    observation: &'f mut StepObservation,
     inject_command_failure: bool,
-    locals: BTreeMap<String, Value>,
-    /// While executing `devices.each { ... }`, `(input, device)` pairs that
-    /// narrow the binding of `input` to the current iteration device.
-    iteration_overrides: Vec<(String, DeviceId)>,
-    events_out: &'a mut Vec<InternalEvent>,
-    log: &'a mut StepLog<LogEvent>,
+    frame: &'f mut Frame,
+    events_out: &'f mut Vec<InternalEvent>,
+    log: &'f mut StepLog<LogEvent>,
 }
 
-/// The devices an input resolves to: a borrow of the installation-time
-/// binding, or the single device of an active `devices.each` iteration —
-/// either way, no allocation.
-enum Bound<'a> {
-    Slice(&'a [DeviceId]),
-    One([DeviceId; 1]),
-}
-
-impl Bound<'_> {
-    fn as_slice(&self) -> &[DeviceId] {
-        match self {
-            Bound::Slice(s) => s,
-            Bound::One(one) => one,
-        }
-    }
-}
-
-/// Inline capacity of a [`DeviceBuf`] (largest realistic multi-device
-/// binding; the standard household has ~20 devices total).
-const INLINE_DEVICES: usize = 16;
-
-/// A by-value snapshot of a resolved device binding, so statement loops can
-/// release the `&self` borrow of [`Interpreter::bound_devices`] and call
-/// `&mut self` methods per device — resolved once per statement, without
-/// heap allocation for realistic binding sizes.
-enum DeviceBuf {
-    Inline([DeviceId; INLINE_DEVICES], usize),
-    Heap(Vec<DeviceId>),
-}
-
-impl DeviceBuf {
-    fn from_slice(devices: &[DeviceId]) -> Self {
-        if devices.len() <= INLINE_DEVICES {
-            let mut inline = [DeviceId(0); INLINE_DEVICES];
-            inline[..devices.len()].copy_from_slice(devices);
-            DeviceBuf::Inline(inline, devices.len())
-        } else {
-            DeviceBuf::Heap(devices.to_vec())
-        }
-    }
-
-    fn as_slice(&self) -> &[DeviceId] {
-        match self {
-            DeviceBuf::Inline(inline, len) => &inline[..*len],
-            DeviceBuf::Heap(devices) => devices,
-        }
-    }
-}
-
-impl<'a> Interpreter<'a> {
-    fn app_name(&self) -> &str {
+impl<'a, 'f> Interpreter<'a, 'f> {
+    fn app_name(&self) -> &'a str {
         &self.system.apps[self.app_index].name
     }
 
-    fn bound_devices(&self, input: &str) -> Bound<'_> {
-        if let Some((_, device)) = self.iteration_overrides.iter().rev().find(|(i, _)| i == input) {
-            return Bound::One([*device]);
+    /// The devices `input` is bound to, as the positions of
+    /// [`crate::resolve::Input::devices`] in scope: all of them, or the one
+    /// an active `devices.each` iteration narrows it to.
+    fn bound(&self, input: u32) -> Range<usize> {
+        match self.frame.iterations.iter().rev().find(|(i, _)| *i == input) {
+            Some(&(_, k)) => k as usize..k as usize + 1,
+            None => 0..self.app.inputs[input as usize].devices.len(),
         }
-        Bound::Slice(self.system.bound_slice(self.app_index, input))
+    }
+
+    fn devices(&self, input: u32) -> &'a [DeviceId] {
+        &self.app.inputs[input as usize].devices
+    }
+
+    /// Whether the `k`-th device bound to `read`'s input passes `test`.
+    fn accepts(&self, read: &Read, test: &ConstTest, k: usize) -> bool {
+        let raw = match read.positions[k] {
+            Some(position) => {
+                let device = self.devices(read.input)[k];
+                self.state.devices[device.0 as usize].raw(position as usize).unwrap_or(u8::MAX)
+            }
+            None => 0,
+        };
+        test.masks[k].checked_shr(u32::from(raw)).map_or(test.null, |m| m & 1 != 0)
     }
 
     // ---- execution -------------------------------------------------------
 
-    fn exec_block(&mut self, stmts: &[IrStmt]) -> Flow {
+    fn exec_block(&mut self, stmts: &'a [Stmt]) -> Flow {
         for stmt in stmts {
             if self.exec_stmt(stmt) == Flow::Return {
                 return Flow::Return;
@@ -181,33 +169,36 @@ impl<'a> Interpreter<'a> {
         Flow::Continue
     }
 
-    fn exec_stmt(&mut self, stmt: &IrStmt) -> Flow {
+    fn exec_stmt(&mut self, stmt: &'a Stmt) -> Flow {
         match stmt {
-            IrStmt::DeviceCommand { input, command, args } => {
-                let args: Vec<Value> = args.iter().map(|a| self.eval(a)).collect();
-                // Resolve once per statement; `send_command` needs `&mut self`.
-                let devices = DeviceBuf::from_slice(self.bound_devices(input).as_slice());
-                for device in devices.as_slice() {
-                    self.send_command(*device, command, &args);
+            Stmt::Command { input, name, code, arg, commands } => {
+                let arg = arg.as_ref().map(|a| self.eval(a).into_owned());
+                let devices = self.devices(*input);
+                for k in self.bound(*input) {
+                    self.send_command(devices[k], commands[k], name, *code, arg.as_slice());
                 }
                 Flow::Continue
             }
-            IrStmt::SetLocationMode(expr) => {
-                let value = self.eval(expr);
-                let mode = LocationMode::parse(&value.as_string()).unwrap_or(self.state.mode);
+            Stmt::SetLocationMode(expr) => {
+                let mode = match &*self.eval(expr) {
+                    Value::Str(name) => LocationMode::parse(name),
+                    // No other value renders as a mode name.
+                    _ => None,
+                }
+                .unwrap_or(self.state.mode);
                 if mode != self.state.mode {
                     self.state.mode = mode;
                     self.log.push(|| LogEvent::ModeChange { mode });
                     self.events_out.push(InternalEvent {
                         device: None,
                         attribute: self.system.mode_sym(),
-                        value: Value::Str(mode.name().to_string()),
+                        value: self.system.mode_value(mode).clone(),
                         physical: false,
                     });
                 }
                 Flow::Continue
             }
-            IrStmt::SendSms { recipient, message } => {
+            Stmt::SendSms { recipient, message } => {
                 let recipient = self.eval(recipient).as_string();
                 let body = self.eval(message).as_string();
                 self.log.push(|| LogEvent::SendSms { recipient: recipient.clone() });
@@ -219,7 +210,7 @@ impl<'a> Interpreter<'a> {
                 });
                 Flow::Continue
             }
-            IrStmt::SendPush { message } => {
+            Stmt::SendPush { message } => {
                 let body = self.eval(message).as_string();
                 self.log.push(|| LogEvent::SendPush);
                 self.observation.messages.push(MessageRecord {
@@ -230,66 +221,62 @@ impl<'a> Interpreter<'a> {
                 });
                 Flow::Continue
             }
-            IrStmt::HttpRequest { url, .. } => {
+            Stmt::HttpRequest { url } => {
                 let url = self.eval(url).as_string();
-                let allowed =
-                    self.system.config.network_allowed_apps.iter().any(|a| a == self.app_name());
                 self.log.push(|| LogEvent::HttpPost { url: url.clone() });
                 self.observation.network.push(NetworkRecord {
                     app: self.app_name().to_string(),
                     url,
-                    allowed,
+                    allowed: self.app.network_allowed,
                 });
                 Flow::Continue
             }
-            IrStmt::SendEvent { attribute, value } => {
-                let value = self.eval(value);
-                let attribute_sym = self.system.sym_of(attribute);
-                self.log.push(|| LogEvent::SendEvent {
-                    attribute: attribute_sym,
-                    value: value.clone(),
-                });
+            Stmt::SendEvent { attribute, name, value } => {
+                let value = self.eval(value).into_owned();
+                self.log
+                    .push(|| LogEvent::SendEvent { attribute: *attribute, value: value.clone() });
                 self.observation.fake_events.push(FakeEventRecord {
                     app: self.app_name().to_string(),
-                    attribute: attribute.clone(),
+                    attribute: name.clone(),
                     value: value.as_string(),
                 });
                 self.events_out.push(InternalEvent {
                     device: None,
-                    attribute: attribute_sym,
+                    attribute: *attribute,
                     value,
                     physical: false,
                 });
                 Flow::Continue
             }
-            IrStmt::Unsubscribe => {
+            Stmt::Unsubscribe => {
                 self.log.push(|| LogEvent::Unsubscribe);
                 self.observation.unsubscribes.push(self.app_name().to_string());
                 Flow::Continue
             }
-            IrStmt::Unschedule => Flow::Continue,
-            IrStmt::Schedule { handler, .. } => {
+            Stmt::Schedule { handler } => {
                 self.log.push(|| LogEvent::Schedule { handler: handler.clone() });
                 Flow::Continue
             }
-            IrStmt::AssignState { name, value } => {
-                let value = self.eval(value);
-                self.system.set_app_var_indexed(self.state, self.app_index, name, &value);
+            Stmt::AssignState { slot, value } => {
+                if let Some(slot) = slot {
+                    let text = self.eval(value).as_string();
+                    self.state.app_state[*slot as usize] = Some(text);
+                }
                 Flow::Continue
             }
-            IrStmt::AssignLocal { name, value } => {
-                let value = self.eval(value);
-                self.locals.insert(name.clone(), value);
+            Stmt::AssignLocal { slot, value } => {
+                let value = self.eval(value).into_owned();
+                self.frame.locals[*slot as usize] = value;
                 Flow::Continue
             }
-            IrStmt::If { cond, then, els } => {
+            Stmt::If { cond, then, els } => {
                 if self.eval(cond).truthy() {
                     self.exec_block(then)
                 } else {
                     self.exec_block(els)
                 }
             }
-            IrStmt::While { cond, body } => {
+            Stmt::While { cond, body } => {
                 let mut iterations = 0;
                 while self.eval(cond).truthy() && iterations < MAX_LOOP_ITERATIONS {
                     if self.exec_block(body) == Flow::Return {
@@ -299,21 +286,19 @@ impl<'a> Interpreter<'a> {
                 }
                 Flow::Continue
             }
-            IrStmt::ForEachDevice { input, body } => {
-                let devices = DeviceBuf::from_slice(self.bound_devices(input).as_slice());
-                for device in devices.as_slice() {
-                    let device = *device;
-                    self.iteration_overrides.push((input.clone(), device));
+            Stmt::ForEachDevice { input, body } => {
+                for k in self.bound(*input) {
+                    self.frame.iterations.push((*input, k as u32));
                     let flow = self.exec_block(body);
-                    self.iteration_overrides.pop();
+                    self.frame.iterations.pop();
                     if flow == Flow::Return {
                         return Flow::Return;
                     }
                 }
                 Flow::Continue
             }
-            IrStmt::Return(_) => Flow::Return,
-            IrStmt::Log(expr) => {
+            Stmt::Return => Flow::Return,
+            Stmt::Log(expr) => {
                 // Only evaluate the message when the log is recording — a
                 // handler's `log.debug` must cost nothing during search.
                 if self.log.is_enabled() {
@@ -322,15 +307,21 @@ impl<'a> Interpreter<'a> {
                 }
                 Flow::Continue
             }
-            IrStmt::OpaqueCall { .. } => Flow::Continue,
+            Stmt::Nop => Flow::Continue,
         }
     }
 
-    fn send_command(&mut self, device_id: DeviceId, command: &str, args: &[Value]) {
+    fn send_command(
+        &mut self,
+        device_id: DeviceId,
+        resolved: Option<&'static CommandSpec>,
+        command: &str,
+        code: CommandCode,
+        args: &[Value],
+    ) {
         let spec = self.system.device_spec(device_id);
-        // Resolved once: the record borrows the spec's `'static` name, and
-        // only a command the spec does not define is copied.
-        let resolved = spec.command(command);
+        // The record borrows the spec's `'static` name; only a command the
+        // spec does not define is copied.
         let name =
             resolved.map_or_else(|| Cow::Owned(command.to_string()), |c| Cow::Borrowed(c.name));
         let lost = self.inject_command_failure;
@@ -350,6 +341,7 @@ impl<'a> Interpreter<'a> {
         self.observation.commands.push(CommandRecord {
             device: device_id,
             command: name,
+            code,
             delivered,
             changed_state,
         });
@@ -360,9 +352,8 @@ impl<'a> Interpreter<'a> {
         });
         let CommandOutcome::Changed(changed) = outcome else { return };
         for &attr_index in changed.positions() {
-            let attr_index = attr_index as usize;
-            let attribute = self.system.device_attr_sym(device_id, attr_index);
-            let value = self.state.devices[device_id.0 as usize].value_at(spec, attr_index);
+            let attribute = self.system.device_attr_sym(device_id, attr_index as usize);
+            let value = self.system.attr_value(self.state, device_id, Some(attr_index)).clone();
             self.log.push(|| LogEvent::AttrChange {
                 device: device_id,
                 attribute,
@@ -379,113 +370,125 @@ impl<'a> Interpreter<'a> {
 
     // ---- evaluation ------------------------------------------------------
 
-    fn eval(&mut self, expr: &IrExpr) -> Value {
+    /// Evaluates `expr`, borrowing every value the installation, the event,
+    /// the state or the frame already holds.
+    fn eval(&self, expr: &'a Expr) -> Cow<'_, Value> {
         match expr {
-            IrExpr::Const(v) => v.clone(),
-            IrExpr::Setting(name) => {
-                let devices = self.bound_devices(name);
-                let devices = devices.as_slice();
-                if !devices.is_empty() {
-                    Value::List(
-                        devices
-                            .iter()
-                            .map(|d| Value::Str(self.system.device(*d).label.clone()))
-                            .collect(),
-                    )
+            Expr::Const(v) => Cow::Borrowed(v),
+            Expr::Setting(input) => {
+                let devices = self.devices(*input);
+                let range = self.bound(*input);
+                if range.len() == devices.len() {
+                    Cow::Borrowed(&self.app.inputs[*input as usize].setting)
                 } else {
-                    self.system.setting_value(self.app_name(), name)
+                    // Inside `devices.each`: the one device iterated.
+                    let label = self.system.label_value(devices[range.start]).clone();
+                    Cow::Owned(Value::List(vec![label]))
                 }
             }
-            IrExpr::DeviceAttr { input, attribute } => {
-                let devices = self.bound_devices(input);
-                match devices.as_slice().first() {
-                    Some(id) => self.state.devices[id.0 as usize]
-                        .get(self.system.device_spec(*id), attribute),
-                    None => Value::Null,
-                }
+            Expr::Attr(read) => {
+                let range = self.bound(read.input);
+                Cow::Borrowed(if range.is_empty() {
+                    &NULL
+                } else {
+                    let k = range.start;
+                    let device = self.devices(read.input)[k];
+                    self.system.attr_value(self.state, device, read.positions[k])
+                })
             }
-            IrExpr::DeviceQuery { input, attribute, value, quantifier } => {
-                let expected = self.eval(value);
-                let devices = self.bound_devices(input);
-                let devices = devices.as_slice();
-                let matches = devices
-                    .iter()
-                    .filter(|id| {
-                        self.state.devices[id.0 as usize]
-                            .get(self.system.device_spec(**id), attribute)
-                            .loosely_equals(&expected)
-                    })
-                    .count();
-                match quantifier {
+            Expr::AttrIs { read, test, negate } => {
+                let range = self.bound(read.input);
+                let equal = if range.is_empty() {
+                    test.null
+                } else {
+                    self.accepts(read, test, range.start)
+                };
+                Cow::Owned(Value::Bool(equal != *negate))
+            }
+            Expr::Query { read, value, quantifier, test } => {
+                let range = self.bound(read.input);
+                let bound = range.len();
+                let matches = match test {
+                    Some(test) => range.filter(|&k| self.accepts(read, test, k)).count(),
+                    None => {
+                        let expected = self.eval(value);
+                        let devices = self.devices(read.input);
+                        range
+                            .filter(|&k| {
+                                self.system
+                                    .attr_value(self.state, devices[k], read.positions[k])
+                                    .loosely_equals(&expected)
+                            })
+                            .count()
+                    }
+                };
+                Cow::Owned(match quantifier {
                     Quantifier::Any => Value::Bool(matches > 0),
-                    Quantifier::All => Value::Bool(!devices.is_empty() && matches == devices.len()),
+                    Quantifier::All => Value::Bool(bound > 0 && matches == bound),
                     Quantifier::Count => Value::Int(matches as i64),
+                })
+            }
+            Expr::Event(field) => match field {
+                EventField::Value => Cow::Borrowed(&self.event.value),
+                EventField::NumericValue => Cow::Owned(
+                    self.event.value.as_number().map(Value::Decimal).unwrap_or(Value::Null),
+                ),
+                EventField::Name => {
+                    Cow::Owned(Value::Str(self.system.attr_name(self.event.attribute).to_string()))
+                }
+                EventField::DeviceId | EventField::DisplayName => {
+                    Cow::Borrowed(self.event.device.map_or(&NULL, |d| self.system.label_value(d)))
+                }
+                EventField::IsPhysical => Cow::Owned(Value::Bool(true)),
+                EventField::Date => Cow::Owned(Value::Int(self.state.time.seconds() as i64)),
+            },
+            Expr::LocationMode => Cow::Borrowed(self.system.mode_value(self.state.mode)),
+            Expr::Time => Cow::Owned(Value::Int(self.state.time.seconds() as i64)),
+            Expr::State(slot) => {
+                match slot.and_then(|slot| self.state.app_state[slot as usize].as_ref()) {
+                    Some(text) => Cow::Owned(Value::Str(text.clone())),
+                    None => Cow::Borrowed(&NULL),
                 }
             }
-            IrExpr::EventField(field) => match field {
-                EventField::Value => self.event.value.clone(),
-                EventField::NumericValue => {
-                    self.event.value.as_number().map(Value::Decimal).unwrap_or(Value::Null)
-                }
-                EventField::Name => {
-                    Value::Str(self.system.attr_name(self.event.attribute).to_string())
-                }
-                EventField::DeviceId => self
-                    .event
-                    .device
-                    .map(|d| Value::Str(self.system.device(d).label.clone()))
-                    .unwrap_or(Value::Null),
-                EventField::DisplayName => self
-                    .event
-                    .device
-                    .map(|d| Value::Str(self.system.device(d).label.clone()))
-                    .unwrap_or(Value::Null),
-                EventField::IsPhysical => Value::Bool(true),
-                EventField::Date => Value::Int(self.state.time.seconds() as i64),
-            },
-            IrExpr::LocationMode => Value::Str(self.state.mode.name().to_string()),
-            IrExpr::Time => Value::Int(self.state.time.seconds() as i64),
-            IrExpr::StateVar(name) => self.system.app_var_indexed(self.state, self.app_index, name),
-            IrExpr::Local(name) => self.locals.get(name).cloned().unwrap_or(Value::Null),
-            IrExpr::Not(inner) => Value::Bool(!self.eval(inner).truthy()),
-            IrExpr::Neg(inner) => match self.eval(inner).as_number() {
+            Expr::Local(slot) => Cow::Borrowed(&self.frame.locals[*slot as usize]),
+            Expr::Not(inner) => Cow::Owned(Value::Bool(!self.eval(inner).truthy())),
+            Expr::Neg(inner) => Cow::Owned(match self.eval(inner).as_number() {
                 Some(n) => Value::Decimal(-n),
                 None => Value::Null,
-            },
-            IrExpr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs),
-            IrExpr::Ternary { cond, then, els } => {
+            }),
+            Expr::Binary { op, lhs, rhs } => Cow::Owned(self.eval_binary(*op, lhs, rhs)),
+            Expr::Ternary { cond, then, els } => {
                 if self.eval(cond).truthy() {
                     self.eval(then)
                 } else {
                     self.eval(els)
                 }
             }
-            IrExpr::ListOf(items) => Value::List(items.iter().map(|e| self.eval(e)).collect()),
-            IrExpr::Concat(parts) => Value::Str(
-                parts.iter().map(|p| self.eval(p).as_string()).collect::<Vec<_>>().join(""),
-            ),
-            IrExpr::Opaque { .. } => Value::Null,
+            Expr::ListOf(items) => {
+                Cow::Owned(Value::List(items.iter().map(|e| self.eval(e).into_owned()).collect()))
+            }
+            Expr::Concat(parts) => {
+                let mut text = String::new();
+                for part in parts {
+                    match &*self.eval(part) {
+                        Value::Str(s) => text.push_str(s),
+                        other => text.push_str(&other.as_string()),
+                    }
+                }
+                Cow::Owned(Value::Str(text))
+            }
+            Expr::Null => Cow::Borrowed(&NULL),
         }
     }
 
-    fn eval_binary(&mut self, op: IrBinOp, lhs: &IrExpr, rhs: &IrExpr) -> Value {
+    fn eval_binary(&self, op: IrBinOp, lhs: &'a Expr, rhs: &'a Expr) -> Value {
         // Short-circuit logical operators.
         match op {
             IrBinOp::And => {
-                let l = self.eval(lhs);
-                return if !l.truthy() {
-                    Value::Bool(false)
-                } else {
-                    Value::Bool(self.eval(rhs).truthy())
-                };
+                return Value::Bool(self.eval(lhs).truthy() && self.eval(rhs).truthy());
             }
             IrBinOp::Or => {
-                let l = self.eval(lhs);
-                return if l.truthy() {
-                    Value::Bool(true)
-                } else {
-                    Value::Bool(self.eval(rhs).truthy())
-                };
+                return Value::Bool(self.eval(lhs).truthy() || self.eval(rhs).truthy());
             }
             _ => {}
         }
@@ -505,7 +508,7 @@ impl<'a> Interpreter<'a> {
                     _ => unreachable!(),
                 })
             }
-            IrBinOp::In => match r {
+            IrBinOp::In => match &*r {
                 Value::List(items) => Value::Bool(items.iter().any(|i| i.loosely_equals(&l))),
                 Value::Str(s) => Value::Bool(s.contains(&l.as_string())),
                 _ => Value::Bool(false),
@@ -548,9 +551,9 @@ fn number(n: f64) -> Value {
 mod tests {
     use super::*;
     use iotsan_config::{AppConfig, Binding, DeviceConfig, SystemConfig};
-    use iotsan_ir::{AppInput, SettingKind, Trigger};
+    use iotsan_ir::{AppInput, IrExpr, IrHandler, IrStmt, SettingKind, Trigger};
 
-    fn build_system(handler_body: Vec<IrStmt>) -> (InstalledSystem, IrHandler) {
+    fn build_system(handler_body: Vec<IrStmt>) -> InstalledSystem {
         let handler = IrHandler {
             app: "Test App".into(),
             name: "handler".into(),
@@ -585,7 +588,7 @@ mod tests {
                     required: false,
                 },
             ],
-            handlers: vec![handler.clone()],
+            handlers: vec![handler],
             state_vars: vec![],
             dynamic_discovery: false,
         };
@@ -603,7 +606,7 @@ mod tests {
                     .with("setpoint", Binding::Number(75.0))
                     .with("phone", Binding::Text("5551234567".into())),
             );
-        (InstalledSystem::new(vec![app], config), handler)
+        InstalledSystem::new(vec![app], config)
     }
 
     fn temp_event(system: &InstalledSystem, value: i64) -> DispatchedEvent {
@@ -618,7 +621,6 @@ mod tests {
     /// and rendered log lines (the shape the old `HandlerEffects` exposed).
     fn run(
         system: &InstalledSystem,
-        handler: &IrHandler,
         event: &DispatchedEvent,
         state: &mut SystemState,
         obs: &mut StepObservation,
@@ -626,7 +628,8 @@ mod tests {
     ) -> (Vec<InternalEvent>, Vec<String>) {
         let mut events = Vec::new();
         let mut log = StepLog::enabled();
-        run_handler(system, 0, handler, event, state, obs, fail, &mut events, &mut log);
+        let mut frame = Frame::default();
+        run_handler(system, 0, 0, event, state, obs, fail, &mut events, &mut log, &mut frame);
         let lines = log.events().iter().map(|e| e.render(system).text).collect();
         (events, lines)
     }
@@ -650,13 +653,13 @@ mod tests {
                 args: vec![],
             }],
         }];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
 
         // 85 > 75 → both outlets turned on, two state-change events generated.
         let event = temp_event(&system, 85);
-        let (events, _) = run(&system, &handler, &event, &mut state, &mut obs, false);
+        let (events, _) = run(&system, &event, &mut state, &mut obs, false);
         assert_eq!(obs.commands.len(), 2);
         assert!(obs.commands.iter().all(|c| c.command == "on" && c.delivered));
         assert_eq!(events.len(), 2);
@@ -684,12 +687,12 @@ mod tests {
                 args: vec![],
             }],
         }];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         // 60 < 75 → off commands; devices already off so no state change events.
         let event = temp_event(&system, 60);
-        let (events, _) = run(&system, &handler, &event, &mut state, &mut obs, false);
+        let (events, _) = run(&system, &event, &mut state, &mut obs, false);
         assert_eq!(obs.commands.len(), 2);
         assert!(obs.commands.iter().all(|c| !c.changed_state));
         assert!(events.is_empty());
@@ -711,11 +714,11 @@ mod tests {
             IrStmt::SendEvent { attribute: "smoke".into(), value: IrExpr::str("detected") },
             IrStmt::Unsubscribe,
         ];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         let event = temp_event(&system, 70);
-        let (events, lines) = run(&system, &handler, &event, &mut state, &mut obs, false);
+        let (events, lines) = run(&system, &event, &mut state, &mut obs, false);
         assert_eq!(obs.messages.len(), 2);
         assert_eq!(obs.messages[0].recipient, "5551234567");
         assert_eq!(obs.network.len(), 1);
@@ -735,11 +738,11 @@ mod tests {
             command: "on".into(),
             args: vec![],
         }];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         let event = temp_event(&system, 90);
-        let (_, lines) = run(&system, &handler, &event, &mut state, &mut obs, true);
+        let (_, lines) = run(&system, &event, &mut state, &mut obs, true);
         assert_eq!(obs.command_failures, 2);
         assert!(obs.commands.iter().all(|c| !c.delivered));
         assert!(lines.iter().any(|l| l.ends_with("LOST (failure)")));
@@ -771,11 +774,11 @@ mod tests {
                 els: vec![],
             },
         ];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         let event = temp_event(&system, 70);
-        run(&system, &handler, &event, &mut state, &mut obs, false);
+        run(&system, &event, &mut state, &mut obs, false);
         assert_eq!(system.app_var(&state, "Test App", "count"), Value::Str("1".into()));
         // ForEachDevice issued one command per outlet, and the All-query then
         // saw both outlets on.
@@ -796,11 +799,11 @@ mod tests {
             },
             IrStmt::SendPush { message: IrExpr::str("done") },
         ];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         let event = temp_event(&system, 70);
-        let (_, lines) = run(&system, &handler, &event, &mut state, &mut obs, false);
+        let (_, lines) = run(&system, &event, &mut state, &mut obs, false);
         // The loop is bounded and execution continues past it.
         assert_eq!(obs.messages.len(), 1);
         assert!(!lines.is_empty());
@@ -813,7 +816,7 @@ mod tests {
             command: "on".into(),
             args: vec![],
         }];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         let mut events = Vec::new();
@@ -822,13 +825,14 @@ mod tests {
         run_handler(
             &system,
             0,
-            &handler,
+            0,
             &event,
             &mut state,
             &mut obs,
             false,
             &mut events,
             &mut log,
+            &mut Frame::default(),
         );
         assert!(log.events().is_empty());
         assert_eq!(obs.commands.len(), 2);
@@ -847,11 +851,105 @@ mod tests {
                 value: IrExpr::Concat(vec![IrExpr::str("x="), IrExpr::Local("x".into())]),
             },
         ];
-        let (system, handler) = build_system(body);
+        let system = build_system(body);
         let mut state = system.initial_state();
         let mut obs = StepObservation::default();
         let event = temp_event(&system, 70);
-        run(&system, &handler, &event, &mut state, &mut obs, false);
+        run(&system, &event, &mut state, &mut obs, false);
         assert_eq!(system.app_var(&state, "Test App", "msg"), Value::Str("x=42".into()));
+    }
+
+    #[test]
+    fn resolved_reads_keep_the_name_based_semantics() {
+        // Each read lands in a state variable, rendered; the expected
+        // renderings are what the name-based reads yielded.
+        let store = |name: &str, value: IrExpr| IrStmt::AssignState { name: name.into(), value };
+        let query = |value: IrExpr, quantifier| IrExpr::DeviceQuery {
+            input: "outlets".into(),
+            attribute: "switch".into(),
+            value: Box::new(value),
+            quantifier,
+        };
+        let body = vec![
+            IrStmt::DeviceCommand { input: "outlets".into(), command: "on".into(), args: vec![] },
+            IrStmt::AssignLocal { name: "want".into(), value: IrExpr::str("on") },
+            // A constant comparison, in either operand order, and its negation.
+            store("eq", IrExpr::attr_eq("outlets", "switch", "on")),
+            store(
+                "eqFlipped",
+                IrExpr::binary(
+                    IrBinOp::Eq,
+                    IrExpr::str("off"),
+                    IrExpr::DeviceAttr { input: "outlets".into(), attribute: "switch".into() },
+                ),
+            ),
+            store(
+                "ne",
+                IrExpr::binary(
+                    IrBinOp::NotEq,
+                    IrExpr::DeviceAttr { input: "outlets".into(), attribute: "switch".into() },
+                    IrExpr::str("on"),
+                ),
+            ),
+            // An attribute the spec lacks reads `Null`, equal only to `Null`.
+            store(
+                "missing",
+                IrExpr::binary(
+                    IrBinOp::Eq,
+                    IrExpr::DeviceAttr { input: "outlets".into(), attribute: "level".into() },
+                    IrExpr::Const(Value::Null),
+                ),
+            ),
+            // An unbound input has no first device: its read is `Null` too.
+            store(
+                "unbound",
+                IrExpr::binary(
+                    IrBinOp::Eq,
+                    IrExpr::DeviceAttr { input: "nothing".into(), attribute: "switch".into() },
+                    IrExpr::str("on"),
+                ),
+            ),
+            // Quantified reads against a constant and against a local.
+            store("countConst", query(IrExpr::str("on"), Quantifier::Count)),
+            store("countLocal", query(IrExpr::Local("want".into()), Quantifier::Count)),
+            store("allLocal", query(IrExpr::Local("want".into()), Quantifier::All)),
+            // Settings: configured values, bound devices' labels, unset.
+            store("setpoint", IrExpr::Setting("setpoint".into())),
+            store("devices", IrExpr::Setting("outlets".into())),
+            store("unset", IrExpr::Setting("nothing".into())),
+            IrStmt::ForEachDevice {
+                input: "outlets".into(),
+                body: vec![
+                    store("each", IrExpr::Setting("outlets".into())),
+                    store("eachCount", query(IrExpr::str("on"), Quantifier::Count)),
+                ],
+            },
+            store("mode", IrExpr::LocationMode),
+            store("device", IrExpr::EventField(EventField::DeviceId)),
+        ];
+        let system = build_system(body);
+        let mut state = system.initial_state();
+        let mut obs = StepObservation::default();
+        run(&system, &temp_event(&system, 70), &mut state, &mut obs, false);
+        let var = |name: &str| system.app_var(&state, "Test App", name).as_string();
+        for (name, expected) in [
+            ("eq", "true"),
+            ("eqFlipped", "false"),
+            ("ne", "false"),
+            ("missing", "true"),
+            ("unbound", "false"),
+            ("countConst", "2"),
+            ("countLocal", "2"),
+            ("allLocal", "true"),
+            ("setpoint", "75"),
+            ("devices", "[heaterOutlet, acOutlet]"),
+            ("unset", "null"),
+            ("each", "[acOutlet]"),
+            ("eachCount", "1"),
+            ("mode", "Home"),
+            ("device", "tempSensor"),
+        ] {
+            assert_eq!(var(name), expected, "{name}");
+        }
     }
 }

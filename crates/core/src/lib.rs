@@ -55,10 +55,11 @@ pub mod logevent;
 pub mod model;
 pub mod pipeline;
 pub mod planner;
+mod resolve;
 pub mod system;
 
 pub use features::{comparison_matrix, render_table1, SystemFeatures, FEATURES};
-pub use interp::{run_handler, DispatchedEvent};
+pub use interp::{run_handler, DispatchedEvent, Frame};
 pub use logevent::LogEvent;
 pub use model::{
     ConcurrentAction, ConcurrentModel, ExternalAction, ModelOptions, ModelScratch, SequentialModel,

@@ -18,11 +18,19 @@
 //! interned [`Sym`]s, never owned strings — because the checker clones one
 //! into its counterexample arena for every admitted state.  Device specs are
 //! resolved once at installation ([`InstalledSystem::device_spec`]), never
-//! looked up by capability name per transition.  `apply` threads a reusable
-//! [`ModelScratch`] (observation buffers, the cascade queue, the property
-//! evaluator's atom buffer) and a deferred [`StepLog`], so a steady-state
-//! transition on a non-violating path performs no heap allocation beyond
-//! constructing its successor state.  The compiled properties read the
+//! looked up by capability name per transition, and so are handler bodies:
+//! settings, bindings, `state.*` slots, locals, attribute positions and
+//! command identities are indices, and reads borrow the values the
+//! installation owns (see [`InstalledSystem`]).  `apply` threads a reusable
+//! [`ModelScratch`] (observation buffers, the cascade queue, the
+//! interpreter's [`Frame`], the property evaluator's atom buffer) and a
+//! deferred [`StepLog`].  What a transition still allocates is its successor
+//! state (the state vector and each set `state.*` value), the values that
+//! leave a handler (event values, `state.*` reads and writes), the rare
+//! message, network and fake-event records, and a violating step's report.
+//! `tests/hot_loop_allocations.rs` pins the budget per explored transition,
+//! checker included: at most 10.0 on the 150-app `market-cold` bundle and
+//! 3.5 on `deep-group`.  The compiled properties read the
 //! successor's device states and mode directly: no snapshot of the physical
 //! state is rendered per transition.
 //!
@@ -39,7 +47,7 @@
 //! counterexamples ([`TransitionSystem::display_action`] /
 //! [`TransitionSystem::render_event`]).
 
-use crate::interp::{run_handler, DispatchedEvent};
+use crate::interp::{run_handler, DispatchedEvent, Frame};
 use crate::logevent::LogEvent;
 use crate::system::{InstalledSystem, InternalEvent, SystemState};
 use iotsan_checker::{LogLine, StepLog, StepOutcome, TransitionSystem, Violation};
@@ -124,6 +132,7 @@ pub enum ExternalAction {
 pub struct ModelScratch {
     observation: StepObservation,
     queue: Vec<InternalEvent>,
+    frame: Frame,
     eval: EvalScratch,
     /// Spec indices of the properties violated by the current transition.
     violated: Vec<usize>,
@@ -308,24 +317,6 @@ impl ModelCore {
         out.extend_from_slice(&self.fixed_actions);
     }
 
-    /// The domain value of a sensor attribute as a [`Value`] (numeric domain
-    /// levels become integers, enum names numbers-or-strings — the same
-    /// parse the old string path applied).
-    fn domain_value(
-        spec: &iotsan_devices::DeviceSpec,
-        attr_index: usize,
-        value_index: usize,
-    ) -> Value {
-        let attr = &spec.attributes[attr_index];
-        match attr.domain.numeric_at(value_index) {
-            Some(n) => Value::Int(n),
-            None => match attr.domain.value_at(value_index) {
-                Some(text) => parse_value(&text),
-                None => Value::Null,
-            },
-        }
-    }
-
     /// Applies the external action to `state`, appending the initial internal
     /// events to dispatch to `events`, and updating the observation.
     fn apply_external(
@@ -335,6 +326,7 @@ impl ModelCore {
         observation: &mut StepObservation,
         events: &mut Vec<InternalEvent>,
         log: &mut StepLog<LogEvent>,
+        frame: &mut Frame,
     ) {
         state.external_events += 1;
         state.time.tick();
@@ -343,6 +335,10 @@ impl ModelCore {
                 let spec = self.system.device_spec(device);
                 let attr_index = attr_index as usize;
                 let value_index = value_index as usize;
+                // The reading as a device read sees it, from the spec's
+                // domain values.
+                let sensor_value =
+                    || self.system.attr_values(device, attr_index)[value_index].clone();
                 match failure {
                     FailureMode::DeviceOffline => {
                         state.devices[device.0 as usize].set_online(false);
@@ -377,7 +373,7 @@ impl ModelCore {
                             events.push(InternalEvent {
                                 device: Some(device),
                                 attribute,
-                                value: Self::domain_value(spec, attr_index, value_index),
+                                value: sensor_value(),
                                 physical: true,
                             });
                         }
@@ -398,7 +394,7 @@ impl ModelCore {
                             events.push(InternalEvent {
                                 device: Some(device),
                                 attribute,
-                                value: Self::domain_value(spec, attr_index, value_index),
+                                value: sensor_value(),
                                 physical: true,
                             });
                         }
@@ -413,27 +409,30 @@ impl ModelCore {
                     value: Value::Str("touched".into()),
                 };
                 let app_index = app as usize;
-                for handler_index in 0..self.system.apps[app_index].handlers.len() {
-                    let handler = &self.system.apps[app_index].handlers[handler_index];
+                for (handler_index, handler) in
+                    self.system.apps[app_index].handlers.iter().enumerate()
+                {
                     if !matches!(handler.trigger, Trigger::AppTouch) {
                         continue;
                     }
                     run_handler(
                         &self.system,
                         app_index,
-                        handler,
+                        handler_index,
                         &touch,
                         state,
                         observation,
                         false,
                         events,
                         log,
+                        frame,
                     );
                 }
             }
-            ExternalAction::TimerFire { app, handler } => {
+            ExternalAction::TimerFire { app, handler: handler_index } => {
                 let app_index = app as usize;
-                let handler = &self.system.apps[app_index].handlers[handler as usize];
+                let handler_index = handler_index as usize;
+                let handler = &self.system.apps[app_index].handlers[handler_index];
                 log.push(|| LogEvent::TimerFired { handler: handler.name.clone() });
                 let tick = DispatchedEvent {
                     device: None,
@@ -444,13 +443,14 @@ impl ModelCore {
                     run_handler(
                         &self.system,
                         app_index,
-                        handler,
+                        handler_index,
                         &tick,
                         state,
                         observation,
                         false,
                         events,
                         log,
+                        frame,
                     );
                 }
             }
@@ -497,6 +497,7 @@ impl ModelCore {
 
     /// Dispatches one event to every subscribed handler (Algorithm 1's
     /// `dispatch_event`), appending newly generated events to `events`.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch_one(
         &self,
         state: &mut SystemState,
@@ -504,6 +505,7 @@ impl ModelCore {
         observation: &mut StepObservation,
         events: &mut Vec<InternalEvent>,
         log: &mut StepLog<LogEvent>,
+        frame: &mut Frame,
         commands_fail: bool,
     ) {
         let event = DispatchedEvent::from(event);
@@ -511,13 +513,14 @@ impl ModelCore {
             run_handler(
                 &self.system,
                 app_index,
-                &self.system.apps[app_index].handlers[handler_index],
+                handler_index,
                 &event,
                 state,
                 observation,
                 commands_fail,
                 events,
                 log,
+                frame,
             );
         }
     }
@@ -532,6 +535,7 @@ impl ModelCore {
         queue: &mut Vec<InternalEvent>,
         observation: &mut StepObservation,
         log: &mut StepLog<LogEvent>,
+        frame: &mut Frame,
         commands_fail: bool,
     ) {
         let mut cursor = 0usize;
@@ -552,7 +556,7 @@ impl ModelCore {
                 },
             );
             cursor += 1;
-            self.dispatch_one(state, event, observation, queue, log, commands_fail);
+            self.dispatch_one(state, event, observation, queue, log, frame, commands_fail);
         }
     }
 
@@ -645,16 +649,6 @@ impl ModelCore {
     }
 }
 
-fn parse_value(text: &str) -> Value {
-    if let Ok(i) = text.parse::<i64>() {
-        Value::Int(i)
-    } else if let Ok(d) = text.parse::<f64>() {
-        Value::Decimal(d)
-    } else {
-        Value::Str(text.to_string())
-    }
-}
-
 /// The sequential-design transition system (the paper's preferred model).
 #[derive(Debug, Clone)]
 pub struct SequentialModel {
@@ -723,12 +717,14 @@ impl TransitionSystem for SequentialModel {
             &mut scratch.observation,
             &mut scratch.queue,
             log,
+            &mut scratch.frame,
         );
         self.core.dispatch_cascade(
             &mut next,
             &mut scratch.queue,
             &mut scratch.observation,
             log,
+            &mut scratch.frame,
             commands_fail,
         );
         let violations = self.core.check(&mut next, scratch);
@@ -831,6 +827,7 @@ impl TransitionSystem for ConcurrentModel {
                     &mut scratch.observation,
                     &mut scratch.queue,
                     log,
+                    &mut scratch.frame,
                 );
                 next.pending.append(&mut scratch.queue);
             }
@@ -846,6 +843,7 @@ impl TransitionSystem for ConcurrentModel {
                             &mut scratch.observation,
                             &mut scratch.queue,
                             log,
+                            &mut scratch.frame,
                             false,
                         );
                         next.pending.append(&mut scratch.queue);

@@ -19,8 +19,21 @@
 //! flat `Vec` indexed by slot instead of a `BTreeMap<String, String>`.
 //! [`SystemState::encode_into`] is consequently a fixed-layout write — no
 //! key bytes, no map iteration — into a caller-owned reusable buffer.
+//!
+//! # Installation-time resolution
+//!
+//! Installation also resolves every handler body against the configuration
+//! (the `resolve` module): inputs to their bound devices and setting values,
+//! device reads to attribute positions, commands to spec entries and
+//! [`CommandCode`](iotsan_properties::CommandCode)s, `state.*` variables to
+//! slots.  Device reads borrow each attribute's domain values from the
+//! spec ([`iotsan_devices::AttributeSpec::values`]), and the installation
+//! keeps one [`Value`] per device label and location mode, so the
+//! interpreter borrows what the installation owns instead of building values
+//! per transition.
 
 use crate::logevent::LogEvent;
+use crate::resolve::AppCode;
 use iotsan_config::SystemConfig;
 use iotsan_devices::{Device, DeviceId, DeviceSpec, DeviceState, LocationMode, SystemTime};
 use iotsan_ir::{IrApp, IrStmt, Sym, Symbols, Value};
@@ -83,7 +96,17 @@ pub struct InstalledSystem {
     input_bindings: Vec<HashMap<String, Vec<DeviceId>>>,
     /// Per-device configured roles, parsed once at installation.
     device_roles: Vec<DeviceRole>,
+    /// Each device's label as a string value (`evt.deviceId`, settings).
+    label_values: Vec<Value>,
+    /// Each location mode's name as a string value, by mode index.
+    mode_values: [Value; 3],
+    /// Each app's handlers resolved against this installation (see
+    /// [`crate::resolve`]), aligned with `apps`.
+    code: Vec<AppCode>,
 }
+
+/// The value of every read that resolves to nothing.
+pub(crate) static NULL: Value = Value::Null;
 
 /// Collects every `state.*` variable name an app can write (declared
 /// `state_vars` plus a scan of all `AssignState` statements, so lowering
@@ -185,8 +208,10 @@ impl InstalledSystem {
             .collect();
 
         let device_roles = devices.iter().map(|d| config.role_of(&d.label)).collect();
+        let label_values = devices.iter().map(|d| Value::Str(d.label.clone())).collect();
+        let mode_values = LocationMode::ALL.map(|mode| Value::Str(mode.name().to_string()));
 
-        InstalledSystem {
+        let mut system = InstalledSystem {
             apps,
             config,
             devices,
@@ -200,7 +225,54 @@ impl InstalledSystem {
             slot_count,
             input_bindings,
             device_roles,
-        }
+            label_values,
+            mode_values,
+            code: Vec::new(),
+        };
+        system.code = (0..system.apps.len()).map(|i| AppCode::resolve(&system, i)).collect();
+        system
+    }
+
+    /// The resolved handlers of the app at `app_index`.
+    #[inline]
+    pub(crate) fn code(&self, app_index: usize) -> &AppCode {
+        &self.code[app_index]
+    }
+
+    /// The domain values of `device`'s attribute at `position`, in domain
+    /// order.
+    #[inline]
+    pub(crate) fn attr_values(&self, device: DeviceId, position: usize) -> &'static [Value] {
+        self.specs[device.0 as usize].attributes[position].values()
+    }
+
+    /// The current value of `device`'s attribute at `position` (`None`: an
+    /// attribute its spec lacks) in `state`, borrowed from the installation.
+    #[inline]
+    pub(crate) fn attr_value(
+        &self,
+        state: &SystemState,
+        device: DeviceId,
+        position: Option<u8>,
+    ) -> &Value {
+        let Some(position) = position else { return &NULL };
+        let values = self.attr_values(device, position as usize);
+        state.devices[device.0 as usize]
+            .raw(position as usize)
+            .and_then(|index| values.get(index as usize))
+            .unwrap_or(&NULL)
+    }
+
+    /// `device`'s label as a string value.
+    #[inline]
+    pub(crate) fn label_value(&self, device: DeviceId) -> &Value {
+        &self.label_values[device.0 as usize]
+    }
+
+    /// `mode`'s name as a string value.
+    #[inline]
+    pub(crate) fn mode_value(&self, mode: LocationMode) -> &Value {
+        &self.mode_values[mode.index() as usize]
     }
 
     /// The interned symbol for `name`, falling back to the reserved empty
@@ -262,15 +334,6 @@ impl InstalledSystem {
         self.input_bindings[app_index].get(input).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The non-device setting value bound to `input` of `app`.
-    pub fn setting_value(&self, app: &str, input: &str) -> Value {
-        self.config
-            .app(app)
-            .and_then(|cfg| cfg.binding(input))
-            .map(|b| b.to_value())
-            .unwrap_or(Value::Null)
-    }
-
     /// The device table entry for `id`.
     pub fn device(&self, id: DeviceId) -> &Device {
         &self.devices[id.0 as usize]
@@ -312,28 +375,6 @@ impl InstalledSystem {
     /// ignored — installation scans the IR, so every reachable `state.*`
     /// assignment has a slot.
     pub fn set_app_var(&self, state: &mut SystemState, app: &str, var: &str, value: &Value) {
-        if let Some(slot) = self.state_slot(app, var) {
-            state.app_state[slot as usize] = Some(value.as_string());
-        } else {
-            debug_assert!(false, "state variable {app}::{var} has no slot");
-        }
-    }
-
-    /// [`InstalledSystem::app_var`] addressed by app index (the interpreter's
-    /// form).
-    pub fn app_var_indexed(&self, state: &SystemState, app_index: usize, var: &str) -> Value {
-        self.app_var(state, &self.apps[app_index].name, var)
-    }
-
-    /// [`InstalledSystem::set_app_var`] addressed by app index.
-    pub fn set_app_var_indexed(
-        &self,
-        state: &mut SystemState,
-        app_index: usize,
-        var: &str,
-        value: &Value,
-    ) {
-        let app = &self.apps[app_index].name;
         if let Some(slot) = self.state_slot(app, var) {
             state.app_state[slot as usize] = Some(value.as_string());
         } else {
@@ -567,8 +608,6 @@ mod tests {
         assert_eq!(sys.bound_devices("Unlock Door", "lock1"), vec![DeviceId(0)]);
         assert!(sys.bound_devices("Unlock Door", "missing").is_empty());
         assert!(sys.bound_devices("Ghost", "lock1").is_empty());
-        assert_eq!(sys.setting_value("Unlock Door", "minutes"), Value::Int(10));
-        assert_eq!(sys.setting_value("Unlock Door", "unset"), Value::Null);
     }
 
     #[test]

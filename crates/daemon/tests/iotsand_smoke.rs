@@ -16,6 +16,12 @@ fn iotsand() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iotsand"))
 }
 
+/// A job line whose `x` field nests 100,000 arrays deep (about 200 KB).
+fn deeply_nested_job_line() -> String {
+    let n = 100_000;
+    format!("{{\"id\":\"deep\",\"x\":{}{}}}", "[".repeat(n), "]".repeat(n))
+}
+
 /// Pulls the integer value of `"key":N` out of a rendered NDJSON line.
 fn field(line: &str, key: &str) -> u64 {
     let marker = format!("\"{key}\":");
@@ -272,9 +278,19 @@ fn listen_mode_serves_jobs_over_a_unix_socket() {
     assert_eq!(text("status").as_deref(), Some("invalid"), "{response}");
     assert_eq!(text("id").as_deref(), Some("line-2"), "{response}");
 
+    // A line nested past the JSON reader's budget is answered with one
+    // invalid outcome instead of overflowing its stack, and the next job runs.
+    let (response, deep) = respond(&deeply_nested_job_line());
+    let text = |key: &str| deep.get(key).and_then(|v| v.as_str()).map(str::to_owned);
+    assert_eq!(text("status").as_deref(), Some("invalid"), "{response}");
+    assert_eq!(text("id").as_deref(), Some("line-3"), "{response}");
+    assert!(response.contains("nesting exceeds"), "{response}");
+    let (response, _) = respond(r#"{"id":"after-deep","market":2}"#);
+    assert!(response.contains("\"status\":\"ok\""), "{response}");
+
     // The live observability surface: one snapshot row, one flight row.
     let (metrics, _) = respond(r#"{"op":"metrics"}"#);
-    assert_eq!(field(&metrics, "iotsan_daemon_jobs_completed_total"), 1, "{metrics}");
+    assert_eq!(field(&metrics, "iotsan_daemon_jobs_completed_total"), 2, "{metrics}");
     assert!(field(&metrics, "iotsan_checker_searches_total") >= 1, "{metrics}");
 
     let (flight, _) = respond(r#"{"op":"flight"}"#);
@@ -321,5 +337,35 @@ fn deeply_nested_sources_are_rejected_not_aborted() {
     assert!(lines[0].contains("\"id\":\"deep\""), "{text}");
     assert!(lines[0].contains("\"status\":\"invalid\""), "{text}");
     assert!(lines[0].contains("nesting exceeds the budget"), "{text}");
+    assert!(lines[1].contains("\"status\":\"ok\""), "{text}");
+}
+
+/// A job line nested 100,000 arrays deep used to overflow the reader's stack
+/// and abort the daemon.  The JSON reader's nesting budget now rejects it
+/// with one structured `invalid` outcome, and the next job still runs.
+#[test]
+fn deeply_nested_job_lines_are_rejected_not_aborted() {
+    let dir = temp_dir("deep-json");
+    let store = dir.join("verdicts.log");
+    let jobs = dir.join("jobs.ndjson");
+    std::fs::write(
+        &jobs,
+        format!("{}\n{{\"id\":\"after\",\"market\":2}}\n", deeply_nested_job_line()),
+    )
+    .unwrap();
+    let output = iotsand()
+        .args(["--store", store.to_str().unwrap(), "--jobs", jobs.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let text = String::from_utf8(output.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    for line in &lines {
+        assert!(serde_json::from_str::<serde_json::Value>(line).is_ok(), "not JSON: {line}");
+    }
+    assert!(lines[0].contains("\"status\":\"invalid\""), "{text}");
+    assert!(lines[0].contains("nesting exceeds"), "{text}");
+    assert!(lines[1].contains("\"id\":\"after\""), "{text}");
     assert!(lines[1].contains("\"status\":\"ok\""), "{text}");
 }

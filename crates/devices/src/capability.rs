@@ -50,6 +50,27 @@ impl AttrDomain {
         }
     }
 
+    /// The index a command's fixed textual value selects: the enum entry
+    /// with that name, or the numeric level nearest to the parsed number.
+    pub(crate) fn index_for_text(&self, value: &str) -> Option<usize> {
+        match self {
+            AttrDomain::Enum(_) => self.index_of(value),
+            AttrDomain::Numeric(levels) => {
+                value.trim().parse::<f64>().ok().map(|n| nearest_index(levels, n))
+            }
+        }
+    }
+
+    /// The index a runtime value selects: a string names an enum entry (any
+    /// other value by its rendering), a number snaps to the nearest level.
+    pub(crate) fn index_for_value(&self, value: &Value) -> Option<usize> {
+        match (self, value) {
+            (AttrDomain::Enum(_), Value::Str(text)) => self.index_of(text),
+            (AttrDomain::Enum(_), _) => self.index_of(&value.as_string()),
+            (AttrDomain::Numeric(levels), _) => value.as_number().map(|n| nearest_index(levels, n)),
+        }
+    }
+
     /// The value at `index`, rendered as a string.
     pub fn value_at(&self, index: usize) -> Option<String> {
         match self {
@@ -80,6 +101,20 @@ impl AttrDomain {
     }
 }
 
+/// The index of the domain level nearest to `value`.
+fn nearest_index(levels: &[i64], value: f64) -> usize {
+    let mut best = 0;
+    let mut best_dist = f64::INFINITY;
+    for (i, level) in levels.iter().enumerate() {
+        let dist = (*level as f64 - value).abs();
+        if dist < best_dist {
+            best = i;
+            best_dist = dist;
+        }
+    }
+    best
+}
+
 /// A single attribute of a device type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttributeSpec {
@@ -92,6 +127,17 @@ pub struct AttributeSpec {
     /// True when the physical environment can change this attribute
     /// spontaneously (i.e. the device acts as a sensor for it).
     pub environment_driven: bool,
+    /// `domain.value(i)` for every index, built with the spec.
+    values: Vec<Value>,
+}
+
+impl AttributeSpec {
+    /// The domain's values as the interpreter reads them, in domain order:
+    /// built once with the registry, so a model borrows them instead of
+    /// building a [`Value`] per read.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
 }
 
 /// The effect of an actuator command on device attributes.
@@ -113,6 +159,19 @@ pub enum CommandEffect {
     },
 }
 
+/// A [`CommandEffect`] resolved against its spec: attribute positions and
+/// domain indices instead of names, so running a command compares no name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ResolvedEffect {
+    /// Store domain index `index` (`None`: the value is not in the domain,
+    /// so the effect changes nothing) at attribute `position`.
+    Set { position: u8, index: Option<u8> },
+    /// Store the first argument, snapped to the domain, at `position`.
+    SetFromArg { position: u8 },
+    /// The spec has no such attribute: the effect changes nothing.
+    Missing,
+}
+
 /// A command an actuator accepts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommandSpec {
@@ -120,6 +179,9 @@ pub struct CommandSpec {
     pub name: &'static str,
     /// What the command does to the device state.
     pub effects: Vec<CommandEffect>,
+    /// `effects`, resolved once when the spec is built
+    /// ([`builtin_specs`]).
+    pub(crate) resolved: Vec<ResolvedEffect>,
 }
 
 /// Whether a device type is primarily a sensor, an actuator, or both.
@@ -202,7 +264,8 @@ fn attr(
     default_index: usize,
     environment_driven: bool,
 ) -> AttributeSpec {
-    AttributeSpec { name, domain, default_index, environment_driven }
+    let values = (0..domain.len()).map(|i| domain.value(i)).collect();
+    AttributeSpec { name, domain, default_index, environment_driven, values }
 }
 
 fn set(attribute: &'static str, value: &'static str) -> CommandEffect {
@@ -210,12 +273,46 @@ fn set(attribute: &'static str, value: &'static str) -> CommandEffect {
 }
 
 fn cmd(name: &'static str, effects: Vec<CommandEffect>) -> CommandSpec {
-    CommandSpec { name, effects }
+    CommandSpec { name, effects, resolved: Vec::new() }
+}
+
+impl DeviceSpec {
+    /// Resolves every command's effects against this spec's attributes.
+    fn resolve_commands(&mut self) {
+        let attributes = &self.attributes;
+        let position = |name: &str| attributes.iter().position(|a| a.name == name);
+        for command in &mut self.commands {
+            command.resolved = command
+                .effects
+                .iter()
+                .map(|effect| match *effect {
+                    CommandEffect::Set { attribute, value } => match position(attribute) {
+                        Some(p) => ResolvedEffect::Set {
+                            position: p as u8,
+                            index: attributes[p].domain.index_for_text(value).map(|i| i as u8),
+                        },
+                        None => ResolvedEffect::Missing,
+                    },
+                    CommandEffect::SetFromArg { attribute } => match position(attribute) {
+                        Some(p) => ResolvedEffect::SetFromArg { position: p as u8 },
+                        None => ResolvedEffect::Missing,
+                    },
+                })
+                .collect();
+        }
+    }
 }
 
 /// Builds the registry of built-in device specifications (30+ types,
-/// mirroring the paper's "currently, we support 30 different IoT devices").
+/// mirroring the paper's "currently, we support 30 different IoT devices"),
+/// with every command's effects resolved.
 pub fn builtin_specs() -> Vec<DeviceSpec> {
+    let mut specs = builtin_spec_table();
+    specs.iter_mut().for_each(DeviceSpec::resolve_commands);
+    specs
+}
+
+fn builtin_spec_table() -> Vec<DeviceSpec> {
     use AttrDomain::{Enum, Numeric};
     use DeviceKind::{Actuator, Hybrid, Sensor};
 

@@ -5,7 +5,7 @@
 //! attribute valuation, stored compactly as domain indices so the model
 //! checker can hash entire system states cheaply.
 
-use crate::capability::{registry, AttrDomain, CommandEffect, CommandSpec, DeviceSpec};
+use crate::capability::{registry, CommandSpec, DeviceSpec, ResolvedEffect};
 use iotsan_ir::Value;
 use std::fmt;
 
@@ -149,12 +149,7 @@ impl DeviceState {
     /// The current value of `attribute` as an [`Value`].
     pub fn get(&self, spec: &DeviceSpec, attribute: &str) -> Value {
         let Some(idx) = spec.attribute_index(attribute) else { return Value::Null };
-        self.value_at(spec, idx)
-    }
-
-    /// The current value of the attribute at position `attr_index`.
-    pub fn value_at(&self, spec: &DeviceSpec, attr_index: usize) -> Value {
-        spec.attributes[attr_index].domain.value(self.values[attr_index] as usize)
+        spec.attributes[idx].domain.value(self.values[idx] as usize)
     }
 
     /// Sets `attribute` to the domain value at `value_index`; returns `true`
@@ -188,34 +183,20 @@ impl DeviceState {
     /// state changed, `false` when it was already equal or the value/attribute
     /// is unknown.
     pub fn set(&mut self, spec: &DeviceSpec, attribute: &str, value: &Value) -> bool {
-        self.set_value(spec, attribute, value).is_some()
+        let Some(idx) = spec.attribute_index(attribute) else { return false };
+        self.set_value_at(spec, idx, value).is_some()
     }
 
-    /// [`DeviceState::set`], returning the attribute's position when the
-    /// state changed.
-    fn set_value(&mut self, spec: &DeviceSpec, attribute: &str, value: &Value) -> Option<usize> {
-        let idx = spec.attribute_index(attribute)?;
-        let domain = &spec.attributes[idx].domain;
-        let target = match (domain, value) {
-            (AttrDomain::Enum(_), Value::Str(text)) => domain.index_of(text),
-            (AttrDomain::Enum(_), _) => domain.index_of(&value.as_string()),
-            (AttrDomain::Numeric(levels), _) => value.as_number().map(|n| nearest_index(levels, n)),
-        };
-        self.assign(idx, target)
-    }
-
-    /// [`DeviceState::set_value`] for a command's fixed textual effect,
-    /// matched against the domain without building a [`Value`].
-    fn set_text(&mut self, spec: &DeviceSpec, attribute: &str, value: &str) -> Option<usize> {
-        let idx = spec.attribute_index(attribute)?;
-        let domain = &spec.attributes[idx].domain;
-        let target = match domain {
-            AttrDomain::Enum(_) => domain.index_of(value),
-            AttrDomain::Numeric(levels) => {
-                value.trim().parse::<f64>().ok().map(|n| nearest_index(levels, n))
-            }
-        };
-        self.assign(idx, target)
+    /// [`DeviceState::set`] addressed by attribute position, returning the
+    /// position when the state changed.
+    fn set_value_at(
+        &mut self,
+        spec: &DeviceSpec,
+        attr_index: usize,
+        value: &Value,
+    ) -> Option<usize> {
+        let target = spec.attributes[attr_index].domain.index_for_value(value);
+        self.assign(attr_index, target)
     }
 
     /// Stores `target` (if any) at `attr_index`; the position when the state
@@ -250,13 +231,17 @@ impl DeviceState {
             return CommandOutcome::Offline;
         }
         let Some(cmd) = cmd else { return CommandOutcome::Unsupported };
+        debug_assert_eq!(cmd.resolved.len(), cmd.effects.len(), "unresolved command {}", cmd.name);
         let mut changed = ChangedAttrs::NONE;
-        for effect in &cmd.effects {
-            let position = match effect {
-                CommandEffect::Set { attribute, value } => self.set_text(spec, attribute, value),
-                CommandEffect::SetFromArg { attribute } => {
-                    args.first().and_then(|arg| self.set_value(spec, attribute, arg))
+        for effect in &cmd.resolved {
+            let position = match *effect {
+                ResolvedEffect::Set { position, index } => {
+                    self.assign(position as usize, index.map(usize::from))
                 }
+                ResolvedEffect::SetFromArg { position } => {
+                    args.first().and_then(|arg| self.set_value_at(spec, position as usize, arg))
+                }
+                ResolvedEffect::Missing => None,
             };
             if let Some(position) = position {
                 changed.push(position);
@@ -275,20 +260,6 @@ impl DeviceState {
         out.extend_from_slice(&self.values[..self.len as usize]);
         out.push(self.online as u8);
     }
-}
-
-/// The index of the domain level nearest to `value`.
-fn nearest_index(levels: &[i64], value: f64) -> usize {
-    let mut best = 0;
-    let mut best_dist = f64::INFINITY;
-    for (i, level) in levels.iter().enumerate() {
-        let dist = (*level as f64 - value).abs();
-        if dist < best_dist {
-            best = i;
-            best_dist = dist;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -27,15 +27,26 @@ impl LocationMode {
 
     /// Parses a mode name (case-insensitive, also accepting common synonyms
     /// such as "Sleep" for Night and "Goodbye!" for Away used by market apps).
+    ///
+    /// Compares in place, without building a lowercased copy: handlers set
+    /// the mode on explored transitions.
     pub fn parse(name: &str) -> Option<LocationMode> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "home" | "i'm back!" | "im back" | "good morning!" => Some(LocationMode::Home),
-            "away" | "goodbye!" | "goodbye" => Some(LocationMode::Away),
-            "night" | "sleep" | "sleeping" | "good night!" | "good night" => {
-                Some(LocationMode::Night)
-            }
-            _ => None,
-        }
+        const SYNONYMS: [(&str, LocationMode); 12] = [
+            ("home", LocationMode::Home),
+            ("i'm back!", LocationMode::Home),
+            ("im back", LocationMode::Home),
+            ("good morning!", LocationMode::Home),
+            ("away", LocationMode::Away),
+            ("goodbye!", LocationMode::Away),
+            ("goodbye", LocationMode::Away),
+            ("night", LocationMode::Night),
+            ("sleep", LocationMode::Night),
+            ("sleeping", LocationMode::Night),
+            ("good night!", LocationMode::Night),
+            ("good night", LocationMode::Night),
+        ];
+        let name = name.trim();
+        SYNONYMS.iter().find(|(synonym, _)| synonym.eq_ignore_ascii_case(name)).map(|(_, m)| *m)
     }
 
     /// The canonical mode name.

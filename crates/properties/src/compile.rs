@@ -32,7 +32,7 @@
 
 use crate::registry::PropertySet;
 use crate::snapshot::{
-    has_conflicting_commands, has_repeated_commands, DeviceRole, StepObservation,
+    has_conflicting_commands, has_repeated_commands, CommandCode, DeviceRole, StepObservation,
 };
 use crate::spec::{Atom, DeviceSelect, Expr, Modality, PropertyId, MAX_FORMULA_DEPTH};
 use iotsan_devices::{AttrDomain, DeviceSpec, DeviceState, LocationMode};
@@ -168,15 +168,21 @@ impl CompileTarget {
             Atom::FakeEventRaised => CAtom::FakeEvent,
             Atom::CommandFailed => CAtom::CommandFailed,
             Atom::UserNotified => CAtom::UserNotified,
-            Atom::CommandIssued(t) if t.select.is_any() => {
-                CAtom::CommandIssued { command: t.command.clone(), devices: None }
-            }
+            Atom::CommandIssued(t) if t.select.is_any() => CAtom::CommandIssued {
+                code: CommandCode::of(&t.command),
+                command: t.command.clone(),
+                devices: None,
+            },
             Atom::CommandIssued(t) => {
                 let ids: Vec<u32> = self.selected(&t.select).map(|i| self.devices[i].id).collect();
                 if ids.is_empty() {
                     CAtom::Const(false)
                 } else {
-                    CAtom::CommandIssued { command: t.command.clone(), devices: Some(ids) }
+                    CAtom::CommandIssued {
+                        code: CommandCode::of(&t.command),
+                        command: t.command.clone(),
+                        devices: Some(ids),
+                    }
                 }
             }
         };
@@ -248,9 +254,10 @@ enum CAtom {
     FakeEvent,
     CommandFailed,
     UserNotified,
-    /// A command with the given name reached one of the listed device ids
-    /// (`None` = any device).
+    /// A command with the given code (and, outside the code table, name)
+    /// reached one of the listed device ids (`None` = any device).
     CommandIssued {
+        code: CommandCode,
         command: String,
         devices: Option<Vec<u32>>,
     },
@@ -296,8 +303,9 @@ impl CAtom {
             CAtom::FakeEvent => !step.fake_events.is_empty(),
             CAtom::CommandFailed => step.command_failures > 0,
             CAtom::UserNotified => !step.messages.is_empty(),
-            CAtom::CommandIssued { command, devices } => step.commands.iter().any(|c| {
-                c.command == *command
+            CAtom::CommandIssued { code, command, devices } => step.commands.iter().any(|c| {
+                c.code == *code
+                    && (*code != CommandCode::OTHER || c.command == *command)
                     && devices.as_ref().map_or(true, |ids| ids.contains(&c.device.0))
             }),
         }

@@ -62,8 +62,9 @@ pub use compile::{
 };
 pub use registry::{DuplicatePropertyId, PropertySet};
 pub use snapshot::{
-    has_conflicting_commands, has_repeated_commands, CommandRecord, DeviceRole, DeviceSnapshot,
-    FakeEventRecord, MessageChannel, MessageRecord, NetworkRecord, Snapshot, StepObservation,
+    has_conflicting_commands, has_repeated_commands, CommandCode, CommandRecord, DeviceRole,
+    DeviceSnapshot, FakeEventRecord, MessageChannel, MessageRecord, NetworkRecord, Snapshot,
+    StepObservation,
 };
 pub use spec::{
     Atom, AttrTest, CommandTest, DeviceSelect, Expr, LeadsTo, Modality, NumericTest, PropertyClass,

@@ -208,12 +208,7 @@ mod tests {
     use iotsan_ir::Value;
 
     fn cmd(device: u32, command: &'static str) -> CommandRecord {
-        CommandRecord {
-            device: DeviceId(device),
-            command: command.into(),
-            delivered: true,
-            changed_state: true,
-        }
+        CommandRecord::new(DeviceId(device), command, true, true)
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   `unsubscribe` calls, plus failure bookkeeping — used by the conflicting/
 //!   repeated-command, information-leakage and robustness properties.
 
-use iotsan_devices::DeviceId;
+use iotsan_devices::{registry, DeviceId};
 use iotsan_ir::Value;
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// The user-supplied *device association* (§7): what a generic device such as
 /// a smart outlet actually controls in the home.
@@ -195,6 +196,71 @@ impl Snapshot {
     }
 }
 
+/// A command name resolved to a small integer, so the step detectors compare
+/// integers instead of names.
+///
+/// Every name a built-in device spec defines or a conflicting pair names has
+/// its own code, fixed for the process; any other name is
+/// [`CommandCode::OTHER`], and records carrying it are told apart by name.
+/// Resolve a code once, where the command is installed, never per step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CommandCode(u8);
+
+/// The coded names and the conflict relation over their codes.
+struct CommandTable {
+    names: Vec<&'static str>,
+    /// Bit `j` of `conflicts[i]` set when codes `i` and `j` conflict.
+    conflicts: Vec<u64>,
+}
+
+fn command_table() -> &'static CommandTable {
+    static TABLE: OnceLock<CommandTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut names: Vec<&'static str> = Vec::new();
+        let pair_names = CONFLICTING_PAIRS.iter().flat_map(|(a, b)| [*a, *b]);
+        let spec_names =
+            registry().specs().iter().flat_map(|spec| spec.commands.iter().map(|c| c.name));
+        for name in pair_names.chain(spec_names) {
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+        assert!(names.len() <= 64, "command codes are limited to 64 names");
+        let code = |name: &str| names.iter().position(|n| *n == name).expect("coded name");
+        let mut conflicts = vec![0u64; names.len()];
+        for (a, b) in CONFLICTING_PAIRS {
+            let (a, b) = (code(a), code(b));
+            conflicts[a] |= 1 << b;
+            conflicts[b] |= 1 << a;
+        }
+        CommandTable { names, conflicts }
+    })
+}
+
+impl CommandCode {
+    /// The code of every name outside the table.
+    pub const OTHER: CommandCode = CommandCode(u8::MAX);
+
+    /// The code of a command name (a scan of the table: call it when the
+    /// command is installed, not per step).
+    pub fn of(name: &str) -> CommandCode {
+        command_table()
+            .names
+            .iter()
+            .position(|n| *n == name)
+            .map_or(CommandCode::OTHER, |i| CommandCode(i as u8))
+    }
+
+    /// True when the two commands cancel each other on one actuator.
+    #[inline]
+    pub fn conflicts_with(self, other: CommandCode) -> bool {
+        command_table()
+            .conflicts
+            .get(self.0 as usize)
+            .is_some_and(|mask| mask.checked_shr(u32::from(other.0)).is_some_and(|m| m & 1 != 0))
+    }
+}
+
 /// One actuator command observed during a step.
 ///
 /// Recorded for every command the model checker's interpreter sends, so it
@@ -207,10 +273,34 @@ pub struct CommandRecord {
     pub device: DeviceId,
     /// Command name (`on`, `off`, `lock`, ...).
     pub command: Cow<'static, str>,
+    /// `CommandCode::of(&command)`, resolved where the command was installed.
+    pub code: CommandCode,
     /// Whether the command was actually delivered (false under failure).
     pub delivered: bool,
     /// Whether the command changed the device state (false = repeated/no-op).
     pub changed_state: bool,
+}
+
+impl CommandRecord {
+    /// A record of `command`, resolving its code.
+    pub fn new(
+        device: DeviceId,
+        command: impl Into<Cow<'static, str>>,
+        delivered: bool,
+        changed_state: bool,
+    ) -> Self {
+        let command = command.into();
+        let code = CommandCode::of(&command);
+        CommandRecord { device, command, code, delivered, changed_state }
+    }
+
+    /// True when both records name the same command: equal codes, and for
+    /// names outside the code table, equal names.
+    #[inline]
+    pub(crate) fn same_command(&self, other: &CommandRecord) -> bool {
+        self.code == other.code
+            && (self.code != CommandCode::OTHER || self.command == other.command)
+    }
 }
 
 /// A user-facing message sent during a step.
@@ -323,12 +413,7 @@ pub fn has_conflicting_commands(step: &StepObservation) -> bool {
     let cmds = &step.commands;
     for i in 0..cmds.len() {
         for j in (i + 1)..cmds.len() {
-            if cmds[i].device != cmds[j].device {
-                continue;
-            }
-            let a = &*cmds[i].command;
-            let b = &*cmds[j].command;
-            if CONFLICTING_PAIRS.iter().any(|(x, y)| (a == *x && b == *y) || (a == *y && b == *x)) {
+            if cmds[i].device == cmds[j].device && cmds[i].code.conflicts_with(cmds[j].code) {
                 return true;
             }
         }
@@ -341,7 +426,7 @@ pub fn has_repeated_commands(step: &StepObservation) -> bool {
     let cmds = &step.commands;
     for i in 0..cmds.len() {
         for j in (i + 1)..cmds.len() {
-            if cmds[i].device == cmds[j].device && cmds[i].command == cmds[j].command {
+            if cmds[i].device == cmds[j].device && cmds[i].same_command(&cmds[j]) {
                 return true;
             }
         }
@@ -451,12 +536,7 @@ mod tests {
     #[test]
     fn observation_reset_clears_step_records_but_keeps_recipients() {
         let mut obs = StepObservation {
-            commands: vec![CommandRecord {
-                device: DeviceId(0),
-                command: "on".into(),
-                delivered: true,
-                changed_state: true,
-            }],
+            commands: vec![CommandRecord::new(DeviceId(0), "on", true, true)],
             unsubscribes: vec!["A".into()],
             configured_recipients: vec!["5551234".into()],
             command_failures: 2,
@@ -472,11 +552,8 @@ mod tests {
 
     #[test]
     fn conflicting_and_repeated_commands_detected() {
-        let cmd = |device: u32, command: &'static str| CommandRecord {
-            device: DeviceId(device),
-            command: command.into(),
-            delivered: true,
-            changed_state: true,
+        let cmd = |device: u32, command: &'static str| {
+            CommandRecord::new(DeviceId(device), command, true, true)
         };
         let step =
             StepObservation { commands: vec![cmd(0, "on"), cmd(0, "off")], ..Default::default() };
@@ -496,6 +573,28 @@ mod tests {
             ..Default::default()
         };
         assert!(has_conflicting_commands(&step));
+    }
+
+    #[test]
+    fn command_codes_match_the_named_relation() {
+        // The coded relation is the name-pair relation, symmetric, on every
+        // pair of coded names and a name outside the table.
+        let mut names: Vec<&str> = command_table().names.clone();
+        names.push("notASpecCommand");
+        for a in &names {
+            for b in &names {
+                let named =
+                    CONFLICTING_PAIRS.iter().any(|(x, y)| (a == x && b == y) || (a == y && b == x));
+                assert_eq!(CommandCode::of(a).conflicts_with(CommandCode::of(b)), named, "{a} {b}");
+            }
+        }
+        assert_eq!(CommandCode::of("notASpecCommand"), CommandCode::OTHER);
+        // Names outside the table repeat only when the names are equal.
+        let cmd = |command: &str| CommandRecord::new(DeviceId(0), command.to_string(), true, false);
+        assert!(cmd("fooBar").same_command(&cmd("fooBar")));
+        assert!(!cmd("fooBar").same_command(&cmd("bazQux")));
+        assert!(cmd("on").same_command(&cmd("on")));
+        assert!(!cmd("on").same_command(&cmd("off")));
     }
 
     #[test]

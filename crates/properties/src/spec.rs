@@ -1064,12 +1064,7 @@ mod tests {
     fn step_atoms_read_the_observation() {
         let snapshot = Snapshot::default();
         let step = StepObservation {
-            commands: vec![CommandRecord {
-                device: DeviceId(0),
-                command: "unlock".into(),
-                delivered: true,
-                changed_state: true,
-            }],
+            commands: vec![CommandRecord::new(DeviceId(0), "unlock", true, true)],
             messages: vec![MessageRecord {
                 app: "A".into(),
                 channel: MessageChannel::Push,

@@ -347,12 +347,7 @@ fn random_step(rng: &mut SplitMix64, system: &InstalledSystem) -> StepObservatio
             if commands.is_empty() {
                 continue;
             }
-            step.commands.push(CommandRecord {
-                device,
-                command: rng.pick(commands).name.into(),
-                delivered: true,
-                changed_state: true,
-            });
+            step.commands.push(CommandRecord::new(device, rng.pick(commands).name, true, true));
         }
     }
     if rng.chance(30) {

@@ -20,7 +20,7 @@ use iotsan::depgraph::{effect_profile, event_profile};
 use iotsan::ir::{IrApp, IrHandler, Trigger, Value};
 use iotsan::properties::{PropertyId, PropertySet, StepObservation};
 use iotsan::system::InstalledSystem;
-use iotsan::{run_handler, translate_sources, DispatchedEvent, LogEvent, Pipeline};
+use iotsan::{run_handler, translate_sources, DispatchedEvent, Frame, LogEvent, Pipeline};
 use iotsan_apps::market;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -174,11 +174,11 @@ proptest! {
         let apps = named_market_apps();
         let config = expert_configure(&apps, &standard_household());
         let system = InstalledSystem::new(apps, config);
-        let handlers: Vec<(usize, IrHandler)> = system
+        let handlers: Vec<(usize, usize, IrHandler)> = system
             .apps
             .iter()
             .enumerate()
-            .flat_map(|(i, a)| a.handlers.iter().map(move |h| (i, h.clone())))
+            .flat_map(|(i, a)| a.handlers.iter().enumerate().map(move |(j, h)| (i, j, h.clone())))
             .collect();
         prop_assert!(!handlers.is_empty());
 
@@ -195,7 +195,7 @@ proptest! {
 
         let mut state = system.initial_state();
         for &choice in &choices {
-            let (app_index, handler) = &handlers[choice % handlers.len()];
+            let (app_index, handler_index, handler) = &handlers[choice % handlers.len()];
             let Some(event) = event_for(&system, *app_index, handler, choice) else {
                 continue;
             };
@@ -207,13 +207,14 @@ proptest! {
             run_handler(
                 &system,
                 *app_index,
-                handler,
+                *handler_index,
                 &event,
                 &mut state,
                 &mut observation,
                 choice % 7 == 0,
                 &mut events_out,
                 &mut log,
+                &mut Frame::default(),
             );
             for log_event in log.events() {
                 assert_log_event_covered(&system, *app_index, &summary, log_event)?;

@@ -1,0 +1,127 @@
+//! The search's heap-allocation budget per explored transition.
+//!
+//! A transition clones its successor state, runs the handler cascade and
+//! checks the compiled properties.  Handler bodies are resolved once per
+//! installed system, so what is left to allocate is the successor state, the
+//! visited-set entry, the values that leave the step (event values, state
+//! variables) and the rare message, network and fake-event records.  This
+//! test pins that budget on two bundles with a counting allocator that
+//! counts only the measuring thread:
+//!
+//! - the `market-cold` bundle (all 150 market apps, 3 events): at most 10.0
+//!   allocations per transition.  Before handler bodies were resolved at
+//!   installation it was 14.94, so the bound fails there;
+//! - the `deep-group` bundle (the first 8 market apps, 4 events, failures
+//!   on): at most 3.5.  It was 4.27 before.
+//!
+//! Each planned group's `SequentialModel` is verified with `Checker::verify`,
+//! one group after another, exactly as the fleet planner builds it.  State
+//! and transition counts are pinned beside the bound, so a change that
+//! explores a different graph cannot pass by accident.
+
+use iotsan::checker::Checker;
+use iotsan::config::{expert_configure, standard_household};
+use iotsan::model::SequentialModel;
+use iotsan::system::InstalledSystem;
+use iotsan::{translate_sources, Pipeline};
+use iotsan_apps::market;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations and reallocations made by the
+/// current thread.
+struct CountingAllocator;
+
+thread_local! {
+    // The `thread_local!` const initializer (Rust 1.59), not an inline
+    // const block.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations made while a thread is being torn down are
+    // not counted.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments; the
+// only addition is a thread-local counter update, which does not allocate.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// What verifying every planned group of a bundle cost.
+struct Measured {
+    states: usize,
+    transitions: usize,
+    allocations: u64,
+}
+
+impl Measured {
+    fn per_transition(&self) -> f64 {
+        self.allocations as f64 / self.transitions as f64
+    }
+}
+
+/// Plans the first `apps` market apps under the standard household and
+/// verifies each group's model in turn, counting only the searches'
+/// allocations.
+fn measure(apps: usize, events: usize, failures: bool) -> Measured {
+    let corpus = market::market_apps();
+    let sources: Vec<&str> = corpus.iter().take(apps).map(|a| a.source.as_str()).collect();
+    let apps = translate_sources(&sources).expect("market corpus translates");
+    let config = expert_configure(&apps, &standard_household());
+    let mut pipeline = Pipeline::with_events(events);
+    if failures {
+        pipeline = pipeline.with_failures();
+    }
+    let plan = pipeline.planner().plan(&apps, &config);
+    let mut measured = Measured { states: 0, transitions: 0, allocations: 0 };
+    for job in &plan.jobs {
+        let properties = pipeline.properties_for(&job.config);
+        let system = InstalledSystem::new(job.members.clone(), job.config.clone());
+        let model = SequentialModel::new(system, properties, pipeline.model_options.clone());
+        let checker = Checker::new(pipeline.search.clone());
+        let before = allocations();
+        let report = checker.verify(&model);
+        measured.allocations += allocations() - before;
+        measured.states += report.stats.states_stored;
+        measured.transitions += report.stats.transitions;
+    }
+    measured
+}
+
+#[test]
+fn market_cold_stays_within_ten_allocations_per_transition() {
+    let measured = measure(150, 3, false);
+    assert_eq!((measured.states, measured.transitions), (12_433, 50_794));
+    let per = measured.per_transition();
+    assert!(per <= 10.0, "market-cold: {per:.2} allocations per transition (bound 10.0)");
+}
+
+#[test]
+fn deep_group_stays_within_three_and_a_half_allocations_per_transition() {
+    let measured = measure(8, 4, true);
+    assert_eq!((measured.states, measured.transitions), (8_314, 90_362));
+    let per = measured.per_transition();
+    assert!(per <= 3.5, "deep-group: {per:.2} allocations per transition (bound 3.5)");
+}

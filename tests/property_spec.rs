@@ -252,12 +252,12 @@ fn gen_step(g: &mut Gen, devices: usize) -> StepObservation {
     }
     for _ in 0..g.pick(3) {
         let device = g.pick(devices + 1);
-        step.commands.push(CommandRecord {
-            device: DeviceId(device as u32),
-            command: ["unlock", "lock", "on", "off"][g.pick(4)].into(),
-            delivered: true,
-            changed_state: true,
-        });
+        step.commands.push(CommandRecord::new(
+            DeviceId(device as u32),
+            ["unlock", "lock", "on", "off"][g.pick(4)],
+            true,
+            true,
+        ));
     }
     if g.flag() {
         let sms = g.flag();

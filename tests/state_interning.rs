@@ -1,6 +1,6 @@
 //! Interner and state-representation guarantees.
 //!
-//! The zero-allocation exploration core rests on two properties:
+//! The string-free exploration core rests on two properties:
 //!
 //! 1. **The interner is a bijection over its inputs** — `intern → resolve`
 //!    is the identity and duplicate strings never mint new symbols
