@@ -19,7 +19,7 @@ use iotsan_depgraph::{analyze, DependencyGraph, RelatedSets};
 use iotsan_groovy::SmartApp;
 use iotsan_ir::{lower_app, IrApp};
 use iotsan_properties::PropertySet;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// An error produced while translating app source code.
@@ -69,6 +69,64 @@ impl GroupResult {
     /// The ids of properties violated in this group.
     pub fn violated_properties(&self) -> BTreeSet<u32> {
         self.report.violated_properties()
+    }
+}
+
+/// A configuration indexed by app name and device label, so that restricting
+/// it to one group ([`Pipeline::restrict_config`]) clones and scans only what
+/// the group keeps.  The planner builds one per plan.
+pub(crate) struct ConfigIndex<'c> {
+    config: &'c SystemConfig,
+    /// App name → positions of its entries in `config.apps`.
+    apps: BTreeMap<&'c str, Vec<usize>>,
+    /// Device label → positions of its entries in `config.devices`.
+    devices: BTreeMap<&'c str, Vec<usize>>,
+}
+
+impl<'c> ConfigIndex<'c> {
+    pub(crate) fn new(config: &'c SystemConfig) -> Self {
+        let mut apps: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, app) in config.apps.iter().enumerate() {
+            apps.entry(&app.app).or_default().push(i);
+        }
+        let mut devices: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, device) in config.devices.iter().enumerate() {
+            devices.entry(&device.label).or_default().push(i);
+        }
+        ConfigIndex { config, apps, devices }
+    }
+
+    /// The configuration restricted to `apps`: every entry of each app, and
+    /// every device that the app's first entry (the one
+    /// [`SystemConfig::app`] finds) binds to one of its inputs, both in
+    /// configuration order.
+    pub(crate) fn restrict(&self, apps: &[IrApp]) -> SystemConfig {
+        let mut app_rows: Vec<usize> = Vec::new();
+        let mut device_rows: Vec<usize> = Vec::new();
+        for app in apps {
+            let Some(rows) = self.apps.get(app.name.as_str()) else { continue };
+            app_rows.extend(rows);
+            let app_cfg = &self.config.apps[rows[0]];
+            for input in &app.inputs {
+                let labels = app_cfg.binding(&input.name).map_or(&[][..], |b| b.device_labels());
+                for label in labels {
+                    device_rows.extend(self.devices.get(label.as_str()).into_iter().flatten());
+                }
+            }
+        }
+        app_rows.sort_unstable();
+        app_rows.dedup();
+        device_rows.sort_unstable();
+        device_rows.dedup();
+        let config = self.config;
+        SystemConfig {
+            devices: device_rows.iter().map(|&i| config.devices[i].clone()).collect(),
+            apps: app_rows.iter().map(|&i| config.apps[i].clone()).collect(),
+            phone_numbers: config.phone_numbers.clone(),
+            network_allowed_apps: config.network_allowed_apps.clone(),
+            initial_mode: config.initial_mode.clone(),
+            custom_properties: config.custom_properties.clone(),
+        }
     }
 }
 
@@ -184,20 +242,7 @@ impl Pipeline {
     /// verifies each related set against its own configuration rather than
     /// the entire household.
     pub fn restrict_config(&self, apps: &[IrApp], config: &SystemConfig) -> SystemConfig {
-        let mut used_labels: BTreeSet<String> = BTreeSet::new();
-        for app in apps {
-            if let Some(app_cfg) = config.app(&app.name) {
-                for input in &app.inputs {
-                    for label in app_cfg.devices_for(&input.name) {
-                        used_labels.insert(label);
-                    }
-                }
-            }
-        }
-        let mut restricted = config.clone();
-        restricted.devices.retain(|d| used_labels.contains(&d.label));
-        restricted.apps.retain(|a| apps.iter().any(|app| app.name == a.app));
-        restricted
+        ConfigIndex::new(config).restrict(apps)
     }
 
     /// Verifies one explicit group of apps (no dependency analysis).

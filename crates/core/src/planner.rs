@@ -26,10 +26,11 @@
 //!   (iotsan-attribution).
 //! ```
 //!
-//! The cache key ([`Fingerprint`]) covers the group's sorted app IRs, its
-//! restricted device configuration, the property set and the model/search
-//! options that can change a verdict — so re-verifying a fleet after one app
-//! changes only re-checks the groups containing that app:
+//! The cache key ([`Fingerprint`]) covers the group's app IRs (one digest per
+//! app, computed once per plan), its restricted device configuration, the
+//! property set and the model/search options that can change a verdict — so
+//! re-verifying a fleet after one app changes only re-checks the groups
+//! containing that app:
 //!
 //! ```
 //! use iotsan::{translate_sources, Pipeline, VerificationCache};
@@ -59,7 +60,7 @@
 //! assert_eq!(warm.outcome(), cold.outcome());
 //! ```
 
-use crate::pipeline::{GroupResult, Pipeline};
+use crate::pipeline::{ConfigIndex, GroupResult, Pipeline};
 use iotsan_attribution::{attribute_traces, TraceAttribution};
 use iotsan_checker::{SearchConfig, SearchReport};
 use iotsan_config::SystemConfig;
@@ -67,6 +68,7 @@ use iotsan_depgraph::analyze;
 use iotsan_ir::IrApp;
 use iotsan_properties::{PropertyId, PropertySet};
 use iotsan_telemetry::METRICS;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -116,30 +118,53 @@ impl Fnv {
 
 /// Computes the content fingerprint of one group-verification task.
 ///
-/// The ingredients are the group's app IRs (sorted by name, so member order
-/// never matters), the device configuration the group is verified under, the
-/// property set, and the model/search options that can change the verdict
-/// ([`crate::model::ModelOptions`] plus the result-relevant
-/// [`SearchConfig`] fields — depth, caps, stop-at-first).
-/// The wall-clock budget is always excluded (a budget-truncated report is
-/// never cached).
+/// The ingredients are the group's app IRs (each reduced to its digest, the
+/// digests sorted, so member order never matters), the device configuration
+/// the group is verified under, the property set, and the model/search
+/// options that can change the verdict ([`crate::model::ModelOptions`] plus
+/// the result-relevant [`SearchConfig`] fields — depth, caps,
+/// stop-at-first).  The wall-clock budget is always excluded (a
+/// budget-truncated report is never cached).
+///
+/// [`VerificationPlanner::plan`] computes the same key from digests and a
+/// property hash it computes once per plan.
 pub fn fingerprint_group(
     pipeline: &Pipeline,
     apps: &[IrApp],
     config: &SystemConfig,
 ) -> Fingerprint {
+    let digests = apps.iter().map(app_digest).collect();
+    group_fingerprint(pipeline, pipeline.properties.content_hash(), apps, digests, config)
+}
+
+/// The digest of one app's IR: FNV-1a over its `Debug` rendering.
+fn app_digest(app: &IrApp) -> u64 {
     let mut h = Fnv::new();
-    let mut sorted: Vec<&IrApp> = apps.iter().collect();
-    sorted.sort_by(|a, b| a.name.cmp(&b.name));
-    for app in sorted {
-        h.write_item(&format!("{app:?}"));
+    h.write_item(&format!("{app:?}"));
+    h.finish()
+}
+
+/// [`fingerprint_group`] from the members' [`app_digest`]s and the
+/// property set's content hash.
+fn group_fingerprint(
+    pipeline: &Pipeline,
+    properties_hash: u64,
+    apps: &[IrApp],
+    mut digests: Vec<u64>,
+    config: &SystemConfig,
+) -> Fingerprint {
+    let mut h = Fnv::new();
+    digests.sort_unstable();
+    h.write_bytes(&(digests.len() as u64).to_le_bytes());
+    for digest in &digests {
+        h.write_bytes(&digest.to_le_bytes());
     }
     h.write_item(&format!("{config:?}"));
     // Spec content hash, not a Debug rendering: every property's id,
     // metadata and formula AST feeds the fingerprint, so adding or editing a
     // (custom) spec invalidates exactly the cached verdicts computed under a
     // different property set — and nothing else.
-    h.write_bytes(&pipeline.properties.content_hash().to_le_bytes());
+    h.write_bytes(&properties_hash.to_le_bytes());
     h.write_item(&format!("{:?}", pipeline.model_options));
     let SearchConfig { max_depth, max_states, max_transitions, stop_at_first, slice, .. } =
         &pipeline.search;
@@ -631,27 +656,50 @@ impl<'a> VerificationPlanner<'a> {
     /// Partitions `apps` into related groups (via
     /// [`iotsan_depgraph::analyze`]) and schedules one fingerprinted
     /// model-checking job per group, largest first.
+    ///
+    /// Whatever every group shares is computed once per plan: each app's
+    /// name lookup and IR digest, the property hash and an index of
+    /// `config`.  The rest costs the group's own size, so a plan costs the
+    /// analysis plus work proportional to groups × members.
     pub fn plan(&self, apps: &[IrApp], config: &SystemConfig) -> FleetPlan {
         let excluded_apps: Vec<String> =
             apps.iter().filter(|a| a.dynamic_discovery).map(|a| a.name.clone()).collect();
-        let verifiable: Vec<IrApp> =
-            apps.iter().filter(|a| !a.dynamic_discovery).cloned().collect();
+        let verifiable: Cow<[IrApp]> = if excluded_apps.is_empty() {
+            Cow::Borrowed(apps)
+        } else {
+            apps.iter().filter(|a| !a.dynamic_discovery).cloned().collect()
+        };
 
         let (graph, sets) = analyze(&verifiable);
         let original_handlers = graph.handler_count();
         let reduced_handlers = sets.largest_handler_count(&graph);
 
+        // A name installed twice keeps both copies as members.
+        let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, app) in verifiable.iter().enumerate() {
+            by_name.entry(&app.name).or_default().push(i);
+        }
+        let digests: Vec<u64> = verifiable.iter().map(app_digest).collect();
+        let properties_hash = self.pipeline.properties.content_hash();
+        let index = ConfigIndex::new(config);
+
         let groups = if sets.is_empty() { Vec::new() } else { sets.app_groups(&graph) };
         let mut jobs: Vec<GroupJob> = Vec::with_capacity(groups.len());
         for group in groups {
-            let mut members: Vec<IrApp> =
-                verifiable.iter().filter(|a| group.contains(&a.name)).cloned().collect();
-            if members.is_empty() {
-                continue;
-            }
-            members.sort_by(|a, b| a.name.cmp(&b.name));
-            let restricted = self.pipeline.restrict_config(&members, config);
-            let fingerprint = fingerprint_group(self.pipeline, &members, &restricted);
+            // Group names are sorted, so the members are sorted by name,
+            // copies of one name in bundle order.
+            let rows: Vec<usize> =
+                group.iter().flat_map(|name| &by_name[name.as_str()]).copied().collect();
+            let members: Vec<IrApp> = rows.iter().map(|&i| verifiable[i].clone()).collect();
+            let restricted = index.restrict(&members);
+            let member_digests = rows.iter().map(|&i| digests[i]).collect();
+            let fingerprint = group_fingerprint(
+                self.pipeline,
+                properties_hash,
+                &members,
+                member_digests,
+                &restricted,
+            );
             METRICS.planner_group_size.observe(members.len() as u64);
             jobs.push(GroupJob {
                 apps: members.iter().map(|a| a.name.clone()).collect(),

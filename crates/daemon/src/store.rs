@@ -43,8 +43,10 @@ pub const MAGIC: [u8; 8] = *b"IOTSANVS";
 /// of every group fingerprint when the state-store kind left the key (the
 /// records would otherwise sit orphaned under keys nothing looks up);
 /// version 4 added the search's fixpoint depth to each verdict, and every
-/// fingerprint changed again when the search order left the key.
-pub const FORMAT_VERSION: u32 = 4;
+/// fingerprint changed again when the search order left the key; version 5
+/// marks that every fingerprint changed when app digests began to be
+/// computed once per plan.
+pub const FORMAT_VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length

@@ -180,15 +180,17 @@ impl DependencyGraph {
 
     /// The related sets of the graph (Table 3c): ancestor closures of leaves,
     /// merged across conflicting outputs, with redundant subsets removed.
+    ///
+    /// Each vertex's closure (the vertex and its ancestors) is computed once,
+    /// as a bitset, so a candidate set is one closure or the OR of two.  The
+    /// distinct candidates are then kept largest first unless a kept set
+    /// already contains them, which leaves exactly the maximal ones.
     pub fn related_sets(&self) -> RelatedSets {
-        let mut sets: Vec<BTreeSet<VertexId>> = Vec::new();
+        let closures = self.closures();
 
         // Initial related sets: one per leaf (Table 3a).
-        for leaf in self.leaves() {
-            let mut set = self.ancestors(leaf);
-            set.insert(leaf);
-            sets.push(set);
-        }
+        let mut candidates: Vec<Vec<u64>> =
+            self.leaves().into_iter().map(|leaf| closures[leaf.0].clone()).collect();
 
         // Conflicting-output sets (Table 3b): for every pair of vertices with
         // conflicting output events, the union of their ancestor closures.
@@ -199,32 +201,68 @@ impl DependencyGraph {
                         self.vertices[v].profile.outputs.iter().any(|b| a.conflicts_with(b))
                     });
                 if conflict {
-                    let mut set = self.ancestors(VertexId(u));
-                    set.insert(VertexId(u));
-                    set.extend(self.ancestors(VertexId(v)));
-                    set.insert(VertexId(v));
-                    sets.push(set);
+                    candidates
+                        .push(closures[u].iter().zip(&closures[v]).map(|(a, b)| a | b).collect());
                 }
             }
         }
 
         // Remove duplicates and subsets (a subset is automatically verified
-        // when its superset is verified).
-        sets.sort_by_key(|s| s.len());
-        let mut finals: Vec<BTreeSet<VertexId>> = Vec::new();
-        'outer: for (i, set) in sets.iter().enumerate() {
-            for other in sets.iter().skip(i + 1) {
-                if set.is_subset(other) {
-                    continue 'outer;
-                }
-            }
-            if !finals.contains(set) {
-                finals.push(set.clone());
+        // when its superset is verified).  A set dropped as a subset of a
+        // larger candidate is a subset of whatever kept set contains that
+        // candidate, so comparing against the kept sets suffices.
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.sort_by_key(|set| {
+            std::cmp::Reverse(set.iter().map(|word| word.count_ones()).sum::<u32>())
+        });
+        let mut kept: Vec<Vec<u64>> = Vec::new();
+        for set in candidates {
+            let covered = kept.iter().any(|big| set.iter().zip(big).all(|(a, b)| a & !b == 0));
+            if !covered {
+                kept.push(set);
             }
         }
-        finals.sort();
-        RelatedSets { sets: finals }
+        let mut sets: Vec<BTreeSet<VertexId>> = kept.iter().map(|set| bit_members(set)).collect();
+        sets.sort();
+        RelatedSets { sets }
     }
+
+    /// Every vertex's closure — the vertex and all its ancestors — as a
+    /// bitset of vertex ids, in one pass.  Tarjan's algorithm emits each
+    /// component after every component it reaches, so a parent's id is
+    /// always larger than its child's: walking the ids downwards finishes
+    /// each parent's closure before any child reads it.
+    fn closures(&self) -> Vec<Vec<u64>> {
+        let n = self.vertices.len();
+        let words = n.div_ceil(64);
+        let mut closures: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for v in (0..n).rev() {
+            let mut closure = vec![0u64; words];
+            closure[v / 64] |= 1 << (v % 64);
+            for &parent in &self.parents[v] {
+                assert!(parent > v, "vertex ids must be in reverse topological order");
+                for (word, theirs) in closure.iter_mut().zip(&closures[parent]) {
+                    *word |= theirs;
+                }
+            }
+            closures[v] = closure;
+        }
+        closures
+    }
+}
+
+/// The vertices of a bitset, in id order.
+fn bit_members(set: &[u64]) -> BTreeSet<VertexId> {
+    let mut out = BTreeSet::new();
+    for (i, &word) in set.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            out.insert(VertexId(i * 64 + rest.trailing_zeros() as usize));
+            rest &= rest - 1;
+        }
+    }
+    out
 }
 
 /// Iterative Tarjan strongly-connected-components computation.  Components are

@@ -1,7 +1,7 @@
 //! Fleet-verification acceptance suite for the group-wise planner.
 //!
-//! Four guarantees are enforced here on the market corpus (the first three
-//! on its first 8 apps, the last on all 150):
+//! Five guarantees are enforced here on the market corpus (the first three
+//! on its first 8 apps, the last two on all 150):
 //!
 //! 1. **Decomposition**: the planner partitions the corpus into at least two
 //!    independent groups (the whole point of the dependency analyzer).
@@ -16,10 +16,16 @@
 //!    misses on several threads, reports the same outcomes, attributions and
 //!    cache statistics as a serial loop over the plan, and writes through to
 //!    a durable backing in exact plan order.
+//! 5. **One planning path**: every planned job's fingerprint and restricted
+//!    configuration equal the one-shot `fingerprint_group` and
+//!    `restrict_config` over its members, in seeded bundle orders, and an
+//!    app installed twice keeps both copies.
 
 use iotsan::attribution::{attribute_traces, TraceAttribution};
+use iotsan::checker::SearchReport;
 use iotsan::config::{expert_configure, standard_household, SystemConfig};
 use iotsan::ir::IrApp;
+use iotsan::planner::fingerprint_group;
 use iotsan::{
     translate_sources, Fingerprint, GroupOutcome, GroupResult, Pipeline, VerdictPersistence,
     VerificationCache,
@@ -193,6 +199,81 @@ fn concurrent_execute_matches_serial_plan_execution() {
     assert_eq!((warm.cache_hits, warm.cache_misses), (plan.jobs.len(), 0));
     assert_eq!(warm.outcome(), cold.outcome());
     assert_eq!(backing.stored(), expected_stores);
+}
+
+/// A seeded Fisher–Yates shuffle over splitmix64.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in (1..items.len()).rev() {
+        items.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+}
+
+/// The planner computes each app's digest, the property hash and the config
+/// index once per plan; the result must be exactly what the one-shot
+/// `fingerprint_group` and `restrict_config` give for the job on its own.
+#[test]
+fn planned_jobs_match_one_shot_fingerprints_and_restricted_configs() {
+    let (apps, _) = market(150);
+    let pipeline = Pipeline::with_events(3);
+    for seed in [0, 1001, 1002, 1003] {
+        let mut order = apps.clone();
+        if seed != 0 {
+            shuffle(&mut order, seed);
+        }
+        let config = expert_configure(&order, &standard_household());
+        let plan = pipeline.planner().plan(&order, &config);
+        assert!(plan.jobs.len() > 100, "seed {seed}: {} jobs", plan.jobs.len());
+        for job in &plan.jobs {
+            assert_eq!(
+                job.fingerprint,
+                fingerprint_group(&pipeline, &job.members, &job.config),
+                "seed {seed}, job {:?}",
+                job.apps
+            );
+            assert_eq!(
+                job.config,
+                pipeline.restrict_config(&job.members, &config),
+                "seed {seed}, job {:?}",
+                job.apps
+            );
+        }
+    }
+}
+
+/// A bundle that installs one app twice verifies both copies together, the
+/// same as `verify_group` over the same apps.
+#[test]
+fn an_app_installed_twice_keeps_both_copies() {
+    let (apps, config) = market8();
+    let twice = apps[1].clone();
+    let mut bundle = apps.clone();
+    bundle.push(twice.clone());
+    let pipeline = Pipeline::with_events(2);
+    let plan = pipeline.planner().plan(&bundle, &config);
+    let job = plan.jobs_for(&twice.name)[0];
+    let copies = job.members.iter().filter(|m| **m == twice).count();
+    assert_eq!(copies, 2, "members {:?}", job.apps);
+
+    let fleet = pipeline.verify_fleet(&bundle, &config, &mut VerificationCache::new());
+    let group = fleet.groups.iter().find(|g| g.apps == job.apps).expect("the job's group");
+    let direct = pipeline.verify_group(&job.members, &config);
+    let verdict = |report: &SearchReport| {
+        (report.violations.clone(), report.stats.states_stored, report.stats.transitions)
+    };
+    assert_eq!(verdict(&group.report), verdict(&direct.report));
+    // The second copy is visible in the verdict: one copy alone differs.
+    let mut once = job.members.clone();
+    once.retain(|m| *m != twice);
+    once.push(twice);
+    assert_ne!(verdict(&pipeline.verify_group(&once, &config).report), verdict(&direct.report));
 }
 
 proptest! {
