@@ -21,8 +21,9 @@
 //! and its frontier and arena slots as those grow), not per transition; the
 //! model's `apply` builds each successor state.  What a model allocates
 //! inside `apply` is its own budget: the IoT model's is pinned by
-//! `tests/hot_loop_allocations.rs` (at most 10.0 allocations per transition
-//! on the 150-app market bundle, checker included).  Beyond that:
+//! `tests/hot_loop_allocations.rs` (at most 7.0 allocations per transition
+//! on the 150-app market bundle and 2.2 on the `deep-group` bundle, checker
+//! included).  Beyond that:
 //!
 //! * enabled actions are written into one reused buffer per expansion;
 //! * counterexample bookkeeping is a parent-pointer `TraceArena` — one
@@ -34,7 +35,12 @@
 //! * full [`Trace`]s (action strings plus rendered log lines) exist only for
 //!   the ≤1-per-property violations that are actually reported — they are
 //!   *materialized* by replaying the arena's action path from the initial
-//!   state with logging enabled.
+//!   state with logging enabled;
+//! * a reported property is *settled* on the search's model scratch
+//!   ([`TransitionSystem::settle`]), so the model stops checking it rather
+//!   than build violation lists the search would discard.  The clock
+//!   and the cancel token are read once per expansion; the count caps are
+//!   checked before every transition.
 
 use crate::store::ExactStore;
 use crate::trace::Trace;
@@ -108,7 +114,8 @@ pub struct SearchConfig {
     /// per violated property.
     pub stop_at_first: bool,
     /// Wall-clock budget; the search stops (reporting partial results) when
-    /// exceeded.
+    /// exceeded.  The clock is read once per expanded state, so the search
+    /// may overrun by one expansion.
     pub time_limit: Option<Duration>,
     /// Property-directed slicing: when set, verification entry points that
     /// know the registered properties (`iotsan::Pipeline`) drop handlers the
@@ -386,13 +393,15 @@ impl Checker {
         }
 
         'search: while let Some((state, depth, node)) = frontier.pop_front() {
+            // The clock and the cancel token are read once per expansion;
+            // the count caps stay exact, checked before every transition.
             if let Some(cap) = self.cap_hit(&report.stats, start, store.len()) {
                 report.stats.record_cap(cap);
                 break;
             }
             model.actions(&state, &mut actions_buf);
             for action in &actions_buf {
-                if let Some(cap) = self.cap_hit(&report.stats, start, store.len()) {
+                if let Some(cap) = self.count_cap_hit(&report.stats, store.len()) {
                     report.stats.record_cap(cap);
                     break 'search;
                 }
@@ -412,6 +421,7 @@ impl Checker {
                         &mut seen_properties,
                         &mut report,
                         &mut path_buf,
+                        &mut scratch,
                     );
                     if self.config.stop_at_first {
                         break 'search;
@@ -450,12 +460,10 @@ impl Checker {
         report
     }
 
+    /// Every cap: the count caps, the time limit and the cancel token.
     fn cap_hit(&self, stats: &SearchStats, start: Instant, stored: usize) -> Option<CapHit> {
-        if stats.transitions >= self.config.max_transitions {
-            return Some(CapHit::Transitions);
-        }
-        if stored >= self.config.max_states {
-            return Some(CapHit::States);
+        if let Some(cap) = self.count_cap_hit(stats, stored) {
+            return Some(cap);
         }
         if let Some(limit) = self.config.time_limit {
             if start.elapsed() > limit {
@@ -466,6 +474,18 @@ impl Checker {
             if token.is_cancelled() {
                 return Some(CapHit::Cancelled);
             }
+        }
+        None
+    }
+
+    /// The transition and state caps alone: no clock read, no atomic load.
+    #[inline]
+    fn count_cap_hit(&self, stats: &SearchStats, stored: usize) -> Option<CapHit> {
+        if stats.transitions >= self.config.max_transitions {
+            return Some(CapHit::Transitions);
+        }
+        if stored >= self.config.max_states {
+            return Some(CapHit::States);
         }
         None
     }
@@ -494,7 +514,8 @@ impl Checker {
 
 /// Records the not-yet-seen violations of one step, materializing the shared
 /// counterexample (arena path + triggering action, replayed from the initial
-/// state) exactly once.
+/// state) exactly once, and settles each newly reported property on the
+/// search's `scratch`: every later violation of it would be discarded here.
 #[allow(clippy::too_many_arguments)]
 fn record_violations<T: TransitionSystem>(
     model: &T,
@@ -506,13 +527,17 @@ fn record_violations<T: TransitionSystem>(
     seen: &mut BTreeSet<u32>,
     report: &mut SearchReport,
     path_buf: &mut Vec<T::Action>,
+    scratch: &mut T::Scratch,
 ) {
-    // Almost every violating transition re-violates reported properties
-    // only: return before collecting anything.
+    // A violating transition that re-violates reported properties only
+    // (one the model did not settle): return before collecting anything.
     if violations.iter().all(|v| seen.contains(&v.property)) {
         return;
     }
     let fresh: Vec<&Violation> = violations.iter().filter(|v| seen.insert(v.property)).collect();
+    for violation in &fresh {
+        model.settle(scratch, violation.property);
+    }
     let Some((last, rest)) = fresh.split_last() else { return };
     arena.path(parent, path_buf);
     path_buf.push(action.clone());

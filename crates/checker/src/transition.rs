@@ -53,8 +53,10 @@ pub struct StepOutcome<S> {
     /// The successor state.
     pub state: S,
     /// Properties violated while taking this step (step-based properties) or
-    /// in the resulting state (physical-state invariants).  Empty on the vast
-    /// majority of transitions, in which case the `Vec` never allocates.
+    /// in the resulting state (physical-state invariants), except that a
+    /// property settled on the scratch ([`TransitionSystem::settle`]) may be
+    /// left out.  Empty on most transitions, in which case the `Vec` never
+    /// allocates.
     pub violations: Vec<Violation>,
 }
 
@@ -144,6 +146,9 @@ pub trait TransitionSystem {
     /// receives the structured effect events (and is disabled during
     /// search).  Must be deterministic: replaying the same action sequence
     /// from the initial state reproduces the same outcomes and events.
+    /// After [`TransitionSystem::settle`]`(scratch, p)`, `apply` with that
+    /// scratch may leave `p` out of the violations; the successor state
+    /// must not depend on what was settled.
     fn apply(
         &self,
         state: &Self::State,
@@ -151,6 +156,14 @@ pub trait TransitionSystem {
         scratch: &mut Self::Scratch,
         log: &mut StepLog<Self::Event>,
     ) -> StepOutcome<Self::State>;
+
+    /// Tells the model that the checker has recorded `property`'s first
+    /// counterexample and discards every later violation of it, so `apply`
+    /// with this `scratch` need no longer check it.  Called once per
+    /// property, on the search's own scratch; counterexample replay uses a
+    /// fresh one.  The default does nothing: the model keeps checking every
+    /// property.
+    fn settle(&self, _scratch: &mut Self::Scratch, _property: u32) {}
 
     /// Serializes the parts of the state relevant for equivalence into `out`.
     /// Two states with identical encodings are considered the same by the

@@ -29,10 +29,19 @@
 //! leave a handler (event values, `state.*` reads and writes), the rare
 //! message, network and fake-event records, and a violating step's report.
 //! `tests/hot_loop_allocations.rs` pins the budget per explored transition,
-//! checker included: at most 10.0 on the 150-app `market-cold` bundle and
-//! 3.5 on `deep-group`.  The compiled properties read the
+//! checker included: at most 7.0 on the 150-app `market-cold` bundle and
+//! 2.2 on `deep-group`.  The compiled properties read the
 //! successor's device states and mode directly: no snapshot of the physical
-//! state is rendered per transition.
+//! state is rendered per transition.  A property the checker has reported is
+//! settled on the scratch ([`TransitionSystem::settle`]): its program and
+//! the atoms only settled programs read are no longer evaluated, so most
+//! violating steps report nothing and allocate no report.
+//!
+//! A device-offline step ignores the value it is listed with and dispatches
+//! nothing, so the enumeration offers one per sensor device and state (the
+//! first in device → attribute → value → mode order) rather than one per
+//! (attribute, value) pair: the copies had the same successor and
+//! violations.
 //!
 //! Names are resolved when the model is built, not per transition.  The
 //! *subscription index* lists, for each interned event attribute, the
@@ -53,7 +62,9 @@ use crate::system::{InstalledSystem, InternalEvent, SystemState};
 use iotsan_checker::{LogLine, StepLog, StepOutcome, TransitionSystem, Violation};
 use iotsan_devices::{DeviceId, FailureMode, FailurePolicy};
 use iotsan_ir::{Sym, Trigger, Value};
-use iotsan_properties::{CompiledPropertySet, EvalScratch, PropertySet, StepObservation};
+use iotsan_properties::{
+    CompiledPropertySet, EvalScratch, PropertyId, PropertySet, StepObservation,
+};
 
 /// Options controlling model construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,7 +291,9 @@ impl ModelCore {
     }
 
     /// External actions available when fewer than `max_events` have happened,
-    /// written into the caller's reused buffer.
+    /// written into the caller's reused buffer: per sensor device, each
+    /// (attribute, new value, failure mode), with one device-offline step
+    /// per device; then the fixed actions.
     fn external_actions(&self, state: &SystemState, out: &mut Vec<ExternalAction>) {
         out.clear();
         if self.at_bound(state) {
@@ -291,6 +304,7 @@ impl ModelCore {
                 continue;
             }
             let device = DeviceId(index as u32);
+            let mut offline_listed = false;
             for (attr_index, attr) in spec.attributes.iter().enumerate() {
                 if !attr.environment_driven {
                     continue;
@@ -303,6 +317,16 @@ impl ModelCore {
                         continue;
                     }
                     for failure in self.options.failure_policy.modes_for(device) {
+                        // An offline step ignores its value and dispatches
+                        // nothing, so every variant of one device has the
+                        // same successor and violations: only the first in
+                        // this order is offered.
+                        if *failure == FailureMode::DeviceOffline {
+                            if offline_listed {
+                                continue;
+                            }
+                            offline_listed = true;
+                        }
                         out.push(ExternalAction::SensorEvent {
                             device,
                             attribute,
@@ -569,8 +593,9 @@ impl ModelCore {
         )
     }
 
-    /// Evaluates all compiled properties after a step, straight from the
-    /// state's device vector and mode, updating its leads-to monitors.
+    /// Evaluates the compiled properties still open on the scratch after a
+    /// step, straight from the state's device vector and mode, updating its
+    /// leads-to monitors.
     fn check(&self, state: &mut SystemState, scratch: &mut ModelScratch) -> Vec<Violation> {
         let ModelScratch { observation, eval, violated, .. } = scratch;
         violated.clear();
@@ -596,6 +621,12 @@ impl ModelCore {
         violated.clear();
         self.compiled.check_step_only(observation, &mut state.monitors, eval, violated);
         self.to_violations(violated)
+    }
+
+    /// Stops checking a property the checker has reported (see
+    /// [`CompiledPropertySet::settle`]).
+    fn settle(&self, scratch: &mut ModelScratch, property: u32) {
+        self.compiled.settle(&mut scratch.eval, PropertyId(property));
     }
 
     /// Maps violated spec indices to [`Violation`]s, sorted by property id.
@@ -731,6 +762,10 @@ impl TransitionSystem for SequentialModel {
         StepOutcome { state: next, violations }
     }
 
+    fn settle(&self, scratch: &mut ModelScratch, property: u32) {
+        self.core.settle(scratch, property);
+    }
+
     fn encode(&self, state: &SystemState, out: &mut Vec<u8>) {
         state.encode_into(out);
         // The clock ticks once per external event.  When a handler reads it,
@@ -861,6 +896,10 @@ impl TransitionSystem for ConcurrentModel {
             self.core.check_step_only(&mut next, scratch)
         };
         StepOutcome { state: next, violations }
+    }
+
+    fn settle(&self, scratch: &mut ModelScratch, property: u32) {
+        self.core.settle(scratch, property);
     }
 
     fn encode(&self, state: &SystemState, out: &mut Vec<u8>) {
@@ -1117,6 +1156,110 @@ def changedLocationMode(evt) { lock1.unlock() }
             ExternalAction::SensorEvent { .. } => !model.display_action(a).contains("=present "),
             _ => true,
         }));
+    }
+
+    /// Every state a breadth-first search of `model` reaches within
+    /// `events` external events, the initial state first.
+    fn reachable_states(model: &SequentialModel, events: usize) -> Vec<SystemState> {
+        let mut seen = std::collections::HashSet::new();
+        let mut encoded = Vec::new();
+        model.encode(&model.initial_state(), &mut encoded);
+        seen.insert(encoded);
+        let mut states = vec![model.initial_state()];
+        let mut layer = 0..1;
+        let mut actions = Vec::new();
+        for _ in 0..events {
+            for index in layer.clone() {
+                model.actions(&states[index], &mut actions);
+                for action in &actions {
+                    let outcome = model.apply(
+                        &states[index],
+                        action,
+                        &mut ModelScratch::default(),
+                        &mut StepLog::disabled(),
+                    );
+                    let mut encoded = Vec::new();
+                    model.encode(&outcome.state, &mut encoded);
+                    if seen.insert(encoded) {
+                        states.push(outcome.state);
+                    }
+                }
+            }
+            layer = layer.end..states.len();
+        }
+        states
+    }
+
+    #[test]
+    fn one_device_offline_step_per_device_stands_for_every_variant() {
+        // A smoke detector (3 values) and a temperature sensor (7) beside
+        // the presence sensor: each has several (attribute, value) pairs
+        // an offline step could be listed with.
+        let InstalledSystem { apps, config, .. } = unlock_door_system();
+        let config = config
+            .with_device(DeviceConfig::new("smoke", "smokeDetector", ""))
+            .with_device(DeviceConfig::new("thermo", "temperatureMeasurement", ""));
+        let model = SequentialModel::new(
+            InstalledSystem::new(apps, config),
+            PropertySet::all(),
+            ModelOptions::with_events(2).with_failures(),
+        );
+        let run = |state: &SystemState, action: &ExternalAction| {
+            let outcome =
+                model.apply(state, action, &mut ModelScratch::default(), &mut StepLog::disabled());
+            let mut encoded = Vec::new();
+            model.encode(&outcome.state, &mut encoded);
+            (encoded, outcome.violations)
+        };
+        let states = reachable_states(&model, 2);
+        assert!(states.len() > 10, "{} states", states.len());
+        let mut dropped = 0;
+        let mut actions = Vec::new();
+        for state in states.iter().filter(|s| !model.at_bound(s)) {
+            model.actions(state, &mut actions);
+            for (index, spec) in model.system().device_specs().iter().enumerate() {
+                let device = DeviceId(index as u32);
+                let listed: Vec<&ExternalAction> = actions
+                    .iter()
+                    .filter(|a| {
+                        matches!(a, ExternalAction::SensorEvent {
+                            device: d, failure: FailureMode::DeviceOffline, ..
+                        } if *d == device)
+                    })
+                    .collect();
+                assert!(listed.len() <= 1, "device {index}: {} offline steps", listed.len());
+                // Every variant the enumeration would list without the
+                // de-duplication, built by hand.
+                let mut variants = Vec::new();
+                for (attr_index, attr) in spec.attributes.iter().enumerate() {
+                    if !spec.is_sensor() || !attr.environment_driven {
+                        continue;
+                    }
+                    for value_index in 0..attr.domain.len() {
+                        if state.devices[index].raw(attr_index) != Some(value_index as u8) {
+                            variants.push(ExternalAction::SensorEvent {
+                                device,
+                                attribute: model.system().device_attr_sym(device, attr_index),
+                                attr_index: attr_index as u8,
+                                value_index: value_index as u8,
+                                failure: FailureMode::DeviceOffline,
+                            });
+                        }
+                    }
+                }
+                let Some(kept) = listed.first() else {
+                    assert!(variants.is_empty(), "device {index} lost its offline step");
+                    continue;
+                };
+                assert_eq!(variants.first(), Some(*kept), "the first variant is the one kept");
+                let expected = run(state, kept);
+                for variant in &variants[1..] {
+                    assert_eq!(run(state, variant), expected, "{}", model.display_action(variant));
+                    dropped += 1;
+                }
+            }
+        }
+        assert!(dropped > 0, "no duplicate offline step to compare");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Compilation of [`PropertySpec`](crate::PropertySpec)s into evaluators over
 //! the model checker's state vector.
 //!
-//! The checker evaluates every property once per explored transition, so the
-//! interpreted [`crate::Expr::eval`] walk (selector matching, attribute-name
-//! lookups, rendered values) is far too slow for the hot path.  At install
-//! time the [`CompiledPropertySet`] resolves everything that is fixed by the
-//! installed system against a [`CompileTarget`]:
+//! The checker evaluates every open property once per explored transition,
+//! so the interpreted [`crate::Expr::eval`] walk (selector matching,
+//! attribute-name lookups, rendered values) is far too slow for the hot
+//! path.  At install time the [`CompiledPropertySet`] resolves everything
+//! that is fixed by the installed system against a [`CompileTarget`]:
 //!
 //! * every state atom becomes `(device, attribute, mask)` slots.  Bit `i` of
 //!   the `u64` mask is set when the attribute's `i`-th domain value passes
@@ -25,10 +25,17 @@
 //!   bounds that stack; deeper specs are rejected wherever specs are
 //!   checked.
 //!
-//! Evaluation reuses an [`EvalScratch`] (one bool per live atom), so a
+//! Evaluation reuses an [`EvalScratch`] (one bool per atom), so a
 //! steady-state transition check performs no heap allocation.  Leads-to
 //! obligations are tracked in caller-owned per-property monitor counters
 //! that are part of the model-checker state identity.
+//!
+//! The checker reports each property once, with its first counterexample.
+//! [`CompiledPropertySet::settle`] tells a scratch that a property is
+//! reported: from then on that scratch skips the property's program, and
+//! every atom only settled programs read.  A leads-to property with
+//! `within > 0` is never settled, because its countdown is part of the
+//! successor state.
 
 use crate::registry::PropertySet;
 use crate::snapshot::{
@@ -409,11 +416,27 @@ impl CompiledProperty {
     }
 }
 
-/// Reusable evaluation buffer: one bool per live atom.  Per-worker, cleared
+/// Reusable evaluation buffer: one bool per atom.  Per-worker, cleared
 /// (never reallocated) on every transition.
+///
+/// A fresh scratch evaluates every property of whichever set it is passed
+/// to.  Once [`CompiledPropertySet::settle`] has run on it, it holds what
+/// that set still checks, and it must only be used with that set.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     atoms: Vec<bool>,
+    /// `None` until the first [`CompiledPropertySet::settle`].
+    open: Option<OpenChecks>,
+}
+
+/// What a settled [`EvalScratch`] still evaluates.
+#[derive(Debug, Clone)]
+struct OpenChecks {
+    /// Positions in [`CompiledPropertySet::properties`] of the properties
+    /// not settled, ascending.
+    props: Vec<u32>,
+    /// The live atoms: those some open property's program reads, ascending.
+    atoms: Vec<u16>,
 }
 
 /// A [`PropertySet`] compiled against one installed system.
@@ -496,6 +519,9 @@ impl CompiledPropertySet {
     /// the step observation.  Appends the position in the source
     /// [`PropertySet`]'s specs of every violated property to `out` and
     /// updates leads-to monitors in place.
+    ///
+    /// A settled `scratch` evaluates only the live atoms and the open
+    /// properties (see [`CompiledPropertySet::settle`]).
     pub fn check_transition(
         &self,
         devices: &[DeviceState],
@@ -505,10 +531,22 @@ impl CompiledPropertySet {
         scratch: &mut EvalScratch,
         out: &mut Vec<usize>,
     ) {
-        scratch.atoms.clear();
-        scratch.atoms.extend(self.atoms.iter().map(|atom| atom.eval(devices, mode, step)));
-        for prop in &self.props {
-            self.check_one(prop, monitors, &scratch.atoms, out);
+        let EvalScratch { atoms, open } = scratch;
+        let Some(open) = open else {
+            atoms.clear();
+            atoms.extend(self.atoms.iter().map(|atom| atom.eval(devices, mode, step)));
+            for prop in &self.props {
+                self.check_one(prop, monitors, atoms, out);
+            }
+            return;
+        };
+        // Atoms off the live list keep stale values: no open program reads
+        // them.
+        for &atom in &open.atoms {
+            atoms[atom as usize] = self.atoms[atom as usize].eval(devices, mode, step);
+        }
+        for &prop in &open.props {
+            self.check_one(&self.props[prop as usize], monitors, atoms, out);
         }
     }
 
@@ -523,15 +561,55 @@ impl CompiledPropertySet {
         out: &mut Vec<usize>,
     ) {
         // Step-only programs never read a state atom, so those stay unset.
-        scratch.atoms.clear();
-        scratch.atoms.extend(
-            self.atoms
-                .iter()
-                .map(|atom| !atom.reads_state() && atom.eval(&[], LocationMode::Home, step)),
-        );
-        for prop in self.props.iter().filter(|p| p.step_only) {
-            self.check_one(prop, monitors, &scratch.atoms, out);
+        let eval = |atom: &CAtom| !atom.reads_state() && atom.eval(&[], LocationMode::Home, step);
+        let EvalScratch { atoms, open } = scratch;
+        let Some(open) = open else {
+            atoms.clear();
+            atoms.extend(self.atoms.iter().map(eval));
+            for prop in self.props.iter().filter(|p| p.step_only) {
+                self.check_one(prop, monitors, atoms, out);
+            }
+            return;
+        };
+        for &atom in &open.atoms {
+            atoms[atom as usize] = eval(&self.atoms[atom as usize]);
         }
+        for prop in open.props.iter().map(|&p| &self.props[p as usize]).filter(|p| p.step_only) {
+            self.check_one(prop, monitors, atoms, out);
+        }
+    }
+
+    /// Stops `scratch` from checking `property`: the caller has reported
+    /// it and will discard every later violation of it.  The property's
+    /// program is no longer run, and an atom only settled programs read is
+    /// no longer evaluated.  A leads-to property with `within > 0` keeps
+    /// running, since its countdown is part of the caller's state; settling
+    /// never changes a monitor.
+    ///
+    /// From the first call on, `scratch` belongs to this set.
+    pub fn settle(&self, scratch: &mut EvalScratch, property: PropertyId) {
+        let open = scratch.open.get_or_insert_with(|| OpenChecks {
+            props: (0..self.props.len() as u32).collect(),
+            atoms: Vec::new(),
+        });
+        open.props.retain(|&p| {
+            let prop = &self.props[p as usize];
+            prop.id != property || matches!(prop.kind, CompiledKind::LeadsTo { .. })
+        });
+        let mut live = vec![false; self.atoms.len()];
+        for &p in &open.props {
+            let programs = match self.props[p as usize].kind {
+                CompiledKind::Check { program } => [Some(program), None],
+                CompiledKind::LeadsTo { trigger, response, .. } => [Some(trigger), Some(response)],
+            };
+            for op in programs.into_iter().flatten().flat_map(|program| self.ops_of(program)) {
+                if let Op::Push(atom) = *op {
+                    live[atom as usize] = true;
+                }
+            }
+        }
+        open.atoms = (0..live.len()).filter(|&a| live[a]).map(|a| a as u16).collect();
+        scratch.atoms.resize(self.atoms.len(), false);
     }
 
     fn check_one(
@@ -584,9 +662,8 @@ impl CompiledPropertySet {
     /// live values, so nothing ever shifts out.
     #[inline]
     fn run(&self, program: Program, atoms: &[bool]) -> bool {
-        let ops = &self.ops[program.start as usize..(program.start + program.len) as usize];
         let mut stack = 0u64;
-        for op in ops {
+        for op in self.ops_of(program) {
             stack = match *op {
                 Op::Push(atom) => stack << 1 | u64::from(atoms[atom as usize]),
                 Op::Not => stack ^ 1,
@@ -595,6 +672,12 @@ impl CompiledPropertySet {
             };
         }
         stack & 1 != 0
+    }
+
+    /// The program's ops on the shared tape.
+    #[inline]
+    fn ops_of(&self, program: Program) -> &[Op] {
+        &self.ops[program.start as usize..(program.start + program.len) as usize]
     }
 }
 
@@ -999,6 +1082,67 @@ mod tests {
         assert_eq!(monitors, vec![1]);
         // t2: silence — the t0 deadline expires.
         assert_eq!(home.violated(&set, &compiled, &quiet, &mut monitors), vec![9]);
+    }
+
+    #[test]
+    fn settling_skips_only_the_settled_checks() {
+        let mut home = Home::household();
+        home.mode = LocationMode::Night;
+        home.set(1, "lock", "unlocked");
+        home.set(2, "smoke", "detected");
+        home.set(3, "switch", "on");
+        let slack = PropertySpec::builder(99, "failures notify within 1").leads_to(
+            Expr::atom(Atom::CommandFailed),
+            Expr::atom(Atom::UserNotified),
+            1,
+        );
+        let set = PropertySet::all().with(slack);
+        let compiled = home.compile(&set);
+        let failing = StepObservation { command_failures: 1, ..Default::default() };
+        let check = |scratch: &mut EvalScratch, step: &StepObservation, monitors: &mut [u8]| {
+            let mut out = Vec::new();
+            compiled.check_transition(&home.devices, home.mode, step, monitors, scratch, &mut out);
+            let mut ids: Vec<u32> = out.iter().map(|&i| set.specs()[i].id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        // A scratch that was never settled checks everything, whichever set
+        // it was used with before.
+        let mut scratch = EvalScratch::default();
+        Home::new(&[]).compile(&notify_within_two()).check_transition(
+            &[],
+            LocationMode::Home,
+            &failing,
+            &mut [0],
+            &mut scratch,
+            &mut Vec::new(),
+        );
+        let all = check(&mut scratch, &failing, &mut [0]);
+        assert_eq!(all, home.interpreted(&set, &failing));
+        assert!(all.len() >= 3, "{all:?}");
+
+        // Settling the violated properties one by one drops exactly them.
+        for (settled, &id) in all.iter().enumerate() {
+            compiled.settle(&mut scratch, PropertyId(id));
+            assert_eq!(check(&mut scratch, &failing, &mut [0]), all[settled + 1..]);
+        }
+        let open = scratch.open.as_ref().expect("settled");
+        assert!(open.atoms.len() < compiled.atom_count(), "{} live atoms", open.atoms.len());
+
+        // The leads-to property with slack keeps its countdown: it opens on
+        // a failure and is violated one silent step later.
+        compiled.settle(&mut scratch, PropertyId(99));
+        let mut monitors = [0];
+        let _ = check(&mut scratch, &failing, &mut monitors);
+        assert_eq!(monitors, [1]);
+        assert!(check(&mut scratch, &StepObservation::default(), &mut monitors).contains(&99));
+        let step_only = |scratch: &mut EvalScratch| {
+            let mut out = Vec::new();
+            compiled.check_step_only(&failing, &mut [0], scratch, &mut out);
+            out
+        };
+        assert!(step_only(&mut scratch).iter().all(|&i| !all.contains(&set.specs()[i].id)));
+        assert!(!step_only(&mut EvalScratch::default()).is_empty());
     }
 
     #[test]
