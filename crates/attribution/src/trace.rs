@@ -5,7 +5,8 @@
 //! over enumerated *configurations*.  Fleet verification (the
 //! `VerificationPlanner` in `iotsan-core`) has richer evidence available:
 //! the model checker's counterexample **traces**.  Every log line of a trace
-//! step carries structured provenance — [`LogLine::owner`] names the app
+//! step carries structured provenance —
+//! [`LogLine::owner`](iotsan_checker::LogLine::owner) names the app
 //! whose handler produced it, stamped by the model generator when the
 //! counterexample is materialized from its structured log events — so the
 //! Output Analyzer ranks the apps of a verified group by how strongly each
@@ -24,7 +25,8 @@
 //! lets callers distinguish "exonerated by the trace" from "absent from the
 //! group".
 
-use iotsan_checker::{FoundViolation, LogLine, Trace};
+use iotsan_checker::{FoundViolation, Trace};
+use std::collections::HashMap;
 
 /// How strongly one app of a verified group is implicated by a
 /// counterexample trace.
@@ -63,42 +65,51 @@ impl TraceAttribution {
     }
 }
 
-/// True when `line` was produced by one of `app`'s handlers — read directly
-/// from the line's structured provenance.
-fn owned_by(line: &LogLine, app: &str) -> bool {
-    line.owner.as_deref() == Some(app)
-}
-
 /// Ranks the apps of a verified group by the evidence a single
 /// counterexample trace holds against them.
 ///
 /// Every app of `group_apps` appears exactly once in the result, sorted by
-/// descending [`SuspectScore::score`] with ties broken by name.
+/// descending [`SuspectScore::score`] with ties broken by name.  One pass
+/// over the trace credits each line to the apps named by its structured
+/// owner ([`iotsan_checker::LogLine::owner`]), through an index from name
+/// to positions in `group_apps`, so a name listed twice credits both copies.
 pub fn rank_suspects(group_apps: &[String], trace: &Trace) -> Vec<SuspectScore> {
+    rank_indexed(group_apps, &name_index(group_apps), trace)
+}
+
+/// Each name of `group_apps` with its positions there.
+fn name_index(group_apps: &[String]) -> HashMap<&str, Vec<usize>> {
+    let mut positions: HashMap<&str, Vec<usize>> = HashMap::with_capacity(group_apps.len());
+    for (position, app) in group_apps.iter().enumerate() {
+        positions.entry(app.as_str()).or_default().push(position);
+    }
+    positions
+}
+
+/// [`rank_suspects`] over a [`name_index`] of `group_apps`.
+fn rank_indexed(
+    group_apps: &[String],
+    positions: &HashMap<&str, Vec<usize>>,
+    trace: &Trace,
+) -> Vec<SuspectScore> {
     let steps = trace.steps.len();
     let total_lines: usize = trace.steps.iter().map(|s| s.log.len()).sum();
     let mut scores: Vec<SuspectScore> = group_apps
         .iter()
-        .map(|app| {
-            let mut mentions = 0usize;
-            let mut score = 0.0f64;
-            let mut in_final_step = false;
-            let mut line_index = 0usize;
-            for (i, step) in trace.steps.iter().enumerate() {
-                for line in &step.log {
-                    line_index += 1;
-                    if owned_by(line, app) {
-                        mentions += 1;
-                        score += line_index as f64 / total_lines as f64;
-                        if i + 1 == steps {
-                            in_final_step = true;
-                        }
-                    }
-                }
-            }
-            SuspectScore { app: app.clone(), mentions, in_final_step, score }
-        })
+        .map(|app| SuspectScore { app: app.clone(), mentions: 0, in_final_step: false, score: 0.0 })
         .collect();
+    let lines = trace.steps.iter().enumerate().flat_map(|(i, step)| {
+        step.log.iter().map(move |line| (i + 1 == steps, line.owner.as_deref()))
+    });
+    for (line_index, (final_step, owner)) in (1usize..).zip(lines) {
+        let Some(owned) = owner.and_then(|owner| positions.get(owner)) else { continue };
+        for &position in owned {
+            let suspect = &mut scores[position];
+            suspect.mentions += 1;
+            suspect.score += line_index as f64 / total_lines as f64;
+            suspect.in_final_step |= final_step;
+        }
+    }
     scores.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.app.cmp(&b.app)));
     scores
 }
@@ -106,17 +117,19 @@ pub fn rank_suspects(group_apps: &[String], trace: &Trace) -> Vec<SuspectScore> 
 /// Attributes every violation of a verified group from its counterexample
 /// trace: the trace-driven counterpart of [`crate::attribute_all`], consuming
 /// [`FoundViolation`]s from the checker instead of opaque configuration
-/// lists.  Returns one [`TraceAttribution`] per violation, in input order.
+/// lists.  Returns one [`TraceAttribution`] per violation, in input order;
+/// the group's name index is built once for all of them.
 pub fn attribute_traces(
     group_apps: &[String],
     violations: &[FoundViolation],
 ) -> Vec<TraceAttribution> {
+    let positions = name_index(group_apps);
     violations
         .iter()
         .map(|found| TraceAttribution {
             property: found.violation.property,
             description: found.violation.description.to_string(),
-            suspects: rank_suspects(group_apps, &found.trace),
+            suspects: rank_indexed(group_apps, &positions, &found.trace),
         })
         .collect()
 }
@@ -124,7 +137,62 @@ pub fn attribute_traces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotsan_checker::Violation;
+    use iotsan_checker::{LogLine, Violation};
+
+    /// The scan [`rank_suspects`] replaced: the whole trace once per group
+    /// app, crediting the lines that app owns.  The reference its one-pass
+    /// index must reproduce exactly.
+    fn rank_suspects_per_app(group_apps: &[String], trace: &Trace) -> Vec<SuspectScore> {
+        let steps = trace.steps.len();
+        let total_lines: usize = trace.steps.iter().map(|s| s.log.len()).sum();
+        let mut scores: Vec<SuspectScore> = group_apps
+            .iter()
+            .map(|app| {
+                let mut mentions = 0usize;
+                let mut score = 0.0f64;
+                let mut in_final_step = false;
+                let mut line_index = 0usize;
+                for (i, step) in trace.steps.iter().enumerate() {
+                    for line in &step.log {
+                        line_index += 1;
+                        if line.owner.as_deref() == Some(app.as_str()) {
+                            mentions += 1;
+                            score += line_index as f64 / total_lines as f64;
+                            if i + 1 == steps {
+                                in_final_step = true;
+                            }
+                        }
+                    }
+                }
+                SuspectScore { app: app.clone(), mentions, in_final_step, score }
+            })
+            .collect();
+        scores.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.app.cmp(&b.app)));
+        scores
+    }
+
+    #[test]
+    fn one_pass_ranking_equals_the_per_app_scan() {
+        // Owners outside the group, unowned lines, an app listed twice, an
+        // app that never acts, and an empty trace.
+        let mut trace = unlock_trace();
+        trace.push(
+            "e".into(),
+            vec![
+                LogLine::owned("Stranger", "Stranger.h: handling x=1"),
+                LogLine::owned("Auto Mode Change", "Auto Mode Change.h: handling x=1"),
+                LogLine::new("plain"),
+                LogLine::owned("Unlock Door", "Unlock Door.h: handling x=2"),
+            ],
+        );
+        let mut apps = group();
+        apps.push("Unlock Door".into());
+        for trace in [trace, unlock_trace(), Trace::new()] {
+            for apps in [&apps[..], &group()[..], &[][..]] {
+                assert_eq!(rank_suspects(apps, &trace), rank_suspects_per_app(apps, &trace));
+            }
+        }
+    }
 
     fn group() -> Vec<String> {
         vec!["Auto Mode Change".into(), "Unlock Door".into(), "Brighten My Path".into()]

@@ -41,8 +41,9 @@ pub struct DispatchedEvent {
     pub device: Option<DeviceId>,
     /// Interned attribute name.
     pub attribute: Sym,
-    /// Event value.
-    pub value: Value,
+    /// Event value, borrowed when the installation owns it (see
+    /// [`InternalEvent`]).
+    pub value: Cow<'static, Value>,
 }
 
 impl From<InternalEvent> for DispatchedEvent {
@@ -102,7 +103,7 @@ pub fn run_handler(
         app: app_index as u32,
         handler: system.apps[app_index].handlers[handler_index].name.clone(),
         attribute: event.attribute,
-        value: event.value.clone(),
+        value: event.value.clone().into_owned(),
     });
     interp.exec_block(&handler.body);
 }
@@ -192,7 +193,7 @@ impl<'a, 'f> Interpreter<'a, 'f> {
                     self.events_out.push(InternalEvent {
                         device: None,
                         attribute: self.system.mode_sym(),
-                        value: self.system.mode_value(mode).clone(),
+                        value: Cow::Borrowed(self.system.mode_value(mode)),
                         physical: false,
                     });
                 }
@@ -243,7 +244,7 @@ impl<'a, 'f> Interpreter<'a, 'f> {
                 self.events_out.push(InternalEvent {
                     device: None,
                     attribute: *attribute,
-                    value,
+                    value: Cow::Owned(value),
                     physical: false,
                 });
                 Flow::Continue
@@ -353,7 +354,7 @@ impl<'a, 'f> Interpreter<'a, 'f> {
         let CommandOutcome::Changed(changed) = outcome else { return };
         for &attr_index in changed.positions() {
             let attribute = self.system.device_attr_sym(device_id, attr_index as usize);
-            let value = self.system.attr_value(self.state, device_id, Some(attr_index)).clone();
+            let value = self.system.attr_value(self.state, device_id, Some(attr_index));
             self.log.push(|| LogEvent::AttrChange {
                 device: device_id,
                 attribute,
@@ -362,7 +363,7 @@ impl<'a, 'f> Interpreter<'a, 'f> {
             self.events_out.push(InternalEvent {
                 device: Some(device_id),
                 attribute,
-                value,
+                value: Cow::Borrowed(value),
                 physical: false,
             });
         }
@@ -396,14 +397,13 @@ impl<'a, 'f> Interpreter<'a, 'f> {
                     self.system.attr_value(self.state, device, read.positions[k])
                 })
             }
-            Expr::AttrIs { read, test, negate } => {
+            Expr::AttrTest { read, test } => {
                 let range = self.bound(read.input);
-                let equal = if range.is_empty() {
+                Cow::Owned(Value::Bool(if range.is_empty() {
                     test.null
                 } else {
                     self.accepts(read, test, range.start)
-                };
-                Cow::Owned(Value::Bool(equal != *negate))
+                }))
             }
             Expr::Query { read, value, quantifier, test } => {
                 let range = self.bound(read.input);
@@ -429,7 +429,7 @@ impl<'a, 'f> Interpreter<'a, 'f> {
                 })
             }
             Expr::Event(field) => match field {
-                EventField::Value => Cow::Borrowed(&self.event.value),
+                EventField::Value => Cow::Borrowed(&*self.event.value),
                 EventField::NumericValue => Cow::Owned(
                     self.event.value.as_number().map(Value::Decimal).unwrap_or(Value::Null),
                 ),
@@ -495,19 +495,12 @@ impl<'a, 'f> Interpreter<'a, 'f> {
         let l = self.eval(lhs);
         let r = self.eval(rhs);
         match op {
-            IrBinOp::Eq => Value::Bool(l.loosely_equals(&r)),
-            IrBinOp::NotEq => Value::Bool(!l.loosely_equals(&r)),
-            IrBinOp::Lt | IrBinOp::Le | IrBinOp::Gt | IrBinOp::Ge => {
-                use std::cmp::Ordering::*;
-                let Some(ordering) = l.compare(&r) else { return Value::Bool(false) };
-                Value::Bool(match op {
-                    IrBinOp::Lt => ordering == Less,
-                    IrBinOp::Le => ordering != Greater,
-                    IrBinOp::Gt => ordering == Greater,
-                    IrBinOp::Ge => ordering != Less,
-                    _ => unreachable!(),
-                })
-            }
+            IrBinOp::Eq
+            | IrBinOp::NotEq
+            | IrBinOp::Lt
+            | IrBinOp::Le
+            | IrBinOp::Gt
+            | IrBinOp::Ge => Value::Bool(compare(op, &l, &r)),
             IrBinOp::In => match &*r {
                 Value::List(items) => Value::Bool(items.iter().any(|i| i.loosely_equals(&l))),
                 Value::Str(s) => Value::Bool(s.contains(&l.as_string())),
@@ -528,6 +521,28 @@ impl<'a, 'f> Interpreter<'a, 'f> {
                 _ => Value::Null,
             },
             IrBinOp::And | IrBinOp::Or => unreachable!("handled above"),
+        }
+    }
+}
+
+/// The answer of comparison `op` (`==`, `!=`, `<`, `<=`, `>` or `>=`) on
+/// two values.  Installation builds the domain masks of a device read
+/// compared with a constant from this same function (see
+/// [`crate::resolve`]), so a mask never disagrees with the evaluation.
+pub(crate) fn compare(op: IrBinOp, l: &Value, r: &Value) -> bool {
+    use std::cmp::Ordering::*;
+    match op {
+        IrBinOp::Eq => l.loosely_equals(r),
+        IrBinOp::NotEq => !l.loosely_equals(r),
+        _ => {
+            let Some(ordering) = l.compare(r) else { return false };
+            match op {
+                IrBinOp::Lt => ordering == Less,
+                IrBinOp::Le => ordering != Greater,
+                IrBinOp::Gt => ordering == Greater,
+                IrBinOp::Ge => ordering != Less,
+                _ => unreachable!("{op:?} is no comparison"),
+            }
         }
     }
 }
@@ -613,7 +628,7 @@ mod tests {
         DispatchedEvent {
             device: Some(DeviceId(0)),
             attribute: system.sym_of("temperature"),
-            value: Value::Int(value),
+            value: Cow::Owned(Value::Int(value)),
         }
     }
 
@@ -864,6 +879,8 @@ mod tests {
         // Each read lands in a state variable, rendered; the expected
         // renderings are what the name-based reads yielded.
         let store = |name: &str, value: IrExpr| IrStmt::AssignState { name: name.into(), value };
+        let temperature =
+            || IrExpr::DeviceAttr { input: "sensor".into(), attribute: "temperature".into() };
         let query = |value: IrExpr, quantifier| IrExpr::DeviceQuery {
             input: "outlets".into(),
             attribute: "switch".into(),
@@ -909,6 +926,22 @@ mod tests {
                     IrExpr::str("on"),
                 ),
             ),
+            // Orderings against a non-device setting and a constant, in
+            // either operand order; a missing attribute reads `Null`.
+            store(
+                "ltSetting",
+                IrExpr::binary(IrBinOp::Lt, temperature(), IrExpr::Setting("setpoint".into())),
+            ),
+            store("gtFlipped", IrExpr::binary(IrBinOp::Gt, IrExpr::int(70), temperature())),
+            store("geConst", IrExpr::binary(IrBinOp::Ge, temperature(), IrExpr::int(75))),
+            store(
+                "leMissing",
+                IrExpr::binary(
+                    IrBinOp::Le,
+                    IrExpr::DeviceAttr { input: "outlets".into(), attribute: "level".into() },
+                    IrExpr::int(5),
+                ),
+            ),
             // Quantified reads against a constant and against a local.
             store("countConst", query(IrExpr::str("on"), Quantifier::Count)),
             store("countLocal", query(IrExpr::Local("want".into()), Quantifier::Count)),
@@ -938,6 +971,10 @@ mod tests {
             ("ne", "false"),
             ("missing", "true"),
             ("unbound", "false"),
+            ("ltSetting", "true"),
+            ("gtFlipped", "true"),
+            ("geConst", "false"),
+            ("leMissing", "false"),
             ("countConst", "2"),
             ("countLocal", "2"),
             ("allLocal", "true"),

@@ -49,6 +49,7 @@
 
 #![deny(missing_docs)]
 
+mod classes;
 pub mod features;
 pub mod interp;
 pub mod logevent;

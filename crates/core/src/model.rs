@@ -26,8 +26,10 @@
 //! interpreter's [`Frame`], the property evaluator's atom buffer) and a
 //! deferred [`StepLog`].  What a transition still allocates is its successor
 //! state (the state vector and each set `state.*` value), the values that
-//! leave a handler (event values, `state.*` reads and writes), the rare
-//! message, network and fake-event records, and a violating step's report.
+//! leave a handler (`sendEvent` values, `state.*` reads and writes; a
+//! sensor reading, a changed attribute and a mode change borrow theirs), the
+//! rare message, network and fake-event records, and a violating step's
+//! report.
 //! `tests/hot_loop_allocations.rs` pins the budget per explored transition,
 //! checker included: at most 7.0 on the 150-app `market-cold` bundle and
 //! 2.2 on `deep-group`.  The compiled properties read the
@@ -38,10 +40,20 @@
 //! violating steps report nothing and allocate no report.
 //!
 //! A device-offline step ignores the value it is listed with and dispatches
-//! nothing, so the enumeration offers one per sensor device and state (the
-//! first in device → attribute → value → mode order) rather than one per
-//! (attribute, value) pair: the copies had the same successor and
-//! violations.
+//! nothing, so the enumeration offers one per sensor device and state (with
+//! the first reading it offers, in device → attribute → value → mode order)
+//! rather than one per (attribute, value) pair: the copies had the same
+//! successor and violations.
+//!
+//! The sequential model also merges sensor readings no reader can tell
+//! apart (the `classes` module; ARCHITECTURE.md, "Observation classes"): on
+//! a sensor attribute no subscription receives, it offers one event per
+//! other observation class and one step within the current class, and
+//! stores each class's representative.  Such an event runs no handler, so
+//! no command can be lost either: its
+//! communication-lost copy, which had the successor and violations of the
+//! plain event, is not offered.  [`ConcurrentModel`] and
+//! [`SequentialModel::full_alphabet`] offer and store every value.
 //!
 //! Names are resolved when the model is built, not per transition.  The
 //! *subscription index* lists, for each interned event attribute, the
@@ -56,6 +68,7 @@
 //! counterexamples ([`TransitionSystem::display_action`] /
 //! [`TransitionSystem::render_event`]).
 
+use crate::classes::ObservationClasses;
 use crate::interp::{run_handler, DispatchedEvent, Frame};
 use crate::logevent::LogEvent;
 use crate::system::{InstalledSystem, InternalEvent, SystemState};
@@ -65,6 +78,7 @@ use iotsan_ir::{Sym, Trigger, Value};
 use iotsan_properties::{
     CompiledPropertySet, EvalScratch, PropertyId, PropertySet, StepObservation,
 };
+use std::borrow::Cow;
 
 /// Options controlling model construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,6 +186,9 @@ struct ModelCore {
     /// ([`iotsan_analysis::reads_clock`]): the sequential encoding then
     /// keeps the external-event count, which fixes the clock.
     reads_clock: bool,
+    /// The sensor readings the model merges; the default (nothing merged)
+    /// for the full alphabet.
+    classes: ObservationClasses,
     options: ModelOptions,
 }
 
@@ -253,7 +270,14 @@ fn fixed_actions(system: &InstalledSystem) -> Vec<ExternalAction> {
 }
 
 impl ModelCore {
-    fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
+    /// The model core; `merge_readings` computes the observation classes,
+    /// otherwise every sensor value is offered and stored as given.
+    fn new(
+        system: InstalledSystem,
+        properties: PropertySet,
+        options: ModelOptions,
+        merge_readings: bool,
+    ) -> Self {
         let compiled = system.compile_properties(&properties);
         let violations = properties
             .specs()
@@ -264,15 +288,26 @@ impl ModelCore {
         let fixed_actions = fixed_actions(&system);
         let reads_clock =
             system.apps.iter().flat_map(|app| &app.handlers).any(iotsan_analysis::reads_clock);
-        ModelCore {
+        let mut core = ModelCore {
             system,
             violations,
             compiled,
             subscriptions,
             fixed_actions,
             reads_clock,
+            classes: ObservationClasses::default(),
             options,
+        };
+        if merge_readings {
+            core.classes = ObservationClasses::new(&core.system, &core.compiled, |d, p, v| {
+                core.hears(&DispatchedEvent {
+                    device: Some(d),
+                    attribute: core.system.device_attr_sym(d, p),
+                    value: Cow::Borrowed(v),
+                })
+            });
         }
+        core
     }
 
     /// The initial state, with one zeroed leads-to monitor slot per compiled
@@ -293,7 +328,11 @@ impl ModelCore {
     /// External actions available when fewer than `max_events` have happened,
     /// written into the caller's reused buffer: per sensor device, each
     /// (attribute, new value, failure mode), with one device-offline step
-    /// per device; then the fixed actions.
+    /// per device; then the fixed actions.  On an attribute with
+    /// observation classes the new values are each other class's
+    /// representative and the lowest other member of the current class,
+    /// and on one no subscription receives, communication-lost copies are
+    /// left out.
     fn external_actions(&self, state: &SystemState, out: &mut Vec<ExternalAction>) {
         out.clear();
         if self.at_bound(state) {
@@ -310,13 +349,30 @@ impl ModelCore {
                     continue;
                 }
                 let attribute = self.system.device_attr_sym(device, attr_index);
+                let classes = self.classes.of(device, attr_index);
+                let current = state.devices[index].raw(attr_index).map_or(usize::MAX, usize::from);
+                let current_class = classes.rep.get(current);
+                let mut within_listed = false;
                 for value_index in 0..attr.domain.len() {
                     // Skip events that would not change the sensor state
                     // (Algorithm 1 only acts when evt != current state).
-                    if state.devices[index].raw(attr_index) == Some(value_index as u8) {
+                    if value_index == current {
                         continue;
                     }
+                    if let Some(rep) = classes.rep.get(value_index) {
+                        if Some(rep) == current_class {
+                            if within_listed {
+                                continue;
+                            }
+                            within_listed = true;
+                        } else if usize::from(*rep) != value_index {
+                            continue;
+                        }
+                    }
                     for failure in self.options.failure_policy.modes_for(device) {
+                        if *failure == FailureMode::CommunicationLost && classes.unheard {
+                            continue;
+                        }
                         // An offline step ignores its value and dispatches
                         // nothing, so every variant of one device has the
                         // same successor and violations: only the first in
@@ -359,10 +415,12 @@ impl ModelCore {
                 let spec = self.system.device_spec(device);
                 let attr_index = attr_index as usize;
                 let value_index = value_index as usize;
+                // The state keeps the representative of the reading's class.
+                let stored = self.classes.stored(device, attr_index, value_index);
                 // The reading as a device read sees it, from the spec's
                 // domain values.
                 let sensor_value =
-                    || self.system.attr_values(device, attr_index)[value_index].clone();
+                    || Cow::Borrowed(&self.system.attr_values(device, attr_index)[stored]);
                 match failure {
                     FailureMode::DeviceOffline => {
                         state.devices[device.0 as usize].set_online(false);
@@ -380,11 +438,8 @@ impl ModelCore {
                         // is down (e.g. jamming): the sensor reading is still
                         // observed, but commands sent to actuators during this
                         // step are lost — see `inject_command_failure` below.
-                        let changed = state.devices[device.0 as usize].set_index_at(
-                            spec,
-                            attr_index,
-                            value_index,
-                        );
+                        let changed =
+                            state.devices[device.0 as usize].set_index_at(spec, attr_index, stored);
                         log.push(|| LogEvent::SensorCommDown {
                             device,
                             attribute,
@@ -403,11 +458,8 @@ impl ModelCore {
                         }
                     }
                     FailureMode::None => {
-                        let changed = state.devices[device.0 as usize].set_index_at(
-                            spec,
-                            attr_index,
-                            value_index,
-                        );
+                        let changed =
+                            state.devices[device.0 as usize].set_index_at(spec, attr_index, stored);
                         log.push(|| LogEvent::GeneratedEvent {
                             value: spec.attributes[attr_index]
                                 .domain
@@ -430,7 +482,7 @@ impl ModelCore {
                 let touch = DispatchedEvent {
                     device: None,
                     attribute: self.system.touch_sym(),
-                    value: Value::Str("touched".into()),
+                    value: Cow::Owned(Value::Str("touched".into())),
                 };
                 let app_index = app as usize;
                 for (handler_index, handler) in
@@ -461,7 +513,7 @@ impl ModelCore {
                 let tick = DispatchedEvent {
                     device: None,
                     attribute: self.system.time_sym(),
-                    value: Value::Int(state.time.seconds() as i64),
+                    value: Cow::Owned(Value::Int(state.time.seconds() as i64)),
                 };
                 if matches!(handler.trigger, Trigger::Timer { .. }) {
                     run_handler(
@@ -483,7 +535,7 @@ impl ModelCore {
                 events.push(InternalEvent {
                     device: None,
                     attribute: name,
-                    value: Value::Str(self.system.attr_name(name).to_string()),
+                    value: Cow::Owned(Value::Str(self.system.attr_name(name).to_string())),
                     physical: true,
                 });
             }
@@ -517,6 +569,11 @@ impl ModelCore {
                 }
             })
             .map(|s| (s.app as usize, s.handler as usize))
+    }
+
+    /// True when some handler subscribes to `event`.
+    fn hears(&self, event: &DispatchedEvent) -> bool {
+        self.subscribers(event).next().is_some()
     }
 
     /// Dispatches one event to every subscribed handler (Algorithm 1's
@@ -575,7 +632,7 @@ impl ModelCore {
                 InternalEvent {
                     device: None,
                     attribute: Sym(0),
-                    value: Value::Null,
+                    value: Cow::Owned(Value::Null),
                     physical: false,
                 },
             );
@@ -690,7 +747,19 @@ impl SequentialModel {
     /// Builds a sequential model, compiling `properties` against the
     /// installed system.
     pub fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
-        SequentialModel { core: ModelCore::new(system, properties, options) }
+        SequentialModel { core: ModelCore::new(system, properties, options, true) }
+    }
+
+    /// The same model without observation classes: every sensor value is
+    /// offered and stored as given, with its communication-lost copy.  The
+    /// reference the differential oracle's `alphabet` phase walks; the
+    /// checker never needs it.
+    pub fn full_alphabet(
+        system: InstalledSystem,
+        properties: PropertySet,
+        options: ModelOptions,
+    ) -> Self {
+        SequentialModel { core: ModelCore::new(system, properties, options, false) }
     }
 
     /// The compiled property set the model evaluates per transition.
@@ -814,7 +883,7 @@ impl ConcurrentModel {
     /// Builds a concurrent model, compiling `properties` against the
     /// installed system.
     pub fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
-        ConcurrentModel { core: ModelCore::new(system, properties, options) }
+        ConcurrentModel { core: ModelCore::new(system, properties, options, false) }
     }
 
     /// A search depth sufficient to drain every cascade the model can create.
@@ -1251,15 +1320,95 @@ def changedLocationMode(evt) { lock1.unlock() }
                     assert!(variants.is_empty(), "device {index} lost its offline step");
                     continue;
                 };
-                assert_eq!(variants.first(), Some(*kept), "the first variant is the one kept");
+                // The kept step names the device's first offered reading
+                // (observation classes may skip readings a variant names).
+                let first_offered = actions.iter().find(
+                    |a| matches!(a, ExternalAction::SensorEvent { device: d, .. } if *d == device),
+                );
+                let reading = |a: &ExternalAction| match *a {
+                    ExternalAction::SensorEvent { attr_index, value_index, .. } => {
+                        (attr_index, value_index)
+                    }
+                    _ => unreachable!("a sensor event"),
+                };
+                assert_eq!(first_offered.map(reading), Some(reading(kept)), "the first is kept");
+                assert!(variants.contains(kept), "{}", model.display_action(kept));
                 let expected = run(state, kept);
-                for variant in &variants[1..] {
+                for variant in variants.iter().filter(|v| v != kept) {
                     assert_eq!(run(state, variant), expected, "{}", model.display_action(variant));
                     dropped += 1;
                 }
             }
         }
         assert!(dropped > 0, "no duplicate offline step to compare");
+    }
+
+    #[test]
+    fn no_communication_lost_copy_where_no_handler_hears_the_event() {
+        // An illuminance sensor and a smoke detector no app subscribes to,
+        // beside the subscribed presence sensor.
+        let InstalledSystem { apps, config, .. } = unlock_door_system();
+        let config = config
+            .with_device(DeviceConfig::new("hallLux", "illuminanceMeasurement", ""))
+            .with_device(DeviceConfig::new("smoke", "smokeDetector", ""));
+        let model = SequentialModel::new(
+            InstalledSystem::new(apps, config),
+            PropertySet::all(),
+            ModelOptions::with_events(2).with_failures(),
+        );
+        let run = |state: &SystemState, action: &ExternalAction| {
+            let outcome =
+                model.apply(state, action, &mut ModelScratch::default(), &mut StepLog::disabled());
+            let mut encoded = Vec::new();
+            model.encode(&outcome.state, &mut encoded);
+            (encoded, outcome.violations)
+        };
+        let (mut dropped, mut kept) = (0, 0);
+        let mut actions = Vec::new();
+        for state in reachable_states(&model, 2).iter().filter(|s| !model.at_bound(s)) {
+            model.actions(state, &mut actions);
+            for action in &actions {
+                let ExternalAction::SensorEvent { device, failure, .. } = *action else {
+                    continue;
+                };
+                let heard = model.system().device(device).label == "alicePresence";
+                match failure {
+                    FailureMode::CommunicationLost => {
+                        assert!(heard, "{}", model.display_action(action));
+                        kept += 1;
+                    }
+                    FailureMode::None if !heard => {
+                        // The copy the enumeration leaves out, built by hand.
+                        let ExternalAction::SensorEvent {
+                            device,
+                            attribute,
+                            attr_index,
+                            value_index,
+                            ..
+                        } = *action
+                        else {
+                            unreachable!()
+                        };
+                        let lost = ExternalAction::SensorEvent {
+                            device,
+                            attribute,
+                            attr_index,
+                            value_index,
+                            failure: FailureMode::CommunicationLost,
+                        };
+                        assert_eq!(
+                            run(state, &lost),
+                            run(state, action),
+                            "{}",
+                            model.display_action(action)
+                        );
+                        dropped += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(dropped > 0 && kept > 0, "{dropped} dropped, {kept} kept");
     }
 
     #[test]

@@ -734,7 +734,8 @@ impl<'a> VerificationPlanner<'a> {
     }
 
     /// Verifies `jobs` (one plan's cache misses, largest first), bypassing
-    /// the cache, and returns their results in the same order.
+    /// the cache, and returns their results in the same order, each with its
+    /// trace attributions ranked on the thread that verified it.
     ///
     /// Its only caller is [`VerificationPlanner::execute`].  The jobs run on
     /// `std::thread::scope` threads, each claiming the next unclaimed index
@@ -747,7 +748,7 @@ impl<'a> VerificationPlanner<'a> {
     /// alongside them: each spawned thread allocates from its own malloc
     /// arena, so a caller that only waited would add an arena's peak memory
     /// without adding a core.
-    fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<GroupResult> {
+    fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<(GroupResult, Vec<TraceAttribution>)> {
         let Some(largest) = jobs.first() else { return Vec::new() };
         // Read once per process: `available_parallelism` re-reads the
         // cgroup quota files on every call (about 21 µs on a 2-vCPU Xeon),
@@ -759,14 +760,19 @@ impl<'a> VerificationPlanner<'a> {
         // Index 0 is the caller's; the counter only publishes indices (the
         // results travel back through `join`), so `Relaxed` suffices.
         let next = AtomicUsize::new(1);
-        let work = |mut done: Vec<(usize, GroupResult)>| loop {
+        let verify = |job: &GroupJob| {
+            let result = self.verify_job(job);
+            let attributions = attribute_traces(&result.apps, &result.report.violations);
+            (result, attributions)
+        };
+        let work = |mut done: Vec<(usize, _)>| loop {
             let index = next.fetch_add(1, Ordering::Relaxed);
             let Some(job) = jobs.get(index) else { return done };
-            done.push((index, self.verify_job(job)));
+            done.push((index, verify(job)));
         };
         let mut done = std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(|| work(Vec::new()))).collect();
-            let mut done = work(vec![(0, self.verify_job(largest))]);
+            let mut done = work(vec![(0, verify(largest))]);
             for helper in helpers {
                 done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
@@ -804,14 +810,17 @@ impl<'a> VerificationPlanner<'a> {
     /// waiter verifies the group again under its own budget.  A hit replays
     /// the stored report without touching the model checker.  Violation
     /// traces are fed to [`iotsan_attribution::attribute_traces`] to rank
-    /// each group's apps per violation.
+    /// each group's apps per violation: a fresh group's on the group thread
+    /// that verified it, a hit's on the calling thread.
     pub fn execute<C: PlanCache>(&self, plan: &FleetPlan, cache: &mut C) -> FleetReport {
         debug_assert_eq!(
             plan.jobs.iter().map(|job| job.fingerprint).collect::<BTreeSet<_>>().len(),
             plan.jobs.len(),
             "fingerprints within one plan must be unique"
         );
-        let mut results: Vec<Option<(GroupResult, bool)>> = vec![None; plan.jobs.len()];
+        // Per job: the result, its attributions, and whether it was a hit.
+        let mut results: Vec<Option<(GroupResult, Vec<TraceAttribution>, bool)>> =
+            vec![None; plan.jobs.len()];
         let mut cache_misses = 0;
         let mut persist_failures = 0;
         let mut pending: Vec<usize> = (0..plan.jobs.len()).collect();
@@ -823,20 +832,23 @@ impl<'a> VerificationPlanner<'a> {
                 match cache.claim(fingerprint) {
                     None => busy.push(index),
                     Some(claim) => match cache.lookup(fingerprint) {
-                        Some(hit) => results[index] = Some((hit, true)),
+                        Some(hit) => {
+                            let attributions = attribute_traces(&hit.apps, &hit.report.violations);
+                            results[index] = Some((hit, attributions, true));
+                        }
                         None => owned.push((index, claim)),
                     },
                 }
             }
             let jobs: Vec<&GroupJob> = owned.iter().map(|(index, _)| &plan.jobs[*index]).collect();
             cache_misses += jobs.len();
-            for (&(index, _), fresh) in owned.iter().zip(self.verify_jobs(&jobs)) {
+            for (&(index, _), (fresh, attributions)) in owned.iter().zip(self.verify_jobs(&jobs)) {
                 if !fresh.report.stats.truncated
                     && !cache.insert(plan.jobs[index].fingerprint, fresh.clone())
                 {
                     persist_failures += 1;
                 }
-                results[index] = Some((fresh, false));
+                results[index] = Some((fresh, attributions, false));
             }
             drop(owned); // releases this round's claims
             for &index in &busy {
@@ -850,8 +862,8 @@ impl<'a> VerificationPlanner<'a> {
             .iter()
             .zip(results)
             .map(|(job, result)| {
-                let (result, from_cache) = result.expect("every round resolves its claims");
-                let attributions = attribute_traces(&result.apps, &result.report.violations);
+                let (result, attributions, from_cache) =
+                    result.expect("every round resolves its claims");
                 FleetGroupReport {
                     apps: result.apps,
                     fingerprint: job.fingerprint,

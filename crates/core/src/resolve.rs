@@ -9,9 +9,13 @@
 //! * An input becomes an index into the app's [`Input`] table, which holds
 //!   its bound devices and the value a `Setting` read yields.
 //! * A device read becomes the input index plus the attribute's position in
-//!   each bound device's spec.  When it is compared with a constant, it also
-//!   carries one mask per bound device over the attribute's domain indices,
-//!   so the comparison is a bit test on the state vector.
+//!   each bound device's spec.  When it is compared (`==`, `!=`, `<`, `<=`,
+//!   `>`, `>=`) with a constant or a non-device setting, it also carries one
+//!   mask per bound device over the attribute's domain indices, built by
+//!   running the interpreter's own comparison on each domain value, so the
+//!   comparison is a bit test on the state vector.  These masks are also
+//!   what the model's observation classes are made of
+//!   ([`AppCode::for_each_read`]).
 //! * A command becomes each bound device's [`CommandSpec`] and the command's
 //!   [`CommandCode`].
 //! * `state.*` variables become state-vector slots, and handler locals become
@@ -20,6 +24,7 @@
 //!
 //! The interpreter ([`crate::interp`]) runs only this form.
 
+use crate::interp::compare;
 use crate::system::InstalledSystem;
 use iotsan_devices::{CommandSpec, DeviceId};
 use iotsan_ir::{EventField, IrBinOp, IrExpr, IrStmt, Quantifier, Sym, Value};
@@ -46,21 +51,26 @@ pub(crate) struct Read {
     pub positions: Box<[Option<u8>]>,
 }
 
-/// A read compared with a constant, resolved to domain-index masks.
+/// A read tested against a constant, resolved to domain-index masks.
 #[derive(Debug, Clone)]
 pub(crate) struct ConstTest {
     /// Per bound device, bit `i` set when the attribute's `i`-th domain value
-    /// loosely equals the constant.  A device whose spec lacks the attribute
-    /// reads `Null`, so its mask is all ones or all zeros as [`Self::null`].
+    /// passes the test.  A device whose spec lacks the attribute reads
+    /// `Null`, so its mask is all ones or all zeros as [`Self::null`].
     pub masks: Box<[u64]>,
-    /// Whether `Null` loosely equals the constant.
+    /// Whether `Null` passes the test.
     pub null: bool,
 }
 
 impl ConstTest {
-    /// Resolves `read == constant` for every bound device.
-    fn new(system: &InstalledSystem, devices: &[DeviceId], read: &Read, constant: &Value) -> Self {
-        let null = Value::Null.loosely_equals(constant);
+    /// Resolves `test` on `read` for every bound device.
+    fn new(
+        system: &InstalledSystem,
+        devices: &[DeviceId],
+        read: &Read,
+        test: impl Fn(&Value) -> bool,
+    ) -> Self {
+        let null = test(&Value::Null);
         let masks = devices
             .iter()
             .zip(read.positions.iter())
@@ -72,7 +82,7 @@ impl ConstTest {
                     let mut mask = values
                         .iter()
                         .enumerate()
-                        .filter(|(_, v)| v.loosely_equals(constant))
+                        .filter(|(_, v)| test(v))
                         .fold(0u64, |mask, (i, _)| mask | 1 << i);
                     // An index past the domain reads `Null`.
                     if null {
@@ -94,11 +104,10 @@ pub(crate) enum Expr {
     Setting(u32),
     /// The first bound device's attribute.
     Attr(Read),
-    /// `Attr == constant` (or `!=` when `negate`).
-    AttrIs {
+    /// `Attr` compared with a constant: whether its value passes `test`.
+    AttrTest {
         read: Read,
         test: ConstTest,
-        negate: bool,
     },
     /// A quantified read; `test` is set when `value` is a constant.
     Query {
@@ -241,6 +250,93 @@ impl AppCode {
     }
 }
 
+impl AppCode {
+    /// Calls `f(device, position, mask)` for every device-attribute read in
+    /// every handler, once per bound device the read can reach: `mask` is
+    /// the domain-index mask the read is tested against, or `None` when the
+    /// handler takes the value itself (the model then keeps every value of
+    /// that attribute apart).
+    pub fn for_each_read(&self, f: &mut impl FnMut(DeviceId, usize, Option<u64>)) {
+        for handler in &self.handlers {
+            self.block_reads(&handler.body, f);
+        }
+    }
+
+    fn block_reads(&self, stmts: &[Stmt], f: &mut impl FnMut(DeviceId, usize, Option<u64>)) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Command { arg: Some(e), .. }
+                | Stmt::SetLocationMode(e)
+                | Stmt::SendPush { message: e }
+                | Stmt::HttpRequest { url: e }
+                | Stmt::SendEvent { value: e, .. }
+                | Stmt::AssignState { value: e, .. }
+                | Stmt::AssignLocal { value: e, .. }
+                | Stmt::Log(e) => self.expr_reads(e, f),
+                Stmt::SendSms { recipient, message } => {
+                    self.expr_reads(recipient, f);
+                    self.expr_reads(message, f);
+                }
+                Stmt::If { cond, then, els } => {
+                    self.expr_reads(cond, f);
+                    self.block_reads(then, f);
+                    self.block_reads(els, f);
+                }
+                Stmt::While { cond, body } => {
+                    self.expr_reads(cond, f);
+                    self.block_reads(body, f);
+                }
+                Stmt::ForEachDevice { body, .. } => self.block_reads(body, f),
+                Stmt::Command { arg: None, .. }
+                | Stmt::Unsubscribe
+                | Stmt::Schedule { .. }
+                | Stmt::Return
+                | Stmt::Nop => {}
+            }
+        }
+    }
+
+    fn expr_reads(&self, expr: &Expr, f: &mut impl FnMut(DeviceId, usize, Option<u64>)) {
+        let mut read = |read: &Read, test: Option<&ConstTest>| {
+            let devices = self.inputs[read.input as usize].devices.iter();
+            for (k, (&device, position)) in devices.zip(read.positions.iter()).enumerate() {
+                if let Some(position) = position {
+                    f(device, *position as usize, test.map(|t| t.masks[k]));
+                }
+            }
+        };
+        match expr {
+            Expr::Attr(r) => read(r, None),
+            Expr::AttrTest { read: r, test } => read(r, Some(test)),
+            Expr::Query { read: r, value, test, .. } => {
+                read(r, test.as_ref());
+                self.expr_reads(value, f);
+            }
+            Expr::Not(e) | Expr::Neg(e) => self.expr_reads(e, f),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.expr_reads(lhs, f);
+                self.expr_reads(rhs, f);
+            }
+            Expr::Ternary { cond, then, els } => {
+                self.expr_reads(cond, f);
+                self.expr_reads(then, f);
+                self.expr_reads(els, f);
+            }
+            Expr::ListOf(items) | Expr::Concat(items) => {
+                items.iter().for_each(|e| self.expr_reads(e, f));
+            }
+            Expr::Const(_)
+            | Expr::Setting(_)
+            | Expr::Event(_)
+            | Expr::LocationMode
+            | Expr::Time
+            | Expr::State(_)
+            | Expr::Local(_)
+            | Expr::Null => {}
+        }
+    }
+}
+
 struct Resolver<'s> {
     system: &'s InstalledSystem,
     app_index: usize,
@@ -294,8 +390,43 @@ impl<'s> Resolver<'s> {
         Read { input, positions }
     }
 
-    fn test(&self, read: &Read, constant: &Value) -> ConstTest {
-        ConstTest::new(self.system, &self.inputs[read.input as usize].devices, read, constant)
+    fn test(&self, read: &Read, test: impl Fn(&Value) -> bool) -> ConstTest {
+        ConstTest::new(self.system, &self.inputs[read.input as usize].devices, read, test)
+    }
+
+    /// The value `expr` always evaluates to in this installation: a
+    /// constant, or a setting bound to no device.
+    fn constant(&mut self, expr: &'s IrExpr) -> Option<Value> {
+        match expr {
+            IrExpr::Const(value) => Some(value.clone()),
+            IrExpr::Setting(name) => {
+                let index = self.input(name) as usize;
+                let input = &self.inputs[index];
+                input.devices.is_empty().then(|| input.setting.clone())
+            }
+            _ => None,
+        }
+    }
+
+    /// `lhs op rhs` as a mask test when one side is a device read and the
+    /// other a [`Self::constant`]; the masks keep the written operand order.
+    fn attr_test(&mut self, op: IrBinOp, lhs: &'s IrExpr, rhs: &'s IrExpr) -> Option<Expr> {
+        let (read, test) = match (lhs, rhs) {
+            (IrExpr::DeviceAttr { input, attribute }, other) => {
+                let constant = self.constant(other)?;
+                let read = self.read(input, attribute);
+                let test = self.test(&read, |v| compare(op, v, &constant));
+                (read, test)
+            }
+            (other, IrExpr::DeviceAttr { input, attribute }) => {
+                let constant = self.constant(other)?;
+                let read = self.read(input, attribute);
+                let test = self.test(&read, |v| compare(op, &constant, v));
+                (read, test)
+            }
+            _ => return None,
+        };
+        Some(Expr::AttrTest { read, test })
     }
 
     fn block(&mut self, stmts: &'s [IrStmt]) -> Vec<Stmt> {
@@ -366,7 +497,9 @@ impl<'s> Resolver<'s> {
             IrExpr::DeviceQuery { input, attribute, value, quantifier } => {
                 let read = self.read(input, attribute);
                 let test = match &**value {
-                    IrExpr::Const(constant) => Some(self.test(&read, constant)),
+                    IrExpr::Const(constant) => {
+                        Some(self.test(&read, |v| v.loosely_equals(constant)))
+                    }
                     _ => None,
                 };
                 Expr::Query { read, value: boxed(self, value), quantifier: *quantifier, test }
@@ -378,20 +511,19 @@ impl<'s> Resolver<'s> {
             IrExpr::Local(name) => Expr::Local(self.local(name)),
             IrExpr::Not(inner) => Expr::Not(boxed(self, inner)),
             IrExpr::Neg(inner) => Expr::Neg(boxed(self, inner)),
-            IrExpr::Binary { op: op @ (IrBinOp::Eq | IrBinOp::NotEq), lhs, rhs } => {
-                // Loose equality is symmetric, so either operand order folds.
-                match (&**lhs, &**rhs) {
-                    (IrExpr::DeviceAttr { input, attribute }, IrExpr::Const(constant))
-                    | (IrExpr::Const(constant), IrExpr::DeviceAttr { input, attribute }) => {
-                        let read = self.read(input, attribute);
-                        let test = self.test(&read, constant);
-                        Expr::AttrIs { read, test, negate: *op == IrBinOp::NotEq }
-                    }
-                    _ => Expr::Binary { op: *op, lhs: boxed(self, lhs), rhs: boxed(self, rhs) },
-                }
-            }
             IrExpr::Binary { op, lhs, rhs } => {
-                Expr::Binary { op: *op, lhs: boxed(self, lhs), rhs: boxed(self, rhs) }
+                let comparison = matches!(
+                    op,
+                    IrBinOp::Eq
+                        | IrBinOp::NotEq
+                        | IrBinOp::Lt
+                        | IrBinOp::Le
+                        | IrBinOp::Gt
+                        | IrBinOp::Ge
+                );
+                comparison.then(|| self.attr_test(*op, lhs, rhs)).flatten().unwrap_or_else(|| {
+                    Expr::Binary { op: *op, lhs: boxed(self, lhs), rhs: boxed(self, rhs) }
+                })
             }
             IrExpr::Ternary { cond, then, els } => Expr::Ternary {
                 cond: boxed(self, cond),

@@ -41,14 +41,19 @@ use iotsan_properties::{
     CompileTarget, CompiledPropertySet, DeviceRole, DeviceSnapshot, PropertySet, Snapshot,
     TargetDevice,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// A cyber event flowing through the system during verification.
 ///
 /// The attribute is an interned [`Sym`] (resolve it with
 /// [`InstalledSystem::attr_name`]); events are created and cloned on every
 /// handler dispatch, so they must not carry owned strings for names that are
-/// fixed at installation.
+/// fixed at installation.  For the same reason a sensor reading, a changed
+/// attribute and a mode change borrow their value from the device spec's
+/// domain values or the static mode names; only values a handler computes
+/// (`sendEvent`) are owned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InternalEvent {
     /// The device that generated the event, if any (`None` for location-mode
@@ -57,7 +62,7 @@ pub struct InternalEvent {
     /// Interned attribute name (`motion`, `contact`, `mode`, ...).
     pub attribute: Sym,
     /// New value.
-    pub value: Value,
+    pub value: Cow<'static, Value>,
     /// True when the event came from the physical environment.
     pub physical: bool,
 }
@@ -98,8 +103,6 @@ pub struct InstalledSystem {
     device_roles: Vec<DeviceRole>,
     /// Each device's label as a string value (`evt.deviceId`, settings).
     label_values: Vec<Value>,
-    /// Each location mode's name as a string value, by mode index.
-    mode_values: [Value; 3],
     /// Each app's handlers resolved against this installation (see
     /// [`crate::resolve`]), aligned with `apps`.
     code: Vec<AppCode>,
@@ -209,7 +212,6 @@ impl InstalledSystem {
 
         let device_roles = devices.iter().map(|d| config.role_of(&d.label)).collect();
         let label_values = devices.iter().map(|d| Value::Str(d.label.clone())).collect();
-        let mode_values = LocationMode::ALL.map(|mode| Value::Str(mode.name().to_string()));
 
         let mut system = InstalledSystem {
             apps,
@@ -226,7 +228,6 @@ impl InstalledSystem {
             input_bindings,
             device_roles,
             label_values,
-            mode_values,
             code: Vec::new(),
         };
         system.code = (0..system.apps.len()).map(|i| AppCode::resolve(&system, i)).collect();
@@ -254,7 +255,7 @@ impl InstalledSystem {
         state: &SystemState,
         device: DeviceId,
         position: Option<u8>,
-    ) -> &Value {
+    ) -> &'static Value {
         let Some(position) = position else { return &NULL };
         let values = self.attr_values(device, position as usize);
         state.devices[device.0 as usize]
@@ -269,10 +270,13 @@ impl InstalledSystem {
         &self.label_values[device.0 as usize]
     }
 
-    /// `mode`'s name as a string value.
+    /// `mode`'s name as a string value, built once per process.
     #[inline]
-    pub(crate) fn mode_value(&self, mode: LocationMode) -> &Value {
-        &self.mode_values[mode.index() as usize]
+    pub(crate) fn mode_value(&self, mode: LocationMode) -> &'static Value {
+        static MODE_VALUES: OnceLock<[Value; 3]> = OnceLock::new();
+        let values = MODE_VALUES
+            .get_or_init(|| LocationMode::ALL.map(|mode| Value::Str(mode.name().to_string())));
+        &values[mode.index() as usize]
     }
 
     /// The interned symbol for `name`, falling back to the reserved empty
@@ -727,7 +731,7 @@ mod tests {
         d.pending.push(InternalEvent {
             device: Some(DeviceId(1)),
             attribute: sys.sym_of("presence"),
-            value: Value::Str("not present".into()),
+            value: Cow::Owned(Value::Str("not present".into())),
             physical: true,
         });
         let mut buf_d = Vec::new();
@@ -763,14 +767,14 @@ mod tests {
         let e = InternalEvent {
             device: Some(DeviceId(1)),
             attribute: sys.sym_of("presence"),
-            value: Value::Str("not present".into()),
+            value: Cow::Owned(Value::Str("not present".into())),
             physical: true,
         };
         assert_eq!(sys.render_internal_event(&e), "dev1/presence=not present");
         let e = InternalEvent {
             device: None,
             attribute: sys.mode_sym(),
-            value: Value::Str("Away".into()),
+            value: Cow::Owned(Value::Str("Away".into())),
             physical: false,
         };
         assert_eq!(sys.render_internal_event(&e), "mode=Away");

@@ -45,8 +45,10 @@ pub const MAGIC: [u8; 8] = *b"IOTSANVS";
 /// version 4 added the search's fixpoint depth to each verdict, and every
 /// fingerprint changed again when the search order left the key; version 5
 /// marks that every fingerprint changed when app digests began to be
-/// computed once per plan.
-pub const FORMAT_VERSION: u32 = 5;
+/// computed once per plan; version 6 marks that a fresh search stores fewer
+/// states than the verdicts under the same keys record, once the sequential
+/// model merged sensor readings no reader can tell apart.
+pub const FORMAT_VERSION: u32 = 6;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length

@@ -514,6 +514,22 @@ impl CompiledPropertySet {
         self.atoms.len()
     }
 
+    /// Every `(device, attribute, mask)` a live atom tests: `device` and
+    /// `attribute` are positions in the [`CompileTarget`] and its spec, and
+    /// bit `i` of `mask` is set when the attribute's `i`-th domain value
+    /// passes.  The properties read attribute values through these masks
+    /// alone, so two values every mask puts on the same side are the same
+    /// to every property.
+    pub fn slot_masks(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.atoms
+            .iter()
+            .flat_map(|atom| match atom {
+                CAtom::Any(slots) | CAtom::All(slots) => slots.as_slice(),
+                _ => &[],
+            })
+            .map(|slot| (slot.device as usize, slot.attr as usize, slot.mask))
+    }
+
     /// Evaluates every live property at a quiescent point, reading the
     /// device states and location mode straight from the state vector and
     /// the step observation.  Appends the position in the source

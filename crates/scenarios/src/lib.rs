@@ -39,7 +39,9 @@ pub mod template;
 pub use chaos::{ChaosFault, ChaosFaultKind, ChaosPlan};
 pub use fixture::Fixture;
 pub use household::{Household, SizeProfile, GENERATED_PROPERTY_BASE};
-pub use oracle::{check_household, Divergence, HouseholdReport, Phase};
+pub use oracle::{
+    check_household, full_alphabet, full_alphabet_depths, Divergence, HouseholdReport, Phase,
+};
 pub use rng::SplitMix64;
 pub use shrink::shrink;
 pub use template::{ActionFragment, GuardFragment, ScenarioApp, TriggerFragment};

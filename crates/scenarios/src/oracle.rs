@@ -1,9 +1,10 @@
-//! The differential oracle: four runs, one verdict.
+//! The differential oracle: four runs and a full-alphabet walk, one verdict.
 //!
 //! For each generated [`Household`] the oracle runs the full pipeline four
 //! ways — a serial reference, the concurrent fleet executor,
 //! property-directed slicing, and a warm-cache rerun — and asserts they
-//! agree.  It also checks the compiled
+//! agree, and with a dedup-free walk of the full action alphabet
+//! ([`full_alphabet_depths`]).  It also checks the compiled
 //! property evaluator the search relies on against the interpreted reference
 //! semantics, group by group.  The sequential reference is a
 //! serial loop of [`VerificationPlanner::verify_job`] over the plan, kept
@@ -24,6 +25,13 @@
 //!   transition counts may only shrink (slicing prunes, never adds).
 //! * **warm == sequential**: identical outcomes with every group served from
 //!   the cache ([`FleetReport::cache_hits`] equals the group count).
+//! * **checker == full alphabet**: per planned group, the fleet run's
+//!   violated set and each property's counterexample depth equal what a
+//!   dedup-free walk of every path of the *full* alphabet finds
+//!   ([`full_alphabet_depths`]).  The walk builds its actions by hand, so
+//!   it shares nothing with the model's action enumeration: the offline
+//!   de-duplication, the dropped communication-lost copies and the
+//!   observation classes ([`SequentialModel::new`]) are all checked here.
 //!
 //! The sliced state-count comparison is skipped when a run truncated (a
 //! state cap fired): a capped search's counts are only a lower bound.
@@ -33,6 +41,9 @@
 
 use crate::household::Household;
 use crate::rng::SplitMix64;
+use iotsan::checker::{StepLog, TransitionSystem};
+use iotsan::ir::Trigger;
+use iotsan::model::{ExternalAction, ModelOptions, ModelScratch, SequentialModel};
 use iotsan::{
     FleetReport, GroupOutcome, InstalledSystem, Pipeline, SystemState, VerificationCache,
     VerificationPlanner,
@@ -40,10 +51,10 @@ use iotsan::{
 use iotsan_config::SystemConfig;
 use iotsan_devices::{DeviceId, LocationMode};
 use iotsan_properties::{
-    CommandRecord, EvalScratch, MessageChannel, MessageRecord, StepObservation,
+    CommandRecord, EvalScratch, MessageChannel, MessageRecord, PropertySet, StepObservation,
 };
 use iotsan_telemetry::flight::{self, EventCode, Level};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The oracle phase in which two engines disagreed.
@@ -62,6 +73,9 @@ pub enum Phase {
     WarmCache,
     /// The Promela emission lost or mangled a property's LTL block.
     Promela,
+    /// A group's violated set or a counterexample depth differed from a
+    /// dedup-free walk of the full action alphabet.
+    Alphabet,
 }
 
 impl fmt::Display for Phase {
@@ -73,6 +87,7 @@ impl fmt::Display for Phase {
             Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
             Phase::Promela => "promela",
+            Phase::Alphabet => "alphabet",
         };
         f.write_str(name)
     }
@@ -173,6 +188,10 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
         ));
     }
 
+    // --- Violated sets and depths must match the full alphabet -----------
+    check_alphabet(&seq_pipeline, &apps, config, &fleet)
+        .map_err(|detail| diverge(Phase::Alphabet, detail))?;
+
     // --- Compiled properties must match the interpreted reference ---------
     check_properties(&seq_pipeline, &apps, config, seed)
         .map_err(|detail| diverge(Phase::Properties, detail))?;
@@ -270,6 +289,135 @@ fn serial_reference(
         .collect();
     outcome.sort_by(|a, b| a.apps.cmp(&b.apps));
     (outcome, truncated)
+}
+
+/// Compares every complete group of `fleet` with [`full_alphabet_depths`]
+/// on the same planned job: the same properties violated, each first at the
+/// same depth.
+fn check_alphabet(
+    pipeline: &Pipeline,
+    apps: &[iotsan::ir::IrApp],
+    config: &SystemConfig,
+    fleet: &FleetReport,
+) -> Result<(), String> {
+    for job in VerificationPlanner::new(pipeline).plan(apps, config).jobs {
+        let Some(group) = fleet.groups.iter().find(|g| g.fingerprint == job.fingerprint) else {
+            return Err(format!("group {:?} missing from the fleet report", job.apps));
+        };
+        if group.report.stats.truncated {
+            continue;
+        }
+        let checker: BTreeMap<u32, usize> =
+            group.report.violations.iter().map(|v| (v.violation.property, v.depth)).collect();
+        let reference = full_alphabet_depths(
+            InstalledSystem::new(job.members, job.config.clone()),
+            pipeline.properties_for(&job.config),
+            pipeline.model_options.clone(),
+            pipeline.search.max_depth,
+        );
+        if checker != reference {
+            return Err(format!(
+                "group {:?}: checker (property, depth) {checker:?} vs full alphabet {reference:?}",
+                job.apps
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Each violated property's first-violation depth over every path of at
+/// most `max_depth` external events, in the sequential design without any
+/// reduction: every action of the full alphabet ([`full_alphabet`]) applied
+/// on [`SequentialModel::full_alphabet`], which stores every value as given,
+/// and no visited set.  The reference the `alphabet` phase and
+/// `tests/observation_classes.rs` compare the checker against; its cost is
+/// the alphabet size to the power `max_depth`.
+pub fn full_alphabet_depths(
+    system: InstalledSystem,
+    properties: PropertySet,
+    options: ModelOptions,
+    max_depth: usize,
+) -> BTreeMap<u32, usize> {
+    fn walk(
+        model: &SequentialModel,
+        state: &SystemState,
+        depth: usize,
+        max_depth: usize,
+        scratch: &mut ModelScratch,
+        out: &mut BTreeMap<u32, usize>,
+    ) {
+        if depth == max_depth {
+            return;
+        }
+        let mut actions = Vec::new();
+        full_alphabet(model, state, &mut actions);
+        for action in &actions {
+            let outcome = model.apply(state, action, scratch, &mut StepLog::disabled());
+            for violation in &outcome.violations {
+                let first = out.entry(violation.property).or_insert(depth + 1);
+                *first = (*first).min(depth + 1);
+            }
+            walk(model, &outcome.state, depth + 1, max_depth, scratch, out);
+        }
+    }
+    let model = SequentialModel::full_alphabet(system, properties, options);
+    let mut out = BTreeMap::new();
+    walk(&model, &model.initial_state(), 0, max_depth, &mut ModelScratch::default(), &mut out);
+    out
+}
+
+/// Every external action the sequential design defines in `state`, built
+/// from the installation alone: each sensor attribute's every other value
+/// under every failure mode the policy allows, then per app its touch, its
+/// timers and its location events not listed yet.  Nothing once the event
+/// bound is reached.
+pub fn full_alphabet(model: &SequentialModel, state: &SystemState, out: &mut Vec<ExternalAction>) {
+    out.clear();
+    if model.at_bound(state) {
+        return;
+    }
+    let system = model.system();
+    for (index, spec) in system.device_specs().iter().enumerate() {
+        let device = DeviceId(index as u32);
+        for (attr_index, attr) in spec.attributes.iter().enumerate() {
+            if !spec.is_sensor() || !attr.environment_driven {
+                continue;
+            }
+            for value_index in 0..attr.domain.len() {
+                if state.devices[index].raw(attr_index) == Some(value_index as u8) {
+                    continue;
+                }
+                for &failure in model.options().failure_policy.modes_for(device) {
+                    out.push(ExternalAction::SensorEvent {
+                        device,
+                        attribute: system.device_attr_sym(device, attr_index),
+                        attr_index: attr_index as u8,
+                        value_index: value_index as u8,
+                        failure,
+                    });
+                }
+            }
+        }
+    }
+    for (index, ir) in system.apps.iter().enumerate() {
+        let (app, handlers) = (index as u32, &ir.handlers);
+        if handlers.iter().any(|h| matches!(h.trigger, Trigger::AppTouch)) {
+            out.push(ExternalAction::AppTouch { app });
+        }
+        for (handler, h) in handlers.iter().enumerate() {
+            if matches!(h.trigger, Trigger::Timer { .. }) {
+                out.push(ExternalAction::TimerFire { app, handler: handler as u32 });
+            }
+        }
+        for h in handlers {
+            if let Trigger::LocationEvent { name } = &h.trigger {
+                let action = ExternalAction::LocationEvent { name: system.sym_of(name) };
+                if !out.contains(&action) {
+                    out.push(action);
+                }
+            }
+        }
+    }
 }
 
 /// Random state vectors checked per planned group.

@@ -15,6 +15,7 @@ use iotsan::model::{ModelOptions, SequentialModel};
 use iotsan::properties::PropertySet;
 use iotsan::{translate_sources, DispatchedEvent, InstalledSystem, Pipeline};
 use iotsan_scenarios::{Household, SizeProfile};
+use std::borrow::Cow;
 
 /// The pre-index dispatch test: does `handler` of `app_index` subscribe to
 /// `event`, comparing attribute names as strings?
@@ -65,7 +66,7 @@ fn probe_events(system: &InstalledSystem) -> Vec<DispatchedEvent> {
                 events.push(DispatchedEvent {
                     device: Some(device),
                     attribute: system.device_attr_sym(device, attr_index),
-                    value: attr.domain.value(value_index),
+                    value: Cow::Owned(attr.domain.value(value_index)),
                 });
             }
         }
@@ -89,7 +90,7 @@ fn probe_events(system: &InstalledSystem) -> Vec<DispatchedEvent> {
                 events.push(DispatchedEvent {
                     device: *device,
                     attribute: Sym(sym as u32),
-                    value: value.clone(),
+                    value: Cow::Owned(value.clone()),
                 });
             }
         }

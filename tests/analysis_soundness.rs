@@ -23,6 +23,7 @@ use iotsan::system::InstalledSystem;
 use iotsan::{run_handler, translate_sources, DispatchedEvent, Frame, LogEvent, Pipeline};
 use iotsan_apps::market;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 fn named_market_apps() -> Vec<IrApp> {
@@ -61,27 +62,27 @@ fn event_for(
             // the interner; they cannot be dispatched in the real model.
             let attribute = system.symbols.lookup(attribute)?;
             let device = system.bound_slice(app_index, input).first().copied();
-            Some(DispatchedEvent { device, attribute, value: Value::Str(pick(value)) })
+            Some(DispatchedEvent { device, attribute, value: Cow::Owned(Value::Str(pick(value))) })
         }
         Trigger::LocationMode { value } => Some(DispatchedEvent {
             device: None,
             attribute: system.mode_sym(),
-            value: Value::Str(value.clone().unwrap_or_else(|| "Away".into())),
+            value: Cow::Owned(Value::Str(value.clone().unwrap_or_else(|| "Away".into()))),
         }),
         Trigger::LocationEvent { name } => Some(DispatchedEvent {
             device: None,
             attribute: system.symbols.lookup(name)?,
-            value: Value::Str(name.clone()),
+            value: Cow::Owned(Value::Str(name.clone())),
         }),
         Trigger::AppTouch => Some(DispatchedEvent {
             device: None,
             attribute: system.touch_sym(),
-            value: Value::Str("touched".into()),
+            value: Cow::Owned(Value::Str("touched".into())),
         }),
         Trigger::Timer { .. } => Some(DispatchedEvent {
             device: None,
             attribute: system.time_sym(),
-            value: Value::Str("time".into()),
+            value: Cow::Owned(Value::Str("time".into())),
         }),
     }
 }

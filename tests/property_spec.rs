@@ -94,7 +94,11 @@ fn golden_ltl_renderings_match_the_pre_redesign_catalog() {
 /// the pre-redesign enum catalog.  The state/transition counts were
 /// re-recorded for the depth-free breadth-first search (2345 → 2008 states),
 /// and the transitions again when the model began offering one
-/// device-offline step per sensor device (13905 → 11124).  The same search under the built-ins plus the sample custom specs keeps
+/// device-offline step per sensor device (13905 → 11124), and both again
+/// when it began offering one reading per observation class of an
+/// unsubscribed sensor attribute and no communication-lost copy of an event
+/// no handler receives (2008 → 1206 states, 11124 → 6160 transitions).  The
+/// same search under the built-ins plus the sample custom specs keeps
 /// the built-in violated set and the counts: same-step specs cannot change
 /// the state space.
 #[test]
@@ -117,8 +121,8 @@ fn golden_parallel_workload_verdict_is_unchanged() {
         let violated: BTreeSet<u32> =
             run.report.violated_properties().into_iter().filter(|p| *p <= 45).collect();
         assert_eq!(violated, expected);
-        assert_eq!(run.report.stats.states_stored, 2008);
-        assert_eq!(run.report.stats.transitions, 11124);
+        assert_eq!(run.report.stats.states_stored, 1206);
+        assert_eq!(run.report.stats.transitions, 6160);
     }
 }
 
@@ -133,13 +137,17 @@ fn golden_parallel_workload_verdict_is_unchanged() {
 /// over a depth-free visited set (each state stored once, not once per
 /// depth), and the transition pins again when the model began offering one
 /// device-offline step per sensor device (1672 → 1307, 1217 → 974,
-/// 2375 → 1898); the violated sets and group counts did not move.
+/// 2375 → 1898), and the state and transition pins when it began offering
+/// one reading per observation class of an unsubscribed sensor attribute
+/// and no communication-lost copy of an event no handler receives (states
+/// 325 → 244, 311 → 222, 608 → 434; transitions 1307 → 951, 974 → 646,
+/// 1898 → 1254); the violated sets and group counts did not move.
 #[test]
 fn golden_fleet_workload_verdicts_are_unchanged() {
     let cases: [(usize, &[u32], usize, usize, usize); 3] = [
-        (4, &[1, 3, 4, 5, 45], 325, 1307, 5),
-        (8, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 18, 36, 39, 45], 311, 974, 2),
-        (12, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 17, 18, 21, 36, 45], 608, 1898, 3),
+        (4, &[1, 3, 4, 5, 45], 244, 951, 5),
+        (8, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 18, 36, 39, 45], 222, 646, 2),
+        (12, &[1, 2, 3, 4, 5, 8, 9, 12, 14, 15, 16, 17, 18, 21, 36, 45], 434, 1254, 3),
     ];
     for (corpus, expected, states, transitions, groups) in cases {
         let (apps, config) = iotsan_bench::fleet_workload(corpus);

@@ -102,7 +102,7 @@ fn same_apps_encode_byte_identically_across_builds() {
         state.pending.push(iotsan::system::InternalEvent {
             device: None,
             attribute: sys.sym_of("mode"),
-            value: iotsan::ir::Value::Str("Away".into()),
+            value: std::borrow::Cow::Owned(iotsan::ir::Value::Str("Away".into())),
             physical: false,
         });
         let mut buf = Vec::new();
