@@ -27,13 +27,14 @@
 
 use iotsan_checker::{FoundViolation, Trace};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How strongly one app of a verified group is implicated by a
 /// counterexample trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuspectScore {
-    /// The app's display name.
-    pub app: String,
+    /// The app's display name, shared by every suspect list of its group.
+    pub app: Arc<str>,
     /// Number of trace log lines produced by this app's handlers.
     pub mentions: usize,
     /// True when the app acted in the final step of the counterexample — the
@@ -74,7 +75,12 @@ impl TraceAttribution {
 /// owner ([`iotsan_checker::LogLine::owner`]), through an index from name
 /// to positions in `group_apps`, so a name listed twice credits both copies.
 pub fn rank_suspects(group_apps: &[String], trace: &Trace) -> Vec<SuspectScore> {
-    rank_indexed(group_apps, &name_index(group_apps), trace)
+    rank_indexed(&shared_names(group_apps), &name_index(group_apps), trace)
+}
+
+/// The group's names, allocated once and shared by its suspect lists.
+fn shared_names(group_apps: &[String]) -> Vec<Arc<str>> {
+    group_apps.iter().map(|app| Arc::from(app.as_str())).collect()
 }
 
 /// Each name of `group_apps` with its positions there.
@@ -86,17 +92,23 @@ fn name_index(group_apps: &[String]) -> HashMap<&str, Vec<usize>> {
     positions
 }
 
-/// [`rank_suspects`] over a [`name_index`] of `group_apps`.
+/// [`rank_suspects`] over the group's [`shared_names`] and [`name_index`]:
+/// each suspect clones a shared name, never a string.
 fn rank_indexed(
-    group_apps: &[String],
+    names: &[Arc<str>],
     positions: &HashMap<&str, Vec<usize>>,
     trace: &Trace,
 ) -> Vec<SuspectScore> {
     let steps = trace.steps.len();
     let total_lines: usize = trace.steps.iter().map(|s| s.log.len()).sum();
-    let mut scores: Vec<SuspectScore> = group_apps
+    let mut scores: Vec<SuspectScore> = names
         .iter()
-        .map(|app| SuspectScore { app: app.clone(), mentions: 0, in_final_step: false, score: 0.0 })
+        .map(|app| SuspectScore {
+            app: Arc::clone(app),
+            mentions: 0,
+            in_final_step: false,
+            score: 0.0,
+        })
         .collect();
     let lines = trace.steps.iter().enumerate().flat_map(|(i, step)| {
         step.log.iter().map(move |line| (i + 1 == steps, line.owner.as_deref()))
@@ -118,18 +130,19 @@ fn rank_indexed(
 /// trace: the trace-driven counterpart of [`crate::attribute_all`], consuming
 /// [`FoundViolation`]s from the checker instead of opaque configuration
 /// lists.  Returns one [`TraceAttribution`] per violation, in input order;
-/// the group's name index is built once for all of them.
+/// the group's names and name index are built once for all of them.
 pub fn attribute_traces(
     group_apps: &[String],
     violations: &[FoundViolation],
 ) -> Vec<TraceAttribution> {
+    let names = shared_names(group_apps);
     let positions = name_index(group_apps);
     violations
         .iter()
         .map(|found| TraceAttribution {
             property: found.violation.property,
             description: found.violation.description.to_string(),
-            suspects: rank_indexed(group_apps, &positions, &found.trace),
+            suspects: rank_indexed(&names, &positions, &found.trace),
         })
         .collect()
 }
@@ -164,7 +177,7 @@ mod tests {
                         }
                     }
                 }
-                SuspectScore { app: app.clone(), mentions, in_final_step, score }
+                SuspectScore { app: app.as_str().into(), mentions, in_final_step, score }
             })
             .collect();
         scores.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.app.cmp(&b.app)));
@@ -228,13 +241,13 @@ mod tests {
     fn final_step_app_ranks_first() {
         let suspects = rank_suspects(&group(), &unlock_trace());
         assert_eq!(suspects.len(), 3);
-        assert_eq!(suspects[0].app, "Unlock Door");
+        assert_eq!(&*suspects[0].app, "Unlock Door");
         assert!(suspects[0].in_final_step);
         assert_eq!(suspects[0].mentions, 1);
-        assert_eq!(suspects[1].app, "Auto Mode Change");
+        assert_eq!(&*suspects[1].app, "Auto Mode Change");
         assert!(!suspects[1].in_final_step);
         // The app that never acted is listed last with a zero score.
-        assert_eq!(suspects[2].app, "Brighten My Path");
+        assert_eq!(&*suspects[2].app, "Brighten My Path");
         assert_eq!(suspects[2].mentions, 0);
         assert_eq!(suspects[2].score, 0.0);
     }
@@ -266,17 +279,19 @@ mod tests {
                 violation: Violation { property: 6, description: "main door unlocked".into() },
                 trace: unlock_trace(),
                 depth: 2,
+                path: vec![0, 0],
             },
             FoundViolation {
                 violation: Violation { property: 9, description: "other".into() },
                 trace: Trace::new(),
                 depth: 0,
+                path: Vec::new(),
             },
         ];
         let attributions = attribute_traces(&group(), &violations);
         assert_eq!(attributions.len(), 2);
         assert_eq!(attributions[0].property, 6);
-        assert_eq!(attributions[0].prime_suspect().unwrap().app, "Unlock Door");
+        assert_eq!(&*attributions[0].prime_suspect().unwrap().app, "Unlock Door");
         // An empty trace implicates no one.
         assert_eq!(attributions[1].prime_suspect(), None);
         assert!(attributions[1].suspects.iter().all(|s| s.score == 0.0));
@@ -287,8 +302,8 @@ mod tests {
         // Neither app acts: equal zero scores, alphabetical order breaks the
         // tie so repeated runs render identically.
         let suspects = rank_suspects(&["B App".into(), "A App".into()], &unlock_trace());
-        assert_eq!(suspects[0].app, "A App");
-        assert_eq!(suspects[1].app, "B App");
+        assert_eq!(&*suspects[0].app, "A App");
+        assert_eq!(&*suspects[1].app, "B App");
 
         // Within one step, the later log line weighs more: the handler whose
         // activity is closest to the unsafe state ranks first.
@@ -301,7 +316,7 @@ mod tests {
             ],
         );
         let suspects = rank_suspects(&["A App".into(), "B App".into()], &t);
-        assert_eq!(suspects[0].app, "A App");
+        assert_eq!(&*suspects[0].app, "A App");
         assert!(suspects[0].score > suspects[1].score);
         assert!(suspects[0].in_final_step && suspects[1].in_final_step);
     }

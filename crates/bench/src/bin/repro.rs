@@ -624,24 +624,48 @@ fn fleet(json: &mut BenchJson) {
 /// The scaling target: the whole 150-app market corpus under the standard
 /// household with failure injection, verified group-wise with a fresh cache
 /// and a 60 s per-group time limit, at 3 events (6 under `--features
-/// bench`).  Reports the pass's wall time, its states per second and how
-/// many groups reached a fixpoint (`closed_at`); see EXPERIMENTS.md.
+/// bench`).  Reports the pass's wall time, its states per second, how many
+/// groups reached a fixpoint (`closed_at`), and beside the reported totals
+/// what the pass searched: the groups searched and the groups served by
+/// replaying another member of their renaming class, read from the
+/// telemetry counters (0 in a build without telemetry); see EXPERIMENTS.md.
 fn market_experiment(json: &mut BenchJson) {
+    use iotsan_telemetry::METRICS;
+
     heading("Failures-on market pass (150 market apps, failures on)");
     let events = iotsan_bench::experiment_events(3, 6);
     let (apps, config) = iotsan_bench::fleet_workload(150);
     let budget = std::time::Duration::from_secs(60);
     let mut cache = iotsan::VerificationCache::new();
+    let counters = || {
+        let served = METRICS.planner_served_by_renaming.get();
+        (METRICS.checker_searches.get(), served, METRICS.checker_states.get())
+    };
+    let before = counters();
     let run = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
+    let after = counters();
+    let (searched, served, searched_states) =
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2);
     let closed = run.report.groups.iter().filter(|g| g.report.stats.closed_at.is_some()).count();
     let states_per_sec = run.states() as f64 / run.elapsed.as_secs_f64().max(1e-9);
     let violated = run.report.violated_properties().len();
     println!(
-        "{:<7} {:>12} {:>10} {:>12} {:>12} {:>7} {:>7} {:>9}",
-        "Events", "Time", "States", "Transitions", "States/sec", "Groups", "Closed", "Violated"
+        "{:<7} {:>12} {:>10} {:>12} {:>12} {:>7} {:>7} {:>9} {:>9} {:>7} {:>15}",
+        "Events",
+        "Time",
+        "States",
+        "Transitions",
+        "States/sec",
+        "Groups",
+        "Closed",
+        "Violated",
+        "Searched",
+        "Served",
+        "Searched states"
     );
     println!(
-        "{events:<7} {:>12} {:>10} {:>12} {states_per_sec:>12.0} {:>7} {closed:>7} {violated:>9}",
+        "{events:<7} {:>12} {:>10} {:>12} {states_per_sec:>12.0} {:>7} {closed:>7} {violated:>9} \
+         {searched:>9} {served:>7} {searched_states:>15}",
         format_duration(run.elapsed, run.truncated()),
         run.states(),
         run.transitions(),
@@ -655,6 +679,9 @@ fn market_experiment(json: &mut BenchJson) {
         .num_u("groups", run.report.groups.len() as u64)
         .num_u("closed_groups", closed as u64)
         .num_u("violated_properties", violated as u64)
+        .num_u("searched_groups", searched)
+        .num_u("served_groups", served)
+        .num_u("searched_states", searched_states)
         .flag("truncated", run.truncated())
         .finish();
     json.push_experiment("market", "market150+failures", events, &[row]);
@@ -953,7 +980,7 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
         totals.groups, totals.states, totals.transitions
     );
     println!(
-        "all four runs and the full-alphabet walk agreed on every household \
+        "all five runs and the full-alphabet walk agreed on every household \
          ({promela_checked} Promela spot-checks); \
          {seconds:.2}s, {states_per_sec:.0} states/sec"
     );

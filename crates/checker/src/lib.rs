@@ -32,7 +32,10 @@ pub mod store;
 pub mod trace;
 pub mod transition;
 
-pub use search::{CancelToken, Checker, FoundViolation, SearchConfig, SearchReport, SearchStats};
+pub use search::{
+    replay, CancelToken, Checker, FoundViolation, ReplayError, SearchConfig, SearchReport,
+    SearchStats,
+};
 pub use store::{fnv1a, ExactStore};
 pub use trace::{LogLine, Trace, TraceStep};
 pub use transition::{StepLog, StepOutcome, TransitionSystem, Violation};

@@ -27,15 +27,17 @@
 //!
 //! * enabled actions are written into one reused buffer per expansion;
 //! * counterexample bookkeeping is a parent-pointer `TraceArena` — one
-//!   `(parent, action)` node per expanded state instead of an O(depth)
-//!   trace clone per transition (which made path cost quadratic);
+//!   `(parent, action index)` node per expanded state instead of an
+//!   O(depth) trace clone per transition (which made path cost quadratic);
 //! * effect logs are deferred: the search runs with a disabled
 //!   [`StepLog`], so the model never formats or even constructs log events on
 //!   the hot path;
-//! * full [`Trace`]s (action strings plus rendered log lines) exist only for
-//!   the ≤1-per-property violations that are actually reported — they are
-//!   *materialized* by replaying the arena's action path from the initial
-//!   state with logging enabled;
+//! * a counterexample is a *path*: the index of each action in the model's
+//!   own [`TransitionSystem::actions`] enumeration at that state.  Full
+//!   [`Trace`]s (action strings plus rendered log lines) exist only for the
+//!   ≤1-per-property violations that are actually reported — [`replay`]
+//!   renders them by re-running the path from the initial state with
+//!   logging enabled, and re-checks the reported violation on the way;
 //! * a reported property is *settled* on the search's model scratch
 //!   ([`TransitionSystem::settle`]), so the model stops checking it rather
 //!   than build violation lists the search would discard.  The clock
@@ -48,6 +50,7 @@ use crate::transition::{StepLog, TransitionSystem, Violation};
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::METRICS;
 use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -186,7 +189,7 @@ pub struct SearchStats {
     /// Approximate memory used by the state store.
     pub store_memory_bytes: usize,
     /// High-water mark, in bytes, of counterexample bookkeeping: the
-    /// parent-pointer trace arena plus every materialized counterexample.
+    /// parent-pointer trace arena plus every replayed counterexample trace.
     /// The arena grows by one small node per state admitted below the depth
     /// bound; full traces with strings exist only for reported violations.
     pub peak_trace_bytes: usize,
@@ -242,6 +245,12 @@ pub struct FoundViolation {
     pub trace: Trace,
     /// Number of external events in the counterexample.
     pub depth: usize,
+    /// The counterexample as a path: at each step, the index of the action
+    /// taken in the model's own [`TransitionSystem::actions`] enumeration at
+    /// that state.  It names no app, device or value; [`replay`] turns it
+    /// back into [`FoundViolation::trace`] on any model that enumerates its
+    /// actions the same way.
+    pub path: Vec<u32>,
 }
 
 /// The result of a verification run.
@@ -275,65 +284,125 @@ const NO_PARENT: u32 = u32::MAX;
 
 /// Parent-pointer counterexample bookkeeping.
 ///
-/// The search records one `(parent, action)` node per state it will expand
-/// — never a full trace per transition.  A counterexample's action
-/// sequence is reconstructed by walking parents from the violating frame to
-/// the root, which only happens for the ≤1-per-property violations that are
-/// reported.
-#[derive(Debug)]
-struct TraceArena<A> {
-    nodes: Vec<(u32, A)>,
+/// The search records one `(parent, action index)` node per state it will
+/// expand — never a full trace per transition.  A counterexample's path is
+/// reconstructed by walking parents from the violating frame to the root,
+/// which only happens for the ≤1-per-property violations that are reported.
+#[derive(Debug, Default)]
+struct TraceArena {
+    nodes: Vec<(u32, u32)>,
 }
 
-impl<A: Clone> TraceArena<A> {
-    fn new() -> Self {
-        TraceArena { nodes: Vec::new() }
-    }
-
+impl TraceArena {
     /// Records an admitted state's provenance; returns its node id.
     #[inline]
-    fn push(&mut self, parent: u32, action: &A) -> u32 {
+    fn push(&mut self, parent: u32, action: u32) -> u32 {
         let id = self.nodes.len() as u32;
         assert!(id < NO_PARENT, "trace arena overflow (>2^32 - 1 admitted states)");
-        self.nodes.push((parent, action.clone()));
+        self.nodes.push((parent, action));
         id
     }
 
-    /// Reconstructs the root-to-`node` action path into `out` (cleared
-    /// first).
-    fn path(&self, mut node: u32, out: &mut Vec<A>) {
+    /// Reconstructs the root-to-`node` path into `out` (cleared first).
+    fn path(&self, mut node: u32, out: &mut Vec<u32>) {
         out.clear();
         while node != NO_PARENT {
-            let (parent, action) = &self.nodes[node as usize];
-            out.push(action.clone());
-            node = *parent;
+            let (parent, action) = self.nodes[node as usize];
+            out.push(action);
+            node = parent;
         }
         out.reverse();
     }
 
     /// Approximate heap footprint of the arena in bytes.
     fn memory_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<(u32, A)>()
+        self.nodes.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
-/// Materializes the counterexample for an action sequence by replaying it
-/// from the initial state with logging enabled — the only place the checker
-/// renders action strings and log lines.  `apply` is deterministic, so the
-/// replay reproduces exactly the transitions the search took.
-fn materialize_trace<T: TransitionSystem>(model: &T, actions: &[T::Action]) -> Trace {
+/// Why a path did not replay into a counterexample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// At `step`, the path names action `index`, but the state offers only
+    /// `offered` actions.
+    ActionOutOfRange {
+        /// The zero-based step of the path.
+        step: usize,
+        /// The action index the path names.
+        index: u32,
+        /// How many actions the model offers in that state.
+        offered: usize,
+    },
+    /// The path's last step does not violate `property` (an empty path
+    /// violates nothing).
+    NotViolated {
+        /// The property the path was expected to violate.
+        property: u32,
+    },
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::ActionOutOfRange { step, index, offered } => {
+                write!(f, "step {step} names action {index}, but the state offers {offered}")
+            }
+            ReplayError::NotViolated { property } => {
+                write!(f, "the path's last step does not violate P{property:02}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// Replays a counterexample path on `model` and renders its [`Trace`]: the
+/// only place the checker renders action strings and log lines.
+///
+/// The replay starts from the initial state with a fresh scratch (so no
+/// property is settled) and logging on.  At each step it enumerates the
+/// state's actions and applies the one at the path's index.  It fails,
+/// without panicking, when an index is out of range or when the last step's
+/// violations lack one of `properties`.  `apply` is deterministic, so a path
+/// the search reports always replays on the model it searched; the planner
+/// also replays one on every model whose enumeration matches.
+pub fn replay<T: TransitionSystem>(
+    model: &T,
+    path: &[u32],
+    properties: &[u32],
+) -> Result<Trace, ReplayError> {
+    replay_with(model, path, properties, &mut Vec::new())
+}
+
+/// [`replay`] enumerating actions into `actions`, a buffer the search
+/// reuses across its replays.
+fn replay_with<T: TransitionSystem>(
+    model: &T,
+    path: &[u32],
+    properties: &[u32],
+    actions: &mut Vec<T::Action>,
+) -> Result<Trace, ReplayError> {
     let mut trace = Trace::new();
     let mut state = model.initial_state();
     let mut scratch = T::Scratch::default();
     let mut log = StepLog::enabled();
-    for action in actions {
+    let mut violations = Vec::new();
+    for (step, &index) in path.iter().enumerate() {
+        model.actions(&state, actions);
+        let Some(action) = actions.get(index as usize) else {
+            return Err(ReplayError::ActionOutOfRange { step, index, offered: actions.len() });
+        };
         log.clear();
         let outcome = model.apply(&state, action, &mut scratch, &mut log);
         let lines = log.events().iter().map(|e| model.render_event(e)).collect();
         trace.push(model.display_action(action), lines);
         state = outcome.state;
+        violations = outcome.violations;
     }
-    trace
+    match properties.iter().find(|&&p| !violations.iter().any(|v| v.property == p)) {
+        Some(&property) => Err(ReplayError::NotViolated { property }),
+        None => Ok(trace),
+    }
 }
 
 /// The explicit-state model checker.
@@ -369,14 +438,14 @@ impl Checker {
         flight::record(Level::Debug, EventCode::SearchStart, &format!("depth={max_depth}"));
 
         // Reused hot-loop buffers: encoded state bytes, enabled actions,
-        // model scratch, the (disabled) effect log and the path scratch for
-        // the rare materializations.
+        // model scratch, the (disabled) effect log and the buffers of the
+        // rare replays.
         let mut encode_buf = Vec::new();
         let mut actions_buf: Vec<T::Action> = Vec::new();
         let mut scratch = T::Scratch::default();
         let mut log = StepLog::disabled();
-        let mut path_buf: Vec<T::Action> = Vec::new();
-        let mut arena: TraceArena<T::Action> = TraceArena::new();
+        let mut replay_bufs = ReplayBuffers::default();
+        let mut arena = TraceArena::default();
 
         let initial = model.initial_state();
         model.encode(&initial, &mut encode_buf);
@@ -400,7 +469,7 @@ impl Checker {
                 break;
             }
             model.actions(&state, &mut actions_buf);
-            for action in &actions_buf {
+            for (index, action) in (0u32..).zip(&actions_buf) {
                 if let Some(cap) = self.count_cap_hit(&report.stats, store.len()) {
                     report.stats.record_cap(cap);
                     break 'search;
@@ -416,11 +485,11 @@ impl Checker {
                         &outcome.violations,
                         &arena,
                         node,
-                        action,
+                        index,
                         next_depth,
                         &mut seen_properties,
                         &mut report,
-                        &mut path_buf,
+                        &mut replay_bufs,
                         &mut scratch,
                     );
                     if self.config.stop_at_first {
@@ -436,7 +505,7 @@ impl Checker {
                 }
                 bounded |= next_depth == max_depth || model.at_bound(&outcome.state);
                 if next_depth < max_depth {
-                    let next_node = arena.push(node, action);
+                    let next_node = arena.push(node, index);
                     frontier.push_back((outcome.state, next_depth, next_node));
                     frontier_peak = frontier_peak.max(frontier.len());
                 }
@@ -512,21 +581,34 @@ impl Checker {
     }
 }
 
-/// Records the not-yet-seen violations of one step, materializing the shared
-/// counterexample (arena path + triggering action, replayed from the initial
+/// The buffers a search reuses across the replays of its counterexamples.
+struct ReplayBuffers<A> {
+    path: Vec<u32>,
+    properties: Vec<u32>,
+    actions: Vec<A>,
+}
+
+impl<A> Default for ReplayBuffers<A> {
+    fn default() -> Self {
+        ReplayBuffers { path: Vec::new(), properties: Vec::new(), actions: Vec::new() }
+    }
+}
+
+/// Records the not-yet-seen violations of one step, replaying the shared
+/// counterexample (arena path + triggering action index, from the initial
 /// state) exactly once, and settles each newly reported property on the
 /// search's `scratch`: every later violation of it would be discarded here.
 #[allow(clippy::too_many_arguments)]
 fn record_violations<T: TransitionSystem>(
     model: &T,
     violations: &[Violation],
-    arena: &TraceArena<T::Action>,
+    arena: &TraceArena,
     parent: u32,
-    action: &T::Action,
+    action: u32,
     depth: usize,
     seen: &mut BTreeSet<u32>,
     report: &mut SearchReport,
-    path_buf: &mut Vec<T::Action>,
+    bufs: &mut ReplayBuffers<T::Action>,
     scratch: &mut T::Scratch,
 ) {
     // A violating transition that re-violates reported properties only
@@ -539,18 +621,27 @@ fn record_violations<T: TransitionSystem>(
         model.settle(scratch, violation.property);
     }
     let Some((last, rest)) = fresh.split_last() else { return };
-    arena.path(parent, path_buf);
-    path_buf.push(action.clone());
-    let trace = materialize_trace(model, path_buf);
+    arena.path(parent, &mut bufs.path);
+    bufs.path.push(action);
+    bufs.properties.clear();
+    bufs.properties.extend(fresh.iter().map(|v| v.property));
+    let trace = replay_with(model, &bufs.path, &bufs.properties, &mut bufs.actions)
+        .unwrap_or_else(|e| panic!("a searched path must replay on its own model: {e}"));
     // Co-violations of one step share the trace; only the first n−1 clone it.
     for violation in rest {
         report.violations.push(FoundViolation {
             violation: (*violation).clone(),
             trace: trace.clone(),
             depth,
+            path: bufs.path.clone(),
         });
     }
-    report.violations.push(FoundViolation { violation: (*last).clone(), trace, depth });
+    report.violations.push(FoundViolation {
+        violation: (*last).clone(),
+        trace,
+        depth,
+        path: bufs.path.clone(),
+    });
 }
 
 /// Distinct-states-per-second throughput, guarded against zero elapsed time.
@@ -711,6 +802,57 @@ mod tests {
         assert_eq!(found.trace.steps.last().unwrap().log[0].text, "counter = 6");
         // Action strings come from display_action.
         assert!(found.trace.events().iter().all(|e| *e == "inc" || *e == "dbl"));
+    }
+
+    #[test]
+    fn reported_paths_replay_into_their_traces() {
+        let model = model();
+        let report = Checker::new(SearchConfig::with_depth(6)).verify(&model);
+        let found = report.violation_for(1).unwrap();
+        assert_eq!(found.path.len(), found.depth);
+        assert_eq!(replay(&model, &found.path, &[1]), Ok(found.trace.clone()));
+        // Increment, increment, double: 1 → 2 → 3 → 6, the first shortest
+        // path in enumeration order.
+        assert_eq!(found.path, vec![0, 0, 1]);
+    }
+
+    #[test]
+    fn replay_rejects_an_out_of_range_index() {
+        let model = model();
+        // The counter model offers two actions below its maximum.
+        assert_eq!(
+            replay(&model, &[1, 2], &[1]),
+            Err(ReplayError::ActionOutOfRange { step: 1, index: 2, offered: 2 })
+        );
+        assert_eq!(
+            replay(&model, &[u32::MAX], &[]),
+            Err(ReplayError::ActionOutOfRange { step: 0, index: u32::MAX, offered: 2 })
+        );
+        // At the maximum nothing is offered, so any further step is out of
+        // range: 1 → 2 → 4 → 8 → 16 → 32.
+        assert_eq!(
+            replay(&model, &[1, 1, 1, 1, 1, 0], &[]),
+            Err(ReplayError::ActionOutOfRange { step: 5, index: 0, offered: 0 })
+        );
+    }
+
+    #[test]
+    fn replay_rejects_a_path_that_does_not_violate_the_property() {
+        let model = model();
+        // 1 → 2 violates nothing; 1 → 2 → 3 → 6 violates property 1 only.
+        assert_eq!(replay(&model, &[0], &[1]), Err(ReplayError::NotViolated { property: 1 }));
+        assert_eq!(
+            replay(&model, &[1, 0, 1], &[1, 2]),
+            Err(ReplayError::NotViolated { property: 2 })
+        );
+        // The empty path takes no step, so it violates nothing.
+        assert_eq!(replay(&model, &[], &[1]), Err(ReplayError::NotViolated { property: 1 }));
+        assert_eq!(replay(&model, &[], &[]), Ok(Trace::new()));
+        // A violation before the last step does not count: 6 → 7.
+        assert_eq!(
+            replay(&model, &[1, 0, 1, 0], &[1]),
+            Err(ReplayError::NotViolated { property: 1 })
+        );
     }
 
     #[test]
@@ -927,10 +1069,10 @@ mod tests {
 
     #[test]
     fn arena_paths_round_trip() {
-        let mut arena: TraceArena<u8> = TraceArena::new();
-        let a = arena.push(NO_PARENT, &1);
-        let b = arena.push(a, &2);
-        let c = arena.push(b, &3);
+        let mut arena = TraceArena::default();
+        let a = arena.push(NO_PARENT, 1);
+        let b = arena.push(a, 2);
+        let c = arena.push(b, 3);
         let mut path = Vec::new();
         arena.path(c, &mut path);
         assert_eq!(path, vec![1, 2, 3]);

@@ -96,17 +96,29 @@ impl<'c> ConfigIndex<'c> {
         ConfigIndex { config, apps, devices }
     }
 
-    /// The configuration restricted to `apps`: every entry of each app, and
-    /// every device that the app's first entry (the one
+    /// The rows of the configuration's `apps` that configure `name`, in
+    /// configuration order.
+    pub(crate) fn app_rows(&self, name: &str) -> &[usize] {
+        self.apps.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    /// The configuration restricted to `apps` ([`ConfigIndex::rows`]).
+    pub(crate) fn restrict(&self, apps: &[IrApp]) -> SystemConfig {
+        self.select(&self.rows(apps))
+    }
+
+    /// The rows the configuration restricted to `apps` keeps: every entry
+    /// of each app, and every device that the app's first entry (the one
     /// [`SystemConfig::app`] finds) binds to one of its inputs, both in
     /// configuration order.
-    pub(crate) fn restrict(&self, apps: &[IrApp]) -> SystemConfig {
+    pub(crate) fn rows(&self, apps: &[IrApp]) -> ConfigRows {
         let mut app_rows: Vec<usize> = Vec::new();
         let mut device_rows: Vec<usize> = Vec::new();
         for app in apps {
-            let Some(rows) = self.apps.get(app.name.as_str()) else { continue };
+            let rows = self.app_rows(&app.name);
+            let Some(&first) = rows.first() else { continue };
             app_rows.extend(rows);
-            let app_cfg = &self.config.apps[rows[0]];
+            let app_cfg = &self.config.apps[first];
             for input in &app.inputs {
                 let labels = app_cfg.binding(&input.name).map_or(&[][..], |b| b.device_labels());
                 for label in labels {
@@ -118,16 +130,28 @@ impl<'c> ConfigIndex<'c> {
         app_rows.dedup();
         device_rows.sort_unstable();
         device_rows.dedup();
+        ConfigRows { apps: app_rows, devices: device_rows }
+    }
+
+    /// The configuration made of `rows`.
+    pub(crate) fn select(&self, rows: &ConfigRows) -> SystemConfig {
         let config = self.config;
         SystemConfig {
-            devices: device_rows.iter().map(|&i| config.devices[i].clone()).collect(),
-            apps: app_rows.iter().map(|&i| config.apps[i].clone()).collect(),
+            devices: rows.devices.iter().map(|&i| config.devices[i].clone()).collect(),
+            apps: rows.apps.iter().map(|&i| config.apps[i].clone()).collect(),
             phone_numbers: config.phone_numbers.clone(),
             network_allowed_apps: config.network_allowed_apps.clone(),
             initial_mode: config.initial_mode.clone(),
             custom_properties: config.custom_properties.clone(),
         }
     }
+}
+
+/// The positions in a configuration's `apps` and `devices` that a
+/// restricted configuration keeps ([`ConfigIndex::rows`]).
+pub(crate) struct ConfigRows {
+    pub(crate) apps: Vec<usize>,
+    pub(crate) devices: Vec<usize>,
 }
 
 /// The IotSan verification pipeline.
@@ -258,6 +282,13 @@ impl Pipeline {
         apps: &[IrApp],
         config: SystemConfig,
     ) -> GroupResult {
+        let model = self.group_model(apps, config);
+        let report = Checker::new(self.search.clone()).verify(&model);
+        GroupResult { apps: apps.iter().map(|a| a.name.clone()).collect(), report }
+    }
+
+    /// The model [`Pipeline::verify_group_restricted`] searches.
+    pub(crate) fn group_model(&self, apps: &[IrApp], config: SystemConfig) -> SequentialModel {
         let properties = self.properties_for(&config);
         // Property-directed slicing (opt-in): drop handlers the static
         // analysis proves unobservable by the registered properties.  Apps,
@@ -269,9 +300,7 @@ impl Pipeline {
             apps.to_vec()
         };
         let system = InstalledSystem::new(group_apps, config);
-        let model = SequentialModel::new(system, properties, self.model_options.clone());
-        let report = Checker::new(self.search.clone()).verify(&model);
-        GroupResult { apps: apps.iter().map(|a| a.name.clone()).collect(), report }
+        SequentialModel::new(system, properties, self.model_options.clone())
     }
 
     /// A [`VerificationPlanner`] over this pipeline — the entry point for

@@ -16,7 +16,8 @@
 //!   execute(plan, cache) ◀──────────────────────────┘
 //!        │  1. claim and look up every fingerprint, in plan order
 //!        │  2. the misses model-checked concurrently on scoped threads,
-//!        │     largest first (verify_jobs)
+//!        │     largest first, one search per renaming class, the other
+//!        │     members served by replaying its paths (verify_jobs)
 //!        │  3. cache inserts in plan order, claims released; fingerprints
 //!        │     another caller held are awaited and form the next round
 //!        │  4. attribution and merge, in plan order
@@ -30,7 +31,9 @@
 //! app, computed once per plan), its restricted device configuration, the
 //! property set and the model/search options that can change a verdict — so
 //! re-verifying a fleet after one app changes only re-checks the groups
-//! containing that app:
+//! containing that app.  Everything but the member names also forms the
+//! group's *renaming class*: groups that are one system under different
+//! app names share a class, and one search serves them all:
 //!
 //! ```
 //! use iotsan::{translate_sources, Pipeline, VerificationCache};
@@ -60,17 +63,19 @@
 //! assert_eq!(warm.outcome(), cold.outcome());
 //! ```
 
-use crate::pipeline::{ConfigIndex, GroupResult, Pipeline};
+use crate::pipeline::{ConfigIndex, ConfigRows, GroupResult, Pipeline};
 use iotsan_attribution::{attribute_traces, TraceAttribution};
-use iotsan_checker::{SearchConfig, SearchReport};
-use iotsan_config::SystemConfig;
+use iotsan_checker::{replay, FoundViolation, SearchConfig, SearchReport};
+use iotsan_config::{AppConfig, SystemConfig};
 use iotsan_depgraph::analyze;
-use iotsan_ir::IrApp;
+use iotsan_ir::{IrApp, IrHandler};
 use iotsan_properties::{PropertyId, PropertySet};
+use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::METRICS;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -118,66 +123,179 @@ impl Fnv {
 
 /// Computes the content fingerprint of one group-verification task.
 ///
-/// The ingredients are the group's app IRs (each reduced to its digest, the
-/// digests sorted, so member order never matters), the device configuration
-/// the group is verified under, the property set, and the model/search
-/// options that can change the verdict ([`crate::model::ModelOptions`] plus
-/// the result-relevant [`SearchConfig`] fields — depth, caps,
-/// stop-at-first).  The wall-clock budget is always excluded (a
-/// budget-truncated report is never cached).
+/// The fingerprint is the group's renaming-class key plus its members'
+/// names, in member order.  The class key covers everything else: each
+/// member's IR up to its name (its shape digest), the device configuration
+/// the group is verified under with member names replaced by member
+/// positions, the property set, and the model/search options that can
+/// change the verdict ([`crate::model::ModelOptions`] plus the
+/// result-relevant [`SearchConfig`] fields — depth, caps, stop-at-first).
+/// The wall-clock budget is always excluded (a budget-truncated report is
+/// never cached).
 ///
-/// [`VerificationPlanner::plan`] computes the same key from digests and a
-/// property hash it computes once per plan.
+/// [`VerificationPlanner::plan`] computes the same key from digests it
+/// computes once per plan.
 pub fn fingerprint_group(
     pipeline: &Pipeline,
     apps: &[IrApp],
     config: &SystemConfig,
 ) -> Fingerprint {
-    let digests = apps.iter().map(app_digest).collect();
-    group_fingerprint(pipeline, pipeline.properties.content_hash(), apps, digests, config)
+    let basis = KeyBasis::new(pipeline, config);
+    let index = ConfigIndex::new(config);
+    let rows = index.rows(apps);
+    let shapes: Vec<u64> = apps.iter().map(app_digest).collect();
+    let class = basis.class_key(pipeline, apps, &shapes, &index, &rows, &index.select(&rows));
+    group_fingerprint(class, apps)
 }
 
-/// The digest of one app's IR: FNV-1a over its `Debug` rendering.
+/// The *shape* digest of one app's IR: FNV-1a over the `Debug` rendering
+/// of every field except the app's name, which the IR also carries in
+/// each handler's `app`.  Two apps that differ only in name have equal
+/// shapes.
 fn app_digest(app: &IrApp) -> u64 {
+    // Destructured, so a new field is a compile error here until it is
+    // either hashed or shown to be a name.
+    let IrApp { name: _, description, inputs, handlers, state_vars, dynamic_discovery } = app;
+    let mut text = format!("{description:?} {inputs:?} {state_vars:?} {dynamic_discovery:?}");
+    for handler in handlers {
+        let IrHandler { app: _, name, trigger, body } = handler;
+        write!(text, " {name:?} {trigger:?} {body:?}").expect("writing to a String");
+    }
     let mut h = Fnv::new();
-    h.write_item(&format!("{app:?}"));
+    h.write_item(&text);
     h.finish()
 }
 
-/// [`fingerprint_group`] from the members' [`app_digest`]s and the
-/// property set's content hash.
-fn group_fingerprint(
-    pipeline: &Pipeline,
-    properties_hash: u64,
-    apps: &[IrApp],
-    mut digests: Vec<u64>,
-    config: &SystemConfig,
-) -> Fingerprint {
-    let mut h = Fnv::new();
-    digests.sort_unstable();
-    h.write_bytes(&(digests.len() as u64).to_le_bytes());
-    for digest in &digests {
-        h.write_bytes(&digest.to_le_bytes());
+/// What every group key of one plan shares, digested at most once per
+/// plan: each configuration row on its own, when a group first keeps it,
+/// and everything that is the same for every group.
+struct KeyBasis<'c> {
+    config: &'c SystemConfig,
+    /// Each row of the configuration's `apps`, without its app name.
+    app_rows: Vec<OnceCell<u64>>,
+    /// Each row of the configuration's `devices`.
+    device_rows: Vec<OnceCell<u64>>,
+    /// The configuration's other fields, the property set, the model
+    /// options and the search shape.
+    shared: u64,
+}
+
+impl<'c> KeyBasis<'c> {
+    fn new(pipeline: &Pipeline, config: &'c SystemConfig) -> Self {
+        let SystemConfig {
+            devices,
+            apps,
+            phone_numbers,
+            network_allowed_apps: _,
+            initial_mode,
+            custom_properties,
+        } = config;
+        let mut h = Fnv::new();
+        h.write_item(&format!("{phone_numbers:?} {initial_mode:?} {custom_properties:?}"));
+        // Spec content hash, not a Debug rendering: every property's id,
+        // metadata and formula AST feeds the key, so adding or editing a
+        // (custom) spec invalidates exactly the cached verdicts computed
+        // under a different property set — and nothing else.
+        h.write_bytes(&pipeline.properties.content_hash().to_le_bytes());
+        h.write_item(&format!("{:?}", pipeline.model_options));
+        let SearchConfig { max_depth, max_states, max_transitions, stop_at_first, .. } =
+            &pipeline.search;
+        h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, stop_at_first)));
+        KeyBasis {
+            config,
+            app_rows: vec![OnceCell::new(); apps.len()],
+            device_rows: vec![OnceCell::new(); devices.len()],
+            shared: h.finish(),
+        }
     }
-    h.write_item(&format!("{config:?}"));
-    // Spec content hash, not a Debug rendering: every property's id,
-    // metadata and formula AST feeds the fingerprint, so adding or editing a
-    // (custom) spec invalidates exactly the cached verdicts computed under a
-    // different property set — and nothing else.
-    h.write_bytes(&properties_hash.to_le_bytes());
-    h.write_item(&format!("{:?}", pipeline.model_options));
-    let SearchConfig { max_depth, max_states, max_transitions, stop_at_first, slice, .. } =
-        &pipeline.search;
-    h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, stop_at_first)));
-    // Sliced and unsliced runs explore the same verdicts but different state
-    // counts; fold the analysis version and the concrete slice partition so
-    // their cached reports never masquerade as each other, and so any change
-    // to the slicing semantics invalidates sliced entries wholesale.
-    if *slice {
-        let plan = iotsan_analysis::slice_plan(apps, &pipeline.properties_for(config));
-        h.write_item("slice");
-        h.write_bytes(&iotsan_analysis::ANALYSIS_VERSION.to_le_bytes());
-        h.write_bytes(&plan.content_hash().to_le_bytes());
+
+    /// The digest of the configuration's app row `row`, without its name.
+    fn app_row(&self, row: usize) -> u64 {
+        *self.app_rows[row].get_or_init(|| {
+            let AppConfig { app: _, bindings } = &self.config.apps[row];
+            let mut h = Fnv::new();
+            h.write_item(&format!("{bindings:?}"));
+            h.finish()
+        })
+    }
+
+    /// The digest of the configuration's device row `row`.
+    fn device_row(&self, row: usize) -> u64 {
+        *self.device_rows[row].get_or_init(|| {
+            let mut h = Fnv::new();
+            h.write_item(&format!("{:?}", self.config.devices[row]));
+            h.finish()
+        })
+    }
+
+    /// The renaming-class key of the group `members` (in member order, with
+    /// their `shapes`), whose restricted configuration keeps `rows` of the
+    /// indexed configuration and is `restricted`.
+    ///
+    /// Members are installed and dispatched in member order, so the key
+    /// covers the member sequence: each member's shape, then the
+    /// configuration with each member's name replaced by its position — its
+    /// app rows listed in member order, the devices in configuration order,
+    /// and the positions the network allow-list names.  A group that
+    /// installs one name twice shares that name's rows and state slots
+    /// between two positions, so it keeps its names in the key.
+    fn class_key(
+        &self,
+        pipeline: &Pipeline,
+        members: &[IrApp],
+        shapes: &[u64],
+        index: &ConfigIndex,
+        rows: &ConfigRows,
+        restricted: &SystemConfig,
+    ) -> u64 {
+        let mut h = Fnv::new();
+        h.write_bytes(&self.shared.to_le_bytes());
+        h.write_bytes(&(members.len() as u64).to_le_bytes());
+        for (member, shape) in members.iter().zip(shapes) {
+            h.write_bytes(&shape.to_le_bytes());
+            let app_rows = index.app_rows(&member.name);
+            h.write_bytes(&(app_rows.len() as u64).to_le_bytes());
+            for &row in app_rows {
+                h.write_bytes(&self.app_row(row).to_le_bytes());
+            }
+            let allowed = restricted.network_allowed_apps.contains(&member.name);
+            h.write_bytes(&[u8::from(allowed)]);
+        }
+        h.write_bytes(&(rows.devices.len() as u64).to_le_bytes());
+        for &row in &rows.devices {
+            h.write_bytes(&self.device_row(row).to_le_bytes());
+        }
+        let mut names: Vec<&str> = members.iter().map(|m| m.name.as_str()).collect();
+        names.sort_unstable();
+        if names.windows(2).any(|pair| pair[0] == pair[1]) {
+            h.write_item("names");
+            for member in members {
+                h.write_item(&member.name);
+            }
+        }
+        // Sliced and unsliced runs explore the same verdicts but different
+        // state counts; fold the analysis version and the concrete slice
+        // partition so their cached reports never masquerade as each other,
+        // and so any change to the slicing semantics invalidates sliced
+        // entries wholesale.  The partition names apps, so sliced groups
+        // only share a class with themselves.
+        if pipeline.search.slice {
+            let plan = iotsan_analysis::slice_plan(members, &pipeline.properties_for(restricted));
+            h.write_item("slice");
+            h.write_bytes(&iotsan_analysis::ANALYSIS_VERSION.to_le_bytes());
+            h.write_bytes(&plan.content_hash().to_le_bytes());
+        }
+        h.finish()
+    }
+}
+
+/// A group's fingerprint: its `class` key and its members' names, in
+/// member order.
+fn group_fingerprint(class: u64, members: &[IrApp]) -> Fingerprint {
+    let mut h = Fnv::new();
+    h.write_bytes(&class.to_le_bytes());
+    for member in members {
+        h.write_item(&member.name);
     }
     Fingerprint(h.finish())
 }
@@ -198,6 +316,9 @@ pub struct GroupJob {
     pub handler_count: usize,
     /// The content-addressed cache key of this job.
     pub fingerprint: Fingerprint,
+    /// The job's renaming class: [`Fingerprint`] without the member names.
+    /// `execute` searches one miss per class and serves the others from it.
+    class: u64,
 }
 
 /// The verification schedule for one installed-app bundle.
@@ -658,9 +779,10 @@ impl<'a> VerificationPlanner<'a> {
     /// model-checking job per group, largest first.
     ///
     /// Whatever every group shares is computed once per plan: each app's
-    /// name lookup and IR digest, the property hash and an index of
-    /// `config`.  The rest costs the group's own size, so a plan costs the
-    /// analysis plus work proportional to groups × members.
+    /// name lookup and shape digest, a digest of each configuration row,
+    /// the property hash and an index of `config`.  The rest costs the
+    /// group's own size, so a plan costs the analysis plus work
+    /// proportional to groups × members.
     pub fn plan(&self, apps: &[IrApp], config: &SystemConfig) -> FleetPlan {
         let excluded_apps: Vec<String> =
             apps.iter().filter(|a| a.dynamic_discovery).map(|a| a.name.clone()).collect();
@@ -679,8 +801,8 @@ impl<'a> VerificationPlanner<'a> {
         for (i, app) in verifiable.iter().enumerate() {
             by_name.entry(&app.name).or_default().push(i);
         }
-        let digests: Vec<u64> = verifiable.iter().map(app_digest).collect();
-        let properties_hash = self.pipeline.properties.content_hash();
+        let shapes: Vec<u64> = verifiable.iter().map(app_digest).collect();
+        let basis = KeyBasis::new(self.pipeline, config);
         let index = ConfigIndex::new(config);
 
         let groups = if sets.is_empty() { Vec::new() } else { sets.app_groups(&graph) };
@@ -688,25 +810,28 @@ impl<'a> VerificationPlanner<'a> {
         for group in groups {
             // Group names are sorted, so the members are sorted by name,
             // copies of one name in bundle order.
-            let rows: Vec<usize> =
+            let positions: Vec<usize> =
                 group.iter().flat_map(|name| &by_name[name.as_str()]).copied().collect();
-            let members: Vec<IrApp> = rows.iter().map(|&i| verifiable[i].clone()).collect();
-            let restricted = index.restrict(&members);
-            let member_digests = rows.iter().map(|&i| digests[i]).collect();
-            let fingerprint = group_fingerprint(
+            let members: Vec<IrApp> = positions.iter().map(|&i| verifiable[i].clone()).collect();
+            let member_shapes: Vec<u64> = positions.iter().map(|&i| shapes[i]).collect();
+            let rows = index.rows(&members);
+            let restricted = index.select(&rows);
+            let class = basis.class_key(
                 self.pipeline,
-                properties_hash,
                 &members,
-                member_digests,
+                &member_shapes,
+                &index,
+                &rows,
                 &restricted,
             );
             METRICS.planner_group_size.observe(members.len() as u64);
             jobs.push(GroupJob {
                 apps: members.iter().map(|a| a.name.clone()).collect(),
                 handler_count: members.iter().map(|a| a.handlers.len()).sum(),
+                fingerprint: group_fingerprint(class, &members),
                 members,
                 config: restricted,
-                fingerprint,
+                class,
             });
         }
         // Largest job first: `execute` hands the misses to its group threads
@@ -737,42 +862,64 @@ impl<'a> VerificationPlanner<'a> {
     /// the cache, and returns their results in the same order, each with its
     /// trace attributions ranked on the thread that verified it.
     ///
-    /// Its only caller is [`VerificationPlanner::execute`].  The jobs run on
-    /// `std::thread::scope` threads, each claiming the next unclaimed index
+    /// Its only caller is [`VerificationPlanner::execute`].  The jobs are
+    /// grouped into renaming classes (equal [`GroupJob`] class keys), in the
+    /// order of their first member.  A thread takes a whole class: it
+    /// searches the first member and serves every other member from that
+    /// search ([`VerificationPlanner::serve`]).  The classes run on
+    /// `std::thread::scope` threads, each claiming the next unclaimed class
     /// from a shared counter, so the largest groups start first
     /// (longest-processing-time-first).  The thread count is the host's
-    /// available parallelism, capped by the number of jobs (each search is
-    /// single-threaded); with one job or one thread the caller runs
-    /// everything and nothing is spawned.  The calling thread claims
-    /// the first (largest) job before any helper is spawned and works
+    /// available parallelism, capped by the number of classes (each search
+    /// is single-threaded); with one class or one thread the caller runs
+    /// everything and nothing is spawned.  The calling thread claims the
+    /// first (largest) class before any helper is spawned and works
     /// alongside them: each spawned thread allocates from its own malloc
     /// arena, so a caller that only waited would add an arena's peak memory
     /// without adding a core.
     fn verify_jobs(&self, jobs: &[&GroupJob]) -> Vec<(GroupResult, Vec<TraceAttribution>)> {
-        let Some(largest) = jobs.first() else { return Vec::new() };
+        // A scan costs jobs × classes comparisons, far below a search per
+        // class.
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for (index, job) in jobs.iter().enumerate() {
+            match classes.iter_mut().find(|class| jobs[class[0]].class == job.class) {
+                Some(class) => class.push(index),
+                None => classes.push(vec![index]),
+            }
+        }
+        let Some(largest) = classes.first() else { return Vec::new() };
         // Read once per process: `available_parallelism` re-reads the
         // cgroup quota files on every call (about 21 µs on a 2-vCPU Xeon),
         // which the daemon would otherwise pay on every job.
         static CORES: OnceLock<usize> = OnceLock::new();
         let cores =
             *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let threads = cores.min(jobs.len());
+        let threads = cores.min(classes.len());
         // Index 0 is the caller's; the counter only publishes indices (the
         // results travel back through `join`), so `Relaxed` suffices.
         let next = AtomicUsize::new(1);
-        let verify = |job: &GroupJob| {
-            let result = self.verify_job(job);
+        let attributed = |result: GroupResult| {
             let attributions = attribute_traces(&result.apps, &result.report.violations);
             (result, attributions)
         };
+        let verify = |class: &[usize], done: &mut Vec<(usize, _)>| {
+            let (&first, rest) = class.split_first().expect("a class has a member");
+            let searched = self.verify_job(jobs[first]);
+            for &member in rest {
+                done.push((member, attributed(self.serve(jobs[member], &searched))));
+            }
+            done.push((first, attributed(searched)));
+        };
         let work = |mut done: Vec<(usize, _)>| loop {
             let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = jobs.get(index) else { return done };
-            done.push((index, verify(job)));
+            let Some(class) = classes.get(index) else { return done };
+            verify(class, &mut done);
         };
         let mut done = std::thread::scope(|scope| {
             let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(|| work(Vec::new()))).collect();
-            let mut done = work(vec![(0, verify(largest))]);
+            let mut first = Vec::with_capacity(largest.len());
+            verify(largest, &mut first);
+            let mut done = work(first);
             for helper in helpers {
                 done.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
@@ -782,19 +929,79 @@ impl<'a> VerificationPlanner<'a> {
         done.into_iter().map(|(_, result)| result).collect()
     }
 
+    /// Serves `job` from `searched`, the search of another member of its
+    /// renaming class: builds `job`'s own model and replays each of
+    /// `searched`'s counterexample paths on it, which renders `job`'s own
+    /// names and re-checks every violation.  Co-violations of one step
+    /// share one replay, as they share one trace in a search.  The
+    /// statistics are `searched`'s, except the trace bytes, which count the
+    /// replayed traces.  A truncated search is served truncated.
+    ///
+    /// When a path does not replay, the class key merged groups that behave
+    /// differently: a flight-recorder warning is recorded and `job` is
+    /// searched itself.
+    fn serve(&self, job: &GroupJob, searched: &GroupResult) -> GroupResult {
+        let model = self.pipeline.group_model(&job.members, job.config.clone());
+        let source = &searched.report.violations;
+        let mut violations = Vec::with_capacity(source.len());
+        let mut unserved = &source[..];
+        while let Some(first) = unserved.first() {
+            let (run, tail) =
+                unserved.split_at(unserved.iter().take_while(|v| v.path == first.path).count());
+            let properties: Vec<u32> = run.iter().map(|v| v.violation.property).collect();
+            let trace = match replay(&model, &first.path, &properties) {
+                Ok(trace) => trace,
+                Err(error) => {
+                    flight::record(
+                        Level::Warn,
+                        EventCode::Diagnostic,
+                        &format!(
+                            "group [{}] did not replay its renaming class's search ({error}); \
+                             searching it directly",
+                            job.apps.join(", ")
+                        ),
+                    );
+                    return self.verify_job(job);
+                }
+            };
+            let (last, rest) = run.split_last().expect("a run has a violation");
+            let served = |found: &FoundViolation, trace| FoundViolation {
+                violation: found.violation.clone(),
+                trace,
+                depth: found.depth,
+                path: found.path.clone(),
+            };
+            for found in rest {
+                violations.push(served(found, trace.clone()));
+            }
+            violations.push(served(last, trace));
+            unserved = tail;
+        }
+        let trace_bytes = |found: &[FoundViolation]| -> usize {
+            found.iter().map(|v| v.trace.memory_bytes()).sum()
+        };
+        let mut stats = searched.report.stats.clone();
+        stats.peak_trace_bytes =
+            stats.peak_trace_bytes.saturating_sub(trace_bytes(source)) + trace_bytes(&violations);
+        METRICS.planner_served_by_renaming.inc();
+        GroupResult { apps: job.apps.clone(), report: SearchReport { violations, stats } }
+    }
+
     /// Runs every job of `plan`, reusing cached results where the
     /// fingerprint matches, and merges the verdicts deterministically.
     ///
     /// Each round claims every pending fingerprint without blocking and
     /// looks the claimed ones up; the misses are verified concurrently on
-    /// scoped threads, one per free core, largest first (a round with at
-    /// most one miss spawns nothing, and the calling thread takes the
-    /// largest miss itself).  Then, in plan order on the calling thread, the
-    /// complete results are inserted — so a durable backing sees its writes
-    /// in the same order as a serial run would make them — and the round's
-    /// claims are released.  Fingerprints another caller held are waited
-    /// for and become the next round; with [`VerificationCache`] every
-    /// claim succeeds and one round does everything.
+    /// scoped threads, one per free core, largest first, one search per
+    /// renaming class and the class's other members served from it (a round
+    /// with at most one class spawns nothing, and the calling thread takes
+    /// the largest class itself).  Served members count as misses.  Then, in
+    /// plan order on the calling thread, the complete results are inserted —
+    /// so a durable backing sees its writes in the same order as a serial
+    /// run would make them — and the round's claims are released.
+    /// Fingerprints another caller held are waited for and become the next
+    /// round; with [`VerificationCache`] every claim succeeds and one round
+    /// does everything.
     ///
     /// No deadlock: the only blocking call, [`PlanCache::wait`], is made
     /// while this caller holds no claims, and a claim holder never waits
@@ -1103,7 +1310,7 @@ def motionActiveHandler(evt) { lights.on() }
             .find(|a| a.description.contains("main door"))
             .expect("a main-door attribution");
         // Unlock Door's handler performs the final unlock: prime suspect.
-        assert_eq!(unlock.prime_suspect().unwrap().app, "Unlock Door");
+        assert_eq!(&*unlock.prime_suspect().unwrap().app, "Unlock Door");
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! exactly, including the floating-point throughput and `Duration` fields of
 //! its [`iotsan::checker::SearchStats`].  JSON would round-trip floats
 //! through decimal; this codec instead writes fixed-width little-endian
-//! integers, length-prefixed UTF-8 strings, `f64::to_bits` for floats and
-//! `(secs, subsec_nanos)` for durations, so `decode(encode(r)) == r` holds
+//! integers, length-prefixed UTF-8 strings, `f64::to_bits` for floats,
+//! `(secs, subsec_nanos)` for durations and minimal LEB128 varints for
+//! counterexample paths, so `decode(encode(r)) == r` holds
 //! structurally *and* `encode(decode(b)) == b` holds byte-for-byte — the
 //! property compaction idempotence rests on.
 //!
@@ -92,6 +93,16 @@ fn put_bool(out: &mut Vec<u8>, b: bool) {
     out.push(u8::from(b));
 }
 
+/// Unsigned LEB128, in the fewest bytes (the decoder rejects any other
+/// encoding, so the bytes of a value are unique).
+fn put_varint(out: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
 /// Encodes a [`GroupResult`] into `out` (appended; `out` is not cleared).
 pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
     put_u32(out, result.apps.len() as u32);
@@ -113,6 +124,10 @@ pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
             }
         }
         put_usize(out, found.depth);
+        put_varint(out, found.path.len() as u32);
+        for &index in &found.path {
+            put_varint(out, index);
+        }
     }
     let stats = &report.stats;
     put_usize(out, stats.states_stored);
@@ -185,6 +200,24 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A minimal unsigned LEB128 `u32`: at most five bytes, no bits past
+    /// 32, and no redundant trailing zero group.
+    fn varint(&mut self, context: &'static str) -> Result<u32, CodecError> {
+        let mut value: u32 = 0;
+        for shift in (0..35).step_by(7) {
+            let byte = self.u8(context)?;
+            let bits = u32::from(byte & 0x7f);
+            if (shift == 28 && bits > 0x0f) || (shift > 0 && byte == 0) {
+                return Err(err(context));
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(err(context))
+    }
+
     fn boolean(&mut self, context: &'static str) -> Result<bool, CodecError> {
         match self.u8(context)? {
             0 => Ok(false),
@@ -226,10 +259,17 @@ pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
             steps.push(TraceStep { action, log });
         }
         let depth = r.usize("violation depth")?;
+        // Every index takes at least one byte, which bounds the allocation.
+        let path_len = r.varint("path length")? as usize;
+        if path_len != depth || path_len > r.bytes.len() - r.pos {
+            return Err(err("path length"));
+        }
+        let path = (0..path_len).map(|_| r.varint("path index")).collect::<Result<_, _>>()?;
         violations.push(FoundViolation {
             violation: iotsan::checker::Violation { property, description: description.into() },
             trace: Trace { steps },
             depth,
+            path,
         });
     }
     let stats = SearchStats {
@@ -274,6 +314,7 @@ mod tests {
                     },
                     trace,
                     depth: 2,
+                    path: vec![3, 200],
                 }],
                 stats: SearchStats {
                     states_stored: 123,
@@ -355,6 +396,52 @@ mod tests {
         put_u32(&mut bytes, u32::MAX); // ...whose name is "4 GiB" long
         bytes.extend_from_slice(b"oops");
         assert!(decode_group_result(&bytes).is_err());
+    }
+
+    #[test]
+    fn varints_round_trip_in_the_fewest_bytes() {
+        for (value, len) in [(0, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u32::MAX, 5)] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, value);
+            assert_eq!(bytes.len(), len, "{value}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varint("v"), Ok(value));
+            assert!(r.finished());
+        }
+    }
+
+    #[test]
+    fn truncated_or_over_long_path_varints_are_rejected() {
+        let mut prefix = Vec::new();
+        encode_group_result(&sample_result(), &mut prefix);
+        // The sample's path is the varints 2 (length), 3 and 200 (two
+        // bytes), followed by the 8 + 8 + 8 + 12 + 8 + 8 + 8 + 3 + 8 stats bytes.
+        let stats_len = 8 * 3 + 12 + 8 * 3 + 3 + 8;
+        let path_at = prefix.len() - stats_len - 4;
+        assert_eq!(&prefix[path_at..path_at + 4], &[2, 3, 0xc8, 0x01]);
+        let stats = prefix.split_off(path_at + 4);
+        prefix.truncate(path_at);
+        let with_path = |path: &[u8]| {
+            let mut bytes = prefix.clone();
+            bytes.extend_from_slice(path);
+            bytes.extend_from_slice(&stats);
+            decode_group_result(&bytes)
+        };
+        assert!(with_path(&[2, 3, 0xc8, 0x01]).is_ok());
+        let rejected = [
+            &[2, 3, 0xc8][..],                           // truncated index
+            &[2, 3, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01], // more than five bytes
+            &[2, 3, 0xff, 0xff, 0xff, 0xff, 0x1f],       // past 32 bits
+            &[2, 3, 0x80, 0x00],                         // redundant zero group
+            &[2, 0x83, 0x00, 0xc8, 0x01],                // non-minimal index 3
+            &[3, 3, 0xc8, 0x01, 0],                      // length disagrees with depth
+            &[0xff, 0xff, 0xff, 0xff, 0x0f],             // length past the input
+            &[0x82],                                     // truncated length
+        ];
+        for path in rejected {
+            let decoded = with_path(path);
+            assert!(decoded.is_err(), "{path:?} decoded as {decoded:?}");
+        }
     }
 
     #[test]

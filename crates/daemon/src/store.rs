@@ -47,8 +47,10 @@ pub const MAGIC: [u8; 8] = *b"IOTSANVS";
 /// marks that every fingerprint changed when app digests began to be
 /// computed once per plan; version 6 marks that a fresh search stores fewer
 /// states than the verdicts under the same keys record, once the sequential
-/// model merged sensor readings no reader can tell apart.
-pub const FORMAT_VERSION: u32 = 6;
+/// model merged sensor readings no reader can tell apart; version 7 adds
+/// each counterexample's action path to its verdict, and every fingerprint
+/// changed when a group's key became its renaming class plus its names.
+pub const FORMAT_VERSION: u32 = 7;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length

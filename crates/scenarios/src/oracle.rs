@@ -1,10 +1,10 @@
-//! The differential oracle: four runs and a full-alphabet walk, one verdict.
+//! The differential oracle: five runs and a full-alphabet walk, one verdict.
 //!
-//! For each generated [`Household`] the oracle runs the full pipeline four
-//! ways — a serial reference, the concurrent fleet executor,
-//! property-directed slicing, and a warm-cache rerun — and asserts they
-//! agree, and with a dedup-free walk of the full action alphabet
-//! ([`full_alphabet_depths`]).  It also checks the compiled
+//! For each generated [`Household`] the oracle runs the full pipeline five
+//! ways — a serial reference, the concurrent fleet executor, the household
+//! with every app renamed, property-directed slicing, and a warm-cache
+//! rerun — and asserts they agree, and with a dedup-free walk of the full
+//! action alphabet ([`full_alphabet_depths`]).  It also checks the compiled
 //! property evaluator the search relies on against the interpreted reference
 //! semantics, group by group.  The sequential reference is a
 //! serial loop of [`VerificationPlanner::verify_job`] over the plan, kept
@@ -25,6 +25,12 @@
 //!   transition counts may only shrink (slicing prunes, never adds).
 //! * **warm == sequential**: identical outcomes with every group served from
 //!   the cache ([`FleetReport::cache_hits`] equals the group count).
+//! * **renamed == original**: the household with every app renamed to a
+//!   fresh name in the same sort order reports the same groups, violations,
+//!   counterexample paths, statistics and suspect rankings once the names
+//!   are mapped back (the trace bytes aside, which count the names).  This
+//!   checks that no model step reads an app name except to render it, the
+//!   argument the planner's renaming classes rest on.
 //! * **checker == full alphabet**: per planned group, the fleet run's
 //!   violated set and each property's counterexample depth equal what a
 //!   dedup-free walk of every path of the *full* alphabet finds
@@ -42,7 +48,7 @@
 use crate::household::Household;
 use crate::rng::SplitMix64;
 use iotsan::checker::{StepLog, TransitionSystem};
-use iotsan::ir::Trigger;
+use iotsan::ir::{IrApp, Trigger};
 use iotsan::model::{ExternalAction, ModelOptions, ModelScratch, SequentialModel};
 use iotsan::{
     FleetReport, GroupOutcome, InstalledSystem, Pipeline, SystemState, VerificationCache,
@@ -76,6 +82,8 @@ pub enum Phase {
     /// A group's violated set or a counterexample depth differed from a
     /// dedup-free walk of the full action alphabet.
     Alphabet,
+    /// Renaming every app changed the report beyond the names.
+    Renaming,
 }
 
 impl fmt::Display for Phase {
@@ -88,6 +96,7 @@ impl fmt::Display for Phase {
             Phase::WarmCache => "warm-cache",
             Phase::Promela => "promela",
             Phase::Alphabet => "alphabet",
+            Phase::Renaming => "renaming",
         };
         f.write_str(name)
     }
@@ -187,6 +196,10 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
             outcome_detail("fleet outcome mismatch", &seq_outcome, &fleet.outcome()),
         ));
     }
+
+    // --- Renaming every app must change nothing but the names -------------
+    check_renaming(&seq_pipeline, &apps, config, &fleet)
+        .map_err(|detail| diverge(Phase::Renaming, detail))?;
 
     // --- Violated sets and depths must match the full alphabet -----------
     check_alphabet(&seq_pipeline, &apps, config, &fleet)
@@ -289,6 +302,112 @@ fn serial_reference(
         .collect();
     outcome.sort_by(|a, b| a.apps.cmp(&b.apps));
     (outcome, truncated)
+}
+
+/// Verifies the household again with every app renamed to a fresh name in
+/// the same sort order (so members are installed and dispatched in the same
+/// order) and compares the report with `fleet` once the names are mapped
+/// back: the same groups, violations with their depths and paths, the same
+/// trace shapes, statistics and suspect rankings.  Timing fields and the
+/// trace bytes, which count the names, are left out.
+fn check_renaming(
+    pipeline: &Pipeline,
+    apps: &[IrApp],
+    config: &SystemConfig,
+    fleet: &FleetReport,
+) -> Result<(), String> {
+    let mut names: Vec<&str> = apps.iter().map(|a| a.name.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    let fresh: BTreeMap<&str, String> = names
+        .iter()
+        .enumerate()
+        .map(|(rank, name)| (*name, format!("Renamed {rank:06}")))
+        .collect();
+    let rename = |name: &mut String| {
+        if let Some(new) = fresh.get(name.as_str()) {
+            *name = new.clone();
+        }
+    };
+    let mut renamed_apps = apps.to_vec();
+    for app in &mut renamed_apps {
+        rename(&mut app.name);
+        for handler in &mut app.handlers {
+            rename(&mut handler.app);
+        }
+    }
+    let mut renamed_config = config.clone();
+    renamed_config.apps.iter_mut().for_each(|row| rename(&mut row.app));
+    renamed_config.network_allowed_apps.iter_mut().for_each(rename);
+    let renamed =
+        pipeline.verify_fleet(&renamed_apps, &renamed_config, &mut VerificationCache::new());
+
+    let original: BTreeMap<&str, &str> =
+        fresh.iter().map(|(name, new)| (new.as_str(), *name)).collect();
+    let back = |name: &str| original.get(name).copied().unwrap_or(name).to_string();
+    let excluded: Vec<String> = renamed.excluded_apps.iter().map(|a| back(a)).collect();
+    if renamed.groups.len() != fleet.groups.len() || excluded != fleet.excluded_apps {
+        return Err(format!(
+            "{} groups excluding {:?}, renamed {} excluding {excluded:?}",
+            fleet.groups.len(),
+            fleet.excluded_apps,
+            renamed.groups.len()
+        ));
+    }
+    for (group, renamed) in fleet.groups.iter().zip(&renamed.groups) {
+        let apps: Vec<String> = renamed.apps.iter().map(|a| back(a)).collect();
+        let differs = |what: &str| format!("group {:?}: renamed {what} differs", group.apps);
+        if apps != group.apps {
+            return Err(format!("group {:?}: renamed group {apps:?}", group.apps));
+        }
+        let (a, b) = (&group.report.stats, &renamed.report.stats);
+        let counts = |s: &iotsan::checker::SearchStats| {
+            (
+                s.states_stored,
+                s.transitions,
+                s.max_depth_reached,
+                s.store_memory_bytes,
+                s.truncated,
+                s.states_capped,
+                s.transitions_capped,
+                s.closed_at,
+            )
+        };
+        if counts(a) != counts(b) {
+            return Err(format!("{}: {:?} vs {:?}", differs("statistics"), counts(a), counts(b)));
+        }
+        let shape = |report: &iotsan::checker::SearchReport| -> Vec<_> {
+            report
+                .violations
+                .iter()
+                .map(|v| {
+                    let lines: Vec<usize> = v.trace.steps.iter().map(|s| s.log.len()).collect();
+                    (v.violation.clone(), v.depth, v.path.clone(), lines)
+                })
+                .collect()
+        };
+        if shape(&group.report) != shape(&renamed.report) {
+            return Err(differs("violations"));
+        }
+        let ranking = |attributions: &[iotsan::attribution::TraceAttribution], map: bool| {
+            let app = |name: &str| if map { back(name) } else { name.to_string() };
+            attributions
+                .iter()
+                .map(|a| {
+                    let suspects: Vec<_> = a
+                        .suspects
+                        .iter()
+                        .map(|s| (app(&s.app), s.mentions, s.in_final_step, s.score.to_bits()))
+                        .collect();
+                    (a.property, suspects)
+                })
+                .collect::<Vec<_>>()
+        };
+        if ranking(&group.attributions, false) != ranking(&renamed.attributions, true) {
+            return Err(differs("suspect rankings"));
+        }
+    }
+    Ok(())
 }
 
 /// Compares every complete group of `fleet` with [`full_alphabet_depths`]

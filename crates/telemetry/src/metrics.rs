@@ -548,6 +548,8 @@ registry! {
         "Cache inserts the durable backing failed to persist";
     hist planner_group_size: "iotsan_planner_group_size", "devices",
         "Distribution of planned verification-group sizes", GROUP_SIZE_BOUNDS;
+    counter planner_served_by_renaming: "iotsan_planner_served_by_renaming_total", "groups",
+        "Cache-miss groups served by replaying another member of their renaming class";
 
     // Verdict-store family: recorded at append/compact/open time (already
     // I/O-bound paths).
