@@ -37,6 +37,7 @@
 use crate::summary::{summarize_handler, EffectSummary, WriteEffect};
 use iotsan_ir::IrApp;
 use iotsan_properties::{Atom, PropertySet};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -162,9 +163,10 @@ impl SlicePlan {
     /// Applies the plan: the same apps (every app survives, even with all
     /// handlers dropped, so input bindings, state-var layout and the device
     /// table are untouched) minus the dropped handlers.
-    pub fn apply(&self, apps: &[IrApp]) -> Vec<IrApp> {
+    pub fn apply(&self, apps: &[impl Borrow<IrApp>]) -> Vec<IrApp> {
         apps.iter()
             .map(|app| {
+                let app = app.borrow();
                 let mut sliced = app.clone();
                 sliced
                     .handlers
@@ -229,9 +231,10 @@ impl fmt::Display for SlicePlan {
 /// Handlers with external triggers (timer, app-touch, location events) are
 /// always retained — they *are* the external-action alphabet.  Cascade
 /// handlers are retained exactly when the closed cone observes their writes.
-pub fn slice_plan(apps: &[IrApp], properties: &PropertySet) -> SlicePlan {
+pub fn slice_plan(apps: &[impl Borrow<IrApp>], properties: &PropertySet) -> SlicePlan {
     let summaries: Vec<EffectSummary> = apps
         .iter()
+        .map(Borrow::borrow)
         .flat_map(|app| app.handlers.iter().map(move |h| summarize_handler(app, h)))
         .collect();
 

@@ -277,13 +277,13 @@ mod tests {
         let violations = vec![
             FoundViolation {
                 violation: Violation { property: 6, description: "main door unlocked".into() },
-                trace: unlock_trace(),
+                trace: Arc::new(unlock_trace()),
                 depth: 2,
                 path: vec![0, 0],
             },
             FoundViolation {
                 violation: Violation { property: 9, description: "other".into() },
-                trace: Trace::new(),
+                trace: Arc::new(Trace::new()),
                 depth: 0,
                 path: Vec::new(),
             },

@@ -628,7 +628,9 @@ fn fleet(json: &mut BenchJson) {
 /// groups reached a fixpoint (`closed_at`), and beside the reported totals
 /// what the pass searched: the groups searched and the groups served by
 /// replaying another member of their renaming class, read from the
-/// telemetry counters (0 in a build without telemetry); see EXPERIMENTS.md.
+/// telemetry counters (0 in a build without telemetry), and the bytes the
+/// verdict log would store for the pass (each group's
+/// `encode_group_result`, summed); see EXPERIMENTS.md.
 fn market_experiment(json: &mut BenchJson) {
     use iotsan_telemetry::METRICS;
 
@@ -649,8 +651,21 @@ fn market_experiment(json: &mut BenchJson) {
     let closed = run.report.groups.iter().filter(|g| g.report.stats.closed_at.is_some()).count();
     let states_per_sec = run.states() as f64 / run.elapsed.as_secs_f64().max(1e-9);
     let violated = run.report.violated_properties().len();
+    let mut record = Vec::new();
+    let verdict_bytes: usize = run
+        .report
+        .groups
+        .iter()
+        .map(|group| {
+            let result =
+                iotsan::GroupResult { apps: group.apps.clone(), report: group.report.clone() };
+            record.clear();
+            iotsan_daemon::codec::encode_group_result(&result, &mut record);
+            record.len()
+        })
+        .sum();
     println!(
-        "{:<7} {:>12} {:>10} {:>12} {:>12} {:>7} {:>7} {:>9} {:>9} {:>7} {:>15}",
+        "{:<7} {:>12} {:>10} {:>12} {:>12} {:>7} {:>7} {:>9} {:>9} {:>7} {:>15} {:>13}",
         "Events",
         "Time",
         "States",
@@ -661,11 +676,12 @@ fn market_experiment(json: &mut BenchJson) {
         "Violated",
         "Searched",
         "Served",
-        "Searched states"
+        "Searched states",
+        "Verdict bytes"
     );
     println!(
         "{events:<7} {:>12} {:>10} {:>12} {states_per_sec:>12.0} {:>7} {closed:>7} {violated:>9} \
-         {searched:>9} {served:>7} {searched_states:>15}",
+         {searched:>9} {served:>7} {searched_states:>15} {verdict_bytes:>13}",
         format_duration(run.elapsed, run.truncated()),
         run.states(),
         run.transitions(),
@@ -682,6 +698,7 @@ fn market_experiment(json: &mut BenchJson) {
         .num_u("searched_groups", searched)
         .num_u("served_groups", served)
         .num_u("searched_states", searched_states)
+        .num_u("verdict_bytes", verdict_bytes as u64)
         .flag("truncated", run.truncated())
         .finish();
     json.push_experiment("market", "market150+failures", events, &[row]);

@@ -241,8 +241,10 @@ impl SearchStats {
 pub struct FoundViolation {
     /// The violated property.
     pub violation: Violation,
-    /// A counterexample trace from the initial state.
-    pub trace: Trace,
+    /// A counterexample trace from the initial state, shared by the
+    /// co-violations of one step and by every copy of the report (cache
+    /// entries, served members, decoded records).
+    pub trace: Arc<Trace>,
     /// Number of external events in the counterexample.
     pub depth: usize,
     /// The counterexample as a path: at each step, the index of the action
@@ -627,7 +629,8 @@ fn record_violations<T: TransitionSystem>(
     bufs.properties.extend(fresh.iter().map(|v| v.property));
     let trace = replay_with(model, &bufs.path, &bufs.properties, &mut bufs.actions)
         .unwrap_or_else(|e| panic!("a searched path must replay on its own model: {e}"));
-    // Co-violations of one step share the trace; only the first n−1 clone it.
+    // Co-violations of one step share the trace.
+    let trace = Arc::new(trace);
     for violation in rest {
         report.violations.push(FoundViolation {
             violation: (*violation).clone(),
@@ -810,7 +813,7 @@ mod tests {
         let report = Checker::new(SearchConfig::with_depth(6)).verify(&model);
         let found = report.violation_for(1).unwrap();
         assert_eq!(found.path.len(), found.depth);
-        assert_eq!(replay(&model, &found.path, &[1]), Ok(found.trace.clone()));
+        assert_eq!(replay(&model, &found.path, &[1]), Ok((*found.trace).clone()));
         // Increment, increment, double: 1 → 2 → 3 → 6, the first shortest
         // path in enumeration order.
         assert_eq!(found.path, vec![0, 0, 1]);
@@ -1171,12 +1174,13 @@ mod tests {
         }
 
         // Stopping at the first violating step still records every property
-        // that step breaks, sharing one counterexample.
+        // that step breaks, sharing one counterexample: one replay, one
+        // allocation of the trace.
         let mut config = SearchConfig::with_depth(8);
         config.stop_at_first = true;
         let report = Checker::new(config).verify(&DoubleViolationModel);
         assert_eq!(report.violated_properties(), BTreeSet::from([1, 2]));
-        assert_eq!(report.violations[0].trace, report.violations[1].trace);
+        assert!(Arc::ptr_eq(&report.violations[0].trace, &report.violations[1].trace));
         assert!(!report.stats.truncated);
     }
 }

@@ -16,14 +16,17 @@
 
 use crate::transition::Violation;
 use std::fmt;
+use std::sync::Arc;
 
 /// One rendered log line of a counterexample step, with structured
 /// provenance: the app whose handler produced the line, when one did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogLine {
     /// The display name of the app whose handler activity produced this line
-    /// (`None` for environment/device/system lines).
-    pub owner: Option<String>,
+    /// (`None` for environment/device/system lines).  A model renders one
+    /// shared name per installed app, so the owned lines of all its traces
+    /// point at the same few strings.
+    pub owner: Option<Arc<str>>,
     /// The rendered text (what Spin-style logs print).
     pub text: String,
 }
@@ -35,7 +38,7 @@ impl LogLine {
     }
 
     /// A line owned by `app`'s handler activity.
-    pub fn owned(app: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn owned(app: impl Into<Arc<str>>, text: impl Into<String>) -> Self {
         LogLine { owner: Some(app.into()), text: text.into() }
     }
 }
@@ -105,7 +108,7 @@ impl Trace {
                         .map(|l| {
                             std::mem::size_of::<LogLine>()
                                 + l.text.len()
-                                + l.owner.as_ref().map_or(0, String::len)
+                                + l.owner.as_ref().map_or(0, |owner| owner.len())
                         })
                         .sum::<usize>()
             })

@@ -21,6 +21,7 @@ use crate::system::{InstalledSystem, InternalEvent};
 use iotsan_checker::LogLine;
 use iotsan_devices::{DeviceId, LocationMode};
 use iotsan_ir::{Sym, Value};
+use std::sync::Arc;
 
 /// One structured effect of applying an action (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -145,9 +146,9 @@ impl LogEvent {
         let label = |id: &DeviceId| system.device(*id).label.as_str();
         match self {
             LogEvent::HandlerStart { app, handler, attribute, value } => {
-                let app_name = &system.apps[*app as usize].name;
+                let app_name = system.app_name(*app as usize);
                 LogLine::owned(
-                    app_name.clone(),
+                    Arc::clone(app_name),
                     format!(
                         "{app_name}.{handler}: handling {}={value}",
                         system.attr_name(*attribute)

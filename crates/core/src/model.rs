@@ -274,11 +274,11 @@ impl ModelCore {
     /// otherwise every sensor value is offered and stored as given.
     fn new(
         system: InstalledSystem,
-        properties: PropertySet,
+        properties: &PropertySet,
         options: ModelOptions,
         merge_readings: bool,
     ) -> Self {
-        let compiled = system.compile_properties(&properties);
+        let compiled = system.compile_properties(properties);
         let violations = properties
             .specs()
             .iter()
@@ -747,6 +747,17 @@ impl SequentialModel {
     /// Builds a sequential model, compiling `properties` against the
     /// installed system.
     pub fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
+        Self::compiling(system, &properties, options)
+    }
+
+    /// [`SequentialModel::new`] compiling a borrowed registry, so that the
+    /// planner's group models share the pipeline's own property set instead
+    /// of cloning every spec per group.
+    pub(crate) fn compiling(
+        system: InstalledSystem,
+        properties: &PropertySet,
+        options: ModelOptions,
+    ) -> Self {
         SequentialModel { core: ModelCore::new(system, properties, options, true) }
     }
 
@@ -759,7 +770,7 @@ impl SequentialModel {
         properties: PropertySet,
         options: ModelOptions,
     ) -> Self {
-        SequentialModel { core: ModelCore::new(system, properties, options, false) }
+        SequentialModel { core: ModelCore::new(system, &properties, options, false) }
     }
 
     /// The compiled property set the model evaluates per transition.
@@ -883,7 +894,7 @@ impl ConcurrentModel {
     /// Builds a concurrent model, compiling `properties` against the
     /// installed system.
     pub fn new(system: InstalledSystem, properties: PropertySet, options: ModelOptions) -> Self {
-        ConcurrentModel { core: ModelCore::new(system, properties, options, false) }
+        ConcurrentModel { core: ModelCore::new(system, &properties, options, false) }
     }
 
     /// A search depth sufficient to drain every cascade the model can create.

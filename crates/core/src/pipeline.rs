@@ -19,8 +19,10 @@ use iotsan_depgraph::{analyze, DependencyGraph, RelatedSets};
 use iotsan_groovy::SmartApp;
 use iotsan_ir::{lower_app, IrApp};
 use iotsan_properties::PropertySet;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// An error produced while translating app source code.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +105,7 @@ impl<'c> ConfigIndex<'c> {
     }
 
     /// The configuration restricted to `apps` ([`ConfigIndex::rows`]).
-    pub(crate) fn restrict(&self, apps: &[IrApp]) -> SystemConfig {
+    pub(crate) fn restrict(&self, apps: &[impl Borrow<IrApp>]) -> SystemConfig {
         self.select(&self.rows(apps))
     }
 
@@ -111,10 +113,11 @@ impl<'c> ConfigIndex<'c> {
     /// of each app, and every device that the app's first entry (the one
     /// [`SystemConfig::app`] finds) binds to one of its inputs, both in
     /// configuration order.
-    pub(crate) fn rows(&self, apps: &[IrApp]) -> ConfigRows {
+    pub(crate) fn rows(&self, apps: &[impl Borrow<IrApp>]) -> ConfigRows {
         let mut app_rows: Vec<usize> = Vec::new();
         let mut device_rows: Vec<usize> = Vec::new();
         for app in apps {
+            let app = app.borrow();
             let rows = self.app_rows(&app.name);
             let Some(&first) = rows.first() else { continue };
             app_rows.extend(rows);
@@ -229,6 +232,16 @@ impl Pipeline {
     /// [`SystemConfig::from_json`] rejects such a configuration up front
     /// when the clash is with a built-in or another shipped property.
     pub fn properties_for(&self, config: &SystemConfig) -> PropertySet {
+        self.effective_properties(config).into_owned()
+    }
+
+    /// [`Pipeline::properties_for`], borrowing the pipeline's own registry
+    /// when `config` ships no custom property: every group model of a plan
+    /// then compiles one shared set instead of a copy of every spec.
+    pub(crate) fn effective_properties(&self, config: &SystemConfig) -> Cow<'_, PropertySet> {
+        if config.custom_properties.is_empty() {
+            return Cow::Borrowed(&self.properties);
+        }
         let mut properties = self.properties.clone();
         for spec in &config.custom_properties {
             match properties.get(spec.property_id()) {
@@ -244,7 +257,7 @@ impl Pipeline {
                 }
             }
         }
-        properties
+        Cow::Owned(properties)
     }
 
     /// Does nothing; kept so existing callers still compile.  Every search
@@ -265,13 +278,19 @@ impl Pipeline {
     /// from sensors the verified apps can observe, mirroring how the paper
     /// verifies each related set against its own configuration rather than
     /// the entire household.
-    pub fn restrict_config(&self, apps: &[IrApp], config: &SystemConfig) -> SystemConfig {
+    pub fn restrict_config(
+        &self,
+        apps: &[impl Borrow<IrApp>],
+        config: &SystemConfig,
+    ) -> SystemConfig {
         ConfigIndex::new(config).restrict(apps)
     }
 
     /// Verifies one explicit group of apps (no dependency analysis).
-    pub fn verify_group(&self, apps: &[IrApp], config: &SystemConfig) -> GroupResult {
-        self.verify_group_restricted(apps, self.restrict_config(apps, config))
+    pub fn verify_group(&self, apps: &[impl Borrow<IrApp>], config: &SystemConfig) -> GroupResult {
+        let restricted = self.restrict_config(apps, config);
+        let apps: Vec<Arc<IrApp>> = apps.iter().map(|app| Arc::new(app.borrow().clone())).collect();
+        self.verify_group_restricted(&apps, restricted)
     }
 
     /// [`Pipeline::verify_group`] for a configuration that is already
@@ -279,7 +298,7 @@ impl Pipeline {
     /// plan time, so execution must not pay (or depend on) a second pass.
     pub(crate) fn verify_group_restricted(
         &self,
-        apps: &[IrApp],
+        apps: &[Arc<IrApp>],
         config: SystemConfig,
     ) -> GroupResult {
         let model = self.group_model(apps, config);
@@ -287,20 +306,21 @@ impl Pipeline {
         GroupResult { apps: apps.iter().map(|a| a.name.clone()).collect(), report }
     }
 
-    /// The model [`Pipeline::verify_group_restricted`] searches.
-    pub(crate) fn group_model(&self, apps: &[IrApp], config: SystemConfig) -> SequentialModel {
-        let properties = self.properties_for(&config);
+    /// The model [`Pipeline::verify_group_restricted`] searches.  It shares
+    /// `apps` and, unless `config` ships custom properties, the pipeline's
+    /// property set: building it copies neither.
+    pub(crate) fn group_model(&self, apps: &[Arc<IrApp>], config: SystemConfig) -> SequentialModel {
+        let properties = self.effective_properties(&config);
         // Property-directed slicing (opt-in): drop handlers the static
         // analysis proves unobservable by the registered properties.  Apps,
         // devices and bindings are untouched, so the state encoding and the
         // external-action alphabet are identical to the unsliced model.
-        let group_apps = if self.search.slice {
-            iotsan_analysis::slice_plan(apps, &properties).apply(apps)
+        let system = if self.search.slice {
+            InstalledSystem::new(iotsan_analysis::slice_plan(apps, &properties).apply(apps), config)
         } else {
-            apps.to_vec()
+            InstalledSystem::new(apps.iter().cloned(), config)
         };
-        let system = InstalledSystem::new(group_apps, config);
-        SequentialModel::new(system, properties, self.model_options.clone())
+        SequentialModel::compiling(system, &properties, self.model_options.clone())
     }
 
     /// A [`VerificationPlanner`] over this pipeline — the entry point for

@@ -72,12 +72,12 @@ use iotsan_ir::{IrApp, IrHandler};
 use iotsan_properties::{PropertyId, PropertySet};
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::METRICS;
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A content hash identifying one group-verification task.
 ///
@@ -137,13 +137,13 @@ impl Fnv {
 /// computes once per plan.
 pub fn fingerprint_group(
     pipeline: &Pipeline,
-    apps: &[IrApp],
+    apps: &[impl Borrow<IrApp>],
     config: &SystemConfig,
 ) -> Fingerprint {
     let basis = KeyBasis::new(pipeline, config);
     let index = ConfigIndex::new(config);
     let rows = index.rows(apps);
-    let shapes: Vec<u64> = apps.iter().map(app_digest).collect();
+    let shapes: Vec<u64> = apps.iter().map(|app| app_digest(app.borrow())).collect();
     let class = basis.class_key(pipeline, apps, &shapes, &index, &rows, &index.select(&rows));
     group_fingerprint(class, apps)
 }
@@ -242,7 +242,7 @@ impl<'c> KeyBasis<'c> {
     fn class_key(
         &self,
         pipeline: &Pipeline,
-        members: &[IrApp],
+        members: &[impl Borrow<IrApp>],
         shapes: &[u64],
         index: &ConfigIndex,
         rows: &ConfigRows,
@@ -251,7 +251,7 @@ impl<'c> KeyBasis<'c> {
         let mut h = Fnv::new();
         h.write_bytes(&self.shared.to_le_bytes());
         h.write_bytes(&(members.len() as u64).to_le_bytes());
-        for (member, shape) in members.iter().zip(shapes) {
+        for (member, shape) in members.iter().map(Borrow::borrow).zip(shapes) {
             h.write_bytes(&shape.to_le_bytes());
             let app_rows = index.app_rows(&member.name);
             h.write_bytes(&(app_rows.len() as u64).to_le_bytes());
@@ -265,12 +265,12 @@ impl<'c> KeyBasis<'c> {
         for &row in &rows.devices {
             h.write_bytes(&self.device_row(row).to_le_bytes());
         }
-        let mut names: Vec<&str> = members.iter().map(|m| m.name.as_str()).collect();
+        let mut names: Vec<&str> = members.iter().map(|m| m.borrow().name.as_str()).collect();
         names.sort_unstable();
         if names.windows(2).any(|pair| pair[0] == pair[1]) {
             h.write_item("names");
             for member in members {
-                h.write_item(&member.name);
+                h.write_item(&member.borrow().name);
             }
         }
         // Sliced and unsliced runs explore the same verdicts but different
@@ -280,7 +280,8 @@ impl<'c> KeyBasis<'c> {
         // entries wholesale.  The partition names apps, so sliced groups
         // only share a class with themselves.
         if pipeline.search.slice {
-            let plan = iotsan_analysis::slice_plan(members, &pipeline.properties_for(restricted));
+            let plan =
+                iotsan_analysis::slice_plan(members, &pipeline.effective_properties(restricted));
             h.write_item("slice");
             h.write_bytes(&iotsan_analysis::ANALYSIS_VERSION.to_le_bytes());
             h.write_bytes(&plan.content_hash().to_le_bytes());
@@ -291,11 +292,11 @@ impl<'c> KeyBasis<'c> {
 
 /// A group's fingerprint: its `class` key and its members' names, in
 /// member order.
-fn group_fingerprint(class: u64, members: &[IrApp]) -> Fingerprint {
+fn group_fingerprint(class: u64, members: &[impl Borrow<IrApp>]) -> Fingerprint {
     let mut h = Fnv::new();
     h.write_bytes(&class.to_le_bytes());
     for member in members {
-        h.write_item(&member.name);
+        h.write_item(&member.borrow().name);
     }
     Fingerprint(h.finish())
 }
@@ -306,8 +307,10 @@ fn group_fingerprint(class: u64, members: &[IrApp]) -> Fingerprint {
 pub struct GroupJob {
     /// The display names of the group's apps, sorted.
     pub apps: Vec<String>,
-    /// The IR of the group's apps (same order as [`GroupJob::apps`]).
-    pub members: Vec<IrApp>,
+    /// The IR of the group's apps (same order as [`GroupJob::apps`]): the
+    /// plan's one shared copy of each app, so an app in many groups is
+    /// still one IR.
+    pub members: Vec<Arc<IrApp>>,
     /// The system configuration restricted to the devices this group's apps
     /// actually observe (see [`Pipeline::restrict_config`]).
     pub config: SystemConfig,
@@ -505,7 +508,8 @@ impl VerificationCache {
     ///
     /// An in-memory miss falls through to the durable backing (when one is
     /// attached); a successful backing load is promoted into memory and
-    /// counted as both a hit and a backing hit.
+    /// counted as both a hit and a backing hit.  The result shares its
+    /// counterexample traces with the stored entry; nothing is deep-copied.
     pub fn lookup(&mut self, fingerprint: Fingerprint) -> Option<GroupResult> {
         if let Some(result) = self.entries.get(&fingerprint) {
             self.hits += 1;
@@ -782,7 +786,8 @@ impl<'a> VerificationPlanner<'a> {
     /// name lookup and shape digest, a digest of each configuration row,
     /// the property hash and an index of `config`.  The rest costs the
     /// group's own size, so a plan costs the analysis plus work
-    /// proportional to groups × members.
+    /// proportional to groups × members.  Each verifiable app is copied
+    /// once, into the [`Arc`] that every job containing it shares.
     pub fn plan(&self, apps: &[IrApp], config: &SystemConfig) -> FleetPlan {
         let excluded_apps: Vec<String> =
             apps.iter().filter(|a| a.dynamic_discovery).map(|a| a.name.clone()).collect();
@@ -795,13 +800,15 @@ impl<'a> VerificationPlanner<'a> {
         let (graph, sets) = analyze(&verifiable);
         let original_handlers = graph.handler_count();
         let reduced_handlers = sets.largest_handler_count(&graph);
+        let verifiable: Vec<Arc<IrApp>> =
+            verifiable.into_owned().into_iter().map(Arc::new).collect();
 
         // A name installed twice keeps both copies as members.
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, app) in verifiable.iter().enumerate() {
             by_name.entry(&app.name).or_default().push(i);
         }
-        let shapes: Vec<u64> = verifiable.iter().map(app_digest).collect();
+        let shapes: Vec<u64> = verifiable.iter().map(|app| app_digest(app)).collect();
         let basis = KeyBasis::new(self.pipeline, config);
         let index = ConfigIndex::new(config);
 
@@ -812,7 +819,8 @@ impl<'a> VerificationPlanner<'a> {
             // copies of one name in bundle order.
             let positions: Vec<usize> =
                 group.iter().flat_map(|name| &by_name[name.as_str()]).copied().collect();
-            let members: Vec<IrApp> = positions.iter().map(|&i| verifiable[i].clone()).collect();
+            let members: Vec<Arc<IrApp>> =
+                positions.iter().map(|&i| Arc::clone(&verifiable[i])).collect();
             let member_shapes: Vec<u64> = positions.iter().map(|&i| shapes[i]).collect();
             let rows = index.rows(&members);
             let restricted = index.select(&rows);
@@ -950,7 +958,7 @@ impl<'a> VerificationPlanner<'a> {
                 unserved.split_at(unserved.iter().take_while(|v| v.path == first.path).count());
             let properties: Vec<u32> = run.iter().map(|v| v.violation.property).collect();
             let trace = match replay(&model, &first.path, &properties) {
-                Ok(trace) => trace,
+                Ok(trace) => Arc::new(trace),
                 Err(error) => {
                     flight::record(
                         Level::Warn,
@@ -964,17 +972,12 @@ impl<'a> VerificationPlanner<'a> {
                     return self.verify_job(job);
                 }
             };
-            let (last, rest) = run.split_last().expect("a run has a violation");
-            let served = |found: &FoundViolation, trace| FoundViolation {
+            violations.extend(run.iter().map(|found| FoundViolation {
                 violation: found.violation.clone(),
-                trace,
+                trace: Arc::clone(&trace),
                 depth: found.depth,
                 path: found.path.clone(),
-            };
-            for found in rest {
-                violations.push(served(found, trace.clone()));
-            }
-            violations.push(served(last, trace));
+            }));
             unserved = tail;
         }
         let trace_bytes = |found: &[FoundViolation]| -> usize {

@@ -43,7 +43,7 @@ use iotsan_properties::{
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A cyber event flowing through the system during verification.
 ///
@@ -70,8 +70,13 @@ pub struct InternalEvent {
 /// The apps and configuration under verification, with binding resolution.
 #[derive(Debug, Clone)]
 pub struct InstalledSystem {
-    /// Translated apps (only those selected for this verification group).
-    pub apps: Vec<IrApp>,
+    /// Translated apps (only those selected for this verification group),
+    /// shared with the plan that selected them: installing a group copies
+    /// no IR.
+    pub apps: Vec<Arc<IrApp>>,
+    /// Each app's name, allocated once per installation: every line a
+    /// handler of the app owns in a rendered trace shares it.
+    app_names: Vec<Arc<str>>,
     /// The system configuration.
     pub config: SystemConfig,
     /// Installed devices (ids are positions in this table).
@@ -137,8 +142,15 @@ fn collect_state_vars(app: &IrApp, out: &mut Vec<String>) {
 
 impl InstalledSystem {
     /// Builds an installed system from apps and a configuration, freezing the
-    /// symbol table and the app-state slot layout.
-    pub fn new(apps: Vec<IrApp>, config: SystemConfig) -> Self {
+    /// symbol table and the app-state slot layout.  The apps may be owned
+    /// IR or [`Arc`]s shared with other installations; owned IR is moved
+    /// into an `Arc`, never cloned.
+    pub fn new<A: Into<Arc<IrApp>>>(
+        apps: impl IntoIterator<Item = A>,
+        config: SystemConfig,
+    ) -> Self {
+        let apps: Vec<Arc<IrApp>> = apps.into_iter().map(Into::into).collect();
+        let app_names = apps.iter().map(|app| Arc::from(app.name.as_str())).collect();
         let devices = config.device_table();
         let specs: Vec<&'static DeviceSpec> = devices.iter().map(Device::spec).collect();
         let mut symbols = Symbols::new();
@@ -215,6 +227,7 @@ impl InstalledSystem {
 
         let mut system = InstalledSystem {
             apps,
+            app_names,
             config,
             devices,
             specs,
@@ -232,6 +245,13 @@ impl InstalledSystem {
         };
         system.code = (0..system.apps.len()).map(|i| AppCode::resolve(&system, i)).collect();
         system
+    }
+
+    /// The name of the app at `app_index`, shared by every log line its
+    /// handlers own.
+    #[inline]
+    pub(crate) fn app_name(&self, app_index: usize) -> &Arc<str> {
+        &self.app_names[app_index]
     }
 
     /// The resolved handlers of the app at `app_index`.

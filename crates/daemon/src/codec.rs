@@ -12,6 +12,15 @@
 //! structurally *and* `encode(decode(b)) == b` holds byte-for-byte — the
 //! property compaction idempotence rests on.
 //!
+//! A record stores each counterexample once.  A violation whose trace is
+//! the previous violation's (co-violations of one step share one
+//! [`Arc`]) writes a one-byte back-reference, and decoding shares one
+//! trace again.  An owned log line names its owner by its position in the
+//! record's app list, and decoding hands every such line the record's one
+//! [`Arc<str>`] of that name.  Every choice the encoder makes is the only
+//! one the decoder accepts (the first position of a name, a literal name
+//! only when the list lacks it), which keeps the byte identity above.
+//!
 //! Decoding is defensive: every length is bounds-checked against the
 //! remaining input before any allocation, and all failures are explicit
 //! [`CodecError`]s — a corrupt record can be *skipped* but never
@@ -21,7 +30,9 @@
 
 use iotsan::checker::{FoundViolation, LogLine, SearchReport, SearchStats, Trace, TraceStep};
 use iotsan::GroupResult;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A decoding failure: the input is not a well-formed encoded verdict.
@@ -79,16 +90,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
-    match s {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
-}
-
 fn put_bool(out: &mut Vec<u8>, b: bool) {
     out.push(u8::from(b));
 }
@@ -103,26 +104,63 @@ fn put_varint(out: &mut Vec<u8>, mut v: u32) {
     out.push(v as u8);
 }
 
+/// A violation's trace tag: the trace's steps follow.
+const TRACE_INLINE: u8 = 0;
+/// A violation's trace tag: the trace is the previous violation's.
+const TRACE_PREVIOUS: u8 = 1;
+/// A log line's owner tag: no owner.
+const OWNER_NONE: u8 = 0;
+/// A log line's owner tag: the record's app at the varint position that
+/// follows (the first position of that name).
+const OWNER_MEMBER: u8 = 1;
+/// A log line's owner tag: a name the record's app list lacks follows.
+const OWNER_NAME: u8 = 2;
+
+/// A record's app list, searched by name: an owner is written as the first
+/// position of its name, and only that position is read back.
+struct AppList<'a> {
+    apps: &'a [String],
+    /// Planned groups list their apps sorted, which a binary search uses.
+    sorted: bool,
+}
+
+impl<'a> AppList<'a> {
+    fn new(apps: &'a [String]) -> Self {
+        AppList { apps, sorted: apps.windows(2).all(|pair| pair[0] <= pair[1]) }
+    }
+
+    /// The first position of `name` in the list.
+    fn first(&self, name: &str) -> Option<u32> {
+        let position = if self.sorted {
+            let position = self.apps.partition_point(|app| app.as_str() < name);
+            self.apps.get(position).filter(|app| *app == name).map(|_| position)
+        } else {
+            self.apps.iter().position(|app| app == name)
+        };
+        position.map(|p| p as u32)
+    }
+}
+
 /// Encodes a [`GroupResult`] into `out` (appended; `out` is not cleared).
 pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
     put_u32(out, result.apps.len() as u32);
     for app in &result.apps {
         put_str(out, app);
     }
+    let mut owners = Owners { apps: AppList::new(&result.apps), found: HashMap::new() };
     let report = &result.report;
     put_u32(out, report.violations.len() as u32);
+    let mut previous: Option<&Arc<Trace>> = None;
     for found in &report.violations {
         put_u32(out, found.violation.property);
         put_str(out, &found.violation.description);
-        put_u32(out, found.trace.steps.len() as u32);
-        for step in &found.trace.steps {
-            put_str(out, &step.action);
-            put_u32(out, step.log.len() as u32);
-            for line in &step.log {
-                put_opt_str(out, line.owner.as_deref());
-                put_str(out, &line.text);
-            }
+        if previous.is_some_and(|trace| Arc::ptr_eq(trace, &found.trace)) {
+            out.push(TRACE_PREVIOUS);
+        } else {
+            out.push(TRACE_INLINE);
+            put_trace(out, &found.trace, &mut owners);
         }
+        previous = Some(&found.trace);
         put_usize(out, found.depth);
         put_varint(out, found.path.len() as u32);
         for &index in &found.path {
@@ -143,6 +181,50 @@ pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
     put_bool(out, stats.transitions_capped);
     // `None` as 0 and `Some(d)` as `d + 1`: one fixed-width field.
     put_usize(out, stats.closed_at.map_or(0, |d| d + 1));
+}
+
+/// One record's app list as an encoder looks owners up in it, by the
+/// owner's address: a model's owned lines share one name per app, so each
+/// name is searched for once per record.
+struct Owners<'a> {
+    apps: AppList<'a>,
+    found: HashMap<usize, Option<u32>>,
+}
+
+impl Owners<'_> {
+    /// The first position of `owner` in the app list.  Every owner looked
+    /// up is borrowed for the whole encode, so an address seen before still
+    /// holds the same name.
+    fn position(&mut self, owner: &Arc<str>) -> Option<u32> {
+        let apps = &self.apps;
+        *self.found.entry(owner.as_ptr() as usize).or_insert_with(|| apps.first(owner))
+    }
+}
+
+/// Writes `trace`'s steps, each owner as its first position in the app
+/// list when the list holds it.
+fn put_trace(out: &mut Vec<u8>, trace: &Trace, owners: &mut Owners<'_>) {
+    put_u32(out, trace.steps.len() as u32);
+    for step in &trace.steps {
+        put_str(out, &step.action);
+        put_u32(out, step.log.len() as u32);
+        for line in &step.log {
+            match &line.owner {
+                None => out.push(OWNER_NONE),
+                Some(owner) => match owners.position(owner) {
+                    Some(position) => {
+                        out.push(OWNER_MEMBER);
+                        put_varint(out, position);
+                    }
+                    None => {
+                        out.push(OWNER_NAME);
+                        put_str(out, owner);
+                    }
+                },
+            }
+            put_str(out, &line.text);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,14 +274,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| err(context))
     }
 
-    fn opt_string(&mut self, context: &'static str) -> Result<Option<String>, CodecError> {
-        match self.u8(context)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string(context)?)),
-            _ => Err(err(context)),
-        }
-    }
-
     /// A minimal unsigned LEB128 `u32`: at most five bytes, no bits past
     /// 32, and no redundant trailing zero group.
     fn varint(&mut self, context: &'static str) -> Result<u32, CodecError> {
@@ -218,6 +292,29 @@ impl<'a> Reader<'a> {
         Err(err(context))
     }
 
+    /// A trace's steps, each owned line's owner shared from `names`.
+    fn trace(&mut self, names: &mut Names<'_>) -> Result<Trace, CodecError> {
+        let step_count = self.u32("trace step count")? as usize;
+        let mut steps = Vec::with_capacity(step_count.min(1024));
+        for _ in 0..step_count {
+            let action = self.string("trace action")?;
+            let log_count = self.u32("log line count")? as usize;
+            let mut log = Vec::with_capacity(log_count.min(1024));
+            for _ in 0..log_count {
+                let owner = match self.u8("log owner tag")? {
+                    OWNER_NONE => None,
+                    OWNER_MEMBER => Some(names.member(self.varint("log owner position")?)?),
+                    OWNER_NAME => Some(names.literal(self.string("log owner name")?)?),
+                    _ => return Err(err("log owner tag")),
+                };
+                let text = self.string("log text")?;
+                log.push(LogLine { owner, text });
+            }
+            steps.push(TraceStep { action, log });
+        }
+        Ok(Trace { steps })
+    }
+
     fn boolean(&mut self, context: &'static str) -> Result<bool, CodecError> {
         match self.u8(context)? {
             0 => Ok(false),
@@ -231,6 +328,43 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The owner names of one record being decoded: one [`Arc<str>`] per
+/// distinct app name, made when a line first names it.
+struct Names<'a> {
+    apps: AppList<'a>,
+    /// The shared name of each position, once a line has named it.
+    shared: Vec<Option<Arc<str>>>,
+}
+
+impl<'a> Names<'a> {
+    fn new(apps: &'a [String]) -> Self {
+        Names { apps: AppList::new(apps), shared: vec![None; apps.len()] }
+    }
+
+    /// The owner at `position`, which must be its name's first position
+    /// (the one the encoder writes).
+    fn member(&mut self, position: u32) -> Result<Arc<str>, CodecError> {
+        let index = position as usize;
+        if let Some(Some(shared)) = self.shared.get(index) {
+            return Ok(Arc::clone(shared));
+        }
+        let name = self.apps.apps.get(index).ok_or_else(|| err("log owner position"))?;
+        if self.apps.first(name) != Some(position) {
+            return Err(err("log owner position"));
+        }
+        Ok(Arc::clone(self.shared[index].insert(Arc::from(name.as_str()))))
+    }
+
+    /// A literal owner, which the app list must lack (the encoder writes a
+    /// listed name as its position).
+    fn literal(&self, name: String) -> Result<Arc<str>, CodecError> {
+        if self.apps.first(&name).is_some() {
+            return Err(err("log owner name"));
+        }
+        Ok(Arc::from(name))
+    }
+}
+
 /// Decodes a [`GroupResult`] from exactly `bytes` (trailing garbage is an
 /// error — a record's payload length is authoritative).
 pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
@@ -241,23 +375,19 @@ pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
         apps.push(r.string("app name")?);
     }
     let violation_count = r.u32("violation count")? as usize;
-    let mut violations = Vec::with_capacity(violation_count.min(1024));
+    let mut violations: Vec<FoundViolation> = Vec::with_capacity(violation_count.min(1024));
+    let mut names = Names::new(&apps);
     for _ in 0..violation_count {
         let property = r.u32("property id")?;
         let description = r.string("property description")?;
-        let step_count = r.u32("trace step count")? as usize;
-        let mut steps = Vec::with_capacity(step_count.min(1024));
-        for _ in 0..step_count {
-            let action = r.string("trace action")?;
-            let log_count = r.u32("log line count")? as usize;
-            let mut log = Vec::with_capacity(log_count.min(1024));
-            for _ in 0..log_count {
-                let owner = r.opt_string("log owner")?;
-                let text = r.string("log text")?;
-                log.push(LogLine { owner, text });
-            }
-            steps.push(TraceStep { action, log });
-        }
+        let trace = match r.u8("trace tag")? {
+            TRACE_INLINE => Arc::new(r.trace(&mut names)?),
+            TRACE_PREVIOUS => match violations.last() {
+                Some(previous) => Arc::clone(&previous.trace),
+                None => return Err(err("trace back-reference")),
+            },
+            _ => return Err(err("trace tag")),
+        };
         let depth = r.usize("violation depth")?;
         // Every index takes at least one byte, which bounds the allocation.
         let path_len = r.varint("path length")? as usize;
@@ -267,7 +397,7 @@ pub fn decode_group_result(bytes: &[u8]) -> Result<GroupResult, CodecError> {
         let path = (0..path_len).map(|_| r.varint("path index")).collect::<Result<_, _>>()?;
         violations.push(FoundViolation {
             violation: iotsan::checker::Violation { property, description: description.into() },
-            trace: Trace { steps },
+            trace,
             depth,
             path,
         });
@@ -312,7 +442,7 @@ mod tests {
                         property: 6,
                         description: "!anyone_home && main_door == unlocked".into(),
                     },
-                    trace,
+                    trace: Arc::new(trace),
                     depth: 2,
                     path: vec![3, 200],
                 }],
@@ -441,6 +571,160 @@ mod tests {
         for path in rejected {
             let decoded = with_path(path);
             assert!(decoded.is_err(), "{path:?} decoded as {decoded:?}");
+        }
+    }
+
+    /// A hand-written record over `apps` with `count` violations, written
+    /// by `violations`, and the sample's statistics.
+    fn handmade(apps: &[&str], count: u32, violations: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut empty = sample_result();
+        empty.apps.clear();
+        empty.report.violations.clear();
+        let mut stats = Vec::new();
+        encode_group_result(&empty, &mut stats);
+        let mut out = Vec::new();
+        put_u32(&mut out, apps.len() as u32);
+        for app in apps {
+            put_str(&mut out, app);
+        }
+        put_u32(&mut out, count);
+        violations(&mut out);
+        // Past the empty record's app and violation counts.
+        out.extend_from_slice(&stats[8..]);
+        out
+    }
+
+    /// One violation of property `property` at depth 1 (path `[0]`) with
+    /// the trace field `trace`.
+    fn violation(out: &mut Vec<u8>, property: u32, trace: &[u8]) {
+        put_u32(out, property);
+        put_str(out, "p");
+        out.extend_from_slice(trace);
+        put_usize(out, 1);
+        put_varint(out, 1);
+        put_varint(out, 0);
+    }
+
+    /// An inline trace of one step with one log line whose owner field is
+    /// `owner`.
+    fn one_line_trace(owner: &[u8]) -> Vec<u8> {
+        let mut trace = vec![TRACE_INLINE];
+        put_u32(&mut trace, 1);
+        put_str(&mut trace, "a");
+        put_u32(&mut trace, 1);
+        trace.extend_from_slice(owner);
+        put_str(&mut trace, "line");
+        trace
+    }
+
+    #[test]
+    fn co_violations_and_owners_are_written_once_and_shared_when_read() {
+        let mut original = sample_result();
+        let first = original.report.violations[0].clone();
+        let mut co_violation = first.clone();
+        co_violation.violation.property = 7;
+        let mut stranger = (*first.trace).clone();
+        stranger.steps[0].log.push(LogLine::owned("Stranger", "not a member"));
+        let mut later = first.clone();
+        later.violation.property = 8;
+        later.trace = Arc::new(stranger);
+        original.report.violations = vec![first, co_violation, later];
+
+        let mut bytes = Vec::new();
+        encode_group_result(&original, &mut bytes);
+        let decoded = decode_group_result(&bytes).unwrap();
+        assert_eq!(decoded, original);
+        let mut again = Vec::new();
+        encode_group_result(&decoded, &mut again);
+        assert_eq!(again, bytes);
+
+        let [first, co_violation, later] = &decoded.report.violations[..] else {
+            panic!("three violations")
+        };
+        assert!(Arc::ptr_eq(&first.trace, &co_violation.trace));
+        assert!(!Arc::ptr_eq(&first.trace, &later.trace));
+        let owner = |found: &FoundViolation, line: usize| {
+            found.trace.steps[0].log[line].owner.clone().expect("an owned line")
+        };
+        assert!(Arc::ptr_eq(&owner(first, 0), &owner(later, 0)));
+        assert_eq!(&*owner(later, 2), "Stranger");
+
+        // The shared trace is written once: a co-violation costs its
+        // property, description, one back-reference byte, depth and path.
+        let mut single = Vec::new();
+        encode_group_result(&sample_result(), &mut single);
+        let mut pair = decoded.clone();
+        pair.report.violations.pop();
+        let mut pair_bytes = Vec::new();
+        encode_group_result(&pair, &mut pair_bytes);
+        let head = 4 + 4 + first.violation.description.len();
+        let tail = 8 + 1 + 3; // depth, then the varints 2, 3 and 200
+        assert_eq!(pair_bytes.len(), single.len() + head + 1 + tail);
+        for cut in 0..bytes.len() {
+            assert!(decode_group_result(&bytes[..cut]).is_err(), "a {cut}-byte prefix decoded");
+        }
+    }
+
+    #[test]
+    fn a_back_reference_and_an_owner_position_decode_to_shared_values() {
+        // An app list in no order is searched in full.
+        let bytes = handmade(&["B", "A"], 2, |out| {
+            violation(out, 1, &one_line_trace(&[OWNER_MEMBER, 1]));
+            violation(out, 2, &[TRACE_PREVIOUS]);
+        });
+        let decoded = decode_group_result(&bytes).unwrap();
+        let [first, second] = &decoded.report.violations[..] else { panic!("two violations") };
+        assert!(Arc::ptr_eq(&first.trace, &second.trace));
+        assert_eq!(first.trace.steps[0].log[0].owner.as_deref(), Some("A"));
+        let mut again = Vec::new();
+        encode_group_result(&decoded, &mut again);
+        assert_eq!(again, bytes);
+    }
+
+    #[test]
+    fn malformed_back_references_owners_and_tags_are_typed_errors() {
+        let cases: [(&str, Vec<u8>); 8] = [
+            (
+                "trace back-reference",
+                handmade(&["A"], 1, |out| violation(out, 1, &[TRACE_PREVIOUS])),
+            ),
+            (
+                "log owner position",
+                handmade(&["A", "B"], 1, |out| {
+                    violation(out, 1, &one_line_trace(&[OWNER_MEMBER, 2]))
+                }),
+            ),
+            (
+                "log owner position",
+                handmade(&[], 1, |out| violation(out, 1, &one_line_trace(&[OWNER_MEMBER, 0]))),
+            ),
+            // A second copy of a name is written as the first's position.
+            (
+                "log owner position",
+                handmade(&["A", "A"], 1, |out| {
+                    violation(out, 1, &one_line_trace(&[OWNER_MEMBER, 1]))
+                }),
+            ),
+            (
+                "log owner position",
+                handmade(&["A", "B", "A"], 1, |out| {
+                    violation(out, 1, &one_line_trace(&[OWNER_MEMBER, 2]))
+                }),
+            ),
+            // A listed name is written as its position, never literally.
+            (
+                "log owner name",
+                handmade(&["A"], 1, |out| {
+                    let mut owner = vec![OWNER_NAME];
+                    put_str(&mut owner, "A");
+                    violation(out, 1, &one_line_trace(&owner))
+                }),
+            ),
+            ("trace tag", handmade(&["A"], 1, |out| violation(out, 1, &[2]))),
+            ("log owner tag", handmade(&["A"], 1, |out| violation(out, 1, &one_line_trace(&[3])))),
+        ];
+        for (context, bytes) in cases {
+            assert_eq!(decode_group_result(&bytes), Err(err(context)), "{context}");
         }
     }
 

@@ -49,8 +49,10 @@ pub const MAGIC: [u8; 8] = *b"IOTSANVS";
 /// states than the verdicts under the same keys record, once the sequential
 /// model merged sensor readings no reader can tell apart; version 7 adds
 /// each counterexample's action path to its verdict, and every fingerprint
-/// changed when a group's key became its renaming class plus its names.
-pub const FORMAT_VERSION: u32 = 7;
+/// changed when a group's key became its renaming class plus its names;
+/// version 8 writes a co-violation's shared trace as a back-reference and
+/// each log owner as a position in the record's app list.
+pub const FORMAT_VERSION: u32 = 8;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length

@@ -259,7 +259,7 @@ fn an_app_installed_twice_keeps_both_copies() {
     let pipeline = Pipeline::with_events(2);
     let plan = pipeline.planner().plan(&bundle, &config);
     let job = plan.jobs_for(&twice.name)[0];
-    let copies = job.members.iter().filter(|m| **m == twice).count();
+    let copies = job.members.iter().filter(|m| ***m == twice).count();
     assert_eq!(copies, 2, "members {:?}", job.apps);
 
     let fleet = pipeline.verify_fleet(&bundle, &config, &mut VerificationCache::new());
@@ -271,8 +271,8 @@ fn an_app_installed_twice_keeps_both_copies() {
     assert_eq!(verdict(&group.report), verdict(&direct.report));
     // The second copy is visible in the verdict: one copy alone differs.
     let mut once = job.members.clone();
-    once.retain(|m| *m != twice);
-    once.push(twice);
+    once.retain(|m| **m != twice);
+    once.push(twice.into());
     assert_ne!(verdict(&pipeline.verify_group(&once, &config).report), verdict(&direct.report));
 }
 

@@ -8,12 +8,20 @@
 //! test pins that budget on two bundles with a counting allocator that
 //! counts only the measuring thread:
 //!
-//! - the `market-cold` bundle (all 150 market apps, 3 events): at most 7.0
-//!   allocations per transition.  It was 14.94 before handler bodies were
-//!   resolved at installation, and 7.01 before the search stopped checking
-//!   properties it had already reported, so the bound fails there;
+//! - the `market-cold` bundle (all 150 market apps, 3 events): at most 6.0
+//!   allocations per transition (5.73).  It was 14.94 before handler bodies
+//!   were resolved at installation, 7.01 before the search stopped checking
+//!   properties it had already reported, and 6.36 while every owned log
+//!   line of a counterexample replay copied its app's name, so the bound
+//!   fails there;
 //! - the `deep-group` bundle (the first 8 market apps, 4 events, failures
-//!   on): at most 2.2.  It was 4.27, then 2.26 before the same change.
+//!   on): at most 1.5 (1.35).  It was 4.27, then 2.26 before the same
+//!   change, then 1.36 with the name copies.
+//!
+//! A third budget pins `plan` itself on the 150-app corpus, which runs on
+//! the measuring thread alone: at most 40,000 allocations (33,625).  It
+//! made 62,855 when every group deep-cloned its members' IR, one clone per
+//! membership (1,774 of them), so the bound fails there.
 //!
 //! Each planned group's `SequentialModel` is verified with `Checker::verify`,
 //! one group after another, exactly as the fleet planner builds it.  State
@@ -21,7 +29,8 @@
 //! explores a different graph cannot pass by accident.
 
 use iotsan::checker::Checker;
-use iotsan::config::{expert_configure, standard_household};
+use iotsan::config::{expert_configure, standard_household, SystemConfig};
+use iotsan::ir::IrApp;
 use iotsan::model::SequentialModel;
 use iotsan::system::InstalledSystem;
 use iotsan::{translate_sources, Pipeline};
@@ -83,14 +92,20 @@ impl Measured {
     }
 }
 
-/// Plans the first `apps` market apps under the standard household and
-/// verifies each group's model in turn, counting only the searches'
-/// allocations.
-fn measure(apps: usize, events: usize, failures: bool) -> Measured {
+/// The first `apps` market apps under the standard household.
+fn market_bundle(apps: usize) -> (Vec<IrApp>, SystemConfig) {
     let corpus = market::market_apps();
     let sources: Vec<&str> = corpus.iter().take(apps).map(|a| a.source.as_str()).collect();
     let apps = translate_sources(&sources).expect("market corpus translates");
     let config = expert_configure(&apps, &standard_household());
+    (apps, config)
+}
+
+/// Plans the first `apps` market apps under the standard household and
+/// verifies each group's model in turn, counting only the searches'
+/// allocations.
+fn measure(apps: usize, events: usize, failures: bool) -> Measured {
+    let (apps, config) = market_bundle(apps);
     let mut pipeline = Pipeline::with_events(events);
     if failures {
         pipeline = pipeline.with_failures();
@@ -118,7 +133,7 @@ fn market_cold_stays_within_its_allocation_budget() {
     let measured = measure(150, 3, false);
     assert_eq!((measured.states, measured.transitions), (7_045, 28_263));
     let per = measured.per_transition();
-    assert!(per <= 7.0, "market-cold: {per:.2} allocations per transition (bound 7.0)");
+    assert!(per <= 6.0, "market-cold: {per:.2} allocations per transition (bound 6.0)");
 }
 
 /// 4,275 states and 33,770 transitions: one sensor reading per observation
@@ -131,5 +146,19 @@ fn deep_group_stays_within_its_allocation_budget() {
     let measured = measure(8, 4, true);
     assert_eq!((measured.states, measured.transitions), (4_275, 33_770));
     let per = measured.per_transition();
-    assert!(per <= 2.2, "deep-group: {per:.2} allocations per transition (bound 2.2)");
+    assert!(per <= 1.5, "deep-group: {per:.2} allocations per transition (bound 1.5)");
+}
+
+/// 112 groups over 150 apps, each app copied once into the `Arc` its groups
+/// share.
+#[test]
+fn planning_the_market_corpus_stays_within_its_allocation_budget() {
+    let (apps, config) = market_bundle(150);
+    let pipeline = Pipeline::with_events(3);
+    let planner = pipeline.planner();
+    let before = allocations();
+    let plan = planner.plan(&apps, &config);
+    let made = allocations() - before;
+    assert_eq!(plan.jobs.len(), 112);
+    assert!(made <= 40_000, "plan: {made} allocations (bound 40,000)");
 }

@@ -268,7 +268,7 @@ fn a_leads_to_countdown_sees_the_steps_within_a_class() {
         SystemConfig::new().with_device(DeviceConfig::new("hallLux", "illuminanceMeasurement", ""));
     let properties = PropertySet::from_specs(vec![PropertySpec::builder(62, "Leave within one")
         .leads_to(Expr::mode_is("Home"), Expr::mode_is("Away"), 1)]);
-    let system = InstalledSystem::new(Vec::new(), config);
+    let system = InstalledSystem::new(Vec::<iotsan::ir::IrApp>::new(), config);
     let (depths, states, _) = assert_matches_full_alphabet(
         system.clone(),
         properties.clone(),

@@ -56,7 +56,7 @@ fn zero_apps_yields_the_empty_fleet_report() {
 fn verify_group_accepts_empty_members() {
     let config = SystemConfig::new();
     let pipeline = Pipeline::with_events(2);
-    let result = pipeline.verify_group(&[], &config);
+    let result = pipeline.verify_group(&[] as &[IrApp], &config);
     assert!(result.report.violated_properties().is_empty());
 }
 

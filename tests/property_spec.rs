@@ -232,7 +232,7 @@ fn gen_system(g: &mut Gen) -> InstalledSystem {
             config = config.with_device(DeviceConfig::new(*label, *capability, *role));
         }
     }
-    InstalledSystem::new(Vec::new(), config)
+    InstalledSystem::new(Vec::<iotsan::ir::IrApp>::new(), config)
 }
 
 /// A random state vector of `system`, drawn the way the model checker holds

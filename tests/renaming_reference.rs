@@ -18,12 +18,18 @@
 //! different number of groups.  The runs cover market prefixes, seeded
 //! orders of the whole corpus (configuration rows follow bundle order, while
 //! members are sorted by name), a corpus with one copy rebound to another
-//! device, and failures on and off, at 3 events.
+//! device, and failures on and off, at 3 events.  A hand-written group whose
+//! verdict depends on member order is installed under two sets of names as
+//! well: a model that ordered its members by anything but their sorted
+//! names would tell the two apart.
 
 use iotsan::attribution::attribute_traces;
 use iotsan::checker::SearchReport;
-use iotsan::config::{expert_configure, standard_household, Binding, SystemConfig};
+use iotsan::config::{
+    expert_configure, standard_household, AppConfig, Binding, DeviceConfig, SystemConfig,
+};
 use iotsan::ir::IrApp;
+use iotsan::properties::{DeviceSelect, Expr, PropertySet, PropertySpec};
 use iotsan::{translate_sources, GroupJob, Pipeline, VerificationCache};
 use iotsan_apps::market;
 use iotsan_telemetry::METRICS;
@@ -68,7 +74,7 @@ fn timing_free(report: &SearchReport) -> SearchReport {
 /// rendered with every member name replaced by the member's position.
 fn reference_class(job: &GroupJob) -> String {
     let position = |p: usize| format!("member #{p}");
-    let mut members = job.members.clone();
+    let mut members: Vec<IrApp> = job.members.iter().map(|member| (**member).clone()).collect();
     for (p, member) in members.iter_mut().enumerate() {
         member.name = position(p);
         for handler in &mut member.handlers {
@@ -194,5 +200,113 @@ fn a_copy_bound_to_other_devices_is_its_own_class() {
         let searched = assert_served_equals_direct(&pipeline, &apps, &config, &what);
         // The rebound copy's groups leave the classes of its copies.
         assert!(searched > 19, "{what}: {searched} classes");
+    }
+}
+
+/// Switches the hall light on when motion starts.
+const LIGHT_ON: &str = r#"
+definition(name: "NAME", namespace: "st", author: "a", description: "d")
+preferences {
+    section("s") { input "motion", "capability.motionSensor" }
+    section("s") { input "light", "capability.switch" }
+}
+def installed() { subscribe(motion, "motion.active", onMotion) }
+def onMotion(evt) { light.on() }
+"#;
+
+/// Switches the hall light off when motion starts.
+const LIGHT_OFF: &str = r#"
+definition(name: "NAME", namespace: "st", author: "a", description: "d")
+preferences {
+    section("s") { input "motion", "capability.motionSensor" }
+    section("s") { input "light", "capability.switch" }
+}
+def installed() { subscribe(motion, "motion.active", onMotion) }
+def onMotion(evt) { light.off() }
+"#;
+
+/// Watches the hall light, which puts both switching apps in its group.
+const LIGHT_WATCH: &str = r#"
+definition(name: "NAME", namespace: "st", author: "a", description: "d")
+preferences { section("s") { input "light", "capability.switch" } }
+def installed() { subscribe(light, "switch", onSwitch) }
+def onSwitch(evt) { log.debug "light switched" }
+"#;
+
+/// The on, off and watching apps installed under `names`, on one motion
+/// sensor and one light.
+fn light_bundle(names: [&str; 3]) -> (Vec<IrApp>, SystemConfig) {
+    let sources: Vec<String> = [LIGHT_ON, LIGHT_OFF, LIGHT_WATCH]
+        .iter()
+        .zip(names)
+        .map(|(source, name)| source.replace("NAME", name))
+        .collect();
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let apps = translate_sources(&refs).expect("light apps translate");
+    let bound = |name: &str, inputs: &[&str]| {
+        inputs.iter().fold(AppConfig::new(name), |app, input| {
+            let label = if *input == "motion" { "hallMotion" } else { "hallLight" };
+            app.with(*input, Binding::Devices(vec![label.into()]))
+        })
+    };
+    let config = SystemConfig::new()
+        .with_device(DeviceConfig::new("hallMotion", "motionSensor", ""))
+        .with_device(DeviceConfig::new("hallLight", "switch", "light"))
+        .with_app(bound(names[0], &["motion", "light"]))
+        .with_app(bound(names[1], &["motion", "light"]))
+        .with_app(bound(names[2], &["light"]));
+    (apps, config)
+}
+
+/// The on and off apps answer one motion event with conflicting commands,
+/// so whichever runs last decides the light and whether "the hall light is
+/// never on" fails.  Members run in the order of their sorted names, so
+/// installing the apps under other names that sort the same way must give
+/// the same verdict, counterexample and state counts.  The first names sort
+/// in the order of their lengths and the second do not: a model that
+/// ordered its members by name length (or bundle position, or anything but
+/// the sorted names) reports different verdicts for the two.
+#[test]
+fn member_order_follows_sorted_names_whatever_their_lengths() {
+    let never_on = PropertySpec::builder(100, "The hall light is never on").never(Expr::any_attr(
+        DeviceSelect::label("hallLight"),
+        "switch",
+        "on",
+    ));
+    let pipeline = Pipeline::with_events(2).with_properties(PropertySet::all().with(never_on));
+    // Names of the on, off and watching apps: the off app sorts first.
+    let lengths_agree = ["B Light On Again", "A Off", "C Watcher Of The Hall"];
+    let lengths_differ = ["B On", "A Switch The Light Off Please", "C Watch"];
+    let mut reports = Vec::new();
+    for names in [lengths_agree, lengths_differ] {
+        let (apps, config) = light_bundle(names);
+        let what = format!("light apps named {names:?}");
+        assert_served_equals_direct(&pipeline, &apps, &config, &what);
+        let report = pipeline.verify_fleet(&apps, &config, &mut VerificationCache::new());
+        let group = report.groups_containing(names[2]);
+        assert_eq!(group.len(), 1, "{what}: one group holds all three apps");
+        assert_eq!(group[0].apps.len(), 3, "{what}");
+        reports.push((names, timing_free(&group[0].report)));
+    }
+    let [(first_names, first), (second_names, second)] = &reports[..] else { unreachable!() };
+    // The off app runs first and the on app last: the light ends on.
+    assert!(first.violated_properties().contains(&100), "{first:?}");
+    let renamed = |text: &str| {
+        first_names
+            .iter()
+            .zip(second_names)
+            .fold(text.to_string(), |text, (from, to)| text.replace(from, to))
+    };
+    // Names of other lengths render traces of other sizes.
+    let sizes_apart = |report: &SearchReport| {
+        let mut stats = report.stats.clone();
+        stats.peak_trace_bytes = 0;
+        stats
+    };
+    assert_eq!(sizes_apart(second), sizes_apart(first));
+    assert_eq!(second.violations.len(), first.violations.len());
+    for (a, b) in second.violations.iter().zip(&first.violations) {
+        assert_eq!((&a.violation, a.depth, &a.path), (&b.violation, b.depth, &b.path));
+        assert_eq!(a.trace.to_string(), renamed(&b.trace.to_string()));
     }
 }
