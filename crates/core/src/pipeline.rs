@@ -286,10 +286,14 @@ impl Pipeline {
         ConfigIndex::new(config).restrict(apps)
     }
 
-    /// Verifies one explicit group of apps (no dependency analysis).
-    pub fn verify_group(&self, apps: &[impl Borrow<IrApp>], config: &SystemConfig) -> GroupResult {
+    /// Verifies one explicit group of apps (no dependency analysis).  Shared
+    /// IR (`Arc<IrApp>`) is shared with the model; owned IR is copied once.
+    pub fn verify_group<A>(&self, apps: &[A], config: &SystemConfig) -> GroupResult
+    where
+        A: Borrow<IrApp> + Clone + Into<Arc<IrApp>>,
+    {
         let restricted = self.restrict_config(apps, config);
-        let apps: Vec<Arc<IrApp>> = apps.iter().map(|app| Arc::new(app.borrow().clone())).collect();
+        let apps: Vec<Arc<IrApp>> = apps.iter().cloned().map(Into::into).collect();
         self.verify_group_restricted(&apps, restricted)
     }
 

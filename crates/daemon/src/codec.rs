@@ -116,29 +116,10 @@ const OWNER_MEMBER: u8 = 1;
 /// A log line's owner tag: a name the record's app list lacks follows.
 const OWNER_NAME: u8 = 2;
 
-/// A record's app list, searched by name: an owner is written as the first
-/// position of its name, and only that position is read back.
-struct AppList<'a> {
-    apps: &'a [String],
-    /// Planned groups list their apps sorted, which a binary search uses.
-    sorted: bool,
-}
-
-impl<'a> AppList<'a> {
-    fn new(apps: &'a [String]) -> Self {
-        AppList { apps, sorted: apps.windows(2).all(|pair| pair[0] <= pair[1]) }
-    }
-
-    /// The first position of `name` in the list.
-    fn first(&self, name: &str) -> Option<u32> {
-        let position = if self.sorted {
-            let position = self.apps.partition_point(|app| app.as_str() < name);
-            self.apps.get(position).filter(|app| *app == name).map(|_| position)
-        } else {
-            self.apps.iter().position(|app| app == name)
-        };
-        position.map(|p| p as u32)
-    }
+/// The first position of `name` in a record's app list: an owner is
+/// written as that position, and only that position is read back.
+fn first_position(apps: &[String], name: &str) -> Option<u32> {
+    apps.iter().position(|app| app == name).map(|p| p as u32)
 }
 
 /// Encodes a [`GroupResult`] into `out` (appended; `out` is not cleared).
@@ -147,7 +128,7 @@ pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
     for app in &result.apps {
         put_str(out, app);
     }
-    let mut owners = Owners { apps: AppList::new(&result.apps), found: HashMap::new() };
+    let mut owners = Owners { apps: &result.apps, found: HashMap::new() };
     let report = &result.report;
     put_u32(out, report.violations.len() as u32);
     let mut previous: Option<&Arc<Trace>> = None;
@@ -187,7 +168,7 @@ pub fn encode_group_result(result: &GroupResult, out: &mut Vec<u8>) {
 /// owner's address: a model's owned lines share one name per app, so each
 /// name is searched for once per record.
 struct Owners<'a> {
-    apps: AppList<'a>,
+    apps: &'a [String],
     found: HashMap<usize, Option<u32>>,
 }
 
@@ -196,8 +177,8 @@ impl Owners<'_> {
     /// up is borrowed for the whole encode, so an address seen before still
     /// holds the same name.
     fn position(&mut self, owner: &Arc<str>) -> Option<u32> {
-        let apps = &self.apps;
-        *self.found.entry(owner.as_ptr() as usize).or_insert_with(|| apps.first(owner))
+        let apps = self.apps;
+        *self.found.entry(owner.as_ptr() as usize).or_insert_with(|| first_position(apps, owner))
     }
 }
 
@@ -331,14 +312,14 @@ impl<'a> Reader<'a> {
 /// The owner names of one record being decoded: one [`Arc<str>`] per
 /// distinct app name, made when a line first names it.
 struct Names<'a> {
-    apps: AppList<'a>,
+    apps: &'a [String],
     /// The shared name of each position, once a line has named it.
     shared: Vec<Option<Arc<str>>>,
 }
 
 impl<'a> Names<'a> {
     fn new(apps: &'a [String]) -> Self {
-        Names { apps: AppList::new(apps), shared: vec![None; apps.len()] }
+        Names { apps, shared: vec![None; apps.len()] }
     }
 
     /// The owner at `position`, which must be its name's first position
@@ -348,8 +329,8 @@ impl<'a> Names<'a> {
         if let Some(Some(shared)) = self.shared.get(index) {
             return Ok(Arc::clone(shared));
         }
-        let name = self.apps.apps.get(index).ok_or_else(|| err("log owner position"))?;
-        if self.apps.first(name) != Some(position) {
+        let name = self.apps.get(index).ok_or_else(|| err("log owner position"))?;
+        if first_position(self.apps, name) != Some(position) {
             return Err(err("log owner position"));
         }
         Ok(Arc::clone(self.shared[index].insert(Arc::from(name.as_str()))))
@@ -358,7 +339,7 @@ impl<'a> Names<'a> {
     /// A literal owner, which the app list must lack (the encoder writes a
     /// listed name as its position).
     fn literal(&self, name: String) -> Result<Arc<str>, CodecError> {
-        if self.apps.first(&name).is_some() {
+        if first_position(self.apps, &name).is_some() {
             return Err(err("log owner name"));
         }
         Ok(Arc::from(name))
