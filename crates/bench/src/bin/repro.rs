@@ -708,13 +708,15 @@ fn market_experiment(json: &mut BenchJson) {
 /// verify the 8-app market fleet cold (writing every group verdict through
 /// to the append-only log), tear the log's tail the way a crash mid-append
 /// would, then verify again in a fresh "process" over the same file.  The
-/// restart must come in at least 10x faster.  Torn-tail recovery and the
-/// warm verdicts served from disk are pinned by the daemon crate's
-/// `store_recovery` and `iotsand_smoke` tests.
+/// restart must come in at least 10x faster.  Each phase also reports its
+/// store open (for the restart, the best of its three) and the log's size.
+/// Torn-tail recovery and the warm verdicts served from disk are pinned by
+/// the daemon crate's `store_recovery` and `iotsand_smoke` tests.
 fn daemon_experiment(json: &mut BenchJson) {
     use iotsan::VerificationCache;
     use iotsan_daemon::{Recovery, StoreBacking, VerdictStore};
     use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
 
     heading("Daemon: durable verdict store across a crashed restart (8 market apps, failures on)");
     // A fixed 3-event bound in both profiles: deep enough that cold
@@ -728,15 +730,24 @@ fn daemon_experiment(json: &mut BenchJson) {
     std::fs::create_dir_all(&dir).expect("create the store directory");
     let path = dir.join("verdicts.log");
 
+    // A timed store open (read, CRC check and replay), the log's size once
+    // open, and a fresh cache backed by the store.
     let open_cache = |path: &std::path::Path| {
-        let store = Arc::new(Mutex::new(VerdictStore::open(path).expect("open the verdict store")));
-        let recovery = store.lock().unwrap().recovery().clone();
-        let cache = VerificationCache::new().with_backing(Box::new(StoreBacking::new(store)));
-        (cache, recovery)
+        let started = Instant::now();
+        let store = VerdictStore::open(path).expect("open the verdict store");
+        let open = Open { elapsed: started.elapsed(), log_bytes: store.file_bytes().unwrap_or(0) };
+        let recovery = store.recovery().clone();
+        let backing = StoreBacking::new(Arc::new(Mutex::new(store)));
+        (VerificationCache::new().with_backing(Box::new(backing)), recovery, open)
     };
+    #[derive(Clone, Copy)]
+    struct Open {
+        elapsed: Duration,
+        log_bytes: u64,
+    }
 
     // Phase 1: cold run, writing every verdict through to the log.
-    let (mut cache, recovery) = open_cache(&path);
+    let (mut cache, recovery, cold_open) = open_cache(&path);
     assert_eq!(recovery, Recovery::Fresh, "the experiment starts from a fresh store");
     let cold = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
     drop(cache); // "process exit": nothing in memory survives past here
@@ -751,11 +762,14 @@ fn daemon_experiment(json: &mut BenchJson) {
 
     // Phase 2: restart.  Replay a few times (fresh cache each time, so every
     // lookup goes to disk) and keep the fastest, like any microbenchmark.
-    let (mut cache, recovery) = open_cache(&path);
+    let (mut cache, recovery, mut warm_open) = open_cache(&path);
     let mut warm = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut cache);
     let mut warm_backing_hits = cache.backing_hits();
     for _ in 0..2 {
-        let (mut again, _) = open_cache(&path);
+        let (mut again, _, open) = open_cache(&path);
+        if open.elapsed < warm_open.elapsed {
+            warm_open = open;
+        }
         let run = iotsan_bench::run_fleet(&apps, &config, events, true, budget, &mut again);
         if run.elapsed < warm.elapsed {
             warm = run;
@@ -774,8 +788,8 @@ fn daemon_experiment(json: &mut BenchJson) {
         "Phase", "Time", "Groups", "Hits", "Misses", "BackingHits", "Speedup"
     );
     let mut rows = Vec::new();
-    for (phase, run, backing) in
-        [("cold", &cold, 0usize), ("warm-restart", &warm, warm_backing_hits)]
+    for (phase, run, backing, open) in
+        [("cold", &cold, 0usize, cold_open), ("warm-restart", &warm, warm_backing_hits, warm_open)]
     {
         let vs_cold = cold.elapsed.as_secs_f64() / run.elapsed.as_secs_f64().max(1e-9);
         println!(
@@ -796,10 +810,19 @@ fn daemon_experiment(json: &mut BenchJson) {
                 .num_u("violated_properties", run.report.violated_properties().len() as u64)
                 .flag("truncated", run.truncated())
                 .fixed("speedup_vs_cold", vs_cold, 3)
+                .fixed("open_seconds", open.elapsed.as_secs_f64(), 6)
+                .num_u("log_bytes", open.log_bytes)
                 .finish(),
         );
     }
     json.push_experiment("daemon", "market8+failures", events, &rows);
+    let open_secs = warm_open.elapsed.as_secs_f64();
+    println!(
+        "restart open: best of 3 {:.2} ms over {} byte(s), {:.0} MB/s",
+        open_secs * 1e3,
+        warm_open.log_bytes,
+        warm_open.log_bytes as f64 / 1e6 / open_secs.max(1e-9)
+    );
     println!("(recovery: {recovery:?})");
     let _ = std::fs::remove_dir_all(&dir);
 }

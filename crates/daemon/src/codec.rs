@@ -54,17 +54,66 @@ fn err(context: &'static str) -> CodecError {
     CodecError { context }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes` — the per-record
-/// integrity guard of the verdict log.  Bitwise implementation: record sizes
-/// are small and the store is I/O-bound, so no table is warranted.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for byte in bytes {
-        crc ^= u32::from(*byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// The IEEE 802.3 CRC-32 polynomial, bit-reflected.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-8 lookup tables: `CRC32_TABLES[0][b]` is the CRC of byte `b`
+/// alone, and `CRC32_TABLES[k][b]` advances it over `k` further zero bytes,
+/// so one step folds eight input bytes with eight independent lookups.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        byte += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes` — the per-record
+/// integrity guard of the verdict log, paid on every record at open and
+/// reopen, on every append and on every record compaction rewrites.
+///
+/// Slice-by-8 over compile-time tables, because the check is not hidden
+/// behind I/O: on a 2-vCPU Xeon the bitwise loop took 33–35 ms of a
+/// 44 ms open of a 5.8 MB log (reading the file took 1.1 ms), and
+/// slice-by-8 takes 4.0–4.3 ms of a 13.5 ms open.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = 0xffff_ffff;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
 }
@@ -714,5 +763,57 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition the tables must reproduce: one polynomial step per bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xffff_ffff;
+        for byte in bytes {
+            crc ^= u32::from(*byte);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// `len` bytes from a fixed xorshift stream, so failures reproduce.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference() {
+        // Every tail length of the 8-byte stride, at every alignment.
+        let buffer = seeded_bytes(0x5eed, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &buffer[start..start + len];
+                assert_eq!(crc32(slice), crc32_bitwise(slice), "start {start}, len {len}");
+            }
+        }
+
+        let large = seeded_bytes(0xc0ffee, 1 << 20);
+        assert_eq!(crc32(&large), crc32_bitwise(&large));
+
+        // A whole verdict record, checksum included, as the store writes it.
+        let mut payload = Vec::new();
+        encode_group_result(&sample_result(), &mut payload);
+        let record = crate::store::record_bytes(
+            crate::store::TAG_PUT,
+            iotsan::Fingerprint(0xfeed),
+            &payload,
+        );
+        let (body, stored) = record.split_at(record.len() - 4);
+        assert_eq!(u32::from_le_bytes(stored.try_into().unwrap()), crc32_bitwise(body));
+        assert_eq!(crc32(body), crc32_bitwise(body));
     }
 }

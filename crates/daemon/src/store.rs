@@ -30,10 +30,11 @@ use crate::fault::{RealIo, StoreIo};
 use iotsan::{Fingerprint, GroupResult};
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::METRICS;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// The 8-byte magic prefix of a verdict log.
 pub const MAGIC: [u8; 8] = *b"IOTSANVS";
@@ -56,7 +57,7 @@ pub const FORMAT_VERSION: u32 = 8;
 
 const HEADER_LEN: usize = 16;
 const RECORD_HEAD_LEN: usize = 1 + 8 + 4; // tag + fingerprint + payload length
-const TAG_PUT: u8 = 1;
+pub(crate) const TAG_PUT: u8 = 1;
 const TAG_EVICT: u8 = 2;
 
 /// What [`VerdictStore::open`] found on disk.
@@ -143,10 +144,7 @@ pub struct CompactStats {
 pub struct VerdictStore {
     path: PathBuf,
     file: File,
-    entries: BTreeMap<Fingerprint, GroupResult>,
-    /// Live keys in (re)insertion order — the FIFO eviction queue and the
-    /// deterministic record order compaction writes.
-    order: VecDeque<Fingerprint>,
+    live: Live,
     /// Records currently in the log file (live + dead).
     records: usize,
     recovery: Recovery,
@@ -166,14 +164,54 @@ pub struct VerdictStore {
     broken: bool,
 }
 
+/// The live verdicts and their (re)insertion order — the FIFO eviction
+/// queue and the deterministic record order compaction writes.  Each entry
+/// carries the sequence number of its latest put and `order` maps those
+/// numbers back to keys, so superseding, deleting and evicting the oldest
+/// entry are each O(log n) however many entries are live.
+#[derive(Debug, Default)]
+struct Live {
+    entries: BTreeMap<Fingerprint, (u64, GroupResult)>,
+    order: BTreeMap<u64, Fingerprint>,
+    next_seq: u64,
+}
+
+impl Live {
+    /// Inserts or replaces `fingerprint`'s verdict as the newest entry.
+    fn put(&mut self, fingerprint: Fingerprint, result: GroupResult) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Some((superseded, _)) = self.entries.insert(fingerprint, (seq, result)) {
+            self.order.remove(&superseded);
+        }
+        self.order.insert(seq, fingerprint);
+    }
+
+    fn remove(&mut self, fingerprint: Fingerprint) {
+        if let Some((seq, _)) = self.entries.remove(&fingerprint) {
+            self.order.remove(&seq);
+        }
+    }
+
+    fn get(&self, fingerprint: Fingerprint) -> Option<&GroupResult> {
+        self.entries.get(&fingerprint).map(|(_, result)| result)
+    }
+
+    /// Live keys, oldest first.
+    fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + '_ {
+        self.order.values().copied()
+    }
+}
+
 /// What recovery loads from disk — shared by open and [`VerdictStore::reopen`].
 struct Loaded {
     file: File,
-    entries: BTreeMap<Fingerprint, GroupResult>,
-    order: VecDeque<Fingerprint>,
+    live: Live,
     records: usize,
     recovery: Recovery,
     sound_len: u64,
+    /// Wall time of the read and replay.
+    elapsed: Duration,
 }
 
 fn header_bytes() -> [u8; HEADER_LEN] {
@@ -186,16 +224,21 @@ fn header_bytes() -> [u8; HEADER_LEN] {
 
 /// Flushes one recovery outcome to the telemetry registry and flight
 /// recorder (shared by open and [`VerdictStore::reopen`]).  A fresh store
-/// replayed nothing, so it records nothing.
-fn record_recovery(recovery: &Recovery) {
-    match recovery {
+/// replayed nothing, so it records nothing; a replay says how many bytes
+/// it read back and how long the read and replay took.
+fn record_recovery(loaded: &Loaded) {
+    let replayed_bytes = loaded.sound_len;
+    let ms = loaded.elapsed.as_secs_f64() * 1e3;
+    match &loaded.recovery {
         Recovery::Fresh => {}
         Recovery::Clean { records } => {
             METRICS.store_recoveries.inc();
             flight::record(
                 Level::Info,
                 EventCode::StoreRecover,
-                &format!("clean replay of {records} record(s)"),
+                &format!(
+                    "clean replay of {records} record(s), {replayed_bytes} byte(s) in {ms:.1} ms"
+                ),
             );
         }
         Recovery::CorruptTail { records, dropped_bytes } => {
@@ -205,8 +248,8 @@ fn record_recovery(recovery: &Recovery) {
                 Level::Warn,
                 EventCode::StoreRecover,
                 &format!(
-                    "corrupt tail: {records} record(s) replayed, {dropped_bytes} trailing \
-                     byte(s) truncated"
+                    "corrupt tail: {records} record(s) replayed, {replayed_bytes} byte(s) in \
+                     {ms:.1} ms, {dropped_bytes} trailing byte(s) truncated"
                 ),
             );
         }
@@ -262,7 +305,7 @@ fn parse_record(bytes: &[u8]) -> Option<(usize, Record)> {
     Some((total, record))
 }
 
-fn record_bytes(tag: u8, fingerprint: Fingerprint, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn record_bytes(tag: u8, fingerprint: Fingerprint, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEAD_LEN + payload.len() + 4);
     out.push(tag);
     out.extend_from_slice(&fingerprint.0.to_le_bytes());
@@ -316,12 +359,11 @@ impl VerdictStore {
         let path = path.as_ref().to_path_buf();
         let mut io = io;
         let loaded = Self::load(&path, io.as_mut())?;
-        record_recovery(&loaded.recovery);
+        record_recovery(&loaded);
         Ok(VerdictStore {
             path,
             file: loaded.file,
-            entries: loaded.entries,
-            order: loaded.order,
+            live: loaded.live,
             records: loaded.records,
             recovery: loaded.recovery,
             options,
@@ -335,14 +377,14 @@ impl VerdictStore {
     /// tail truncation) go straight to the filesystem — the faultable
     /// surface is steady-state mutation, not crash repair (see [`StoreIo`]).
     fn load(path: &Path, io: &mut dyn StoreIo) -> io::Result<Loaded> {
+        let started = Instant::now();
         let bytes = match io.read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
 
-        let mut entries = BTreeMap::new();
-        let mut order = VecDeque::new();
+        let mut live = Live::default();
         let mut records = 0usize;
         let mut sound_len = HEADER_LEN as u64;
 
@@ -374,16 +416,8 @@ impl VerdictStore {
                     match parse_record(&bytes[pos..]) {
                         Some((consumed, record)) => {
                             match record {
-                                Record::Put(fingerprint, result) => {
-                                    if entries.insert(fingerprint, result).is_some() {
-                                        order.retain(|f| *f != fingerprint);
-                                    }
-                                    order.push_back(fingerprint);
-                                }
-                                Record::Evict(fingerprint) => {
-                                    entries.remove(&fingerprint);
-                                    order.retain(|f| *f != fingerprint);
-                                }
+                                Record::Put(fingerprint, result) => live.put(fingerprint, result),
+                                Record::Evict(fingerprint) => live.remove(fingerprint),
                             }
                             records += 1;
                             pos += consumed;
@@ -402,7 +436,7 @@ impl VerdictStore {
         };
 
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Loaded { file, entries, order, records, recovery, sound_len })
+        Ok(Loaded { file, live, records, recovery, sound_len, elapsed: started.elapsed() })
     }
 
     /// Re-runs recovery over the same path, options and [`StoreIo`] —
@@ -412,10 +446,9 @@ impl VerdictStore {
     /// flag clears; on failure the store is left exactly as it was.
     pub fn reopen(&mut self) -> io::Result<&Recovery> {
         let loaded = Self::load(&self.path, self.io.as_mut())?;
-        record_recovery(&loaded.recovery);
+        record_recovery(&loaded);
         self.file = loaded.file;
-        self.entries = loaded.entries;
-        self.order = loaded.order;
+        self.live = loaded.live;
         self.records = loaded.records;
         self.recovery = loaded.recovery;
         self.sound_len = loaded.sound_len;
@@ -453,14 +486,11 @@ impl VerdictStore {
         let mut payload = Vec::new();
         encode_group_result(result, &mut payload);
         self.write_record(&record_bytes(TAG_PUT, fingerprint, &payload))?;
-        if self.entries.insert(fingerprint, result.clone()).is_some() {
-            self.order.retain(|f| *f != fingerprint);
-        }
-        self.order.push_back(fingerprint);
+        self.live.put(fingerprint, result.clone());
 
         if let Some(max) = self.options.max_entries {
-            while self.entries.len() > max {
-                let oldest = *self.order.front().expect("entries is non-empty");
+            while self.len() > max {
+                let oldest = self.live.fingerprints().next().expect("entries is non-empty");
                 self.write_evict(oldest)?;
             }
         }
@@ -502,7 +532,7 @@ impl VerdictStore {
     /// Writes a tombstone for `fingerprint` (when live), dropping it from
     /// the store; returns whether anything was evicted.
     pub fn evict(&mut self, fingerprint: Fingerprint) -> io::Result<bool> {
-        if !self.entries.contains_key(&fingerprint) {
+        if !self.contains(fingerprint) {
             return Ok(false);
         }
         self.write_evict(fingerprint)?;
@@ -512,8 +542,7 @@ impl VerdictStore {
 
     fn write_evict(&mut self, fingerprint: Fingerprint) -> io::Result<()> {
         self.write_record(&record_bytes(TAG_EVICT, fingerprint, &[]))?;
-        self.entries.remove(&fingerprint);
-        self.order.retain(|f| *f != fingerprint);
+        self.live.remove(fingerprint);
         Ok(())
     }
 
@@ -559,11 +588,10 @@ impl VerdictStore {
         let mut out = Vec::new();
         out.extend_from_slice(&header_bytes());
         let mut payload = Vec::new();
-        for fingerprint in &self.order {
-            let result = &self.entries[fingerprint];
+        for fingerprint in self.live.fingerprints() {
             payload.clear();
-            encode_group_result(result, &mut payload);
-            out.extend_from_slice(&record_bytes(TAG_PUT, *fingerprint, &payload));
+            encode_group_result(&self.live.entries[&fingerprint].1, &mut payload);
+            out.extend_from_slice(&record_bytes(TAG_PUT, fingerprint, &payload));
         }
 
         // All-or-nothing: a failure at any step leaves the live log
@@ -580,7 +608,7 @@ impl VerdictStore {
             return Err(e);
         }
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.records = self.entries.len();
+        self.records = self.len();
         self.sound_len = out.len() as u64;
         // The rewrite came entirely from the in-memory index, so any
         // previously unrepaired tail is gone with the old file.
@@ -621,22 +649,22 @@ impl VerdictStore {
 
     /// The verdict stored for `fingerprint`, if any.
     pub fn get(&self, fingerprint: Fingerprint) -> Option<&GroupResult> {
-        self.entries.get(&fingerprint)
+        self.live.get(fingerprint)
     }
 
     /// True when a verdict is stored for `fingerprint`.
     pub fn contains(&self, fingerprint: Fingerprint) -> bool {
-        self.entries.contains_key(&fingerprint)
+        self.live.entries.contains_key(&fingerprint)
     }
 
     /// Number of live verdicts.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live.entries.len()
     }
 
     /// True when no verdicts are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live.entries.is_empty()
     }
 
     /// Records currently in the log file, live and dead.
@@ -647,7 +675,7 @@ impl VerdictStore {
     /// Dead records in the log (superseded puts plus tombstones and their
     /// targets) — what [`VerdictStore::compact`] reclaims.
     pub fn dead_records(&self) -> usize {
-        self.records - self.entries.len()
+        self.records - self.len()
     }
 
     /// What [`VerdictStore::open`] found on disk.
@@ -667,6 +695,6 @@ impl VerdictStore {
 
     /// The live fingerprints in insertion order (oldest first).
     pub fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + '_ {
-        self.order.iter().copied()
+        self.live.fingerprints()
     }
 }

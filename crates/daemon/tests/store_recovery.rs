@@ -318,3 +318,101 @@ fn capacity_and_auto_compaction_knobs() {
     }
     assert_eq!(store.len(), 2);
 }
+
+/// A seeded sequence of puts, re-puts of live keys and evicts under a
+/// `max_entries` cap, checked op by op against a `VecDeque` + `retain`
+/// reference model of the FIFO queue: the same live order and set, the
+/// same dead-record count, the same order after a reopen (whose
+/// flight-recorder event gives its bytes and time), and a compaction
+/// byte-identical to a fresh log written in that order.
+#[test]
+fn capped_fifo_order_matches_a_reference_queue() {
+    use std::collections::{BTreeMap, VecDeque};
+
+    const MAX: usize = 12;
+    for seed in [1u64, 0x9e37_79b9, 0xdead_beef] {
+        let path = temp_path(&format!("fifo-model-{seed:x}"));
+        let _ = std::fs::remove_file(&path);
+        let options = StoreOptions { max_entries: Some(MAX), compact_after_dead: None };
+        let mut store = VerdictStore::open_with(&path, options).unwrap();
+
+        let mut queue: VecDeque<Fingerprint> = VecDeque::new();
+        let mut model: BTreeMap<Fingerprint, GroupResult> = BTreeMap::new();
+        let mut records = 0usize;
+        let mut state = seed;
+        let mut next_key = 0u64;
+        for step in 0..1500usize {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let pick = (state >> 32) as usize;
+            let live_key = (!queue.is_empty()).then(|| queue[pick % queue.len()]);
+            match (state % 10, live_key) {
+                // Re-put a live key: it moves to the back of the queue.
+                (0..=2, Some(key)) => {
+                    store.append(key, &sample(step)).unwrap();
+                    queue.retain(|f| *f != key);
+                    queue.push_back(key);
+                    model.insert(key, sample(step));
+                    records += 1;
+                }
+                // Evict a live key with a tombstone.
+                (3 | 4, Some(key)) => {
+                    assert!(store.evict(key).unwrap());
+                    queue.retain(|f| *f != key);
+                    model.remove(&key);
+                    records += 1;
+                }
+                // Put a new key, evicting the oldest beyond the cap.
+                _ => {
+                    let key = Fingerprint(next_key);
+                    next_key += 1;
+                    store.append(key, &sample(step)).unwrap();
+                    queue.push_back(key);
+                    model.insert(key, sample(step));
+                    records += 1;
+                    while queue.len() > MAX {
+                        let oldest = queue.pop_front().unwrap();
+                        model.remove(&oldest);
+                        records += 1;
+                    }
+                }
+            }
+            assert!(store.fingerprints().eq(queue.iter().copied()), "seed {seed:x}, step {step}");
+            assert_eq!((store.records(), store.len()), (records, model.len()));
+        }
+        assert!(!store.evict(Fingerprint(u64::MAX)).unwrap(), "a dead key writes no tombstone");
+        for (fingerprint, result) in &model {
+            assert_eq!(store.get(*fingerprint), Some(result));
+        }
+        drop(store);
+
+        let mut reopened = VerdictStore::open_with(&path, options).unwrap();
+        assert_eq!(*reopened.recovery(), Recovery::Clean { records });
+        // The replay event gives the bytes replayed and the time taken.
+        let replayed = format!(
+            "clean replay of {records} record(s), {} byte(s) in ",
+            reopened.file_bytes().unwrap()
+        );
+        assert!(
+            iotsan_telemetry::flight::events()
+                .iter()
+                .any(|event| event.detail.starts_with(&replayed) && event.detail.ends_with(" ms")),
+            "no flight event starting `{replayed}`"
+        );
+        assert!(reopened.fingerprints().eq(queue.iter().copied()));
+        assert_eq!(reopened.dead_records(), records - model.len());
+        reopened.compact().unwrap();
+
+        // Compaction writes exactly what appending the live queue in order
+        // to a fresh log writes.
+        let fresh = temp_path(&format!("fifo-model-fresh-{seed:x}"));
+        let _ = std::fs::remove_file(&fresh);
+        let mut reference = VerdictStore::open(&fresh).unwrap();
+        for fingerprint in &queue {
+            reference.append(*fingerprint, &model[fingerprint]).unwrap();
+        }
+        drop(reference);
+        assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&fresh).unwrap());
+    }
+}
