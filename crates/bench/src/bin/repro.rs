@@ -709,7 +709,8 @@ fn market_experiment(json: &mut BenchJson) {
 /// to the append-only log), tear the log's tail the way a crash mid-append
 /// would, then verify again in a fresh "process" over the same file.  The
 /// restart must come in at least 10x faster.  Each phase also reports its
-/// store open (for the restart, the best of its three) and the log's size.
+/// store open (for the restart, the best of its three), the time to then
+/// serve every live verdict once, and the log's size.
 /// Torn-tail recovery and the warm verdicts served from disk are pinned by
 /// the daemon crate's `store_recovery` and `iotsand_smoke` tests.
 fn daemon_experiment(json: &mut BenchJson) {
@@ -730,12 +731,19 @@ fn daemon_experiment(json: &mut BenchJson) {
     std::fs::create_dir_all(&dir).expect("create the store directory");
     let path = dir.join("verdicts.log");
 
-    // A timed store open (read, CRC check and replay), the log's size once
-    // open, and a fresh cache backed by the store.
+    // A timed store open (read, CRC check and index), the time to then
+    // read back and decode every live verdict once (the decode the open
+    // leaves to each verdict's first lookup), the log's size once open, and
+    // a fresh cache backed by the store.
     let open_cache = |path: &std::path::Path| {
         let started = Instant::now();
         let store = VerdictStore::open(path).expect("open the verdict store");
-        let open = Open { elapsed: started.elapsed(), log_bytes: store.file_bytes().unwrap_or(0) };
+        let elapsed = started.elapsed();
+        let started = Instant::now();
+        let served = store.fingerprints().filter(|&f| store.get(f).is_some()).count();
+        assert_eq!(served, store.len(), "every live verdict reads back");
+        let first_load = started.elapsed();
+        let open = Open { elapsed, first_load, log_bytes: store.file_bytes().unwrap_or(0) };
         let recovery = store.recovery().clone();
         let backing = StoreBacking::new(Arc::new(Mutex::new(store)));
         (VerificationCache::new().with_backing(Box::new(backing)), recovery, open)
@@ -743,6 +751,7 @@ fn daemon_experiment(json: &mut BenchJson) {
     #[derive(Clone, Copy)]
     struct Open {
         elapsed: Duration,
+        first_load: Duration,
         log_bytes: u64,
     }
 
@@ -811,6 +820,7 @@ fn daemon_experiment(json: &mut BenchJson) {
                 .flag("truncated", run.truncated())
                 .fixed("speedup_vs_cold", vs_cold, 3)
                 .fixed("open_seconds", open.elapsed.as_secs_f64(), 6)
+                .fixed("first_load_seconds", open.first_load.as_secs_f64(), 6)
                 .num_u("log_bytes", open.log_bytes)
                 .finish(),
         );
@@ -818,10 +828,12 @@ fn daemon_experiment(json: &mut BenchJson) {
     json.push_experiment("daemon", "market8+failures", events, &rows);
     let open_secs = warm_open.elapsed.as_secs_f64();
     println!(
-        "restart open: best of 3 {:.2} ms over {} byte(s), {:.0} MB/s",
+        "restart open: best of 3 {:.2} ms over {} byte(s), {:.0} MB/s; \
+         then every live verdict served once in {:.2} ms",
         open_secs * 1e3,
         warm_open.log_bytes,
-        warm_open.log_bytes as f64 / 1e6 / open_secs.max(1e-9)
+        warm_open.log_bytes as f64 / 1e6 / open_secs.max(1e-9),
+        warm_open.first_load.as_secs_f64() * 1e3
     );
     println!("(recovery: {recovery:?})");
     let _ = std::fs::remove_dir_all(&dir);
@@ -1226,7 +1238,9 @@ fn run_chaos_schedule(
         ));
     }
     for fingerprint in &disk {
-        let result = store.get(iotsan::Fingerprint(*fingerprint)).expect("listed fingerprint");
+        let result = store.get(iotsan::Fingerprint(*fingerprint)).ok_or_else(|| {
+            format!("verdict {fingerprint:016x} is listed but does not read back")
+        })?;
         if !agrees(reference, *fingerprint, &result.apps, result.report.violations.len()) {
             return Err(format!("recovered verdict for {:?} is wrong", result.apps));
         }

@@ -32,6 +32,7 @@ MODES (exactly one):
     --listen SOCKET      Serve jobs over a unix domain socket, one NDJSON job
                          per line, results echoed back on the same connection.
                          A {\"op\":\"shutdown\"} line stops the daemon.
+                         A line over 1 MiB is answered as invalid unread.
     --compact            Rewrite the verdict store, dropping superseded and
                          evicted records, then exit.
     --status             Print the store's recovery verdict, record counts and
@@ -335,6 +336,58 @@ fn run_batch_mode(args: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
+/// The longest job line `--listen` reads, in bytes, newline excluded
+/// (OPERATIONS.md, "Job limits").  A longer line is skipped through its
+/// newline without being kept and answered as invalid.
+#[cfg(unix)]
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One line a `--listen` client sent.
+#[cfg(unix)]
+enum ClientLine {
+    /// A line of at most [`MAX_LINE_BYTES`], without its line ending.
+    Fits(Vec<u8>),
+    /// A line over [`MAX_LINE_BYTES`], already skipped.
+    TooLong,
+}
+
+/// Reads the next `\n`-terminated line (the last one may end at end of
+/// stream instead), holding at most [`MAX_LINE_BYTES`] of it in memory.
+/// `None` at end of stream.
+#[cfg(unix)]
+fn read_client_line(reader: &mut impl BufRead) -> std::io::Result<Option<ClientLine>> {
+    let mut line = Vec::new();
+    let mut fits = true;
+    let mut read_any = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&byte| byte == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        fits = fits && line.len() + take <= MAX_LINE_BYTES;
+        if fits {
+            line.extend_from_slice(&chunk[..take]);
+        } else {
+            line = Vec::new();
+        }
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            break;
+        }
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(read_any.then_some(if fits { ClientLine::Fits(line) } else { ClientLine::TooLong }))
+}
+
 #[cfg(unix)]
 fn run_listen_mode(args: &Args) -> Result<(), Failure> {
     use std::os::unix::net::UnixListener;
@@ -357,30 +410,39 @@ fn run_listen_mode(args: &Args) -> Result<(), Failure> {
                 continue;
             }
         };
-        let reader = std::io::BufReader::new(
+        let mut reader = std::io::BufReader::new(
             stream.try_clone().map_err(|e| runtime(format!("cannot clone socket stream: {e}")))?,
         );
         let mut writer = stream;
-        for (number, line) in reader.lines().enumerate() {
+        let mut number = 0;
+        // Every line ends in one answer, a blank one in none; only a
+        // client that hangs up ends the connection.
+        while let Ok(Some(line)) = read_client_line(&mut reader) {
+            number += 1;
             let line = match line {
-                Ok(line) => line,
-                Err(_) => break, // client hung up mid-line
+                ClientLine::Fits(bytes) => String::from_utf8(bytes)
+                    .map_err(|_| invalid_line(number, "line is not UTF-8".into())),
+                ClientLine::TooLong => Err(invalid_line(
+                    number,
+                    format!("line exceeds the {MAX_LINE_BYTES}-byte limit"),
+                )),
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = match parse_line(&line, number + 1) {
-                Ok(JobLine::Shutdown) => {
-                    let _ = writeln!(writer, "{{\"status\":\"shutting-down\"}}");
-                    break 'serve;
-                }
-                Ok(JobLine::Metrics) => metrics_line(),
-                Ok(JobLine::Flight) => flight_line(),
-                Ok(JobLine::Job(spec)) => {
-                    let outcomes = daemon.run_batch(vec![spec]);
-                    outcomes.first().map(JobOutcome::render).unwrap_or_default()
-                }
-                Err(error) => invalid_line(number + 1, error).render(),
+            let response = match line {
+                Err(invalid) => invalid.render(),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match parse_line(&line, number) {
+                    Ok(JobLine::Shutdown) => {
+                        let _ = writeln!(writer, "{{\"status\":\"shutting-down\"}}");
+                        break 'serve;
+                    }
+                    Ok(JobLine::Metrics) => metrics_line(),
+                    Ok(JobLine::Flight) => flight_line(),
+                    Ok(JobLine::Job(spec)) => {
+                        let outcomes = daemon.run_batch(vec![spec]);
+                        outcomes.first().map(JobOutcome::render).unwrap_or_default()
+                    }
+                    Err(error) => invalid_line(number, error).render(),
+                },
             };
             if writeln!(writer, "{response}").is_err() {
                 break; // client hung up; keep serving others

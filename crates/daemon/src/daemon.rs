@@ -132,14 +132,16 @@ impl StoreHealth {
 
 /// A [`VerdictPersistence`] adapter over a shared [`VerdictStore`].
 ///
-/// Loads are served from the store's replayed in-memory index; stores
-/// append to the log.  An append failure flips the shared [`StoreHealth`]
-/// to degraded: the verdict stays correct in memory (re-verifying after a
-/// restart is always sound, and the store's CRC-guarded records mean a
-/// partial append is detected and skipped on replay rather than trusted),
-/// further writes are suspended, and subsequent store traffic drives a
-/// bounded, exponentially backed-off repair probe that re-runs recovery
-/// ([`VerdictStore::reopen`]) until the disk heals.
+/// Loads read the verdict's record back from the log and decode it (the
+/// cache keeps what it loads, so each verdict is decoded once per
+/// process); stores append to the log.  An append failure flips the shared
+/// [`StoreHealth`] to degraded: the verdict stays correct in memory
+/// (re-verifying after a restart is always sound, and the store's
+/// CRC-guarded records mean a partial append is detected and skipped on
+/// replay rather than trusted), further writes are suspended, and
+/// subsequent store traffic drives a bounded, exponentially backed-off
+/// repair probe that re-runs recovery ([`VerdictStore::reopen`]) until the
+/// disk heals.
 #[derive(Debug, Clone)]
 pub struct StoreBacking {
     store: Arc<Mutex<VerdictStore>>,
@@ -229,7 +231,7 @@ impl StoreBacking {
 
 impl VerdictPersistence for StoreBacking {
     fn load(&mut self, fingerprint: Fingerprint) -> Option<GroupResult> {
-        self.store.lock().unwrap_or_else(|e| e.into_inner()).get(fingerprint).cloned()
+        self.store.lock().unwrap_or_else(|e| e.into_inner()).get(fingerprint)
     }
 
     fn store(&mut self, fingerprint: Fingerprint, result: &GroupResult) -> bool {

@@ -14,16 +14,21 @@
 //! └───────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Replay on [`VerdictStore::open`] applies records in order (last write
-//! wins, tombstones delete); a truncated or corrupted *tail* — the half
-//! record a crash mid-append leaves behind — fails its CRC or bounds check
-//! and is explicitly **skipped and truncated away** ([`Recovery::CorruptTail`]),
-//! never decoded into a verdict.  The header folds
+//! Replay on [`VerdictStore::open`] checks every record's framing and CRC
+//! and applies them in order (last write wins, tombstones delete) to an
+//! index of where each live verdict's record sits; it decodes none of them.
+//! A truncated or corrupted *tail* — the half record a crash mid-append
+//! leaves behind — fails its CRC or bounds check and is explicitly
+//! **skipped and truncated away** ([`Recovery::CorruptTail`]), never
+//! trusted.  [`VerdictStore::get`] reads its record back with a positioned
+//! read, checks the CRC again and decodes it; a record that no longer reads
+//! back is a miss, so the caller re-verifies.  The header folds
 //! [`iotsan::analysis::ANALYSIS_VERSION`]: a log written under different
 //! slicing/analysis semantics is discarded wholesale on open
 //! ([`Recovery::Discarded`]), so stale analysis never replays.
 //! [`VerdictStore::compact`] rewrites the log without superseded or evicted
-//! records, atomically (write-temp + rename) and idempotently.
+//! records by copying the live records' bytes, atomically (write-temp +
+//! rename) and idempotently.
 
 use crate::codec::{crc32, decode_group_result, encode_group_result};
 use crate::fault::{RealIo, StoreIo};
@@ -33,6 +38,7 @@ use iotsan_telemetry::METRICS;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -137,12 +143,14 @@ pub struct CompactStats {
 /// A durable, fingerprint-keyed store of group verdicts over an append-only
 /// CRC-guarded log (see the module docs for the record format).
 ///
-/// The full contents are materialized in memory on open — the store is an
-/// *index plus journal*, not a paging database — so `get` is a map lookup
-/// and every mutation is one appended record.
+/// The store keeps an *index plus journal*, not a paging database: in
+/// memory it holds only where each live verdict's record sits in the log,
+/// so `get` is a map lookup plus one positioned read and decode, and every
+/// mutation is one appended record.
 #[derive(Debug)]
 pub struct VerdictStore {
     path: PathBuf,
+    /// The log, opened for reading (`get`'s positioned reads) and appending.
     file: File,
     live: Live,
     /// Records currently in the log file (live + dead).
@@ -164,24 +172,32 @@ pub struct VerdictStore {
     broken: bool,
 }
 
-/// The live verdicts and their (re)insertion order — the FIFO eviction
-/// queue and the deterministic record order compaction writes.  Each entry
-/// carries the sequence number of its latest put and `order` maps those
-/// numbers back to keys, so superseding, deleting and evicting the oldest
-/// entry are each O(log n) however many entries are live.
+/// Where one record sits in the log: its first byte and its whole length
+/// (head, payload and CRC).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    offset: u64,
+    len: usize,
+}
+
+/// The live verdicts' records and their (re)insertion order — the FIFO
+/// eviction queue and the deterministic record order compaction writes.
+/// Each entry carries the sequence number of its latest put and `order`
+/// maps those numbers back to keys, so superseding, deleting and evicting
+/// the oldest entry are each O(log n) however many entries are live.
 #[derive(Debug, Default)]
 struct Live {
-    entries: BTreeMap<Fingerprint, (u64, GroupResult)>,
+    entries: BTreeMap<Fingerprint, (u64, Extent)>,
     order: BTreeMap<u64, Fingerprint>,
     next_seq: u64,
 }
 
 impl Live {
-    /// Inserts or replaces `fingerprint`'s verdict as the newest entry.
-    fn put(&mut self, fingerprint: Fingerprint, result: GroupResult) {
+    /// Inserts or replaces `fingerprint`'s record as the newest entry.
+    fn put(&mut self, fingerprint: Fingerprint, extent: Extent) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some((superseded, _)) = self.entries.insert(fingerprint, (seq, result)) {
+        if let Some((superseded, _)) = self.entries.insert(fingerprint, (seq, extent)) {
             self.order.remove(&superseded);
         }
         self.order.insert(seq, fingerprint);
@@ -191,10 +207,6 @@ impl Live {
         if let Some((seq, _)) = self.entries.remove(&fingerprint) {
             self.order.remove(&seq);
         }
-    }
-
-    fn get(&self, fingerprint: Fingerprint) -> Option<&GroupResult> {
-        self.entries.get(&fingerprint).map(|(_, result)| result)
     }
 
     /// Live keys, oldest first.
@@ -265,15 +277,17 @@ fn record_recovery(loaded: &Loaded) {
     }
 }
 
-/// One successfully parsed record: bytes consumed plus its meaning.
-enum Record {
-    Put(Fingerprint, GroupResult),
-    Evict(Fingerprint),
+/// A record whose framing and CRC check out.
+struct Frame {
+    tag: u8,
+    fingerprint: Fingerprint,
+    /// Bytes the whole record takes.
+    len: usize,
 }
 
-/// Parses the record starting at `bytes[0]`; any shortfall, bad tag, CRC
-/// mismatch or undecodable payload is `None` (an untrusted tail).
-fn parse_record(bytes: &[u8]) -> Option<(usize, Record)> {
+/// Frames the record starting at `bytes[0]` without decoding its payload;
+/// any shortfall, bad tag or CRC mismatch is `None` (an untrusted tail).
+fn frame(bytes: &[u8]) -> Option<Frame> {
     if bytes.len() < RECORD_HEAD_LEN {
         return None;
     }
@@ -295,14 +309,12 @@ fn parse_record(bytes: &[u8]) -> Option<(usize, Record)> {
     if crc32(&bytes[..body_end]) != stored_crc {
         return None;
     }
-    let record = match tag {
-        TAG_PUT => {
-            let result = decode_group_result(&bytes[RECORD_HEAD_LEN..body_end]).ok()?;
-            Record::Put(fingerprint, result)
-        }
-        _ => Record::Evict(fingerprint),
-    };
-    Some((total, record))
+    Some(Frame { tag, fingerprint, len: total })
+}
+
+/// Opens a log for `get`'s positioned reads and for appends.
+fn open_log(path: &Path) -> io::Result<File> {
+    OpenOptions::new().read(true).append(true).open(path)
 }
 
 pub(crate) fn record_bytes(tag: u8, fingerprint: Fingerprint, payload: &[u8]) -> Vec<u8> {
@@ -413,14 +425,15 @@ impl VerdictStore {
                         sound_len = pos as u64;
                         break Recovery::Clean { records };
                     }
-                    match parse_record(&bytes[pos..]) {
-                        Some((consumed, record)) => {
-                            match record {
-                                Record::Put(fingerprint, result) => live.put(fingerprint, result),
-                                Record::Evict(fingerprint) => live.remove(fingerprint),
+                    match frame(&bytes[pos..]) {
+                        Some(Frame { tag, fingerprint, len }) => {
+                            if tag == TAG_PUT {
+                                live.put(fingerprint, Extent { offset: pos as u64, len });
+                            } else {
+                                live.remove(fingerprint);
                             }
                             records += 1;
-                            pos += consumed;
+                            pos += len;
                         }
                         None => {
                             let dropped_bytes = (bytes.len() - pos) as u64;
@@ -435,7 +448,7 @@ impl VerdictStore {
             }
         };
 
-        let file = OpenOptions::new().append(true).open(path)?;
+        let file = open_log(path)?;
         Ok(Loaded { file, live, records, recovery, sound_len, elapsed: started.elapsed() })
     }
 
@@ -479,14 +492,16 @@ impl VerdictStore {
     ///
     /// // The verdict survives a restart, byte-identically.
     /// let reopened = VerdictStore::open(&path).unwrap();
-    /// assert_eq!(reopened.get(Fingerprint(0xfeed)), Some(&verdict));
+    /// assert_eq!(reopened.get(Fingerprint(0xfeed)), Some(verdict));
     /// # std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn append(&mut self, fingerprint: Fingerprint, result: &GroupResult) -> io::Result<()> {
         let mut payload = Vec::new();
         encode_group_result(result, &mut payload);
-        self.write_record(&record_bytes(TAG_PUT, fingerprint, &payload))?;
-        self.live.put(fingerprint, result.clone());
+        let record = record_bytes(TAG_PUT, fingerprint, &payload);
+        let offset = self.sound_len;
+        self.write_record(&record)?;
+        self.live.put(fingerprint, Extent { offset, len: record.len() });
 
         if let Some(max) = self.options.max_entries {
             while self.len() > max {
@@ -578,40 +593,64 @@ impl VerdictStore {
     ///
     /// let stats = store.compact().unwrap();
     /// assert_eq!((stats.records_before, stats.records_after), (2, 1));
-    /// assert_eq!(store.get(Fingerprint(7)), Some(&new)); // last write won
+    /// assert_eq!(store.get(Fingerprint(7)), Some(new)); // last write won
     /// # std::fs::remove_file(&path).unwrap();
     /// ```
     pub fn compact(&mut self) -> io::Result<CompactStats> {
         let bytes_before = fs::metadata(&self.path)?.len();
         let records_before = self.records;
 
-        let mut out = Vec::new();
+        // Copy each live record's bytes in insertion order, checked again
+        // on the way: a record that no longer reads back is a miss already,
+        // and copying it would plant a broken record mid-log.
+        let mut out = Vec::with_capacity(self.sound_len as usize);
         out.extend_from_slice(&header_bytes());
-        let mut payload = Vec::new();
-        for fingerprint in self.live.fingerprints() {
-            payload.clear();
-            encode_group_result(&self.live.entries[&fingerprint].1, &mut payload);
-            out.extend_from_slice(&record_bytes(TAG_PUT, fingerprint, &payload));
+        let mut moved = Vec::with_capacity(self.len());
+        let mut lost = Vec::new();
+        for (&seq, &fingerprint) in &self.live.order {
+            let (_, extent) = self.live.entries[&fingerprint];
+            let offset = out.len();
+            out.resize(offset + extent.len, 0);
+            match self.read_record(fingerprint, extent, &mut out[offset..]) {
+                Ok(()) => {
+                    moved.push((fingerprint, seq, Extent { offset: offset as u64, ..extent }))
+                }
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    out.truncate(offset);
+                    lost.push(fingerprint);
+                    self.warn_unreadable(fingerprint, extent, &e);
+                }
+                Err(e) => return Err(e),
+            }
         }
 
-        // All-or-nothing: a failure at any step leaves the live log
-        // untouched (the temp file is removed, never half-renamed), so a
-        // failed compaction degrades nothing.
+        // All-or-nothing: a failure at any step leaves the live log and the
+        // index untouched (the temp file is removed, never half-renamed),
+        // so a failed compaction degrades nothing.  The new log's handle is
+        // opened before the rename, so it follows the file into place.
         let tmp = self.path.with_extension("compact-tmp");
-        let staged = self
-            .io
-            .write(&tmp, &out)
-            .and_then(|()| self.io.fsync(&File::open(&tmp)?))
-            .and_then(|()| self.io.rename(&tmp, &self.path));
-        if let Err(e) = staged {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
+        let staged = self.io.write(&tmp, &out).and_then(|()| open_log(&tmp)).and_then(|file| {
+            self.io.fsync(&file)?;
+            self.io.rename(&tmp, &self.path)?;
+            Ok(file)
+        });
+        match staged {
+            Ok(file) => self.file = file,
+            Err(e) => {
+                let _ = fs::remove_file(&tmp);
+                return Err(e);
+            }
         }
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        for fingerprint in lost {
+            self.live.remove(fingerprint);
+        }
+        for (fingerprint, seq, extent) in moved {
+            self.live.entries.insert(fingerprint, (seq, extent));
+        }
         self.records = self.len();
         self.sound_len = out.len() as u64;
-        // The rewrite came entirely from the in-memory index, so any
-        // previously unrepaired tail is gone with the old file.
+        // The rewrite holds only records that read back, so any previously
+        // unrepaired tail is gone with the old file.
         self.broken = false;
 
         METRICS.store_compactions.inc();
@@ -647,9 +686,62 @@ impl VerdictStore {
         self.broken
     }
 
-    /// The verdict stored for `fingerprint`, if any.
-    pub fn get(&self, fingerprint: Fingerprint) -> Option<&GroupResult> {
-        self.live.get(fingerprint)
+    /// The verdict stored for `fingerprint`, if any, read back from the log
+    /// and decoded.
+    ///
+    /// A record that no longer reads back — an I/O error, a CRC mismatch
+    /// or a payload that does not decode — is a miss, recorded as a
+    /// flight-recorder warning: re-verifying is always sound, while
+    /// trusting the bytes would not be.
+    pub fn get(&self, fingerprint: Fingerprint) -> Option<GroupResult> {
+        let &(_, extent) = self.live.entries.get(&fingerprint)?;
+        let mut bytes = vec![0; extent.len];
+        let decoded = self.read_record(fingerprint, extent, &mut bytes).and_then(|()| {
+            decode_group_result(&bytes[RECORD_HEAD_LEN..extent.len - 4])
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        });
+        match decoded {
+            Ok(result) => Some(result),
+            Err(e) => {
+                self.warn_unreadable(fingerprint, extent, &e);
+                None
+            }
+        }
+    }
+
+    /// Reads `fingerprint`'s put record at `extent` into `buf` (exactly
+    /// `extent.len` bytes) and checks that it is still that record, CRC
+    /// and all.  A record that is no longer there — the log ends inside it,
+    /// or its framing or CRC does not match — is
+    /// [`io::ErrorKind::InvalidData`]; any other read error passes through.
+    fn read_record(
+        &self,
+        fingerprint: Fingerprint,
+        extent: Extent,
+        buf: &mut [u8],
+    ) -> io::Result<()> {
+        let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_owned());
+        self.file.read_exact_at(buf, extent.offset).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => invalid("the log ends inside the record"),
+            _ => e,
+        })?;
+        frame(buf)
+            .filter(|found| {
+                found.tag == TAG_PUT && found.fingerprint == fingerprint && found.len == extent.len
+            })
+            .map(|_| ())
+            .ok_or_else(|| invalid("framing or CRC mismatch"))
+    }
+
+    fn warn_unreadable(&self, fingerprint: Fingerprint, extent: Extent, error: &io::Error) {
+        flight::record(
+            Level::Warn,
+            EventCode::StoreUnreadable,
+            &format!(
+                "verdict {fingerprint} at byte {} no longer reads back ({error}); served as a miss",
+                extent.offset
+            ),
+        );
     }
 
     /// True when a verdict is stored for `fingerprint`.
@@ -696,5 +788,64 @@ impl VerdictStore {
     /// The live fingerprints in insertion order (oldest first).
     pub fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + '_ {
         self.live.fingerprints()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Open frames records without decoding them, so a record whose CRC
+    /// checks out but whose payload is not a verdict replays cleanly and its
+    /// lookup is a miss.  Compaction copies it without decoding, so it stays
+    /// a miss until a fresh verdict supersedes it.
+    #[test]
+    fn a_crc_valid_record_that_does_not_decode_is_a_miss() {
+        let dir =
+            std::env::temp_dir().join(format!("iotsan-store-undecodable-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("verdicts.log");
+        let good = GroupResult { apps: vec!["Unlock Door".into()], report: Default::default() };
+        let mut payload = Vec::new();
+        encode_group_result(&good, &mut payload);
+        let mut log = header_bytes().to_vec();
+        log.extend(record_bytes(TAG_PUT, Fingerprint(1), &[0xff; 9]));
+        log.extend(record_bytes(TAG_PUT, Fingerprint(2), &payload));
+        fs::write(&path, &log).unwrap();
+
+        let mut store = VerdictStore::open(&path).unwrap();
+        assert_eq!(*store.recovery(), Recovery::Clean { records: 2 });
+        assert_eq!(store.get(Fingerprint(1)), None);
+        assert_eq!(store.get(Fingerprint(2)), Some(good.clone()));
+
+        assert_eq!(store.compact().unwrap().records_after, 2);
+        assert_eq!(store.get(Fingerprint(1)), None);
+        store.append(Fingerprint(1), &good).unwrap();
+        assert_eq!(store.get(Fingerprint(1)), Some(good.clone()));
+        assert_eq!(store.get(Fingerprint(2)), Some(good));
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// `get` checks that the bytes at an entry's offset are that entry's
+    /// own record: an index pointing at another key's record is a miss,
+    /// never the other key's verdict.
+    #[test]
+    fn a_record_under_another_key_is_a_miss() {
+        let dir =
+            std::env::temp_dir().join(format!("iotsan-store-misindexed-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("verdicts.log");
+        let _ = fs::remove_file(&path);
+        let verdict =
+            |name: &str| GroupResult { apps: vec![name.into()], report: Default::default() };
+        let mut store = VerdictStore::open(&path).unwrap();
+        store.append(Fingerprint(1), &verdict("one")).unwrap();
+        store.append(Fingerprint(2), &verdict("two")).unwrap();
+
+        let first = store.live.entries[&Fingerprint(1)].1;
+        store.live.entries.get_mut(&Fingerprint(2)).unwrap().1 = first;
+        assert_eq!(store.get(Fingerprint(2)), None);
+        assert_eq!(store.get(Fingerprint(1)), Some(verdict("one")));
+        fs::remove_file(&path).unwrap();
     }
 }

@@ -221,52 +221,88 @@ fn status_and_compact_modes_report_the_store() {
     assert!(text.contains("compacted"), "{text}");
 }
 
+/// An `iotsand --listen` process over a fresh store with one client
+/// connection, killed on drop if an assertion fails before its shutdown.
+#[cfg(unix)]
+struct Listening {
+    child: std::process::Child,
+    reader: std::io::BufReader<std::os::unix::net::UnixStream>,
+    writer: std::os::unix::net::UnixStream,
+    socket: PathBuf,
+}
+
+#[cfg(unix)]
+impl Listening {
+    fn start(name: &str) -> Self {
+        use std::os::unix::net::UnixStream;
+        use std::time::{Duration, Instant};
+
+        let dir = temp_dir(name);
+        let store = dir.join("verdicts.log");
+        let socket = dir.join("iotsand.sock");
+        let child = iotsand()
+            .args(["--store", store.to_str().unwrap(), "--listen", socket.to_str().unwrap()])
+            .spawn()
+            .unwrap();
+        // Wait for the socket to appear.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let stream = loop {
+            match UnixStream::connect(&socket) {
+                Ok(stream) => break stream,
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(20))
+                }
+                Err(e) => panic!("socket never came up: {e}"),
+            }
+        };
+        let reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        Listening { child, reader, writer: stream, socket }
+    }
+
+    /// Sends one request line; every response is exactly one line of JSON.
+    fn respond(&mut self, request: &str) -> (String, serde_json::Value) {
+        self.respond_bytes(request.as_bytes())
+    }
+
+    /// [`Listening::respond`] for a line that need not be UTF-8.
+    fn respond_bytes(&mut self, request: &[u8]) -> (String, serde_json::Value) {
+        use std::io::{BufRead, Write};
+
+        self.writer.write_all(request).unwrap();
+        self.writer.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        let value = serde_json::from_str(&line).unwrap_or_else(|e| {
+            let shown = String::from_utf8_lossy(&request[..request.len().min(80)]);
+            panic!("response to {shown} is not one JSON line ({e}): {line}")
+        });
+        (line, value)
+    }
+
+    /// Asks the daemon to shut down and checks that it exits cleanly and
+    /// removes its socket.
+    fn shutdown(&mut self) {
+        let (ack, _) = self.respond(r#"{"op":"shutdown"}"#);
+        assert!(ack.contains("shutting-down"), "{ack}");
+        let status = self.child.wait().unwrap();
+        assert!(status.success());
+        assert!(!self.socket.exists(), "socket file should be removed on shutdown");
+    }
+}
+
+#[cfg(unix)]
+impl Drop for Listening {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 #[cfg(unix)]
 #[test]
 fn listen_mode_serves_jobs_over_a_unix_socket() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::os::unix::net::UnixStream;
-    use std::time::{Duration, Instant};
-
-    let dir = temp_dir("listen");
-    let store = dir.join("verdicts.log");
-    let socket = dir.join("iotsand.sock");
-
-    // Kills the daemon if an assertion fails before the shutdown request.
-    struct Reap(std::process::Child);
-    impl Drop for Reap {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-    let mut daemon = Reap(
-        iotsand()
-            .args(["--store", store.to_str().unwrap(), "--listen", socket.to_str().unwrap()])
-            .spawn()
-            .unwrap(),
-    );
-
-    // Wait for the socket to appear.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let stream = loop {
-        match UnixStream::connect(&socket) {
-            Ok(stream) => break stream,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
-            Err(e) => panic!("socket never came up: {e}"),
-        }
-    };
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    // Every response is exactly one line of JSON.
-    let mut respond = |request: &str| -> (String, serde_json::Value) {
-        writeln!(writer, "{request}").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let value = serde_json::from_str(&line)
-            .unwrap_or_else(|e| panic!("response to {request} is not one JSON line ({e}): {line}"));
-        (line, value)
-    };
+    let mut daemon = Listening::start("listen");
+    let mut respond = |request: &str| daemon.respond(request);
 
     let (response, _) = respond(r#"{"id":"sock","market":2}"#);
     assert!(response.contains("\"status\":\"ok\""), "{response}");
@@ -296,12 +332,41 @@ fn listen_mode_serves_jobs_over_a_unix_socket() {
     let (flight, _) = respond(r#"{"op":"flight"}"#);
     assert!(flight.contains("\"events\":"), "{flight}");
 
-    let (ack, _) = respond(r#"{"op":"shutdown"}"#);
-    assert!(ack.contains("shutting-down"), "{ack}");
+    daemon.shutdown();
+}
 
-    let status = daemon.0.wait().unwrap();
-    assert!(status.success());
-    assert!(!socket.exists(), "socket file should be removed on shutdown");
+/// A client line over the 1 MiB limit is skipped without being held and
+/// answered with one invalid outcome; a line of exactly the limit is read
+/// and parsed; a line that is not UTF-8 is answered as invalid too; and the
+/// connection's next job is still served.
+#[cfg(unix)]
+#[test]
+fn listen_mode_answers_an_over_long_line_and_serves_the_next() {
+    const LIMIT: usize = 1 << 20;
+    let padded = |id: &str, len: usize| {
+        let frame = format!("{{\"id\":\"{id}\",\"x\":\"\"}}");
+        format!("{{\"id\":\"{id}\",\"x\":\"{}\"}}", "a".repeat(len - frame.len()))
+    };
+    let mut daemon = Listening::start("long-line");
+
+    let (response, long) = daemon.respond(&padded("long", LIMIT + 1));
+    let text = |key: &str| long.get(key).and_then(|v| v.as_str()).map(str::to_owned);
+    assert_eq!(text("status").as_deref(), Some("invalid"), "{response}");
+    assert_eq!(text("id").as_deref(), Some("line-1"), "{response}");
+    assert!(response.contains("line exceeds the 1048576-byte limit"), "{response}");
+
+    let (response, _) = daemon.respond(&padded("exact", LIMIT));
+    assert!(response.contains("\"status\":\"invalid\""), "{response}");
+    assert!(!response.contains("byte limit"), "a line of exactly the limit is parsed: {response}");
+
+    let (response, _) = daemon.respond_bytes(b"{\"id\":\"\xff\"}");
+    assert!(response.contains("\"id\":\"line-3\""), "{response}");
+    assert!(response.contains("line is not UTF-8"), "{response}");
+
+    let (response, _) = daemon.respond(r#"{"id":"after-long","market":2}"#);
+    assert!(response.contains("\"id\":\"after-long\""), "{response}");
+    assert!(response.contains("\"status\":\"ok\""), "{response}");
+    daemon.shutdown();
 }
 
 /// A `sources` job nested 100,000 parentheses deep used to overflow a

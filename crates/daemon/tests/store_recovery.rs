@@ -8,7 +8,8 @@ use iotsan::{Fingerprint, GroupResult};
 use iotsan_daemon::fault::{Fault, FaultKind, FaultPlan, FaultyIo};
 use iotsan_daemon::store::{DiscardReason, Recovery, StoreOptions, VerdictStore};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const HEADER_LEN: usize = 16;
@@ -49,6 +50,18 @@ fn build_log(path: &PathBuf, entries: usize) -> Vec<(Fingerprint, GroupResult)> 
     originals
 }
 
+/// Each record's byte range in a log, read straight off its framing.
+fn record_spans(bytes: &[u8]) -> Vec<Range<usize>> {
+    let mut spans = Vec::new();
+    let mut pos = HEADER_LEN;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 9..pos + 13].try_into().unwrap()) as usize;
+        spans.push(pos..pos + 13 + len + 4);
+        pos += 13 + len + 4;
+    }
+    spans
+}
+
 /// Whatever survived must be an exact prefix of what was written, value for
 /// value — a recovered verdict is always one that was actually stored.
 fn assert_prefix(store: &VerdictStore, originals: &[(Fingerprint, GroupResult)]) {
@@ -58,7 +71,7 @@ fn assert_prefix(store: &VerdictStore, originals: &[(Fingerprint, GroupResult)])
         assert_eq!(*fingerprint, originals[i].0, "survivors must be the written prefix");
         assert_eq!(
             store.get(*fingerprint),
-            Some(&originals[i].1),
+            Some(originals[i].1.clone()),
             "verdict must be byte-identical"
         );
     }
@@ -105,7 +118,7 @@ proptest! {
         drop(store);
         let reopened = VerdictStore::open(&path).unwrap();
         prop_assert!(matches!(reopened.recovery(), Recovery::Clean { .. }));
-        prop_assert_eq!(reopened.get(Fingerprint(0xeeee)), Some(&extra));
+        prop_assert_eq!(reopened.get(Fingerprint(0xeeee)), Some(extra.clone()));
     }
 
     #[test]
@@ -190,7 +203,7 @@ proptest! {
         let expected: Vec<Fingerprint> = acknowledged.iter().map(|(f, _)| *f).collect();
         prop_assert!(survived == expected, "recovered {survived:?} != acknowledged {expected:?}");
         for (fingerprint, result) in &acknowledged {
-            prop_assert_eq!(reopened.get(*fingerprint), Some(result));
+            prop_assert_eq!(reopened.get(*fingerprint), Some(result.clone()));
         }
     }
 
@@ -225,18 +238,20 @@ proptest! {
             prop_assert!(!tmp.exists(), "failed compaction must remove its temp file");
         }
         // Either way the store still serves the latest verdicts...
-        prop_assert_eq!(store.get(Fingerprint(1)), Some(&sample(2)));
-        prop_assert_eq!(store.get(Fingerprint(2)), Some(&sample(3)));
+        prop_assert_eq!(store.get(Fingerprint(1)), Some(sample(2)));
+        prop_assert_eq!(store.get(Fingerprint(2)), Some(sample(3)));
         // ...and a later fault-free compaction (indices exhausted) succeeds.
         if outcome.is_err() {
             let stats = store.compact().unwrap();
             prop_assert_eq!(stats.records_after, 2);
+            prop_assert_eq!(store.get(Fingerprint(1)), Some(sample(2)));
+            prop_assert_eq!(store.get(Fingerprint(2)), Some(sample(3)));
         }
         drop(store);
         let reopened = VerdictStore::open(&path).unwrap();
         prop_assert_eq!(reopened.recovery(), &Recovery::Clean { records: 2 });
-        prop_assert_eq!(reopened.get(Fingerprint(1)), Some(&sample(2)));
-        prop_assert_eq!(reopened.get(Fingerprint(2)), Some(&sample(3)));
+        prop_assert_eq!(reopened.get(Fingerprint(1)), Some(sample(2)));
+        prop_assert_eq!(reopened.get(Fingerprint(2)), Some(sample(3)));
     }
 }
 
@@ -264,13 +279,13 @@ fn compaction_is_idempotent() {
     assert_eq!(std::fs::read(&path).unwrap(), after_first);
 
     // Last write won, the tombstoned entry is gone, and a reopen is clean.
-    assert_eq!(store.get(Fingerprint(1)), Some(&sample(2)));
+    assert_eq!(store.get(Fingerprint(1)), Some(sample(2)));
     assert!(!store.contains(Fingerprint(2)));
     drop(store);
     let reopened = VerdictStore::open(&path).unwrap();
     assert_eq!(*reopened.recovery(), Recovery::Clean { records: 2 });
-    assert_eq!(reopened.get(Fingerprint(1)), Some(&sample(2)));
-    assert_eq!(reopened.get(Fingerprint(3)), Some(&sample(3)));
+    assert_eq!(reopened.get(Fingerprint(1)), Some(sample(2)));
+    assert_eq!(reopened.get(Fingerprint(3)), Some(sample(3)));
 }
 
 #[test]
@@ -383,7 +398,7 @@ fn capped_fifo_order_matches_a_reference_queue() {
         }
         assert!(!store.evict(Fingerprint(u64::MAX)).unwrap(), "a dead key writes no tombstone");
         for (fingerprint, result) in &model {
-            assert_eq!(store.get(*fingerprint), Some(result));
+            assert_eq!(store.get(*fingerprint), Some(result.clone()));
         }
         drop(store);
 
@@ -403,6 +418,9 @@ fn capped_fifo_order_matches_a_reference_queue() {
         assert!(reopened.fingerprints().eq(queue.iter().copied()));
         assert_eq!(reopened.dead_records(), records - model.len());
         reopened.compact().unwrap();
+        for (fingerprint, result) in &model {
+            assert_eq!(reopened.get(*fingerprint), Some(result.clone()));
+        }
 
         // Compaction writes exactly what appending the live queue in order
         // to a fresh log writes.
@@ -414,5 +432,108 @@ fn capped_fifo_order_matches_a_reference_queue() {
         }
         drop(reference);
         assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&fresh).unwrap());
+    }
+}
+
+/// Damages the log of five verdicts under an open store with `damage`
+/// (given the path and each record's byte range; it returns the indices of
+/// the records it broke), then checks that every damaged record reads
+/// as a miss with a warning, every other verdict reads back exact, and a
+/// compaction keeps exactly the verdicts that still read back.
+fn damaged_after_open_reads_as_a_miss(
+    name: &str,
+    damage: impl FnOnce(&Path, &[Range<usize>]) -> Range<usize>,
+) {
+    let path = temp_path(name);
+    let originals = build_log(&path, 5);
+    let mut store = VerdictStore::open(&path).unwrap();
+    let spans = record_spans(&std::fs::read(&path).unwrap());
+    let broken = damage(&path, &spans);
+
+    let lost = |i: usize| broken.contains(&i);
+    for (i, (fingerprint, result)) in originals.iter().enumerate() {
+        let expected = (!lost(i)).then(|| result.clone());
+        assert_eq!(store.get(*fingerprint), expected, "{name}: verdict {i}");
+    }
+    let warning = format!(
+        "verdict {} at byte {} no longer reads back",
+        originals[broken.start].0, spans[broken.start].start
+    );
+    assert!(
+        iotsan_telemetry::flight::events().iter().any(|event| event.detail.starts_with(&warning)),
+        "{name}: no flight event starting `{warning}`"
+    );
+
+    // Compaction copies only records that still read back, so the new log
+    // replays cleanly with every surviving verdict.
+    let kept = (0..originals.len()).filter(|&i| !lost(i)).count();
+    assert_eq!(store.compact().unwrap().records_after, kept);
+    drop(store);
+    let reopened = VerdictStore::open(&path).unwrap();
+    assert_eq!(*reopened.recovery(), Recovery::Clean { records: kept });
+    for (i, (fingerprint, result)) in originals.iter().enumerate() {
+        let expected = (!lost(i)).then(|| result.clone());
+        assert_eq!(reopened.get(*fingerprint), expected, "{name}: verdict {i} after compaction");
+    }
+}
+
+#[test]
+fn a_payload_bit_flipped_after_open_reads_as_a_miss() {
+    damaged_after_open_reads_as_a_miss("damaged-bitflip", |path, spans| {
+        let mut bytes = std::fs::read(path).unwrap();
+        let middle = (spans[2].start + spans[2].end) / 2;
+        bytes[middle] ^= 0x10;
+        std::fs::write(path, &bytes).unwrap();
+        2..3
+    });
+}
+
+#[test]
+fn a_log_truncated_below_a_live_record_after_open_reads_as_a_miss() {
+    damaged_after_open_reads_as_a_miss("damaged-truncate", |path, spans| {
+        let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        file.set_len(spans[3].start as u64 + 5).unwrap();
+        3..5
+    });
+}
+
+/// FNV-1a 64 over a verdict's `Debug` text: a compact stand-in for
+/// comparing whole verdicts against ones another build decoded.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `tests/data/verdicts-format8.log` was written by `iotsand` when the
+/// store still decoded every record on open: a batch of three market and
+/// named-app jobs, then one job under `--max-entries 5`, so it holds seven
+/// records: five live verdicts (with counterexamples and shared traces),
+/// one evicted put and its tombstone.  The `.digests` file lists, in live
+/// order, each fingerprint with the `fnv1a` of the `Debug` text that
+/// build's `get` returned.  Lazy decoding must serve the same verdicts.  A change of
+/// `FORMAT_VERSION` or `ANALYSIS_VERSION` discards this log on open; such a
+/// change must write the fixture again from the build before it.
+#[test]
+fn a_log_written_by_the_eager_decoder_reads_back_verdict_for_verdict() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let path = temp_path("format8-fixture");
+    std::fs::copy(data.join("verdicts-format8.log"), &path).unwrap();
+    let digests = std::fs::read_to_string(data.join("verdicts-format8.digests")).unwrap();
+    let expected: Vec<(Fingerprint, u64)> = digests
+        .lines()
+        .map(|line| {
+            let (fingerprint, digest) = line.split_once(' ').unwrap();
+            let hex = |text: &str| u64::from_str_radix(text, 16).unwrap();
+            (Fingerprint(hex(fingerprint)), hex(digest))
+        })
+        .collect();
+
+    let store = VerdictStore::open(&path).unwrap();
+    assert_eq!(*store.recovery(), Recovery::Clean { records: 7 });
+    assert!(store.fingerprints().eq(expected.iter().map(|(fingerprint, _)| *fingerprint)));
+    for (fingerprint, digest) in &expected {
+        let result = store.get(*fingerprint).expect("every live verdict reads back");
+        assert_eq!(fnv1a(&format!("{result:?}")), *digest, "verdict {fingerprint}");
     }
 }

@@ -89,6 +89,8 @@ pub enum EventCode {
     StoreReprobe,
     /// A reprobe succeeded and the store was restored.
     StoreRepair,
+    /// A stored verdict no longer read back and was served as a miss.
+    StoreUnreadable,
     /// A model-checking search started.
     SearchStart,
     /// A search hit a state/transition cap or deadline.
@@ -114,6 +116,7 @@ impl EventCode {
             EventCode::StoreDegrade => "store_degrade",
             EventCode::StoreReprobe => "store_reprobe",
             EventCode::StoreRepair => "store_repair",
+            EventCode::StoreUnreadable => "store_unreadable",
             EventCode::SearchStart => "search_start",
             EventCode::SearchCap => "search_cap",
             EventCode::SearchCancel => "search_cancel",
