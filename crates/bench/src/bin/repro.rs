@@ -966,8 +966,8 @@ fn telemetry_experiment(json: &mut BenchJson) {
 
 /// The scenario-factory differential fuzzer: `size` generated households
 /// starting at `seed_start`, each verified serially, through the concurrent
-/// fleet executor, sliced and warm-cache, with all runs required to agree (plus a Promela LTL
-/// spot-check on small instances).  Emits one `scenario_fuzz` summary row.
+/// fleet executor, sliced, renamed and warm-cache, with all runs and a
+/// full-alphabet walk required to agree.  Emits one `scenario_fuzz` summary row.
 /// On any divergence: shrinks the household to a minimal reproduction under
 /// the *same* divergence phase, writes it to `scenario_repro.json` and exits
 /// non-zero so CI fails loudly and uploads the artifact.
@@ -984,7 +984,6 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
     let mut households = 0usize;
     let mut apps = 0usize;
     let mut truncated = 0usize;
-    let mut promela_checked = 0usize;
     let mut violating = 0usize;
     let start = Instant::now();
 
@@ -998,7 +997,6 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
                 totals.states += report.states;
                 totals.transitions += report.transitions;
                 truncated += report.truncated as usize;
-                promela_checked += report.promela_checked as usize;
                 violating += usize::from(!report.violated.is_empty());
             }
             Err(divergence) => {
@@ -1032,8 +1030,7 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
         totals.groups, totals.states, totals.transitions
     );
     println!(
-        "all five runs and the full-alphabet walk agreed on every household \
-         ({promela_checked} Promela spot-checks); \
+        "all five runs and the full-alphabet walk agreed on every household; \
          {seconds:.2}s, {states_per_sec:.0} states/sec"
     );
     json.push_experiment(
@@ -1050,7 +1047,6 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
             .num_u("transitions", totals.transitions as u64)
             .num_u("violating_households", violating as u64)
             .num_u("truncated_households", truncated as u64)
-            .num_u("promela_checked", promela_checked as u64)
             .fixed("seconds", seconds, 6)
             .fixed("states_per_sec", states_per_sec, 1)
             .finish()],

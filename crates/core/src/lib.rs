@@ -82,5 +82,4 @@ pub use iotsan_depgraph as depgraph;
 pub use iotsan_devices as devices;
 pub use iotsan_groovy as groovy;
 pub use iotsan_ir as ir;
-pub use iotsan_promela as promela;
 pub use iotsan_properties as properties;

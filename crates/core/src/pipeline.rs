@@ -221,9 +221,8 @@ impl Pipeline {
     /// pipeline's own registry plus any [`SystemConfig::custom_properties`]
     /// not already registered.  Every verification entry point
     /// ([`Pipeline::verify`], [`Pipeline::verify_fleet`],
-    /// [`Pipeline::verify_group`], [`Pipeline::emit_promela`]) goes through
-    /// this merge, so properties shipped inside a configuration are checked
-    /// without any extra call.
+    /// [`Pipeline::verify_group`]) goes through this merge, so properties
+    /// shipped inside a configuration are checked without any extra call.
     ///
     /// # Panics
     ///
@@ -383,12 +382,6 @@ impl Pipeline {
         let planner = self.planner();
         let plan = planner.plan(apps, config);
         planner.execute(&plan, cache)
-    }
-
-    /// Emits the Promela model for a group of apps (for inspection / external
-    /// Spin runs).
-    pub fn emit_promela(&self, apps: &[IrApp], config: &SystemConfig) -> String {
-        iotsan_promela::emit_sequential(apps, config, &self.properties_for(config))
     }
 
     /// Returns `true` when verifying `apps` under `config` violates at least
@@ -597,14 +590,6 @@ def handler(evt) {
         let report =
             pipeline.attribute_new_app(&apps[0], &[], &devices, &AttributionThresholds::default());
         assert!(!report.verdict.flags_app(), "verdict was {:?}", report.verdict);
-    }
-
-    #[test]
-    fn promela_emission_via_pipeline() {
-        let apps = translate_sources(&[UNLOCK_DOOR]).unwrap();
-        let config = household_config(&apps);
-        let text = Pipeline::default().emit_promela(&apps, &config);
-        assert!(text.contains("inline Unlock_Door_changedLocationMode"));
     }
 
     #[test]

@@ -112,6 +112,18 @@ fn runtime(e: impl std::fmt::Display) -> Failure {
     Failure::Runtime(e.to_string())
 }
 
+/// Writes a report to a locked stdout.  A reader that has gone away (a
+/// closed pipe, `| head`) is not a failure: the report had nowhere to go.
+fn print_report(
+    write: impl FnOnce(&mut std::io::StdoutLock<'static>) -> std::io::Result<()>,
+) -> Result<(), Failure> {
+    let mut out = std::io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(runtime),
+    }
+}
+
 #[derive(Debug, Default)]
 struct Args {
     store: Option<PathBuf>,
@@ -270,32 +282,37 @@ fn run_batch_mode(args: &Args) -> Result<(), Failure> {
     diagnostic(Level::Info, &describe_recovery(&daemon.recovery()));
 
     let jobs_arg = args.jobs.as_deref().expect("batch mode");
-    let raw = if jobs_arg == "-" {
-        let mut buffer = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut buffer)
-            .map_err(|e| runtime(format!("cannot read stdin: {e}")))?;
-        buffer
+    let source = if jobs_arg == "-" { "stdin" } else { jobs_arg };
+    let cannot_read = |e: std::io::Error| runtime(format!("cannot read {source}: {e}"));
+    let mut reader: Box<dyn BufRead> = if jobs_arg == "-" {
+        Box::new(std::io::stdin().lock())
     } else {
-        std::fs::read_to_string(jobs_arg)
-            .map_err(|e| runtime(format!("cannot read {jobs_arg}: {e}")))?
+        Box::new(std::io::BufReader::new(std::fs::File::open(jobs_arg).map_err(cannot_read)?))
     };
 
     let mut specs = Vec::new();
     let mut invalid: Vec<JobOutcome> = Vec::new();
     let mut want_metrics = false;
     let mut want_flight = false;
-    for (number, line) in raw.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(line, number + 1) {
+    let mut number = 0;
+    while let Some(line) = read_client_line(&mut reader).map_err(cannot_read)? {
+        number += 1;
+        let line = match line.into_text() {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => line,
+            Err(error) => {
+                invalid.push(invalid_line(number, error));
+                continue;
+            }
+        };
+        match parse_line(&line, number) {
             Ok(JobLine::Job(spec)) => specs.push(spec),
             Ok(JobLine::Shutdown) => break, // stop ingesting; run what we have
             // In batch mode the telemetry ops answer after the batch, when
             // the counters actually reflect the submitted work.
             Ok(JobLine::Metrics) => want_metrics = true,
             Ok(JobLine::Flight) => want_flight = true,
-            Err(error) => invalid.push(invalid_line(number + 1, error)),
+            Err(error) => invalid.push(invalid_line(number, error)),
         }
     }
 
@@ -336,14 +353,12 @@ fn run_batch_mode(args: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The longest job line `--listen` reads, in bytes, newline excluded
+/// The longest job line either mode reads, in bytes, newline excluded
 /// (OPERATIONS.md, "Job limits").  A longer line is skipped through its
 /// newline without being kept and answered as invalid.
-#[cfg(unix)]
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// One line a `--listen` client sent.
-#[cfg(unix)]
+/// One job line as read from a `--jobs` input or a `--listen` client.
 enum ClientLine {
     /// A line of at most [`MAX_LINE_BYTES`], without its line ending.
     Fits(Vec<u8>),
@@ -351,10 +366,21 @@ enum ClientLine {
     TooLong,
 }
 
+impl ClientLine {
+    /// The line as text, or why it is invalid: over the limit or not UTF-8.
+    fn into_text(self) -> Result<String, String> {
+        match self {
+            ClientLine::Fits(bytes) => {
+                String::from_utf8(bytes).map_err(|_| "line is not UTF-8".into())
+            }
+            ClientLine::TooLong => Err(format!("line exceeds the {MAX_LINE_BYTES}-byte limit")),
+        }
+    }
+}
+
 /// Reads the next `\n`-terminated line (the last one may end at end of
 /// stream instead), holding at most [`MAX_LINE_BYTES`] of it in memory.
 /// `None` at end of stream.
-#[cfg(unix)]
 fn read_client_line(reader: &mut impl BufRead) -> std::io::Result<Option<ClientLine>> {
     let mut line = Vec::new();
     let mut fits = true;
@@ -419,16 +445,8 @@ fn run_listen_mode(args: &Args) -> Result<(), Failure> {
         // client that hangs up ends the connection.
         while let Ok(Some(line)) = read_client_line(&mut reader) {
             number += 1;
-            let line = match line {
-                ClientLine::Fits(bytes) => String::from_utf8(bytes)
-                    .map_err(|_| invalid_line(number, "line is not UTF-8".into())),
-                ClientLine::TooLong => Err(invalid_line(
-                    number,
-                    format!("line exceeds the {MAX_LINE_BYTES}-byte limit"),
-                )),
-            };
-            let response = match line {
-                Err(invalid) => invalid.render(),
+            let response = match line.into_text() {
+                Err(error) => invalid_line(number, error).render(),
                 Ok(line) if line.trim().is_empty() => continue,
                 Ok(line) => match parse_line(&line, number) {
                     Ok(JobLine::Shutdown) => {
@@ -479,81 +497,64 @@ fn run_compact_mode(args: &Args) -> Result<(), Failure> {
         .map_err(|e| Failure::Store(format!("cannot open verdict store: {e}")))?;
     diagnostic(Level::Info, &describe_recovery(store.recovery()));
     let stats = store.compact().map_err(|e| runtime(format!("compaction failed: {e}")))?;
-    println!(
-        "compacted {}: {} -> {} records, {} -> {} bytes",
-        path.display(),
-        stats.records_before,
-        stats.records_after,
-        stats.bytes_before,
-        stats.bytes_after,
-    );
-    Ok(())
+    print_report(|out| {
+        writeln!(
+            out,
+            "compacted {}: {} -> {} records, {} -> {} bytes",
+            path.display(),
+            stats.records_before,
+            stats.records_after,
+            stats.bytes_before,
+            stats.bytes_after,
+        )
+    })
 }
 
 fn run_status_mode(args: &Args) -> Result<(), Failure> {
     let path = args.store.as_ref().expect("checked by parse_args");
     let store = VerdictStore::open_with(path, store_options(args))
         .map_err(|e| Failure::Store(format!("cannot open verdict store: {e}")))?;
-    println!("store:        {}", path.display());
-    println!("recovery:     {}", describe_recovery(store.recovery()));
-    println!("live entries: {}", store.len());
-    println!("log records:  {} ({} dead)", store.records(), store.dead_records());
-    println!("log bytes:    {}", store.file_bytes().map_err(runtime)?);
+    let file_bytes = store.file_bytes().map_err(runtime)?;
     let quarantined = load_quarantine(&quarantine_sidecar_path(path));
-    println!("quarantined:  {} job class(es)", quarantined.len());
-    for (fingerprint, entry) in &quarantined {
-        println!(
-            "  {fingerprint:016x}: {} attempt(s), last panic: {}",
-            entry.attempts, entry.last_message
-        );
-    }
     // The telemetry surface: what this process's registry recorded while
     // opening the store (recoveries, corrupt tails), plus its shape.
     let snap = iotsan_telemetry::snapshot();
-    println!(
-        "telemetry:    {} metric(s) registered, {} flight event(s) retained",
-        DESCRIPTORS.len(),
-        flight::events().len()
-    );
-    println!(
-        "  store opens replayed: {}, corrupt/discarded logs: {}",
-        snap.counter("iotsan_store_recoveries_total"),
-        snap.counter("iotsan_store_corrupt_tails_total"),
-    );
-    Ok(())
+    print_report(|out| {
+        writeln!(out, "store:        {}", path.display())?;
+        writeln!(out, "recovery:     {}", describe_recovery(store.recovery()))?;
+        writeln!(out, "live entries: {}", store.len())?;
+        writeln!(out, "log records:  {} ({} dead)", store.records(), store.dead_records())?;
+        writeln!(out, "log bytes:    {file_bytes}")?;
+        writeln!(out, "quarantined:  {} job class(es)", quarantined.len())?;
+        for (fingerprint, entry) in &quarantined {
+            writeln!(
+                out,
+                "  {fingerprint:016x}: {} attempt(s), last panic: {}",
+                entry.attempts, entry.last_message
+            )?;
+        }
+        writeln!(
+            out,
+            "telemetry:    {} metric(s) registered, {} flight event(s) retained",
+            DESCRIPTORS.len(),
+            flight::events().len()
+        )?;
+        writeln!(
+            out,
+            "  store opens replayed: {}, corrupt/discarded logs: {}",
+            snap.counter("iotsan_store_recoveries_total"),
+            snap.counter("iotsan_store_corrupt_tails_total"),
+        )
+    })
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            print!("{HELP}");
-            return ExitCode::SUCCESS;
-        }
-        Err(error) => {
-            eprintln!("iotsand: {error}");
-            return Failure::Usage(error).code();
-        }
+    let result = match parse_args(&argv) {
+        Ok(Some(args)) => run(&args),
+        Ok(None) => print_report(|out| out.write_all(HELP.as_bytes())),
+        Err(error) => Err(Failure::Usage(error)),
     };
-    if let Some(level) = args.log_level {
-        flight::set_stderr_level(level);
-    }
-    let result = if args.jobs.is_some() {
-        run_batch_mode(&args)
-    } else if args.listen.is_some() {
-        run_listen_mode(&args)
-    } else if args.compact {
-        run_compact_mode(&args)
-    } else {
-        run_status_mode(&args)
-    };
-    // The dump-on-shutdown snapshot, whatever mode ran and however it went.
-    if let Some(path) = &args.metrics_snapshot {
-        if let Err(e) = std::fs::write(path, metrics_line() + "\n") {
-            eprintln!("iotsand: cannot write metrics snapshot {}: {e}", path.display());
-        }
-    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(failure) => {
@@ -561,4 +562,27 @@ fn main() -> ExitCode {
             failure.code()
         }
     }
+}
+
+/// Runs the mode `args` selects, then writes the metrics snapshot if asked.
+fn run(args: &Args) -> Result<(), Failure> {
+    if let Some(level) = args.log_level {
+        flight::set_stderr_level(level);
+    }
+    let result = if args.jobs.is_some() {
+        run_batch_mode(args)
+    } else if args.listen.is_some() {
+        run_listen_mode(args)
+    } else if args.compact {
+        run_compact_mode(args)
+    } else {
+        run_status_mode(args)
+    };
+    // The dump-on-shutdown snapshot, whatever mode ran and however it went.
+    if let Some(path) = &args.metrics_snapshot {
+        if let Err(e) = std::fs::write(path, metrics_line() + "\n") {
+            eprintln!("iotsand: cannot write metrics snapshot {}: {e}", path.display());
+        }
+    }
+    result
 }

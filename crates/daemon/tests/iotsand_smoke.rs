@@ -39,6 +39,30 @@ fn help_prints_usage_and_exits_cleanly() {
     assert!(text.contains("JOB FORMAT"), "{text}");
 }
 
+/// `--help` and `--status` whose stdout reader has already gone away (a
+/// closed pipe, as in `iotsand --status | true`) exit cleanly instead of
+/// panicking on the failed write.
+#[cfg(unix)]
+#[test]
+fn reports_to_a_closed_stdout_exit_cleanly() {
+    use std::os::fd::OwnedFd;
+    use std::os::unix::net::UnixStream;
+    use std::process::Stdio;
+
+    let dir = temp_dir("closed-stdout");
+    let store = dir.join("verdicts.log");
+    for args in [vec!["--help"], vec!["--store", store.to_str().unwrap(), "--status"]] {
+        let (stdout, reader) = UnixStream::pair().unwrap();
+        drop(reader);
+        let output =
+            iotsand().args(&args).stdout(Stdio::from(OwnedFd::from(stdout))).output().unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_ne!(output.status.code(), Some(101), "{args:?} panicked: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(output.status.success(), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn rejects_unknown_flags_and_missing_modes() {
     let output = iotsand().arg("--bogus").output().unwrap();
@@ -367,6 +391,34 @@ fn listen_mode_answers_an_over_long_line_and_serves_the_next() {
     assert!(response.contains("\"id\":\"after-long\""), "{response}");
     assert!(response.contains("\"status\":\"ok\""), "{response}");
     daemon.shutdown();
+}
+
+/// Batch mode reads its input through the same capped line reader as
+/// `--listen`: a line over the 1 MiB limit and a line that is not UTF-8 are
+/// each answered with one invalid outcome, and the job after them still runs.
+#[test]
+fn batch_mode_answers_an_over_long_line_and_runs_the_next() {
+    let dir = temp_dir("batch-long-line");
+    let store = dir.join("verdicts.log");
+    let jobs = dir.join("jobs.ndjson");
+    let mut input = format!("{{\"id\":\"long\",\"x\":\"{}\"}}\n", "a".repeat(1 << 20)).into_bytes();
+    input.extend_from_slice(b"{\"id\":\"\xff\"}\n{\"id\":\"after\",\"market\":2}\n");
+    std::fs::write(&jobs, input).unwrap();
+    let output = iotsand()
+        .args(["--store", store.to_str().unwrap(), "--jobs", jobs.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let text = String::from_utf8(output.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "{text}");
+    assert!(lines[0].contains("\"id\":\"line-1\""), "{text}");
+    assert!(lines[0].contains("\"status\":\"invalid\""), "{text}");
+    assert!(lines[0].contains("line exceeds the 1048576-byte limit"), "{text}");
+    assert!(lines[1].contains("\"id\":\"line-2\""), "{text}");
+    assert!(lines[1].contains("line is not UTF-8"), "{text}");
+    assert!(lines[2].contains("\"id\":\"after\""), "{text}");
+    assert!(lines[2].contains("\"status\":\"ok\""), "{text}");
 }
 
 /// A `sources` job nested 100,000 parentheses deep used to overflow a

@@ -6,7 +6,9 @@
 //!
 //! The paper's Translator (§6) converts SmartThings Groovy into Java ASTs for
 //! Bandera and finally Promela for Spin.  Here the Groovy AST produced by
-//! [`iotsan_groovy`] is lowered directly into a compact IR:
+//! [`iotsan_groovy`] is lowered directly into a compact IR, which the model
+//! generator interprets and the explicit-state checker explores in place of
+//! the Promela model:
 //!
 //! * [`types`] — the dynamic [`Value`] domain and inferred static [`Type`]s;
 //! * [`infer`] — anchor-point type inference (explicit declarations, constant
@@ -55,5 +57,5 @@ pub use handler::{AppInput, IrApp, IrHandler, SettingKind, Trigger};
 pub use infer::{infer_app, TypeEnv};
 pub use intern::{Sym, Symbols};
 pub use lower::{lower_app, LowerError};
-pub use stmt::{format_stmts, HttpMethod, IrStmt};
+pub use stmt::{HttpMethod, IrStmt};
 pub use types::{Type, Value};

@@ -3,7 +3,7 @@
 //! This is the Rust counterpart of the paper's Translator (§6): where the
 //! original pipeline produced Java ASTs for Bandera and then Promela, we lower
 //! the Groovy AST directly into [`IrApp`]/[`IrHandler`] structures that the
-//! model generator interprets and the Promela emitter prints.
+//! model generator interprets.
 //!
 //! Groovy's built-in collection utilities (`each`, `find`, `findAll`, `any`,
 //! `every`, `collect`, `+` on lists) are desugared here, and helper methods are

@@ -3,7 +3,7 @@
 //! An [`IrStmt`] is an action performed by an event handler: commanding an
 //! actuator, messaging the user, touching app state, or control flow.  The
 //! model checker interprets these directly (Algorithm 1,
-//! `app_event_handler`), and the Promela emitter pretty-prints them.
+//! `app_event_handler`).
 
 use crate::expr::IrExpr;
 use std::fmt;
@@ -192,73 +192,6 @@ impl IrStmt {
     }
 }
 
-/// Formats a list of statements with indentation, for logs and Promela
-/// comments.
-pub fn format_stmts(stmts: &[IrStmt], indent: usize) -> String {
-    let mut out = String::new();
-    let pad = "    ".repeat(indent);
-    for s in stmts {
-        match s {
-            IrStmt::If { cond, then, els } => {
-                out.push_str(&format!("{pad}if ({cond}) {{\n"));
-                out.push_str(&format_stmts(then, indent + 1));
-                if els.is_empty() {
-                    out.push_str(&format!("{pad}}}\n"));
-                } else {
-                    out.push_str(&format!("{pad}}} else {{\n"));
-                    out.push_str(&format_stmts(els, indent + 1));
-                    out.push_str(&format!("{pad}}}\n"));
-                }
-            }
-            IrStmt::While { cond, body } => {
-                out.push_str(&format!("{pad}while ({cond}) {{\n"));
-                out.push_str(&format_stmts(body, indent + 1));
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            IrStmt::ForEachDevice { input, body } => {
-                out.push_str(&format!("{pad}{input}.each {{\n"));
-                out.push_str(&format_stmts(body, indent + 1));
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            IrStmt::DeviceCommand { input, command, args } => {
-                let rendered: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-                out.push_str(&format!("{pad}{input}.{command}({})\n", rendered.join(", ")));
-            }
-            IrStmt::SetLocationMode(e) => out.push_str(&format!("{pad}setLocationMode({e})\n")),
-            IrStmt::SendSms { recipient, message } => {
-                out.push_str(&format!("{pad}sendSms({recipient}, {message})\n"))
-            }
-            IrStmt::SendPush { message } => out.push_str(&format!("{pad}sendPush({message})\n")),
-            IrStmt::HttpRequest { method, url, .. } => {
-                out.push_str(&format!("{pad}{method}({url})\n"))
-            }
-            IrStmt::SendEvent { attribute, value } => {
-                out.push_str(&format!("{pad}sendEvent(name: \"{attribute}\", value: {value})\n"))
-            }
-            IrStmt::Unsubscribe => out.push_str(&format!("{pad}unsubscribe()\n")),
-            IrStmt::Unschedule => out.push_str(&format!("{pad}unschedule()\n")),
-            IrStmt::Schedule { handler, delay_seconds } => match delay_seconds {
-                Some(d) => out.push_str(&format!("{pad}runIn({d}, {handler})\n")),
-                None => out.push_str(&format!("{pad}schedule({handler})\n")),
-            },
-            IrStmt::AssignState { name, value } => {
-                out.push_str(&format!("{pad}state.{name} = {value}\n"))
-            }
-            IrStmt::AssignLocal { name, value } => {
-                out.push_str(&format!("{pad}{name} = {value}\n"))
-            }
-            IrStmt::Return(Some(e)) => out.push_str(&format!("{pad}return {e}\n")),
-            IrStmt::Return(None) => out.push_str(&format!("{pad}return\n")),
-            IrStmt::Log(e) => out.push_str(&format!("{pad}log.debug {e}\n")),
-            IrStmt::OpaqueCall { name, args } => {
-                let rendered: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-                out.push_str(&format!("{pad}{name}({})\n", rendered.join(", ")));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,19 +242,5 @@ mod tests {
         }
         .is_communication());
         assert!(!on_cmd("x").is_communication());
-    }
-
-    #[test]
-    fn formatting_is_indented_and_complete() {
-        let stmts = vec![IrStmt::If {
-            cond: IrExpr::attr_eq("door", "contact", "open"),
-            then: vec![on_cmd("lights"), IrStmt::SendPush { message: IrExpr::str("opened") }],
-            els: vec![IrStmt::Return(None)],
-        }];
-        let text = format_stmts(&stmts, 0);
-        assert!(text.contains("if ((door.currentContact == \"open\"))"));
-        assert!(text.contains("    lights.on()"));
-        assert!(text.contains("} else {"));
-        assert!(text.contains("    return"));
     }
 }

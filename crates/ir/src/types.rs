@@ -202,7 +202,7 @@ impl Type {
     }
 
     /// The Java-like rendering the paper's G2J translator would produce; used
-    /// by the Promela emitter's comments and by diagnostics.
+    /// by diagnostics.
     pub fn java_name(&self) -> String {
         match self {
             Type::Int => "int".to_string(),

@@ -3,8 +3,8 @@
 //!
 //! Every built-in is plain spec data — the same language user-defined
 //! properties use — so the whole corpus roundtrips through JSON, compiles to
-//! slot-indexed evaluators, and renders its Promela `ltl` blocks from the
-//! spec itself.  Each spec pins the paper's exact LTL proposition via
+//! slot-indexed evaluators, and renders its LTL formula from the spec
+//! itself.  Each spec pins the paper's exact LTL proposition via
 //! [`PropertySpec::ltl`]; the golden tests in `tests/property_spec.rs` assert
 //! the renderings and the violated sets on the repro workloads are identical
 //! to the pre-redesign enum catalog.

@@ -41,9 +41,6 @@
 //!
 //! The sliced state-count comparison is skipped when a run truncated (a
 //! state cap fired): a capped search's counts are only a lower bound.
-//! Small households additionally spot-check the Promela emitter's LTL
-//! derivation: every property the native checker evaluated must appear as an
-//! `ltl pN { ... }` block rendered from the same spec.
 
 use crate::household::Household;
 use crate::rng::SplitMix64;
@@ -77,8 +74,6 @@ pub enum Phase {
     Sliced,
     /// Warm-cache rerun differed, or some group missed the cache.
     WarmCache,
-    /// The Promela emission lost or mangled a property's LTL block.
-    Promela,
     /// A group's violated set or a counterexample depth differed from a
     /// dedup-free walk of the full action alphabet.
     Alphabet,
@@ -94,7 +89,6 @@ impl fmt::Display for Phase {
             Phase::Properties => "properties",
             Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
-            Phase::Promela => "promela",
             Phase::Alphabet => "alphabet",
             Phase::Renaming => "renaming",
         };
@@ -133,13 +127,7 @@ pub struct HouseholdReport {
     /// True when the reference or sliced run truncated (counts not
     /// compared).
     pub truncated: bool,
-    /// True when the Promela LTL spot-check ran for this household.
-    pub promela_checked: bool,
 }
-
-/// Households at or below these sizes also get the Promela LTL spot-check.
-const PROMELA_MAX_APPS: usize = 2;
-const PROMELA_MAX_DEVICES: usize = 4;
 
 fn pipeline_for(household: &Household, sliced: bool) -> Pipeline {
     let mut pipeline = Pipeline::with_events(household.events);
@@ -256,21 +244,12 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
         ));
     }
 
-    // --- Promela spot-check on small instances ------------------------------
-    let promela_checked =
-        apps.len() <= PROMELA_MAX_APPS && config.devices.len() <= PROMELA_MAX_DEVICES;
-    if promela_checked {
-        check_promela(&seq_pipeline, &apps, config, &fleet.violated_properties())
-            .map_err(|detail| diverge(Phase::Promela, detail))?;
-    }
-
     Ok(HouseholdReport {
         groups: fleet.groups.len(),
         violated: fleet.violated_properties(),
         states: states_of(&seq_outcome),
         transitions: seq_outcome.iter().map(|g| g.transitions).sum(),
         truncated,
-        promela_checked,
     })
 }
 
@@ -636,31 +615,6 @@ fn random_step(rng: &mut SplitMix64, system: &InstalledSystem) -> StepObservatio
 
 fn states_of(outcome: &[GroupOutcome]) -> usize {
     outcome.iter().map(|g| g.states_stored).sum()
-}
-
-/// Asserts the Promela emission carries every property the native checker
-/// evaluated — same id, same spec-derived LTL body — and in particular every
-/// natively-violated property.
-fn check_promela(
-    pipeline: &Pipeline,
-    apps: &[iotsan::ir::IrApp],
-    config: &SystemConfig,
-    violated: &BTreeSet<u32>,
-) -> Result<(), String> {
-    let text = pipeline.emit_promela(apps, config);
-    let properties = pipeline.properties_for(config);
-    for spec in properties.specs() {
-        let block = format!("ltl p{} {{ {} }}", spec.id, spec.to_ltl());
-        if !text.contains(&block) {
-            return Err(format!("property {} missing or mangled: wanted `{block}`", spec.id));
-        }
-    }
-    for id in violated {
-        if !text.contains(&format!("ltl p{id} ")) {
-            return Err(format!("natively-violated property {id} absent from Promela emission"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -107,10 +107,4 @@ fn main() {
             }
         }
     }
-
-    // The custom specs also flow into the generated Promela model.
-    let promela = pipeline.emit_promela(&apps, &config);
-    for line in promela.lines().filter(|l| l.starts_with("ltl p46") || l.starts_with("ltl p47")) {
-        println!("{line}");
-    }
 }

@@ -76,8 +76,4 @@ fn main() {
             print!("{}", found.trace);
         }
     }
-
-    // 4. The generated Promela model can be inspected or handed to Spin.
-    let promela = pipeline.emit_promela(&apps, &config);
-    println!("\ngenerated Promela model: {} lines", promela.lines().count());
 }

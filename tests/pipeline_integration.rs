@@ -211,26 +211,6 @@ fn ifttt_rules_flow_through_the_pipeline() {
 }
 
 #[test]
-fn promela_emission_covers_every_group_app() {
-    let apps = translate(&samples::figure4_group());
-    let config = expert_configure(&apps, &standard_household());
-    let text = Pipeline::default().emit_promela(&apps, &config);
-    for app in &apps {
-        let ident: String = app
-            .name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
-            .collect();
-        assert!(
-            text.contains(&format!("app: {}", app.name)) || text.contains(ident.trim_matches('_')),
-            "{} missing from the Promela model",
-            app.name
-        );
-    }
-    assert!(text.matches("ltl p").count() >= 45);
-}
-
-#[test]
 fn security_properties_fire_for_leaky_apps() {
     let leaky =
         malicious::malicious_apps().into_iter().find(|a| a.app.name == "Leaky Presence").unwrap();

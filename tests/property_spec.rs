@@ -18,7 +18,8 @@ use iotsan::config::{DeviceConfig, SystemConfig};
 use iotsan::devices::{DeviceId, LocationMode};
 use iotsan::properties::{
     CommandRecord, CompiledPropertySet, DeviceSelect, EvalScratch, Expr, MessageChannel,
-    MessageRecord, NetworkRecord, PropertyClass, PropertySet, PropertySpec, StepObservation,
+    MessageRecord, NetworkRecord, PropertyClass, PropertyId, PropertySet, PropertySpec,
+    StepObservation,
 };
 use iotsan::{InstalledSystem, SystemState};
 use proptest::prelude::*;
@@ -464,8 +465,8 @@ def presenceHandler(evt) {
 }
 "#;
 
-/// A user-defined property is compiled, checked, violated, rendered into the
-/// Promela output, and bucketed under its custom class label.
+/// A user-defined property is compiled, checked, violated, rendered as LTL
+/// derived from its spec, and bucketed under its custom class label.
 #[test]
 fn custom_property_flows_through_the_whole_pipeline() {
     let apps = iotsan::translate_sources(&[AUTO_MODE, UNLOCK_DOOR]).unwrap();
@@ -487,11 +488,10 @@ fn custom_property_flows_through_the_whole_pipeline() {
     let by_class = result.violations_by_class(&pipeline.properties);
     assert!(by_class.get("Night security").copied().unwrap_or(0) >= 1, "{by_class:?}");
 
-    let promela = pipeline.emit_promela(&apps, &config);
-    assert!(promela.contains("ltl p46"), "custom ltl block missing");
+    let ltl = pipeline.properties.get(PropertyId(46)).unwrap().to_ltl();
     assert!(
-        promela.contains("!anyone_home && command(lock.unlock)"),
-        "derived proposition missing: {promela}"
+        ltl.contains("!anyone_home && command(lock.unlock)"),
+        "derived proposition missing: {ltl}"
     );
 }
 
