@@ -11,8 +11,8 @@
 //! Folding powers the unreachable-branch lints only.  Effect summaries
 //! deliberately ignore it (see [`crate::summary`]): keeping effects from
 //! branches a human can prove dead keeps the summary a purely syntactic
-//! over-approximation, which is what the slicing soundness argument and the
-//! depgraph superset guarantee lean on.
+//! over-approximation, which is what the depgraph superset guarantee leans
+//! on.
 
 use iotsan_ir::{IrBinOp, IrExpr, Value};
 

@@ -6,11 +6,11 @@
 //! device attributes, the location mode, app persistent state, timers, user
 //! messaging and network interfaces.  Soundness here means containment — the
 //! interpreter can never perform a read or write the summary does not list —
-//! and is the property the slicer ([`crate::slice`]) and the dependency graph
-//! rebase lean on.  The over-approximation is purely syntactic: effects in
-//! branches that constant folding proves unreachable are *kept* (the lints in
-//! [`crate::lint`] report them instead), so the summary of a handler never
-//! depends on how clever the analysis is.
+//! and is the property the dependency graph's edges lean on.  The
+//! over-approximation is purely syntactic: effects in branches that constant
+//! folding proves unreachable are *kept* (the lints in [`crate::lint`] report
+//! them instead), so the summary of a handler never depends on how clever
+//! the analysis is.
 
 use iotsan_devices::{registry, CommandEffect};
 use iotsan_ir::{EventField, IrApp, IrExpr, IrHandler, IrStmt, Trigger};
@@ -116,24 +116,13 @@ pub struct EffectSummary {
     pub writes: BTreeSet<WriteEffect>,
 }
 
-/// The channel name slicing and the dependency graph use for an app state
+/// The channel name the dependency graph and the lints use for an app state
 /// slot: state is private to an app, so the channel is app-qualified.
 pub fn state_channel(app: &str, var: &str) -> String {
     format!("state:{app}:{var}")
 }
 
 impl EffectSummary {
-    /// True when the handler is a source of *external* actions — timers, app
-    /// touches and location events are enumerated into the checker's action
-    /// alphabet directly from the handler list, so such handlers must never
-    /// be sliced away (see [`crate::slice`]).
-    pub fn external_source(&self) -> bool {
-        matches!(
-            self.trigger,
-            Trigger::Timer { .. } | Trigger::AppTouch | Trigger::LocationEvent { .. }
-        )
-    }
-
     /// The internal event channel whose writes can fire this handler, if the
     /// trigger listens on one: the device attribute for device subscriptions,
     /// `mode` for mode subscriptions, the event name for location events
@@ -162,27 +151,6 @@ impl EffectSummary {
                     out.insert("mode".to_string());
                 }
                 WriteEffect::StateVar { name } => {
-                    out.insert(state_channel(&self.app, name));
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Every state channel the handler may read (the guard/data dependence
-    /// the slicer chases backwards).
-    pub fn read_channels(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for r in &self.reads {
-            match r {
-                ReadEffect::DeviceAttr { attribute, .. } => {
-                    out.insert(attribute.clone());
-                }
-                ReadEffect::Mode => {
-                    out.insert("mode".to_string());
-                }
-                ReadEffect::StateVar { name } => {
                     out.insert(state_channel(&self.app, name));
                 }
                 _ => {}
@@ -451,7 +419,6 @@ mod tests {
         }));
         assert!(s.issues_commands());
         assert_eq!(s.trigger_channel().as_deref(), Some("contact"));
-        assert!(!s.external_source());
     }
 
     #[test]
@@ -473,8 +440,6 @@ mod tests {
         assert!(s.reads.contains(&ReadEffect::Mode));
         assert!(s.writes.contains(&WriteEffect::StateVar { name: "armed".into() }));
         assert!(s.written_channels().contains("state:Test:armed"));
-        assert!(s.read_channels().contains("mode"));
-        assert!(s.read_channels().contains("lock"));
     }
 
     #[test]
@@ -519,7 +484,6 @@ mod tests {
         };
         let app = app_with(h.clone());
         let s = summarize_handler(&app, &h);
-        assert!(s.external_source());
         assert_eq!(s.trigger_channel(), None);
         for w in [
             WriteEffect::Sms,

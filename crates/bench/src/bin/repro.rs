@@ -19,8 +19,8 @@
 //! ```
 //!
 //! `--json <path>` writes the rows of the timing experiments (`throughput`,
-//! `fleet`, `market`, `properties`, `slice`, `daemon`, `telemetry`,
-//! `scenarios`, `chaos`) as one machine-readable document.  `--baseline <path>` fails
+//! `fleet`, `market`, `properties`, `daemon`, `telemetry`, `scenarios`,
+//! `chaos`) as one machine-readable document.  `--baseline <path>` fails
 //! the run when `throughput`'s states/sec falls more than 20% below the
 //! committed baseline.  The timing floors live in the experiments:
 //! `telemetry` keeps ≥95% of the kill-switched throughput, `properties`
@@ -87,7 +87,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["fleet"], |run| fleet(&mut run.json)),
     (&["market"], |run| market_experiment(&mut run.json)),
     (&["properties"], |run| properties_experiment(&mut run.json)),
-    (&["slice"], |run| slice_experiment(&mut run.json)),
     (&["daemon"], |run| daemon_experiment(&mut run.json)),
     (&["telemetry"], |run| telemetry_experiment(&mut run.json)),
     (&["scenarios"], |run| scenarios_experiment(&mut run.json, run.seed, run.size)),
@@ -325,113 +324,6 @@ fn properties_experiment(json: &mut BenchJson) {
             live.get(live.len() / 2).copied().unwrap_or(0)
         );
     }
-}
-
-/// The property-directed-slicing experiment: every market bundle verified
-/// sliced and unsliced, under the full 45-property catalog and under the
-/// focused state-only selection (the specs whose cone watches no command /
-/// notification stream — the case slicing is built for).  Reports whether
-/// each run's per-group violated sets match; `tests/analysis_soundness.rs`
-/// and the differential oracle check that they always do.
-fn slice_experiment(json: &mut BenchJson) {
-    use iotsan::analysis::{slice_plan, Cone};
-    use iotsan::properties::PropertyId;
-    use std::collections::BTreeSet;
-    use std::time::Instant;
-
-    heading("Property-directed slicing: sliced vs unsliced exploration");
-    let events = iotsan_bench::experiment_events(2, 3);
-    let full = PropertySet::all();
-
-    // The focused selection: built-ins whose standalone cone has no
-    // command/notification flag set — pure device/mode-state safety.
-    let state_ids: Vec<PropertyId> = full
-        .specs()
-        .iter()
-        .filter(|s| {
-            let cone = Cone::seed(&PropertySet::selection(&[s.property_id()]));
-            !cone.commands
-                && !cone.sms
-                && !cone.push
-                && !cone.network
-                && !cone.unsubscribe
-                && !cone.fake_events
-        })
-        .map(|s| s.property_id())
-        .collect();
-    assert!(!state_ids.is_empty(), "the catalog has state-only properties");
-
-    // The narrowest property: the state-only spec whose cone seeds the fewest
-    // channels — verifying just one such property is the sharpest slicing
-    // demonstration (a real workflow: re-checking a single safety rule).
-    let narrowest: PropertyId = *state_ids
-        .iter()
-        .min_by_key(|id| Cone::seed(&PropertySet::selection(&[**id])).channels.len())
-        .expect("state-only selection is non-empty");
-
-    let outcome = |run: &iotsan_bench::FleetRun| -> Vec<(Vec<String>, BTreeSet<u32>)> {
-        run.report.groups.iter().map(|g| (g.apps.clone(), g.violated_properties())).collect()
-    };
-
-    println!(
-        "{:<10} {:<12} {:>9} {:>9} {:>9} {:>11} {:>11} {:>10}",
-        "Bundle",
-        "Properties",
-        "Handlers",
-        "Dropped",
-        "Analysis",
-        "States",
-        "Sliced st.",
-        "Verdicts"
-    );
-    let mut rows = Vec::new();
-    let mut reduced_bundles = 0usize;
-    for (i, group) in market::six_groups().iter().enumerate() {
-        let apps = translate_group(group);
-        let config = expert_config(&apps);
-        let handler_count: usize = apps.iter().map(|a| a.handlers.len()).sum();
-        for (set_label, set) in [
-            ("builtins45", full.clone()),
-            ("state-only", PropertySet::selection(&state_ids)),
-            ("single-prop", PropertySet::selection(&[narrowest])),
-        ] {
-            // Bundle-level analysis cost: one summary + cone fixpoint pass.
-            let t0 = Instant::now();
-            let plan = slice_plan(&apps, &set);
-            let analysis_seconds = t0.elapsed().as_secs_f64();
-
-            let plain =
-                iotsan_bench::run_pipeline_verify(&apps, &config, events, set.clone(), false);
-            let sliced = iotsan_bench::run_pipeline_verify(&apps, &config, events, set, true);
-            let identical = outcome(&plain) == outcome(&sliced);
-            let (plain_states, sliced_states) = (plain.states(), sliced.states());
-            reduced_bundles += usize::from(sliced_states < plain_states);
-            println!(
-                "{i:<10} {set_label:<12} {handler_count:>9} {:>9} {analysis_seconds:>9.4} {plain_states:>11} {sliced_states:>11} {:>10}",
-                plan.dropped_count(),
-                if identical { "equal" } else { "DIFFER" },
-            );
-            rows.push(
-                JsonRow::with_capacity(256)
-                    .num_u("bundle", i as u64)
-                    .str("properties", set_label)
-                    .num_u("handlers", handler_count as u64)
-                    .num_u("dropped_handlers", plan.dropped_count() as u64)
-                    .fixed("analysis_seconds", analysis_seconds, 6)
-                    .fixed("unsliced_seconds", plain.elapsed.as_secs_f64(), 6)
-                    .fixed("sliced_seconds", sliced.elapsed.as_secs_f64(), 6)
-                    .num_u("unsliced_states", plain_states as u64)
-                    .num_u("sliced_states", sliced_states as u64)
-                    .flag("verdicts_identical", identical)
-                    .finish(),
-            );
-        }
-    }
-    println!(
-        "{reduced_bundles} of {} bundle runs explored strictly fewer states sliced",
-        rows.len()
-    );
-    json.push_experiment("slice_effectiveness", "market-six-groups", events, &rows);
 }
 
 /// Maximum tolerated drop of the sequential checker's states/sec relative to
@@ -966,7 +858,7 @@ fn telemetry_experiment(json: &mut BenchJson) {
 
 /// The scenario-factory differential fuzzer: `size` generated households
 /// starting at `seed_start`, each verified serially, through the concurrent
-/// fleet executor, sliced, renamed and warm-cache, with all runs and a
+/// fleet executor, renamed and warm-cache, with all runs and a
 /// full-alphabet walk required to agree.  Emits one `scenario_fuzz` summary row.
 /// On any divergence: shrinks the household to a minimal reproduction under
 /// the *same* divergence phase, writes it to `scenario_repro.json` and exits
@@ -1030,7 +922,7 @@ fn scenarios_experiment(json: &mut BenchJson, seed_start: u64, size: usize) {
         totals.groups, totals.states, totals.transitions
     );
     println!(
-        "all five runs and the full-alphabet walk agreed on every household; \
+        "all four runs and the full-alphabet walk agreed on every household; \
          {seconds:.2}s, {states_per_sec:.0} states/sec"
     );
     json.push_experiment(

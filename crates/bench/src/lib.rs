@@ -108,28 +108,6 @@ pub fn run_search_with_properties(
     TimedRun { elapsed: start.elapsed(), truncated: report.stats.truncated, report }
 }
 
-/// Times one whole-pipeline verification — related-group partitioning plus
-/// the optional property-directed slice — under an explicit property
-/// registry.  Unlike [`run_search_with_properties`] (which builds one
-/// monolithic model), this exercises the production `Pipeline::verify` path,
-/// which is where `SearchConfig::slice` takes effect: each related group is
-/// pruned to the handlers its properties can observe before exploration.
-pub fn run_pipeline_verify(
-    apps: &[IrApp],
-    config: &SystemConfig,
-    events: usize,
-    properties: PropertySet,
-    slice: bool,
-) -> FleetRun {
-    let mut pipeline = Pipeline::with_events(events).with_properties(properties);
-    if slice {
-        pipeline.search = pipeline.search.clone().sliced();
-    }
-    let start = Instant::now();
-    let report = pipeline.verify(apps, config);
-    FleetRun { elapsed: start.elapsed(), report }
-}
-
 /// The 45 built-ins plus [`sample_custom_properties`] — the extended
 /// registry every custom-property experiment row uses.
 pub fn extended_property_set() -> PropertySet {

@@ -120,11 +120,6 @@ pub struct SearchConfig {
     /// exceeded.  The clock is read once per expanded state, so the search
     /// may overrun by one expansion.
     pub time_limit: Option<Duration>,
-    /// Property-directed slicing: when set, verification entry points that
-    /// know the registered properties (`iotsan::Pipeline`) drop handlers the
-    /// static analysis proves irrelevant to them before exploring.  Off by
-    /// default; verdicts are preserved exactly (see `iotsan-analysis`).
-    pub slice: bool,
     /// Cooperative cancellation: when set, the search polls the token at
     /// its per-expansion cap check and stops (reporting
     /// [`SearchStats::truncated`]) once it is cancelled.  `None` (the
@@ -140,7 +135,6 @@ impl Default for SearchConfig {
             max_transitions: 20_000_000,
             stop_at_first: false,
             time_limit: None,
-            slice: false,
             cancel: None,
         }
     }
@@ -150,12 +144,6 @@ impl SearchConfig {
     /// A configuration exploring up to `max_depth` external events.
     pub fn with_depth(max_depth: usize) -> Self {
         SearchConfig { max_depth, ..Default::default() }
-    }
-
-    /// Enables property-directed slicing (builder style).
-    pub fn sliced(mut self) -> Self {
-        self.slice = true;
-        self
     }
 
     /// Attaches a cancellation token (builder style); see

@@ -314,15 +314,7 @@ impl Pipeline {
     /// property set: building it copies neither.
     pub(crate) fn group_model(&self, apps: &[Arc<IrApp>], config: SystemConfig) -> SequentialModel {
         let properties = self.effective_properties(&config);
-        // Property-directed slicing (opt-in): drop handlers the static
-        // analysis proves unobservable by the registered properties.  Apps,
-        // devices and bindings are untouched, so the state encoding and the
-        // external-action alphabet are identical to the unsliced model.
-        let system = if self.search.slice {
-            InstalledSystem::new(iotsan_analysis::slice_plan(apps, &properties).apply(apps), config)
-        } else {
-            InstalledSystem::new(apps.iter().cloned(), config)
-        };
+        let system = InstalledSystem::new(apps.iter().cloned(), config);
         SequentialModel::compiling(system, &properties, self.model_options.clone())
     }
 

@@ -144,7 +144,7 @@ pub fn fingerprint_group(
     let index = ConfigIndex::new(config);
     let rows = index.rows(apps);
     let shapes: Vec<u64> = apps.iter().map(|app| app_digest(app.borrow())).collect();
-    let class = basis.class_key(pipeline, apps, &shapes, &index, &rows, &index.select(&rows));
+    let class = basis.class_key(apps, &shapes, &index, &rows, &index.select(&rows));
     group_fingerprint(class, apps)
 }
 
@@ -198,8 +198,18 @@ impl<'c> KeyBasis<'c> {
         // under a different property set — and nothing else.
         h.write_bytes(&pipeline.properties.content_hash().to_le_bytes());
         h.write_item(&format!("{:?}", pipeline.model_options));
-        let SearchConfig { max_depth, max_states, max_transitions, stop_at_first, .. } =
-            &pipeline.search;
+        // Destructured, so a new search option is a compile error here until
+        // it is either keyed or shown not to change results.  The time limit
+        // and the cancel token only truncate a search, and a truncated
+        // report is never cached.
+        let SearchConfig {
+            max_depth,
+            max_states,
+            max_transitions,
+            stop_at_first,
+            time_limit: _,
+            cancel: _,
+        } = &pipeline.search;
         h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, stop_at_first)));
         KeyBasis {
             config,
@@ -241,7 +251,6 @@ impl<'c> KeyBasis<'c> {
     /// between two positions, so it keeps its names in the key.
     fn class_key(
         &self,
-        pipeline: &Pipeline,
         members: &[impl Borrow<IrApp>],
         shapes: &[u64],
         index: &ConfigIndex,
@@ -272,19 +281,6 @@ impl<'c> KeyBasis<'c> {
             for member in members {
                 h.write_item(&member.borrow().name);
             }
-        }
-        // Sliced and unsliced runs explore the same verdicts but different
-        // state counts; fold the analysis version and the concrete slice
-        // partition so their cached reports never masquerade as each other,
-        // and so any change to the slicing semantics invalidates sliced
-        // entries wholesale.  The partition names apps, so sliced groups
-        // only share a class with themselves.
-        if pipeline.search.slice {
-            let plan =
-                iotsan_analysis::slice_plan(members, &pipeline.effective_properties(restricted));
-            h.write_item("slice");
-            h.write_bytes(&iotsan_analysis::ANALYSIS_VERSION.to_le_bytes());
-            h.write_bytes(&plan.content_hash().to_le_bytes());
         }
         h.finish()
     }
@@ -824,14 +820,7 @@ impl<'a> VerificationPlanner<'a> {
             let member_shapes: Vec<u64> = positions.iter().map(|&i| shapes[i]).collect();
             let rows = index.rows(&members);
             let restricted = index.select(&rows);
-            let class = basis.class_key(
-                self.pipeline,
-                &members,
-                &member_shapes,
-                &index,
-                &rows,
-                &restricted,
-            );
+            let class = basis.class_key(&members, &member_shapes, &index, &rows, &restricted);
             METRICS.planner_group_size.observe(members.len() as u64);
             jobs.push(GroupJob {
                 apps: members.iter().map(|a| a.name.clone()).collect(),
@@ -1231,31 +1220,6 @@ def motionActiveHandler(evt) { lights.on() }
         // ...while re-registering an identical spec reproduces identical
         // fingerprints, keeping warmed caches valid across runs.
         let again = Pipeline::with_events(1).with_properties(PropertySet::all().with(custom_spec));
-        let c = VerificationPlanner::new(&again).plan(&apps, &config);
-        assert_eq!(b, c);
-    }
-
-    #[test]
-    fn slicing_is_part_of_task_identity() {
-        let (apps, config) = bundle();
-        let base = Pipeline::with_events(2);
-        let mut sliced = Pipeline::with_events(2);
-        sliced.search = sliced.search.clone().sliced();
-
-        // Slicing changes what the checker explores, so a sliced verdict must
-        // never replay as an unsliced one (or vice versa): every job's
-        // fingerprint moves when the knob flips.
-        let a = VerificationPlanner::new(&base).plan(&apps, &config);
-        let b = VerificationPlanner::new(&sliced).plan(&apps, &config);
-        for (plain, cut) in a.jobs.iter().zip(&b.jobs) {
-            assert_eq!(plain.apps, cut.apps);
-            assert_ne!(plain.fingerprint, cut.fingerprint);
-        }
-
-        // The sliced fingerprint is deterministic — warmed caches stay valid
-        // across sliced runs of the same bundle and property set.
-        let mut again = Pipeline::with_events(2);
-        again.search = again.search.clone().sliced();
         let c = VerificationPlanner::new(&again).plan(&apps, &config);
         assert_eq!(b, c);
     }

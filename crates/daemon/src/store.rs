@@ -24,7 +24,7 @@
 //! read, checks the CRC again and decodes it; a record that no longer reads
 //! back is a miss, so the caller re-verifies.  The header folds
 //! [`iotsan::analysis::ANALYSIS_VERSION`]: a log written under different
-//! slicing/analysis semantics is discarded wholesale on open
+//! effect-summary semantics is discarded wholesale on open
 //! ([`Recovery::Discarded`]), so stale analysis never replays.
 //! [`VerdictStore::compact`] rewrites the log without superseded or evicted
 //! records by copying the live records' bytes, atomically (write-temp +
@@ -104,8 +104,8 @@ pub enum DiscardReason {
         found: u32,
     },
     /// Written under a different [`iotsan::analysis::ANALYSIS_VERSION`]:
-    /// sliced verdicts computed by older analysis semantics must never
-    /// replay as current ones.
+    /// verdicts of groups formed by older effect-summary semantics must
+    /// never replay as current ones.
     AnalysisVersion {
         /// The analysis version found in the header.
         found: u32,

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Size knobs for [`Household::generate`].  The defaults keep every search
-/// small enough that all five runs finish exhaustively — the differential
+/// small enough that all four runs finish exhaustively — the differential
 /// oracle's equivalence guarantee only covers complete searches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeProfile {

@@ -12,8 +12,8 @@
 //!    custom [`PropertySpec`]s whose atoms reference only devices actually
 //!    present.  Identical seeds produce byte-identical households.
 //! 2. **Differential oracle** ([`check_household`]): serial, concurrent-fleet,
-//!    sliced, renamed and warm-cache runs of the full pipeline and a
-//!    full-alphabet walk must agree on every household.
+//!    renamed and warm-cache runs of the full pipeline and a full-alphabet
+//!    walk must agree on every household.
 //! 3. **Shrinking** ([`fn@shrink`]): failing seeds reduce deterministically to
 //!    minimal reproductions, serializable as committable JSON fixtures.
 //!

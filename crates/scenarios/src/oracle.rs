@@ -1,10 +1,10 @@
-//! The differential oracle: five runs and a full-alphabet walk, one verdict.
+//! The differential oracle: four runs and a full-alphabet walk, one verdict.
 //!
-//! For each generated [`Household`] the oracle runs the full pipeline five
+//! For each generated [`Household`] the oracle runs the full pipeline four
 //! ways — a serial reference, the concurrent fleet executor, the household
-//! with every app renamed, property-directed slicing, and a warm-cache
-//! rerun — and asserts they agree, and with a dedup-free walk of the full
-//! action alphabet ([`full_alphabet_depths`]).  It also checks the compiled
+//! with every app renamed, and a warm-cache rerun — and asserts they agree,
+//! and with a dedup-free walk of the full action alphabet
+//! ([`full_alphabet_depths`]).  It also checks the compiled
 //! property evaluator the search relies on against the interpreted reference
 //! semantics, group by group.  The sequential reference is a
 //! serial loop of [`VerificationPlanner::verify_job`] over the plan, kept
@@ -21,10 +21,9 @@
 //!   [`PropertySet::check_point`](iotsan_properties::PropertySet::check_point)
 //!   does on the rendered snapshot, for the
 //!   built-ins and the household's generated custom specs alike.
-//! * **sliced == sequential**: identical violated sets per group; state and
-//!   transition counts may only shrink (slicing prunes, never adds).
-//! * **warm == sequential**: identical outcomes with every group served from
-//!   the cache ([`FleetReport::cache_hits`] equals the group count).
+//! * **warm == sequential**: identical outcomes, and the cold fleet run's
+//!   suspect rankings, with every group served from the cache
+//!   ([`FleetReport::cache_hits`] equals the group count).
 //! * **renamed == original**: the household with every app renamed to a
 //!   fresh name in the same sort order reports the same groups, violations,
 //!   counterexample paths, statistics and suspect rankings once the names
@@ -38,9 +37,6 @@
 //!   it shares nothing with the model's action enumeration: the offline
 //!   de-duplication, the dropped communication-lost copies and the
 //!   observation classes ([`SequentialModel::new`]) are all checked here.
-//!
-//! The sliced state-count comparison is skipped when a run truncated (a
-//! state cap fired): a capped search's counts are only a lower bound.
 
 use crate::household::Household;
 use crate::rng::SplitMix64;
@@ -70,8 +66,6 @@ pub enum Phase {
     /// The compiled property evaluator differed from the interpreted
     /// reference on a random state vector.
     Properties,
-    /// Sliced violated sets differed from sequential (or grew the search).
-    Sliced,
     /// Warm-cache rerun differed, or some group missed the cache.
     WarmCache,
     /// A group's violated set or a counterexample depth differed from a
@@ -87,7 +81,6 @@ impl fmt::Display for Phase {
             Phase::Translate => "translate",
             Phase::Execute => "execute",
             Phase::Properties => "properties",
-            Phase::Sliced => "sliced",
             Phase::WarmCache => "warm-cache",
             Phase::Alphabet => "alphabet",
             Phase::Renaming => "renaming",
@@ -124,24 +117,17 @@ pub struct HouseholdReport {
     pub states: usize,
     /// Transitions applied by the sequential run.
     pub transitions: usize,
-    /// True when the reference or sliced run truncated (counts not
-    /// compared).
+    /// True when the reference run truncated (a state cap fired, so its
+    /// counts are only a lower bound).
     pub truncated: bool,
 }
 
-fn pipeline_for(household: &Household, sliced: bool) -> Pipeline {
+fn pipeline_for(household: &Household) -> Pipeline {
     let mut pipeline = Pipeline::with_events(household.events);
     if household.failures {
         pipeline = pipeline.with_failures();
     }
-    if sliced {
-        pipeline.search = pipeline.search.clone().sliced();
-    }
     pipeline
-}
-
-fn fleet_truncated(report: &FleetReport) -> bool {
-    report.groups.iter().any(|g| g.report.stats.truncated || g.report.stats.states_capped)
 }
 
 fn outcome_detail(label: &str, a: &[GroupOutcome], b: &[GroupOutcome]) -> String {
@@ -172,8 +158,8 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     let config = &household.config;
 
     // --- Sequential reference: the plan's jobs, one after another ----------
-    let seq_pipeline = pipeline_for(household, false);
-    let (seq_outcome, mut truncated) = serial_reference(&seq_pipeline, &apps, config);
+    let seq_pipeline = pipeline_for(household);
+    let (seq_outcome, truncated) = serial_reference(&seq_pipeline, &apps, config);
 
     // --- The concurrent fleet executor must reproduce it exactly -----------
     let mut fleet_cache = VerificationCache::new();
@@ -197,33 +183,6 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
     check_properties(&seq_pipeline, &apps, config, seed)
         .map_err(|detail| diverge(Phase::Properties, detail))?;
 
-    // --- Slicing must preserve verdicts and never grow the search ----------
-    let sliced_pipeline = pipeline_for(household, true);
-    let sliced = sliced_pipeline.verify_fleet(&apps, config, &mut VerificationCache::new());
-    let sliced_outcome = sliced.outcome();
-    if sliced_outcome.len() != seq_outcome.len() {
-        return Err(diverge(
-            Phase::Sliced,
-            format!("group count {} vs sliced {}", seq_outcome.len(), sliced_outcome.len()),
-        ));
-    }
-    for (s, g) in seq_outcome.iter().zip(sliced_outcome.iter()) {
-        if s.apps != g.apps || s.violated_properties != g.violated_properties {
-            return Err(diverge(
-                Phase::Sliced,
-                outcome_detail("sliced verdicts mismatch", &seq_outcome, &sliced_outcome),
-            ));
-        }
-    }
-    let (seq_states, sliced_states) = (states_of(&seq_outcome), states_of(&sliced_outcome));
-    if !truncated && !fleet_truncated(&sliced) && sliced_states > seq_states {
-        return Err(diverge(
-            Phase::Sliced,
-            format!("slicing grew the search: {sliced_states} states vs {seq_states}"),
-        ));
-    }
-    truncated |= fleet_truncated(&sliced);
-
     // --- Warm cache: byte-identical verdicts, zero re-checking -------------
     let warm = seq_pipeline.verify_fleet(&apps, config, &mut fleet_cache);
     if warm.outcome() != seq_outcome {
@@ -231,6 +190,17 @@ pub fn check_household(household: &Household) -> Result<HouseholdReport, Diverge
             Phase::WarmCache,
             outcome_detail("warm outcome mismatch", &seq_outcome, &warm.outcome()),
         ));
+    }
+    for (cold, hit) in fleet.groups.iter().zip(&warm.groups) {
+        if hit.attributions != cold.attributions {
+            return Err(diverge(
+                Phase::WarmCache,
+                format!(
+                    "warm attributions of {:?} differ: cold {:?} vs {:?}",
+                    cold.apps, cold.attributions, hit.attributions
+                ),
+            ));
+        }
     }
     if warm.cache_hits != warm.groups.len() || warm.cache_misses != 0 {
         return Err(diverge(

@@ -1,15 +1,12 @@
 //! Soundness witnesses for the static analysis layer (`iotsan-analysis`).
 //!
-//! Three guarantees, each checked against the real market corpus rather than
+//! Two guarantees, each checked against the real market corpus rather than
 //! hand-built fixtures:
 //!
 //! 1. **Dynamic containment** — running the interpreter with the effect log
 //!    enabled on seeded random event sequences never observes a write outside
 //!    the handler's static summary.
-//! 2. **Differential slicing** — verifying a bundle with property-directed
-//!    slicing on reports exactly the violated-property set of the unsliced
-//!    run (state counts may shrink, verdicts may not move).
-//! 3. **Depgraph containment** — the legacy subscription-derived event
+//! 2. **Depgraph containment** — the legacy subscription-derived event
 //!    profile of every market handler is a subgraph-inducing subset of the
 //!    effect-derived profile that now feeds the dependency analyzer.
 
@@ -18,13 +15,12 @@ use iotsan::checker::StepLog;
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::depgraph::{effect_profile, event_profile};
 use iotsan::ir::{IrApp, IrHandler, Trigger, Value};
-use iotsan::properties::{PropertyId, PropertySet, StepObservation};
+use iotsan::properties::StepObservation;
 use iotsan::system::InstalledSystem;
-use iotsan::{run_handler, translate_sources, DispatchedEvent, Frame, LogEvent, Pipeline};
+use iotsan::{run_handler, translate_sources, DispatchedEvent, Frame, LogEvent};
 use iotsan_apps::market;
 use proptest::prelude::*;
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 fn named_market_apps() -> Vec<IrApp> {
     let apps = market::named_apps();
@@ -155,19 +151,13 @@ fn assert_log_event_covered(
     Ok(())
 }
 
-/// The violated-property sets of a verification report, keyed by group
-/// (the report's groups are already sorted by app names).
-fn outcome(report: &iotsan::FleetReport) -> Vec<(Vec<String>, BTreeSet<u32>)> {
-    report.groups.iter().map(|g| (g.apps.clone(), g.violated_properties())).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Soundness witness: every write the interpreter performs on a random
     /// event walk is contained in the handler's static effect summary.
-    /// (Reads have no dynamic witness in the effect log; writes are the side
-    /// of the summary the slicer's correctness depends on.)
+    /// (Reads have no dynamic witness in the effect log, so only writes are
+    /// checked.)
     #[test]
     fn dynamic_writes_are_contained_in_static_summaries(
         choices in proptest::collection::vec(0usize..1 << 16, 1..32),
@@ -234,59 +224,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// Differential witness: slicing never changes any verdict — per related
-    /// group and for the bundle as a whole — across random app subsets and
-    /// property selections.
-    #[test]
-    fn slicing_preserves_violated_property_sets(
-        picks in proptest::collection::vec(0usize..25, 2..5),
-        property_pick in 0usize..6,
-        depth in 1usize..3,
-    ) {
-        let all = named_market_apps();
-        let mut chosen: Vec<usize> = picks.clone();
-        chosen.sort();
-        chosen.dedup();
-        let apps: Vec<IrApp> = chosen.iter().map(|&i| all[i].clone()).collect();
-        let config = expert_configure(&apps, &standard_household());
-
-        let full = PropertySet::all();
-        let set = if property_pick == 0 {
-            full
-        } else {
-            // A focused selection: every 6th spec starting at the pick.
-            let ids: Vec<PropertyId> = full
-                .specs()
-                .iter()
-                .skip(property_pick)
-                .step_by(6)
-                .map(|s| s.property_id())
-                .collect();
-            PropertySet::selection(&ids)
-        };
-
-        let unsliced = Pipeline::with_events(depth).with_properties(set.clone());
-        let mut sliced = Pipeline::with_events(depth).with_properties(set);
-        sliced.search.slice = true;
-
-        let base = unsliced.verify(&apps, &config);
-        let cut = sliced.verify(&apps, &config);
-        prop_assert_eq!(outcome(&base), outcome(&cut));
-
-        // Slicing only ever removes work: per matching group, the sliced
-        // exploration never stores more states.
-        for (b, c) in base.groups.iter().zip(cut.groups.iter()) {
-            prop_assert_eq!(&b.apps, &c.apps);
-            prop_assert!(
-                c.report.stats.states_stored <= b.report.stats.states_stored,
-                "sliced exploration grew: {} > {} for {:?}",
-                c.report.stats.states_stored,
-                b.report.stats.states_stored,
-                b.apps
-            );
         }
     }
 }

@@ -99,34 +99,9 @@ fn warm_rerun_is_pure_cache_replay() {
     assert_eq!(warm.cache_misses, 0);
     assert!(warm.groups.iter().all(|g| g.from_cache));
     assert_eq!(warm.outcome(), cold.outcome());
-}
-
-/// Property-directed slicing is part of the task identity: a cache warmed by
-/// unsliced runs contributes nothing to a sliced run (and vice versa), while
-/// warm replay *within* each mode stays intact — and the two modes agree on
-/// every verdict.
-#[test]
-fn sliced_and_unsliced_runs_never_share_cache_entries() {
-    let (apps, config) = market8();
-    let unsliced = Pipeline::with_events(2);
-    let mut sliced = Pipeline::with_events(2);
-    sliced.search.slice = true;
-
-    let mut cache = VerificationCache::new();
-    let plain_cold = unsliced.verify_fleet(&apps, &config, &mut cache);
-    let sliced_cold = sliced.verify_fleet(&apps, &config, &mut cache);
-    assert_eq!(sliced_cold.cache_hits, 0, "a sliced run replayed an unsliced verdict");
-    assert_eq!(sliced_cold.outcome(), plain_cold.outcome());
-
-    let sliced_warm = sliced.verify_fleet(&apps, &config, &mut cache);
-    assert_eq!(sliced_warm.cache_hits, sliced_warm.groups.len());
-    assert_eq!(sliced_warm.cache_misses, 0);
-    assert_eq!(sliced_warm.outcome(), sliced_cold.outcome());
-
-    let plain_warm = unsliced.verify_fleet(&apps, &config, &mut cache);
-    assert_eq!(plain_warm.cache_hits, plain_warm.groups.len());
-    assert_eq!(plain_warm.cache_misses, 0);
-    assert_eq!(plain_warm.outcome(), plain_cold.outcome());
+    for (hit, fresh) in warm.groups.iter().zip(&cold.groups) {
+        assert_eq!(hit.attributions, fresh.attributions, "{:?}", hit.apps);
+    }
 }
 
 /// One `store()` call: the fingerprint and the stored group's apps.

@@ -4,7 +4,7 @@
 
 use iotsan::attribution::AttributionThresholds;
 use iotsan::config::{expert_configure, standard_household};
-use iotsan::properties::{PropertyClass, PropertyId, PropertySet};
+use iotsan::properties::{PropertyClass, PropertyId};
 use iotsan::{translate_sources, Pipeline};
 use iotsan_apps::{ifttt, malicious, market, samples};
 
@@ -127,38 +127,6 @@ fn dependency_analysis_reduces_group_sizes_on_market_groups() {
         mean > 1.5,
         "mean scale ratio {mean:.2} — dependency analysis is not reducing the problem"
     );
-}
-
-/// Slicing pays off on the market groups: re-checking one state-only
-/// property (the one whose cone seeds the fewest channels) explores strictly
-/// fewer states sliced than unsliced on at least one of the six groups.
-#[test]
-fn slicing_explores_fewer_states_on_some_market_group() {
-    use iotsan::analysis::Cone;
-    let cone = |id: PropertyId| Cone::seed(&PropertySet::selection(&[id]));
-    let narrowest = PropertySet::all()
-        .specs()
-        .iter()
-        .map(|s| s.property_id())
-        .filter(|id| {
-            let c = cone(*id);
-            !(c.commands || c.sms || c.push || c.network || c.unsubscribe || c.fake_events)
-        })
-        .min_by_key(|id| cone(*id).channels.len())
-        .expect("the catalog has state-only properties");
-    let states = |apps: &[iotsan::ir::IrApp], slice: bool| -> usize {
-        let mut pipeline =
-            Pipeline::with_events(2).with_properties(PropertySet::selection(&[narrowest]));
-        pipeline.search.slice = slice;
-        let config = expert_configure(apps, &standard_household());
-        pipeline.verify(apps, &config).groups.iter().map(|g| g.report.stats.states_stored).sum()
-    };
-    let reduced = market::six_groups()
-        .iter()
-        .map(|group| translate(group))
-        .filter(|apps| states(apps, true) < states(apps, false))
-        .count();
-    assert!(reduced >= 1, "slicing reduced the explored state count on no market group");
 }
 
 #[test]
