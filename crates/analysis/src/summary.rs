@@ -158,11 +158,6 @@ impl EffectSummary {
         }
         out
     }
-
-    /// True when the handler issues any actuator command.
-    pub fn issues_commands(&self) -> bool {
-        self.writes.iter().any(|w| matches!(w, WriteEffect::Command { .. }))
-    }
 }
 
 impl fmt::Display for EffectSummary {
@@ -417,7 +412,6 @@ mod tests {
             attribute: "lock".into(),
             value: Some("unlocked".into())
         }));
-        assert!(s.issues_commands());
         assert_eq!(s.trigger_channel().as_deref(), Some("contact"));
     }
 

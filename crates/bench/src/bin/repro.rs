@@ -52,6 +52,7 @@ use iotsan_bench::{
     volunteer_config, TimedRun,
 };
 use iotsan_telemetry::rows::JsonRow;
+use iotsan_telemetry::{Snapshot, Value};
 use std::collections::BTreeMap;
 
 /// What the experiments share: the `--json` document, the sweep flags and
@@ -750,13 +751,15 @@ const TELEMETRY_ROUNDS: usize = 51;
 /// one enabled/disabled throughput ratio, so machine noise and thermal
 /// drift hit both sides of a ratio equally.  Asserts the median ratio is
 /// at least [`TELEMETRY_OVERHEAD_FLOOR`] and that recording changes no
-/// verification result, then emits the final registry snapshot so the
-/// BENCH artifact records which counters moved.
+/// verification result, then emits what this experiment moved in the
+/// registry (see [`registry_since`]), so the BENCH artifact records which
+/// counters the workload drives whatever experiments ran before it.
 fn telemetry_experiment(json: &mut BenchJson) {
     heading("Telemetry: recording overhead A/B (metrics off vs on, one process)");
     let (apps, config) = iotsan_bench::scaling_workload();
     let events = iotsan_bench::experiment_events(2, 3);
     let budget = iotsan_bench::experiment_budget(30, 120);
+    let before = iotsan_telemetry::snapshot();
 
     // Warm-up run: fault in code paths and allocator state before timing.
     let warmup = iotsan_bench::run_search(&apps, &config, events, true, budget);
@@ -829,7 +832,7 @@ fn telemetry_experiment(json: &mut BenchJson) {
 
     // The wiring check: a workload this size must have moved the checker
     // counters through the registry's global flush path.
-    let snap = iotsan_telemetry::snapshot();
+    let snap = registry_since(&before, iotsan_telemetry::snapshot());
     assert!(
         snap.counter("iotsan_checker_searches_total") > 0
             && snap.counter("iotsan_checker_states_total") > 0,
@@ -854,6 +857,32 @@ fn telemetry_experiment(json: &mut BenchJson) {
         &[overhead_row("disabled", &disabled, 1.0), overhead_row("enabled", &enabled, ratio)],
     );
     json.push_experiment("telemetry_snapshot", "registry", events, &[snap.render_json()]);
+}
+
+/// `after` with every counter and histogram reduced by its reading in
+/// `before`, a capture of the same registry; gauges keep their `after`
+/// reading.
+fn registry_since(before: &Snapshot, mut after: Snapshot) -> Snapshot {
+    for (sample, earlier) in after.samples.iter_mut().zip(&before.samples) {
+        assert_eq!(sample.descriptor.name, earlier.descriptor.name, "registry order changed");
+        let since = |now: &mut u64, then: u64| {
+            *now = now.checked_sub(then).expect("counters and histograms only grow");
+        };
+        match (&mut sample.value, &earlier.value) {
+            (Value::Counter(now), Value::Counter(then)) => since(now, *then),
+            (
+                Value::Histogram { counts, sum, .. },
+                Value::Histogram { counts: then_counts, sum: then_sum, .. },
+            ) => {
+                for (now, then) in counts.iter_mut().zip(then_counts) {
+                    since(now, *then);
+                }
+                since(sum, *then_sum);
+            }
+            _ => {}
+        }
+    }
+    after
 }
 
 /// The scenario-factory differential fuzzer: `size` generated households

@@ -1,9 +1,9 @@
 //! # iotsan-bench
 //!
-//! Shared helpers for the reproduction harness (`repro` binary) and the
-//! Criterion benchmarks.  Each table and figure of the paper's evaluation has
-//! a corresponding experiment here; see `EXPERIMENTS.md` at the repository
-//! root for the paper-vs-measured comparison.
+//! Shared helpers for the reproduction harness (`repro` binary).  Each table
+//! and figure of the paper's evaluation has a corresponding experiment here;
+//! see `EXPERIMENTS.md` at the repository root for the paper-vs-measured
+//! comparison.
 
 #![deny(missing_docs)]
 
@@ -119,8 +119,8 @@ pub fn extended_property_set() -> PropertySet {
 }
 
 /// A handful of user-defined specs over the standard household — the custom
-/// workload of the `repro properties` experiment and the `property_eval`
-/// micro-benchmark.  Only same-step modalities, so the state space (and
+/// workload of the `repro properties` experiment and its `property_eval`
+/// rows.  Only same-step modalities, so the state space (and
 /// therefore states/transitions) is identical to a built-ins-only run.
 pub fn sample_custom_properties() -> Vec<iotsan::properties::PropertySpec> {
     use iotsan::properties::{Atom, DeviceSelect, Expr, PropertyClass, PropertySpec};

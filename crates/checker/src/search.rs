@@ -113,9 +113,6 @@ pub struct SearchConfig {
     pub max_states: usize,
     /// Hard cap on applied transitions.
     pub max_transitions: usize,
-    /// Stop at the first violation instead of collecting one counterexample
-    /// per violated property.
-    pub stop_at_first: bool,
     /// Wall-clock budget; the search stops (reporting partial results) when
     /// exceeded.  The clock is read once per expanded state, so the search
     /// may overrun by one expansion.
@@ -133,7 +130,6 @@ impl Default for SearchConfig {
             max_depth: 3,
             max_states: 2_000_000,
             max_transitions: 20_000_000,
-            stop_at_first: false,
             time_limit: None,
             cancel: None,
         }
@@ -189,10 +185,10 @@ pub struct SearchStats {
     pub states_capped: bool,
     /// True when [`SearchConfig::max_transitions`] fired.
     pub transitions_capped: bool,
-    /// The fixpoint: `Some(d)` when the search ran to completion (no cap, no
-    /// stop at the first violation) and every reachable state was expanded —
-    /// none was admitted at [`SearchConfig::max_depth`] or at the model's own
-    /// bound ([`TransitionSystem::at_bound`]).  `d` is the deepest transition
+    /// The fixpoint: `Some(d)` when the search ran to completion (no cap)
+    /// and every reachable state was expanded — none was admitted at
+    /// [`SearchConfig::max_depth`] or at the model's own bound
+    /// ([`TransitionSystem::at_bound`]).  `d` is the deepest transition
     /// applied, and the whole report is the same for every event bound
     /// `>= d`, with the search and model bounds equal as `iotsan::Pipeline`
     /// sets them (`ModelOptions::max_events == SearchConfig::max_depth`).
@@ -482,9 +478,6 @@ impl Checker {
                         &mut replay_bufs,
                         &mut scratch,
                     );
-                    if self.config.stop_at_first {
-                        break 'search;
-                    }
                 }
 
                 encode_buf.clear();
@@ -502,11 +495,8 @@ impl Checker {
             }
         }
 
-        // A cap or a stop at the first violation leaves the frontier
-        // unexplored.
-        let stopped =
-            report.stats.truncated || (self.config.stop_at_first && report.has_violations());
-        if !stopped && !bounded {
+        // A cap leaves the frontier unexplored.
+        if !report.stats.truncated && !bounded {
             report.stats.closed_at = Some(report.stats.max_depth_reached);
         }
         self.finish(&mut report, &store, start, arena.memory_bytes());
@@ -550,8 +540,8 @@ impl Checker {
     }
 
     /// Samples the monotonic clock exactly once and fills in the store-derived
-    /// statistics — every exit path (exhaustion, caps firing mid-expansion,
-    /// stop-at-first) reports time the same way.
+    /// statistics — every exit path (exhaustion, caps firing mid-expansion)
+    /// reports time the same way.
     fn finish(
         &self,
         report: &mut SearchReport,
@@ -759,9 +749,7 @@ mod tests {
         capped.max_states = 10;
         let mut timed = SearchConfig::with_depth(12);
         timed.time_limit = Some(Duration::ZERO);
-        let mut first = SearchConfig::with_depth(12);
-        first.stop_at_first = true;
-        for config in [capped, timed, first] {
+        for config in [capped, timed] {
             let report = Checker::new(config.clone()).verify(&model());
             assert_eq!(report.stats.closed_at, None, "{config:?}");
         }
@@ -863,14 +851,6 @@ mod tests {
         assert!(!report.has_violations());
         assert!(report.stats.max_depth_reached <= 2);
         assert!(report.stats.states_stored > 0);
-    }
-
-    #[test]
-    fn stop_at_first_terminates_early() {
-        let mut config = SearchConfig::with_depth(8);
-        config.stop_at_first = true;
-        let report = Checker::new(config).verify(&model());
-        assert_eq!(report.violations.len(), 1);
     }
 
     #[test]
@@ -1099,7 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_at_first_keeps_all_properties_of_the_triggering_step() {
+    fn co_violations_of_one_step_share_one_trace() {
         use crate::trace::LogLine;
         use crate::transition::testing::CounterAction;
         use crate::transition::StepOutcome;
@@ -1161,12 +1141,9 @@ mod tests {
             }
         }
 
-        // Stopping at the first violating step still records every property
-        // that step breaks, sharing one counterexample: one replay, one
-        // allocation of the trace.
-        let mut config = SearchConfig::with_depth(8);
-        config.stop_at_first = true;
-        let report = Checker::new(config).verify(&DoubleViolationModel);
+        // The first step to reach 6 records both properties it breaks, sharing
+        // one counterexample: one replay, one allocation of the trace.
+        let report = Checker::new(SearchConfig::with_depth(8)).verify(&DoubleViolationModel);
         assert_eq!(report.violated_properties(), BTreeSet::from([1, 2]));
         assert!(Arc::ptr_eq(&report.violations[0].trace, &report.violations[1].trace));
         assert!(!report.stats.truncated);

@@ -68,13 +68,9 @@ impl Hasher for IdentityHasher {
 /// Build-hasher alias for [`IdentityHasher`]-keyed tables.
 pub type IdentityState = BuildHasherDefault<IdentityHasher>;
 
-/// Exhaustive storage of full state vectors, bucketed by the precomputed
-/// per-state hash (an identity-hashed table: the state bytes are hashed
-/// exactly once, by the caller's [`fnv1a`] pass).
-///
-/// The `*_hashed` methods take the precomputed [`fnv1a`] value of `encoded`
-/// so probing and exact comparison share one hash pass; the hash-free
-/// convenience methods compute it on the spot.
+/// Exhaustive storage of full state vectors, bucketed by their [`fnv1a`]
+/// hash (an identity-hashed table: the state bytes are hashed exactly once
+/// per insert).
 #[derive(Debug, Default)]
 pub struct ExactStore {
     buckets: HashMap<u64, Vec<Box<[u8]>>, IdentityState>,
@@ -96,7 +92,7 @@ impl ExactStore {
 
     /// [`ExactStore::insert`] with the state's [`fnv1a`] hash already
     /// computed.
-    pub fn insert_hashed(&mut self, hash: u64, encoded: &[u8]) -> bool {
+    fn insert_hashed(&mut self, hash: u64, encoded: &[u8]) -> bool {
         // Re-diffuse before keying: hashbrown takes its control byte from
         // the top bits and its bucket index from the low bits, so both must
         // be well mixed for probes to stay short.
@@ -108,17 +104,6 @@ impl ExactStore {
         self.len += 1;
         self.payload_bytes += encoded.len();
         true
-    }
-
-    /// True when the encoded state has already been recorded.
-    pub fn contains(&self, encoded: &[u8]) -> bool {
-        self.contains_hashed(fnv1a(encoded), encoded)
-    }
-
-    /// [`ExactStore::contains`] with the state's [`fnv1a`] hash already
-    /// computed.
-    pub fn contains_hashed(&self, hash: u64, encoded: &[u8]) -> bool {
-        self.buckets.get(&splitmix64(hash)).is_some_and(|b| b.iter().any(|s| s.as_ref() == encoded))
     }
 
     /// Number of states recorded.
@@ -191,23 +176,14 @@ mod tests {
         assert!(store.insert_hashed(42, b"alpha"));
         assert!(store.insert_hashed(42, b"beta"));
         assert!(!store.insert_hashed(42, b"alpha"));
-        assert!(store.contains_hashed(42, b"beta"));
-        assert!(!store.contains_hashed(42, b"gamma"));
-        assert_eq!(store.len(), 2);
+        assert!(!store.insert_hashed(42, b"beta"));
+        assert!(store.insert_hashed(42, b"gamma"));
+        assert_eq!(store.len(), 3);
     }
 
     #[test]
     fn hashes_and_probes_are_well_distributed() {
         assert_ne!(fnv1a(b"hello"), fnv1a(b"hellp"));
         assert_ne!(splitmix64(1), splitmix64(2));
-    }
-
-    #[test]
-    fn contains_matches_insert_semantics() {
-        let mut store = ExactStore::new();
-        assert!(!store.contains(b"state-a"));
-        store.insert(b"state-a");
-        assert!(store.contains(b"state-a"));
-        assert!(!store.contains(b"state-b"));
     }
 }

@@ -72,7 +72,7 @@ pub use planner::{
 };
 pub use system::{InstalledSystem, InternalEvent, SystemState};
 
-// Re-export the sibling crates so downstream users (examples, benches, the
+// Re-export the sibling crates so downstream users (examples, the
 // reproduction harness) need only depend on `iotsan`.
 pub use iotsan_analysis as analysis;
 pub use iotsan_attribution as attribution;

@@ -85,7 +85,7 @@ use std::sync::{Arc, OnceLock};
 /// the same restricted device configuration, property set, model options and
 /// search shape — so one job's [`SearchReport`] can stand in for the
 /// other's.  The checker is deterministic, so equal inputs always produce
-/// equal reports, stop-at-first searches included.
+/// equal reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);
 
@@ -129,7 +129,7 @@ impl Fnv {
 /// the group is verified under with member names replaced by member
 /// positions, the property set, and the model/search options that can
 /// change the verdict ([`crate::model::ModelOptions`] plus the
-/// result-relevant [`SearchConfig`] fields — depth, caps, stop-at-first).
+/// result-relevant [`SearchConfig`] fields — depth and caps).
 /// The wall-clock budget is always excluded (a budget-truncated report is
 /// never cached).
 ///
@@ -202,15 +202,11 @@ impl<'c> KeyBasis<'c> {
         // it is either keyed or shown not to change results.  The time limit
         // and the cancel token only truncate a search, and a truncated
         // report is never cached.
-        let SearchConfig {
-            max_depth,
-            max_states,
-            max_transitions,
-            stop_at_first,
-            time_limit: _,
-            cancel: _,
-        } = &pipeline.search;
-        h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, stop_at_first)));
+        let SearchConfig { max_depth, max_states, max_transitions, time_limit: _, cancel: _ } =
+            &pipeline.search;
+        // The constant `false` stands where the deleted stop-at-first flag
+        // was hashed, so existing verdict logs keep hitting.
+        h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, false)));
         KeyBasis {
             config,
             app_rows: vec![OnceCell::new(); apps.len()],
@@ -1181,21 +1177,6 @@ def motionActiveHandler(evt) { lights.on() }
         let e = VerificationPlanner::new(&workers).plan(&apps, &config);
         for (old, new) in a.jobs.iter().zip(&e.jobs) {
             assert_eq!(old.fingerprint, new.fingerprint);
-        }
-    }
-
-    #[test]
-    fn order_dependent_configs_key_on_search_shape() {
-        // Stop-at-first can report less than an exhaustive search, so it is
-        // its own task.
-        let (apps, config) = bundle();
-        let exhaustive = VerificationPlanner::new(&Pipeline::with_events(2)).plan(&apps, &config);
-        let mut first = Pipeline::with_events(2);
-        first.search.stop_at_first = true;
-        let a = VerificationPlanner::new(&first).plan(&apps, &config);
-        for (old, new) in exhaustive.jobs.iter().zip(&a.jobs) {
-            assert_eq!(old.apps, new.apps);
-            assert_ne!(old.fingerprint, new.fingerprint);
         }
     }
 

@@ -32,7 +32,6 @@
 //! interpreter borrows what the installation owns instead of building values
 //! per transition.
 
-use crate::logevent::LogEvent;
 use crate::resolve::AppCode;
 use iotsan_config::SystemConfig;
 use iotsan_devices::{Device, DeviceId, DeviceSpec, DeviceState, LocationMode, SystemTime};
@@ -483,11 +482,6 @@ impl InstalledSystem {
             Some(id) => format!("{id}/{attribute}={}", event.value),
             None => format!("{attribute}={}", event.value),
         }
-    }
-
-    /// Renders a structured [`LogEvent`] into a counterexample log line.
-    pub fn render_log_event(&self, event: &LogEvent) -> iotsan_checker::LogLine {
-        event.render(self)
     }
 }
 

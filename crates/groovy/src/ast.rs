@@ -24,14 +24,6 @@ impl Script {
         })
     }
 
-    /// All top-level statements (everything that is not a method declaration).
-    pub fn top_level_stmts(&self) -> impl Iterator<Item = &Stmt> {
-        self.items.iter().filter_map(|item| match item {
-            Item::Stmt(s) => Some(s),
-            _ => None,
-        })
-    }
-
     /// Finds a method by name.
     pub fn method(&self, name: &str) -> Option<&MethodDecl> {
         self.methods().find(|m| m.name == name)

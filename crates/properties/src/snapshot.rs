@@ -152,44 +152,6 @@ impl Snapshot {
         self.mode.eq_ignore_ascii_case("night")
     }
 
-    /// True when any smoke detector reports smoke.
-    pub fn smoke_detected(&self) -> bool {
-        self.by_capability("smokeDetector").any(|d| d.attr_is("smoke", "detected"))
-    }
-
-    /// True when any CO detector reports carbon monoxide.
-    pub fn co_detected(&self) -> bool {
-        self.by_capability("carbonMonoxideDetector")
-            .any(|d| d.attr_is("carbonMonoxide", "detected"))
-    }
-
-    /// True when any motion sensor reports motion (used as the intruder proxy
-    /// by the security properties when the system is in `Away` mode).
-    pub fn motion_detected(&self) -> bool {
-        self.by_capability("motionSensor").any(|d| d.attr_is("motion", "active"))
-    }
-
-    /// True when any water-leak sensor is wet.
-    pub fn leak_detected(&self) -> bool {
-        self.by_capability("waterSensor").any(|d| d.attr_is("water", "wet"))
-    }
-
-    /// The minimum temperature reported by any temperature sensor/thermostat.
-    pub fn min_temperature(&self) -> Option<f64> {
-        self.devices
-            .iter()
-            .filter_map(|d| d.attr_number("temperature"))
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// The maximum temperature reported by any temperature sensor/thermostat.
-    pub fn max_temperature(&self) -> Option<f64> {
-        self.devices
-            .iter()
-            .filter_map(|d| d.attr_number("temperature"))
-            .max_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
     /// True when any device playing the given role has `attribute == value`.
     pub fn role_attr_is(&self, role: DeviceRole, attribute: &str, value: &str) -> bool {
         self.by_role(role).any(|d| d.attr_is(attribute, value))
@@ -486,37 +448,6 @@ mod tests {
         assert!(!snap.anyone_home());
         snap.mode = "Home".into();
         assert!(snap.anyone_home());
-    }
-
-    #[test]
-    fn detectors_and_temperature_helpers() {
-        let snap = Snapshot {
-            mode: "Home".into(),
-            devices: vec![
-                dev(0, "smoke", "smokeDetector", DeviceRole::Generic, &[("smoke", "detected")]),
-                DeviceSnapshot {
-                    id: DeviceId(1),
-                    label: "temp".into(),
-                    capability: "temperatureMeasurement".into(),
-                    role: DeviceRole::Generic,
-                    attributes: vec![("temperature".into(), Value::Int(50))],
-                    online: true,
-                },
-                DeviceSnapshot {
-                    id: DeviceId(2),
-                    label: "thermostat".into(),
-                    capability: "thermostat".into(),
-                    role: DeviceRole::Generic,
-                    attributes: vec![("temperature".into(), Value::Int(85))],
-                    online: true,
-                },
-            ],
-            time_seconds: 0,
-        };
-        assert!(snap.smoke_detected());
-        assert!(!snap.co_detected());
-        assert_eq!(snap.min_temperature(), Some(50.0));
-        assert_eq!(snap.max_temperature(), Some(85.0));
     }
 
     #[test]

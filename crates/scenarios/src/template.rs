@@ -150,13 +150,6 @@ fn capitalize(attribute: &str) -> String {
 }
 
 impl ScenarioApp {
-    /// True when any action issues (or schedules) a device command.
-    pub fn commands_devices(&self) -> bool {
-        self.actions.iter().any(|a| {
-            matches!(a, ActionFragment::Command { .. } | ActionFragment::ScheduleCommand { .. })
-        })
-    }
-
     /// Renders the app as SmartThings Groovy source.
     pub fn to_groovy(&self) -> String {
         let mut prefs = String::new();

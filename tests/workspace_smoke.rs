@@ -1,6 +1,6 @@
 //! Workspace smoke test: the public API surface every downstream consumer
-//! (examples, benches, the `repro` harness) relies on must stay reachable
-//! through the `iotsan` facade crate alone.
+//! (examples, the `repro` harness, the end-to-end benchmark) relies on must
+//! stay reachable through the `iotsan` facade crate alone.
 
 use iotsan::checker::{Checker, SearchConfig};
 use iotsan::config::{expert_configure, standard_household, SystemConfig};
@@ -38,8 +38,8 @@ fn facade_exposes_the_pipeline_entry_points() {
 }
 
 /// The re-exported sibling crates stay addressable by their facade paths
-/// (`iotsan::checker`, `iotsan::config`, ...), which the integration tests,
-/// benches and `repro` binary all import.
+/// (`iotsan::checker`, `iotsan::config`, ...), which the integration tests
+/// and the `repro` binary import.
 #[test]
 fn facade_reexports_every_subsystem() {
     let _ = iotsan::groovy::SmartApp::parse(BRIGHTEN_MY_PATH);
