@@ -31,8 +31,7 @@ pub mod summary;
 pub use fold::{fold, fold_guard};
 pub use lint::{lint_system, render_report, Diagnostic, LintKind};
 pub use summary::{
-    reads_clock, state_channel, summarize_app, summarize_handler, EffectSummary, ReadEffect,
-    WriteEffect,
+    reads_clock, state_channel, summarize_handler, EffectSummary, ReadEffect, WriteEffect,
 };
 
 /// Version of the effect-summary semantics, written into the daemon's

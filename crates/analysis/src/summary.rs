@@ -173,11 +173,6 @@ impl fmt::Display for EffectSummary {
     }
 }
 
-/// Summarizes every handler of `app`, in handler order.
-pub fn summarize_app(app: &IrApp) -> Vec<EffectSummary> {
-    app.handlers.iter().map(|h| summarize_handler(app, h)).collect()
-}
-
 /// Computes the effect summary of one handler by walking its body.
 ///
 /// Reads are collected from *every* expression position (guards, command

@@ -226,28 +226,6 @@ pub fn attribute_app<C, D>(
     }
 }
 
-/// Convenience for batch attribution: attributes every `(app, standalone,
-/// joint)` triple with a shared oracle and returns the reports in order.
-pub fn attribute_all<C: Clone, D: Clone>(
-    apps: &[(String, Vec<C>, Vec<D>)],
-    mut verify_standalone: impl FnMut(&str, &C) -> bool,
-    mut verify_joint: impl FnMut(&str, &D) -> bool,
-    thresholds: &AttributionThresholds,
-) -> Vec<AttributionReport> {
-    apps.iter()
-        .map(|(app, standalone, joint)| {
-            attribute_app(
-                app,
-                standalone,
-                |c| verify_standalone(app, c),
-                joint,
-                |c| verify_joint(app, c),
-                thresholds,
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,23 +335,6 @@ mod tests {
             &relaxed,
         );
         assert!(matches!(report.verdict, Verdict::Malicious { .. }));
-    }
-
-    #[test]
-    fn batch_attribution_keeps_order() {
-        let apps = vec![
-            ("Evil".to_string(), vec![0u32, 1, 2], vec![0u32]),
-            ("Fine".to_string(), vec![0u32, 1, 2], vec![0u32]),
-        ];
-        let reports = attribute_all(
-            &apps,
-            |app, _| app == "Evil",
-            |_, _| false,
-            &AttributionThresholds::default(),
-        );
-        assert_eq!(reports.len(), 2);
-        assert!(reports[0].verdict.flags_app());
-        assert_eq!(reports[1].verdict, Verdict::Clean);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Trace-driven attribution: ranking suspect apps from counterexample traces.
 //!
-//! The two-phase algorithm of §9 ([`crate::attribute_app`],
-//! [`crate::attribute_all`]) treats the verifier as an opaque boolean oracle
+//! The two-phase algorithm of §9 ([`crate::attribute_app`]) treats the verifier as an opaque boolean oracle
 //! over enumerated *configurations*.  Fleet verification (the
 //! `VerificationPlanner` in `iotsan-core`) has richer evidence available:
 //! the model checker's counterexample **traces**.  Every log line of a trace
@@ -127,7 +126,7 @@ fn rank_indexed(
 }
 
 /// Attributes every violation of a verified group from its counterexample
-/// trace: the trace-driven counterpart of [`crate::attribute_all`], consuming
+/// trace: the trace-driven counterpart of [`crate::attribute_app`], consuming
 /// [`FoundViolation`]s from the checker instead of opaque configuration
 /// lists.  Returns one [`TraceAttribution`] per violation, in input order;
 /// the group's names and name index are built once for all of them.

@@ -341,15 +341,6 @@ impl InstalledSystem {
         self.attr_syms[device.0 as usize][attr_index]
     }
 
-    /// The devices bound to `input` of `app`.
-    pub fn bound_devices(&self, app: &str, input: &str) -> Vec<DeviceId> {
-        self.apps
-            .iter()
-            .position(|a| a.name == app)
-            .map(|index| self.bound_slice(index, input).to_vec())
-            .unwrap_or_default()
-    }
-
     /// The devices bound to `input` of the app at `app_index`, as a borrow
     /// of the installation-time resolution (the hot-loop form).
     #[inline]
@@ -623,9 +614,8 @@ mod tests {
     #[test]
     fn binding_resolution() {
         let sys = system();
-        assert_eq!(sys.bound_devices("Unlock Door", "lock1"), vec![DeviceId(0)]);
-        assert!(sys.bound_devices("Unlock Door", "missing").is_empty());
-        assert!(sys.bound_devices("Ghost", "lock1").is_empty());
+        assert_eq!(sys.bound_slice(0, "lock1"), [DeviceId(0)]);
+        assert!(sys.bound_slice(0, "missing").is_empty());
     }
 
     #[test]

@@ -17,8 +17,10 @@ use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::rows::JsonRow;
 use iotsan_telemetry::DESCRIPTORS;
 use std::io::{BufRead, Write};
+use std::num::{IntErrorKind, ParseIntError};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const HELP: &str = "\
 iotsand — IotSan verification daemon
@@ -72,8 +74,9 @@ JOB FORMAT (one JSON object per line):
 Exactly one of `market` (first n corpus apps), `names` (corpus apps by name)
 or `sources` (inline Groovy) selects the bundle.  Optional: `events` (event
 bound, default 2), `failures` (failure injection, default false),
-`timeout_ms` (wall-clock budget), `inject_panic` (panic before filing a
-verdict; needs --enable-fault-injection).  `workers` is accepted and ignored.
+`timeout_ms` (wall-clock budget for each group's search), `inject_panic`
+(panic before filing a verdict; needs --enable-fault-injection).  `workers`
+is accepted and ignored.
 
 CONTROL OPS (one JSON object per line):
     {\"op\":\"shutdown\"}   Stop accepting work and exit.
@@ -177,11 +180,11 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             }
             "--retry-attempts" => {
                 args.retry_attempts =
-                    parse_count(&value(&mut iter, "--retry-attempts")?, "--retry-attempts")? as u32
+                    parse_count(&value(&mut iter, "--retry-attempts")?, "--retry-attempts")?
             }
             "--retry-base-ms" => {
                 args.retry_base_ms =
-                    parse_count(&value(&mut iter, "--retry-base-ms")?, "--retry-base-ms")? as u64
+                    parse_count(&value(&mut iter, "--retry-base-ms")?, "--retry-base-ms")?
             }
             "--log-level" => {
                 let raw = value(&mut iter, "--log-level")?;
@@ -208,8 +211,13 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     Ok(Some(args))
 }
 
-fn parse_count(raw: &str, flag: &str) -> Result<usize, String> {
-    raw.parse::<usize>().map_err(|_| format!("{flag} needs a non-negative integer, got `{raw}`"))
+/// Parses a flag's count into the type it is stored as, so a value that
+/// does not fit is a usage error rather than a silent wrap.
+fn parse_count<T: FromStr<Err = ParseIntError>>(raw: &str, flag: &str) -> Result<T, String> {
+    raw.parse::<T>().map_err(|e| match e.kind() {
+        IntErrorKind::PosOverflow => format!("{flag} is out of range, got `{raw}`"),
+        _ => format!("{flag} needs a non-negative integer, got `{raw}`"),
+    })
 }
 
 fn store_options(args: &Args) -> StoreOptions {

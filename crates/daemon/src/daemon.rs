@@ -17,10 +17,9 @@
 //! in-process pipeline, over the daemon's [`PlanCache`]: the cache behind a
 //! mutex plus an in-flight fingerprint set.  The model checker never runs
 //! under the lock, so workers verify different groups concurrently while
-//! deduplicating through one store.  Every job carries its own
-//! [`iotsan::checker::CancelToken`]; [`Daemon::cancel_all`] flips the
-//! in-flight tokens and drains the pending queue, turning both into
-//! explicit `cancelled` outcomes rather than silently dropped work.
+//! deduplicating through one store.  A job's optional `timeout_ms` bounds
+//! each of its group searches, not the job: a search that runs out answers
+//! `truncated`, and its verdict is served but never stored.
 //!
 //! # Self-healing
 //!
@@ -44,7 +43,6 @@
 use crate::fault::{FaultPlan, FaultyIo};
 use crate::job::{resolve_sources, JobSpec};
 use crate::store::{StoreOptions, VerdictStore};
-use iotsan::checker::CancelToken;
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::{
     translate_sources, Fingerprint, FleetReport, GroupResult, Pipeline, PlanCache,
@@ -313,8 +311,6 @@ pub enum JobStatus {
     /// truncated by the job's own `timeout_ms` — see the rendered
     /// `truncated` field).
     Ok,
-    /// The job was cancelled (mid-run via its token, or while still queued).
-    Cancelled,
     /// The job could not run at all (bad bundle, translation failure).
     Invalid(String),
     /// The job's worker panicked on every attempt (see [`RetryPolicy`]),
@@ -357,7 +353,6 @@ impl JobOutcome {
         let mut row = JsonRow::with_capacity(128).str("id", &self.id);
         match &self.status {
             JobStatus::Ok => row = row.str("status", "ok"),
-            JobStatus::Cancelled => row = row.str("status", "cancelled"),
             JobStatus::Invalid(error) => {
                 return row.str("status", "invalid").str("error", error).finish();
             }
@@ -410,6 +405,8 @@ pub struct DaemonSummary {
 #[derive(Debug, Default)]
 struct QueueState {
     items: VecDeque<(usize, JobSpec)>,
+    /// Set only by [`Daemon::shutdown`], which consumes the daemon, so no
+    /// job is ever pushed after it.
     closed: bool,
 }
 
@@ -432,14 +429,11 @@ impl JobQueue {
         }
     }
 
-    /// Blocks while full; `Err` returns the job when the queue has closed.
-    fn push(&self, index: usize, spec: JobSpec) -> Result<(), JobSpec> {
+    /// Blocks while full.
+    fn push(&self, index: usize, spec: JobSpec) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.items.len() >= self.capacity && !state.closed {
+        while state.items.len() >= self.capacity {
             state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        if state.closed {
-            return Err(spec);
         }
         METRICS.daemon_jobs_accepted.inc();
         flight::record(
@@ -450,7 +444,6 @@ impl JobQueue {
         state.items.push_back((index, spec));
         METRICS.daemon_queue_depth.set(state.items.len() as i64);
         self.not_empty.notify_one();
-        Ok(())
     }
 
     /// Blocks while empty; `None` once the queue is closed and drained.
@@ -472,15 +465,6 @@ impl JobQueue {
     fn close(&self) {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn drain(&self) -> Vec<(usize, JobSpec)> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let drained = state.items.drain(..).collect();
-        METRICS.daemon_queue_depth.set(0);
-        self.not_full.notify_all();
-        drained
     }
 }
 
@@ -655,7 +639,6 @@ struct Inner {
     queue: JobQueue,
     cache: Mutex<VerificationCache>,
     store: Arc<Mutex<VerdictStore>>,
-    active: Mutex<Vec<(usize, CancelToken)>>,
     inflight: Inflight,
     results: Sender<JobOutcome>,
     health: Arc<StoreHealth>,
@@ -708,7 +691,6 @@ impl Daemon {
             queue: JobQueue::new(config.queue_capacity),
             cache: Mutex::new(cache),
             store,
-            active: Mutex::new(Vec::new()),
             inflight: Inflight::default(),
             results,
             health,
@@ -753,10 +735,7 @@ impl Daemon {
     fn submit(&mut self, spec: JobSpec) -> usize {
         let index = self.submitted;
         self.submitted += 1;
-        if self.inner.queue.push(index, spec.clone()).is_err() {
-            // Queue already closed: report the job as cancelled.
-            let _ = self.inner.results.send(cancelled_outcome(index, spec));
-        }
+        self.inner.queue.push(index, spec);
         index
     }
 
@@ -776,18 +755,6 @@ impl Daemon {
         }
         outcomes.sort_by_key(|o| o.index);
         outcomes
-    }
-
-    /// Cancels every in-flight job (their searches stop at the next
-    /// transition and report `truncated`) and drains still-queued jobs into
-    /// explicit `cancelled` outcomes.
-    pub fn cancel_all(&self) {
-        for (_, token) in self.inner.active.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            token.cancel();
-        }
-        for (index, spec) in self.inner.queue.drain() {
-            let _ = self.inner.results.send(cancelled_outcome(index, spec));
-        }
     }
 
     /// Closes the queue, waits for the workers to drain it, syncs the
@@ -834,19 +801,6 @@ impl Daemon {
     }
 }
 
-fn cancelled_outcome(index: usize, spec: JobSpec) -> JobOutcome {
-    record_terminal_status(&spec.id, &JobStatus::Cancelled);
-    JobOutcome {
-        index,
-        id: spec.id,
-        status: JobStatus::Cancelled,
-        report: None,
-        backing_hits: 0,
-        degraded: false,
-        elapsed: Duration::ZERO,
-    }
-}
-
 /// Flushes one terminal job status to the telemetry registry and flight
 /// recorder — the single point every outcome path funnels through.
 fn record_terminal_status(id: &str, status: &JobStatus) {
@@ -854,10 +808,6 @@ fn record_terminal_status(id: &str, status: &JobStatus) {
         JobStatus::Ok => {
             METRICS.daemon_jobs_completed.inc();
             "ok"
-        }
-        JobStatus::Cancelled => {
-            METRICS.daemon_jobs_cancelled.inc();
-            "cancelled"
         }
         JobStatus::Invalid(_) => {
             METRICS.daemon_jobs_invalid.inc();
@@ -928,7 +878,7 @@ fn run_supervised(inner: &Inner, index: usize, spec: JobSpec) -> JobOutcome {
         }));
         match attempt {
             Ok(outcome) => {
-                // Any definite completion (ok/cancelled/invalid) clears the
+                // Any definite completion (ok/invalid) clears the
                 // class's failure history: it proved able to terminate.
                 inner.poison.clear(key);
                 return outcome;
@@ -987,23 +937,6 @@ fn invalid_outcome(index: usize, id: String, error: String, started: Instant) ->
     }
 }
 
-/// Unregisters a job's cancel token on drop, so a panicking job cannot
-/// leave a stale token in the active list.
-struct ActiveGuard<'a> {
-    inner: &'a Inner,
-    index: usize,
-}
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.inner
-            .active
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|(i, _)| *i != self.index);
-    }
-}
-
 fn execute_job(inner: &Inner, index: usize, spec: JobSpec, started: Instant) -> JobOutcome {
     if spec.inject_panic && !inner.fault_injection {
         return invalid_outcome(
@@ -1024,28 +957,22 @@ fn execute_job(inner: &Inner, index: usize, spec: JobSpec, started: Instant) -> 
     };
     let config = expert_configure(&apps, &standard_household());
 
-    let token = CancelToken::new();
-    inner.active.lock().unwrap_or_else(|e| e.into_inner()).push((index, token.clone()));
-    let _active = ActiveGuard { inner, index };
-
     let mut pipeline = Pipeline::with_events(spec.events);
     if spec.failures {
         pipeline = pipeline.with_failures();
     }
     pipeline.search.time_limit = spec.timeout_ms.map(Duration::from_millis);
-    pipeline.search = pipeline.search.clone().cancellable(token.clone());
 
     let planner = VerificationPlanner::new(&pipeline);
     let plan = planner.plan(&apps, &config);
     let mut cache = SharedCache { inner, inject_panic: spec.inject_panic, backing_hits: 0 };
     let report = planner.execute(&plan, &mut cache);
 
-    let status = if token.is_cancelled() { JobStatus::Cancelled } else { JobStatus::Ok };
     let degraded = report.persist_failures > 0 || inner.health.is_degraded();
     JobOutcome {
         index,
         id: spec.id,
-        status,
+        status: JobStatus::Ok,
         report: Some(report),
         backing_hits: cache.backing_hits,
         degraded,
@@ -1096,7 +1023,7 @@ impl<'a> PlanCache for SharedCache<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::BundleSpec;
+    use crate::job::{parse_line, BundleSpec, JobLine};
     use crate::store::Recovery;
     use std::path::Path;
 
@@ -1188,55 +1115,23 @@ mod tests {
     }
 
     #[test]
-    fn cancel_all_stops_inflight_and_queued_jobs() {
-        let path = temp_store("cancel");
-        let mut daemon = Daemon::start(DaemonConfig {
-            workers: 1, // serialize, so the second job is queued while the first runs
-            ..DaemonConfig::new(&path)
-        })
-        .unwrap();
-        // A search this deep runs for many seconds before any default cap
-        // fires; the timeout is only a backstop should cancellation break.
-        let slow = JobSpec {
-            id: "slow".into(),
-            bundle: BundleSpec::Market(8),
-            events: 8,
-            workers: 1,
-            failures: true,
-            timeout_ms: Some(120_000),
-            inject_panic: false,
-        };
-        let queued = market_job("queued", 2);
-
-        let inner = Arc::clone(&daemon.inner);
-        let canceller = std::thread::spawn(move || {
-            // Wait until the slow job has registered its token (it is then
-            // mid-search), cancel it, and drain the still-queued job.
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while inner.active.lock().unwrap().is_empty() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-            for (_, token) in inner.active.lock().unwrap().iter() {
-                token.cancel();
-            }
-            for (index, spec) in inner.queue.drain() {
-                let _ = inner.results.send(cancelled_outcome(index, spec));
-            }
-        });
-        let started = Instant::now();
-        let outcomes = daemon.run_batch(vec![slow, queued]);
-        canceller.join().unwrap();
-        assert!(started.elapsed() < Duration::from_secs(30));
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].status, JobStatus::Cancelled);
-        assert!(outcomes[0]
-            .report
-            .as_ref()
-            .is_some_and(|r| r.groups.iter().any(|g| g.report.stats.truncated)));
-        assert_eq!(outcomes[1].status, JobStatus::Cancelled);
-        assert!(outcomes[1].report.is_none());
-        daemon.shutdown().unwrap();
+    fn timeout_truncates_each_search_and_stores_only_complete_verdicts() {
+        let path = temp_store("timeout");
+        let mut daemon = start(&path);
+        let line = r#"{"id":"t","market":8,"events":6,"failures":true,"timeout_ms":0}"#;
+        let Ok(JobLine::Job(spec)) = parse_line(line, 1) else { panic!("{line} must parse") };
+        let outcomes = daemon.run_batch(vec![spec]);
+        // The budget bounds each group's search, not the job: the job
+        // still answers `ok`, flagged `truncated`.
+        assert_eq!(outcomes[0].status, JobStatus::Ok);
+        let line = outcomes[0].render();
+        assert!(line.contains("\"status\":\"ok\""), "{line}");
+        assert!(line.contains("\"truncated\":true"), "{line}");
+        let report = outcomes[0].report.as_ref().unwrap();
+        let complete = report.groups.iter().filter(|g| !g.report.stats.truncated).count();
+        assert!(complete < report.groups.len());
+        let summary = daemon.shutdown().unwrap();
+        assert_eq!(summary.store_entries, complete);
     }
 
     #[test]

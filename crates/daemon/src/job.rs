@@ -50,7 +50,9 @@ pub struct JobSpec {
     pub workers: usize,
     /// Exhaustive device/communication failure injection; default off.
     pub failures: bool,
-    /// Per-job wall-clock budget in milliseconds; default none.
+    /// Wall-clock budget in milliseconds for each group's search, not for
+    /// the whole job; default none.  A search that runs out answers
+    /// `truncated`, and its verdict is served but never stored.
     pub timeout_ms: Option<u64>,
     /// Testing hook: panic after verifying, before the job's first verdict
     /// is filed (only honored when the daemon was started with fault

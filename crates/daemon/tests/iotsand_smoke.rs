@@ -71,6 +71,24 @@ fn rejects_unknown_flags_and_missing_modes() {
     assert!(!output.status.success());
 }
 
+/// A count that does not fit the flag's type is a usage error naming the
+/// flag, not a value wrapped into range (4294967296 would wrap to 0).
+#[test]
+fn rejects_an_out_of_range_retry_attempts() {
+    let dir = temp_dir("retry-range");
+    let store = dir.join("verdicts.log");
+    for count in ["4294967296", "-1"] {
+        let output = iotsand()
+            .args(["--store", store.to_str().unwrap(), "--status", "--retry-attempts", count])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{count}: {stderr}");
+        assert!(stderr.contains("--retry-attempts"), "{count}: {stderr}");
+    }
+    assert!(!store.exists(), "a usage error must not open the store");
+}
+
 #[test]
 fn batch_restart_serves_warm_verdicts_from_disk() {
     let dir = temp_dir("warm");

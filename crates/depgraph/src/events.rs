@@ -8,7 +8,7 @@
 //! means "any".
 
 use iotsan_devices::registry;
-use iotsan_ir::{IrApp, IrHandler, IrStmt, SettingKind, Trigger};
+use iotsan_ir::{IrApp, IrHandler, IrStmt, Trigger};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -254,12 +254,6 @@ pub fn effect_profile(app: &IrApp, handler: &IrHandler) -> EventProfile {
     profile
 }
 
-/// Returns true when `input` is a device-typed setting of `app`
-/// (used by callers that need to distinguish device loops from plain reads).
-pub fn is_device_setting(app: &IrApp, input: &str) -> bool {
-    app.input(input).map(|i| matches!(i.kind, SettingKind::Device { .. })).unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,7 +377,5 @@ mod tests {
         let profile = event_profile(&app, &h);
         assert_eq!(profile.inputs.len(), 1);
         assert_eq!(profile.outputs.len(), 1);
-        assert!(is_device_setting(&app, "switches"));
-        assert!(!is_device_setting(&app, "unknown"));
     }
 }

@@ -40,6 +40,4 @@ pub mod graph;
 pub use events::{
     effect_profile, event_profile, input_events, output_events, EventDesc, EventProfile,
 };
-pub use graph::{
-    analyze, app_membership, render_summary, DependencyGraph, RelatedSets, Vertex, VertexId,
-};
+pub use graph::{analyze, render_summary, DependencyGraph, RelatedSets, Vertex, VertexId};

@@ -79,14 +79,6 @@ impl AttrDomain {
         }
     }
 
-    /// The numeric value at `index` (enum domains have no numeric view).
-    pub fn numeric_at(&self, index: usize) -> Option<i64> {
-        match self {
-            AttrDomain::Numeric(values) => values.get(index).copied(),
-            AttrDomain::Enum(_) => None,
-        }
-    }
-
     /// The value at `index` as the interpreter sees it: enum names become
     /// strings, numeric levels integers, and an out-of-domain index `Null`.
     pub fn value(&self, index: usize) -> Value {
@@ -241,20 +233,6 @@ impl DeviceSpec {
     /// device's headline state (`switch`, `lock`, `motion`, ...).
     pub fn primary_attribute(&self) -> &AttributeSpec {
         &self.attributes[0]
-    }
-
-    /// All `(attribute, value-index)` pairs the environment can spontaneously
-    /// produce for this device — the physical-event alphabet of a sensor.
-    pub fn environment_events(&self) -> Vec<(&'static str, usize)> {
-        let mut out = Vec::new();
-        for attr in &self.attributes {
-            if attr.environment_driven {
-                for idx in 0..attr.domain.len() {
-                    out.push((attr.name, idx));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -817,21 +795,22 @@ mod tests {
 
     #[test]
     fn sensors_have_environment_events_and_actuators_have_commands() {
+        // A sensor's physical-event alphabet is every value of its
+        // environment-driven attributes, so it needs one such attribute.
+        let has_events = |spec: &DeviceSpec| {
+            spec.attributes.iter().any(|a| a.environment_driven && !a.domain.is_empty())
+        };
         for spec in registry().specs() {
             match spec.kind {
                 DeviceKind::Sensor => {
-                    assert!(
-                        !spec.environment_events().is_empty(),
-                        "{} has no events",
-                        spec.capability
-                    )
+                    assert!(has_events(spec), "{} has no events", spec.capability)
                 }
                 DeviceKind::Actuator => {
                     assert!(!spec.commands.is_empty(), "{} has no commands", spec.capability)
                 }
                 DeviceKind::Hybrid => {
                     assert!(!spec.commands.is_empty());
-                    assert!(!spec.environment_events().is_empty());
+                    assert!(has_events(spec));
                 }
             }
         }
@@ -851,11 +830,11 @@ mod tests {
         let temp = spec.attribute("temperature").unwrap();
         let idx = temp.domain.index_of("75").unwrap();
         assert_eq!(temp.domain.value_at(idx).unwrap(), "75");
-        assert_eq!(temp.domain.numeric_at(idx), Some(75));
+        assert_eq!(temp.domain.value(idx), Value::Int(75));
 
         let lock = registry().spec("lock").unwrap().attribute("lock").unwrap();
         assert_eq!(lock.domain.index_of("locked"), Some(0));
-        assert_eq!(lock.domain.numeric_at(0), None);
+        assert_eq!(lock.domain.value(0), Value::Str("locked".into()));
     }
 
     #[test]

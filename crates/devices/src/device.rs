@@ -152,16 +152,10 @@ impl DeviceState {
         spec.attributes[idx].domain.value(self.values[idx] as usize)
     }
 
-    /// Sets `attribute` to the domain value at `value_index`; returns `true`
-    /// when the state actually changed.
-    pub fn set_index(&mut self, spec: &DeviceSpec, attribute: &str, value_index: usize) -> bool {
-        let Some(idx) = spec.attribute_index(attribute) else { return false };
-        self.set_index_at(spec, idx, value_index)
-    }
-
-    /// [`DeviceState::set_index`] addressed by attribute position (the model
-    /// generator's form: its actions carry the position, so the hot loop
-    /// skips the name lookup).
+    /// Sets the attribute at position `attr_index` to the domain value at
+    /// `value_index`; returns `true` when the state actually changed.  The
+    /// model generator's actions carry the position, so the hot loop skips
+    /// a name lookup.
     pub fn set_index_at(
         &mut self,
         spec: &DeviceSpec,

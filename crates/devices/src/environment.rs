@@ -1,10 +1,8 @@
-//! The modelled environment: location modes, environment events and system
-//! time.
+//! The modelled environment: location modes and system time.
 //!
-//! The paper models "events generated by the environment (e.g., sunrise and
-//! sunset) as sensor generated inputs and location mode changes (e.g., Home,
-//! Away, and Night) as actuations" and "system time as a monotonically
-//! increasing variable" (§8).
+//! The paper models "location mode changes (e.g., Home, Away, and Night) as
+//! actuations" and "system time as a monotonically increasing variable"
+//! (§8).
 
 use std::fmt;
 
@@ -74,34 +72,6 @@ impl fmt::Display for LocationMode {
     }
 }
 
-/// Environment-generated events that are not tied to an installed device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EnvironmentEvent {
-    /// The sun rose.
-    Sunrise,
-    /// The sun set.
-    Sunset,
-}
-
-impl EnvironmentEvent {
-    /// All environment events.
-    pub const ALL: [EnvironmentEvent; 2] = [EnvironmentEvent::Sunrise, EnvironmentEvent::Sunset];
-
-    /// The event name as seen by `subscribe(location, "...", handler)`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EnvironmentEvent::Sunrise => "sunrise",
-            EnvironmentEvent::Sunset => "sunset",
-        }
-    }
-}
-
-impl fmt::Display for EnvironmentEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
 /// Modelled system time: a monotonically increasing counter of seconds.
 ///
 /// Scheduled callbacks (`runIn`, `schedule`) are triggered when the modelled
@@ -122,12 +92,6 @@ impl SystemTime {
     /// Advances the clock by one quantum and returns the new time.
     pub fn tick(&mut self) -> SystemTime {
         self.0 += Self::QUANTUM_SECONDS;
-        *self
-    }
-
-    /// Advances by an explicit number of seconds.
-    pub fn advance(&mut self, seconds: u64) -> SystemTime {
-        self.0 += seconds;
         *self
     }
 
@@ -167,20 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn environment_events_named() {
-        assert_eq!(EnvironmentEvent::Sunrise.name(), "sunrise");
-        assert_eq!(EnvironmentEvent::ALL.len(), 2);
-    }
-
-    #[test]
     fn time_is_monotonic() {
         let mut t = SystemTime::zero();
         let t1 = t.tick();
         let t2 = t.tick();
         assert!(t2 > t1);
         assert_eq!(t2.seconds(), 2 * SystemTime::QUANTUM_SECONDS);
-        t.advance(30);
-        assert_eq!(t.seconds(), 2 * SystemTime::QUANTUM_SECONDS + 30);
         assert_eq!(SystemTime::zero().to_string(), "t+0s");
     }
 }

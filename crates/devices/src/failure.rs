@@ -34,11 +34,6 @@ impl FailureMode {
     /// All failure modes, in the order the checker enumerates them.
     pub const ALL: [FailureMode; 3] =
         [FailureMode::None, FailureMode::DeviceOffline, FailureMode::CommunicationLost];
-
-    /// True when the step is affected by a failure of any kind.
-    pub fn is_failure(&self) -> bool {
-        !matches!(self, FailureMode::None)
-    }
 }
 
 impl fmt::Display for FailureMode {
@@ -84,38 +79,6 @@ impl FailurePolicy {
             }
         }
     }
-
-    /// True when this policy can inject at least one failure.
-    pub fn any_failures(&self) -> bool {
-        !matches!(self, FailurePolicy::None)
-    }
-}
-
-/// Statistics about injected failures during a verification run, reported in
-/// violation logs so the Output Analyzer can distinguish failure-induced
-/// violations from pure app-interaction violations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailureStats {
-    /// Number of steps where a device was offline.
-    pub device_offline: usize,
-    /// Number of steps where communication was lost.
-    pub communication_lost: usize,
-}
-
-impl FailureStats {
-    /// Records one applied failure mode.
-    pub fn record(&mut self, mode: FailureMode) {
-        match mode {
-            FailureMode::None => {}
-            FailureMode::DeviceOffline => self.device_offline += 1,
-            FailureMode::CommunicationLost => self.communication_lost += 1,
-        }
-    }
-
-    /// Total number of failures recorded.
-    pub fn total(&self) -> usize {
-        self.device_offline + self.communication_lost
-    }
 }
 
 #[cfg(test)]
@@ -125,22 +88,18 @@ mod tests {
     #[test]
     fn default_mode_is_ok() {
         assert_eq!(FailureMode::default(), FailureMode::None);
-        assert!(!FailureMode::None.is_failure());
-        assert!(FailureMode::DeviceOffline.is_failure());
     }
 
     #[test]
     fn policy_none_never_fails() {
         let p = FailurePolicy::None;
         assert_eq!(p.modes_for(DeviceId(0)), vec![FailureMode::None]);
-        assert!(!p.any_failures());
     }
 
     #[test]
     fn policy_exhaustive_enumerates_all_modes() {
         let p = FailurePolicy::Exhaustive;
         assert_eq!(p.modes_for(DeviceId(7)).len(), 3);
-        assert!(p.any_failures());
     }
 
     #[test]
@@ -148,18 +107,6 @@ mod tests {
         let p = FailurePolicy::OnlyDevices(vec![DeviceId(2)]);
         assert_eq!(p.modes_for(DeviceId(2)).len(), 3);
         assert_eq!(p.modes_for(DeviceId(3)), vec![FailureMode::None]);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut s = FailureStats::default();
-        s.record(FailureMode::None);
-        s.record(FailureMode::DeviceOffline);
-        s.record(FailureMode::CommunicationLost);
-        s.record(FailureMode::CommunicationLost);
-        assert_eq!(s.device_offline, 1);
-        assert_eq!(s.communication_lost, 2);
-        assert_eq!(s.total(), 3);
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //! The paper's Model Generator models every IoT device "as per their
 //! specifications" with an event queue and a set of notifiers; it supports 30
 //! device types and injects device/communication failures.  This crate is
-//! that substrate:
+//! the device half of that substrate; the pending-event queue is the
+//! model's own (`iotsan::system::InternalEvent`):
 //!
 //! * [`capability`] — 30+ device-type specifications: attributes with finite
 //!   (discretized) value domains, actuator commands and their effects, and
 //!   the physical-event alphabet of each sensor;
 //! * [`device`] — installed devices and their compact, hashable runtime state;
-//! * [`event`] — cyber events and the pending-event queue of Algorithm 1;
 //! * [`failure`] — device-offline and communication-loss injection policies;
-//! * [`environment`] — location modes, sunrise/sunset and modelled system
-//!   time.
+//! * [`environment`] — location modes and modelled system time.
 //!
 //! ```
 //! use iotsan_devices::{Device, DeviceId, CommandOutcome};
@@ -33,7 +32,6 @@
 pub mod capability;
 pub mod device;
 pub mod environment;
-pub mod event;
 pub mod failure;
 
 pub use capability::{
@@ -41,6 +39,5 @@ pub use capability::{
     DeviceKind, DeviceSpec,
 };
 pub use device::{ChangedAttrs, CommandOutcome, Device, DeviceId, DeviceState};
-pub use environment::{EnvironmentEvent, LocationMode, SystemTime};
-pub use event::{Event, EventQueue, EventSource};
-pub use failure::{FailureMode, FailurePolicy, FailureStats};
+pub use environment::{LocationMode, SystemTime};
+pub use failure::{FailureMode, FailurePolicy};

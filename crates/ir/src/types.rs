@@ -1,11 +1,9 @@
-//! Runtime values and inferred types for the IotSan intermediate
-//! representation.
+//! Runtime values for the IotSan intermediate representation.
 //!
-//! Groovy is dynamically typed; the paper's translator (§6) performs *anchor
-//! point* type inference so that handlers can be lowered into a statically
-//! typed form (originally Java for Bandera, here the IotSan IR). [`Type`] is
-//! the inferred static type; [`Value`] is the dynamic value domain the model
-//! checker interprets over.
+//! Groovy is dynamically typed, and so is the IR: the paper's translator
+//! (§6) infers static types because it emits Java for Bandera, but here the
+//! model generator interprets handlers directly over the dynamic [`Value`]
+//! domain, so no static type is ever needed.
 
 use std::fmt;
 
@@ -153,87 +151,6 @@ impl From<bool> for Value {
     }
 }
 
-/// An inferred static type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Type {
-    /// Integer.
-    Int,
-    /// Decimal / floating point.
-    Decimal,
-    /// Boolean.
-    Bool,
-    /// String.
-    Str,
-    /// A single device exposing the given capability, e.g. `switch`.
-    Device(String),
-    /// A list of devices exposing the given capability.
-    DeviceList(String),
-    /// A homogeneous list of the given element type.
-    List(Box<Type>),
-    /// A map (only used for `sendEvent` payloads and similar).
-    Map,
-    /// No value (void methods).
-    Void,
-    /// Not yet known.
-    Unknown,
-}
-
-impl Type {
-    /// True when the type is numeric.
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Type::Int | Type::Decimal)
-    }
-
-    /// The least upper bound of two inferred types; `Unknown` acts as bottom.
-    pub fn unify(&self, other: &Type) -> Type {
-        match (self, other) {
-            (Type::Unknown, t) | (t, Type::Unknown) => t.clone(),
-            (a, b) if a == b => a.clone(),
-            (Type::Int, Type::Decimal) | (Type::Decimal, Type::Int) => Type::Decimal,
-            (Type::Device(c), Type::DeviceList(d)) | (Type::DeviceList(c), Type::Device(d))
-                if c == d =>
-            {
-                Type::DeviceList(c.clone())
-            }
-            (Type::List(a), Type::List(b)) => Type::List(Box::new(a.unify(b))),
-            // Conflicting anchors degrade to Str, the safest dynamic carrier.
-            _ => Type::Str,
-        }
-    }
-
-    /// The Java-like rendering the paper's G2J translator would produce; used
-    /// by diagnostics.
-    pub fn java_name(&self) -> String {
-        match self {
-            Type::Int => "int".to_string(),
-            Type::Decimal => "double".to_string(),
-            Type::Bool => "boolean".to_string(),
-            Type::Str => "String".to_string(),
-            Type::Device(cap) => format!("ST{}", camel(cap)),
-            Type::DeviceList(cap) => format!("ST{}[]", camel(cap)),
-            Type::List(inner) => format!("{}[]", inner.java_name()),
-            Type::Map => "Map".to_string(),
-            Type::Void => "void".to_string(),
-            Type::Unknown => "Object".to_string(),
-        }
-    }
-}
-
-impl fmt::Display for Type {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.java_name())
-    }
-}
-
-/// Upper-cases the first character (capability → Java class name fragment).
-fn camel(s: &str) -> String {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(first) => first.to_uppercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,24 +192,5 @@ mod tests {
         assert_eq!(Value::from(3i64).to_string(), "3");
         assert_eq!(Value::from("open").to_string(), "open");
         assert_eq!(Value::List(vec![Value::Int(1), Value::Str("a".into())]).to_string(), "[1, a]");
-    }
-
-    #[test]
-    fn unify_promotes_and_degrades() {
-        assert_eq!(Type::Int.unify(&Type::Decimal), Type::Decimal);
-        assert_eq!(Type::Unknown.unify(&Type::Bool), Type::Bool);
-        assert_eq!(Type::Str.unify(&Type::Int), Type::Str);
-        assert_eq!(
-            Type::Device("switch".into()).unify(&Type::DeviceList("switch".into())),
-            Type::DeviceList("switch".into())
-        );
-    }
-
-    #[test]
-    fn java_names_match_bandera_style() {
-        assert_eq!(Type::Device("switch".into()).java_name(), "STSwitch");
-        assert_eq!(Type::DeviceList("switch".into()).java_name(), "STSwitch[]");
-        assert_eq!(Type::Decimal.java_name(), "double");
-        assert_eq!(Type::List(Box::new(Type::Int)).java_name(), "int[]");
     }
 }

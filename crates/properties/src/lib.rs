@@ -25,12 +25,12 @@
 //!   reads and the per-step [`StepObservation`] both evaluators read.
 //!
 //! ```
-//! use iotsan_properties::{PropertySet, Snapshot};
+//! use iotsan_properties::{PropertySet, Snapshot, StepObservation};
 //!
 //! let set = PropertySet::all();
 //! assert_eq!(set.len(), 45);
 //! // An empty home violates nothing.
-//! assert!(set.check_snapshot(&Snapshot::default()).is_empty());
+//! assert!(set.check_point(&Snapshot::default(), &StepObservation::default()).is_empty());
 //! ```
 //!
 //! Defining a custom property takes a handful of lines:

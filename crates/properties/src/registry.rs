@@ -120,37 +120,13 @@ impl PropertySet {
         self.specs.iter().filter(move |p| &p.class == class)
     }
 
-    /// Evaluates the snapshot-only properties (physical-state invariants)
-    /// against a physical snapshot, returning the ids of violated
-    /// properties.
+    /// Evaluates *every* property at one point where both views are visible,
+    /// returning the ids of violated properties (leads-to properties use
+    /// same-step response semantics here; bounded `within` distances are the
+    /// compiled evaluators' monitors).
     ///
     /// This is the interpreted reference path; the model checker uses the
     /// compiled evaluators instead.
-    pub fn check_snapshot(&self, snapshot: &Snapshot) -> Vec<PropertyId> {
-        let step = StepObservation::default();
-        self.specs
-            .iter()
-            .filter(|p| p.reads_state() && !p.reads_step())
-            .filter(|p| p.violated_at(snapshot, &step))
-            .map(|p| p.property_id())
-            .collect()
-    }
-
-    /// Evaluates the step-only properties (commands, security, robustness)
-    /// against one external-event step's observation.
-    pub fn check_step(&self, step: &StepObservation) -> Vec<PropertyId> {
-        let snapshot = Snapshot::default();
-        self.specs
-            .iter()
-            .filter(|p| p.step_only())
-            .filter(|p| p.violated_at(&snapshot, step))
-            .map(|p| p.property_id())
-            .collect()
-    }
-
-    /// Evaluates *every* property at one point where both views are visible
-    /// (leads-to properties use same-step response semantics here; bounded
-    /// `within` distances are the compiled evaluators' monitors).
     pub fn check_point(&self, snapshot: &Snapshot, step: &StepObservation) -> Vec<PropertyId> {
         self.specs
             .iter()
@@ -264,7 +240,7 @@ mod tests {
             configured_recipients: vec!["555".into()],
             command_failures: 0,
         };
-        let violated = set.check_step(&step);
+        let violated = set.check_point(&Snapshot::default(), &step);
         // Conflicting, repeated, network leakage, sms mismatch, unsubscribe,
         // fake event.
         assert_eq!(violated.len(), 6);
@@ -274,7 +250,7 @@ mod tests {
     fn robustness_violation_requires_failure_without_notification() {
         let set = PropertySet::all();
         let step = StepObservation { command_failures: 1, ..Default::default() };
-        let violated = set.check_step(&step);
+        let violated = set.check_point(&Snapshot::default(), &step);
         assert_eq!(violated, vec![PropertyId(45)]);
         let step = StepObservation {
             command_failures: 1,
@@ -286,7 +262,7 @@ mod tests {
             }],
             ..Default::default()
         };
-        assert!(set.check_step(&step).is_empty());
+        assert!(set.check_point(&Snapshot::default(), &step).is_empty());
     }
 
     #[test]
@@ -304,13 +280,13 @@ mod tests {
             }],
             time_seconds: 0,
         };
-        let violated = set.check_snapshot(&snap);
+        let violated = set.check_point(&snap, &StepObservation::default());
         assert!(!violated.is_empty());
         for id in &violated {
             assert_eq!(set.get(*id).unwrap().class, PropertyClass::PhysicalState);
         }
         // An empty home violates nothing.
-        assert!(set.check_snapshot(&Snapshot::default()).is_empty());
+        assert!(set.check_point(&Snapshot::default(), &StepObservation::default()).is_empty());
     }
 
     #[test]

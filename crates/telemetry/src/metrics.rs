@@ -574,8 +574,6 @@ registry! {
         "Jobs finished with status failed (including panics)";
     counter daemon_jobs_invalid: "iotsan_daemon_jobs_invalid_total", "jobs",
         "Jobs rejected as invalid before execution";
-    counter daemon_jobs_cancelled: "iotsan_daemon_jobs_cancelled_total", "jobs",
-        "Jobs cancelled before or during execution";
     counter daemon_retries: "iotsan_daemon_retries_total", "attempts",
         "Job execution retries after a worker panic";
     counter daemon_quarantines: "iotsan_daemon_quarantines_total", "jobs",
