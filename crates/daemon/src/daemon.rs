@@ -4,7 +4,10 @@
 //!
 //! ```text
 //!   NDJSON jobs ──▶ JobQueue (bounded) ──▶ worker pool
-//!                                            │ per job: plan, execute:
+//!                                            │ per job: resolve apps
+//!                                            │ (corpus apps cloned from
+//!                                            │ one translation), plan,
+//!                                            │ execute:
 //!                                            │ try-claim + lookup (memory
 //!                                            │ → disk), verify misses on
 //!                                            │ scoped threads, insert,
@@ -41,12 +44,12 @@
 //!   quarantined job fail fast instead of re-running the doomed work.
 
 use crate::fault::{FaultPlan, FaultyIo};
-use crate::job::{resolve_sources, JobSpec};
+use crate::job::{resolve_apps, JobSpec};
 use crate::store::{StoreOptions, VerdictStore};
 use iotsan::config::{expert_configure, standard_household};
 use iotsan::{
-    translate_sources, Fingerprint, FleetReport, GroupResult, Pipeline, PlanCache,
-    VerdictPersistence, VerificationCache, VerificationPlanner,
+    Fingerprint, FleetReport, GroupResult, Pipeline, PlanCache, VerdictPersistence,
+    VerificationCache, VerificationPlanner,
 };
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::rows::JsonRow;
@@ -946,14 +949,9 @@ fn execute_job(inner: &Inner, index: usize, spec: JobSpec, started: Instant) -> 
             started,
         );
     }
-    let sources = match resolve_sources(&spec.bundle) {
-        Ok(sources) => sources,
-        Err(error) => return invalid_outcome(index, spec.id, error, started),
-    };
-    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let apps = match translate_sources(&refs) {
+    let apps = match resolve_apps(&spec.bundle) {
         Ok(apps) => apps,
-        Err(error) => return invalid_outcome(index, spec.id, error.to_string(), started),
+        Err(error) => return invalid_outcome(index, spec.id, error, started),
     };
     let config = expert_configure(&apps, &standard_household());
 
@@ -1023,7 +1021,7 @@ impl<'a> PlanCache for SharedCache<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{parse_line, BundleSpec, JobLine};
+    use crate::job::{parse_line, resolve_sources, BundleSpec, JobLine};
     use crate::store::Recovery;
     use std::path::Path;
 
@@ -1111,6 +1109,71 @@ mod tests {
         assert!(matches!(&outcomes[0].status, JobStatus::Invalid(e) if e.contains("No Such App")));
         let line = outcomes[0].render();
         assert!(line.contains("\"status\":\"invalid\""), "{line}");
+        daemon.shutdown().unwrap();
+    }
+
+    fn job_line(line: &str) -> JobSpec {
+        let Ok(JobLine::Job(spec)) = parse_line(line, 1) else { panic!("{line} must parse") };
+        spec
+    }
+
+    /// The job with its corpus bundle replaced by the same apps' sources.
+    fn sources_twin(spec: &JobSpec) -> JobSpec {
+        let sources = resolve_sources(&spec.bundle).unwrap();
+        JobSpec {
+            id: format!("{}-sources", spec.id),
+            bundle: BundleSpec::Sources(sources),
+            ..spec.clone()
+        }
+    }
+
+    /// Runs `spec` and then its sources twin through one daemon: the twin
+    /// must be served entirely from the cache, with the same verdicts.
+    fn assert_twin_is_all_hits(name: &str, spec: JobSpec) {
+        let path = temp_store(name);
+        let mut daemon = start(&path);
+        let twin = sources_twin(&spec);
+        let corpus = daemon.run_batch(vec![spec]).pop().unwrap();
+        let sources = daemon.run_batch(vec![twin]).pop().unwrap();
+        let (corpus, sources) = (corpus.report.unwrap(), sources.report.unwrap());
+        assert!(corpus.cache_misses > 0);
+        assert_eq!(sources.cache_misses, 0);
+        assert_eq!(sources.cache_hits, corpus.groups.len());
+        assert_eq!(sources.violated_properties(), corpus.violated_properties());
+        assert_eq!(sources.violation_count(), corpus.violation_count());
+        assert_eq!(sources.outcome(), corpus.outcome());
+        daemon.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_market_job_and_its_sources_twin_share_every_verdict() {
+        assert_twin_is_all_hits("twin-market", job_line(r#"{"id":"m","market":8,"events":1}"#));
+    }
+
+    #[test]
+    fn a_names_job_keeps_request_order_and_duplicates() {
+        let spec = job_line(
+            r#"{"id":"n","names":["Unlock Door","Virtual Thermostat","Unlock Door","Big Turn Off"],"events":1}"#,
+        );
+        assert_twin_is_all_hits("twin-names", spec);
+    }
+
+    #[test]
+    fn corpus_bundles_reject_with_the_sources_path_text() {
+        let path = temp_store("corpus-invalid");
+        let mut daemon = start(&path);
+        let outcomes = daemon.run_batch(vec![
+            job_line(r#"{"id":"big","market":151}"#),
+            job_line(r#"{"id":"odd","names":["Unlock Door","No Such App"]}"#),
+        ]);
+        let rendered: Vec<String> = outcomes.iter().map(JobOutcome::render).collect();
+        assert_eq!(
+            rendered,
+            [
+                r#"{"id":"big","status":"invalid","error":"`market` selects 151 apps but the corpus has 150"}"#,
+                r#"{"id":"odd","status":"invalid","error":"unknown market app `No Such App`"}"#,
+            ]
+        );
         daemon.shutdown().unwrap();
     }
 

@@ -21,7 +21,10 @@
 //! snapshot row, `flight` with the flight recorder's retained events.
 //! See `OPERATIONS.md` for the operator-facing reference of every field.
 
+use iotsan::ir::IrApp;
+use iotsan::translate_sources;
 use serde_json::Value;
+use std::sync::OnceLock;
 
 /// Which apps a job verifies.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,6 +297,69 @@ pub fn resolve_sources(bundle: &BundleSpec) -> Result<Vec<String>, String> {
     }
 }
 
+/// The built-in market corpus, translated once per process.
+#[derive(Debug)]
+struct Corpus {
+    /// The display names `names` selects by: those of
+    /// [`iotsan_apps::market::named_apps`], which are the first apps of
+    /// `apps`.
+    names: Vec<String>,
+    /// Every app of [`iotsan_apps::market::market_apps`], in corpus order.
+    apps: Vec<IrApp>,
+}
+
+/// The translated corpus, built by the first `market` or `names` bundle
+/// this process resolves.  A failed translation is kept too, so every such
+/// job answers it as `invalid`.
+fn corpus() -> Result<&'static Corpus, String> {
+    static CORPUS: OnceLock<Result<Corpus, String>> = OnceLock::new();
+    let corpus = CORPUS.get_or_init(|| {
+        let market = iotsan_apps::market::market_apps();
+        let sources: Vec<&str> = market.iter().map(|a| a.source.as_str()).collect();
+        let apps = translate_sources(&sources).map_err(|e| e.to_string())?;
+        let names = iotsan_apps::market::named_apps().into_iter().map(|a| a.name).collect();
+        Ok(Corpus { names, apps })
+    });
+    corpus.as_ref().map_err(String::clone)
+}
+
+/// Resolves a bundle spec to translated apps, with the same outcomes as
+/// [`translate_sources`] over [`resolve_sources`].  `market` and `names`
+/// bundles clone their apps from the corpus this process translated once;
+/// `sources` bundles are parsed and lowered on every call.
+pub fn resolve_apps(bundle: &BundleSpec) -> Result<Vec<IrApp>, String> {
+    match bundle {
+        BundleSpec::Market(n) => {
+            let corpus = corpus()?;
+            if *n > corpus.apps.len() {
+                return Err(format!(
+                    "`market` selects {n} apps but the corpus has {}",
+                    corpus.apps.len()
+                ));
+            }
+            Ok(corpus.apps[..*n].to_vec())
+        }
+        BundleSpec::Named(names) => {
+            let corpus = corpus()?;
+            names
+                .iter()
+                .map(|name| {
+                    corpus
+                        .names
+                        .iter()
+                        .position(|known| known == name)
+                        .map(|index| corpus.apps[index].clone())
+                        .ok_or_else(|| format!("unknown market app `{name}`"))
+                })
+                .collect()
+        }
+        BundleSpec::Sources(sources) => {
+            let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+            translate_sources(&refs).map_err(|e| e.to_string())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,6 +422,18 @@ mod tests {
         assert!(resolve_sources(&BundleSpec::Named(vec!["No Such App".into()]))
             .unwrap_err()
             .contains("No Such App"));
+    }
+
+    #[test]
+    fn the_stored_corpus_is_a_fresh_translation_of_the_market_sources() {
+        let sources = resolve_sources(&BundleSpec::Market(150)).unwrap();
+        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+        let corpus = corpus().unwrap();
+        assert_eq!(corpus.apps, translate_sources(&refs).unwrap());
+        // `names` indexes `apps` by position: the named apps lead the corpus.
+        let market = iotsan_apps::market::market_apps();
+        assert!(corpus.names.iter().zip(&market).all(|(name, app)| *name == app.name));
+        assert_eq!(corpus.names.len(), iotsan_apps::market::named_apps().len());
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use daemon::{
     JobStatus, PoisonEntry, RetryPolicy, StoreBacking, StoreHealth, REPROBE_LIMIT,
 };
 pub use fault::{Fault, FaultKind, FaultPlan, FaultyIo, RealIo, StoreIo};
-pub use job::{parse_line, resolve_sources, BundleSpec, JobLine, JobSpec};
+pub use job::{parse_line, resolve_apps, resolve_sources, BundleSpec, JobLine, JobSpec};
 pub use store::{
     CompactStats, DiscardReason, Recovery, StoreOptions, VerdictStore, FORMAT_VERSION, MAGIC,
 };

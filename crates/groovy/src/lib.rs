@@ -34,7 +34,7 @@
 //! let app = SmartApp::parse(src).expect("valid smart app");
 //! assert_eq!(app.name(), "Brighten My Path");
 //! assert_eq!(app.subscriptions.len(), 1);
-//! assert_eq!(app.device_inputs().count(), 2);
+//! assert_eq!(app.inputs.len(), 2);
 //! ```
 
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 //! `app`).  This module walks the parsed AST and recovers that structure, which
 //! is what the Translator (§6 of the paper) calls the *SmartThings Handler*.
 
-use crate::ast::{walk_stmt_exprs, Arg, Expr, Item, MethodDecl, Script, Stmt};
+use crate::ast::{walk_stmt_exprs, Arg, Expr, Item, Script, Stmt};
 use crate::error::{ParseError, Result};
 use crate::parser::parse;
 use crate::span::Span;
@@ -73,11 +73,6 @@ impl InputKind {
             "mode" => InputKind::Mode,
             other => InputKind::Other(other.to_string()),
         }
-    }
-
-    /// True when this input selects one or more devices.
-    pub fn is_device(&self) -> bool {
-        matches!(self, InputKind::Capability(_))
     }
 
     /// The capability name, when this is a device input.
@@ -182,16 +177,6 @@ impl SmartApp {
     /// Finds a declared input by settings-variable name.
     pub fn input(&self, name: &str) -> Option<&InputDecl> {
         self.inputs.iter().find(|i| i.name == name)
-    }
-
-    /// All device-typed inputs (the devices the user must configure).
-    pub fn device_inputs(&self) -> impl Iterator<Item = &InputDecl> {
-        self.inputs.iter().filter(|i| i.kind.is_device())
-    }
-
-    /// Looks up the method body of a handler.
-    pub fn handler(&self, name: &str) -> Option<&MethodDecl> {
-        self.script.method(name)
     }
 }
 
@@ -519,7 +504,8 @@ def checkMotion() {
         let mode = app.input("mode").unwrap();
         assert_eq!(mode.kind, InputKind::Enum(vec!["heat".into(), "cool".into()]));
 
-        assert_eq!(app.device_inputs().count(), 3);
+        let devices = app.inputs.iter().filter(|i| matches!(i.kind, InputKind::Capability(_)));
+        assert_eq!(devices.count(), 3);
     }
 
     #[test]
@@ -550,7 +536,7 @@ def checkMotion() {
         assert_eq!(app.schedules[0].handler, "checkMotion");
         let mut handlers =
             subscribed.into_iter().chain(app.schedules.iter().map(|s| s.handler.as_str()));
-        assert!(handlers.all(|h| app.handler(h).is_some()));
+        assert!(handlers.all(|h| app.script.methods().any(|m| m.name == h)));
     }
 
     #[test]

@@ -257,11 +257,6 @@ impl IrApp {
     pub fn input(&self, name: &str) -> Option<&AppInput> {
         self.inputs.iter().find(|i| i.name == name)
     }
-
-    /// A handler by name.
-    pub fn handler(&self, name: &str) -> Option<&IrHandler> {
-        self.handlers.iter().find(|h| h.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -354,6 +349,5 @@ mod tests {
         };
         assert!(app.input("motion").is_some_and(|i| i.kind.is_device()));
         assert!(app.input("minutes").is_some_and(|i| !i.kind.is_device()));
-        assert!(app.handler("h").is_some());
     }
 }
