@@ -3,18 +3,11 @@
 //! IotSan front-loads static analysis — extracting what every event handler
 //! reads and writes — so that its dependency analysis can split a household
 //! into related sets before the checker runs.  This crate is that layer for
-//! the Rust reproduction:
-//!
-//! * [`summary`] — per-handler [`EffectSummary`]: a sound over-approximation
-//!   of the read set (device attributes, location mode, event fields,
-//!   app-state slots, settings) and write set (commands, attribute changes,
-//!   mode changes, fake events, app-state stores, messaging, network,
-//!   scheduling);
-//! * [`mod@fold`] — constant propagation through guards, powering the
-//!   unreachable-branch lints;
-//! * [`lint`] — diagnostics over an installed bundle: dead handlers,
-//!   unreachable branches, unknown write targets and self-loops, with
-//!   app/handler/IR-path provenance.
+//! the Rust reproduction: [`summary`] computes the per-handler
+//! [`EffectSummary`], a sound over-approximation of the read set (device
+//! attributes, location mode, event fields, app-state slots, settings) and
+//! write set (commands, attribute changes, mode changes, fake events,
+//! app-state stores, messaging, network, scheduling).
 //!
 //! Downstream, `iotsan-depgraph` derives its event-flow edges from the
 //! summaries, `iotsan-core` reads [`reads_clock`] when it builds a model,
@@ -24,12 +17,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod fold;
-pub mod lint;
 pub mod summary;
 
-pub use fold::{fold, fold_guard};
-pub use lint::{lint_system, render_report, Diagnostic, LintKind};
 pub use summary::{
     reads_clock, state_channel, summarize_handler, EffectSummary, ReadEffect, WriteEffect,
 };

@@ -7,10 +7,9 @@
 //! messaging and network interfaces.  Soundness here means containment — the
 //! interpreter can never perform a read or write the summary does not list —
 //! and is the property the dependency graph's edges lean on.  The
-//! over-approximation is purely syntactic: effects in branches that constant
-//! folding proves unreachable are *kept* (the lints in [`crate::lint`] report
-//! them instead), so the summary of a handler never depends on how clever
-//! the analysis is.
+//! over-approximation is purely syntactic: effects in branches whose guard
+//! can never hold are *kept*, so the summary of a handler never depends on
+//! how clever the analysis is.
 
 use iotsan_devices::{registry, CommandEffect};
 use iotsan_ir::{EventField, IrApp, IrExpr, IrHandler, IrStmt, Trigger};
@@ -116,27 +115,13 @@ pub struct EffectSummary {
     pub writes: BTreeSet<WriteEffect>,
 }
 
-/// The channel name the dependency graph and the lints use for an app state
+/// The channel name the dependency graph uses for an app state
 /// slot: state is private to an app, so the channel is app-qualified.
 pub fn state_channel(app: &str, var: &str) -> String {
     format!("state:{app}:{var}")
 }
 
 impl EffectSummary {
-    /// The internal event channel whose writes can fire this handler, if the
-    /// trigger listens on one: the device attribute for device subscriptions,
-    /// `mode` for mode subscriptions, the event name for location events
-    /// (fake events can claim those names too).  Timer and app-touch triggers
-    /// fire only from external actions and return `None`.
-    pub fn trigger_channel(&self) -> Option<String> {
-        match &self.trigger {
-            Trigger::Device { attribute, .. } => Some(attribute.clone()),
-            Trigger::LocationMode { .. } => Some("mode".to_string()),
-            Trigger::LocationEvent { name } => Some(name.clone()),
-            Trigger::AppTouch | Trigger::Timer { .. } => None,
-        }
-    }
-
     /// Every state channel the handler may write: device attributes (from
     /// commands and fake events), `mode`, and app-qualified state slots.
     pub fn written_channels(&self) -> BTreeSet<String> {
@@ -407,7 +392,6 @@ mod tests {
             attribute: "lock".into(),
             value: Some("unlocked".into())
         }));
-        assert_eq!(s.trigger_channel().as_deref(), Some("contact"));
     }
 
     #[test]
@@ -433,8 +417,8 @@ mod tests {
 
     #[test]
     fn unreachable_branch_effects_are_kept() {
-        // `if (false) { switches.on() }` — folding proves the branch dead,
-        // but the summary keeps the write: it is an over-approximation by
+        // `if (false) { switches.on() }` — the branch can never run, but
+        // the summary keeps the write: it is an over-approximation by
         // construction, never a function of analysis precision.
         let h = device_handler(vec![IrStmt::If {
             cond: IrExpr::bool(false),
@@ -473,7 +457,6 @@ mod tests {
         };
         let app = app_with(h.clone());
         let s = summarize_handler(&app, &h);
-        assert_eq!(s.trigger_channel(), None);
         for w in [
             WriteEffect::Sms,
             WriteEffect::Push,

@@ -143,9 +143,8 @@ pub struct SystemConfig {
     /// ([`iotsan_properties::PropertySpec`], the same JSON shape
     /// `PropertySpec::from_json` reads).  The pipeline's verification entry
     /// points register and check these automatically (see
-    /// `Pipeline::properties_for`); `Pipeline::with_config_properties`
-    /// additionally merges them into the pipeline's own registry for
-    /// display/lookup helpers.
+    /// `Pipeline::properties_for`, which also returns the merged registry
+    /// for display/lookup helpers).
     #[serde(default)]
     pub custom_properties: Vec<PropertySpec>,
 }

@@ -15,8 +15,7 @@
 //!
 //! * [`pipeline::translate_sources`] — SmartThings Groovy → IR
 //!   (via `iotsan-groovy` and `iotsan-ir`);
-//! * [`pipeline::Pipeline::analyze_dependencies`] — related-set computation
-//!   (via `iotsan-depgraph`);
+//! * [`depgraph::analyze`] — related-set computation (`iotsan-depgraph`);
 //! * [`model::SequentialModel`] / [`model::ConcurrentModel`] — the Model
 //!   Generator (§8, Algorithm 1) over `iotsan-devices`, checked by
 //!   `iotsan-checker` against the 45 properties of `iotsan-properties`;

@@ -15,7 +15,6 @@ use iotsan_checker::{Checker, SearchConfig, SearchReport};
 use iotsan_config::{
     enumerate_app_configs, expert_configure, AppConfig, DeviceConfig, SystemConfig,
 };
-use iotsan_depgraph::{analyze, DependencyGraph, RelatedSets};
 use iotsan_groovy::SmartApp;
 use iotsan_ir::{lower_app, IrApp};
 use iotsan_properties::PropertySet;
@@ -201,22 +200,6 @@ impl Pipeline {
         self
     }
 
-    /// Registers the configuration's user-defined properties
-    /// ([`SystemConfig::custom_properties`]) on the pipeline's own registry,
-    /// so they also show up in [`Pipeline::properties`]-driven displays
-    /// (e.g. [`FleetReport::violations_by_class`]).  The verification
-    /// paths honor config-shipped specs automatically either way — see
-    /// [`Pipeline::properties_for`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when a custom property reuses an id already bound to a
-    /// *different* spec (the built-ins occupy 1..=45).
-    pub fn with_config_properties(mut self, config: &SystemConfig) -> Self {
-        self.properties = self.properties_for(config);
-        self
-    }
-
     /// The effective property registry for a run over `config`: the
     /// pipeline's own registry plus any [`SystemConfig::custom_properties`]
     /// not already registered.  Every verification entry point
@@ -264,12 +247,6 @@ impl Pipeline {
     /// [`VerificationPlanner::execute`]).
     pub fn with_workers(self, _workers: usize) -> Self {
         self
-    }
-
-    /// Runs dependency analysis over the apps (exposed for Table 7a and for
-    /// inspection with [`iotsan_depgraph::render_summary`]).
-    pub fn analyze_dependencies(&self, apps: &[IrApp]) -> (DependencyGraph, RelatedSets) {
-        analyze(apps)
     }
 
     /// Restricts a configuration to the devices actually bound to the given

@@ -69,7 +69,7 @@ use iotsan_checker::{replay, FoundViolation, SearchConfig, SearchReport};
 use iotsan_config::{AppConfig, SystemConfig};
 use iotsan_depgraph::analyze;
 use iotsan_ir::{IrApp, IrHandler};
-use iotsan_properties::{PropertyId, PropertySet};
+use iotsan_properties::{ContentHasher, PropertyId, PropertySet};
 use iotsan_telemetry::flight::{self, EventCode, Level};
 use iotsan_telemetry::METRICS;
 use std::borrow::{Borrow, Cow};
@@ -92,32 +92,6 @@ pub struct Fingerprint(pub u64);
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-/// 64-bit FNV-1a over length-prefixed items (the length prefix keeps
-/// concatenated fields from aliasing across boundaries).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_item(&mut self, item: &str) {
-        self.write_bytes(&(item.len() as u64).to_le_bytes());
-        self.write_bytes(item.as_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -161,8 +135,8 @@ fn app_digest(app: &IrApp) -> u64 {
         let IrHandler { app: _, name, trigger, body } = handler;
         write!(text, " {name:?} {trigger:?} {body:?}").expect("writing to a String");
     }
-    let mut h = Fnv::new();
-    h.write_item(&text);
+    let mut h = ContentHasher::new();
+    h.write_str(&text);
     h.finish()
 }
 
@@ -190,14 +164,14 @@ impl<'c> KeyBasis<'c> {
             initial_mode,
             custom_properties,
         } = config;
-        let mut h = Fnv::new();
-        h.write_item(&format!("{phone_numbers:?} {initial_mode:?} {custom_properties:?}"));
+        let mut h = ContentHasher::new();
+        h.write_str(&format!("{phone_numbers:?} {initial_mode:?} {custom_properties:?}"));
         // Spec content hash, not a Debug rendering: every property's id,
         // metadata and formula AST feeds the key, so adding or editing a
         // (custom) spec invalidates exactly the cached verdicts computed
         // under a different property set — and nothing else.
-        h.write_bytes(&pipeline.properties.content_hash().to_le_bytes());
-        h.write_item(&format!("{:?}", pipeline.model_options));
+        h.write_u64(pipeline.properties.content_hash());
+        h.write_str(&format!("{:?}", pipeline.model_options));
         // Destructured, so a new search option is a compile error here until
         // it is either keyed or shown not to change results.  The time limit
         // and the cancel token only truncate a search, and a truncated
@@ -206,7 +180,7 @@ impl<'c> KeyBasis<'c> {
             &pipeline.search;
         // The constant `false` stands where the deleted stop-at-first flag
         // was hashed, so existing verdict logs keep hitting.
-        h.write_item(&format!("{:?}", (max_depth, max_states, max_transitions, false)));
+        h.write_str(&format!("{:?}", (max_depth, max_states, max_transitions, false)));
         KeyBasis {
             config,
             app_rows: vec![OnceCell::new(); apps.len()],
@@ -219,8 +193,8 @@ impl<'c> KeyBasis<'c> {
     fn app_row(&self, row: usize) -> u64 {
         *self.app_rows[row].get_or_init(|| {
             let AppConfig { app: _, bindings } = &self.config.apps[row];
-            let mut h = Fnv::new();
-            h.write_item(&format!("{bindings:?}"));
+            let mut h = ContentHasher::new();
+            h.write_str(&format!("{bindings:?}"));
             h.finish()
         })
     }
@@ -228,8 +202,8 @@ impl<'c> KeyBasis<'c> {
     /// The digest of the configuration's device row `row`.
     fn device_row(&self, row: usize) -> u64 {
         *self.device_rows[row].get_or_init(|| {
-            let mut h = Fnv::new();
-            h.write_item(&format!("{:?}", self.config.devices[row]));
+            let mut h = ContentHasher::new();
+            h.write_str(&format!("{:?}", self.config.devices[row]));
             h.finish()
         })
     }
@@ -253,29 +227,29 @@ impl<'c> KeyBasis<'c> {
         rows: &ConfigRows,
         restricted: &SystemConfig,
     ) -> u64 {
-        let mut h = Fnv::new();
-        h.write_bytes(&self.shared.to_le_bytes());
-        h.write_bytes(&(members.len() as u64).to_le_bytes());
+        let mut h = ContentHasher::new();
+        h.write_u64(self.shared);
+        h.write_u64(members.len() as u64);
         for (member, shape) in members.iter().map(Borrow::borrow).zip(shapes) {
-            h.write_bytes(&shape.to_le_bytes());
+            h.write_u64(*shape);
             let app_rows = index.app_rows(&member.name);
-            h.write_bytes(&(app_rows.len() as u64).to_le_bytes());
+            h.write_u64(app_rows.len() as u64);
             for &row in app_rows {
-                h.write_bytes(&self.app_row(row).to_le_bytes());
+                h.write_u64(self.app_row(row));
             }
             let allowed = restricted.network_allowed_apps.contains(&member.name);
             h.write_bytes(&[u8::from(allowed)]);
         }
-        h.write_bytes(&(rows.devices.len() as u64).to_le_bytes());
+        h.write_u64(rows.devices.len() as u64);
         for &row in &rows.devices {
-            h.write_bytes(&self.device_row(row).to_le_bytes());
+            h.write_u64(self.device_row(row));
         }
         let mut names: Vec<&str> = members.iter().map(|m| m.borrow().name.as_str()).collect();
         names.sort_unstable();
         if names.windows(2).any(|pair| pair[0] == pair[1]) {
-            h.write_item("names");
+            h.write_str("names");
             for member in members {
-                h.write_item(&member.borrow().name);
+                h.write_str(&member.borrow().name);
             }
         }
         h.finish()
@@ -285,10 +259,10 @@ impl<'c> KeyBasis<'c> {
 /// A group's fingerprint: its `class` key and its members' names, in
 /// member order.
 fn group_fingerprint(class: u64, members: &[impl Borrow<IrApp>]) -> Fingerprint {
-    let mut h = Fnv::new();
-    h.write_bytes(&class.to_le_bytes());
+    let mut h = ContentHasher::new();
+    h.write_u64(class);
     for member in members {
-        h.write_item(&member.borrow().name);
+        h.write_str(&member.borrow().name);
     }
     Fingerprint(h.finish())
 }

@@ -22,6 +22,7 @@
 //! See `OPERATIONS.md` for the operator-facing reference of every field.
 
 use iotsan::ir::IrApp;
+use iotsan::properties::ContentHasher;
 use iotsan::translate_sources;
 use serde_json::Value;
 use std::sync::OnceLock;
@@ -68,17 +69,14 @@ impl JobSpec {
     /// field except the caller-chosen `id` and the ignored `workers` — used
     /// to key retry counts and the poison quarantine so duplicates of a
     /// failing job are recognized across submissions (and across restarts,
-    /// via the quarantine sidecar).  FNV-1a over a canonical rendering:
-    /// deterministic across processes, unlike `std`'s randomized hashers.
+    /// via the quarantine sidecar).  A [`ContentHasher`] over a canonical
+    /// rendering: deterministic across processes, unlike `std`'s randomized
+    /// hashers.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = ContentHasher::new();
         let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            hash ^= 0xff; // field separator, so ["ab","c"] != ["a","bc"]
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+            hash.write_bytes(bytes);
+            hash.write_bytes(&[0xff]); // field separator, so ["ab","c"] != ["a","bc"]
         };
         match &self.bundle {
             BundleSpec::Market(n) => {
@@ -101,7 +99,7 @@ impl JobSpec {
         eat(&(self.events as u64).to_le_bytes());
         eat(&[u8::from(self.failures), u8::from(self.inject_panic)]);
         eat(&self.timeout_ms.unwrap_or(u64::MAX).to_le_bytes());
-        hash
+        hash.finish()
     }
 }
 

@@ -515,8 +515,10 @@ impl VerdictStore {
     /// Appends one encoded record, keeping the log sound whatever happens:
     /// on success the acknowledged offset advances; on failure any torn
     /// bytes are truncated back off, and if even that repair fails the
-    /// store marks itself [`VerdictStore::is_broken`] so no later append
-    /// can land after an untrusted tail.
+    /// store marks itself broken so no later append can land after an
+    /// untrusted tail: appends then fail fast until
+    /// [`VerdictStore::reopen`] or [`VerdictStore::compact`] restores a
+    /// sound tail.
     fn write_record(&mut self, bytes: &[u8]) -> io::Result<()> {
         if self.broken {
             return Err(io::Error::other(
@@ -677,13 +679,6 @@ impl VerdictStore {
     /// Forces every appended record to physical storage (fsync).
     pub fn sync(&mut self) -> io::Result<()> {
         self.io.fsync(&self.file)
-    }
-
-    /// True when a failed append could not be repaired in place: appends
-    /// fail fast until [`VerdictStore::reopen`] or
-    /// [`VerdictStore::compact`] restores a sound tail.
-    pub fn is_broken(&self) -> bool {
-        self.broken
     }
 
     /// The verdict stored for `fingerprint`, if any, read back from the log

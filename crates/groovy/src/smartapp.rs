@@ -74,14 +74,6 @@ impl InputKind {
             other => InputKind::Other(other.to_string()),
         }
     }
-
-    /// The capability name, when this is a device input.
-    pub fn capability(&self) -> Option<&str> {
-        match self {
-            InputKind::Capability(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 /// A single `input` declaration from the `preferences` block (Figure 1 of the
@@ -172,11 +164,6 @@ impl SmartApp {
         } else {
             &self.metadata.name
         }
-    }
-
-    /// Finds a declared input by settings-variable name.
-    pub fn input(&self, name: &str) -> Option<&InputDecl> {
-        self.inputs.iter().find(|i| i.name == name)
     }
 }
 
@@ -490,18 +477,19 @@ def checkMotion() {
     fn extracts_inputs_with_kinds() {
         let app = SmartApp::parse(SAMPLE).unwrap();
         assert_eq!(app.inputs.len(), 6);
-        let sensor = app.input("sensor").unwrap();
+        let input = |name: &str| app.inputs.iter().find(|i| i.name == name).unwrap();
+        let sensor = input("sensor");
         assert_eq!(sensor.kind, InputKind::Capability("temperatureMeasurement".into()));
         assert!(sensor.required);
         assert!(!sensor.multiple);
 
-        let outlets = app.input("outlets").unwrap();
+        let outlets = input("outlets");
         assert!(outlets.multiple);
 
-        let motion = app.input("motion").unwrap();
+        let motion = input("motion");
         assert!(!motion.required);
 
-        let mode = app.input("mode").unwrap();
+        let mode = input("mode");
         assert_eq!(mode.kind, InputKind::Enum(vec!["heat".into(), "cool".into()]));
 
         let devices = app.inputs.iter().filter(|i| matches!(i.kind, InputKind::Capability(_)));

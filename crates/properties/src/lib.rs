@@ -67,6 +67,6 @@ pub use snapshot::{
     StepObservation,
 };
 pub use spec::{
-    Atom, AttrTest, CommandTest, DeviceSelect, Expr, LeadsTo, Modality, NumericTest, PropertyClass,
-    PropertyId, PropertySpec, PropertySpecBuilder, MAX_FORMULA_DEPTH,
+    Atom, AttrTest, CommandTest, ContentHasher, DeviceSelect, Expr, LeadsTo, Modality, NumericTest,
+    PropertyClass, PropertyId, PropertySpec, PropertySpecBuilder, MAX_FORMULA_DEPTH,
 };

@@ -857,31 +857,54 @@ fn hash_expr(expr: &Expr, h: &mut ContentHasher) {
     }
 }
 
-/// 64-bit FNV-1a with length-prefixed items (shared by spec and set hashing).
-pub(crate) struct ContentHasher(u64);
+/// 64-bit FNV-1a, the hash behind every content key: spec and set hashes,
+/// the planner's group fingerprints and the daemon's job fingerprints.
+/// Unlike `std`'s randomized hashers it is the same in every process, so
+/// its keys can be stored.  [`ContentHasher::write_str`] prefixes a string
+/// with its length, which keeps concatenated fields from aliasing across
+/// boundaries.
+#[derive(Debug)]
+pub struct ContentHasher(u64);
+
+impl Default for ContentHasher {
+    #[inline]
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 impl ContentHasher {
-    pub(crate) fn new() -> Self {
+    /// A hasher at the FNV-1a offset basis.
+    #[inline]
+    pub fn new() -> Self {
         ContentHasher(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
+    /// Feeds raw bytes, with no length prefix.
+    #[inline]
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
         for b in bytes {
             self.0 ^= u64::from(*b);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
 
-    pub(crate) fn write_str(&mut self, s: &str) {
+    /// Feeds `s` after its length (a little-endian `u64`).
+    #[inline]
+    pub fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
         self.write_bytes(s.as_bytes());
     }
 
-    pub(crate) fn write_u64(&mut self, v: u64) {
+    /// Feeds `v` as eight little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    /// The hash of everything fed so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -137,6 +137,50 @@ fn index_matches_the_full_scan_on_every_market_group() {
     assert!(delivered > 0, "no probe reached any handler");
 }
 
+/// The market corpus's one handler no device can reach: each "Sleep Mode"
+/// copy subscribes `sleepHandler` to its `sleepers` input, and the expert
+/// configuration of the standard household binds no device to it (none of
+/// its devices has a `sleeping` attribute).  With the whole corpus
+/// installed, no event from any device may be dispatched there, while device
+/// events do reach other handlers.
+#[test]
+fn no_device_event_reaches_an_unbound_sleep_handler() {
+    let corpus = iotsan_apps::market::market_apps();
+    let sources: Vec<&str> = corpus.iter().map(|a| a.source.as_str()).collect();
+    let apps = translate_sources(&sources).expect("market corpus translates");
+    let config = expert_configure(&apps, &standard_household());
+    let system = InstalledSystem::new(apps, config);
+    let sleep_handlers: Vec<(usize, usize)> = system
+        .apps
+        .iter()
+        .enumerate()
+        .filter(|(_, app)| app.name.starts_with("Sleep Mode #"))
+        .map(|(index, app)| {
+            assert!(system.bound_slice(index, "sleepers").is_empty(), "{} is bound", app.name);
+            let handler = app.handlers.iter().position(|h| h.name == "sleepHandler");
+            (index, handler.expect("Sleep Mode has a sleepHandler"))
+        })
+        .collect();
+    assert_eq!(sleep_handlers.len(), 12, "the corpus has twelve Sleep Mode copies");
+    let probes = probe_events(&system);
+    let model = SequentialModel::new(system, PropertySet::all(), ModelOptions::default());
+    let mut delivered = 0;
+    for event in probes.iter().filter(|e| e.device.is_some()) {
+        for target in model.subscribers(event) {
+            delivered += 1;
+            assert!(
+                !sleep_handlers.contains(&target),
+                "{}={:?} from {:?} reached {}::sleepHandler",
+                model.system().attr_name(event.attribute),
+                event.value,
+                event.device,
+                model.system().apps[target.0].name
+            );
+        }
+    }
+    assert!(delivered > 0, "no device event reached any handler");
+}
+
 #[test]
 fn index_matches_the_full_scan_on_generated_households() {
     let profile = SizeProfile { max_devices: 8, max_apps: 6 };

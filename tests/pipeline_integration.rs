@@ -118,7 +118,7 @@ fn dependency_analysis_reduces_group_sizes_on_market_groups() {
     let mut ratios = Vec::new();
     for group in groups.iter() {
         let apps = translate(group);
-        let (graph, sets) = Pipeline::default().analyze_dependencies(&apps);
+        let (graph, sets) = iotsan::depgraph::analyze(&apps);
         assert!(graph.handler_count() >= sets.largest_handler_count(&graph));
         ratios.push(sets.scale_ratio(&graph));
     }

@@ -519,11 +519,13 @@ fn config_shipped_custom_properties_are_verified() {
     let violated: BTreeSet<u32> =
         result.groups.iter().flat_map(|g| g.violated_properties()).collect();
     assert!(violated.contains(&46), "config-shipped property not verified: {violated:?}");
-    // with_config_properties additionally exposes the spec for display
-    // lookups, and tolerates the identical re-registration.
-    let pipeline = pipeline.with_config_properties(&config);
-    assert_eq!(pipeline.properties.len(), 46);
-    let by_class = result.violations_by_class(&pipeline.properties);
+    // The same merge serves display lookups, and tolerates the identical
+    // re-registration.
+    let properties = pipeline.properties_for(&config);
+    assert_eq!(properties.len(), 46);
+    let merged_twice = iotsan::Pipeline::with_events(2).with_properties(properties.clone());
+    assert_eq!(merged_twice.properties_for(&config), properties);
+    let by_class = result.violations_by_class(&properties);
     assert!(by_class.get("House rules").copied().unwrap_or(0) >= 1, "{by_class:?}");
 }
 
