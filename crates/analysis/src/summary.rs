@@ -302,10 +302,9 @@ fn collect_stmt_writes(app: &IrApp, stmt: &IrStmt, writes: &mut BTreeSet<WriteEf
     }
 }
 
-/// The literal string value of an expression, when it is a constant — the
-/// same (deliberately shallow) extraction the dependency graph has always
-/// used, so effect-derived profiles refine nothing the legacy graph left
-/// unconstrained.
+/// The literal string value of an expression, when it is a constant.  The
+/// extraction is deliberately shallow: any other expression yields `None`
+/// ("any value"), which keeps the summary sound without evaluating anything.
 fn literal(expr: &IrExpr) -> Option<String> {
     match expr {
         IrExpr::Const(v) => Some(v.as_string()),

@@ -180,6 +180,17 @@ mod tests {
 
     #[test]
     fn translation_produces_single_handler_apps() {
+        let commands = |app: &IrApp| {
+            let mut out = Vec::new();
+            for stmt in &app.handlers[0].body {
+                stmt.walk(&mut |s| {
+                    if let IrStmt::DeviceCommand { input, command, .. } = s {
+                        out.push((input.clone(), command.clone()));
+                    }
+                });
+            }
+            out
+        };
         let apps = translate_rules(&ifttt_rules());
         assert_eq!(apps.len(), 10);
         for app in &apps {
@@ -188,14 +199,11 @@ mod tests {
         }
         // Rule #5 unlocks a lock on presence.
         let rule5 = apps.iter().find(|a| a.name == "IFTTT rule #5").unwrap();
-        assert_eq!(
-            rule5.handlers[0].device_commands(),
-            vec![("actionDevice".to_string(), "unlock".to_string())]
-        );
+        assert_eq!(commands(rule5), [("actionDevice".to_string(), "unlock".to_string())]);
         // Rule #7 is a notification action with no actuator input.
         let rule7 = apps.iter().find(|a| a.name == "IFTTT rule #7").unwrap();
         assert_eq!(rule7.inputs.len(), 1);
-        assert!(rule7.handlers[0].device_commands().is_empty());
+        assert!(commands(rule7).is_empty());
     }
 
     #[test]

@@ -228,7 +228,7 @@ def temperatureHandler(evt) {
 mod tests {
     use super::*;
     use iotsan_groovy::SmartApp;
-    use iotsan_ir::lower_app;
+    use iotsan_ir::{lower_app, IrStmt};
 
     #[test]
     fn there_are_nine_malicious_apps() {
@@ -251,15 +251,27 @@ mod tests {
             let entry = malicious_apps().into_iter().find(|a| a.app.name == name).unwrap();
             lower_app(&SmartApp::parse(&entry.app.source).unwrap()).unwrap()
         };
-        assert!(by_name("Fake Smoke Detector").handlers[0].uses_sensitive_command());
-        assert!(by_name("Fake CO Alarm").handlers[0].uses_sensitive_command());
-        assert!(by_name("Leaky Presence").handlers[0].uses_network());
-        assert!(by_name("Leaky Lock Codes").handlers[0].uses_network());
-        assert!(by_name("Water Valve Saboteur").handlers[0]
-            .device_commands()
-            .contains(&("valve1".to_string(), "close".to_string())));
-        assert!(by_name("Backdoor Pin Code").handlers[0]
-            .device_commands()
-            .contains(&("lock1".to_string(), "unlock".to_string())));
+        // Every statement of the app's first handler, nested ones included.
+        let stmts = |name: &str| {
+            let mut out = Vec::new();
+            for stmt in &by_name(name).handlers[0].body {
+                stmt.walk(&mut |s| out.push(s.clone()));
+            }
+            out
+        };
+        let sensitive = |s: &IrStmt| matches!(s, IrStmt::Unsubscribe | IrStmt::SendEvent { .. });
+        let network = |s: &IrStmt| matches!(s, IrStmt::HttpRequest { .. });
+        assert!(stmts("Fake Smoke Detector").iter().any(sensitive));
+        assert!(stmts("Fake CO Alarm").iter().any(sensitive));
+        assert!(stmts("Leaky Presence").iter().any(network));
+        assert!(stmts("Leaky Lock Codes").iter().any(network));
+        assert!(stmts("Water Valve Saboteur").iter().any(|s| matches!(
+            s,
+            IrStmt::DeviceCommand { input, command, .. } if input == "valve1" && command == "close"
+        )));
+        assert!(stmts("Backdoor Pin Code").iter().any(|s| matches!(
+            s,
+            IrStmt::DeviceCommand { input, command, .. } if input == "lock1" && command == "unlock"
+        )));
     }
 }

@@ -10,7 +10,7 @@
 use iotsan::checker::{Checker, SearchConfig, SearchReport};
 use iotsan::config::{expert_configure, misconfigure, standard_household, SystemConfig};
 use iotsan::ir::IrApp;
-use iotsan::model::{ConcurrentModel, ModelOptions, SequentialModel};
+use iotsan::model::{ConcurrentModel, ModelOptions};
 use iotsan::planner::{FleetReport, VerificationCache};
 use iotsan::properties::PropertySet;
 use iotsan::system::InstalledSystem;
@@ -93,18 +93,13 @@ pub fn run_search_with_properties(
     budget: Duration,
     properties: PropertySet,
 ) -> TimedRun {
-    let p = Pipeline::with_events(events);
-    let restricted = p.restrict_config(apps, config);
-    let system = InstalledSystem::new(apps.to_vec(), restricted);
-    let mut options = ModelOptions::with_events(events);
+    let mut pipeline = Pipeline::with_events(events).with_properties(properties);
     if failures {
-        options = options.with_failures();
+        pipeline = pipeline.with_failures();
     }
-    let model = SequentialModel::new(system, properties, options);
-    let mut search = SearchConfig::with_depth(events);
-    search.time_limit = Some(budget);
+    pipeline.search.time_limit = Some(budget);
     let start = Instant::now();
-    let report = Checker::new(search).verify(&model);
+    let report = pipeline.verify_group(apps, config).report;
     TimedRun { elapsed: start.elapsed(), truncated: report.stats.truncated, report }
 }
 

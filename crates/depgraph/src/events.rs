@@ -1,14 +1,16 @@
 //! Input/output event extraction (§5, "Extracting input/output events").
 //!
 //! Each event handler takes one or more *input events* and can induce zero or
-//! more *output events*.  Input events come from its subscription trigger and
-//! from APIs that read device state; output events come from APIs that change
-//! device state (actuator commands) and from location-mode changes.  Events
-//! are described in the paper's `attribute/value` format, where an empty value
-//! means "any".
+//! more *output events*.  [`effect_profile`] reads both off the handler's
+//! [`iotsan_analysis`] effect summary, the one place that says what a handler
+//! reads and writes.  Inputs are its subscription trigger and the device
+//! attributes, location mode and app state it reads; outputs are the
+//! attribute changes its actuator commands cause, location-mode changes,
+//! synthetic `sendEvent` events, app-state writes and scheduled handlers.
+//! Events are described in the paper's `attribute/value` format, where an
+//! empty value means "any".
 
-use iotsan_devices::registry;
-use iotsan_ir::{IrApp, IrHandler, IrStmt, Trigger};
+use iotsan_ir::{IrApp, IrHandler, Trigger};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -73,96 +75,6 @@ pub struct EventProfile {
     pub outputs: BTreeSet<EventDesc>,
 }
 
-/// Extracts the input events of a handler: its subscription trigger plus all
-/// device-attribute reads.
-pub fn input_events(app: &IrApp, handler: &IrHandler) -> BTreeSet<EventDesc> {
-    let mut inputs = BTreeSet::new();
-    match &handler.trigger {
-        Trigger::Device { attribute, value, .. } => {
-            inputs.insert(EventDesc { attribute: attribute.clone(), value: value.clone() });
-        }
-        Trigger::LocationMode { value } => {
-            inputs.insert(EventDesc { attribute: "mode".into(), value: value.clone() });
-        }
-        Trigger::LocationEvent { name } => {
-            inputs.insert(EventDesc::any(name.clone()));
-        }
-        Trigger::AppTouch => {
-            inputs.insert(EventDesc::any("touch"));
-        }
-        Trigger::Timer { .. } => {
-            inputs.insert(EventDesc::any("time"));
-        }
-    }
-    // Device-state reads also count as inputs (§5: "identified via APIs that
-    // read states of smart devices").
-    for (_, attribute) in handler.device_reads() {
-        inputs.insert(EventDesc::any(attribute));
-    }
-    let _ = app;
-    inputs
-}
-
-/// Extracts the output events of a handler: every device command (mapped to
-/// the attribute change it causes via the capability registry), location-mode
-/// changes and synthetic `sendEvent` events.
-pub fn output_events(app: &IrApp, handler: &IrHandler) -> BTreeSet<EventDesc> {
-    let mut outputs = BTreeSet::new();
-    for stmt in &handler.body {
-        stmt.walk(&mut |s| match s {
-            IrStmt::DeviceCommand { input, command, .. } => {
-                let capability = app
-                    .input(input)
-                    .and_then(|i| i.kind.capability().map(str::to_string))
-                    .unwrap_or_else(|| "switch".to_string());
-                let spec = registry().spec_or_switch(&capability);
-                if let Some(cmd) = spec.command(command) {
-                    for effect in &cmd.effects {
-                        match effect {
-                            iotsan_devices::CommandEffect::Set { attribute, value } => {
-                                outputs.insert(EventDesc::new(*attribute, *value));
-                            }
-                            iotsan_devices::CommandEffect::SetFromArg { attribute } => {
-                                outputs.insert(EventDesc::any(*attribute));
-                            }
-                        }
-                    }
-                } else {
-                    // Unknown command: assume it changes the primary attribute.
-                    outputs.insert(EventDesc::any(spec.primary_attribute().name));
-                }
-            }
-            IrStmt::SetLocationMode(value) => {
-                let mode = match value {
-                    iotsan_ir::IrExpr::Const(v) => Some(v.as_string()),
-                    _ => None,
-                };
-                outputs.insert(EventDesc { attribute: "mode".into(), value: mode });
-            }
-            IrStmt::SendEvent { attribute, value } => {
-                let v = match value {
-                    iotsan_ir::IrExpr::Const(v) => Some(v.as_string()),
-                    _ => None,
-                };
-                outputs.insert(EventDesc { attribute: attribute.clone(), value: v });
-            }
-            _ => {}
-        });
-    }
-    outputs
-}
-
-/// Extracts the full event profile of a handler from its subscription and a
-/// direct statement walk.
-///
-/// This is the original (coarser) extraction; [`effect_profile`] supersedes
-/// it as the edge source of [`crate::analyze`] but it stays public as the
-/// reference point of the subgraph consistency guarantee: every event it
-/// extracts is also extracted by [`effect_profile`].
-pub fn event_profile(app: &IrApp, handler: &IrHandler) -> EventProfile {
-    EventProfile { inputs: input_events(app, handler), outputs: output_events(app, handler) }
-}
-
 /// The event channel representing one app-state slot in effect profiles.
 fn state_desc(app: &IrApp, var: &str) -> EventDesc {
     EventDesc::any(iotsan_analysis::state_channel(&app.name, var))
@@ -176,13 +88,12 @@ fn sched_desc(app: &IrApp, handler: &str) -> EventDesc {
 /// Extracts a handler's event profile from its [`iotsan_analysis`] effect
 /// summary — the edge source of the dependency graph.
 ///
-/// The profile is a superset of [`event_profile`]'s: the same trigger and
-/// device-attribute descriptions, plus flows the statement walk missed —
-/// location-mode *reads* (a mode-writing handler feeds every mode-guarded
-/// one), app-state slots (`state:{app}:{var}` channels connecting a
-/// handler that stores a slot to the handlers reading it), and schedule
-/// edges (`sched:{app}:{handler}` channels connecting `runIn`-style calls to
-/// the timer handler they arm).  State and schedule channels are
+/// Beside the trigger and the device attributes a handler reads and changes,
+/// the profile carries location-mode *reads* (a mode-writing handler feeds
+/// every mode-guarded one), app-state slots (`state:{app}:{var}` channels
+/// connecting a handler that stores a slot to the handlers reading it), and
+/// schedule edges (`sched:{app}:{handler}` channels connecting `runIn`-style
+/// calls to the timer handler they arm).  State and schedule channels are
 /// app-qualified, so they never connect handlers across apps.
 pub fn effect_profile(app: &IrApp, handler: &IrHandler) -> EventProfile {
     use iotsan_analysis::{ReadEffect, WriteEffect};
@@ -257,7 +168,7 @@ pub fn effect_profile(app: &IrApp, handler: &IrHandler) -> EventProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotsan_ir::{AppInput, IrExpr, Value};
+    use iotsan_ir::{AppInput, IrExpr, IrStmt, Value};
 
     fn switch_app(name: &str, handler: IrHandler) -> IrApp {
         IrApp {
@@ -322,7 +233,7 @@ mod tests {
             }],
         );
         let app = switch_app("A", h.clone());
-        let inputs = input_events(&app, &h);
+        let inputs = effect_profile(&app, &h).inputs;
         assert!(inputs.contains(&EventDesc::new("contact", "open")));
         assert!(inputs.contains(&EventDesc::any("lock")));
     }
@@ -346,7 +257,7 @@ mod tests {
             ],
         );
         let app = switch_app("A", h.clone());
-        let outputs = output_events(&app, &h);
+        let outputs = effect_profile(&app, &h).outputs;
         assert!(outputs.contains(&EventDesc::new("switch", "on")));
         assert!(outputs.contains(&EventDesc::new("lock", "unlocked")));
         assert!(outputs.contains(&EventDesc::new("mode", "Away")));
@@ -359,7 +270,7 @@ mod tests {
             vec![IrStmt::SendEvent { attribute: "smoke".into(), value: IrExpr::str("detected") }],
         );
         let app = switch_app("A", h.clone());
-        let outputs = output_events(&app, &h);
+        let outputs = effect_profile(&app, &h).outputs;
         assert!(outputs.contains(&EventDesc::new("smoke", "detected")));
     }
 
@@ -374,7 +285,7 @@ mod tests {
             }],
         );
         let app = switch_app("A", h.clone());
-        let profile = event_profile(&app, &h);
+        let profile = effect_profile(&app, &h);
         assert_eq!(profile.inputs.len(), 1);
         assert_eq!(profile.outputs.len(), 1);
     }

@@ -37,7 +37,5 @@
 pub mod events;
 pub mod graph;
 
-pub use events::{
-    effect_profile, event_profile, input_events, output_events, EventDesc, EventProfile,
-};
+pub use events::{effect_profile, EventDesc, EventProfile};
 pub use graph::{analyze, render_summary, DependencyGraph, RelatedSets, Vertex, VertexId};

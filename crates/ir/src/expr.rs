@@ -244,30 +244,6 @@ impl IrExpr {
             _ => {}
         }
     }
-
-    /// Returns every `(input, attribute)` pair read by this expression.
-    pub fn device_reads(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        self.walk(&mut |e| match e {
-            IrExpr::DeviceAttr { input, attribute } => out.push((input.clone(), attribute.clone())),
-            IrExpr::DeviceQuery { input, attribute, .. } => {
-                out.push((input.clone(), attribute.clone()))
-            }
-            _ => {}
-        });
-        out
-    }
-
-    /// True when the expression mentions the event object.
-    pub fn reads_event(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e, IrExpr::EventField(_)) {
-                found = true;
-            }
-        });
-        found
-    }
 }
 
 impl fmt::Display for IrExpr {
@@ -349,35 +325,6 @@ mod tests {
         let IrExpr::Binary { op: IrBinOp::Eq, lhs, rhs } = &e else { panic!() };
         assert!(matches!(**lhs, IrExpr::DeviceAttr { .. }));
         assert!(matches!(**rhs, IrExpr::Const(Value::Str(_))));
-    }
-
-    #[test]
-    fn device_reads_collects_all_pairs() {
-        let e = IrExpr::binary(
-            IrBinOp::And,
-            IrExpr::attr_eq("door", "contact", "open"),
-            IrExpr::DeviceQuery {
-                input: "lights".into(),
-                attribute: "switch".into(),
-                value: Box::new(IrExpr::str("on")),
-                quantifier: Quantifier::Any,
-            },
-        );
-        let reads = e.device_reads();
-        assert_eq!(reads.len(), 2);
-        assert!(reads.contains(&("door".into(), "contact".into())));
-        assert!(reads.contains(&("lights".into(), "switch".into())));
-    }
-
-    #[test]
-    fn reads_event_detection() {
-        assert!(IrExpr::binary(
-            IrBinOp::Eq,
-            IrExpr::EventField(EventField::Value),
-            IrExpr::str("active")
-        )
-        .reads_event());
-        assert!(!IrExpr::attr_eq("x", "switch", "on").reads_event());
     }
 
     #[test]

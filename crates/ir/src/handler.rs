@@ -4,7 +4,6 @@
 //! inputs, its event handlers lowered to IR, and flags for behaviours the
 //! paper calls out (dynamic device discovery, which IotSan cannot verify).
 
-use crate::expr::IrExpr;
 use crate::stmt::IrStmt;
 use std::fmt;
 
@@ -47,11 +46,6 @@ impl SettingKind {
             SettingKind::Device { capability, .. } => Some(capability),
             _ => None,
         }
-    }
-
-    /// True when this input selects devices.
-    pub fn is_device(&self) -> bool {
-        matches!(self, SettingKind::Device { .. })
     }
 }
 
@@ -111,20 +105,6 @@ pub enum Trigger {
     },
 }
 
-impl Trigger {
-    /// The event attribute this trigger listens on, in the `attribute` form
-    /// used by the dependency analyzer (`location/mode`, `app/touch`, `time/tick`).
-    pub fn attribute(&self) -> String {
-        match self {
-            Trigger::Device { attribute, .. } => attribute.clone(),
-            Trigger::LocationMode { .. } => "mode".to_string(),
-            Trigger::LocationEvent { name } => name.clone(),
-            Trigger::AppTouch => "touch".to_string(),
-            Trigger::Timer { .. } => "time".to_string(),
-        }
-    }
-}
-
 impl fmt::Display for Trigger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -159,80 +139,6 @@ pub struct IrHandler {
     pub body: Vec<IrStmt>,
 }
 
-impl IrHandler {
-    /// Every `(input, command)` pair the handler may send.
-    pub fn device_commands(&self) -> Vec<(String, String)> {
-        self.body.iter().flat_map(|s| s.device_commands()).collect()
-    }
-
-    /// Every `(input, attribute)` pair the handler may read.
-    pub fn device_reads(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for stmt in &self.body {
-            stmt.walk(&mut |s| collect_stmt_reads(s, &mut out));
-        }
-        out
-    }
-
-    /// True when the handler changes the location mode.
-    pub fn sets_location_mode(&self) -> bool {
-        self.body.iter().any(|s| s.sets_location_mode())
-    }
-
-    /// True when the handler uses a network interface (potential leak).
-    pub fn uses_network(&self) -> bool {
-        let mut found = false;
-        for stmt in &self.body {
-            stmt.walk(&mut |s| {
-                if matches!(s, IrStmt::HttpRequest { .. }) {
-                    found = true;
-                }
-            });
-        }
-        found
-    }
-
-    /// True when the handler executes a security-sensitive command
-    /// (`unsubscribe` or a synthetic `sendEvent`).
-    pub fn uses_sensitive_command(&self) -> bool {
-        let mut found = false;
-        for stmt in &self.body {
-            stmt.walk(&mut |s| {
-                if matches!(s, IrStmt::Unsubscribe | IrStmt::SendEvent { .. }) {
-                    found = true;
-                }
-            });
-        }
-        found
-    }
-}
-
-fn collect_stmt_reads(stmt: &IrStmt, out: &mut Vec<(String, String)>) {
-    let mut visit_expr = |e: &IrExpr| out.extend(e.device_reads());
-    match stmt {
-        IrStmt::DeviceCommand { args, .. } => args.iter().for_each(&mut visit_expr),
-        IrStmt::SetLocationMode(e) | IrStmt::Log(e) | IrStmt::Return(Some(e)) => visit_expr(e),
-        IrStmt::SendSms { recipient, message } => {
-            visit_expr(recipient);
-            visit_expr(message);
-        }
-        IrStmt::SendPush { message } => visit_expr(message),
-        IrStmt::HttpRequest { url, payload, .. } => {
-            visit_expr(url);
-            if let Some(p) = payload {
-                visit_expr(p);
-            }
-        }
-        IrStmt::SendEvent { value, .. } => visit_expr(value),
-        IrStmt::AssignState { value, .. } | IrStmt::AssignLocal { value, .. } => visit_expr(value),
-        IrStmt::If { cond, .. } => visit_expr(cond),
-        IrStmt::While { cond, .. } => visit_expr(cond),
-        IrStmt::Schedule { delay_seconds: Some(d), .. } => visit_expr(d),
-        IrStmt::OpaqueCall { args, .. } => args.iter().for_each(&mut visit_expr),
-        _ => {}
-    }
-}
-
 /// A fully translated smart app.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrApp {
@@ -262,7 +168,6 @@ impl IrApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::IrExpr;
 
     fn handler_with(body: Vec<IrStmt>) -> IrHandler {
         IrHandler {
@@ -279,8 +184,8 @@ mod tests {
 
     #[test]
     fn trigger_attribute_and_display() {
-        assert_eq!(Trigger::AppTouch.attribute(), "touch");
-        assert_eq!(Trigger::LocationMode { value: None }.attribute(), "mode");
+        assert_eq!(Trigger::AppTouch.to_string(), "app/touch");
+        assert_eq!(Trigger::LocationMode { value: None }.to_string(), "location/mode");
         assert_eq!(
             Trigger::Device {
                 input: "d".into(),
@@ -291,42 +196,6 @@ mod tests {
             "d:contact.open"
         );
         assert_eq!(Trigger::Timer { delay_seconds: Some(60) }.to_string(), "timer/60s");
-    }
-
-    #[test]
-    fn handler_classification_helpers() {
-        let h = handler_with(vec![
-            IrStmt::If {
-                cond: IrExpr::attr_eq("door", "contact", "open"),
-                then: vec![IrStmt::DeviceCommand {
-                    input: "lights".into(),
-                    command: "on".into(),
-                    args: vec![],
-                }],
-                els: vec![IrStmt::HttpRequest {
-                    method: crate::stmt::HttpMethod::Post,
-                    url: IrExpr::str("http://collector.example"),
-                    payload: None,
-                }],
-            },
-            IrStmt::SetLocationMode(IrExpr::str("Away")),
-        ]);
-        assert_eq!(h.device_commands(), vec![("lights".to_string(), "on".to_string())]);
-        assert_eq!(h.device_reads(), vec![("door".to_string(), "contact".to_string())]);
-        assert!(h.sets_location_mode());
-        assert!(h.uses_network());
-        assert!(!h.uses_sensitive_command());
-    }
-
-    #[test]
-    fn sensitive_command_detection() {
-        let h = handler_with(vec![IrStmt::SendEvent {
-            attribute: "smoke".into(),
-            value: IrExpr::str("detected"),
-        }]);
-        assert!(h.uses_sensitive_command());
-        let h = handler_with(vec![IrStmt::Unsubscribe]);
-        assert!(h.uses_sensitive_command());
     }
 
     #[test]
@@ -347,7 +216,8 @@ mod tests {
             state_vars: vec![],
             dynamic_discovery: false,
         };
-        assert!(app.input("motion").is_some_and(|i| i.kind.is_device()));
-        assert!(app.input("minutes").is_some_and(|i| !i.kind.is_device()));
+        assert_eq!(app.input("motion").and_then(|i| i.kind.capability()), Some("motionSensor"));
+        assert!(app.input("minutes").is_some_and(|i| i.kind == SettingKind::Number));
+        assert!(app.input("missing").is_none());
     }
 }

@@ -861,6 +861,28 @@ mod tests {
         lower_app(&app).unwrap()
     }
 
+    /// Every statement of `h`, nested ones included (preorder).
+    fn stmts(h: &IrHandler) -> Vec<&IrStmt> {
+        let mut out = Vec::new();
+        for s in &h.body {
+            s.walk(&mut |s| out.push(s));
+        }
+        out
+    }
+
+    /// Every `(input, command)` pair `h` may send.
+    fn commands(h: &IrHandler) -> Vec<(&str, &str)> {
+        stmts(h)
+            .into_iter()
+            .filter_map(|s| match s {
+                IrStmt::DeviceCommand { input, command, .. } => {
+                    Some((input.as_str(), command.as_str()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     const BRIGHTEN: &str = r#"
 definition(name: "Brighten Dark Places", namespace: "st", author: "a", description: "d")
 preferences {
@@ -892,8 +914,14 @@ def contactOpenHandler(evt) {
                 value: Some("open".into())
             }
         );
-        assert_eq!(h.device_commands(), vec![("switches".to_string(), "on".to_string())]);
-        assert_eq!(h.device_reads(), vec![("lightSensor".to_string(), "illuminance".to_string())]);
+        assert_eq!(commands(h), [("switches", "on")]);
+        let IrStmt::If { cond: IrExpr::Binary { lhs, .. }, .. } = &h.body[0] else {
+            panic!("expected a comparison guard")
+        };
+        assert_eq!(
+            **lhs,
+            IrExpr::DeviceAttr { input: "lightSensor".into(), attribute: "illuminance".into() }
+        );
     }
 
     #[test]
@@ -916,7 +944,8 @@ def contactHandler(evt) {
         let app = lower(src);
         let h = &app.handlers[0];
         let IrStmt::If { cond, then, els } = &h.body[0] else { panic!("expected if") };
-        assert!(cond.reads_event());
+        let IrExpr::Binary { lhs, .. } = cond else { panic!("expected a comparison") };
+        assert_eq!(**lhs, IrExpr::EventField(EventField::Value));
         assert!(matches!(then[0], IrStmt::DeviceCommand { ref command, .. } if command == "on"));
         assert!(matches!(els[0], IrStmt::DeviceCommand { ref command, .. } if command == "off"));
     }
@@ -954,8 +983,14 @@ def presenceHandler(evt) {
 }
 "#;
         let app = lower(src);
-        let h = &app.handlers[0];
-        assert!(h.sets_location_mode());
+        let modes: Vec<&IrExpr> = stmts(&app.handlers[0])
+            .into_iter()
+            .filter_map(|s| match s {
+                IrStmt::SetLocationMode(e) => Some(e),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(modes, [&IrExpr::str("Away"), &IrExpr::str("Home")]);
     }
 
     #[test]
@@ -977,7 +1012,7 @@ def openHandler(evt) {
         let h = &app.handlers[0];
         assert!(matches!(h.body[0], IrStmt::SendSms { .. }));
         assert!(matches!(h.body[1], IrStmt::SendPush { .. }));
-        assert!(h.uses_network());
+        assert!(matches!(h.body[2], IrStmt::HttpRequest { method: HttpMethod::Post, .. }));
     }
 
     #[test]
@@ -997,7 +1032,6 @@ def smokeHandler(evt) {
             matches!(h.body[0], IrStmt::SendEvent { ref attribute, .. } if attribute == "smoke")
         );
         assert!(matches!(h.body[1], IrStmt::Unsubscribe));
-        assert!(h.uses_sensitive_command());
     }
 
     #[test]
@@ -1015,7 +1049,7 @@ def turnAllOn() {
 "#;
         let app = lower(src);
         let h = &app.handlers[0];
-        assert_eq!(h.device_commands(), vec![("switches".to_string(), "on".to_string())]);
+        assert_eq!(commands(h), [("switches", "on")]);
     }
 
     #[test]
@@ -1117,9 +1151,9 @@ def modeHandler(evt) {
         let app = lower(src);
         let h = &app.handlers[0];
         assert_eq!(h.trigger, Trigger::LocationMode { value: None });
-        let cmds = h.device_commands();
-        assert!(cmds.contains(&("lock1".into(), "lock".into())));
-        assert!(cmds.contains(&("lock1".into(), "unlock".into())));
+        let cmds = commands(h);
+        assert!(cmds.contains(&("lock1", "lock")));
+        assert!(cmds.contains(&("lock1", "unlock")));
     }
 
     #[test]

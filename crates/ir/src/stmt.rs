@@ -160,28 +160,6 @@ impl IrStmt {
             _ => {}
         }
     }
-
-    /// Every `(input, command)` pair this statement may send to an actuator.
-    pub fn device_commands(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        self.walk(&mut |s| {
-            if let IrStmt::DeviceCommand { input, command, .. } = s {
-                out.push((input.clone(), command.clone()));
-            }
-        });
-        out
-    }
-
-    /// True when this statement (or a nested one) changes the location mode.
-    pub fn sets_location_mode(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |s| {
-            if matches!(s, IrStmt::SetLocationMode(_)) {
-                found = true;
-            }
-        });
-        found
-    }
 }
 
 #[cfg(test)]
@@ -207,20 +185,14 @@ mod tests {
                 }],
             }],
         };
-        let cmds = stmt.device_commands();
+        let mut cmds = Vec::new();
+        stmt.walk(&mut |s| {
+            if let IrStmt::DeviceCommand { input, command, .. } = s {
+                cmds.push((input.as_str(), command.as_str()));
+            }
+        });
         assert_eq!(cmds.len(), 2);
-        assert!(cmds.contains(&("lights".into(), "on".into())));
-        assert!(cmds.contains(&("outlets".into(), "off".into())));
-    }
-
-    #[test]
-    fn mode_change_detection() {
-        let stmt = IrStmt::If {
-            cond: IrExpr::bool(true),
-            then: vec![IrStmt::SetLocationMode(IrExpr::str("Away"))],
-            els: vec![],
-        };
-        assert!(stmt.sets_location_mode());
-        assert!(!on_cmd("x").sets_location_mode());
+        assert!(cmds.contains(&("lights", "on")));
+        assert!(cmds.contains(&("outlets", "off")));
     }
 }

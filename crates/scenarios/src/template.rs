@@ -264,6 +264,7 @@ pub fn draw_guard(rng: &mut SplitMix64, trigger: &TriggerFragment) -> GuardFragm
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotsan::analysis::{summarize_handler, WriteEffect};
 
     fn sample_app() -> ScenarioApp {
         ScenarioApp {
@@ -300,7 +301,16 @@ mod tests {
         let apps = iotsan::translate_sources(&[&source]).expect("generated groovy translates");
         assert_eq!(apps.len(), 1);
         assert_eq!(apps[0].handlers.len(), 1);
-        assert_eq!(apps[0].handlers[0].device_commands(), vec![("actuator".into(), "on".into())]);
+        let summary = summarize_handler(&apps[0], &apps[0].handlers[0]);
+        let commands: Vec<_> = summary
+            .writes
+            .iter()
+            .filter_map(|w| match w {
+                WriteEffect::Command { input, command } => Some((input.as_str(), command.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(commands, [("actuator", "on")]);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! - [`metrics`] — a fixed, const-constructed registry of counters, gauges
 //!   and fixed-bucket histograms covering checker, planner/cache, verdict
 //!   store and daemon.  Hot paths flush local tallies once per
-//!   search/job/store operation; snapshots render as Prometheus text
-//!   exposition or as the flat JSON row the BENCH pipeline consumes.
+//!   search/job/store operation; snapshots render as the flat JSON row
+//!   that the daemon's metrics answers and the BENCH pipeline consume.
 //! - [`flight`] — a bounded ring buffer of structured lifecycle events
 //!   (job accepted/claimed/retried/quarantined, store
 //!   append/compact/recover/degrade/reprobe, search start/cap/cancel),

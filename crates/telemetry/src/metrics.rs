@@ -17,14 +17,14 @@
 //! harness A/B the recording cost inside one process: when disabled,
 //! recording operations return immediately (reads still work).
 //!
-//! Rendering: [`Snapshot::render_prometheus`] produces Prometheus text
-//! exposition, [`Snapshot::render_json`] the same flat JSON object row the
-//! `repro`/BENCH pipeline consumes (via [`crate::rows::JsonRow`]).
+//! Rendering: [`Snapshot::render_json`] produces the flat JSON object row
+//! that `{"op":"metrics"}`, `iotsand --metrics-snapshot` and the
+//! `repro`/BENCH pipeline consume (via [`crate::rows::JsonRow`]).
 
 use crate::rows::JsonRow;
 
 /// Maximum number of finite histogram bucket bounds (one extra slot counts
-/// the overflow, i.e. the Prometheus `+Inf` bucket).
+/// the overflow, rendered as the `null` bound).
 pub const MAX_HISTOGRAM_BOUNDS: usize = 15;
 
 #[cfg(feature = "on")]
@@ -141,8 +141,8 @@ mod imp {
     /// A fixed-bucket histogram of `u64` observations.
     ///
     /// Bounds are a static, strictly increasing slice of *inclusive* upper
-    /// bounds (Prometheus `le` semantics); observations above the last
-    /// bound land in the implicit overflow (`+Inf`) bucket.
+    /// bounds; observations above the last bound land in the implicit
+    /// overflow bucket (the `null` bound of the JSON render).
     #[derive(Debug)]
     pub struct Histogram {
         bounds: &'static [u64],
@@ -334,7 +334,7 @@ mod imp {
 
 pub use imp::{enabled, set_enabled, Counter, FloatGauge, Gauge, Histogram};
 
-/// What a metric measures — determines how it renders.
+/// What a metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Monotonic event count.
@@ -347,23 +347,12 @@ pub enum Kind {
     Histogram,
 }
 
-impl Kind {
-    /// The Prometheus `# TYPE` keyword for this kind.
-    pub fn prometheus_type(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge | Kind::FloatGauge => "gauge",
-            Kind::Histogram => "histogram",
-        }
-    }
-}
-
 /// Static description of one registered metric: the contract between the
 /// registry, the rendered snapshots and the OPERATIONS.md reference table
 /// (pinned by `tests/docs_drift.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct Descriptor {
-    /// Exposition name (Prometheus conventions; counters end in `_total`).
+    /// Metric name (Prometheus naming conventions; counters end in `_total`).
     pub name: &'static str,
     /// What the metric measures.
     pub kind: Kind,
@@ -598,8 +587,8 @@ pub fn snapshot() -> Snapshot {
     METRICS.capture()
 }
 
-/// A point-in-time capture of every registered metric, renderable as
-/// Prometheus text exposition or as one flat JSON row.
+/// A point-in-time capture of every registered metric, renderable as one
+/// flat JSON row.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The captured metrics, in registry order.
@@ -618,42 +607,6 @@ impl Snapshot {
             Some(Value::Counter(v)) => *v,
             _ => 0,
         }
-    }
-
-    /// Renders Prometheus text exposition (HELP/TYPE comments, histogram
-    /// `_bucket`/`_sum`/`_count` expansion with cumulative `le` buckets).
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for sample in &self.samples {
-            let d = &sample.descriptor;
-            let _ = writeln!(out, "# HELP {} {} (unit: {})", d.name, d.help, d.unit);
-            let _ = writeln!(out, "# TYPE {} {}", d.name, d.kind.prometheus_type());
-            match &sample.value {
-                Value::Counter(v) => {
-                    let _ = writeln!(out, "{} {}", d.name, v);
-                }
-                Value::Gauge(v) => {
-                    let _ = writeln!(out, "{} {}", d.name, v);
-                }
-                Value::Float(v) => {
-                    let _ = writeln!(out, "{} {}", d.name, crate::rows::finite(*v));
-                }
-                Value::Histogram { bounds, counts, sum } => {
-                    let mut cumulative = 0u64;
-                    for (i, bound) in bounds.iter().enumerate() {
-                        cumulative += counts.get(i).copied().unwrap_or(0);
-                        let _ =
-                            writeln!(out, "{}_bucket{{le=\"{}\"}} {}", d.name, bound, cumulative);
-                    }
-                    cumulative += counts.get(bounds.len()).copied().unwrap_or(0);
-                    let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", d.name, cumulative);
-                    let _ = writeln!(out, "{}_sum {}", d.name, sum);
-                    let _ = writeln!(out, "{}_count {}", d.name, cumulative);
-                }
-            }
-        }
-        out
     }
 
     /// Appends every metric as a field of `row` (histograms as nested
@@ -796,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_golden_prometheus_and_json() {
+    fn snapshot_golden_json() {
         let _serial = recording_lock();
         let m = Metrics::new();
         m.checker_searches.inc();
@@ -806,24 +759,31 @@ mod tests {
         m.planner_group_size.observe(99);
         let snap = m.capture();
 
-        let prom = snap.render_prometheus();
-        assert!(prom.contains("# TYPE iotsan_checker_searches_total counter\n"));
-        assert!(prom.contains("\niotsan_checker_searches_total 1\n"));
-        assert!(prom.contains("\niotsan_checker_last_states_per_sec 1500.5\n"));
-        assert!(prom.contains("# TYPE iotsan_planner_group_size histogram\n"));
-        // Cumulative le buckets: le=1 →1, le=2 →1, le=4 →2 … le=+Inf →3.
-        assert!(prom.contains("iotsan_planner_group_size_bucket{le=\"1\"} 1\n"));
-        assert!(prom.contains("iotsan_planner_group_size_bucket{le=\"4\"} 2\n"));
-        assert!(prom.contains("iotsan_planner_group_size_bucket{le=\"+Inf\"} 3\n"));
-        assert!(prom.contains("iotsan_planner_group_size_sum 103\n"));
-        assert!(prom.contains("iotsan_planner_group_size_count 3\n"));
-
-        let json = snap.render_json();
-        assert!(json.contains("\"iotsan_checker_searches_total\":1"));
-        assert!(json.contains("\"iotsan_checker_last_states_per_sec\":1500.5"));
-        assert!(json.contains(
-            "\"iotsan_planner_group_size\":{\"sum\":103,\"count\":3,\"buckets\":[[1,1],[2,1],[4,2],[8,2],[16,2],[32,2],[64,2],[null,3]]}"
-        ));
+        // Every registered metric in registry order: counters and gauges as
+        // numbers, the histogram as cumulative `[bound, count]` buckets
+        // (le=1 →1, le=2 →1, le=4 →2 …) ending in the `null` overflow bound.
+        assert_eq!(
+            snap.render_json(),
+            concat!(
+                "{\"iotsan_checker_searches_total\":1,\"iotsan_checker_states_total\":0,",
+                "\"iotsan_checker_transitions_total\":0,\"iotsan_checker_dedup_hits_total\":0,",
+                "\"iotsan_checker_truncated_total\":0,\"iotsan_checker_last_states_per_sec\":1500.5,",
+                "\"iotsan_checker_frontier_peak\":0,\"iotsan_checker_arena_peak_bytes\":0,",
+                "\"iotsan_cache_hits_total\":0,\"iotsan_cache_misses_total\":0,",
+                "\"iotsan_cache_backing_hits_total\":0,\"iotsan_cache_persist_failures_total\":0,",
+                "\"iotsan_planner_group_size\":{\"sum\":103,\"count\":3,\"buckets\":",
+                "[[1,1],[2,1],[4,2],[8,2],[16,2],[32,2],[64,2],[null,3]]},",
+                "\"iotsan_planner_served_by_renaming_total\":0,\"iotsan_store_appends_total\":0,",
+                "\"iotsan_store_compactions_total\":0,\"iotsan_store_recoveries_total\":0,",
+                "\"iotsan_store_corrupt_tails_total\":0,\"iotsan_store_io_faults_total\":0,",
+                "\"iotsan_daemon_jobs_accepted_total\":0,\"iotsan_daemon_jobs_completed_total\":0,",
+                "\"iotsan_daemon_jobs_failed_total\":0,\"iotsan_daemon_jobs_invalid_total\":0,",
+                "\"iotsan_daemon_retries_total\":0,\"iotsan_daemon_quarantines_total\":0,",
+                "\"iotsan_daemon_reprobes_total\":0,\"iotsan_daemon_degraded_ms_total\":0,",
+                "\"iotsan_daemon_queue_depth\":0,\"iotsan_daemon_inflight\":0,",
+                "\"iotsan_daemon_degraded\":0}"
+            )
+        );
         assert_eq!(snap.counter("iotsan_checker_searches_total"), 1);
     }
 

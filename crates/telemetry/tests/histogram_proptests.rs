@@ -53,18 +53,15 @@ proptest! {
             Some(Value::Histogram { bounds, counts, .. }) => {
                 prop_assert_eq!(*bounds, GROUP_SIZE_BOUNDS);
                 // Non-cumulative counts sum to the observation count; the
-                // rendered cumulative +Inf bucket therefore equals it too.
+                // rendered cumulative overflow bucket therefore equals it too.
                 let total: u64 = counts.iter().sum();
                 prop_assert_eq!(total, values.len() as u64);
             }
             other => prop_assert!(false, "unexpected value {:?}", other),
         }
-        let prom = snap.render_prometheus();
-        let inf_line = prom
-            .lines()
-            .find(|l| l.starts_with("iotsan_planner_group_size_bucket{le=\"+Inf\"}"))
-            .expect("+Inf bucket rendered");
-        let rendered: u64 = inf_line.rsplit(' ').next().unwrap().parse().unwrap();
-        prop_assert_eq!(rendered, values.len() as u64);
+        let n = values.len();
+        let json = snap.render_json();
+        prop_assert!(json.contains(&format!("[null,{n}]]}}")), "{}", json);
+        prop_assert!(json.contains(&format!("\"count\":{n},")), "{}", json);
     }
 }

@@ -1,19 +1,20 @@
 //! Soundness witnesses for the static analysis layer (`iotsan-analysis`).
 //!
-//! Two guarantees, each checked against the real market corpus rather than
-//! hand-built fixtures:
+//! Running the interpreter with the effect log enabled over the 150-app
+//! market corpus, rather than hand-built fixtures, with seeded random event
+//! values and handler orders, checks two guarantees:
 //!
-//! 1. **Dynamic containment** — running the interpreter with the effect log
-//!    enabled on seeded random event sequences never observes a write outside
-//!    the handler's static summary.
-//! 2. **Depgraph containment** — the legacy subscription-derived event
-//!    profile of every market handler is a subgraph-inducing subset of the
-//!    effect-derived profile that now feeds the dependency analyzer.
+//! 1. **Dynamic containment** — no write falls outside the handler's static
+//!    summary.
+//! 2. **Depgraph edges** — every event a handler emits overlaps an output of
+//!    its `effect_profile`, and every device or mode event dispatched to it
+//!    overlaps an input, so the dependency graph has an edge for each flow
+//!    the interpreter takes.
 
 use iotsan::analysis::{summarize_handler, EffectSummary, WriteEffect};
 use iotsan::checker::StepLog;
 use iotsan::config::{expert_configure, standard_household};
-use iotsan::depgraph::{effect_profile, event_profile};
+use iotsan::depgraph::{effect_profile, EventDesc};
 use iotsan::ir::{IrApp, IrHandler, Trigger, Value};
 use iotsan::properties::StepObservation;
 use iotsan::system::InstalledSystem;
@@ -22,10 +23,9 @@ use iotsan_apps::market;
 use proptest::prelude::*;
 use std::borrow::Cow;
 
-fn named_market_apps() -> Vec<IrApp> {
-    let apps = market::named_apps();
+fn translate(apps: &[market::MarketApp]) -> Vec<IrApp> {
     let sources: Vec<&str> = apps.iter().map(|a| a.source.as_str()).collect();
-    translate_sources(&sources).expect("named market apps translate")
+    translate_sources(&sources).expect("market apps translate")
 }
 
 /// A deterministic event for `handler` driven by the choice stream.
@@ -154,15 +154,16 @@ fn assert_log_event_covered(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Soundness witness: every write the interpreter performs on a random
-    /// event walk is contained in the handler's static effect summary.
-    /// (Reads have no dynamic witness in the effect log, so only writes are
-    /// checked.)
+    /// Soundness witness: every write the interpreter performs on a sweep
+    /// of every handler is contained in the handler's static effect
+    /// summary, and every event it emits or is dispatched lies on an edge of
+    /// the dependency graph.  (Reads have no dynamic witness in the effect
+    /// log, so only writes and the triggering event are checked.)
     #[test]
     fn dynamic_writes_are_contained_in_static_summaries(
         choices in proptest::collection::vec(0usize..1 << 16, 1..32),
     ) {
-        let apps = named_market_apps();
+        let apps = translate(&market::market_apps());
         let config = expert_configure(&apps, &standard_household());
         let system = InstalledSystem::new(apps, config);
         let handlers: Vec<(usize, usize, IrHandler)> = system
@@ -184,13 +185,19 @@ proptest! {
             }
         }
 
+        // Every handler runs once per case, from a start the choice stream
+        // picks and with event values and failures drawn from it; the state
+        // carries over, so each case reaches each handler in another state.
         let mut state = system.initial_state();
-        for &choice in &choices {
-            let (app_index, handler_index, handler) = &handlers[choice % handlers.len()];
+        for k in 0..handlers.len() {
+            let choice = choices[k % choices.len()];
+            let (app_index, handler_index, handler) =
+                &handlers[(choices[0] + k) % handlers.len()];
             let Some(event) = event_for(&system, *app_index, handler, choice) else {
                 continue;
             };
             let summary = summarize_handler(&system.apps[*app_index], handler);
+            let profile = effect_profile(&system.apps[*app_index], handler);
             let before = state.app_state.clone();
             let mut observation = StepObservation::default();
             let mut events_out = Vec::new();
@@ -210,6 +217,22 @@ proptest! {
             for log_event in log.events() {
                 assert_log_event_covered(&system, *app_index, &summary, log_event)?;
             }
+            for emitted in &events_out {
+                let desc = EventDesc::new(system.attr_name(emitted.attribute), emitted.value.as_string());
+                prop_assert!(
+                    profile.outputs.iter().any(|out| out.overlaps(&desc)),
+                    "{}::{}: emitted {} overlaps no profile output {:?}",
+                    handler.app, handler.name, desc, profile.outputs
+                );
+            }
+            if matches!(handler.trigger, Trigger::Device { .. } | Trigger::LocationMode { .. }) {
+                let desc = EventDesc::new(system.attr_name(event.attribute), event.value.as_string());
+                prop_assert!(
+                    profile.inputs.iter().any(|input| input.overlaps(&desc)),
+                    "{}::{}: dispatched {} overlaps no profile input {:?}",
+                    handler.app, handler.name, desc, profile.inputs
+                );
+            }
             for (slot, (old, new)) in before.iter().zip(state.app_state.iter()).enumerate() {
                 if old != new {
                     let (owner, var) =
@@ -228,57 +251,15 @@ proptest! {
     }
 }
 
-/// Consistency: the legacy subscription-derived profile of every handler in
-/// the full 150-app market corpus is contained in the effect-derived profile.
-/// Edges are monotone in profiles, so containment here means the old
-/// dependency graph is a subgraph of the new one — related sets can merge
-/// (handlers that write attributes they never subscribe to now connect) but
-/// never split.
-#[test]
-fn subscription_profiles_are_contained_in_effect_profiles() {
-    let market = market::market_apps();
-    let sources: Vec<&str> = market.iter().map(|a| a.source.as_str()).collect();
-    let apps = translate_sources(&sources).expect("market corpus translates");
-    let mut handlers = 0;
-    for app in &apps {
-        for handler in &app.handlers {
-            let legacy = event_profile(app, handler);
-            let effect = effect_profile(app, handler);
-            for desc in &legacy.inputs {
-                assert!(
-                    effect.inputs.contains(desc),
-                    "{}::{}: legacy input {desc} missing from effect profile",
-                    app.name,
-                    handler.name
-                );
-            }
-            for desc in &legacy.outputs {
-                assert!(
-                    effect.outputs.contains(desc),
-                    "{}::{}: legacy output {desc} missing from effect profile",
-                    app.name,
-                    handler.name
-                );
-            }
-            handlers += 1;
-        }
-    }
-    assert!(handlers > 100, "expected a real corpus, saw {handlers} handlers");
-}
-
-/// The effect-derived profiles add flows the subscription walk missed: at
-/// least one market handler gains a mode-read input or a state channel.
+/// Effect profiles carry flows beyond triggers and device reads: "Make It
+/// So" arms its alarm only in Away mode, so its intrusion handler reads the
+/// mode that the same app's other handler (and any mode-setting app) writes.
 #[test]
 fn effect_profiles_add_flows_somewhere_in_the_corpus() {
-    let apps = named_market_apps();
-    let mut extras = 0;
-    for app in &apps {
-        for handler in &app.handlers {
-            let legacy = event_profile(app, handler);
-            let effect = effect_profile(app, handler);
-            extras += effect.inputs.difference(&legacy.inputs).count();
-            extras += effect.outputs.difference(&legacy.outputs).count();
-        }
-    }
-    assert!(extras > 0, "effect profiles should extend the legacy extraction somewhere");
+    let apps = translate(&market::named_apps());
+    let app = apps.iter().find(|a| a.name == "Make It So").expect("Make It So is a named app");
+    let handler = app.handlers.iter().find(|h| h.name == "intrusionHandler").expect("handler");
+    let profile = effect_profile(app, handler);
+    assert!(profile.inputs.contains(&EventDesc::any("mode")), "{:?}", profile.inputs);
+    assert!(profile.inputs.contains(&EventDesc::new("motion", "active")), "{:?}", profile.inputs);
 }
